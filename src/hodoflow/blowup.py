@@ -111,18 +111,10 @@ def blowup_residual(problem, t, M):
     return float(np.linalg.det(P1 + problem.data.phi_jacobian(M)))
 
 
-def K_matrix(problem, t, M):
-    """Inverse spatial gradient: du/dx = K^{-1} away from the blow-up set."""
-    M = np.atleast_1d(np.asarray(M, dtype=float))
-    A = problem.spec.A
-    Em = matops.mat_exp(A, -t)
-    return -matops.phi1(A, -t) + problem.data.phi_jacobian(M) @ Em
-
-
 def _scalar_multiple(A, tol=1e-12):
-    """a such that A = a*Id, or None."""
+    """a such that A = a*Id to tol * max(1, |a|) per entry, or None."""
     a = float(A[0, 0])
-    if np.allclose(A, a * np.eye(A.shape[0]), atol=tol):
+    if np.allclose(A, a * np.eye(A.shape[0]), rtol=0.0, atol=tol * max(1.0, abs(a))):
         return a
     return None
 
@@ -297,9 +289,12 @@ def sheets_diag(problem, M_grid=None):
 
 
 def _coriolis_omega(A, tol=1e-12):
+    """w such that A = w*[[0, 1], [-1, 0]] to tol * max(1, |w|) per entry, or None."""
+    if A.shape != (2, 2):
+        return None
     w = float(A[0, 1])
     ref = np.array([[0.0, w], [-w, 0.0]])
-    if A.shape != (2, 2) or not np.allclose(A, ref, atol=tol) or w == 0.0:
+    if w == 0.0 or not np.allclose(A, ref, rtol=0.0, atol=tol * max(1.0, abs(w))):
         return None
     return w
 
@@ -408,14 +403,16 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
         tau^{p+q} + K1 tau^p + K2 tau^q + K3 = 0,
         K1 = a2 J22 - 1,  K2 = a1 J11 - 1,  K3 = 1 - a1 J11 - a2 J22 + a1 a2 det J,
 
-    has degree <= 6, roots come from the companion matrix; otherwise each grid
-    point is sign-scanned on [-t_max, t_max] with the given step and bisected.
-    Every candidate time is re-verified against blowup_residual to 1e-9.
-    a1 = a2 delegates to sheets_diag.
+    has degree <= 6, roots come from the companion matrix, and every candidate
+    time is re-verified against blowup_residual to 1e-9.  Otherwise each grid
+    point is sign-scanned on [-t_max, t_max] with the given step and bisected
+    to 1e-12 on det(phi1(A,t) + J), the blow-up residual itself, with J =
+    d(phi)/dM evaluated once per point and phi1 tabulated once over the scan
+    grid.  A must be exactly diagonal; a1 = a2 delegates to sheets_diag.
     """
     spec, data = problem.spec, problem.data
     A = spec.A
-    if A.shape != (2, 2) or abs(A[0, 1]) > 0 or abs(A[1, 0]) > 0:
+    if A.shape != (2, 2) or not matops.is_exact_diagonal(A):
         raise ValueError("sheets_diag2 needs A = diag(a1, a2)")
     a1, a2 = float(A[0, 0]), float(A[1, 1])
     if a1 == a2:
@@ -434,9 +431,6 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
 
     axes, pts = _grid_points(data, M_grid, problem.grid_num)
 
-    def residual_at(ti, M):
-        return blowup_residual(problem, ti, M)
-
     def times_poly(M):
         J = data.phi_jacobian(M)
         detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
@@ -452,32 +446,36 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
             if tau <= 0.0:
                 continue
             ti = (q / a2) * np.log(tau)
-            if abs(residual_at(ti, M)) <= _TIME_RESIDUAL_TOL * scale:
+            if abs(blowup_residual(problem, ti, M)) <= _TIME_RESIDUAL_TOL * scale:
                 out.append(float(ti))
         return sorted(out)
 
+    if not use_poly:
+        # phi1 depends on t alone: one table over the scan grid serves every
+        # grid point and every branch_fn probe of the refinement
+        t_grid = np.arange(-t_max, t_max + scan_step, scan_step)
+        P1_tab = np.stack([matops.phi1(A, ti) for ti in t_grid])
+
     def times_scan(M):
-        ts = np.arange(-t_max, t_max + scan_step, scan_step)
-        vals = np.array([residual_at(ti, M) for ti in ts])
+        J = data.phi_jacobian(M)
+        vals = np.linalg.det(P1_tab + J)
         out = []
-        for i in range(1, ts.size):
-            va, vb = vals[i - 1], vals[i]
-            if va == 0.0:
-                out.append(float(ts[i - 1]))
+        for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
+            if vals[i] == 0.0:
+                out.append(float(t_grid[i]))
                 continue
-            if va * vb < 0.0:
-                lo, hi, flo = ts[i - 1], ts[i], va
-                while hi - lo > 1e-12:
-                    mid = 0.5 * (lo + hi)
-                    fm = residual_at(mid, M)
-                    if fm == 0.0:
-                        lo = hi = mid
-                        break
-                    if flo * fm < 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                out.append(float(0.5 * (lo + hi)))
+            lo, hi, flo = t_grid[i], t_grid[i + 1], vals[i]
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                fm = float(np.linalg.det(matops.phi1(A, mid) + J))
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fm < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            out.append(float(0.5 * (lo + hi)))
         return sorted(out)
 
     times_of = times_poly if use_poly else times_scan

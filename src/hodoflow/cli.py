@@ -286,18 +286,6 @@ def cmd_solve(cfg, out_path, threads):
 # blowup
 
 
-def _is_scalar_multiple(A, tol=1e-12):
-    a = A[0, 0]
-    return np.allclose(A, a * np.eye(A.shape[0]), atol=tol * max(1.0, abs(a)))
-
-
-def _is_coriolis2d(A, tol=1e-12):
-    w = A[0, 1]
-    return A.shape == (2, 2) and np.allclose(
-        A, w * np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=tol * max(1.0, abs(w))
-    )
-
-
 def _build_sheets(problem, task):
     """Dispatch the blow-up scan on the force-matrix structure.
 
@@ -316,7 +304,7 @@ def _build_sheets(problem, task):
         cert = blowup.certify_no_blowup_1d(problem)
         word = "Certified" if cert.certified else "NotCertified"
         cert_lines.append(f"certificate: {word} ({cert.reason})")
-    elif _is_scalar_multiple(A):
+    elif blowup._scalar_multiple(A) is not None:
         sheets = blowup.sheets_diag(problem, M_grid=grids)
         for sheet in sheets:
             try:
@@ -325,7 +313,7 @@ def _build_sheets(problem, task):
                 continue
             word = "Absent" if cert.certified else "NotAbsent"
             cert_lines.append(f"certificate[{sheet.branch}]: {word} ({cert.reason})")
-    elif _is_coriolis2d(A):
+    elif blowup._coriolis_omega(A) is not None:
         k_range = task.get("k_range")
         if k_range is not None:
             sheets = blowup.sheets_coriolis2d(problem, M_grid=grids, k_range=tuple(k_range))
@@ -336,7 +324,7 @@ def _build_sheets(problem, task):
                 cert_lines.append(
                     f"certificate[{sheet.branch}]: Absent everywhere ({sheet.absent_reason})"
                 )
-    elif n == 2 and np.allclose(A, np.diag(np.diag(A)), atol=1e-12):
+    elif n == 2 and matops.is_exact_diagonal(A):
         sheets = blowup.sheets_diag2(
             problem, M_grid=grids, t_max=float(task.get("t_max", 10.0))
         )

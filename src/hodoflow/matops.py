@@ -8,15 +8,23 @@ phi-functions are the workhorses of the implicit solution formulas:
 
 with the dimensionless entire functions phi_1(z) = (e^z - 1)/z and
 phi_2(z) = (e^z - 1 - z)/z^2.  Both are evaluated without ever inverting A, so
-singular (including nilpotent and exactly zero) matrices are fine:  small
-arguments go through a truncated Taylor series, everything else through the
-block-augmented exponential
+singular (including nilpotent and exactly zero) matrices are fine.  There are
+three routes:
+
+* exact-diagonal A (every off-diagonal entry exactly 0): phi1 entrywise,
+  as expm1(a t)/a (t where a = 0);
+* small arguments, ||tA||_inf < 0.25: a truncated Taylor series whose length
+  is fixed in advance from that norm, summed in Horner form;
+* everything else: the block-augmented exponential
 
     exp [[tA, I, 0],   =  [[e^{tA}, phi_1(tA), phi_2(tA)],
          [0,  0, I],        [0,      I,         t...    ],
          [0,  0, 0]]        [0,      0,         I       ]]
 
-whose first block row delivers the phi functions directly.
+  whose first block row delivers the phi functions directly.
+
+phi2 of a diagonal A takes the Taylor or augmented route like any other A;
+mat_exp is always scipy.linalg.expm.
 """
 
 from __future__ import annotations
@@ -48,6 +56,11 @@ def _as_square(A):
     return A
 
 
+def is_exact_diagonal(A):
+    """True iff every off-diagonal entry of the square matrix A is exactly 0."""
+    return np.count_nonzero(A) == np.count_nonzero(np.diagonal(A))
+
+
 def mat_exp(A, t=1.0):
     """e^{tA} via scaling-and-squaring (scipy.linalg.expm).
 
@@ -64,17 +77,37 @@ def mat_exp(A, t=1.0):
     return E
 
 
-def _phi_series(B, k):
-    """Taylor sum of phi_k(B) = sum_{j>=0} B^j / (j+k)!, truncated at 1e-17 relative."""
-    n = B.shape[0]
-    term = np.eye(n) / _factorial(k)
-    out = term.copy()
-    for j in range(1, 60):
-        term = term @ B / (k + j)
-        out += term
-        if np.linalg.norm(term, np.inf) <= _TAYLOR_RTOL * max(np.linalg.norm(out, np.inf), 1e-300):
-            return out
-    return out
+def _series_length(beta, k):
+    """Number of terms N of the phi_k Taylor series for ||B||_inf <= beta < 1.
+
+    With c_j = beta^j / (j+k)!, the tail sum_{j>=N} c_j is at most
+    c_N / (1 - beta), and ||phi_k(B)|| >= 1/k! - c_1 / (1 - beta).  N is the
+    smallest length whose tail bound is below _TAYLOR_RTOL times that lower
+    bound.
+    """
+    # that test with both sides multiplied by (1 - beta); c runs through c_N
+    floor = _TAYLOR_RTOL * (1.0 - beta - beta / (k + 1)) / _factorial(k)
+    n = 1
+    c = beta / _factorial(k + 1)
+    while c > floor:
+        n += 1
+        c *= beta / (k + n)
+    return n
+
+
+def _phi_series(B, k, beta):
+    """Taylor sum of phi_k(B) = sum_{j>=0} B^j / (j+k)!, beta = ||B||_inf.
+
+    The length comes from _series_length; the sum is nested (Horner) form,
+    phi_k(B) = (I + B/(k+1) (I + B/(k+2) (I + ...))) / k!.
+    """
+    eye = np.eye(B.shape[0])
+    S = eye
+    for j in range(_series_length(beta, k) - 1, 0, -1):
+        S = B @ S
+        S *= 1.0 / (k + j)
+        S += eye
+    return S / _factorial(k)
 
 
 def _factorial(k):
@@ -101,14 +134,27 @@ def _phi_augmented(B, k):
 
 
 def _phi_dimless(B, k):
-    if np.linalg.norm(B, np.inf) < _TAYLOR_CUTOFF:
-        return _phi_series(B, k)
+    beta = float(np.linalg.norm(B, np.inf))
+    if beta < _TAYLOR_CUTOFF:
+        return _phi_series(B, k, beta)
     return _phi_augmented(B, k)
 
 
 def phi1(A, t):
-    """A^-1 (e^{tA} - 1) = t * phi_1(tA); valid for singular A, zero matrix at t = 0."""
+    """A^-1 (e^{tA} - 1) = t * phi_1(tA); valid for singular A, zero matrix at t = 0.
+
+    An exactly diagonal A gets diag(expm1(a t)/a), with t where a = 0, and
+    raises OverflowMatrixError when that is not finite.
+    """
     A = _as_square(A)
+    if is_exact_diagonal(A):
+        a = np.diagonal(A)
+        zero = a == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.where(zero, t, np.expm1(a * t) / np.where(zero, 1.0, a))
+        if not np.all(np.isfinite(d)):
+            raise OverflowMatrixError(f"phi1 overflowed for t={t!r} on diagonal {a!r}")
+        return np.diag(d)
     return t * _phi_dimless(t * A, 1)
 
 

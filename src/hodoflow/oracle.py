@@ -84,32 +84,40 @@ def flow_jacobian_det(spec, data, x0, t):
     M = u0(x0); its first positive zero is where neighbouring characteristics
     cross (the solution's gradient catastrophe).
     """
+    return _jac_det(spec.A, _u0_jacobian(data, x0), t)
+
+
+def _u0_jacobian(data, x0):
+    """J_{u0}(x0) = (d phi/dM)^{-1} at M = u0(x0)."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    M = data.u0(x0)
-    Ju0 = np.linalg.inv(data.phi_jacobian(M))
-    P1 = matops.phi1(spec.A, t)
-    n = spec.n
-    return float(np.linalg.det(np.eye(n) + P1 @ Ju0))
+    return np.linalg.inv(data.phi_jacobian(data.u0(x0)))
+
+
+def _jac_det(A, Ju0, t):
+    """det(I + phi1(A,t) J_{u0}), the flow Jacobian determinant at time t."""
+    return float(np.linalg.det(np.eye(Ju0.shape[0]) + matops.phi1(A, t) @ Ju0))
 
 
 def first_caustic_time(spec, data, x0, t_max=50.0, step=1e-2, tol=1e-10):
     """First positive zero of the flow Jacobian determinant, or None.
 
     Sign-scan with the given step, then bisect the first bracketing interval.
+    The determinant is flow_jacobian_det's, with J_{u0}(x0) computed once.
     """
-    f_prev = flow_jacobian_det(spec, data, x0, 0.0)
+    A, Ju0 = spec.A, _u0_jacobian(data, x0)
+    f_prev = _jac_det(A, Ju0, 0.0)
     t_prev = 0.0
     nsteps = int(np.ceil(t_max / step))
     for i in range(1, nsteps + 1):
         t = min(i * step, t_max)
-        f = flow_jacobian_det(spec, data, x0, t)
+        f = _jac_det(A, Ju0, t)
         if f == 0.0:
             return t
         if f_prev * f < 0.0:
             a, b, fa = t_prev, t, f_prev
             while b - a > tol:
                 m = 0.5 * (a + b)
-                fm = flow_jacobian_det(spec, data, x0, m)
+                fm = _jac_det(A, Ju0, m)
                 if fm == 0.0:
                     return m
                 if fa * fm < 0.0:

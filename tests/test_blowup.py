@@ -167,3 +167,77 @@ def test_no_blowup_reported_for_damped_gauss():
     out = blowup.min_blowup_time(problem, blowup.sheet_1d(problem))
     assert isinstance(out, blowup.NoBlowup)
     assert "Absent" in out.reason
+
+
+def _reference_scan(problem, M, t_max, scan_step=1e-2):
+    """Per-point sign scan and bisection, one blowup_residual call per step."""
+    ts = np.arange(-t_max, t_max + scan_step, scan_step)
+    vals = [blowup.blowup_residual(problem, ti, M) for ti in ts]
+    out = []
+    for i in range(1, ts.size):
+        va, vb = vals[i - 1], vals[i]
+        if va == 0.0:
+            out.append(float(ts[i - 1]))
+            continue
+        if va * vb < 0.0:
+            lo, hi, flo = ts[i - 1], ts[i], va
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                fm = blowup.blowup_residual(problem, mid, M)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fm < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            out.append(float(0.5 * (lo + hi)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("rates, eps, t_max", [
+    ((0.4, 0.4 * np.sqrt(2.0)), 0.5, 6.0),
+    ((1.0, -np.sqrt(2.0)), 0.5, 3.0),
+])
+def test_sheets_diag2_table_scan_matches_per_point_scan(rates, eps, t_max):
+    """The tabulated phi1 scan reproduces the per-point residual scan:
+    identical NaN pattern, times within 1e-12."""
+    problem = make_problem(np.diag(rates), "tanh2d", {"eps": eps}, grid_num=5)
+    sheets = blowup.sheets_diag2(problem, t_max=t_max)
+    assert "sign change" in sheets[0].absent_reason, "expected the scan path"
+    finite = 0
+    for i, M in enumerate(sheets[0].points):
+        ref = _reference_scan(problem, M, t_max) if problem.data.in_domain(M) else []
+        assert len(ref) <= len(sheets)
+        for k, sheet in enumerate(sheets):
+            if k < len(ref):
+                assert abs(sheet.t[i] - ref[k]) <= 1e-12, f"M={M} sheet {k}"
+                finite += 1
+            else:
+                assert np.isnan(sheet.t[i]), f"M={M} sheet {k}"
+    assert finite > 10
+
+
+def test_near_rotation_is_not_a_rotation():
+    """[[0, 1], [-1.000009, 0]] is refused, not scanned as a unit rotation."""
+    A = np.array([[0.0, 1.0], [-1.000009, 0.0]])
+    assert blowup._coriolis_omega(A) is None
+    problem = make_problem(A, "gauss2d_coriolis", {"amplitude": 1.0}, grid_num=5)
+    with pytest.raises(ValueError):
+        blowup.sheets_coriolis2d(problem)
+
+
+def test_near_scalar_diagonal_is_not_scalar():
+    """diag(0.5, 0.5000045) is not 0.5*I; its scan times are roots for the actual A."""
+    A = np.diag([0.5, 0.5000045])
+    assert blowup._scalar_multiple(A) is None
+    problem = make_problem(A, "tanh2d", {"eps": 0.5}, grid_num=5)
+    sheets = blowup.sheets_diag2(problem, t_max=2.0)
+    assert "sign change" in sheets[0].absent_reason, "expected the scan path"
+    finite = 0
+    for sheet in sheets:
+        for M, t in zip(sheet.points, sheet.t):
+            if np.isfinite(t):
+                assert abs(blowup.blowup_residual(problem, float(t), M)) <= 1e-8
+                finite += 1
+    assert finite > 10

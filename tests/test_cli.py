@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hodoflow import cli, model, oracle
+from hodoflow import blowup, cli, model, oracle
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -248,3 +248,59 @@ def test_solve_all_points_outside_domain_exit_2(tmp_path):
     out = tmp_path / "dead.csv"
     rc = cli.main(["solve", "--config", write_cfg(tmp_path, "dead.yaml", cfg), "--out", str(out)])
     assert rc == 2
+
+
+def _blowup_cfg(matrix, family, params, **task):
+    return {
+        "problem": {"matrix": matrix},
+        "data": {"family": family, "params": params},
+        "task": {"name": "blowup", "grid_num": 5, **task},
+    }
+
+
+@pytest.mark.parametrize("matrix, family, params", [
+    ([[0.0, 1.0], [-1.000009, 0.0]], "gauss2d_coriolis", {"amplitude": 1.0}),
+    ([[1.0, 1.0e-13], [0.0, -1.4142135623730951]], "tanh2d", {"eps": 0.5}),
+])
+def test_blowup_near_pattern_matrix_exits_1(tmp_path, capsys, matrix, family, params):
+    """A matrix merely close to the rotation or diagonal pattern is a config
+    error with a message, not a misclassified scan or a traceback."""
+    cfg = write_cfg(tmp_path, "near.yaml", _blowup_cfg(matrix, family, params))
+    assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path / "near.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err, err
+
+
+def test_blowup_near_scalar_diagonal_scans_actual_matrix(tmp_path):
+    """diag(0.5, 0.5000045) goes to the diag2 scan; every reported time is a
+    blow-up root of that matrix, not of 0.5*I."""
+    matrix = [[0.5, 0.0], [0.0, 0.5000045]]
+    cfg = _blowup_cfg(matrix, "tanh2d", {"eps": 0.5}, t_max=2.0)
+    out = tmp_path / "d.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "d.yaml", cfg),
+                     "--out", str(out)]) == 0
+    comments, _, body = read_csv(out)
+    assert any("no sign change of the residual" in c for c in comments), comments
+    problem = cli.build_problem(cfg)
+    finite = 0
+    for row in body:
+        t = float(row[3])
+        if np.isfinite(t):
+            M = np.array([float(row[1]), float(row[2])])
+            assert abs(blowup.blowup_residual(problem, t, M)) <= 1e-8
+            finite += 1
+    assert finite > 10
+    summary = dict(c[2:].split(": ", 1) for c in comments if ": " in c)
+    M_star = np.array([float(v) for v in summary["M_star"].split()])
+    assert abs(blowup.blowup_residual(problem, float(summary["t_star"]), M_star)) <= 1e-8
+
+
+def test_blowup_scalar_tolerance_scales_with_the_entry(tmp_path):
+    """diag(1000, 1000 + 5e-10) is 1000*I to 1e-12 * 1000: the dispatch and
+    sheets_diag agree on that and the scan runs (no traceback)."""
+    cfg = _blowup_cfg([[1000.0, 0.0], [0.0, 1000.0 + 5e-10]], "tanh2d", {"eps": 0.5})
+    out = tmp_path / "s.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "s.yaml", cfg),
+                     "--out", str(out)]) == 0
+    comments, _, _ = read_csv(out)
+    assert any(c.startswith("# certificate[tau0]") for c in comments), comments

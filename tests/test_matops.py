@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodoflow import matops
-from hodoflow.errors import SingularMatrixError
+from hodoflow.errors import OverflowMatrixError, SingularMatrixError
 
 def random_matrix(n, scale=1.0, seed=None):
     rng = np.random.default_rng(seed)
@@ -116,3 +116,53 @@ def test_solve_matches_numpy():
     A = random_matrix(4, seed=9) + 4.0 * np.eye(4)
     b = np.arange(4.0)
     assert np.allclose(matops.solve(A, b), np.linalg.solve(A, b), atol=1e-12)
+
+
+DIAG_VALUES = (-3.0, -0.5, 0.0, 1e-9, 0.7, 2.0)
+
+
+def test_exact_diagonal_route_matches_augmented():
+    """Entrywise expm1 on an exactly diagonal A (a = 0 included) against the
+    block-augmented exponential, to 1e-14 relative per entry."""
+    A = np.diag(DIAG_VALUES)
+    assert matops.is_exact_diagonal(A)
+    for t in DIAG_VALUES:
+        got = matops.phi1(A, t)
+        ref = t * matops._phi_augmented(t * A, 1)
+        assert np.count_nonzero(got - np.diag(np.diagonal(got))) == 0
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), f"t={t}:\n{got}\n{ref}"
+
+
+def test_exact_diagonal_predicate_is_exact():
+    assert matops.is_exact_diagonal(np.diag([1.0, 0.0, -2.0]))
+    assert matops.is_exact_diagonal(np.zeros((2, 2)))
+    assert not matops.is_exact_diagonal(np.array([[1.0, 1e-300], [0.0, 2.0]]))
+    assert not matops.is_exact_diagonal(np.array([[1.0, 0.0], [np.nan, 2.0]]))
+
+
+def test_exact_diagonal_overflow_raises():
+    A = np.diag([800.0, 1.0])
+    with pytest.raises(OverflowMatrixError):
+        matops.phi1(A, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_horner_taylor_vs_augmented_across_cutoff(n):
+    """The fixed-length Horner series against the augmented exponential, for
+    ||B||_inf on both sides of the 0.25 switch point, phi_1 and phi_2."""
+    A = random_matrix(n, seed=40 + n)
+    A /= np.linalg.norm(A, np.inf)
+    for beta in (1e-6, 0.05, 0.2, 0.2499, 0.2501, 0.3):
+        B = beta * A
+        for k in (1, 2):
+            got = matops._phi_series(B, k, beta)
+            ref = matops._phi_augmented(B, k)
+            err = np.linalg.norm(got - ref, np.inf)
+            assert err <= 1e-14 * np.linalg.norm(ref, np.inf), f"n={n} beta={beta} k={k}"
+        if n > 1:
+            # the public entry points (A is not diagonal, so they reach the series)
+            t = beta
+            assert np.allclose(matops.phi1(A, t), t * matops._phi_augmented(B, 1),
+                               rtol=0.0, atol=1e-14 * t)
+            assert np.allclose(matops.phi2(A, t), t * t * matops._phi_augmented(B, 2),
+                               rtol=0.0, atol=1e-14 * t * t)
