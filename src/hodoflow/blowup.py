@@ -17,6 +17,10 @@ algebra in one scalar:
 * planar Coriolis: a sin(wt) + b cos(wt) + c = 0 with (a,b,c) from J
 * A = diag(a1,a2): exponential polynomial in tau = e^{t a2/q} when a1/a2 = p/q
 
+Everything else (an irrational ratio a1/a2, the rotated rank-deficient 3D
+force) goes through the one residual scan, scan_roots.  build_sheets picks
+the builder from the structure of A.
+
 A *sheet* is one root branch sampled over a grid in M-space; absent entries
 (no real root) record the violated reality condition.  min_blowup_time picks
 the catastrophe: the infimum of positive blow-up times over all sheets.
@@ -31,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import matops
-from .errors import DegenerateMatrixError
+from .errors import ConfigError, DegenerateMatrixError
 from .hodograph import hodograph_position, u_from_M
 
 #: imaginary-part tolerance for accepting a polynomial root as real
@@ -111,12 +115,37 @@ def blowup_residual(problem, t, M):
     return float(np.linalg.det(P1 + problem.data.phi_jacobian(M)))
 
 
-def _scalar_multiple(A, tol=1e-12):
-    """a such that A = a*Id to tol * max(1, |a|) per entry, or None."""
-    a = float(A[0, 0])
-    if np.allclose(A, a * np.eye(A.shape[0]), rtol=0.0, atol=tol * max(1.0, abs(a))):
-        return a
-    return None
+def _phi1_table(A, t_grid):
+    """phi1(A, t) stacked over t_grid: it depends on t alone, so one table
+    serves every M of a scan and every branch_fn probe of its refinement."""
+    return np.stack([matops.phi1(A, t) for t in t_grid])
+
+
+def scan_roots(A, t_grid, P1_tab, J):
+    """Roots of det(phi1(A, t) + J) on t_grid, yielded in increasing t.
+
+    P1_tab[i] = phi1(A, t_grid[i]); the scan values are one stacked
+    det(P1_tab + J).  A value of exactly 0 at a grid node is a root; a strict
+    sign change between neighbours is bisected to 1e-12 on det(phi1(A, mid)
+    + J), the blow-up residual itself.
+    """
+    vals = np.linalg.det(P1_tab + J)
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
+        if vals[i] == 0.0:
+            yield float(t_grid[i])
+            continue
+        lo, hi, flo = t_grid[i], t_grid[i + 1], vals[i]
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            fm = float(np.linalg.det(matops.phi1(A, mid) + J))
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if flo * fm < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        yield float(0.5 * (lo + hi))
 
 
 def _time_from_tau(a, tau):
@@ -235,7 +264,7 @@ def sheets_diag(problem, M_grid=None):
     time map is the identity t = tau.
     """
     spec, data = problem.spec, problem.data
-    a = _scalar_multiple(spec.A)
+    a = matops.scalar_multiple(spec.A)
     if a is None:
         raise ValueError("sheets_diag needs A to be a scalar multiple of the identity")
     n = spec.n
@@ -405,10 +434,10 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
 
     has degree <= 6, roots come from the companion matrix, and every candidate
     time is re-verified against blowup_residual to 1e-9.  Otherwise each grid
-    point is sign-scanned on [-t_max, t_max] with the given step and bisected
-    to 1e-12 on det(phi1(A,t) + J), the blow-up residual itself, with J =
-    d(phi)/dM evaluated once per point and phi1 tabulated once over the scan
-    grid.  A must be exactly diagonal; a1 = a2 delegates to sheets_diag.
+    point is scanned on [-t_max, t_max] with the given step by scan_roots,
+    with J = d(phi)/dM evaluated once per point and phi1 tabulated once over
+    the scan grid.  A must be exactly diagonal; a1 = a2 delegates to
+    sheets_diag.
     """
     spec, data = problem.spec, problem.data
     A = spec.A
@@ -451,32 +480,11 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
         return sorted(out)
 
     if not use_poly:
-        # phi1 depends on t alone: one table over the scan grid serves every
-        # grid point and every branch_fn probe of the refinement
         t_grid = np.arange(-t_max, t_max + scan_step, scan_step)
-        P1_tab = np.stack([matops.phi1(A, ti) for ti in t_grid])
+        P1_tab = _phi1_table(A, t_grid)
 
     def times_scan(M):
-        J = data.phi_jacobian(M)
-        vals = np.linalg.det(P1_tab + J)
-        out = []
-        for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
-            if vals[i] == 0.0:
-                out.append(float(t_grid[i]))
-                continue
-            lo, hi, flo = t_grid[i], t_grid[i + 1], vals[i]
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                fm = float(np.linalg.det(matops.phi1(A, mid) + J))
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            out.append(float(0.5 * (lo + hi)))
-        return sorted(out)
+        return list(scan_roots(A, t_grid, P1_tab, data.phi_jacobian(M)))
 
     times_of = times_poly if use_poly else times_scan
 
@@ -509,6 +517,38 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
             )
         )
     return sheets
+
+
+def sheets_first_root(problem, M_grid=None, t_max=10.0, scan_step=5e-2, branch="first_root"):
+    """First-positive-time blow-up sheet for any force matrix A.
+
+    One sheet: per grid point, the smallest t > 0 among the scan_roots of
+    det(phi1(A, t) + d(phi)/dM) on the grid 0, scan_step, 2 scan_step, ...,
+    t_max (NaN outside the domain or where no root is found).  One phi1 table
+    per call serves every grid point and every branch_fn probe.
+    """
+    A, data = problem.spec.A, problem.data
+    axes, pts = _grid_points(data, M_grid, problem.grid_num)
+    t_grid = np.concatenate([[0.0], np.arange(scan_step, t_max + scan_step, scan_step)])
+    P1_tab = _phi1_table(A, t_grid)
+
+    def first_positive(M):
+        M = np.atleast_1d(M)
+        if not data.in_domain(M):
+            return np.nan
+        roots = scan_roots(A, t_grid, P1_tab, data.phi_jacobian(M))
+        return next((t for t in roots if t > 0.0), np.nan)
+
+    return [
+        BlowupSheet(
+            branch=branch,
+            axes=axes,
+            points=pts,
+            t=np.array([first_positive(p) for p in pts]),
+            absent_reason=f"no sign change of the residual on [0, {t_max}]",
+            branch_fn=first_positive,
+        )
+    ]
 
 
 def sheet_extremum(sheet, mode="min", positive_only=False):
@@ -568,7 +608,7 @@ def certify_branch_absent(problem, sheet):
     The branch has no real time anywhere iff 1 + a*tau(M) <= 0 on the whole
     domain, i.e. sup_M a*tau(M) <= -1.  Needs the sheet's tau samples.
     """
-    a = _scalar_multiple(problem.spec.A)
+    a = matops.scalar_multiple(problem.spec.A)
     if a is None or sheet.tau is None:
         raise ValueError("absence certificate needs A = a*Id and tau samples")
     vals = a * sheet.tau
@@ -621,3 +661,47 @@ def min_blowup_time(problem, sheets):
         u_star=u_from_M(problem.spec, t_star, M_star),
         branch=branch,
     )
+
+
+def build_sheets(problem, grid_num=None, t_max=10.0, k_range=None):
+    """Blow-up sheets dispatched on the structure of A, with certificate lines.
+
+    1D goes to sheet_1d plus the global certificate; A = a*Id to sheets_diag
+    plus a per-sheet absence certificate; the planar Coriolis pattern to
+    sheets_coriolis2d (a sheet Absent everywhere is reported); an exactly
+    diagonal 2x2 A to sheets_diag2 up to t_max.  grid_num overrides the
+    per-axis M-grid size.  Returns (sheets, certificate_lines); any other A
+    raises ConfigError.
+    """
+    A, n = problem.spec.A, problem.spec.n
+    grids = problem.data.m_grids(grid_num) if grid_num else problem.data.m_grids()
+    cert_lines = []
+    if n == 1:
+        sheets = [sheet_1d(problem, M_grid=grids[0])]
+        cert = certify_no_blowup_1d(problem)
+        word = "Certified" if cert.certified else "NotCertified"
+        cert_lines.append(f"certificate: {word} ({cert.reason})")
+    elif matops.scalar_multiple(A) is not None:
+        sheets = sheets_diag(problem, M_grid=grids)
+        for sheet in sheets:
+            cert = certify_branch_absent(problem, sheet)
+            word = "Absent" if cert.certified else "NotAbsent"
+            cert_lines.append(f"certificate[{sheet.branch}]: {word} ({cert.reason})")
+    elif _coriolis_omega(A) is not None:
+        if k_range is not None:
+            sheets = sheets_coriolis2d(problem, M_grid=grids, k_range=tuple(k_range))
+        else:
+            sheets = sheets_coriolis2d(problem, M_grid=grids)
+        for sheet in sheets:
+            if sheet.absent_reason and bool(np.all(sheet.absent)):
+                cert_lines.append(
+                    f"certificate[{sheet.branch}]: Absent everywhere ({sheet.absent_reason})"
+                )
+    elif n == 2 and matops.is_exact_diagonal(A):
+        sheets = sheets_diag2(problem, M_grid=grids, t_max=t_max)
+    else:
+        raise ConfigError(
+            "blowup scan needs A scalar, 1D, 2x2 diagonal, or the 2D Coriolis pattern; "
+            "use the coriolis3d command for the rotating 3D preset"
+        )
+    return sheets, cert_lines

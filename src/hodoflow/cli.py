@@ -17,8 +17,8 @@ this command is registered in the rotated coordinates ``y = L x``).
 
 Output is CSV (or plain text for ``period``) with a leading comment block that
 carries the config hash; identical config plus seed produces byte-identical
-output regardless of ``--threads``.  Exit codes: 0 success, 1 config error,
-2 solver failure, 3 comparison gate breach.
+output (``--threads`` is accepted and has no effect).  Exit codes: 0 success,
+1 config error, 2 solver failure, 3 comparison gate breach.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from io import StringIO
 
 import numpy as np
 import yaml
 
-from . import blowup, degenerate, hodograph, matops, model, oracle, periodicity
+from . import blowup, degenerate, hodograph, model, oracle, periodicity
 from .errors import ConfigError, HodoflowError
 
 _COMMANDS = ("solve", "blowup", "period", "compare", "coriolis3d")
@@ -43,6 +42,25 @@ _TOP_KEYS = ("problem", "data", "task", "solver")
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _coerce(kind, value, key):
+    """kind(value) for a config number or array, or a ConfigError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value {value!r} for config key {key!r}") from None
+
+
+def _floats(value, key):
+    return _coerce(lambda v: np.asarray(v, dtype=float), value, key)
+
+
+def _pair(kind, value, key):
+    """A two-entry config list such as t_range or k_range."""
+    _require(isinstance(value, (list, tuple)) and len(value) == 2,
+             f"config key {key!r} needs a list of two numbers, got {value!r}")
+    return tuple(_coerce(kind, v, key) for v in value)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +142,8 @@ def build_spec(problem):
         raise ConfigError(f"bad problem block: {exc}") from None
     dim = problem.get("dimension")
     if dim is not None:
-        _require(int(dim) == spec.n, f"declared dimension {dim} != matrix size {spec.n}")
+        _require(_coerce(int, dim, "dimension") == spec.n,
+                 f"declared dimension {dim} != matrix size {spec.n}")
     return spec
 
 
@@ -157,9 +176,9 @@ def build_problem(cfg):
     return model.HodographProblem(
         spec,
         data,
-        newton_tol=float(solver.get("newton_tol", 1e-12)),
-        newton_max_iter=int(solver.get("max_iter", 50)),
-        grid_num=int(solver.get("grid_num", 201)),
+        newton_tol=_coerce(float, solver.get("newton_tol", 1e-12), "newton_tol"),
+        newton_max_iter=_coerce(int, solver.get("max_iter", 50), "max_iter"),
+        grid_num=_coerce(int, solver.get("grid_num", 201), "grid_num"),
     )
 
 
@@ -176,12 +195,14 @@ def _parse_times(task):
     times = task.get("times")
     if isinstance(times, dict):
         try:
-            return np.linspace(float(times["start"]), float(times["stop"]), int(times["num"]))
+            start, stop, num = times["start"], times["stop"], times["num"]
         except KeyError as exc:
             raise ConfigError(f"times range is missing {exc.args[0]!r}") from None
+        return np.linspace(_coerce(float, start, "start"), _coerce(float, stop, "stop"),
+                           _coerce(int, num, "num"))
     if isinstance(times, list):
         _require(len(times) > 0, "'times' list is empty")
-        return np.asarray(times, dtype=float)
+        return _floats(times, "times")
     raise ConfigError("task needs 'times': a list or {start, stop, num}")
 
 
@@ -189,19 +210,19 @@ def _parse_points(task, n):
     pts = task.get("points")
     if isinstance(pts, dict):
         try:
-            lo = np.atleast_1d(np.asarray(pts["min"], dtype=float))
-            hi = np.atleast_1d(np.asarray(pts["max"], dtype=float))
+            lo = np.atleast_1d(_floats(pts["min"], "min"))
+            hi = np.atleast_1d(_floats(pts["max"], "max"))
             num = pts["num"]
         except KeyError as exc:
             raise ConfigError(f"points range is missing {exc.args[0]!r}") from None
         _require(lo.size == n and hi.size == n, f"points min/max must have {n} entries")
-        nums = [int(num)] * n if np.isscalar(num) else [int(k) for k in num]
+        nums = [_coerce(int, k, "num") for k in ([num] * n if np.isscalar(num) else num)]
         _require(len(nums) == n, f"points num must be a scalar or {n} entries")
         axes = [np.linspace(lo[i], hi[i], nums[i]) for i in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
     if isinstance(pts, list):
-        arr = np.asarray(pts, dtype=float)
+        arr = _floats(pts, "points")
         if arr.ndim == 1:
             arr = arr[:, None]
         _require(arr.ndim == 2 and arr.shape[1] == n,
@@ -240,34 +261,16 @@ def _write_text(out_path, text):
         sys.stdout.write(text)
 
 
-def _chunked(items, workers):
-    chunks = np.array_split(np.arange(len(items)), max(1, workers))
-    return [idx for idx in chunks if idx.size]
-
-
 # ---------------------------------------------------------------------------
 # solve
 
 
-def _field_rows(problem, times, points, threads, solve_fn=None):
-    """solve_field over points, chunked across threads, merged in point order."""
-    solve_fn = solve_fn or (lambda pts: hodograph.solve_field(problem, times, pts))
-    if threads <= 1 or len(points) <= 1:
-        return solve_fn(points)
-    rows = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(solve_fn, [points[idx] for idx in _chunked(points, threads)])
-        for part in parts:
-            rows.extend(part)
-    return rows
-
-
-def cmd_solve(cfg, out_path, threads):
+def cmd_solve(cfg, out_path):
     problem = build_problem(cfg)
     task = _task_block(cfg, "solve")
     times = _parse_times(task)
     points = _parse_points(task, problem.spec.n)
-    samples = _field_rows(problem, times, points, threads)
+    samples = hodograph.solve_field(problem, times, points)
     n = problem.spec.n
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"u{i + 1}" for i in range(n)] + ["newton_iters", "status"])
@@ -286,57 +289,7 @@ def cmd_solve(cfg, out_path, threads):
 # blowup
 
 
-def _build_sheets(problem, task):
-    """Dispatch the blow-up scan on the force-matrix structure.
-
-    Returns (sheets, certificate_lines).  Certificates: the 1D catalog check
-    where A = a < -kappa * sup phi' has one, the diagonal machinery reports
-    per-sheet absence, the 2D Coriolis case reports the a^2 + b^2 < c^2 test
-    through each sheet's absent_reason.
-    """
-    A = problem.spec.A
-    n = problem.spec.n
-    grid_num = task.get("grid_num")
-    grids = problem.data.m_grids(int(grid_num)) if grid_num else problem.data.m_grids()
-    cert_lines = []
-    if n == 1:
-        sheets = [blowup.sheet_1d(problem, M_grid=grids[0])]
-        cert = blowup.certify_no_blowup_1d(problem)
-        word = "Certified" if cert.certified else "NotCertified"
-        cert_lines.append(f"certificate: {word} ({cert.reason})")
-    elif blowup._scalar_multiple(A) is not None:
-        sheets = blowup.sheets_diag(problem, M_grid=grids)
-        for sheet in sheets:
-            try:
-                cert = blowup.certify_branch_absent(problem, sheet)
-            except ValueError:
-                continue
-            word = "Absent" if cert.certified else "NotAbsent"
-            cert_lines.append(f"certificate[{sheet.branch}]: {word} ({cert.reason})")
-    elif blowup._coriolis_omega(A) is not None:
-        k_range = task.get("k_range")
-        if k_range is not None:
-            sheets = blowup.sheets_coriolis2d(problem, M_grid=grids, k_range=tuple(k_range))
-        else:
-            sheets = blowup.sheets_coriolis2d(problem, M_grid=grids)
-        for sheet in sheets:
-            if sheet.absent_reason and bool(np.all(sheet.absent)):
-                cert_lines.append(
-                    f"certificate[{sheet.branch}]: Absent everywhere ({sheet.absent_reason})"
-                )
-    elif n == 2 and matops.is_exact_diagonal(A):
-        sheets = blowup.sheets_diag2(
-            problem, M_grid=grids, t_max=float(task.get("t_max", 10.0))
-        )
-    else:
-        raise ConfigError(
-            "blowup scan needs A scalar, 1D, 2x2 diagonal, or the 2D Coriolis pattern; "
-            "use the coriolis3d command for the rotating 3D preset"
-        )
-    return sheets, cert_lines
-
-
-def _summary_lines(problem, ext, to_original=None):
+def _summary_lines(ext, to_original=None):
     if isinstance(ext, blowup.NoBlowup):
         return [f"no blow-up: {ext.reason}"]
     x_star, u_star = ext.x_star, ext.u_star
@@ -351,26 +304,34 @@ def _summary_lines(problem, ext, to_original=None):
     ]
 
 
-def cmd_blowup(cfg, out_path, threads):
+def _sheet_rows(sheets):
+    rows = []
+    for sheet in sheets:
+        for M, t in zip(np.atleast_2d(sheet.points), np.atleast_1d(sheet.t)):
+            rows.append([sheet.branch, *np.atleast_1d(M), t])
+    return rows
+
+
+def cmd_blowup(cfg, out_path):
     problem = build_problem(cfg)
     task = _task_block(cfg, "blowup")
-    sheets, cert_lines = _build_sheets(problem, task)
+    grid_num, k_range = task.get("grid_num"), task.get("k_range")
+    sheets, cert_lines = blowup.build_sheets(
+        problem,
+        grid_num=None if grid_num is None else _coerce(int, grid_num, "grid_num"),
+        t_max=_coerce(float, task.get("t_max", 10.0), "t_max"),
+        k_range=None if k_range is None else _pair(int, k_range, "k_range"),
+    )
     ext = blowup.min_blowup_time(problem, sheets)
     comments = [f"config-sha256: {config_hash(cfg)}", "command: blowup"]
     for sheet in sheets:
         if sheet.absent_reason:
             comments.append(f"sheet {sheet.branch} nan entries: {sheet.absent_reason}")
     comments.extend(cert_lines)
-    summary = _summary_lines(problem, ext)
+    summary = _summary_lines(ext)
     comments.extend(summary)
-    n = problem.spec.n
-    header = ["branch"] + [f"M{i + 1}" for i in range(n)] + ["t"]
-    rows = []
-    for sheet in sheets:
-        pts = np.atleast_2d(sheet.points)
-        for M, t in zip(pts, np.atleast_1d(sheet.t)):
-            rows.append([sheet.branch, *np.atleast_1d(M), t])
-    _emit(out_path, comments, header, rows)
+    header = ["branch"] + [f"M{i + 1}" for i in range(problem.spec.n)] + ["t"]
+    _emit(out_path, comments, header, _sheet_rows(sheets))
     if out_path:
         print("\n".join(summary + cert_lines))
     return 0
@@ -380,13 +341,13 @@ def cmd_blowup(cfg, out_path, threads):
 # period
 
 
-def cmd_period(cfg, out_path, threads, seed=None):
+def cmd_period(cfg, out_path, seed=None):
     spec = build_spec(cfg["problem"])
     task = _task_block(cfg, "period")
     report = periodicity.check_periodic(
         spec.A,
-        rational_tol=float(task.get("rational_tol", 1e-9)),
-        max_denominator=int(task.get("max_denominator", 64)),
+        rational_tol=_coerce(float, task.get("rational_tol", 1e-9), "rational_tol"),
+        max_denominator=_coerce(int, task.get("max_denominator", 64), "max_denominator"),
     )
     lines = [f"# config-sha256: {config_hash(cfg)}", "command: period"]
     lines.append(f"periodic: {str(bool(report)).lower()}")
@@ -404,15 +365,17 @@ def cmd_period(cfg, out_path, threads, seed=None):
         _require(isinstance(verify, dict), "'verify' must be a mapping")
         problem = build_problem(cfg)
         _require(not np.any(problem.spec.g), "period verification needs g = 0")
-        rng = np.random.default_rng(seed if seed is not None else int(verify.get("seed", 0)))
-        num = int(verify.get("num_points", 20))
-        t_lo, t_hi = (float(v) for v in verify.get("t_range", [0.0, report.T]))
+        if seed is None:
+            seed = _coerce(int, verify.get("seed", 0), "seed")
+        rng = np.random.default_rng(seed)
+        num = _coerce(int, verify.get("num_points", 20), "num_points")
+        t_lo, t_hi = _pair(float, verify.get("t_range", [0.0, report.T]), "t_range")
         box = problem.data.sample_box()
         samples = [
             (rng.uniform(t_lo, t_hi), rng.uniform(box[:, 0], box[:, 1])) for _ in range(num)
         ]
         check = periodicity.verify_solution_period(
-            problem, report.T, samples, tol=float(verify.get("tol", 1e-8))
+            problem, report.T, samples, tol=_coerce(float, verify.get("tol", 1e-8), "tol")
         )
         lines.append(f"verify: {'pass' if check.ok else 'fail'}")
         lines.append(f"verify_max_delta: {_fmt(check.max_delta)}")
@@ -428,7 +391,7 @@ def cmd_period(cfg, out_path, threads, seed=None):
 # compare
 
 
-def _compare_rows(cfg, problem, task, threads, seed):
+def _compare_rows(cfg, problem, task, seed):
     """Random characteristic endpoints vs the implicit solver.
 
     Samples x0 from the data's sampling box and t from t_range, flows the
@@ -443,8 +406,8 @@ def _compare_rows(cfg, problem, task, threads, seed):
         basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"])
         rot = (basis, degenerate.rotated_spec(spec, basis))
     rng = np.random.default_rng(seed)
-    num = int(task.get("num_samples", 200))
-    t_lo, t_hi = (float(v) for v in task.get("t_range", [0.05, 0.5]))
+    num = _coerce(int, task.get("num_samples", 200), "num_samples")
+    t_lo, t_hi = _pair(float, task.get("t_range", [0.05, 0.5]), "t_range")
     box = data.sample_box()
     draws = []
     for _ in range(num):
@@ -474,18 +437,15 @@ def _compare_rows(cfg, problem, task, threads, seed):
         err = float(np.max(np.abs(numeric.u - flow.u)))
         return [idx, t, *flow.x, err, "OK"]
 
-    if threads <= 1:
-        return [evaluate(i) for i in range(num)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluate, range(num)))
+    return [evaluate(i) for i in range(num)]
 
 
-def cmd_compare(cfg, out_path, threads, seed=None):
+def cmd_compare(cfg, out_path, seed=None):
     problem = build_problem(cfg)
     task = _task_block(cfg, "compare")
-    eff_seed = seed if seed is not None else int(task.get("seed", 0))
-    rows = _compare_rows(cfg, problem, task, threads, eff_seed)
-    bound = float(task.get("bound", 1e-9))
+    eff_seed = seed if seed is not None else _coerce(int, task.get("seed", 0), "seed")
+    rows = _compare_rows(cfg, problem, task, eff_seed)
+    bound = _coerce(float, task.get("bound", 1e-9), "bound")
     errs = [r[-2] for r in rows if r[-1] == "OK"]
     max_err = max(errs) if errs else float("nan")
     n_fail = sum(1 for r in rows if str(r[-1]).startswith("SOLVE_FAIL"))
@@ -527,7 +487,7 @@ def _coriolis3d_setup(cfg):
     return problem, basis
 
 
-def cmd_coriolis3d(cfg, out_path, threads):
+def cmd_coriolis3d(cfg, out_path):
     problem, basis = _coriolis3d_setup(cfg)
     task = _task_block(cfg, "coriolis3d")
     mode = task.get("mode", "solve")
@@ -538,7 +498,7 @@ def cmd_coriolis3d(cfg, out_path, threads):
         times = _parse_times(task)
         points = _parse_points(task, 3)
         y_points = points @ basis.L.T
-        samples = _field_rows(rot_problem, times, y_points, threads)
+        samples = hodograph.solve_field(rot_problem, times, y_points)
         header = (["t"] + [f"x{i + 1}" for i in range(3)]
                   + [f"u{i + 1}" for i in range(3)] + ["newton_iters", "status"])
         rows = []
@@ -551,28 +511,17 @@ def cmd_coriolis3d(cfg, out_path, threads):
             print("coriolis3d: no point/time converged", file=sys.stderr)
             return 2
         return 0
-    # blowup: scan the rotated M-grid for the first root of the time residual
-    grids = rot_problem.data.m_grids(int(task.get("grid_num", 11)))
-    mesh = np.meshgrid(*grids, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    t_max = float(task.get("t_max", 10.0))
-    step = float(task.get("scan_step", 5e-2))
-
-    def branch_fn(M):
-        if not rot_problem.data.in_domain(M):
-            return np.nan
-        root = degenerate.coriolis3d_blowup_time(problem, M, t_max=t_max, step=step)
-        return np.nan if root is None else root
-
-    t_vals = np.array([branch_fn(M) for M in points])
-    sheet = blowup.BlowupSheet(
-        branch="coriolis3d_first", axes=grids, points=points, t=t_vals, branch_fn=branch_fn
+    # blowup: the first positive root of the residual on the rotated M-grid
+    sheets = blowup.sheets_first_root(
+        rot_problem,
+        M_grid=rot_problem.data.m_grids(_coerce(int, task.get("grid_num", 11), "grid_num")),
+        t_max=_coerce(float, task.get("t_max", 10.0), "t_max"),
+        scan_step=_coerce(float, task.get("scan_step", 5e-2), "scan_step"),
+        branch="coriolis3d_first",
     )
-    ext = blowup.min_blowup_time(rot_problem, sheet)
-    comments.extend(_summary_lines(rot_problem, ext, to_original=lambda v: basis.P @ v))
-    header = ["branch", "M1", "M2", "M3", "t"]
-    rows = [[sheet.branch, *M, t] for M, t in zip(points, t_vals)]
-    _emit(out_path, comments, header, rows)
+    ext = blowup.min_blowup_time(rot_problem, sheets)
+    comments.extend(_summary_lines(ext, to_original=lambda v: basis.P @ v))
+    _emit(out_path, comments, ["branch", "M1", "M2", "M3", "t"], _sheet_rows(sheets))
     if out_path:
         print("\n".join(comments[2:]))
     return 0
@@ -603,7 +552,8 @@ def _build_parser():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="YAML run config")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=None,
                        help="override the task seed (compare / period verify)")
     return parser
@@ -615,14 +565,14 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.command == "solve":
-            return cmd_solve(cfg, args.out, args.threads)
+            return cmd_solve(cfg, args.out)
         if args.command == "blowup":
-            return cmd_blowup(cfg, args.out, args.threads)
+            return cmd_blowup(cfg, args.out)
         if args.command == "period":
-            return cmd_period(cfg, args.out, args.threads, seed=args.seed)
+            return cmd_period(cfg, args.out, seed=args.seed)
         if args.command == "compare":
-            return cmd_compare(cfg, args.out, args.threads, seed=args.seed)
-        return cmd_coriolis3d(cfg, args.out, args.threads)
+            return cmd_compare(cfg, args.out, seed=args.seed)
+        return cmd_coriolis3d(cfg, args.out)
     except BrokenPipeError:
         return 0
     except (ConfigError, OSError, yaml.YAMLError) as exc:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hodograph, matops, model
-from .errors import DegenerateMatrixError
+from .errors import DegenerateMatrixError, HodoflowError
 
 _SIGN_TOL = 1e-12
 _BTILDE_COND_LIMIT = 1e12
@@ -227,43 +227,6 @@ def _zaxis_omega(A):
     return float(w)
 
 
-def coriolis3d_blowup_residual(problem, t, M):
-    """Catastrophe determinant for the z-axis rotation preset.
-
-    In rotated variables the fold condition is det(phi1(Atil, t) +
-    dphi/dM) = 0 -- the generic criterion applied to the rank-deficient
-    block matrix (no inversion of A anywhere).
-    """
-    w = _zaxis_omega(problem.spec.A)
-    basis = coriolis3d_basis(w)
-    M = np.atleast_1d(np.asarray(M, dtype=float))
-    J = matops.phi1(basis.A_rot, t) + problem.data.phi_jacobian(M)
-    return float(np.linalg.det(J))
-
-
-def coriolis3d_blowup_time(problem, M, t_max=10.0, step=1e-2, tol=1e-12):
-    """First positive root of the preset catastrophe determinant, or None.
-
-    Sign-scan in steps of `step`, then bisection to `tol`.
-    """
-    f_prev = coriolis3d_blowup_residual(problem, 0.0, M)
-    t_prev = 0.0
-    for t in np.arange(step, t_max + step, step):
-        f = coriolis3d_blowup_residual(problem, float(t), M)
-        if f_prev * f <= 0.0 and f_prev != f:
-            lo, hi, flo = t_prev, float(t), f_prev
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fm = coriolis3d_blowup_residual(problem, mid, M)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            return 0.5 * (lo + hi)
-        t_prev, f_prev = float(t), f
-    return None
-
-
 @dataclass
 class WitnessPoint:
     """A (t, x) sample where the solution fails e^{TA}-periodicity."""
@@ -291,8 +254,8 @@ def non_periodicity_witness(problem, T, sample_points, threshold=1e-3, basis=Non
         try:
             s1, info = degenerate_solve_info(problem, basis, t, x)
             s2, _ = degenerate_solve_info(problem, basis, t + T, x, guess_M=info.M)
-        except Exception:  # noqa: BLE001 - a failed sample is just not a witness
-            continue
+        except (HodoflowError, FloatingPointError, np.linalg.LinAlgError):
+            continue  # a failed sample is just not a witness
         delta = float(np.abs(s2.u - s1.u).max())
         if delta > threshold:
             return WitnessPoint(t=t, x=x, delta=delta)

@@ -326,8 +326,8 @@ def to_bar_variables(spec, s):
     (t, x - g t^2/2, u - g t).
     """
     A = spec.A
-    a = float(A[0, 0])
-    if not np.allclose(A, a * np.eye(spec.n), atol=1e-12):
+    a = matops.scalar_multiple(A)
+    if a is None:
         raise ValueError("bar-variable map is defined for scalar matrices A = a*I only")
     t = s.t
     if a == 0.0:

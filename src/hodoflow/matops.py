@@ -61,6 +61,14 @@ def is_exact_diagonal(A):
     return np.count_nonzero(A) == np.count_nonzero(np.diagonal(A))
 
 
+def scalar_multiple(A, tol=1e-12):
+    """a such that A = a*Id to tol * max(1, |a|) per entry, or None."""
+    a = float(A[0, 0])
+    if np.allclose(A, a * np.eye(A.shape[0]), rtol=0.0, atol=tol * max(1.0, abs(a))):
+        return a
+    return None
+
+
 def mat_exp(A, t=1.0):
     """e^{tA} via scaling-and-squaring (scipy.linalg.expm).
 
@@ -190,10 +198,6 @@ def rank(A, tol=1e-10):
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
-
-
-def det(A):
-    return float(np.linalg.det(_as_square(A)))
 
 
 def solve(A, b):

@@ -509,18 +509,3 @@ class HodographProblem:
                 f"dimension mismatch: A is {self.spec.n}x{self.spec.n}, "
                 f"data is {self.data.dim}D"
             )
-
-
-def u0_eval(data, x):
-    """Initial velocity at x (family dispatch; domain-checked)."""
-    return data.u0(x)
-
-
-def phi_eval(data, M):
-    """Inverse profile map x = phi(M); raises NotInvertibleError for constant data."""
-    return data.phi(M)
-
-
-def phi_jacobian(data, M):
-    """d(phi)/dM at M, analytic per family."""
-    return data.phi_jacobian(M)

@@ -28,6 +28,7 @@ from math import lcm, pi
 import numpy as np
 
 from . import blowup, hodograph, matops
+from .errors import HodoflowError
 
 _EXP_DEFECT_TOL = 1e-8
 
@@ -169,7 +170,7 @@ def verify_solution_period(problem, T, sample_points, tol=1e-8):
                 failures.append((t, x, "sample point is on or past the blow-up set"))
                 continue
             s2, _ = hodograph.solve_u_info(problem, t + T, x, guess_M=info1.M)
-        except Exception as exc:  # noqa: BLE001 - per-point reporting by contract
+        except (HodoflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
             failures.append((t, x, f"{type(exc).__name__}: {exc}"))
             continue
         delta = float(np.abs(s2.u - s1.u).max())

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hodoflow import blowup, model
+from hodoflow import blowup, matops, model
 
 
 def make_problem(A, family, params, g=None, grid_num=201):
@@ -218,6 +218,23 @@ def test_sheets_diag2_table_scan_matches_per_point_scan(rates, eps, t_max):
     assert finite > 10
 
 
+def test_first_root_sheet_matches_diag2_scan():
+    """The generic first-root sheet finds the smallest positive diag2 scan
+    time at every grid point (both go through blowup.scan_roots)."""
+    problem = make_problem(np.diag([1.0, -np.sqrt(2.0)]), "tanh2d", {"eps": 0.5}, grid_num=5)
+    diag2 = blowup.sheets_diag2(problem, t_max=3.0)
+    (first,) = blowup.sheets_first_root(problem, t_max=3.0)
+    finite = 0
+    for i, M in enumerate(first.points):
+        positive = [s.t[i] for s in diag2 if s.t[i] > 0.0]
+        if not positive:
+            assert np.isnan(first.t[i]), f"M={M}"
+            continue
+        assert abs(first.t[i] - min(positive)) <= 1e-11, f"M={M}"
+        finite += 1
+    assert finite > 5
+
+
 def test_near_rotation_is_not_a_rotation():
     """[[0, 1], [-1.000009, 0]] is refused, not scanned as a unit rotation."""
     A = np.array([[0.0, 1.0], [-1.000009, 0.0]])
@@ -230,7 +247,7 @@ def test_near_rotation_is_not_a_rotation():
 def test_near_scalar_diagonal_is_not_scalar():
     """diag(0.5, 0.5000045) is not 0.5*I; its scan times are roots for the actual A."""
     A = np.diag([0.5, 0.5000045])
-    assert blowup._scalar_multiple(A) is None
+    assert matops.scalar_multiple(A) is None
     problem = make_problem(A, "tanh2d", {"eps": 0.5}, grid_num=5)
     sheets = blowup.sheets_diag2(problem, t_max=2.0)
     assert "sign change" in sheets[0].absent_reason, "expected the scan path"

@@ -304,3 +304,62 @@ def test_blowup_scalar_tolerance_scales_with_the_entry(tmp_path):
                      "--out", str(out)]) == 0
     comments, _, _ = read_csv(out)
     assert any(c.startswith("# certificate[tau0]") for c in comments), comments
+
+
+C3D_BLOWUP_DATA = {"family": "separable", "components": [
+    {"family": "tanh1d", "params": {"mu": 0.8, "kappa": 0.9}},
+    {"family": "gauss1d", "params": {"eta": 0.6, "kappa": 1.1}},
+    {"family": "gauss1d", "params": {"eta": 0.7, "kappa": 0.8}},
+]}
+
+
+def test_coriolis3d_blowup_any_axis(tmp_path):
+    """Every axis with |omega| = 1.2 has the same rotated force, so a vector
+    omega gives the scalar preset's catastrophe."""
+    summaries = []
+    for i, omega in enumerate((1.2, [1.2, 0.0, 0.0])):
+        cfg = {
+            "problem": {"preset": "coriolis3d", "omega": omega, "g_mag": 0.5},
+            "data": C3D_BLOWUP_DATA,
+            "task": {"name": "coriolis3d", "mode": "blowup", "grid_num": 5, "t_max": 5.0},
+        }
+        out = tmp_path / f"c3b{i}.csv"
+        assert cli.main(["coriolis3d", "--config", write_cfg(tmp_path, f"c3b{i}.yaml", cfg),
+                         "--out", str(out)]) == 0
+        comments, header, _ = read_csv(out)
+        assert header == ["branch", "M1", "M2", "M3", "t"]
+        summaries.append(dict(c[2:].split(": ", 1) for c in comments if ": " in c))
+    for summary in summaries:
+        assert abs(float(summary["t_star"]) - 1.3888888888886868) <= 1e-12
+    assert summaries[0]["M_star"] == summaries[1]["M_star"]
+
+
+_GAUSS_PERIOD = {
+    "problem": {"preset": "coriolis2d", "omega": 1.0},
+    "data": {"family": "gauss2d_coriolis", "params": {"amplitude": 0.05}},
+}
+_TANH_1D = {
+    "problem": {"matrix": [[0.0]], "g": [1.0]},
+    "data": {"family": "tanh1d", "params": {"mu": 1.0, "kappa": 1.0}},
+}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("period", {**_GAUSS_PERIOD, "task": {"name": "period", "verify": {
+        "num_points": 2, "t_range": [0.0, "abc"]}}}),
+    ("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": "abc"}}),
+    ("blowup", {"problem": {"matrix": [[1.0, 0.0], [0.0, -1.4142135623730951]]},
+                "data": {"family": "tanh2d", "params": {"eps": 0.5}},
+                "task": {"name": "blowup", "grid_num": 3, "t_max": "abc"}}),
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": {"start": 0.0, "stop": 0.4,
+                                                               "num": "x"},
+                                    "points": [[0.1]]}}),
+    ("solve", {**_TANH_1D, "solver": {"newton_tol": "abc"},
+               "task": {"name": "solve", "times": [0.1], "points": [[0.1]]}}),
+], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
+        "solver-newton_tol"])
+def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
+    cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err, err

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hodoflow import degenerate, matops, model, oracle
+from hodoflow import blowup, degenerate, matops, model, oracle
 from hodoflow.errors import DegenerateMatrixError
 
 C3D_COMPONENTS = [
@@ -187,14 +187,21 @@ def test_generic_limit_matches_degenerate_path():
     assert worst < 1e-4, f"generic/degenerate gap {worst:.3e}"
 
 
+def rotated_c3d_problem(w):
+    problem = model.HodographProblem(model.coriolis3d_spec(w), rotated_c3d_data())
+    return degenerate.rotated_problem(problem, degenerate.coriolis3d_basis(w))
+
+
 def test_coriolis3d_blowup_residual_root():
     """Frozen root: w = 1.2, separable data, M = (0.75, 0.35, 0.4)."""
-    spec = model.coriolis3d_spec(1.2)
-    problem = model.HodographProblem(spec, rotated_c3d_data())
+    problem = rotated_c3d_problem(1.2)
     M = np.array([0.75, 0.35, 0.4])
-    t_root = degenerate.coriolis3d_blowup_time(problem, M, t_max=5.0)
+    (sheet,) = blowup.sheets_first_root(
+        problem, M_grid=[[m] for m in M], t_max=5.0, scan_step=1e-2
+    )
+    t_root = float(sheet.t[0])
     assert t_root == pytest.approx(1.3943355119824998, abs=1e-6)
-    assert abs(degenerate.coriolis3d_blowup_residual(problem, t_root, M)) < 1e-9
+    assert abs(blowup.blowup_residual(problem, t_root, M)) < 1e-9
 
 
 def test_coriolis3d_small_wt_cubic_limit():
@@ -204,10 +211,8 @@ def test_coriolis3d_small_wt_cubic_limit():
     J = data.phi_jacobian(M)
     rel_errs = []
     for w in (0.05, 0.02):
-        spec = model.coriolis3d_spec(w)
-        problem = model.HodographProblem(spec, data)
         t = 0.5
-        full = degenerate.coriolis3d_blowup_residual(problem, t, M)
+        full = blowup.blowup_residual(rotated_c3d_problem(w), t, M)
         cubic = np.linalg.det(t * np.eye(3) + J)
         rel = abs(full - cubic) / abs(cubic)
         assert rel < 5.0 * (w * t) ** 2, f"w={w}: rel err {rel:.2e} not O((wt)^2)"
@@ -268,3 +273,19 @@ def test_witness_absent_for_kernel_constant_data():
     ]
     witness = degenerate.non_periodicity_witness(problem, T, pts, threshold=1e-3)
     assert witness is None, f"flat kernel produced witness {witness}"
+
+
+def test_witness_search_lets_programming_errors_through():
+    """A failed solve is not a witness, but a TypeError is a bug and surfaces."""
+    w = 1.1
+    data = rotated_c3d_data()
+
+    def broken_phi(M):
+        raise TypeError("broken data family")
+
+    data.phi = broken_phi
+    problem = model.HodographProblem(model.coriolis3d_spec(w), data)
+    with pytest.raises(TypeError):
+        degenerate.non_periodicity_witness(
+            problem, 2.0 * np.pi / w, [(0.1, np.array([0.5, 0.8, 1.9]))]
+        )

@@ -168,3 +168,29 @@ def test_solve_field_guess_continuation_keeps_iterations_low():
     assert all(r.status == "OK" for r in rows)
     late = [r.iters for r in rows[2:]]
     assert max(late) <= 5, f"warm-started Newton should stay cheap, got {late}"
+
+
+def test_to_bar_variables_refuses_near_scalar_matrix():
+    """diag(0.5, 0.5000045) is not 0.5*I: its second tbar would be wrong."""
+    spec = model.diag_spec([0.5, 0.5000045])
+    s = hodograph.StateSample(t=0.3, x=np.array([0.1, 0.2]), u=np.array([0.3, 0.4]))
+    with pytest.raises(ValueError):
+        hodograph.to_bar_variables(spec, s)
+
+
+def test_residual_u_cross_checks_residual_M():
+    """The inverse-matrix route agrees with the phi-function route at solved
+    points and at a perturbed velocity, where both are visibly nonzero."""
+    spec = model.ForceSpec(np.diag([0.6, -0.6]), np.array([0.2, 0.1]))
+    problem = model.HodographProblem(spec, model.make_data("tanh2d", eps=0.5))
+    for t, M0 in [(0.2, (0.3, -0.2)), (0.45, (-0.5, 0.4))]:
+        x = hodograph.hodograph_position(problem, t, np.array(M0))
+        M, _ = hodograph.solve_M(problem, t, x)
+        u = hodograph.u_from_M(spec, t, M)
+        assert np.max(np.abs(hodograph.residual_u(problem, t, x, u))) <= 1e-12
+        assert np.max(np.abs(hodograph.residual_M(problem, t, x, M))) <= 1e-12
+        u_off = u + np.array([1e-3, -2e-3])
+        r_u = hodograph.residual_u(problem, t, x, u_off)
+        r_M = hodograph.residual_M(problem, t, x, hodograph.m_from_u(spec, t, u_off))
+        assert np.max(np.abs(r_u)) > 1e-6
+        assert np.max(np.abs(r_u - r_M)) <= 1e-12

@@ -142,3 +142,16 @@ def test_verify_solution_period_requires_zero_g():
     )
     with pytest.raises(ValueError):
         periodicity.verify_solution_period(problem, 2.0 * np.pi, [(0.1, np.array([0.5, 0.5]))])
+
+
+def test_verify_solution_period_lets_programming_errors_through():
+    """Only solver failures become per-point failures; a TypeError surfaces."""
+    data = model.make_data("gauss2d_coriolis", amplitude=0.05)
+
+    def broken_phi(M):
+        raise TypeError("broken data family")
+
+    data.phi = broken_phi
+    problem = model.HodographProblem(model.coriolis2d_spec(1.0), data)
+    with pytest.raises(TypeError):
+        periodicity.verify_solution_period(problem, 2.0 * np.pi, [(0.1, np.array([0.5, 0.5]))])
