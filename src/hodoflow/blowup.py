@@ -14,7 +14,8 @@ algebra in one scalar:
 
 * 1D:             t = log(1 - A phi'(M)) / A, real iff A phi'(M) < 1
 * A = a*Id:       det(tau*Id + J) = 0 with tau = (e^{at}-1)/a  (polynomial)
-* planar Coriolis: a sin(wt) + b cos(wt) + c = 0 with (a,b,c) from J
+* planar Coriolis: a sin(wt) + b cos(wt) + c = 0 with (a,b,c) from J; the
+                   first positive root in closed form (coriolis2d_first_time)
 * A = diag(a1,a2): exponential polynomial in tau = e^{t a2/q} when a1/a2 = p/q
 
 Everything else (an irrational ratio a1/a2, the rotated rank-deficient 3D
@@ -77,13 +78,6 @@ class CoriolisABC:
     a: float
     b: float
     c: float
-
-
-@dataclass
-class Absent:
-    """No real blow-up time; carries the violated reality condition."""
-
-    reason: str
 
 
 @dataclass
@@ -345,47 +339,36 @@ def coriolis2d_abc(problem, M):
     return CoriolisABC(a=float(a), b=float(b), c=float(c))
 
 
-def coriolis2d_times(abc, omega, k_range=(-2, 2)):
-    """All real solutions t of a sin(wt) + b cos(wt) + c = 0 with phases
-    shifted through the requested periods; Absent when a^2 + b^2 < c^2.
+def coriolis2d_first_time(abc, omega):
+    """First t > 1e-12 with a sin(wt) + b cos(wt) + c = 0, or NaN if none.
 
-    Every returned time is re-verified against the trig equation to 1e-10.
+    With theta = |w| t, sign(w) a sin(theta) + b cos(theta) = R sin(theta + phi)
+    for R = hypot(a, b) and phi = atan2(b, sign(w) a), so the roots are
+    theta = alpha - phi and pi - alpha - phi (mod 2 pi), alpha = arcsin(-c/R);
+    there is no real root when R < |c| or R = 0.  The returned time is
+    re-verified against the trig equation to 1e-10.
     """
     a, b, c = abc.a, abc.b, abc.c
+    R = np.hypot(a, b)
+    if R == 0.0 or R < abs(c):
+        return np.nan
+    w = abs(omega)
+    phi = np.arctan2(b, np.sign(omega) * a)
+    alpha = np.arcsin(-c / R)
+    theta = np.mod([alpha - phi, np.pi - alpha - phi], 2.0 * np.pi)
+    theta[theta <= 1e-12 * w] += 2.0 * np.pi
+    t = float(theta.min() / w)
     scale = max(abs(a), abs(b), abs(c), 1.0)
-    if abs(a) < 1e-14 * scale and abs(b) < 1e-14 * scale:
-        raise ValueError("degenerate trigonometric equation: a = b = 0")
-    aa = a * a + b * b
-    disc = aa - c * c
-    if disc < 0.0:
-        return Absent(reason=f"a^2 + b^2 = {aa:.6g} < c^2 = {c * c:.6g}: no real phase")
-    root = np.sqrt(max(disc, 0.0))
-    sin_candidates = {(-a * c + abs(b) * root) / aa, (-a * c - abs(b) * root) / aa}
-    thetas = []
-    for s in sin_candidates:
-        s = min(1.0, max(-1.0, s))
-        for th in (np.arcsin(s), np.pi - np.arcsin(s)):
-            if abs(a * np.sin(th) + b * np.cos(th) + c) <= 1e-10 * scale:
-                thetas.append(th)
-    times = []
-    for th in thetas:
-        for k in range(int(k_range[0]), int(k_range[1]) + 1):
-            times.append((th + 2.0 * np.pi * k) / omega)
-    times = sorted(set(round(t, 14) for t in times))
-    # collapse near-duplicates from the two theta candidates meeting at +-pi/2
-    out = []
-    for t in times:
-        if not out or abs(t - out[-1]) > 1e-12:
-            out.append(float(t))
-    return out
+    if abs(a * np.sin(omega * t) + b * np.cos(omega * t) + c) > 1e-10 * scale:
+        return np.nan
+    return t
 
 
-def sheets_coriolis2d(problem, M_grid=None, k_range=(-1, 3)):
+def sheets_coriolis2d(problem, M_grid=None):
     """First-positive-time blow-up sheet under planar rotation.
 
-    One sheet: per grid point, the smallest positive root of the trig
-    condition (NaN where the reality condition fails or no positive time
-    falls inside the k window).
+    One sheet: per grid point, coriolis2d_first_time of the trig condition
+    (NaN outside the domain or where there is no real root).
     """
     w = _coriolis_omega(problem.spec.A)
     if w is None:
@@ -397,11 +380,7 @@ def sheets_coriolis2d(problem, M_grid=None, k_range=(-1, 3)):
         M = np.atleast_1d(M)
         if not data.in_domain(M):
             return np.nan
-        result = coriolis2d_times(coriolis2d_abc(problem, M), w, k_range)
-        if isinstance(result, Absent):
-            return np.nan
-        pos = [t for t in result if t > 1e-12]
-        return min(pos) if pos else np.nan
+        return coriolis2d_first_time(coriolis2d_abc(problem, M), w)
 
     t = np.array([first_positive(p) for p in pts])
     return [
@@ -410,7 +389,7 @@ def sheets_coriolis2d(problem, M_grid=None, k_range=(-1, 3)):
             axes=axes,
             points=pts,
             t=t,
-            absent_reason="a^2 + b^2 < c^2 or no positive time in the k window",
+            absent_reason="a^2 + b^2 < c^2: no real root of a sin(wt) + b cos(wt) + c",
             branch_fn=first_positive,
         )
     ]
@@ -663,18 +642,18 @@ def min_blowup_time(problem, sheets):
     )
 
 
-def build_sheets(problem, grid_num=None, t_max=10.0, k_range=None):
+def build_sheets(problem, grid_num=None, t_max=10.0):
     """Blow-up sheets dispatched on the structure of A, with certificate lines.
 
     1D goes to sheet_1d plus the global certificate; A = a*Id to sheets_diag
     plus a per-sheet absence certificate; the planar Coriolis pattern to
     sheets_coriolis2d (a sheet Absent everywhere is reported); an exactly
-    diagonal 2x2 A to sheets_diag2 up to t_max.  grid_num overrides the
-    per-axis M-grid size.  Returns (sheets, certificate_lines); any other A
-    raises ConfigError.
+    diagonal 2x2 A to sheets_diag2 up to t_max.  The per-axis M-grid size is
+    grid_num, else problem.grid_num.  Returns (sheets, certificate_lines);
+    any other A raises ConfigError.
     """
     A, n = problem.spec.A, problem.spec.n
-    grids = problem.data.m_grids(grid_num) if grid_num else problem.data.m_grids()
+    grids = problem.data.m_grids(grid_num or problem.grid_num)
     cert_lines = []
     if n == 1:
         sheets = [sheet_1d(problem, M_grid=grids[0])]
@@ -688,10 +667,7 @@ def build_sheets(problem, grid_num=None, t_max=10.0, k_range=None):
             word = "Absent" if cert.certified else "NotAbsent"
             cert_lines.append(f"certificate[{sheet.branch}]: {word} ({cert.reason})")
     elif _coriolis_omega(A) is not None:
-        if k_range is not None:
-            sheets = sheets_coriolis2d(problem, M_grid=grids, k_range=tuple(k_range))
-        else:
-            sheets = sheets_coriolis2d(problem, M_grid=grids)
+        sheets = sheets_coriolis2d(problem, M_grid=grids)
         for sheet in sheets:
             if sheet.absent_reason and bool(np.all(sheet.absent)):
                 cert_lines.append(

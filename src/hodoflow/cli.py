@@ -56,11 +56,11 @@ def _floats(value, key):
     return _coerce(lambda v: np.asarray(v, dtype=float), value, key)
 
 
-def _pair(kind, value, key):
-    """A two-entry config list such as t_range or k_range."""
+def _pair(value, key):
+    """A two-entry config list of floats, such as t_range."""
     _require(isinstance(value, (list, tuple)) and len(value) == 2,
              f"config key {key!r} needs a list of two numbers, got {value!r}")
-    return tuple(_coerce(kind, v, key) for v in value)
+    return tuple(_coerce(float, v, key) for v in value)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +315,11 @@ def _sheet_rows(sheets):
 def cmd_blowup(cfg, out_path):
     problem = build_problem(cfg)
     task = _task_block(cfg, "blowup")
-    grid_num, k_range = task.get("grid_num"), task.get("k_range")
+    grid_num = task.get("grid_num")
     sheets, cert_lines = blowup.build_sheets(
         problem,
         grid_num=None if grid_num is None else _coerce(int, grid_num, "grid_num"),
         t_max=_coerce(float, task.get("t_max", 10.0), "t_max"),
-        k_range=None if k_range is None else _pair(int, k_range, "k_range"),
     )
     ext = blowup.min_blowup_time(problem, sheets)
     comments = [f"config-sha256: {config_hash(cfg)}", "command: blowup"]
@@ -369,7 +368,7 @@ def cmd_period(cfg, out_path, seed=None):
             seed = _coerce(int, verify.get("seed", 0), "seed")
         rng = np.random.default_rng(seed)
         num = _coerce(int, verify.get("num_points", 20), "num_points")
-        t_lo, t_hi = _pair(float, verify.get("t_range", [0.0, report.T]), "t_range")
+        t_lo, t_hi = _pair(verify.get("t_range", [0.0, report.T]), "t_range")
         box = problem.data.sample_box()
         samples = [
             (rng.uniform(t_lo, t_hi), rng.uniform(box[:, 0], box[:, 1])) for _ in range(num)
@@ -407,7 +406,7 @@ def _compare_rows(cfg, problem, task, seed):
         rot = (basis, degenerate.rotated_spec(spec, basis))
     rng = np.random.default_rng(seed)
     num = _coerce(int, task.get("num_samples", 200), "num_samples")
-    t_lo, t_hi = _pair(float, task.get("t_range", [0.05, 0.5]), "t_range")
+    t_lo, t_hi = _pair(task.get("t_range", [0.05, 0.5]), "t_range")
     box = data.sample_box()
     draws = []
     for _ in range(num):

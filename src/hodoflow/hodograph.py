@@ -39,6 +39,12 @@ from .model import Constant
 
 #: damping budget: the Newton step may be halved this many times
 _MAX_HALVINGS = 8
+#: solve_field row status for each solver failure that ends a track
+_DEAD_STATUS = {
+    JacobianSingularError: "SINGULAR",
+    NoConvergenceError: "NO_CONVERGENCE",
+    DomainExitError: "DOMAIN_EXIT",
+}
 
 
 @dataclass
@@ -368,16 +374,9 @@ def solve_field(problem, t_values, x_points):
                 continue
             try:
                 sample, info = solve_u_info(problem, float(t), x, guess)
-            except JacobianSingularError:
-                rows.append(FieldSample(t=float(t), x=x, u=None, iters=0, status="SINGULAR"))
-                dead = True
-                continue
-            except NoConvergenceError:
-                rows.append(FieldSample(t=float(t), x=x, u=None, iters=0, status="NO_CONVERGENCE"))
-                dead = True
-                continue
-            except DomainExitError:
-                rows.append(FieldSample(t=float(t), x=x, u=None, iters=0, status="DOMAIN_EXIT"))
+            except tuple(_DEAD_STATUS) as exc:
+                status = _DEAD_STATUS[type(exc)]
+                rows.append(FieldSample(t=float(t), x=x, u=None, iters=0, status=status))
                 dead = True
                 continue
             guess = info.M

@@ -17,6 +17,7 @@ needed, is the inverse of d(phi)/dM — exact, no finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,6 @@ class ForceSpec:
 
     A: np.ndarray
     g: np.ndarray
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -44,9 +44,9 @@ class ForceSpec:
     def n(self):
         return self.A.shape[0]
 
-    @property
+    @cached_property
     def rank(self):
-        return matops.rank(self.A, self.rank_tol)
+        return matops.rank(self.A)
 
     @property
     def is_degenerate(self):

@@ -258,3 +258,58 @@ def test_near_scalar_diagonal_is_not_scalar():
                 assert abs(blowup.blowup_residual(problem, float(t), M)) <= 1e-8
                 finite += 1
     assert finite > 10
+
+
+@pytest.mark.parametrize("family, params", [
+    ("tanh2d", {"eps": 2.0}),
+    ("gauss2d_coriolis", {"amplitude": 1.0}),
+])
+@pytest.mark.parametrize("w", [1.0, -2.0, 0.8])
+def test_coriolis_first_time_matches_residual_scan(family, params, w):
+    """The closed-form first root equals the first positive root of the
+    residual itself: a scan with step 1e-3 on [0, 4 pi/|w|], bisected to 1e-12.
+
+    M is drawn uniformly over the domain and near the sheet's finite grid
+    points, so both roots and no-root points are compared.
+    """
+    problem = make_problem(model.coriolis2d_spec(w).A, family, params, grid_num=41)
+    sheet = blowup.sheets_coriolis2d(problem)[0]
+    scanned = blowup.sheets_first_root(
+        problem, M_grid=[[0.0], [0.0]], t_max=4.0 * np.pi / abs(w), scan_step=1e-3
+    )[0].branch_fn
+    data = problem.data
+    rng = np.random.default_rng(5)
+    lo = np.array([ax[0] for ax in sheet.axes])
+    hi = np.array([ax[-1] for ax in sheet.axes])
+    spacing = (hi - lo) / 40
+    near = sheet.points[np.isfinite(sheet.t)]
+    Ms = []
+    while len(Ms) < 20:
+        M = rng.uniform(lo, hi)
+        if data.in_domain(M):
+            Ms.append(M)
+    jitter = [near[i] + rng.uniform(-spacing, spacing) for i in rng.integers(len(near), size=12)]
+    Ms += [M for M in jitter if data.in_domain(M)]
+    finite = 0
+    for M in Ms:
+        t_closed, t_scan = sheet.branch_fn(M), scanned(M)
+        assert np.isnan(t_closed) == np.isnan(t_scan), f"M={M}: {t_closed} vs {t_scan}"
+        if np.isfinite(t_closed):
+            assert abs(t_closed - t_scan) <= 1e-10, f"M={M}: {t_closed!r} vs {t_scan!r}"
+            finite += 1
+    assert 0 < finite < len(Ms), (finite, len(Ms))
+
+
+def test_coriolis_first_time_degenerate_trig():
+    """a = b = 0 and a^2 + b^2 < c^2 give NaN, not a ValueError; the first
+    root follows the sign of w and skips a root at t = 0."""
+    assert np.isnan(blowup.coriolis2d_first_time(blowup.CoriolisABC(0.0, 0.0, -3.0), 2.0))
+    assert np.isnan(blowup.coriolis2d_first_time(blowup.CoriolisABC(0.0, 0.0, 0.0), 2.0))
+    assert np.isnan(blowup.coriolis2d_first_time(blowup.CoriolisABC(0.3, 0.4, 0.6), 1.0))
+    # sin(t) = 1/2: roots pi/6 and 5 pi/6; for w = -1, sin(-t) = 1/2 first at 7 pi/6
+    abc = blowup.CoriolisABC(1.0, 0.0, -0.5)
+    assert blowup.coriolis2d_first_time(abc, 1.0) == pytest.approx(np.pi / 6, abs=1e-14)
+    assert blowup.coriolis2d_first_time(abc, -1.0) == pytest.approx(7 * np.pi / 6, abs=1e-14)
+    # a root at t = 0 is skipped: cos(t) - 1 = 0 next at 2 pi
+    abc = blowup.CoriolisABC(0.0, 1.0, -1.0)
+    assert blowup.coriolis2d_first_time(abc, 1.0) == pytest.approx(2 * np.pi, abs=1e-12)

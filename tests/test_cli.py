@@ -363,3 +363,40 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err, err
+
+
+def test_blowup_coriolis_degenerate_trig_is_absent(tmp_path, capsys):
+    """J = R with trace 0 and R21 - R12 = 2/w makes a = b = 0 at every M: the
+    trig condition has no root, so the sheet is certified absent, no traceback."""
+    cfg = {
+        "problem": {"matrix": [[0.0, 2.0], [-2.0, 0.0]]},
+        "data": {"family": "linear", "params": {"R": [[1.0, -0.5], [0.5, -1.0]]}},
+        "task": {"name": "blowup", "grid_num": 5},
+    }
+    out = tmp_path / "ab0.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "ab0.yaml", cfg),
+                     "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    comments, _, body = read_csv(out)
+    assert len(body) == 25 and all(row[3] == "nan" for row in body)
+    assert any(c.startswith("# certificate[coriolis_first]: Absent everywhere")
+               for c in comments), comments
+
+
+def test_blowup_grid_defaults_to_solver_grid_num(tmp_path):
+    """With no task.grid_num the sheet grid is solver.grid_num; task.grid_num
+    still overrides it."""
+    cfg = {
+        "problem": {"matrix": [[0.5]]},
+        "data": {"family": "tanh1d", "params": {"mu": 1.0, "kappa": 1.0}},
+        "task": {"name": "blowup"},
+        "solver": {"grid_num": 7},
+    }
+    out = tmp_path / "g.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "g.yaml", cfg),
+                     "--out", str(out)]) == 0
+    assert len(read_csv(out)[2]) == 7
+    cfg["task"]["grid_num"] = 9
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "g9.yaml", cfg),
+                     "--out", str(out)]) == 0
+    assert len(read_csv(out)[2]) == 9

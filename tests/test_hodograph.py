@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from hodoflow import hodograph, model, oracle
-from hodoflow.errors import DegenerateMatrixError
+from hodoflow.errors import (
+    DegenerateMatrixError,
+    DomainExitError,
+    JacobianSingularError,
+    NoConvergenceError,
+)
 
 SPEC_CASES = [
     ("free1d", model.ForceSpec(np.zeros((1, 1)), np.array([1.0])),
@@ -194,3 +199,31 @@ def test_residual_u_cross_checks_residual_M():
         r_M = hodograph.residual_M(problem, t, x, hodograph.m_from_u(spec, t, u_off))
         assert np.max(np.abs(r_u)) > 1e-6
         assert np.max(np.abs(r_u - r_M)) <= 1e-12
+
+
+@pytest.mark.parametrize("error, status", [
+    (JacobianSingularError("singular"), "SINGULAR"),
+    (NoConvergenceError("stalled"), "NO_CONVERGENCE"),
+    (DomainExitError("left the domain"), "DOMAIN_EXIT"),
+])
+def test_solve_field_marks_the_failed_track_dead(monkeypatch, error, status):
+    """A solver failure writes its status with u = None and iters = 0, and every
+    later time on that track is POST_BLOWUP without another solve."""
+    problem = model.HodographProblem(
+        model.ForceSpec(np.array([[0.5]]), np.zeros(1)), model.make_data("tanh1d", mu=1.0, kappa=1.0)
+    )
+    real_solve = hodograph.solve_u_info
+    calls = []
+
+    def failing_after_first(problem, t, x, guess_M=None):
+        calls.append(t)
+        if t > 0.0:
+            raise error
+        return real_solve(problem, t, x, guess_M)
+
+    monkeypatch.setattr(hodograph, "solve_u_info", failing_after_first)
+    rows = hodograph.solve_field(problem, [0.0, 0.1, 0.2, 0.3], [np.array([0.2])])
+    assert [r.status for r in rows] == ["OK", status, "POST_BLOWUP", "POST_BLOWUP"]
+    assert rows[0].u is not None
+    assert all(r.u is None and r.iters == 0 for r in rows[1:])
+    assert calls == [0.0, 0.1]

@@ -133,3 +133,14 @@ def test_tanh1d_inverse_property(mu, kappa):
     for x in (-1.0, -0.25, 0.0, 0.6, 1.4):
         got = data.phi(data.u0(np.array([x])))[0]
         assert abs(got - x) < 1e-8, f"phi(u0({x})) = {got} for mu={mu}, kappa={kappa}"
+
+
+def test_force_spec_rank_computed_once(monkeypatch):
+    """rank is an SVD; is_degenerate reads the cached value, not a fresh one."""
+    calls = []
+    real_rank = model.matops.rank
+    monkeypatch.setattr(model.matops, "rank", lambda A: calls.append(1) or real_rank(A))
+    spec = model.coriolis3d_spec(1.2)
+    for _ in range(5):
+        assert spec.is_degenerate and spec.rank == 2
+    assert len(calls) == 1
