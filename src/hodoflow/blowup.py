@@ -649,11 +649,11 @@ def build_sheets(problem, grid_num=None, t_max=10.0):
     plus a per-sheet absence certificate; the planar Coriolis pattern to
     sheets_coriolis2d (a sheet Absent everywhere is reported); an exactly
     diagonal 2x2 A to sheets_diag2 up to t_max.  The per-axis M-grid size is
-    grid_num, else problem.grid_num.  Returns (sheets, certificate_lines);
-    any other A raises ConfigError.
+    grid_num, else the data family's default.  Returns (sheets,
+    certificate_lines); any other A raises ConfigError.
     """
     A, n = problem.spec.A, problem.spec.n
-    grids = problem.data.m_grids(grid_num or problem.grid_num)
+    grids = problem.data.m_grids(grid_num) if grid_num else problem.data.m_grids()
     cert_lines = []
     if n == 1:
         sheets = [sheet_1d(problem, M_grid=grids[0])]

@@ -6,7 +6,7 @@ in the repository README).  The file has up to four blocks::
     problem:   the force term -- a named preset or an explicit matrix plus g
     data:      the initial-velocity family and its parameters
     task:      the command block (times/points to sweep, tolerances, seeds)
-    solver:    optional Newton knobs (newton_tol, max_iter, grid_num)
+    solver:    optional Newton knobs (newton_tol, max_iter)
 
 Subcommands: ``solve`` (CSV sweep of u(t, x)), ``blowup`` (sheet scan plus
 catastrophe summary), ``period`` (text report from the matrix-exponential
@@ -178,7 +178,6 @@ def build_problem(cfg):
         data,
         newton_tol=_coerce(float, solver.get("newton_tol", 1e-12), "newton_tol"),
         newton_max_iter=_coerce(int, solver.get("max_iter", 50), "max_iter"),
-        grid_num=_coerce(int, solver.get("grid_num", 201), "grid_num"),
     )
 
 

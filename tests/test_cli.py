@@ -382,21 +382,3 @@ def test_blowup_coriolis_degenerate_trig_is_absent(tmp_path, capsys):
     assert any(c.startswith("# certificate[coriolis_first]: Absent everywhere")
                for c in comments), comments
 
-
-def test_blowup_grid_defaults_to_solver_grid_num(tmp_path):
-    """With no task.grid_num the sheet grid is solver.grid_num; task.grid_num
-    still overrides it."""
-    cfg = {
-        "problem": {"matrix": [[0.5]]},
-        "data": {"family": "tanh1d", "params": {"mu": 1.0, "kappa": 1.0}},
-        "task": {"name": "blowup"},
-        "solver": {"grid_num": 7},
-    }
-    out = tmp_path / "g.csv"
-    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "g.yaml", cfg),
-                     "--out", str(out)]) == 0
-    assert len(read_csv(out)[2]) == 7
-    cfg["task"]["grid_num"] = 9
-    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "g9.yaml", cfg),
-                     "--out", str(out)]) == 0
-    assert len(read_csv(out)[2]) == 9
