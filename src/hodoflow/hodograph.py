@@ -39,12 +39,6 @@ from .model import Constant
 
 #: damping budget: the Newton step may be halved this many times
 _MAX_HALVINGS = 8
-#: solve_field row status for each solver failure that ends a track
-_DEAD_STATUS = {
-    JacobianSingularError: "SINGULAR",
-    NoConvergenceError: "NO_CONVERGENCE",
-    DomainExitError: "DOMAIN_EXIT",
-}
 
 
 @dataclass
@@ -95,9 +89,9 @@ def integrals(spec, s):
 
 
 def u_from_M(spec, t, M):
-    """Velocity at time t of the particle launched with velocity M."""
+    """Velocity at time t of the particle launched with velocity M, (n,) or (k, n)."""
     M = np.atleast_1d(np.asarray(M, dtype=float))
-    return matops.mat_exp(spec.A, t) @ M + matops.phi1(spec.A, t) @ spec.g
+    return matops.matvec(matops.mat_exp(spec.A, t), M) + matops.phi1(spec.A, t) @ spec.g
 
 
 def m_from_u(spec, t, u):
@@ -170,97 +164,151 @@ def _scan_guess(problem, res_fn):
 
     Used when the starting guess happens to sit exactly on the fold set (e.g.
     the warm start u0(x) at the profile's inflection point) even though the
-    target point itself is regular.
+    target point itself is regular.  res_fn maps a (m, n) stack of M to its
+    residuals; the first in-domain grid point with the smallest finite
+    max-norm residual wins.
     """
     data = problem.data
     num = {1: 65, 2: 25}.get(data.dim, 9)
-    grids = data.m_grids(num)
-    mesh = np.meshgrid(*grids, indexing="ij")
+    mesh = np.meshgrid(*data.m_grids(num), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    best, best_val = None, np.inf
-    for M in pts:
-        if not data.in_domain(M):
-            continue
-        try:
-            val = float(np.abs(res_fn(M)).max())
-        except (DomainError, FloatingPointError):
-            continue
-        if np.isfinite(val) and val < best_val:
-            best, best_val = M.copy(), val
-    return best
+    pts = pts[data.in_domain(pts)]
+    if not len(pts):
+        return None
+    with np.errstate(all="ignore"):
+        vals = np.abs(res_fn(pts)).max(axis=1)
+    finite = np.flatnonzero(np.isfinite(vals))
+    if not finite.size:
+        return None
+    return pts[finite[np.argmin(vals[finite])]].copy()
 
 
-def solve_M(problem, t, x, guess_M=None):
-    """Newton solve of residual_M = 0; returns (M, NewtonInfo)."""
+def _rows(f, M):
+    """A data-family method over the rows of a (k, n) stack.
+
+    A single row goes through the method's one-point form, which numpy
+    evaluates on scalars, several times faster than on a one-row array; the
+    values are the same either way.
+    """
+    if len(M) == 1:
+        return np.asarray(f(M[0]))[None]
+    return f(M)
+
+
+def _newton(problem, t, X, M0):
+    """Damped Newton on residual_M = 0 at one time t, for every row of X at once.
+
+    X holds k positions and M0 their starting guesses, both (k, n).  Returns
+    (M, iters, rnorm, status), one entry per row: status is OK, SINGULAR,
+    NO_CONVERGENCE or DOMAIN_EXIT, M the root or the last in-domain iterate of
+    a failed row, iters the Newton iterations used and rnorm the max-norm
+    residual at M.  Each row follows the one-point rules: a step is halved
+    until the residual decreases (or meets newton_tol) with M in-domain, at
+    most _MAX_HALVINGS times; a singular Newton matrix before the first step
+    restarts the row once from _scan_guess.
+    """
     spec, data = problem.spec, problem.data
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    M = np.asarray(
-        _default_guess(problem, x) if guess_M is None else np.atleast_1d(guess_M),
-        dtype=float,
-    ).copy()
-    if not data.in_domain(M):
-        M = data.clip_to_domain(M)
+    tol = problem.newton_tol
     P1 = matops.phi1(spec.A, t)
     P2g = matops.phi2(spec.A, t) @ spec.g
 
-    def res(Mv):
-        return x - P1 @ Mv - P2g - data.phi(Mv)
+    def res(X, M):
+        return X - matops.matvec(P1, M) - P2g - _rows(data.phi, M)
 
-    r = res(M)
-    rnorm = float(np.abs(r).max())
-    stepped = False
-    rescued = False
+    k = len(X)
+    M = np.array(M0, dtype=float)
+    outside = ~_rows(data.in_domain, M)
+    if outside.any():
+        M[outside] = data.clip_to_domain(M[outside])
+    r = res(X, M)
+    rnorm = np.abs(r).max(axis=1)
+    iters = np.zeros(k, dtype=int)
+    status = np.full(k, "NO_CONVERGENCE", dtype=object)
+    alive = np.ones(k, dtype=bool)
+    fresh = np.ones(k, dtype=bool)  # neither stepped nor rescued yet
+
+    def finish(rows, it, why):
+        iters[rows] = it
+        status[rows] = why
+        alive[rows] = False
+
     for it in range(1, problem.newton_max_iter + 1):
-        if rnorm <= problem.newton_tol:
-            return M, NewtonInfo(iters=it - 1, M=M, residual_norm=rnorm)
-        J = P1 + data.phi_jacobian(M)
-        try:
-            step = matops.solve(J, r)
-        except SingularMatrixError:
-            if not stepped and not rescued:
+        rows = np.flatnonzero(alive)
+        conv = rnorm[rows] <= tol
+        if conv.any():
+            finish(rows[conv], it - 1, "OK")
+            rows = rows[~conv]
+        if not rows.size:
+            break
+        Mr = M[rows]
+        step, singular = matops.solve_stacked(P1 + _rows(data.phi_jacobian, Mr), r[rows])
+        if singular.any():
+            for i in rows[singular]:
                 # singular at the start: the guess, not the target, is on the
-                # fold set; restart from the best point of a coarse scan
-                rescued = True
-                M_new = _scan_guess(problem, res)
-                if M_new is not None:
-                    M = M_new
-                    r = res(M)
-                    rnorm = float(np.abs(r).max())
-                    continue
-            raise JacobianSingularError(
-                f"Newton matrix singular at M={M!r}, t={t!r}: the iterate "
-                "sits on the blow-up set",
-                M=M.copy(),
-            ) from None
+                # fold set; restart once from the best point of a coarse scan
+                M_new = _scan_guess(problem, lambda Ms, x=X[i]: res(x, Ms)) if fresh[i] else None
+                fresh[i] = False
+                if M_new is None:
+                    finish(i, it - 1, "SINGULAR")
+                else:
+                    M[i] = M_new
+                    r[i] = res(X[i : i + 1], M[i : i + 1])[0]
+                    rnorm[i] = np.abs(r[i]).max()
+            rows, Mr, step = rows[~singular], Mr[~singular], step[~singular]
         # damped update: halve until the residual decreases and M stays in-domain
+        Xr, rnr = X[rows], rnorm[rows]
+        pending = np.ones(len(rows), dtype=bool)
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            M_new = M + lam * step
-            if data.in_domain(M_new):
-                r_new = res(M_new)
-                rn_new = float(np.abs(r_new).max())
-                if rn_new < rnorm or rn_new <= problem.newton_tol:
-                    break
+            trial = Mr + lam * step
+            inside = _rows(data.in_domain, trial)
+            cand = pending & inside
+            if cand.any():
+                r_new = res(Xr[cand], trial[cand])
+                rn_new = np.abs(r_new).max(axis=1)
+                take = (rn_new < rnr[cand]) | (rn_new <= tol)
+                acc = np.flatnonzero(cand)[take]
+                done = rows[acc]
+                M[done], r[done], rnorm[done] = trial[acc], r_new[take], rn_new[take]
+                fresh[done] = False
+                pending[acc] = False
+            if not pending.any():
+                break
             lam *= 0.5
         else:
-            if not data.in_domain(M + lam * 2.0 * step):
-                raise DomainExitError(
-                    f"Newton iterate left the data domain at t={t!r} "
-                    f"(last in-domain M={M!r})",
-                    M=M.copy(),
-                )
-            raise NoConvergenceError(
-                f"Newton stalled at t={t!r} with residual {rnorm:.3e}",
-                M=M.copy(),
-                residual=rnorm,
-            )
-        M, r, rnorm = M_new, r_new, rn_new
-        stepped = True
-    if rnorm <= problem.newton_tol:
-        return M, NewtonInfo(iters=problem.newton_max_iter, M=M, residual_norm=rnorm)
+            # the last trial, at the smallest step, decides why the row failed
+            finish(rows[pending & ~inside], it - 1, "DOMAIN_EXIT")
+            finish(rows[pending & inside], it - 1, "NO_CONVERGENCE")
+    rows = np.flatnonzero(alive)
+    finish(rows[rnorm[rows] <= tol], problem.newton_max_iter, "OK")
+    finish(np.flatnonzero(alive), problem.newton_max_iter, "NO_CONVERGENCE")
+    return M, iters, rnorm, status
+
+
+def solve_M(problem, t, x, guess_M=None):
+    """Newton solve of residual_M = 0; returns (M, NewtonInfo).
+
+    The one-point case of _newton; a failed row raises its status's error.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    M0 = _default_guess(problem, x) if guess_M is None else np.atleast_1d(guess_M)
+    M, iters, rnorm, status = _newton(problem, t, x[None], np.asarray(M0, dtype=float)[None])
+    M, iters, rnorm, status = M[0], int(iters[0]), float(rnorm[0]), status[0]
+    if status == "OK":
+        return M, NewtonInfo(iters=iters, M=M, residual_norm=rnorm)
+    if status == "SINGULAR":
+        raise JacobianSingularError(
+            f"Newton matrix singular at M={M!r}, t={t!r}: the iterate sits on the "
+            "blow-up set",
+            M=M.copy(),
+        )
+    if status == "DOMAIN_EXIT":
+        raise DomainExitError(
+            f"Newton iterate left the data domain at t={t!r} (last in-domain M={M!r})",
+            M=M.copy(),
+        )
     raise NoConvergenceError(
-        f"no convergence in {problem.newton_max_iter} iterations at t={t!r} "
-        f"(residual {rnorm:.3e})",
+        f"no convergence at t={t!r} after {iters} iterations (residual {rnorm:.3e})",
         M=M.copy(),
         residual=rnorm,
     )
@@ -362,25 +410,38 @@ def solve_field(problem, t_values, x_points):
     solve at the previous time.  A sweep does not attempt to continue past a
     gradient catastrophe: after the first failed time on a track, later times
     on that track are marked POST_BLOWUP, never interpolated or branch-hopped.
+    At each time one _newton call solves every live track together.  Rows come
+    point-major: all times of the first point, then of the next.
     """
-    rows = []
-    for x in x_points:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        guess = None
-        dead = False
-        for t in t_values:
-            if dead:
-                rows.append(FieldSample(t=float(t), x=x, u=None, iters=0, status="POST_BLOWUP"))
-                continue
-            try:
-                sample, info = solve_u_info(problem, float(t), x, guess)
-            except tuple(_DEAD_STATUS) as exc:
-                status = _DEAD_STATUS[type(exc)]
-                rows.append(FieldSample(t=float(t), x=x, u=None, iters=0, status=status))
-                dead = True
-                continue
-            guess = info.M
-            rows.append(
-                FieldSample(t=float(t), x=x, u=sample.u, iters=info.iters, status="OK")
-            )
-    return rows
+    spec, data = problem.spec, problem.data
+    X = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_points])
+    times = [float(t) for t in t_values]
+    if isinstance(data, Constant):
+        return [
+            FieldSample(t=t, x=x, u=closed_form("const_M", spec, t, x, data.c), iters=0, status="OK")
+            for x in X
+            for t in times
+        ]
+    u = [[None] * len(times) for _ in X]
+    iters = np.zeros((len(X), len(times)), dtype=int)
+    status = np.full((len(X), len(times)), "POST_BLOWUP", dtype=object)
+    live = np.ones(len(X), dtype=bool)
+    guess = np.array([_default_guess(problem, x) for x in X])
+    for j, t in enumerate(times):
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        M, it, _, st = _newton(problem, t, X[rows], guess[rows])
+        ok = st == "OK"
+        status[rows, j] = st
+        live[rows[~ok]] = False
+        rows, M = rows[ok], M[ok]
+        guess[rows] = M
+        iters[rows, j] = it[ok]
+        for i, u_i in zip(rows, u_from_M(spec, t, M)):
+            u[i][j] = u_i
+    return [
+        FieldSample(t=t, x=X[i], u=u[i][j], iters=int(iters[i, j]), status=status[i, j])
+        for i in range(len(X))
+        for j, t in enumerate(times)
+    ]

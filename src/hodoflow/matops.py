@@ -43,7 +43,7 @@ _TAYLOR_RTOL = 1e-17
 # eigenvector-matrix condition number above which we refuse to call a matrix
 # diagonalizable (defective matrices come out of LAPACK with cond(V) ~ 1/sqrt(eps))
 _DIAG_COND_LIMIT = 1e8
-# conditioning ceiling for solve()
+# conditioning ceiling for solve_stacked() and solve()
 _SOLVE_COND_LIMIT = 1e13
 
 
@@ -200,14 +200,53 @@ def rank(A, tol=1e-10):
     return int(np.sum(s > tol * s[0]))
 
 
-def solve(A, b):
-    """A x = b with an explicit conditioning guard instead of garbage output."""
-    A = _as_square(A)
-    b = np.asarray(b, dtype=float)
+def matvec(A, V):
+    """A @ v for every vector v along the last axis of V ((n,) or (k, n)).
+
+    Each row is rounded exactly as the one-vector product A @ v, which a plain
+    V @ A.T is not.
+    """
+    return np.matmul(A, V[..., None])[..., 0]
+
+
+def _cond(A):
+    """Condition numbers of a (k, n, n) stack; inf where the SVD fails."""
     try:
-        cond = np.linalg.cond(A)
-    except np.linalg.LinAlgError:  # pragma: no cover - cond rarely fails
-        cond = np.inf
-    if not np.isfinite(cond) or cond > _SOLVE_COND_LIMIT:
-        raise SingularMatrixError(f"matrix numerically singular (cond ~ {cond:.3e})")
-    return np.linalg.solve(A, b)
+        return np.linalg.cond(A)
+    except np.linalg.LinAlgError:  # one bad matrix fails the whole stack
+        if len(A) == 1:
+            return np.array([np.inf])
+        return np.concatenate([_cond(a[None]) for a in A])
+
+
+def solve_stacked(A, B):
+    """A[i] x[i] = B[i] for a (k, n, n) stack and (k, n) right-hand sides.
+
+    Returns (X, singular).  Row i is flagged in the (k,) bool mask singular,
+    and left NaN in X, when its condition number is not finite or exceeds
+    _SOLVE_COND_LIMIT: an explicit guard instead of garbage output.  The other
+    rows are solved together.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    cond = _cond(A)
+    singular = ~np.isfinite(cond) | (cond > _SOLVE_COND_LIMIT)
+    if not singular.any():
+        return np.linalg.solve(A, B[..., None])[..., 0], singular
+    X = np.full(B.shape, np.nan)
+    ok = ~singular
+    if ok.any():
+        X[ok] = np.linalg.solve(A[ok], B[ok][..., None])[..., 0]
+    return X, singular
+
+
+def solve(A, b):
+    """A x = b for one vector b, under the guard of solve_stacked."""
+    A = _as_square(A)
+    x, singular = solve_stacked(A[None], np.asarray(b, dtype=float)[None])
+    if singular[0]:
+        raise SingularMatrixError(
+            f"matrix numerically singular (condition number not finite or above "
+            f"{_SOLVE_COND_LIMIT:.0e})"
+        )
+    return x[0]

@@ -12,6 +12,11 @@ velocity profile given through its inverse map phi:
 Each family provides u0, phi, the Jacobian d(phi)/dM, and the open box in
 M-space on which the inverse map is valid.  The Jacobian of u0 itself, where
 needed, is the inverse of d(phi)/dM — exact, no finite differences.
+
+phi, phi_jacobian and in_domain take one point M of shape (n,) or a stack of
+points (k, n), and return (n,) / (n, n) / bool or (k, n) / (k, n, n) / (k,)
+bool; row i of a stacked result equals the one-point call on M[i].  u0 takes
+one point.
 """
 
 from __future__ import annotations
@@ -102,10 +107,18 @@ class InitialData:
         raise NotImplementedError
 
     def in_domain(self, M):
-        """True when M lies strictly inside the validity box of phi."""
+        """True when M lies strictly inside the validity set of phi.
+
+        A bool for one point (n,); a (k,) bool array for a stack (k, n).
+        """
         M = np.atleast_1d(M)
+        inside = self._inside(M)
+        return inside if M.ndim > 1 else bool(inside)
+
+    def _inside(self, M):
+        """in_domain as a bool array over the leading axes of M."""
         box = self.domain_box()
-        return bool(np.all(M > box[:, 0]) and np.all(M < box[:, 1]))
+        return ((M > box[:, 0]) & (M < box[:, 1])).all(axis=-1)
 
     def domain_box(self):
         """Open box (n, 2) in M-space on which phi is defined."""
@@ -159,11 +172,13 @@ class Tanh1D(InitialData):
 
     def phi(self, M):
         M = np.atleast_1d(M)
-        return np.array([np.arctanh(1.0 - M[0] / self.mu) / self.kappa])
+        m = M.T[0]
+        return _points_first([np.arctanh(1.0 - m / self.mu) / self.kappa], M)
 
     def phi_jacobian(self, M):
         M = np.atleast_1d(M)
-        return np.array([[-self.mu / (self.kappa * M[0] * (2.0 * self.mu - M[0]))]])
+        m = M.T[0]
+        return _points_first([[-self.mu / (self.kappa * m * (2.0 * self.mu - m))]], M)
 
     def domain_box(self):
         return np.array([[0.0, 2.0 * self.mu]])
@@ -204,12 +219,14 @@ class Gauss1D(InitialData):
 
     def phi(self, M):
         M = np.atleast_1d(M)
-        return np.array([self.branch * np.sqrt(np.log(self.eta / M[0])) / self.kappa])
+        m = M.T[0]
+        return _points_first([self.branch * np.sqrt(np.log(self.eta / m)) / self.kappa], M)
 
     def phi_jacobian(self, M):
         M = np.atleast_1d(M)
-        root = np.sqrt(np.log(self.eta / M[0]))
-        return np.array([[-self.branch / (2.0 * self.kappa * M[0] * root)]])
+        m = M.T[0]
+        root = np.sqrt(np.log(self.eta / m))
+        return _points_first([[-self.branch / (2.0 * self.kappa * m * root)]], M)
 
     def domain_box(self):
         return np.array([[0.0, self.eta]])
@@ -242,17 +259,18 @@ class Tanh2D(InitialData):
     def phi(self, M):
         M = np.atleast_1d(M)
         e = self.eps
-        a1, a2 = np.arctanh(M[0]), np.arctanh(M[1])
+        a1, a2 = np.arctanh(M.T[0]), np.arctanh(M.T[1])
         d = e * e - 1.0
-        return np.array([(a1 - e * a2) / d, (a2 - e * a1) / d])
+        return _points_first([(a1 - e * a2) / d, (a2 - e * a1) / d], M)
 
     def phi_jacobian(self, M):
         M = np.atleast_1d(M)
         e = self.eps
         d = e * e - 1.0
-        s1 = 1.0 / (d * (1.0 - M[0] ** 2))
-        s2 = 1.0 / (d * (1.0 - M[1] ** 2))
-        return np.array([[s1, -e * s2], [-e * s1, s2]])
+        M1, M2 = M.T[0], M.T[1]
+        s1 = 1.0 / (d * (1.0 - M1 * M1))
+        s2 = 1.0 / (d * (1.0 - M2 * M2))
+        return _points_first([[s1, -e * s2], [-e * s1, s2]], M)
 
     def domain_box(self):
         return np.array([[-1.0, 1.0], [-1.0, 1.0]])
@@ -299,30 +317,28 @@ class Gauss2DCoriolis(InitialData):
             ]
         )
 
-    def in_domain(self, M):
-        M = np.atleast_1d(M)
-        return bool(
-            M[0] > 0.0
-            and M[1] > 0.0
-            and M[1] < M[0]
-            and M[0] ** 2 < self.amplitude * M[1]
-        )
+    def _inside(self, M):
+        M1, M2 = M.T[0], M.T[1]
+        return (M1 > 0.0) & (M2 > 0.0) & (M2 < M1) & (M1 * M1 < self.amplitude * M2)
 
     def phi(self, M):
         M = np.atleast_1d(M)
-        l1 = np.log(self.amplitude * M[1] / M[0] ** 2)
-        l2 = np.log(M[0] / M[1])
-        return np.array([self.sx * np.sqrt(l1), self.sy * np.sqrt(l2)])
+        M1, M2 = M.T[0], M.T[1]
+        l1 = np.log(self.amplitude * M2 / (M1 * M1))
+        l2 = np.log(M1 / M2)
+        return _points_first([self.sx * np.sqrt(l1), self.sy * np.sqrt(l2)], M)
 
     def phi_jacobian(self, M):
         M = np.atleast_1d(M)
-        r1 = np.sqrt(np.log(self.amplitude * M[1] / M[0] ** 2))
-        r2 = np.sqrt(np.log(M[0] / M[1]))
-        return np.array(
+        M1, M2 = M.T[0], M.T[1]
+        r1 = np.sqrt(np.log(self.amplitude * M2 / (M1 * M1)))
+        r2 = np.sqrt(np.log(M1 / M2))
+        return _points_first(
             [
-                [-self.sx / (M[0] * r1), self.sx / (2.0 * M[1] * r1)],
-                [self.sy / (2.0 * M[0] * r2), -self.sy / (2.0 * M[1] * r2)],
-            ]
+                [-self.sx / (M1 * r1), self.sx / (2.0 * M2 * r1)],
+                [self.sy / (2.0 * M1 * r2), -self.sy / (2.0 * M2 * r2)],
+            ],
+            M,
         )
 
     def domain_box(self):
@@ -367,16 +383,16 @@ class LinearR(InitialData):
         return self.Rinv @ np.atleast_1d(x)
 
     def phi(self, M):
-        return self.R @ np.atleast_1d(M)
+        return matops.matvec(self.R, np.atleast_1d(M))
 
     def phi_jacobian(self, M):
-        return self.R.copy()
+        return np.broadcast_to(self.R, np.atleast_1d(M).shape[:-1] + self.R.shape).copy()
 
     def domain_box(self):
         return np.array([[-np.inf, np.inf]] * self.dim)
 
-    def in_domain(self, M):
-        return True
+    def _inside(self, M):
+        return np.ones(M.shape[:-1], dtype=bool)
 
     def m_grids(self, num=201, inset=5e-3):
         return [np.linspace(-3.0, 3.0, num) for _ in range(self.dim)]
@@ -410,8 +426,8 @@ class Constant(InitialData):
     def domain_box(self):
         raise NotInvertibleError("constant profile has no M-domain")
 
-    def in_domain(self, M):
-        return False
+    def _inside(self, M):
+        return np.zeros(M.shape[:-1], dtype=bool)
 
     def sample_box(self):
         return np.array([[-1.0, 1.0]] * self.dim)
@@ -442,20 +458,25 @@ class Separable(InitialData):
 
     def phi(self, M):
         M = np.atleast_1d(M)
-        return np.array([c.phi(M[i : i + 1])[0] for i, c in enumerate(self.components)])
+        return np.concatenate(
+            [c.phi(M[..., i : i + 1]) for i, c in enumerate(self.components)], axis=-1
+        )
 
     def phi_jacobian(self, M):
         M = np.atleast_1d(M)
-        return np.diag(
-            [c.phi_jacobian(M[i : i + 1])[0, 0] for i, c in enumerate(self.components)]
-        )
+        J = np.zeros(M.shape + (self.dim,))
+        for i, c in enumerate(self.components):
+            J[..., i, i] = c.phi_jacobian(M[..., i : i + 1])[..., 0, 0]
+        return J
 
     def domain_box(self):
         return np.vstack([c.domain_box() for c in self.components])
 
-    def in_domain(self, M):
-        M = np.atleast_1d(M)
-        return all(c.in_domain(M[i : i + 1]) for i, c in enumerate(self.components))
+    def _inside(self, M):
+        inside = True
+        for i, c in enumerate(self.components):
+            inside = inside & c._inside(M[..., i : i + 1])
+        return inside
 
     def m_grids(self, num=201, inset=5e-3):
         return [c.m_grids(num, inset)[0] for c in self.components]
@@ -465,6 +486,20 @@ class Separable(InitialData):
 
     def params(self):
         return {"components": [(c.name, c.params()) for c in self.components]}
+
+
+def _points_first(entries, M):
+    """np.array(entries) with the point axis of M first.
+
+    entries is a vector or a matrix (nested lists) whose entries are numpy
+    scalars when M is one point (n,), and (k,) arrays when M is a stack (k, n);
+    the result is (n,) / (n, n) or (k, n) / (k, n, n).  Taking M's components
+    as M.T[i] keeps a one-point call on fast scalar arithmetic.
+    """
+    out = np.array(entries)
+    if M.ndim == 1:
+        return out
+    return out.T if out.ndim == 2 else out.transpose(2, 0, 1)
 
 
 #: registry used by the CLI config loader

@@ -4,12 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hodoflow import hodograph, model, oracle
+from hodoflow import hodograph, matops, model, oracle
 from hodoflow.errors import (
     DegenerateMatrixError,
     DomainExitError,
     JacobianSingularError,
     NoConvergenceError,
+    SingularMatrixError,
 )
 
 SPEC_CASES = [
@@ -207,23 +208,193 @@ def test_residual_u_cross_checks_residual_M():
     (DomainExitError("left the domain"), "DOMAIN_EXIT"),
 ])
 def test_solve_field_marks_the_failed_track_dead(monkeypatch, error, status):
-    """A solver failure writes its status with u = None and iters = 0, and every
-    later time on that track is POST_BLOWUP without another solve."""
+    """A failed row status writes u = None and iters = 0, and every later time on
+    that track is POST_BLOWUP without another solve; solve_M raises the
+    status's error for the same row."""
     problem = model.HodographProblem(
         model.ForceSpec(np.array([[0.5]]), np.zeros(1)), model.make_data("tanh1d", mu=1.0, kappa=1.0)
     )
-    real_solve = hodograph.solve_u_info
+    real_newton = hodograph._newton
     calls = []
 
-    def failing_after_first(problem, t, x, guess_M=None):
+    def failing_after_first(problem, t, X, M0):
         calls.append(t)
+        M, iters, rnorm, statuses = real_newton(problem, t, X, M0)
         if t > 0.0:
-            raise error
-        return real_solve(problem, t, x, guess_M)
+            statuses = np.full(len(X), status, dtype=object)
+        return M, iters, rnorm, statuses
 
-    monkeypatch.setattr(hodograph, "solve_u_info", failing_after_first)
+    monkeypatch.setattr(hodograph, "_newton", failing_after_first)
     rows = hodograph.solve_field(problem, [0.0, 0.1, 0.2, 0.3], [np.array([0.2])])
     assert [r.status for r in rows] == ["OK", status, "POST_BLOWUP", "POST_BLOWUP"]
     assert rows[0].u is not None
     assert all(r.u is None and r.iters == 0 for r in rows[1:])
     assert calls == [0.0, 0.1]
+    with pytest.raises(type(error)):
+        hodograph.solve_M(problem, 0.1, np.array([0.2]))
+
+
+def _scan_guess_loop(problem, res_fn):
+    """Reference: the point-by-point scan, first strict minimum of the finite values."""
+    data = problem.data
+    num = {1: 65, 2: 25}.get(data.dim, 9)
+    mesh = np.meshgrid(*data.m_grids(num), indexing="ij")
+    best, best_val = None, np.inf
+    for M in np.stack([m.ravel() for m in mesh], axis=-1):
+        if not data.in_domain(M):
+            continue
+        val = float(np.abs(res_fn(M)).max())
+        if np.isfinite(val) and val < best_val:
+            best, best_val = M.copy(), val
+    return best
+
+
+@pytest.mark.parametrize("family, params, spec, targets", [
+    ("tanh1d", {"mu": 1.0, "kappa": 1.0}, model.ForceSpec(np.zeros((1, 1)), np.array([1.0])),
+     [(1.0, [0.0]), (0.4, [-1.3]), (2.0, [2.5])]),
+    ("tanh2d", {"eps": 0.5}, model.diag_spec([0.6, -0.6]),
+     [(0.3, [0.2, -0.4]), (1.2, [1.0, 1.5]), (0.0, [-0.7, 0.1])]),
+])
+def test_scan_guess_picks_the_point_of_the_loop(family, params, spec, targets):
+    """The array scan returns the loop's point: on real residuals, on all-equal
+    values (the first in-domain point wins a tie) and past NaN values."""
+    problem = model.HodographProblem(spec, model.make_data(family, **params))
+    data = problem.data
+    res_fns = [lambda Ms: np.ones_like(Ms),
+               lambda Ms: np.where(Ms < 0.0, np.nan, (Ms - 0.3) ** 2)]
+    for t, x in targets:
+        P1, P2g = matops.phi1(spec.A, t), matops.phi2(spec.A, t) @ spec.g
+        res_fns.append(lambda Ms, x=np.array(x): x - matops.matvec(P1, Ms) - P2g - data.phi(Ms))
+    for res_fn in res_fns:
+        want = _scan_guess_loop(problem, res_fn)
+        got = hodograph._scan_guess(problem, res_fn)
+        assert want is not None and np.array_equal(got, want), (got, want)
+
+
+def _solve_M_loop(problem, t, x, guess_M=None):
+    """Reference: the one-point damped Newton, written as a plain loop."""
+    data = problem.data
+    M = np.array(hodograph._default_guess(problem, x) if guess_M is None else guess_M, dtype=float)
+    if not data.in_domain(M):
+        M = data.clip_to_domain(M)
+    P1 = matops.phi1(problem.spec.A, t)
+    P2g = matops.phi2(problem.spec.A, t) @ problem.spec.g
+
+    def res(Mv):
+        return x - P1 @ Mv - P2g - data.phi(Mv)
+
+    rnorm = float(np.abs(res(M)).max())
+    stepped = rescued = False
+    for it in range(1, problem.newton_max_iter + 1):
+        if rnorm <= problem.newton_tol:
+            return M, hodograph.NewtonInfo(iters=it - 1, M=M, residual_norm=rnorm)
+        try:
+            step = matops.solve(P1 + data.phi_jacobian(M), res(M))
+        except SingularMatrixError:
+            if not stepped and not rescued:
+                rescued = True
+                M_new = _scan_guess_loop(problem, res)
+                if M_new is not None:
+                    M, rnorm = M_new, float(np.abs(res(M_new)).max())
+                    continue
+            raise JacobianSingularError("singular") from None
+        lam = 1.0
+        for _ in range(hodograph._MAX_HALVINGS + 1):
+            M_new = M + lam * step
+            if data.in_domain(M_new):
+                rn_new = float(np.abs(res(M_new)).max())
+                if rn_new < rnorm or rn_new <= problem.newton_tol:
+                    break
+            lam *= 0.5
+        else:
+            if not data.in_domain(M + lam * 2.0 * step):
+                raise DomainExitError("left the domain")
+            raise NoConvergenceError("stalled")
+        M, rnorm, stepped = M_new, rn_new, True
+    if rnorm <= problem.newton_tol:
+        return M, hodograph.NewtonInfo(iters=problem.newton_max_iter, M=M, residual_norm=rnorm)
+    raise NoConvergenceError("iteration budget spent")
+
+
+def _per_point_field(problem, times, points, solve):
+    """Reference sweep: one solve per point and time, guess continued per track."""
+    status_of = {JacobianSingularError: "SINGULAR", NoConvergenceError: "NO_CONVERGENCE",
+                 DomainExitError: "DOMAIN_EXIT"}
+    rows = []
+    for x in points:
+        guess, dead = None, False
+        for t in times:
+            if dead:
+                rows.append((None, 0, "POST_BLOWUP"))
+                continue
+            try:
+                M, info = solve(problem, t, x, guess)
+            except tuple(status_of) as exc:
+                rows.append((None, 0, status_of[type(exc)]))
+                dead = True
+                continue
+            guess = info.M
+            rows.append((hodograph.u_from_M(problem.spec, t, M), info.iters, "OK"))
+    return rows
+
+
+FIELD_CASES = [
+    # free fall: the cold start u0(0) = 1 at t = 1 sits on the fold and is rescued
+    ("tanh1d", model.ForceSpec(np.zeros((1, 1)), np.array([1.0])), {"mu": 1.0, "kappa": 1.0},
+     50, [1.0, 1.5, 2.0], [[0.0], [-1.0], [1.0], [2.5]]),
+    ("gauss1d", model.ForceSpec(np.array([[-0.8]]), np.array([0.3])), {"eta": 0.9, "kappa": 1.1},
+     50, np.linspace(0.0, 2.0, 5), [[0.1], [0.5], [1.0], [1.4]]),
+    # three iterations are too few once the times grow
+    ("tanh2d", model.diag_spec([0.6, -0.6]), {"eps": 0.5},
+     3, np.linspace(0.0, 2.0, 5), [[-1.0, 0.5], [0.0, 0.0], [1.0, -0.5], [1.5, 1.5]]),
+    # some rows converge on the last of four iterations
+    ("gauss2d_coriolis", model.coriolis2d_spec(1.0), {"amplitude": 1.0},
+     4, np.linspace(0.0, 0.9, 4), [[0.1, 0.16], [0.5, 0.3], [0.9, 0.9], [1.1, 0.5]]),
+    # phi1 + R = (t - 1) I: the Newton matrix vanishes at t = 1
+    ("linear", model.ForceSpec(np.zeros((2, 2)), np.zeros(2)), {"R": [[-1.0, 0.0], [0.0, -1.0]]},
+     50, [0.5, 1.0, 1.5], [[0.3, -0.2], [1.0, 0.5]]),
+    ("separable", model.diag_spec([0.4, -0.2]),
+     {"components": [("tanh1d", {"mu": 1.0, "kappa": 1.0}), ("gauss1d", {"eta": 1.0, "kappa": 1.0})]},
+     50, np.linspace(0.0, 2.0, 5), [[-1.0, 0.2], [0.0, 0.5], [1.0, 1.0], [2.0, 1.5]]),
+]
+
+
+def _field_problem(case):
+    family, spec, params, max_iter, times, points = case
+    problem = model.HodographProblem(spec, model.make_data(family, **params), newton_max_iter=max_iter)
+    return problem, [float(t) for t in times], [np.array(p, dtype=float) for p in points]
+
+
+@pytest.mark.parametrize("solve", [hodograph.solve_M, _solve_M_loop], ids=["solve_M", "loop"])
+@pytest.mark.parametrize("case", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
+def test_solve_field_matches_per_point_solves(case, solve):
+    """The batched sweep against per-point solve_M calls and against the plain
+    one-point Newton loop: same status and iterations, u within 1e-13."""
+    problem, times, points = _field_problem(case)
+    rows = hodograph.solve_field(problem, times, points)
+    ref = _per_point_field(problem, times, points, solve)
+    assert [(r.status, r.iters) for r in rows] == [(st, it) for _, it, st in ref]
+    assert [(r.t, tuple(r.x)) for r in rows] == [(t, tuple(x)) for x in points for t in times]
+    for row, (u, _, _) in zip(rows, ref):
+        if u is None:
+            assert row.u is None
+        else:
+            assert np.max(np.abs(row.u - u)) <= 1e-13
+
+
+def test_field_cases_reach_every_status_and_a_rescue(monkeypatch):
+    real_scan = hodograph._scan_guess
+    rescues = []
+
+    def spy(problem, res_fn):
+        rescues.append(real_scan(problem, res_fn))
+        return rescues[-1]
+
+    monkeypatch.setattr(hodograph, "_scan_guess", spy)
+    seen = set()
+    for case in FIELD_CASES:
+        rows = hodograph.solve_field(*_field_problem(case))
+        seen.update(r.status for r in rows)
+        if case[0] == "tanh1d":
+            assert rows[0].status == "OK" and len(rescues) == 1 and rescues[0] is not None
+    assert seen == {"OK", "SINGULAR", "NO_CONVERGENCE", "DOMAIN_EXIT", "POST_BLOWUP"}

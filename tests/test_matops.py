@@ -110,6 +110,17 @@ def test_solve_rejects_singular():
         matops.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
+def test_solve_stacked_flags_a_non_finite_row_alone():
+    """A NaN matrix fails the SVD of the whole stack; its neighbours still solve."""
+    A = np.array([np.eye(2), [[np.nan, 1.0], [0.0, 1.0]], [[2.0, 0.0], [1.0, 4.0]]])
+    B = np.ones((3, 2))
+    X, singular = matops.solve_stacked(A, B)
+    assert singular.tolist() == [False, True, False]
+    assert np.array_equal(X[[0, 2]], np.linalg.solve(A[[0, 2]], B[[0, 2]][..., None])[..., 0])
+    with pytest.raises(SingularMatrixError):
+        matops.solve(A[1], B[1])
+
+
 def test_solve_matches_numpy():
     A = random_matrix(4, seed=9) + 4.0 * np.eye(4)
     b = np.arange(4.0)

@@ -144,3 +144,57 @@ def test_force_spec_rank_computed_once(monkeypatch):
     for _ in range(5):
         assert spec.is_degenerate and spec.rank == 2
     assert len(calls) == 1
+
+
+#: one instance of every registered family for the stacked-call property
+STACK_CASES = {
+    "tanh1d": {"mu": 1.2, "kappa": 0.7},
+    "gauss1d": {"eta": 0.9, "kappa": 1.3, "branch": -1},
+    "tanh2d": {"eps": 0.5},
+    "gauss2d_coriolis": {"amplitude": 0.8, "sx": -1, "sy": 1},
+    "linear": {"R": [[0.9, 0.2], [-0.1, 1.1]]},
+    "constant": {"c": [0.3, -0.2]},
+    "separable": {"components": [("tanh1d", {"mu": 1.0, "kappa": 1.0}),
+                                 ("gauss1d", {"eta": 0.5, "kappa": 2.0})]},
+}
+
+
+def test_stack_cases_cover_every_family():
+    assert set(STACK_CASES) == set(model.FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(STACK_CASES))
+@settings(max_examples=40, deadline=None)
+@given(unit=st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), min_size=1, max_size=6))
+def test_stacked_family_calls_match_row_calls(family, unit):
+    """On a (k, n) stack, in_domain equals the row-by-row calls exactly and phi /
+    phi_jacobian agree to 1e-15 relative; (n,) calls keep their shapes.  Points
+    are drawn from the domain's bounding box widened by 10%, so some lie outside."""
+    data = model.make_data(family, **STACK_CASES[family])
+    n = data.dim
+    if family == "constant":
+        lo, hi = np.full(n, -1.0), np.ones(n)
+    else:
+        lo, hi = np.array([g[[0, -1]] for g in data.m_grids(2, inset=-0.1)]).T
+    M = lo + (hi - lo) * np.array(unit)[:, :n]
+    inside = data.in_domain(M)
+    assert inside.dtype == bool and inside.shape == (len(M),)
+    assert inside.tolist() == [data.in_domain(m) for m in M]
+    assert all(type(data.in_domain(m)) is bool for m in M)
+    if family == "constant":
+        for call in (data.phi, data.phi_jacobian):
+            for arg in (M, M[0]):
+                with pytest.raises(NotInvertibleError):
+                    call(arg)
+        return
+    pts = M[inside]
+    if not len(pts):
+        return
+    with np.errstate(all="ignore"):
+        phi, jac = data.phi(pts), data.phi_jacobian(pts)
+        phi_rows = [data.phi(m) for m in pts]
+        jac_rows = [data.phi_jacobian(m) for m in pts]
+    assert phi.shape == (len(pts), n) and jac.shape == (len(pts), n, n)
+    assert all(p.shape == (n,) for p in phi_rows) and all(j.shape == (n, n) for j in jac_rows)
+    np.testing.assert_allclose(phi, np.array(phi_rows), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(jac, np.array(jac_rows), rtol=1e-15, atol=0.0)
