@@ -19,12 +19,16 @@ algebra in one scalar:
 * A = diag(a1,a2): exponential polynomial in tau = e^{t a2/q} when a1/a2 = p/q
 
 Everything else (an irrational ratio a1/a2, the rotated rank-deficient 3D
-force) goes through the one residual scan, scan_roots.  build_sheets picks
-the builder from the structure of A.
+force) goes through the one residual scan, scan_roots: a sign scan over one
+phi1 table (matops.phi1_table), each bracket refined by safeguarded Newton on
+the exact t-derivative, which needs no further matrix function because
+d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t).  build_sheets picks the sheet
+routine from the structure of A.
 
 A *sheet* is one root branch sampled over a grid in M-space; absent entries
 (no real root) record the violated reality condition.  min_blowup_time picks
-the catastrophe: the infimum of positive blow-up times over all sheets.
+the catastrophe: the infimum of positive blow-up times over all sheets,
+re-checked against blowup_residual for the actual A before it is reported.
 """
 
 from __future__ import annotations
@@ -36,13 +40,22 @@ from typing import Callable
 import numpy as np
 
 from . import matops
-from .errors import ConfigError, DegenerateMatrixError
+from .errors import (
+    BlowupVerificationError,
+    ConfigError,
+    DegenerateMatrixError,
+    OverflowMatrixError,
+)
 from .hodograph import hodograph_position, u_from_M
 
 #: imaginary-part tolerance for accepting a polynomial root as real
 _IMAG_TOL = 1e-9
 #: residual tolerance for accepting a candidate blow-up time
 _TIME_RESIDUAL_TOL = 1e-9
+#: scan_roots stops refining a bracket once the Newton step or the bracket is this short
+_ROOT_TOL = 1e-12
+#: Newton iterations per bracket before scan_roots settles for the bracket midpoint
+_ROOT_MAX_ITER = 100
 
 
 @dataclass
@@ -109,10 +122,51 @@ def blowup_residual(problem, t, M):
     return float(np.linalg.det(P1 + problem.data.phi_jacobian(M)))
 
 
-def _phi1_table(A, t_grid):
-    """phi1(A, t) stacked over t_grid: it depends on t alone, so one table
-    serves every M of a scan and every branch_fn probe of its refinement."""
-    return np.stack([matops.phi1(A, t) for t in t_grid])
+def _scan_table(A, t_grid):
+    """matops.phi1_table over a scan grid; OverflowMatrixError if any row is not finite."""
+    table = matops.phi1_table(A, t_grid)
+    if not np.all(np.isfinite(table)):
+        raise OverflowMatrixError(
+            f"phi1 overflowed on the scan grid [{t_grid[0]!r}, {t_grid[-1]!r}]"
+        )
+    return table
+
+
+def _refine_root(A, J, lo, hi, flo, fhi):
+    """Root of f(t) = det(phi1(A, t) + J) in a bracket with f(lo) f(hi) < 0.
+
+    Safeguarded Newton from the regula-falsi point, one phi1 per step.  With
+    K = phi1 + J, f'(t) = sum_j det(K with column j replaced by column j of
+    e^{tA} = I + A phi1), one stacked det.  Each step shrinks the bracket by
+    the sign of f; a Newton step that leaves the open bracket is replaced by
+    its midpoint.  Returns the Newton iterate once the step is <= _ROOT_TOL,
+    the bracket midpoint once the bracket is, or t itself where f is exactly 0.
+    """
+    n = J.shape[0]
+    cols = np.arange(n)
+    t = lo - flo * (hi - lo) / (fhi - flo)
+    for _ in range(_ROOT_MAX_ITER):
+        P1 = matops.phi1(A, t)
+        K = P1 + J
+        f = float(np.linalg.det(K))
+        if f == 0.0:
+            return float(t)
+        if flo * f < 0.0:
+            hi = t
+        else:
+            lo, flo = t, f
+        Kj = np.repeat(K[None], n, axis=0)
+        Kj[cols, :, cols] = (np.eye(n) + A @ P1).T
+        df = float(np.linalg.det(Kj).sum())
+        step = f / df if df != 0.0 else np.inf
+        if abs(step) <= _ROOT_TOL:
+            return float(t - step)
+        if hi - lo <= _ROOT_TOL:
+            break
+        t = t - step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
 
 
 def scan_roots(A, t_grid, P1_tab, J):
@@ -120,26 +174,15 @@ def scan_roots(A, t_grid, P1_tab, J):
 
     P1_tab[i] = phi1(A, t_grid[i]); the scan values are one stacked
     det(P1_tab + J).  A value of exactly 0 at a grid node is a root; a strict
-    sign change between neighbours is bisected to 1e-12 on det(phi1(A, mid)
-    + J), the blow-up residual itself.
+    sign change between neighbours is refined by _refine_root (safeguarded
+    Newton on the blow-up residual itself) to 1e-12.
     """
     vals = np.linalg.det(P1_tab + J)
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
         if vals[i] == 0.0:
             yield float(t_grid[i])
             continue
-        lo, hi, flo = t_grid[i], t_grid[i + 1], vals[i]
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            fm = float(np.linalg.det(matops.phi1(A, mid) + J))
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        yield float(0.5 * (lo + hi))
+        yield _refine_root(A, J, t_grid[i], t_grid[i + 1], vals[i], vals[i + 1])
 
 
 def _time_from_tau(a, tau):
@@ -414,9 +457,9 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
     has degree <= 6, roots come from the companion matrix, and every candidate
     time is re-verified against blowup_residual to 1e-9.  Otherwise each grid
     point is scanned on [-t_max, t_max] with the given step by scan_roots,
-    with J = d(phi)/dM evaluated once per point and phi1 tabulated once over
-    the scan grid.  A must be exactly diagonal; a1 = a2 delegates to
-    sheets_diag.
+    with J = d(phi)/dM evaluated once per point, phi1 tabulated once over the
+    scan grid (entrywise, A being diagonal) and every bracket refined by
+    Newton.  A must be exactly diagonal; a1 = a2 delegates to sheets_diag.
     """
     spec, data = problem.spec, problem.data
     A = spec.A
@@ -460,7 +503,7 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
 
     if not use_poly:
         t_grid = np.arange(-t_max, t_max + scan_step, scan_step)
-        P1_tab = _phi1_table(A, t_grid)
+        P1_tab = _scan_table(A, t_grid)
 
     def times_scan(M):
         return list(scan_roots(A, t_grid, P1_tab, data.phi_jacobian(M)))
@@ -504,12 +547,13 @@ def sheets_first_root(problem, M_grid=None, t_max=10.0, scan_step=5e-2, branch="
     One sheet: per grid point, the smallest t > 0 among the scan_roots of
     det(phi1(A, t) + d(phi)/dM) on the grid 0, scan_step, 2 scan_step, ...,
     t_max (NaN outside the domain or where no root is found).  One phi1 table
-    per call serves every grid point and every branch_fn probe.
+    per call serves every grid point and every branch_fn probe; each bracket
+    up to the first positive root is refined by Newton, one phi1 per step.
     """
     A, data = problem.spec.A, problem.data
     axes, pts = _grid_points(data, M_grid, problem.grid_num)
     t_grid = np.concatenate([[0.0], np.arange(scan_step, t_max + scan_step, scan_step)])
-    P1_tab = _phi1_table(A, t_grid)
+    P1_tab = _scan_table(A, t_grid)
 
     def first_positive(M):
         M = np.atleast_1d(M)
@@ -618,7 +662,11 @@ def min_blowup_time(problem, sheets):
 
     Grid minimum refined by per-coordinate golden-section descent on the
     owning branch; returns NoBlowup when every sheet is Absent at positive
-    times.
+    times.  The reported (t*, M*) must satisfy
+
+        |blowup_residual(t*, M*)| <= 1e-9 * max(1, |phi1(A, t*)|_F, |J(M*)|_F)^n
+
+    for the actual A, else BlowupVerificationError.
     """
     if isinstance(sheets, BlowupSheet):
         sheets = [sheets]
@@ -633,6 +681,7 @@ def min_blowup_time(problem, sheets):
     if best is None:
         return NoBlowup(reason="every sheet is Absent at positive times")
     t_star, M_star, branch = best
+    _verify_blowup_time(problem, t_star, M_star)
     return BlowupExtremum(
         t_star=float(t_star),
         M_star=M_star,
@@ -640,6 +689,21 @@ def min_blowup_time(problem, sheets):
         u_star=u_from_M(problem.spec, t_star, M_star),
         branch=branch,
     )
+
+
+def _verify_blowup_time(problem, t_star, M_star):
+    """BlowupVerificationError unless (t_star, M_star) is a root of the residual."""
+    res = blowup_residual(problem, t_star, M_star)
+    scale = max(
+        1.0,
+        float(np.linalg.norm(matops.phi1(problem.spec.A, t_star))),
+        float(np.linalg.norm(problem.data.phi_jacobian(np.atleast_1d(M_star)))),
+    ) ** problem.spec.n
+    if not abs(res) <= _TIME_RESIDUAL_TOL * scale:
+        raise BlowupVerificationError(
+            f"blow-up time t*={t_star!r} at M*={M_star!r} fails the re-check: "
+            f"residual {res:.3e} exceeds {_TIME_RESIDUAL_TOL * scale:.3e}"
+        )
 
 
 def build_sheets(problem, grid_num=None, t_max=10.0):

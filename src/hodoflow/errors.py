@@ -52,3 +52,7 @@ class DomainExitError(HodoflowError):
 
 class OverflowMatrixError(HodoflowError):
     """Matrix exponential overflowed the representable floating-point range."""
+
+
+class BlowupVerificationError(HodoflowError):
+    """A reported blow-up time fails the residual re-check for the actual force matrix."""

@@ -25,6 +25,13 @@ three routes:
 
 phi2 of a diagonal A takes the Taylor or augmented route like any other A;
 mat_exp is always scipy.linalg.expm.
+
+phi1_table stacks phi1 over many times at once, for the root scans whose
+matrix functions depend on t alone: entrywise for an exact-diagonal A (the
+same formula as phi1, so the same bits), otherwise one stacked expm of the
+augmented matrices [[tA, tI], [0, 0]], whose top-right block is phi1 itself.
+It has no Taylor route and raises nothing: rows that overflow come back
+non-finite, for the caller to judge.
 """
 
 from __future__ import annotations
@@ -148,6 +155,13 @@ def _phi_dimless(B, k):
     return _phi_augmented(B, k)
 
 
+def _phi1_diagonal(a, t):
+    """expm1(a t)/a entrywise, t where a = 0; t broadcasts against the diagonal a."""
+    zero = a == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(zero, t, np.expm1(a * t) / np.where(zero, 1.0, a))
+
+
 def phi1(A, t):
     """A^-1 (e^{tA} - 1) = t * phi_1(tA); valid for singular A, zero matrix at t = 0.
 
@@ -157,13 +171,34 @@ def phi1(A, t):
     A = _as_square(A)
     if is_exact_diagonal(A):
         a = np.diagonal(A)
-        zero = a == 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = np.where(zero, t, np.expm1(a * t) / np.where(zero, 1.0, a))
+        d = _phi1_diagonal(a, t)
         if not np.all(np.isfinite(d)):
             raise OverflowMatrixError(f"phi1 overflowed for t={t!r} on diagonal {a!r}")
         return np.diag(d)
     return t * _phi_dimless(t * A, 1)
+
+
+def phi1_table(A, ts):
+    """phi1(A, t) for every t of the 1-D array ts, as a (len(ts), n, n) array.
+
+    An exactly diagonal A goes entrywise, bit for bit as phi1; any other A
+    through one stacked expm of [[tA, tI], [0, 0]] (top-right block: phi1).
+    Rows that overflow are returned non-finite, not raised.
+    """
+    A = _as_square(A)
+    ts = np.asarray(ts, dtype=float)
+    n = A.shape[0]
+    if is_exact_diagonal(A):
+        table = np.zeros((ts.size, n, n))
+        idx = np.arange(n)
+        table[:, idx, idx] = _phi1_diagonal(np.diagonal(A), ts[:, None])
+        return table
+    tt = ts[:, None, None]
+    W = np.zeros((ts.size, 2 * n, 2 * n))
+    W[:, :n, :n] = tt * A
+    W[:, :n, n:] = tt * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scipy.linalg.expm(W)[:, :n, n:]
 
 
 def phi2(A, t):

@@ -22,6 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matops
+from .errors import OverflowMatrixError
+
+#: time steps per phi1_table in first_caustic_time's sign scan
+_SCAN_CHUNK = 256
 
 
 @dataclass
@@ -101,31 +105,43 @@ def _jac_det(A, Ju0, t):
 def first_caustic_time(spec, data, x0, t_max=50.0, step=1e-2, tol=1e-10):
     """First positive zero of the flow Jacobian determinant, or None.
 
-    Sign-scan with the given step, then bisect the first bracketing interval.
-    The determinant is flow_jacobian_det's, with J_{u0}(x0) computed once.
+    Sign-scan on the nodes min(i * step, t_max), then bisect the first
+    bracketing interval.  The determinant is flow_jacobian_det's, with
+    J_{u0}(x0) computed once; the scan evaluates it _SCAN_CHUNK steps at a
+    time from one matops.phi1_table each and stops at the first chunk that
+    holds a zero or a sign change.  A node whose determinant is not finite
+    (phi1 overflowed) before any bracket raises OverflowMatrixError; the
+    bisection uses the scalar phi1.
     """
     A, Ju0 = spec.A, _u0_jacobian(data, x0)
-    f_prev = _jac_det(A, Ju0, 0.0)
-    t_prev = 0.0
+    eye = np.eye(Ju0.shape[0])
     nsteps = int(np.ceil(t_max / step))
-    for i in range(1, nsteps + 1):
-        t = min(i * step, t_max)
-        f = _jac_det(A, Ju0, t)
-        if f == 0.0:
-            return t
-        if f_prev * f < 0.0:
-            a, b, fa = t_prev, t, f_prev
-            while b - a > tol:
-                m = 0.5 * (a + b)
-                fm = _jac_det(A, Ju0, m)
-                if fm == 0.0:
-                    return m
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            return 0.5 * (a + b)
-        t_prev, f_prev = t, f
+    for start in range(0, nsteps, _SCAN_CHUNK):
+        # steps start .. start + _SCAN_CHUNK; a chunk repeats the last node of the one before
+        ts = np.minimum(np.arange(start, min(start + _SCAN_CHUNK, nsteps) + 1) * step, t_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.linalg.det(eye + matops.phi1_table(A, ts) @ Ju0)
+            hit = ~np.isfinite(f[1:]) | (f[1:] == 0.0) | (f[:-1] * f[1:] < 0.0)
+        if not hit.any():
+            continue
+        i = int(np.argmax(hit)) + 1
+        if not np.isfinite(f[i]):
+            raise OverflowMatrixError(
+                f"flow Jacobian determinant not finite at t={float(ts[i])!r}"
+            )
+        if f[i] == 0.0:
+            return float(ts[i])
+        a, b, fa = float(ts[i - 1]), float(ts[i]), float(f[i - 1])
+        while b - a > tol:
+            m = 0.5 * (a + b)
+            fm = _jac_det(A, Ju0, m)
+            if fm == 0.0:
+                return m
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        return 0.5 * (a + b)
     return None
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hodoflow import blowup, matops, model
+from hodoflow import blowup, degenerate, matops, model
 
 
 def make_problem(A, family, params, g=None, grid_num=201):
@@ -169,9 +169,9 @@ def test_no_blowup_reported_for_damped_gauss():
     assert "Absent" in out.reason
 
 
-def _reference_scan(problem, M, t_max, scan_step=1e-2):
-    """Per-point sign scan and bisection, one blowup_residual call per step."""
-    ts = np.arange(-t_max, t_max + scan_step, scan_step)
+def _reference_scan(problem, M, ts):
+    """Per-point sign scan on the nodes ts and bisection, one blowup_residual
+    call per step."""
     vals = [blowup.blowup_residual(problem, ti, M) for ti in ts]
     out = []
     for i in range(1, ts.size):
@@ -205,9 +205,10 @@ def test_sheets_diag2_table_scan_matches_per_point_scan(rates, eps, t_max):
     problem = make_problem(np.diag(rates), "tanh2d", {"eps": eps}, grid_num=5)
     sheets = blowup.sheets_diag2(problem, t_max=t_max)
     assert "sign change" in sheets[0].absent_reason, "expected the scan path"
+    ts = np.arange(-t_max, t_max + 1e-2, 1e-2)
     finite = 0
     for i, M in enumerate(sheets[0].points):
-        ref = _reference_scan(problem, M, t_max) if problem.data.in_domain(M) else []
+        ref = _reference_scan(problem, M, ts) if problem.data.in_domain(M) else []
         assert len(ref) <= len(sheets)
         for k, sheet in enumerate(sheets):
             if k < len(ref):
@@ -233,6 +234,82 @@ def test_first_root_sheet_matches_diag2_scan():
         assert abs(first.t[i] - min(positive)) <= 1e-11, f"M={M}"
         finite += 1
     assert finite > 5
+
+
+def _c3d_rotated_problem(grid_num):
+    """The coriolis3d preset (|omega| = 1.2, g_mag 0.5) in its rotated frame."""
+    spec = model.coriolis3d_spec(1.2, g_mag=0.5)
+    data = model.make_data("separable", components=[
+        ("tanh1d", {"mu": 0.8, "kappa": 0.9}),
+        ("gauss1d", {"eta": 0.6, "kappa": 1.1}),
+        ("gauss1d", {"eta": 0.7, "kappa": 0.8}),
+    ])
+    problem = model.HodographProblem(spec, data, grid_num=grid_num)
+    return degenerate.rotated_problem(problem, degenerate.coriolis3d_basis(1.2))
+
+
+@pytest.mark.parametrize("case", ["off_pattern", "coriolis3d"])
+def test_first_root_newton_matches_bisection_non_diagonal(case):
+    """Newton-refined first-root sheets for a non-diagonal A against the plain
+    bisection scan on the same nodes: identical NaN pattern, times within 1e-12."""
+    if case == "off_pattern":
+        problem = make_problem([[0.2, 1.1], [-0.9, -0.3]], "tanh2d", {"eps": 0.5}, grid_num=7)
+        t_max = 10.0
+    else:
+        problem, t_max = _c3d_rotated_problem(grid_num=4), 5.0
+    assert not matops.is_exact_diagonal(problem.spec.A)
+    (sheet,) = blowup.sheets_first_root(problem, t_max=t_max)
+    ts = np.concatenate([[0.0], np.arange(5e-2, t_max + 5e-2, 5e-2)])
+    finite = 0
+    for M, t in zip(sheet.points, sheet.t):
+        roots = _reference_scan(problem, M, ts) if problem.data.in_domain(M) else []
+        ref = next((r for r in roots if r > 0.0), np.nan)
+        assert np.isnan(t) == np.isnan(ref), f"M={M}: {t} vs {ref}"
+        if np.isfinite(ref):
+            assert abs(t - ref) <= 1e-12, f"M={M}: {t!r} vs {ref!r}"
+            finite += 1
+    assert 5 < finite < sheet.t.size, finite
+
+
+@pytest.mark.parametrize("w, step", [(1.0, 1.7), (-2.5, 1.1)])
+def test_scan_roots_coarse_brackets_match_bisection(w, step):
+    """A rotation's residual oscillates, so a coarse bracket can hold a turning
+    point where a Newton step overshoots the bracket; every root must still
+    come from its own bracket, as the bisection scan's does."""
+    problem = make_problem(model.coriolis2d_spec(w).A, "tanh2d", {"eps": 2.0}, grid_num=7)
+    A, data = problem.spec.A, problem.data
+    ts = np.arange(0.0, 12.0, step)
+    P1_tab = matops.phi1_table(A, ts)
+    compared = 0
+    for M in blowup._grid_points(data, None, 7)[1]:
+        if not data.in_domain(M):
+            continue
+        got = list(blowup.scan_roots(A, ts, P1_tab, data.phi_jacobian(M)))
+        ref = _reference_scan(problem, M, ts)
+        assert len(got) == len(ref), f"M={M}: {got} vs {ref}"
+        assert np.all(np.abs(np.subtract(got, ref)) <= 1e-12), f"M={M}: {got} vs {ref}"
+        compared += len(ref)
+    assert compared > 10, compared
+
+
+def test_blowup_scan_phi1_call_budget(monkeypatch):
+    """The blowup-scan benchmark problem, diag(1, -sqrt 2) with tanh2d eps 9 on
+    a grid of 3 up to t_max 0.11, stays within 600 phi1 calls through sheet
+    build and refinement (bisecting every bracket made 3932)."""
+    calls = []
+    phi1 = matops.phi1
+
+    def counted(A, t):
+        calls.append(t)
+        return phi1(A, t)
+
+    monkeypatch.setattr(matops, "phi1", counted)
+    problem = make_problem(np.diag([1.0, -np.sqrt(2.0)]), "tanh2d", {"eps": 9.0})
+    sheets, _ = blowup.build_sheets(problem, grid_num=3, t_max=0.11)
+    ext = blowup.min_blowup_time(problem, sheets)
+    # closed-form root at M* = 0: phi1 is diagonal and dphi/dM = [[1, -9], [-9, 1]] / 80
+    assert ext.t_star == pytest.approx(0.10096597532376497, abs=1e-12)
+    assert len(calls) <= 600, len(calls)
 
 
 def test_near_rotation_is_not_a_rotation():

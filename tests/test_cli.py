@@ -306,6 +306,30 @@ def test_blowup_scalar_tolerance_scales_with_the_entry(tmp_path):
     assert any(c.startswith("# certificate[tau0]") for c in comments), comments
 
 
+def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
+    """A refined time that is not a root of the residual for the actual A is
+    refused: the 1D branch shifted 1e-3 earlier makes the run exit 2, with a
+    message and no traceback."""
+    cfg = write_cfg(tmp_path, "b1.yaml", {
+        "problem": {"matrix": [[0.45]]},
+        "data": {"family": "tanh1d", "params": {"mu": 1.3, "kappa": 0.9}},
+        "task": {"name": "blowup", "grid_num": 41},
+    })
+    assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path / "ok.csv")]) == 0
+    sheet_1d = blowup.sheet_1d
+
+    def shifted(problem, M_grid=None):
+        sheet = sheet_1d(problem, M_grid)
+        branch_fn = sheet.branch_fn
+        sheet.branch_fn = lambda M: branch_fn(M) - 1e-3
+        return sheet
+
+    monkeypatch.setattr(blowup, "sheet_1d", shifted)
+    assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path / "bad.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "re-check" in err and "Traceback" not in err, err
+
+
 C3D_BLOWUP_DATA = {"family": "separable", "components": [
     {"family": "tanh1d", "params": {"mu": 0.8, "kappa": 0.9}},
     {"family": "gauss1d", "params": {"eta": 0.6, "kappa": 1.1}},

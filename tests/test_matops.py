@@ -175,3 +175,47 @@ def test_horner_taylor_vs_augmented_across_cutoff(n):
                                rtol=0.0, atol=1e-14 * t)
             assert np.allclose(matops.phi2(A, t), t * t * matops._phi_augmented(B, 2),
                                rtol=0.0, atol=1e-14 * t * t)
+
+
+#: ||tA||_inf on both sides of the 0.25 Taylor cutoff, for ||A||_inf = 1
+TABLE_TIMES = np.array([0.0, 1e-6, -0.05, 0.2, 0.2499, -0.2501, 0.3, 1.0, -2.5])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["zero", "nilpotent", "skew", "random", "diagonal"])
+def test_phi1_table_matches_phi1(kind, n):
+    """phi1_table row by row against the scalar phi1: bit for bit for an exactly
+    diagonal A (zero included), within 1e-14 relative for any other A."""
+    rng = np.random.default_rng(60 + n)
+    K = rng.standard_normal((n, n))
+    A = {
+        "zero": np.zeros((n, n)),
+        "nilpotent": np.triu(K, 1),
+        "skew": K - K.T,
+        "random": K,
+        "diagonal": np.diag(np.diagonal(K)),
+    }[kind]
+    norm = np.linalg.norm(A, np.inf)
+    if norm:
+        A = A / norm
+    table = matops.phi1_table(A, TABLE_TIMES)
+    assert table.shape == (TABLE_TIMES.size, n, n)
+    for t, row in zip(TABLE_TIMES, table):
+        ref = matops.phi1(A, t)
+        if matops.is_exact_diagonal(A):
+            assert np.array_equal(row, ref), f"t={t}:\n{row}\n{ref}"
+        else:
+            err = np.linalg.norm(row - ref, np.inf)
+            assert err <= 1e-14 * np.linalg.norm(ref, np.inf), f"t={t}: {err:.2e}"
+
+
+def test_phi1_table_diagonal_bits_and_overflow_rows():
+    """The entrywise route keeps phi1's bits on DIAG_VALUES; rows that overflow
+    come back non-finite instead of raising, on both routes."""
+    A = np.diag(DIAG_VALUES)
+    table = matops.phi1_table(A, np.array(DIAG_VALUES))
+    for t, row in zip(DIAG_VALUES, table):
+        assert np.array_equal(row, matops.phi1(A, t)), f"t={t}"
+    for A in (np.diag([800.0, 1.0]), np.array([[800.0, 1.0], [0.0, 1.0]])):
+        table = matops.phi1_table(A, np.array([0.5, 1.0]))
+        assert np.all(np.isfinite(table[0])) and not np.all(np.isfinite(table[1]))

@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hodoflow import model, oracle
+from hodoflow import degenerate, model, oracle
+from hodoflow.errors import OverflowMatrixError
 
 
 def test_exact_flow_t0_identity():
@@ -85,6 +86,80 @@ def test_first_caustic_time_none_when_certified_absent():
     data = model.make_data("tanh1d", mu=1.0, kappa=1.0)
     spec = model.ForceSpec(np.array([[-2.0]]), np.zeros(1))
     assert oracle.first_caustic_time(spec, data, np.array([0.0]), t_max=20.0) is None
+
+
+def _reference_caustic(spec, data, x0, t_max, step=1e-2, tol=1e-10):
+    """Node-by-node sign scan of flow_jacobian_det, then bisection of the first bracket."""
+    f_prev, t_prev = oracle.flow_jacobian_det(spec, data, x0, 0.0), 0.0
+    for i in range(1, int(np.ceil(t_max / step)) + 1):
+        t = min(i * step, t_max)
+        f = oracle.flow_jacobian_det(spec, data, x0, t)
+        if f == 0.0:
+            return t
+        if f_prev * f < 0.0:
+            a, b, fa = t_prev, t, f_prev
+            while b - a > tol:
+                m = 0.5 * (a + b)
+                fm = oracle.flow_jacobian_det(spec, data, x0, m)
+                if fm == 0.0:
+                    return m
+                if fa * fm < 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            return 0.5 * (a + b)
+        t_prev, f_prev = t, f
+    return None
+
+
+def _c3d_rotated():
+    """Rotated force and rotated-frame data of the coriolis3d compare preset."""
+    basis = degenerate.coriolis3d_basis(1.2)
+    spec = degenerate.rotated_spec(model.coriolis3d_spec(1.2, g_mag=0.5), basis)
+    data = model.make_data("separable", components=[
+        ("tanh1d", {"mu": 0.8, "kappa": 0.9}),
+        ("gauss1d", {"eta": 0.6, "kappa": 1.1}),
+        ("gauss1d", {"eta": 0.7, "kappa": 0.8}),
+    ])
+    return spec, data
+
+
+@pytest.mark.parametrize("case", ["tanh1d", "coriolis3d"])
+def test_first_caustic_time_matches_scalar_scan(case):
+    """The tabulated scan gives the node-by-node scan's caustic: both None, or
+    times within 1e-10."""
+    rng = np.random.default_rng(12)
+    if case == "tanh1d":
+        data = model.make_data("tanh1d", mu=1.0, kappa=1.0)
+        runs = [(model.ForceSpec(np.array([[a]]), np.zeros(1)), np.array([x]), 3.0)
+                for a in (0.0, 0.6, -0.4, -2.0) for x in (0.0, 0.8, -1.5)]
+    else:
+        spec, data = _c3d_rotated()
+        box = data.sample_box()
+        runs = [(spec, rng.uniform(box[:, 0], box[:, 1]), 3.0) for _ in range(10)]
+    found = 0
+    for spec, x0, t_max in runs:
+        got = oracle.first_caustic_time(spec, data, x0, t_max=t_max)
+        ref = _reference_caustic(spec, data, x0, t_max)
+        assert (got is None) == (ref is None), f"x0={x0}: {got} vs {ref}"
+        if ref is not None:
+            assert abs(got - ref) <= 1e-10, f"x0={x0}: {got!r} vs {ref!r}"
+            found += 1
+    assert 0 < found < len(runs), (found, len(runs))
+
+
+def test_first_caustic_time_overflow_order():
+    """A = 800 overflows e^{tA} past t ~ 0.887: a caustic before that is returned
+    (the scan's first chunk holds both), no caustic before it raises."""
+    spec = model.ForceSpec(np.array([[800.0]]), np.zeros(1))
+    falling = model.make_data("tanh1d", mu=1.0, kappa=1.0)
+    t_c = oracle.first_caustic_time(spec, falling, np.array([0.0]), t_max=2.0)
+    assert t_c == pytest.approx(np.log1p(800.0) / 800.0, abs=1e-10)
+    rising = model.make_data("gauss1d", eta=1.0, kappa=1.0, branch=-1)
+    with pytest.raises(OverflowMatrixError):
+        oracle.first_caustic_time(spec, rising, np.array([-0.5]), t_max=2.0)
+    with pytest.raises(OverflowMatrixError):
+        _reference_caustic(spec, rising, np.array([-0.5]), 2.0)
 
 
 def test_pde_residual_on_exact_solution():
