@@ -365,6 +365,15 @@ def _coriolis_omega(A, tol=1e-12):
     return w
 
 
+def _coriolis_abc(w, J):
+    """(a, b, c) of coriolis2d_abc for one Jacobian (2, 2) or a stack (k, 2, 2)."""
+    J11, J12, J21, J22 = J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
+    a = w * (J11 + J22)
+    b = w * (J21 - J12) - 2.0
+    c = -b + w * w * (J11 * J22 - J12 * J21)
+    return a, b, c
+
+
 def coriolis2d_abc(problem, M):
     """Trig coefficients of the planar-rotation blow-up condition at M.
 
@@ -375,10 +384,7 @@ def coriolis2d_abc(problem, M):
     w = _coriolis_omega(problem.spec.A)
     if w is None:
         raise ValueError("coriolis2d_abc needs A = w*[[0,1],[-1,0]] with w != 0")
-    J = problem.data.phi_jacobian(np.atleast_1d(M))
-    a = w * (J[0, 0] + J[1, 1])
-    b = w * (J[1, 0] - J[0, 1]) - 2.0
-    c = -b + w * w * (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+    a, b, c = _coriolis_abc(w, problem.data.phi_jacobian(np.atleast_1d(M)))
     return CoriolisABC(a=float(a), b=float(b), c=float(c))
 
 
@@ -436,6 +442,72 @@ def sheets_coriolis2d(problem, M_grid=None):
             branch_fn=first_positive,
         )
     ]
+
+
+def _domain_edges(data, axes, points, inside, steps=60):
+    """In-domain points next to the domain edge, one on each grid segment that
+    crosses it: the segment's in-domain end, moved by bisection (steps halvings)
+    to within its length / 2^steps of the edge."""
+    shape = [ax.size for ax in axes]
+    grid = points.reshape(*shape, -1)
+    inside = inside.reshape(shape)
+    lo, hi = [], []
+    for j in range(len(shape)):
+        first = tuple(slice(None, -1) if i == j else slice(None) for i in range(len(shape)))
+        second = tuple(slice(1, None) if i == j else slice(None) for i in range(len(shape)))
+        flip = inside[first] != inside[second]
+        a_in = inside[first][flip][:, None]
+        pa, pb = grid[first][flip], grid[second][flip]
+        lo.append(np.where(a_in, pa, pb))
+        hi.append(np.where(a_in, pb, pa))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        ins = data.in_domain(mid)
+        lo[ins], hi[~ins] = mid[ins], mid[~ins]
+    return lo
+
+
+def certify_coriolis_absent(problem, sheet):
+    """Absence certificate for the planar-rotation sheet.
+
+    a sin(wt) + b cos(wt) + c has no real root at M iff a^2 + b^2 - c^2 < 0
+    there, so the sheet is absent everywhere iff that margin stays below 0 on
+    the whole domain.  Its sup is taken over the in-domain grid points and the
+    points where the grid lines meet the domain edge, then golden-refined per
+    coordinate (sheet_extremum); Certified iff the sup is below 0.
+    """
+    w = _coriolis_omega(problem.spec.A)
+    data = problem.data
+
+    def margin(M):
+        with np.errstate(all="ignore"):
+            a, b, c = _coriolis_abc(w, data.phi_jacobian(M))
+        return np.where(data.in_domain(M), a * a + b * b - c * c, np.nan)
+
+    inside = data.in_domain(sheet.points)
+    pts = np.concatenate([sheet.points[inside],
+                          _domain_edges(data, sheet.axes, sheet.points, inside)])
+    samples = BlowupSheet(branch="margin", axes=sheet.axes, points=pts, t=margin(pts),
+                          branch_fn=lambda M: float(margin(M[None])[0]))
+    found = sheet_extremum(samples, mode="max")
+    if found is None:
+        return Certificate(False, "no in-domain M with a finite a^2 + b^2 - c^2", None, np.nan)
+    sup, worst = found
+    if sup < 0.0:
+        return Certificate(
+            certified=True,
+            reason=f"sup over M of a^2 + b^2 - c^2 = {sup:.12g} < 0: "
+            "no real root of a sin(wt) + b cos(wt) + c",
+            worst_M=worst,
+            value=sup,
+        )
+    return Certificate(
+        certified=False,
+        reason=f"a^2 + b^2 - c^2 = {sup:.12g} >= 0 at M = {worst!r}",
+        worst_M=worst,
+        value=sup,
+    )
 
 
 def _rationalize(r, max_denominator=64, tol=1e-9):
@@ -661,8 +733,8 @@ def min_blowup_time(problem, sheets):
     """Catastrophe record: infimum of positive blow-up times over all sheets.
 
     Grid minimum refined by per-coordinate golden-section descent on the
-    owning branch; returns NoBlowup when every sheet is Absent at positive
-    times.  The reported (t*, M*) must satisfy
+    owning branch; returns NoBlowup when no sheet has a positive time on its
+    grid.  The reported (t*, M*) must satisfy
 
         |blowup_residual(t*, M*)| <= 1e-9 * max(1, |phi1(A, t*)|_F, |J(M*)|_F)^n
 
@@ -679,7 +751,7 @@ def min_blowup_time(problem, sheets):
         if best is None or t_s < best[0]:
             best = (t_s, M_s, sheet.branch)
     if best is None:
-        return NoBlowup(reason="every sheet is Absent at positive times")
+        return NoBlowup(reason="no positive root on the M-grid")
     t_star, M_star, branch = best
     _verify_blowup_time(problem, t_star, M_star)
     return BlowupExtremum(
@@ -711,7 +783,8 @@ def build_sheets(problem, grid_num=None, t_max=10.0):
 
     1D goes to sheet_1d plus the global certificate; A = a*Id to sheets_diag
     plus a per-sheet absence certificate; the planar Coriolis pattern to
-    sheets_coriolis2d (a sheet Absent everywhere is reported); an exactly
+    sheets_coriolis2d (a sheet with no root on its grid gets
+    certify_coriolis_absent); an exactly
     diagonal 2x2 A to sheets_diag2 up to t_max.  The per-axis M-grid size is
     grid_num, else the data family's default.  Returns (sheets,
     certificate_lines); any other A raises ConfigError.
@@ -732,11 +805,10 @@ def build_sheets(problem, grid_num=None, t_max=10.0):
             cert_lines.append(f"certificate[{sheet.branch}]: {word} ({cert.reason})")
     elif _coriolis_omega(A) is not None:
         sheets = sheets_coriolis2d(problem, M_grid=grids)
-        for sheet in sheets:
-            if sheet.absent_reason and bool(np.all(sheet.absent)):
-                cert_lines.append(
-                    f"certificate[{sheet.branch}]: Absent everywhere ({sheet.absent_reason})"
-                )
+        if np.all(sheets[0].absent):
+            cert = certify_coriolis_absent(problem, sheets[0])
+            word = "Absent everywhere" if cert.certified else "NotCertified"
+            cert_lines.append(f"certificate[{sheets[0].branch}]: {word} ({cert.reason})")
     elif n == 2 and matops.is_exact_diagonal(A):
         sheets = sheets_diag2(problem, M_grid=grids, t_max=t_max)
     else:

@@ -117,9 +117,9 @@ def validate_config(cfg):
 def build_spec(problem):
     """ForceSpec from the problem block (preset or explicit matrix)."""
     g = problem.get("g")
-    g_vec = None if g is None else np.asarray(g, dtype=float)
     preset = problem.get("preset")
     try:
+        g_vec = None if g is None else np.asarray(g, dtype=float)
         if preset == "coriolis2d":
             spec = model.coriolis2d_spec(float(problem["omega"]), g=g_vec)
         elif preset == "coriolis3d":

@@ -23,12 +23,19 @@ three routes:
 
   whose first block row delivers the phi functions directly.
 
-phi2 of a diagonal A takes the Taylor or augmented route like any other A;
-mat_exp is always scipy.linalg.expm.
+phi2 of a diagonal A takes the Taylor or augmented route like any other A.
+
+Every exponential here (mat_exp, the augmented route, phi1_table) is _expm:
+scaling and squaring with a diagonal Pade approximant of degree 3, 5, 7, 9
+or 13 (Higham 2005), in numpy alone.  It takes one matrix or a stack of
+them.  A stack shares one Pade degree (set by its largest norm) and one
+stacked linear solve; each of its matrices is scaled and squared by its own
+power of 2, so a row agrees with a single call on it to rounding, and a row
+that overflows leaves the others finite.
 
 phi1_table stacks phi1 over many times at once, for the root scans whose
 matrix functions depend on t alone: entrywise for an exact-diagonal A (the
-same formula as phi1, so the same bits), otherwise one stacked expm of the
+same formula as phi1, so the same bits), otherwise one stacked _expm of the
 augmented matrices [[tA, tI], [0, 0]], whose top-right block is phi1 itself.
 It has no Taylor route and raises nothing: rows that overflow come back
 non-finite, for the caller to judge.
@@ -36,10 +43,11 @@ non-finite, for the caller to judge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import OverflowMatrixError, SingularMatrixError
 
@@ -52,6 +60,23 @@ _TAYLOR_RTOL = 1e-17
 _DIAG_COND_LIMIT = 1e8
 # conditioning ceiling for solve_stacked() and solve()
 _SOLVE_COND_LIMIT = 1e13
+# coefficients b_0..b_m of the degree-m diagonal Pade approximant to e^x
+# (Higham 2005, "The scaling and squaring method for the matrix exponential
+# revisited", Algorithm 2.3); all are integers, exact in double precision
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+# largest 1-norm theta_m at which degree m needs no scaling (same paper)
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152
 
 
 def _as_square(A):
@@ -76,15 +101,81 @@ def scalar_multiple(A, tol=1e-12):
     return None
 
 
+@lru_cache(maxsize=None)
+def _eye(n):
+    """The read-only n x n identity, built once per n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _pade(W, m):
+    """Degree-m diagonal Pade approximant r_m(W) = q_m(W)^-1 p_m(W) of e^W.
+
+    W is one (k, k) matrix or a (..., k, k) stack: p_m(W) = V + U and
+    q_m(W) = V - U, with U = W u(W^2) the odd and V = v(W^2) the even part.
+    """
+    b = _PADE[m]
+    eye = _eye(W.shape[-1])
+    W2 = W @ W
+    if m == 13:
+        W4 = W2 @ W2
+        W6 = W4 @ W2
+        U = W6 @ (b[13] * W6 + b[11] * W4 + b[9] * W2) + b[7] * W6 + b[5] * W4 + b[3] * W2
+        V = W6 @ (b[12] * W6 + b[10] * W4 + b[8] * W2) + b[6] * W6 + b[4] * W4 + b[2] * W2
+    else:
+        U, V, P = b[3] * W2, b[2] * W2, W2
+        for j in range(2, m // 2 + 1):
+            P = P @ W2
+            U += b[2 * j + 1] * P
+            V += b[2 * j] * P
+    U = W @ (U + b[1] * eye)
+    V += b[0] * eye
+    return np.linalg.solve(V - U, V + U)
+
+
+def _expm(W):
+    """e^W by scaling and squaring (Higham 2005) for one (k, k) matrix or a
+    (N, k, k) stack.
+
+    The Pade degree is the lowest whose theta_m bounds the largest 1-norm;
+    past theta_9 it is 13, and each matrix gets its own scaling power s
+    (W / 2^s within theta_13) and is squared s times.  Rows with a non-finite
+    norm come back NaN, and rows that overflow while squaring come back
+    non-finite, each without touching the other rows.
+    """
+    norm = np.abs(W).sum(axis=-2).max(axis=-1)
+    top = float(norm if W.ndim == 2 else norm.max(initial=0.0))
+    for m, theta in _PADE_THETA:
+        if top <= theta:
+            return _pade(W, m)
+    if W.ndim == 2:
+        if not math.isfinite(top):
+            return np.full(W.shape, np.nan)
+        s = max(0, math.ceil(math.log2(top / _THETA_13)))
+        E = _pade(W * 2.0**-s, 13)
+        for _ in range(s):
+            E = E @ E
+        return E
+    ok = np.flatnonzero(np.isfinite(norm))
+    s = np.ceil(np.log2(np.maximum(norm[ok], _THETA_13) / _THETA_13)).astype(int)
+    E = np.full(W.shape, np.nan)
+    E[ok] = _pade(W[ok] * np.exp2(-s)[:, None, None], 13)
+    for i in range(s.max(initial=0)):
+        rows = ok[s > i]
+        E[rows] = E[rows] @ E[rows]
+    return E
+
+
 def mat_exp(A, t=1.0):
-    """e^{tA} via scaling-and-squaring (scipy.linalg.expm).
+    """e^{tA} by scaling and squaring (_expm).
 
     Raises OverflowMatrixError if the result leaves the representable range
     (reported, never silently saturated).
     """
     A = _as_square(A)
     with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(t * A)
+        E = _expm(t * A)
     if not np.all(np.isfinite(E)):
         raise OverflowMatrixError(
             f"exp(tA) overflowed for t={t!r}, ||A||={np.linalg.norm(A, np.inf):.3e}"
@@ -142,7 +233,7 @@ def _phi_augmented(B, k):
         r = blk * n
         W[r : r + n, r + n : r + 2 * n] = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(W)
+        E = _expm(W)
     if not np.all(np.isfinite(E)):
         raise OverflowMatrixError("phi-function evaluation overflowed")
     return E[:n, k * n : (k + 1) * n]
@@ -182,7 +273,7 @@ def phi1_table(A, ts):
     """phi1(A, t) for every t of the 1-D array ts, as a (len(ts), n, n) array.
 
     An exactly diagonal A goes entrywise, bit for bit as phi1; any other A
-    through one stacked expm of [[tA, tI], [0, 0]] (top-right block: phi1).
+    through one stacked _expm of [[tA, tI], [0, 0]] (top-right block: phi1).
     Rows that overflow are returned non-finite, not raised.
     """
     A = _as_square(A)
@@ -198,7 +289,7 @@ def phi1_table(A, ts):
     W[:, :n, :n] = tt * A
     W[:, :n, n:] = tt * np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        return scipy.linalg.expm(W)[:, :n, n:]
+        return _expm(W)[:, :n, n:]
 
 
 def phi2(A, t):

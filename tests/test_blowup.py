@@ -114,6 +114,46 @@ def test_coriolis_small_amplitude_absent():
     assert isinstance(out, blowup.NoBlowup), out
 
 
+def _random_margins(problem, w, n=100_000, seed=0):
+    """max of a^2 + b^2 - c^2 over n random M of the domain box, in-domain only."""
+    data = problem.data
+    box = data.domain_box()
+    M = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], (n, 2))
+    M = M[data.in_domain(M)]
+    with np.errstate(all="ignore"):
+        a, b, c = blowup._coriolis_abc(w, data.phi_jacobian(M))
+    return float(np.max(a * a + b * b - c * c))
+
+
+@pytest.mark.parametrize("amplitude, w, grid, certified", [
+    (0.05, 1.0, 61, True), (0.7, 1.3, 61, False), (0.5, 1.0, 21, False),
+])
+def test_coriolis_absence_certificate_is_bounded(amplitude, w, grid, certified):
+    """Absent everywhere only when the sup of a^2 + b^2 - c^2 over the domain is
+    below 0, and then the sup found is at least every random sample.  In the
+    two refused cases no grid point has a root, but the margin turns positive
+    next to the edge M2 = M1; at amplitude 0.5 only the edge points find it."""
+    problem = make_problem(model.coriolis2d_spec(w).A, "gauss2d_coriolis",
+                           {"amplitude": amplitude}, grid_num=grid)
+    sheets, lines = blowup.build_sheets(problem, grid_num=grid)
+    assert np.all(sheets[0].absent)
+    cert = blowup.certify_coriolis_absent(problem, sheets[0])
+    assert cert.certified == certified
+    assert problem.data.in_domain(cert.worst_M)
+    sampled = _random_margins(problem, w)
+    if certified:
+        assert sampled <= cert.value < 0.0
+        word = "Absent everywhere"
+    else:
+        assert sampled > 0.0 and cert.value > 0.0
+        M1, M2 = cert.worst_M
+        assert abs(M1 - M2) < 1e-9
+        word = "NotCertified"
+    assert lines == [f"certificate[coriolis_first]: {word} ({cert.reason})"]
+    out = blowup.min_blowup_time(problem, sheets)
+    assert out.reason == "no positive root on the M-grid"
+
+
 def test_coriolis_gauss_catastrophe_time():
     """Unit-amplitude Gaussian under unit rotation: first fold near t = 0.8163."""
     problem = make_problem(
@@ -166,7 +206,7 @@ def test_no_blowup_reported_for_damped_gauss():
     problem = make_problem([[-3.01]], "gauss1d", {"eta": 1.0, "kappa": 1.0})
     out = blowup.min_blowup_time(problem, blowup.sheet_1d(problem))
     assert isinstance(out, blowup.NoBlowup)
-    assert "Absent" in out.reason
+    assert out.reason == "no positive root on the M-grid"
 
 
 def _reference_scan(problem, M, ts):

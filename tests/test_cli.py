@@ -1,9 +1,17 @@
 """CLI contract: config grammar, CSV output, determinism, exit codes."""
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from hodoflow import blowup, cli, model, oracle
 
@@ -387,6 +395,66 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err, err
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+#: values no number-, array- or name-valued config key accepts
+_JUNK = st.one_of(
+    st.text(max_size=6).filter(_not_a_number),
+    st.lists(st.text(min_size=1, max_size=3).filter(_not_a_number), min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+#: (block, key) pairs to spoil; key None replaces the whole block with a non-mapping
+_SPOIL = [
+    ("problem", None), ("problem", "matrix"), ("problem", "g"), ("problem", "dimension"),
+    ("problem", "omega"), ("problem", "preset"),
+    ("task", None), ("task", "name"), ("task", "times"), ("task", "points"),
+    ("solver", None), ("solver", "newton_tol"), ("solver", "max_iter"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(where=st.sampled_from(_SPOIL), junk=_JUNK,
+       block=st.one_of(st.text(max_size=4), st.integers(), st.lists(st.integers(), max_size=2)))
+def test_malformed_blocks_fail_loud(tmp_path_factory, where, junk, block):
+    """Fuzzed problem, task and solver blocks: exit 1 with a config error on
+    stderr and no traceback, whatever the malformed value."""
+    cfg = {**_TANH_1D, "solver": {"newton_tol": 1e-12, "max_iter": 50},
+           "task": {"name": "solve", "times": [0.1], "points": [[0.1]]}}
+    name, key = where
+    if key == "omega":
+        cfg["problem"] = {"preset": "coriolis2d"}
+        cfg["data"] = {"family": "gauss2d_coriolis", "params": {"amplitude": 1.0}}
+    if key is None:
+        cfg[name] = block
+    else:
+        cfg[name] = {**cfg[name], key: junk}
+    path = tmp_path_factory.mktemp("fuzz") / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["solve", "--config", str(path)])
+    assert rc == 1 and "config error" in err.getvalue(), (cfg, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy and PyYAML only: importing the package and its
+    CLI in a fresh interpreter must not bring in any scipy module."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, hodoflow, hodoflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]", out
 
 
 def test_blowup_coriolis_degenerate_trig_is_absent(tmp_path, capsys):

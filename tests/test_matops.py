@@ -219,3 +219,109 @@ def test_phi1_table_diagonal_bits_and_overflow_rows():
     for A in (np.diag([800.0, 1.0]), np.array([[800.0, 1.0], [0.0, 1.0]])):
         table = matops.phi1_table(A, np.array([0.5, 1.0]))
         assert np.all(np.isfinite(table[0])) and not np.all(np.isfinite(table[1]))
+
+
+# ---------------------------------------------------------------------------
+# _expm: the numpy scaling-and-squaring exponential behind every route above
+
+#: 1-norms of the random dense matrices, past the last Pade threshold (~5.4)
+EXPM_NORMS = np.geomspace(1e-3, 50.0, 12)
+
+
+def _expm_reference(A):
+    """e^A to 30 digits (mpmath), rounded to float."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
+
+
+def _expm_err(E, ref):
+    """||E - ref||_1 / max(1, ||ref||_1)."""
+    return np.linalg.norm(E - ref, 1) / max(1.0, np.linalg.norm(ref, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
+def test_expm_random_dense_matches_30_digit_reference(n):
+    """Random dense matrices with 1-norms from 1e-3 to 50, every Pade degree and
+    up to 4 squarings, to 1e-13 of a 30-digit exponential.  The reference is
+    mpmath rather than scipy.linalg.expm: at 1-norms 11-50 scipy 1.17 itself
+    differs from the 30-digit value by up to 2e-12 on these matrices."""
+    rng = np.random.default_rng(70 + n)
+    for norm in EXPM_NORMS:
+        A = rng.standard_normal((n, n))
+        A *= norm / np.linalg.norm(A, 1)
+        err = _expm_err(matops._expm(A), _expm_reference(A))
+        assert err <= 1e-13, f"n={n} ||A||_1={norm:.3g}: {err:.2e}"
+
+
+@pytest.mark.parametrize("kind", ["upper", "nilpotent", "skew", "diagonal"])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_expm_structured_matches_30_digit_reference(kind, n):
+    """Upper-triangular, nilpotent, skew (rotation) and exactly diagonal
+    matrices to 1e-13 of the 30-digit exponential; skew ones stay orthogonal
+    and diagonal ones diagonal.  (scipy 1.17's triangular route is itself
+    1.6e-13 off on the 2x2 upper-triangular case at scale 2.)"""
+    rng = np.random.default_rng(80 + n)
+    K = rng.standard_normal((n, n))
+    A = {
+        "upper": np.triu(K),
+        "nilpotent": np.triu(K, 1),
+        "skew": K - K.T,
+        "diagonal": np.diag(np.diagonal(K)),
+    }[kind]
+    for scale in (1e-3, 0.3, 2.0, 12.0):
+        B = scale * A
+        E = matops._expm(B)
+        assert _expm_err(E, _expm_reference(B)) <= 1e-13, f"{kind} scale={scale}"
+        if kind == "skew":
+            assert np.allclose(E @ E.T, np.eye(n), rtol=0.0, atol=1e-13)
+        if kind == "diagonal":
+            assert matops.is_exact_diagonal(E)
+
+
+def test_expm_agrees_with_scipy_at_workload_norms():
+    """Against scipy.linalg.expm, the exponential this module used before,
+    on the augmented phi1 matrices [[tA, tI], [0, 0]] of the 2D and 3D
+    rotation forces for t in [-2, 2] (the norms the workloads reach), to
+    1e-14."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    for A in (np.array([[0.0, 1.0], [-1.0, 0.0]]),
+              np.array([[0.0, 1.2, 0.0], [-1.2, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+              random_matrix(3, seed=5)):
+        n = A.shape[0]
+        for t in np.linspace(-2.0, 2.0, 41):
+            W = np.zeros((2 * n, 2 * n))
+            W[:n, :n], W[:n, n:] = t * A, t * np.eye(n)
+            assert _expm_err(matops._expm(W), expm(W)) <= 1e-14, f"n={n} t={t}"
+
+
+def test_expm_stack_rows_match_single_calls():
+    """A stack with mixed norms (one Pade degree, a scaling power per row)
+    agrees with one call per matrix to 1e-14."""
+    rng = np.random.default_rng(90)
+    norms = [0.0, 1e-3, 0.2, 0.9, 2.0, 5.0, 11.0, 40.0]
+    W = np.array([rng.standard_normal((6, 6)) for _ in norms])
+    W *= (np.array(norms) / np.linalg.norm(W, 1, axis=(1, 2)))[:, None, None]
+    stack = matops._expm(W)
+    for norm, Wi, Ei in zip(norms, W, stack):
+        err = _expm_err(Ei, matops._expm(Wi))
+        assert err <= 1e-14, f"||W||_1={norm}: {err:.2e}"
+
+
+def test_expm_overflow_stays_in_its_row():
+    """One overflowing row of a phi1_table stack comes back non-finite and
+    leaves the other rows finite and bit for bit as without it; mat_exp
+    reports the overflow."""
+    A = np.array([[1.0, 2.0], [-0.5, 3.0]])
+    ts = np.array([0.5, 2.0, 400.0, -1.0, 3.0])
+    table = matops.phi1_table(A, ts)
+    finite = np.isfinite(table).all(axis=(1, 2))
+    assert finite.tolist() == [True, True, False, True, True]
+    keep = ts != 400.0
+    assert np.array_equal(table[keep], matops.phi1_table(A, ts[keep]))
+    with pytest.raises(OverflowMatrixError):
+        matops.mat_exp(A, 400.0)
+    bad = np.array([np.eye(2), [[np.inf, 0.0], [1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]])
+    E = matops._expm(bad)
+    assert np.isnan(E[1]).all()
+    assert np.allclose(E[[0, 2]], matops._expm(bad[[0, 2]]), rtol=1e-14, atol=0.0)
