@@ -14,8 +14,10 @@ algebra in one scalar:
 
 * 1D:             t = log(1 - A phi'(M)) / A, real iff A phi'(M) < 1
 * A = a*Id:       det(tau*Id + J) = 0 with tau = (e^{at}-1)/a  (polynomial)
-* planar Coriolis: a sin(wt) + b cos(wt) + c = 0 with (a,b,c) from J; the
-                   first positive root in closed form (coriolis2d_first_time)
+* elliptic 2x2:   trace A = 0 and det A = lam^2 > 0 (the coriolis2d and
+                  periodic2d presets), so A^2 = -lam^2 I and
+                  a sin(lam t) + b cos(lam t) + c = 0 with (a,b,c) from A and J;
+                  the first positive root in closed form (coriolis2d_first_time)
 * A = diag(a1,a2): exponential polynomial in tau = e^{t a2/q} when a1/a2 = p/q
 
 Everything else (an irrational ratio a1/a2, the rotated rank-deficient 3D
@@ -23,7 +25,8 @@ force) goes through the one residual scan, scan_roots: a sign scan over one
 phi1 table (matops.phi1_table), each bracket refined by safeguarded Newton on
 the exact t-derivative, which needs no further matrix function because
 d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t).  build_sheets picks the sheet
-routine from the structure of A.
+routine from the structure of A; every closed-form sheet is one stacked
+phi_jacobian over its grid.
 
 A *sheet* is one root branch sampled over a grid in M-space; absent entries
 (no real root) record the violated reality condition.  min_blowup_time picks
@@ -86,7 +89,8 @@ class BlowupSheet:
 
 @dataclass
 class CoriolisABC:
-    """Coefficients of a sin(wt) + b cos(wt) + c = w^2 * blow-up residual."""
+    """Coefficients of a sin(lam t) + b cos(lam t) + c = lam^2 * blow-up residual;
+    floats, or arrays of one shape."""
 
     a: float
     b: float
@@ -208,7 +212,7 @@ def sheet_1d(problem, M_grid=None):
     data = problem.data
     a = float(problem.spec.A[0, 0])
     axes, pts = _grid_points(data, None if M_grid is None else [M_grid], problem.grid_num)
-    tau = np.array([-data.phi_jacobian(p)[0, 0] for p in pts])
+    tau = -data.phi_jacobian(pts)[:, 0, 0]
     t = _time_from_tau(a, tau)
 
     def branch_fn(M):
@@ -256,7 +260,7 @@ def certify_no_blowup_1d(problem, num=2001):
     data = problem.data
     a = float(problem.spec.A[0, 0])
     grid = data.m_grids(num)[0]
-    vals = np.array([a * data.phi_jacobian(np.array([m]))[0, 0] for m in grid])
+    vals = a * data.phi_jacobian(grid[:, None])[:, 0, 0]
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
@@ -264,19 +268,10 @@ def certify_no_blowup_1d(problem, num=2001):
     m_star, v_star = _golden_min(f, lo, hi)
     if vals[i] < v_star:
         m_star, v_star = grid[i], vals[i]
-    if v_star > 1.0:
-        return Certificate(
-            certified=True,
-            reason=f"min over M of A*phi'(M) = {v_star:.12g} > 1: no real blow-up time",
-            worst_M=np.array([m_star]),
-            value=float(v_star),
-        )
-    return Certificate(
-        certified=False,
-        reason=f"A*phi'(M) = {v_star:.12g} <= 1 at M = {m_star:.12g}",
-        worst_M=np.array([m_star]),
-        value=float(v_star),
-    )
+    certified = bool(v_star > 1.0)
+    reason = (f"min over M of A*phi'(M) = {v_star:.12g} > 1: no real blow-up time" if certified
+              else f"A*phi'(M) = {v_star:.12g} <= 1 at M = {m_star:.12g}")
+    return Certificate(certified, reason, np.array([m_star]), float(v_star))
 
 
 def _real_roots_poly(coeffs):
@@ -306,24 +301,20 @@ def sheets_diag(problem, M_grid=None):
         raise ValueError("sheets_diag needs A to be a scalar multiple of the identity")
     n = spec.n
     axes, pts = _grid_points(data, M_grid, problem.grid_num)
-    npts = pts.shape[0]
-    taus = np.full((npts, n), np.nan)
+    taus = np.full((pts.shape[0], n), np.nan)
+    J = data.phi_jacobian(pts)
     if n == 2:
         # det(tau*I + J) = tau^2 + tr(J) tau + det(J), vectorized over the grid
-        tr = np.empty(npts)
-        dt = np.empty(npts)
-        for i, p in enumerate(pts):
-            J = data.phi_jacobian(p)
-            tr[i] = J[0, 0] + J[1, 1]
-            dt[i] = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        tr = J[:, 0, 0] + J[:, 1, 1]
+        dt = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         disc = tr * tr - 4.0 * dt
         ok = disc >= -_IMAG_TOL * np.maximum(1.0, tr * tr)
         root = np.sqrt(np.maximum(disc, 0.0))
         taus[ok, 0] = 0.5 * (-tr[ok] - root[ok])
         taus[ok, 1] = 0.5 * (-tr[ok] + root[ok])
     else:
-        for i, p in enumerate(pts):
-            rr = _real_roots_poly(np.poly(-data.phi_jacobian(p)))
+        for i, Ji in enumerate(J):
+            rr = _real_roots_poly(np.poly(-Ji))
             taus[i, : min(n, rr.size)] = rr[:n]
 
     def make_branch_fn(idx):
@@ -354,84 +345,92 @@ def sheets_diag(problem, M_grid=None):
     return sheets
 
 
-def _coriolis_omega(A, tol=1e-12):
-    """w such that A = w*[[0, 1], [-1, 0]] to tol * max(1, |w|) per entry, or None."""
-    if A.shape != (2, 2):
+def _elliptic_lambda(A):
+    """lam = sqrt(det A) for a 2x2 A with trace exactly 0 and det A > 0, else None.
+
+    Then A^2 = -lam^2 I (Cayley-Hamilton); A = w [[0, 1], [-1, 0]] gives lam = |w|.
+    """
+    if A.shape != (2, 2) or A[0, 0] + A[1, 1] != 0.0:
         return None
-    w = float(A[0, 1])
-    ref = np.array([[0.0, w], [-w, 0.0]])
-    if w == 0.0 or not np.allclose(A, ref, rtol=0.0, atol=tol * max(1.0, abs(w))):
-        return None
-    return w
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    return float(np.sqrt(det)) if det > 0.0 else None
 
 
-def _coriolis_abc(w, J):
+def _coriolis_abc(A, lam, J):
     """(a, b, c) of coriolis2d_abc for one Jacobian (2, 2) or a stack (k, 2, 2)."""
     J11, J12, J21, J22 = J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
-    a = w * (J11 + J22)
-    b = w * (J21 - J12) - 2.0
-    c = -b + w * w * (J11 * J22 - J12 * J21)
+    # tr(adj(J) A) for A = p diag(1, -1) + s [[0, 1], [-1, 0]] + d [[0, 1], [1, 0]];
+    # a rotation w [[0, 1], [-1, 0]] has p = d = 0, leaving the one product w (J12 - J21)
+    p, s, d = A[0, 0], 0.5 * (A[0, 1] - A[1, 0]), 0.5 * (A[0, 1] + A[1, 0])
+    a = lam * (J11 + J22)
+    b = -2.0 - (p * (J22 - J11) + s * (J12 - J21) - d * (J12 + J21))
+    c = -b + lam * lam * (J11 * J22 - J12 * J21)
     return a, b, c
 
 
 def coriolis2d_abc(problem, M):
-    """Trig coefficients of the planar-rotation blow-up condition at M.
+    """Trig coefficients of the elliptic 2x2 blow-up condition at M.
 
-    With J = d(phi)/dM and rotation rate w:
-        a = w (J11 + J22),  b = w (J21 - J12) - 2,  c = -b + w^2 det J
-    so that w^2 * blowup_residual(t, M) = a sin(wt) + b cos(wt) + c.
+    For trace A = 0 and det A = lam^2 > 0, phi1(A, t) = sin(lam t)/lam I +
+    (1 - cos(lam t))/lam^2 A, and with J = d(phi)/dM
+        a = lam tr J,  b = -2 - tr(adj(J) A),  c = -b + lam^2 det J
+    so that lam^2 * blowup_residual(t, M) = a sin(lam t) + b cos(lam t) + c.
     """
-    w = _coriolis_omega(problem.spec.A)
-    if w is None:
-        raise ValueError("coriolis2d_abc needs A = w*[[0,1],[-1,0]] with w != 0")
-    a, b, c = _coriolis_abc(w, problem.data.phi_jacobian(np.atleast_1d(M)))
+    lam = _elliptic_lambda(problem.spec.A)
+    if lam is None:
+        raise ValueError("coriolis2d_abc needs a 2x2 A with trace 0 and det A > 0")
+    a, b, c = _coriolis_abc(problem.spec.A, lam, problem.data.phi_jacobian(np.atleast_1d(M)))
     return CoriolisABC(a=float(a), b=float(b), c=float(c))
 
 
-def coriolis2d_first_time(abc, omega):
-    """First t > 1e-12 with a sin(wt) + b cos(wt) + c = 0, or NaN if none.
+def coriolis2d_first_time(abc, lam):
+    """First t > 1e-12 with a sin(lam t) + b cos(lam t) + c = 0, or NaN if none.
 
-    With theta = |w| t, sign(w) a sin(theta) + b cos(theta) = R sin(theta + phi)
-    for R = hypot(a, b) and phi = atan2(b, sign(w) a), so the roots are
-    theta = alpha - phi and pi - alpha - phi (mod 2 pi), alpha = arcsin(-c/R);
-    there is no real root when R < |c| or R = 0.  The returned time is
-    re-verified against the trig equation to 1e-10.
+    a, b, c are floats, or arrays of one shape evaluated elementwise; lam > 0.
+    With theta = lam t, a sin(theta) + b cos(theta) = R sin(theta + phi) for
+    R = hypot(a, b) and phi = atan2(b, a), so the roots are theta = alpha - phi
+    and pi - alpha - phi (mod 2 pi), alpha = arcsin(-c/R); there is no real
+    root when R < |c| or R = 0.  Each returned time is re-verified against the
+    trig equation to 1e-10.
     """
-    a, b, c = abc.a, abc.b, abc.c
+    a, b, c = (np.asarray(v, dtype=float) for v in (abc.a, abc.b, abc.c))
     R = np.hypot(a, b)
-    if R == 0.0 or R < abs(c):
-        return np.nan
-    w = abs(omega)
-    phi = np.arctan2(b, np.sign(omega) * a)
-    alpha = np.arcsin(-c / R)
-    theta = np.mod([alpha - phi, np.pi - alpha - phi], 2.0 * np.pi)
-    theta[theta <= 1e-12 * w] += 2.0 * np.pi
-    t = float(theta.min() / w)
-    scale = max(abs(a), abs(b), abs(c), 1.0)
-    if abs(a * np.sin(omega * t) + b * np.cos(omega * t) + c) > 1e-10 * scale:
-        return np.nan
-    return t
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.arctan2(b, a)
+        alpha = np.arcsin(-c / R)
+        theta = np.mod([alpha - phi, np.pi - alpha - phi], 2.0 * np.pi)
+        theta[theta <= 1e-12 * lam] += 2.0 * np.pi
+        t = theta.min(axis=0) / lam
+        scale = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(c), 1.0))
+        miss = abs(a * np.sin(lam * t) + b * np.cos(lam * t) + c)
+    t = np.where((R != 0.0) & (R >= abs(c)) & (miss <= 1e-10 * scale), t, np.nan)
+    return float(t) if t.ndim == 0 else t
 
 
 def sheets_coriolis2d(problem, M_grid=None):
-    """First-positive-time blow-up sheet under planar rotation.
+    """First-positive-time blow-up sheet for an elliptic 2x2 A (trace 0, det > 0).
 
-    One sheet: per grid point, coriolis2d_first_time of the trig condition
-    (NaN outside the domain or where there is no real root).
+    One sheet: coriolis2d_first_time of the trig condition, from one stacked
+    phi_jacobian over the in-domain grid points (NaN outside the domain or
+    where there is no real root); branch_fn is the same evaluation at one M.
     """
-    w = _coriolis_omega(problem.spec.A)
-    if w is None:
-        raise ValueError("sheets_coriolis2d needs A = w*[[0,1],[-1,0]] with w != 0")
-    data = problem.data
+    A, data = problem.spec.A, problem.data
+    lam = _elliptic_lambda(A)
+    if lam is None:
+        raise ValueError("sheets_coriolis2d needs a 2x2 A with trace 0 and det A > 0")
     axes, pts = _grid_points(data, M_grid, problem.grid_num)
+
+    def first_times(M):
+        abc = CoriolisABC(*_coriolis_abc(A, lam, data.phi_jacobian(M)))
+        return coriolis2d_first_time(abc, lam)
 
     def first_positive(M):
         M = np.atleast_1d(M)
-        if not data.in_domain(M):
-            return np.nan
-        return coriolis2d_first_time(coriolis2d_abc(problem, M), w)
+        return first_times(M) if data.in_domain(M) else np.nan
 
-    t = np.array([first_positive(p) for p in pts])
+    inside = data.in_domain(pts)
+    t = np.full(len(pts), np.nan)
+    t[inside] = first_times(pts[inside])
     return [
         BlowupSheet(
             branch="coriolis_first",
@@ -469,20 +468,22 @@ def _domain_edges(data, axes, points, inside, steps=60):
 
 
 def certify_coriolis_absent(problem, sheet):
-    """Absence certificate for the planar-rotation sheet.
+    """Absence certificate for the elliptic 2x2 sheet (sheets_coriolis2d).
 
-    a sin(wt) + b cos(wt) + c has no real root at M iff a^2 + b^2 - c^2 < 0
-    there, so the sheet is absent everywhere iff that margin stays below 0 on
-    the whole domain.  Its sup is taken over the in-domain grid points and the
-    points where the grid lines meet the domain edge, then golden-refined per
-    coordinate (sheet_extremum); Certified iff the sup is below 0.
+    a sin(lam t) + b cos(lam t) + c has no real root at M iff a^2 + b^2 - c^2
+    < 0 there, so the sheet is absent everywhere iff that margin stays below 0
+    on the whole domain.  Its sup is taken over the in-domain grid points and
+    the points where the grid lines meet the domain edge, then golden-refined
+    per coordinate (sheet_extremum); Certified iff the sup is below 0.
     """
-    w = _coriolis_omega(problem.spec.A)
-    data = problem.data
+    A, data = problem.spec.A, problem.data
+    lam = _elliptic_lambda(A)
+    if lam is None:
+        raise ValueError("certify_coriolis_absent needs a 2x2 A with trace 0 and det A > 0")
 
     def margin(M):
         with np.errstate(all="ignore"):
-            a, b, c = _coriolis_abc(w, data.phi_jacobian(M))
+            a, b, c = _coriolis_abc(A, lam, data.phi_jacobian(M))
         return np.where(data.in_domain(M), a * a + b * b - c * c, np.nan)
 
     inside = data.in_domain(sheet.points)
@@ -494,20 +495,11 @@ def certify_coriolis_absent(problem, sheet):
     if found is None:
         return Certificate(False, "no in-domain M with a finite a^2 + b^2 - c^2", None, np.nan)
     sup, worst = found
-    if sup < 0.0:
-        return Certificate(
-            certified=True,
-            reason=f"sup over M of a^2 + b^2 - c^2 = {sup:.12g} < 0: "
-            "no real root of a sin(wt) + b cos(wt) + c",
-            worst_M=worst,
-            value=sup,
-        )
-    return Certificate(
-        certified=False,
-        reason=f"a^2 + b^2 - c^2 = {sup:.12g} >= 0 at M = {worst!r}",
-        worst_M=worst,
-        value=sup,
-    )
+    certified = sup < 0.0
+    reason = (f"sup over M of a^2 + b^2 - c^2 = {sup:.12g} < 0: "
+              "no real root of a sin(wt) + b cos(wt) + c" if certified
+              else f"a^2 + b^2 - c^2 = {sup:.12g} >= 0 at M = {worst!r}")
+    return Certificate(certified, reason, worst, sup)
 
 
 def _rationalize(r, max_denominator=64, tol=1e-9):
@@ -713,20 +705,11 @@ def certify_branch_absent(problem, sheet):
     i0 = int(np.nanargmax(np.where(finite, vals, -np.inf)))
     sup = float(vals[i0])
     worst = sheet.points[i0].copy()
-    if sup < -1.0:
-        return Certificate(
-            certified=True,
-            reason=f"sup over M of A*tau(M) = {sup:.12g} < -1: reality condition "
-            "1 + A*tau > 0 violated everywhere on the branch",
-            worst_M=worst,
-            value=sup,
-        )
-    return Certificate(
-        certified=False,
-        reason=f"A*tau(M) = {sup:.12g} >= -1 at M = {worst!r}",
-        worst_M=worst,
-        value=sup,
-    )
+    certified = sup < -1.0
+    reason = (f"sup over M of A*tau(M) = {sup:.12g} < -1: reality condition "
+              "1 + A*tau > 0 violated everywhere on the branch" if certified
+              else f"A*tau(M) = {sup:.12g} >= -1 at M = {worst!r}")
+    return Certificate(certified, reason, worst, sup)
 
 
 def min_blowup_time(problem, sheets):
@@ -782,9 +765,9 @@ def build_sheets(problem, grid_num=None, t_max=10.0):
     """Blow-up sheets dispatched on the structure of A, with certificate lines.
 
     1D goes to sheet_1d plus the global certificate; A = a*Id to sheets_diag
-    plus a per-sheet absence certificate; the planar Coriolis pattern to
-    sheets_coriolis2d (a sheet with no root on its grid gets
-    certify_coriolis_absent); an exactly
+    plus a per-sheet absence certificate; an elliptic 2x2 A (trace exactly 0,
+    det A > 0: the coriolis2d and periodic2d presets) to sheets_coriolis2d (a
+    sheet with no root on its grid gets certify_coriolis_absent); an exactly
     diagonal 2x2 A to sheets_diag2 up to t_max.  The per-axis M-grid size is
     grid_num, else the data family's default.  Returns (sheets,
     certificate_lines); any other A raises ConfigError.
@@ -803,7 +786,7 @@ def build_sheets(problem, grid_num=None, t_max=10.0):
             cert = certify_branch_absent(problem, sheet)
             word = "Absent" if cert.certified else "NotAbsent"
             cert_lines.append(f"certificate[{sheet.branch}]: {word} ({cert.reason})")
-    elif _coriolis_omega(A) is not None:
+    elif _elliptic_lambda(A) is not None:
         sheets = sheets_coriolis2d(problem, M_grid=grids)
         if np.all(sheets[0].absent):
             cert = certify_coriolis_absent(problem, sheets[0])
@@ -813,7 +796,7 @@ def build_sheets(problem, grid_num=None, t_max=10.0):
         sheets = sheets_diag2(problem, M_grid=grids, t_max=t_max)
     else:
         raise ConfigError(
-            "blowup scan needs A scalar, 1D, 2x2 diagonal, or the 2D Coriolis pattern; "
+            "blowup scan needs A scalar, 1D, 2x2 diagonal, or 2x2 elliptic (trace 0, det > 0); "
             "use the coriolis3d command for the rotating 3D preset"
         )
     return sheets, cert_lines

@@ -197,8 +197,9 @@ def _parse_times(task):
             start, stop, num = times["start"], times["stop"], times["num"]
         except KeyError as exc:
             raise ConfigError(f"times range is missing {exc.args[0]!r}") from None
-        return np.linspace(_coerce(float, start, "start"), _coerce(float, stop, "stop"),
-                           _coerce(int, num, "num"))
+        num = _coerce(int, num, "num")
+        _require(num > 0, f"times range needs num > 0, got {num}")
+        return np.linspace(_coerce(float, start, "start"), _coerce(float, stop, "stop"), num)
     if isinstance(times, list):
         _require(len(times) > 0, "'times' list is empty")
         return _floats(times, "times")
@@ -217,10 +218,12 @@ def _parse_points(task, n):
         _require(lo.size == n and hi.size == n, f"points min/max must have {n} entries")
         nums = [_coerce(int, k, "num") for k in ([num] * n if np.isscalar(num) else num)]
         _require(len(nums) == n, f"points num must be a scalar or {n} entries")
+        _require(min(nums) > 0, f"points range needs every num > 0, got {nums}")
         axes = [np.linspace(lo[i], hi[i], nums[i]) for i in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
     if isinstance(pts, list):
+        _require(len(pts) > 0, "'points' list is empty")
         arr = _floats(pts, "points")
         if arr.ndim == 1:
             arr = arr[:, None]

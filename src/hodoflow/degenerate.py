@@ -220,9 +220,9 @@ def degenerate_solve(problem, basis, t, x, guess_M=None):
 
 def _zaxis_omega(A):
     A = np.asarray(A, dtype=float)
-    w = A[0, 1]
+    w = A[0, 1] if A.shape == (3, 3) else 0.0
     ref = w * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    if A.shape != (3, 3) or w == 0.0 or np.abs(A - ref).max() > 1e-12 * abs(w):
+    if w == 0.0 or np.abs(A - ref).max() > 1e-12 * abs(w):
         raise ValueError("expected the z-axis rotation force omega*[[0,1,0],[-1,0,0],[0,0,0]]")
     return float(w)
 

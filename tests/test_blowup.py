@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hodoflow import blowup, degenerate, matops, model
+from hodoflow import blowup, degenerate, matops, model, periodicity
 
 
 def make_problem(A, family, params, g=None, grid_num=201):
@@ -114,14 +114,14 @@ def test_coriolis_small_amplitude_absent():
     assert isinstance(out, blowup.NoBlowup), out
 
 
-def _random_margins(problem, w, n=100_000, seed=0):
+def _random_margins(problem, n=100_000, seed=0):
     """max of a^2 + b^2 - c^2 over n random M of the domain box, in-domain only."""
-    data = problem.data
+    A, data = problem.spec.A, problem.data
     box = data.domain_box()
     M = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], (n, 2))
     M = M[data.in_domain(M)]
     with np.errstate(all="ignore"):
-        a, b, c = blowup._coriolis_abc(w, data.phi_jacobian(M))
+        a, b, c = blowup._coriolis_abc(A, blowup._elliptic_lambda(A), data.phi_jacobian(M))
     return float(np.max(a * a + b * b - c * c))
 
 
@@ -140,7 +140,7 @@ def test_coriolis_absence_certificate_is_bounded(amplitude, w, grid, certified):
     cert = blowup.certify_coriolis_absent(problem, sheets[0])
     assert cert.certified == certified
     assert problem.data.in_domain(cert.worst_M)
-    sampled = _random_margins(problem, w)
+    sampled = _random_margins(problem)
     if certified:
         assert sampled <= cert.value < 0.0
         word = "Absent everywhere"
@@ -353,12 +353,18 @@ def test_blowup_scan_phi1_call_budget(monkeypatch):
 
 
 def test_near_rotation_is_not_a_rotation():
-    """[[0, 1], [-1.000009, 0]] is refused, not scanned as a unit rotation."""
+    """[[0, 1], [-1.000009, 0]] is elliptic with lam = sqrt(1.000009), not a unit
+    rotation: every finite sheet time is a residual root of that A."""
     A = np.array([[0.0, 1.0], [-1.000009, 0.0]])
-    assert blowup._coriolis_omega(A) is None
-    problem = make_problem(A, "gauss2d_coriolis", {"amplitude": 1.0}, grid_num=5)
-    with pytest.raises(ValueError):
-        blowup.sheets_coriolis2d(problem)
+    assert blowup._elliptic_lambda(A) == np.sqrt(1.000009)
+    problem = make_problem(A, "gauss2d_coriolis", {"amplitude": 1.0}, grid_num=21)
+    (sheet,) = blowup.sheets_coriolis2d(problem)
+    finite = 0
+    for M, t in zip(sheet.points, sheet.t):
+        if np.isfinite(t):
+            assert abs(blowup.blowup_residual(problem, float(t), M)) <= 1e-8, f"M={M}"
+            finite += 1
+    assert finite > 10, finite
 
 
 def test_near_scalar_diagonal_is_not_scalar():
@@ -381,18 +387,25 @@ def test_near_scalar_diagonal_is_not_scalar():
     ("tanh2d", {"eps": 2.0}),
     ("gauss2d_coriolis", {"amplitude": 1.0}),
 ])
-@pytest.mark.parametrize("w", [1.0, -2.0, 0.8])
-def test_coriolis_first_time_matches_residual_scan(family, params, w):
-    """The closed-form first root equals the first positive root of the
-    residual itself: a scan with step 1e-3 on [0, 4 pi/|w|], bisected to 1e-12.
+@pytest.mark.parametrize("A", [
+    model.coriolis2d_spec(1.0).A,
+    model.coriolis2d_spec(-2.0).A,
+    model.coriolis2d_spec(0.8).A,
+    periodicity.make_periodic_2d(1.3, 0.7, 2.0),
+], ids=["1.0", "-2.0", "0.8", "periodic2d"])
+def test_coriolis_first_time_matches_residual_scan(family, params, A):
+    """The closed-form first root for an elliptic A (w [[0, 1], [-1, 0]], or the
+    periodic2d preset) equals the first positive root of the residual itself:
+    a scan with step 1e-3 on [0, 4 pi/lam], Newton-refined to 1e-12.
 
     M is drawn uniformly over the domain and near the sheet's finite grid
     points, so both roots and no-root points are compared.
     """
-    problem = make_problem(model.coriolis2d_spec(w).A, family, params, grid_num=41)
+    problem = make_problem(A, family, params, grid_num=41)
     sheet = blowup.sheets_coriolis2d(problem)[0]
+    lam = blowup._elliptic_lambda(problem.spec.A)
     scanned = blowup.sheets_first_root(
-        problem, M_grid=[[0.0], [0.0]], t_max=4.0 * np.pi / abs(w), scan_step=1e-3
+        problem, M_grid=[[0.0], [0.0]], t_max=4.0 * np.pi / lam, scan_step=1e-3
     )[0].branch_fn
     data = problem.data
     rng = np.random.default_rng(5)
@@ -419,14 +432,56 @@ def test_coriolis_first_time_matches_residual_scan(family, params, w):
 
 def test_coriolis_first_time_degenerate_trig():
     """a = b = 0 and a^2 + b^2 < c^2 give NaN, not a ValueError; the first
-    root follows the sign of w and skips a root at t = 0."""
+    root follows the sign of a and skips a root at t = 0."""
     assert np.isnan(blowup.coriolis2d_first_time(blowup.CoriolisABC(0.0, 0.0, -3.0), 2.0))
     assert np.isnan(blowup.coriolis2d_first_time(blowup.CoriolisABC(0.0, 0.0, 0.0), 2.0))
     assert np.isnan(blowup.coriolis2d_first_time(blowup.CoriolisABC(0.3, 0.4, 0.6), 1.0))
-    # sin(t) = 1/2: roots pi/6 and 5 pi/6; for w = -1, sin(-t) = 1/2 first at 7 pi/6
+    # sin(t) = 1/2: roots pi/6 and 5 pi/6; -sin(t) = 1/2 first at 7 pi/6
     abc = blowup.CoriolisABC(1.0, 0.0, -0.5)
     assert blowup.coriolis2d_first_time(abc, 1.0) == pytest.approx(np.pi / 6, abs=1e-14)
-    assert blowup.coriolis2d_first_time(abc, -1.0) == pytest.approx(7 * np.pi / 6, abs=1e-14)
+    abc = blowup.CoriolisABC(-1.0, 0.0, -0.5)
+    assert blowup.coriolis2d_first_time(abc, 1.0) == pytest.approx(7 * np.pi / 6, abs=1e-14)
     # a root at t = 0 is skipped: cos(t) - 1 = 0 next at 2 pi
     abc = blowup.CoriolisABC(0.0, 1.0, -1.0)
     assert blowup.coriolis2d_first_time(abc, 1.0) == pytest.approx(2 * np.pi, abs=1e-12)
+
+
+def _per_point_scalar2d_taus(problem, pts):
+    """Roots of tau^2 + tr(J) tau + det(J) = 0, one phi_jacobian call per point."""
+    taus = []
+    for p in pts:
+        J = problem.data.phi_jacobian(p)
+        tr, dt = J[0, 0] + J[1, 1], J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        disc = tr * tr - 4.0 * dt
+        ok = disc >= -1e-9 * max(1.0, tr * tr)
+        root = np.sqrt(max(disc, 0.0))
+        taus.append([0.5 * (-tr - root), 0.5 * (-tr + root)] if ok else [np.nan, np.nan])
+    return np.array(taus)
+
+
+@pytest.mark.parametrize("case", ["1d", "scalar2d", "coriolis", "periodic2d"])
+def test_closed_form_sheets_match_per_point_loop(case):
+    """Each closed-form sheet, built from one stacked phi_jacobian, equals the
+    point-by-point evaluation (branch_fn, or the quadratic for A = a*Id) to
+    1e-14 relative, NaN at the same points."""
+    if case == "1d":
+        problem = make_problem([[-0.7]], "tanh1d", {"mu": 1.0, "kappa": 1.0}, grid_num=101)
+        sheets = [blowup.sheet_1d(problem)]
+        refs = [[sheets[0].branch_fn(p) for p in sheets[0].points]]
+    elif case == "scalar2d":
+        problem = make_problem(-0.3 * np.eye(2), "tanh2d", {"eps": 0.5}, grid_num=31)
+        sheets = blowup.sheets_diag(problem)
+        taus = _per_point_scalar2d_taus(problem, sheets[0].points)
+        refs = [blowup._time_from_tau(-0.3, taus[:, k]) for k in range(2)]
+    else:
+        A = (model.coriolis2d_spec(-1.3).A if case == "coriolis"
+             else periodicity.make_periodic_2d(1.3, 0.7, 2.0))
+        problem = make_problem(A, "gauss2d_coriolis", {"amplitude": 1.0}, grid_num=41)
+        sheets = blowup.sheets_coriolis2d(problem)
+        refs = [[sheets[0].branch_fn(p) for p in sheets[0].points]]
+    for sheet, ref in zip(sheets, refs):
+        ref = np.asarray(ref, dtype=float)
+        assert np.array_equal(np.isnan(sheet.t), np.isnan(ref))
+        finite = np.isfinite(ref)
+        assert 0 < finite.sum() < ref.size, finite.sum()
+        assert np.allclose(sheet.t[finite], ref[finite], rtol=1e-14, atol=0.0)

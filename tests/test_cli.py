@@ -267,16 +267,38 @@ def _blowup_cfg(matrix, family, params, **task):
 
 
 @pytest.mark.parametrize("matrix, family, params", [
-    ([[0.0, 1.0], [-1.000009, 0.0]], "gauss2d_coriolis", {"amplitude": 1.0}),
+    ([[1.0e-13, 1.0], [-1.0, 0.0]], "gauss2d_coriolis", {"amplitude": 1.0}),
     ([[1.0, 1.0e-13], [0.0, -1.4142135623730951]], "tanh2d", {"eps": 0.5}),
 ])
 def test_blowup_near_pattern_matrix_exits_1(tmp_path, capsys, matrix, family, params):
-    """A matrix merely close to the rotation or diagonal pattern is a config
-    error with a message, not a misclassified scan or a traceback."""
+    """A matrix merely close to an elliptic (trace 0) or diagonal one is a
+    config error with a message, not a misclassified scan or a traceback."""
     cfg = write_cfg(tmp_path, "near.yaml", _blowup_cfg(matrix, family, params))
     assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path / "near.csv")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err, err
+
+
+def test_blowup_periodic2d_preset(tmp_path):
+    """The periodic2d preset is elliptic (trace 0, det lam^2): blowup writes a
+    coriolis_first sheet and its t* is a blow-up root of that A."""
+    cfg = {
+        "problem": {"preset": "periodic2d", "lam": 1.3, "a11": 0.7, "a12": 2.0},
+        "data": {"family": "tanh2d", "params": {"eps": 0.5}},
+        "task": {"name": "blowup", "grid_num": 21},
+    }
+    out = tmp_path / "p2d.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "p2d.yaml", cfg),
+                     "--out", str(out)]) == 0
+    comments, _, body = read_csv(out)
+    assert len(body) == 21 * 21 and {row[0] for row in body} == {"coriolis_first"}
+    t_star = float(next(c for c in comments if c.startswith("# t_star:")).split()[-1])
+    M_star = np.array([float(v) for v in
+                       next(c for c in comments if c.startswith("# M_star:")).split()[2:]])
+    problem = cli.build_problem(cfg)
+    blowup._verify_blowup_time(problem, t_star, M_star)
+    grid_times = [float(row[3]) for row in body if float(row[3]) > 0.0]
+    assert grid_times and 0.0 < t_star <= min(grid_times)
 
 
 def test_blowup_near_scalar_diagonal_scans_actual_matrix(tmp_path):
@@ -388,8 +410,14 @@ _TANH_1D = {
                                     "points": [[0.1]]}}),
     ("solve", {**_TANH_1D, "solver": {"newton_tol": "abc"},
                "task": {"name": "solve", "times": [0.1], "points": [[0.1]]}}),
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": [0.1], "points": []}}),
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": [0.1],
+                                    "points": {"min": [-1.0], "max": [0.5], "num": 0}}}),
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": {"start": 0.0, "stop": 0.4,
+                                                               "num": 0},
+                                    "points": [[0.1]]}}),
 ], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
-        "solver-newton_tol"])
+        "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0"])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1

@@ -275,6 +275,15 @@ def test_witness_absent_for_kernel_constant_data():
     assert witness is None, f"flat kernel produced witness {witness}"
 
 
+def test_witness_refuses_a_1d_force():
+    """The z-axis rotation check looks at the shape before any entry, so a 1D
+    force is a ValueError, not an IndexError."""
+    problem = model.HodographProblem(model.ForceSpec(np.array([[0.5]]), np.zeros(1)),
+                                     model.make_data("tanh1d", mu=1.0, kappa=1.0))
+    with pytest.raises(ValueError, match="z-axis rotation"):
+        degenerate.non_periodicity_witness(problem, 1.0, [(0.1, np.zeros(1))])
+
+
 def test_witness_search_lets_programming_errors_through():
     """A failed solve is not a witness, but a TypeError is a bug and surfaces."""
     w = 1.1
