@@ -292,8 +292,8 @@ def sheets_diag(problem, M_grid=None):
     """Blow-up sheets for A = a*Id: roots of det(tau*Id + J_phi(M)) = 0.
 
     Returns n sheets labelled tau0 < tau1 < ... (roots sorted ascending per
-    grid point); complex pairs leave NaN gaps.  Works for a = 0, where the
-    time map is the identity t = tau.
+    grid point); complex pairs and grid points outside the domain leave NaN
+    gaps.  Works for a = 0, where the time map is the identity t = tau.
     """
     spec, data = problem.spec, problem.data
     a = matops.scalar_multiple(spec.A)
@@ -302,7 +302,8 @@ def sheets_diag(problem, M_grid=None):
     n = spec.n
     axes, pts = _grid_points(data, M_grid, problem.grid_num)
     taus = np.full((pts.shape[0], n), np.nan)
-    J = data.phi_jacobian(pts)
+    inside = np.flatnonzero(data.in_domain(pts))
+    J = data.phi_jacobian(pts[inside])
     if n == 2:
         # det(tau*I + J) = tau^2 + tr(J) tau + det(J), vectorized over the grid
         tr = J[:, 0, 0] + J[:, 1, 1]
@@ -310,10 +311,10 @@ def sheets_diag(problem, M_grid=None):
         disc = tr * tr - 4.0 * dt
         ok = disc >= -_IMAG_TOL * np.maximum(1.0, tr * tr)
         root = np.sqrt(np.maximum(disc, 0.0))
-        taus[ok, 0] = 0.5 * (-tr[ok] - root[ok])
-        taus[ok, 1] = 0.5 * (-tr[ok] + root[ok])
+        taus[inside[ok], 0] = 0.5 * (-tr[ok] - root[ok])
+        taus[inside[ok], 1] = 0.5 * (-tr[ok] + root[ok])
     else:
-        for i, Ji in enumerate(J):
+        for i, Ji in zip(inside, J):
             rr = _real_roots_poly(np.poly(-Ji))
             taus[i, : min(n, rr.size)] = rr[:n]
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from io import StringIO
 
 import numpy as np
 import yaml
@@ -37,6 +36,13 @@ from .errors import ConfigError, HodoflowError
 _COMMANDS = ("solve", "blowup", "period", "compare", "coriolis3d")
 _PRESETS = ("coriolis2d", "coriolis3d", "diag", "periodic2d")
 _TOP_KEYS = ("problem", "data", "task", "solver")
+
+# libyaml's parser and emitter when PyYAML was built with it: same documents,
+# same canonical text (see dump_config), a fraction of the pure-Python time.
+if yaml.__with_libyaml__:
+    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
 
 
 def _require(cond, msg):
@@ -70,15 +76,24 @@ def _pair(value, key):
 def load_config(path):
     """Read and validate a YAML run config; returns a plain dict."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.load(fh, Loader=_Loader)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
     _require(isinstance(cfg, dict), "top-level config must be a mapping")
     validate_config(cfg)
     return cfg
 
 
 def dump_config(cfg):
-    """Canonical YAML serialization (sorted keys); load(dump(cfg)) == cfg."""
-    return yaml.safe_dump(cfg, sort_keys=True)
+    """Canonical YAML serialization (sorted keys); load(dump(cfg)) == cfg.
+
+    The text is yaml.safe_dump(cfg, sort_keys=True)'s for any config with
+    non-empty keys, except a string long enough to be line-folded that holds
+    non-ASCII or control characters, which libyaml folds differently.
+    """
+    return yaml.dump(cfg, Dumper=_Dumper, sort_keys=True)
 
 
 def config_hash(cfg):
@@ -245,14 +260,18 @@ def _fmt(v):
     return str(v)
 
 
-def _emit(out_path, comments, header, rows):
-    buf = StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    _write_text(out_path, buf.getvalue())
+def _emit(out_path, comments, header, columns):
+    """Commented CSV from one column per header entry: a float array (NaN
+    for an empty cell, written 'nan') or a list of ints or strings.
+
+    Each column is formatted in one pass; str of a Python float is its repr,
+    so every float cell is _fmt's text.
+    """
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    lines = [f"# {line}" for line in comments]
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*cells)))
+    _write_text(out_path, "\n".join(lines) + "\n")
 
 
 def _write_text(out_path, text):
@@ -267,6 +286,18 @@ def _write_text(out_path, text):
 # solve
 
 
+def _sample_columns(samples, points, U):
+    """CSV columns t, x1..xn, u1..un, newton_iters, status of solve_field's
+    point-major samples over points; U holds each sample's u (None where
+    unsolved)."""
+    n = points.shape[1]
+    X = np.repeat(points, len(samples) // len(points), axis=0)
+    nan_u = np.full(n, np.nan)
+    U = np.array([nan_u if u is None else u for u in U], dtype=float).reshape(-1, n)
+    return [np.array([s.t for s in samples], dtype=float), *X.T, *U.T,
+            [s.iters for s in samples], [s.status for s in samples]]
+
+
 def cmd_solve(cfg, out_path):
     problem = build_problem(cfg)
     task = _task_block(cfg, "solve")
@@ -276,11 +307,8 @@ def cmd_solve(cfg, out_path):
     n = problem.spec.n
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"u{i + 1}" for i in range(n)] + ["newton_iters", "status"])
-    rows = []
-    for s in samples:
-        u_cols = list(s.u) if s.u is not None else [None] * n
-        rows.append([s.t, *s.x, *u_cols, s.iters, s.status])
-    _emit(out_path, [f"config-sha256: {config_hash(cfg)}", "command: solve"], header, rows)
+    _emit(out_path, [f"config-sha256: {config_hash(cfg)}", "command: solve"], header,
+          _sample_columns(samples, points, [s.u for s in samples]))
     if not any(s.status == "OK" for s in samples):
         print("solve: no point/time converged", file=sys.stderr)
         return 2
@@ -306,12 +334,12 @@ def _summary_lines(ext, to_original=None):
     ]
 
 
-def _sheet_rows(sheets):
-    rows = []
-    for sheet in sheets:
-        for M, t in zip(np.atleast_2d(sheet.points), np.atleast_1d(sheet.t)):
-            rows.append([sheet.branch, *np.atleast_1d(M), t])
-    return rows
+def _sheet_columns(sheets, n):
+    """CSV columns branch, M1..Mn, t: every sheet's grid points in turn."""
+    branch = [sheet.branch for sheet in sheets for _ in range(len(sheet.t))]
+    M = np.concatenate([np.empty((0, n)), *(sheet.points for sheet in sheets)])
+    t = np.concatenate([np.empty(0), *(sheet.t for sheet in sheets)])
+    return [branch, *M.T, t]
 
 
 def cmd_blowup(cfg, out_path):
@@ -332,7 +360,7 @@ def cmd_blowup(cfg, out_path):
     summary = _summary_lines(ext)
     comments.extend(summary)
     header = ["branch"] + [f"M{i + 1}" for i in range(problem.spec.n)] + ["t"]
-    _emit(out_path, comments, header, _sheet_rows(sheets))
+    _emit(out_path, comments, header, _sheet_columns(sheets, problem.spec.n))
     if out_path:
         print("\n".join(summary + cert_lines))
     return 0
@@ -463,7 +491,9 @@ def cmd_compare(cfg, out_path, seed=None):
     ]
     n = problem.spec.n
     header = ["sample", "t"] + [f"x{i + 1}" for i in range(n)] + ["err", "status"]
-    _emit(out_path, comments, header, rows)
+    cols = list(zip(*rows)) or [()] * len(header)
+    floats = [np.array([np.nan if v is None else v for v in c], dtype=float) for c in cols[1:-1]]
+    _emit(out_path, comments, header, [cols[0], *floats, cols[-1]])
     if out_path:
         print("\n".join(comments[3:]))
     if n_fail:
@@ -502,12 +532,8 @@ def cmd_coriolis3d(cfg, out_path):
         samples = hodograph.solve_field(rot_problem, times, y_points)
         header = (["t"] + [f"x{i + 1}" for i in range(3)]
                   + [f"u{i + 1}" for i in range(3)] + ["newton_iters", "status"])
-        rows = []
-        for i, s in enumerate(samples):
-            x_orig = points[i // len(times)]
-            u_cols = list(basis.P @ s.u) if s.u is not None else [None] * 3
-            rows.append([s.t, *x_orig, *u_cols, s.iters, s.status])
-        _emit(out_path, comments, header, rows)
+        U = [None if s.u is None else basis.P @ s.u for s in samples]
+        _emit(out_path, comments, header, _sample_columns(samples, points, U))
         if not any(s.status == "OK" for s in samples):
             print("coriolis3d: no point/time converged", file=sys.stderr)
             return 2
@@ -522,7 +548,7 @@ def cmd_coriolis3d(cfg, out_path):
     )
     ext = blowup.min_blowup_time(rot_problem, sheets)
     comments.extend(_summary_lines(ext, to_original=lambda v: basis.P @ v))
-    _emit(out_path, comments, ["branch", "M1", "M2", "M3", "t"], _sheet_rows(sheets))
+    _emit(out_path, comments, ["branch", "M1", "M2", "M3", "t"], _sheet_columns(sheets, 3))
     if out_path:
         print("\n".join(comments[2:]))
     return 0

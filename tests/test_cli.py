@@ -13,7 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hodoflow import blowup, cli, model, oracle
+from hodoflow import blowup, cli, degenerate, hodograph, model, oracle
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -245,6 +245,86 @@ def test_config_round_trip_identity(tmp_path):
     cfg = cli.load_config(cfg_path)
     assert yaml.safe_load(cli.dump_config(cfg)) == cfg
     assert cli.config_hash(cfg) == cli.config_hash(yaml.safe_load(cli.dump_config(cfg)))
+
+
+def test_config_hash_is_pinned():
+    """The canonical dump, and so every output stamp, is the one that the
+    pure-Python yaml.safe_dump gave before the CLI used libyaml."""
+    assert cli.config_hash(SOLVE_CFG) == (
+        "62e5fa62ab0c71958f686f5e750ed70dbce20757017655e8151499366befd702")
+
+
+def _same(a, b):
+    """Equal values of equal types, with NaN equal to NaN (and -0.0 != 0.0)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+_KEY = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12)
+_SCALAR = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=100),
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
+                     2.2250738585072014e-308, 1e300, -1e300]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+)
+_VALUE = st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+
+
+@st.composite
+def _schema_configs(draw):
+    """Configs that pass validate_config, with free values under free keys."""
+    def block(**fixed):
+        return {**draw(st.dictionaries(_KEY, _VALUE, max_size=4)), **fixed}
+
+    cfg = {"problem": block(matrix=draw(_VALUE))}
+    if draw(st.booleans()):
+        cfg["data"] = block(family=draw(st.sampled_from(sorted(model.FAMILIES))),
+                            params=block())
+    if draw(st.booleans()):
+        cfg["task"] = block(name=draw(st.sampled_from(["solve", "blowup", "compare"])))
+    if draw(st.booleans()):
+        cfg["solver"] = block()
+    return cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_schema_configs())
+def test_canonical_dump_and_load_match_pure_python_yaml(tmp_path_factory, cfg):
+    """libyaml (when PyYAML has it) writes the pure-Python SafeDumper's text
+    and reads back the pure-Python SafeLoader's values."""
+    text = cli.dump_config(cfg)
+    assert text == yaml.dump(cfg, Dumper=yaml.SafeDumper, sort_keys=True)
+    path = tmp_path_factory.mktemp("dump") / "cfg.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert _same(cli.load_config(str(path)), yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("raw, needle", [
+    (b"problem:\n  preset: diag  # caf\xe9\n  rates: [1.0, 2.0]\n", "not valid UTF-8"),
+    (b"problem:\n\tpreset: diag\n", "while scanning"),
+    (b"problem: {preset: diag, rates: [1.0, 2.0\n", "while parsing"),
+    (b"- problem\n- data\n", "must be a mapping"),
+    (b"", "must be a mapping"),
+], ids=["latin1-byte", "tab-indent", "unclosed-bracket", "top-level-list", "empty"])
+def test_malformed_config_text_is_a_config_error(tmp_path, capsys, raw, needle):
+    path = tmp_path / "raw.yaml"
+    path.write_bytes(raw)
+    assert cli.main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hodoflow: config error") and needle in err, err
+    assert "Traceback" not in err
+    if needle == "not valid UTF-8":
+        assert str(path) in err, err
 
 
 def test_solve_all_points_outside_domain_exit_2(tmp_path):
@@ -502,3 +582,121 @@ def test_blowup_coriolis_degenerate_trig_is_absent(tmp_path, capsys):
     assert any(c.startswith("# certificate[coriolis_first]: Absent everywhere")
                for c in comments), comments
 
+
+def test_blowup_scalar_matrix_on_curved_domain_is_warning_free(tmp_path, capsys):
+    """A = -0.2 I on the curved gauss2d_coriolis domain: sheets_diag evaluates
+    the Jacobian only inside the domain, so no numpy RuntimeWarning (an error
+    under this suite's filterwarnings) and the same t*."""
+    cfg = {
+        "problem": {"matrix": [[-0.2, 0.0], [0.0, -0.2]]},
+        "data": {"family": "gauss2d_coriolis", "params": {"amplitude": 1.0}},
+        "task": {"name": "blowup", "grid_num": 41},
+    }
+    out = tmp_path / "neg.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "neg.yaml", cfg),
+                     "--out", str(out)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    comments, _, body = read_csv(out)
+    assert "# t_star: 0.7869381154991719" in comments
+    assert len(body) == 2 * 41 * 41 and any(row[3] == "nan" for row in body)
+
+
+# ---------------------------------------------------------------------------
+# the column-wise CSV writer against the row-wise formatter it replaced
+
+
+def _row_fmt(v):
+    if v is None:
+        return "nan"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _row_body(rows):
+    return "".join(",".join(_row_fmt(v) for v in row) + "\n" for row in rows)
+
+
+def _sample_rows(samples, n, x_of=lambda i, s: s.x, u_of=lambda u: u):
+    return [[s.t, *x_of(i, s), *(list(u_of(s.u)) if s.u is not None else [None] * n),
+             s.iters, s.status] for i, s in enumerate(samples)]
+
+
+def _sheet_rows(sheets):
+    return [[sheet.branch, *np.atleast_1d(M), t]
+            for sheet in sheets
+            for M, t in zip(np.atleast_2d(sheet.points), np.atleast_1d(sheet.t))]
+
+
+def _solve_rows(cfg):
+    problem = cli.build_problem(cfg)
+    task = cfg["task"]
+    samples = hodograph.solve_field(problem, cli._parse_times(task),
+                                    cli._parse_points(task, problem.spec.n))
+    return _sample_rows(samples, problem.spec.n)
+
+
+def _blowup_rows(cfg):
+    sheets, _ = blowup.build_sheets(cli.build_problem(cfg), grid_num=cfg["task"]["grid_num"])
+    return _sheet_rows(sheets)
+
+
+def _compare_rows(cfg):
+    return cli._compare_rows(cfg, cli.build_problem(cfg), cfg["task"], cfg["task"]["seed"])
+
+
+def _coriolis3d_rows(cfg):
+    problem = cli.build_problem(cfg)
+    basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"])
+    times = cli._parse_times(cfg["task"])
+    points = cli._parse_points(cfg["task"], 3)
+    samples = hodograph.solve_field(degenerate.rotated_problem(problem, basis), times,
+                                    points @ basis.L.T)
+    return _sample_rows(samples, 3, x_of=lambda i, s: points[i // len(times)],
+                        u_of=lambda u: basis.P @ u)
+
+
+_WRITER_CASES = {
+    "solve-post-blowup-domain-exit": ("solve", _solve_rows, {
+        "problem": {"preset": "coriolis2d", "omega": 1.0},
+        "data": {"family": "gauss2d_coriolis", "params": {"amplitude": 1.0}},
+        "task": {"name": "solve", "times": {"start": 0.0, "stop": 0.9, "num": 7},
+                 "points": {"min": [0.05, 0.05], "max": [1.2, 1.2], "num": 5}},
+    }),
+    "blowup-two-diag-sheets": ("blowup", _blowup_rows, {
+        "problem": {"matrix": [[0.5, 0.0], [0.0, 0.5]]},
+        "data": {"family": "tanh2d", "params": {"eps": 0.5}},
+        "task": {"name": "blowup", "grid_num": 11},
+    }),
+    "blowup-1d-sheet": ("blowup", _blowup_rows, {
+        "problem": {"matrix": [[0.45]]},
+        "data": {"family": "tanh1d", "params": {"mu": 1.3, "kappa": 0.9}},
+        "task": {"name": "blowup", "grid_num": 41},
+    }),
+    "compare-none-errors": ("compare", _compare_rows, {
+        **_TANH_1D,
+        "task": {"name": "compare", "num_samples": 40, "t_range": [0.05, 3.0],
+                 "bound": 1.0, "seed": 7},
+    }),
+    "coriolis3d-solve": ("coriolis3d", _coriolis3d_rows, {
+        "problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
+        "data": C3D_BLOWUP_DATA,
+        "task": {"name": "coriolis3d", "mode": "solve", "times": [0.0, 0.3, 1.5],
+                 "points": {"min": [-1.0, -1.0, -1.0], "max": [1.0, 1.0, 1.0], "num": 3}},
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+def test_column_writer_matches_row_formatter(tmp_path, capsys, case):
+    """Every CSV body is byte for byte what formatting each row with _fmt gave,
+    including 'nan' cells for unsolved u and missing compare errors."""
+    command, rows_of, cfg = _WRITER_CASES[case]
+    out = tmp_path / "out.csv"
+    cli.main([command, "--config", write_cfg(tmp_path, "cfg.yaml", cfg), "--out", str(out)])
+    capsys.readouterr()
+    rows = rows_of(cfg)
+    assert command == "blowup" or any(v is None for row in rows for v in row)
+    body = out.read_text().split("\n")
+    header_at = next(i for i, line in enumerate(body) if not line.startswith("#"))
+    assert "\n".join(body[header_at + 1:]) == _row_body(rows)
