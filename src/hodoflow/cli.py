@@ -30,7 +30,7 @@ import sys
 import numpy as np
 import yaml
 
-from . import blowup, degenerate, hodograph, model, oracle, periodicity
+from . import blowup, degenerate, hodograph, matops, model, oracle, periodicity
 from .errors import ConfigError, HodoflowError
 
 _COMMANDS = ("solve", "blowup", "period", "compare", "coriolis3d")
@@ -63,10 +63,12 @@ def _floats(value, key):
 
 
 def _pair(value, key):
-    """A two-entry config list of floats, such as t_range."""
+    """A two-entry config list of floats lo <= hi, such as t_range."""
     _require(isinstance(value, (list, tuple)) and len(value) == 2,
              f"config key {key!r} needs a list of two numbers, got {value!r}")
-    return tuple(_coerce(float, v, key) for v in value)
+    lo, hi = (_coerce(float, v, key) for v in value)
+    _require(lo <= hi, f"config key {key!r} needs low <= high, got {value!r}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +400,7 @@ def cmd_period(cfg, out_path, seed=None):
             seed = _coerce(int, verify.get("seed", 0), "seed")
         rng = np.random.default_rng(seed)
         num = _coerce(int, verify.get("num_points", 20), "num_points")
+        _require(num > 0, f"period verify needs num_points > 0, got {num}")
         t_lo, t_hi = _pair(verify.get("t_range", [0.0, report.T]), "t_range")
         box = problem.data.sample_box()
         samples = [
@@ -426,47 +429,46 @@ def _compare_rows(cfg, problem, task, seed):
     Samples x0 from the data's sampling box and t from t_range, flows the
     exact characteristic to (t, x(t)), then asks the solver for u(t, x(t)).
     Points whose track hits a caustic before t are tagged POST_BLOWUP and
-    excluded from the gate.
+    excluded from the gate.  Every sample is handled at once: one caustic
+    screen, one stacked exact flow and one Newton solve with a time per row.
     """
     spec, data = problem.spec, problem.data
-    preset = cfg["problem"].get("preset")
-    rot = None
-    if preset == "coriolis3d":
-        basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"])
-        rot = (basis, degenerate.rotated_spec(spec, basis))
-    rng = np.random.default_rng(seed)
     num = _coerce(int, task.get("num_samples", 200), "num_samples")
+    _require(num > 0, f"compare needs num_samples > 0, got {num}")
     t_lo, t_hi = _pair(task.get("t_range", [0.05, 0.5]), "t_range")
+    _require(t_lo >= 0.0, f"compare screens caustics for t > 0 only; t_range {[t_lo, t_hi]} "
+                          "has a negative bound")
+    rng = np.random.default_rng(seed)
     box = data.sample_box()
-    draws = []
-    for _ in range(num):
-        y0 = rng.uniform(box[:, 0], box[:, 1])
-        draws.append((rng.uniform(t_lo, t_hi), y0))
-
-    def evaluate(idx):
-        t, y0 = draws[idx]
-        if rot is None:
-            x0, u0_val = y0, data.u0(y0)
-            caustic = oracle.first_caustic_time(spec, data, y0, t_max=t)
-        else:
-            basis, rot_spec = rot
-            x0 = basis.P @ y0
-            u0_val = degenerate.u0_original(basis, data, x0)
-            caustic = oracle.first_caustic_time(rot_spec, data, y0, t_max=t)
-        flow = oracle.exact_flow(spec, x0, u0_val, t)
-        if caustic is not None and caustic <= t:
-            return [idx, t, *flow.x, None, "POST_BLOWUP"]
-        try:
-            if rot is None:
-                numeric = hodograph.solve_u(problem, t, flow.x)
-            else:
-                numeric = degenerate.degenerate_solve(problem, rot[0], t, flow.x)
-        except HodoflowError as exc:
-            return [idx, t, *flow.x, None, f"SOLVE_FAIL({type(exc).__name__})"]
-        err = float(np.max(np.abs(numeric.u - flow.u)))
-        return [idx, t, *flow.x, err, "OK"]
-
-    return [evaluate(i) for i in range(num)]
+    Y0, T = np.empty((num, spec.n)), np.empty(num)
+    for i in range(num):
+        Y0[i] = rng.uniform(box[:, 0], box[:, 1])
+        T[i] = rng.uniform(t_lo, t_hi)
+    # x0 and the solve run in the data's frame: the kernel-adapted one for coriolis3d
+    if cfg["problem"].get("preset") == "coriolis3d":
+        basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"])
+        frame = degenerate.rotated_problem(problem, basis)
+        X0 = matops.matvec(basis.P, Y0)
+        U0 = degenerate.u0_original(basis, data, X0)
+        to_frame, from_frame = basis.L, basis.P
+    else:
+        frame, X0, U0 = problem, Y0, data.u0(Y0)
+        to_frame = from_frame = np.eye(spec.n)
+    caustic = oracle.caustic_times(frame.spec, data, Y0, T)
+    flow = oracle.exact_flow(spec, X0, U0, T)
+    err = np.full(num, np.nan)
+    status = np.full(num, "POST_BLOWUP", dtype=object)
+    rows = np.flatnonzero(~(caustic <= T))
+    if rows.size:
+        Xf = matops.matvec(to_frame, flow.x[rows])
+        M, _, _, st = hodograph._newton(frame, T[rows], Xf, hodograph._default_guess(frame, Xf))
+        ok = st == "OK"
+        u = matops.matvec(from_frame, hodograph.u_from_M(frame.spec, T[rows[ok]], M[ok]))
+        err[rows[ok]] = np.abs(u - flow.u[rows[ok]]).max(axis=1)
+        status[rows] = [s if s == "OK" else
+                        f"SOLVE_FAIL({hodograph.STATUS_ERRORS[s].__name__})" for s in st]
+    return [[i, T[i], *flow.x[i], None if np.isnan(err[i]) else err[i], status[i]]
+            for i in range(num)]
 
 
 def cmd_compare(cfg, out_path, seed=None):

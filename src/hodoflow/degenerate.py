@@ -195,9 +195,10 @@ def degenerate_integrals(spec, basis, t, y, v):
 
 
 def u0_original(basis, data, x):
-    """Initial velocity in original coordinates from rotated-frame data."""
+    """Initial velocity in original coordinates from rotated-frame data, at one
+    point x (n,) or a stack (k, n)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return basis.P @ data.u0(basis.L @ x)
+    return matops.matvec(basis.P, data.u0(matops.matvec(basis.L, x)))
 
 
 def degenerate_solve_info(problem, basis, t, x, guess_M=None):
@@ -206,7 +207,11 @@ def degenerate_solve_info(problem, basis, t, x, guess_M=None):
     problem.data holds the *rotated* initial velocity v0(y); the sample comes
     back in original coordinates through u = P v.
     """
-    rp = rotated_problem(problem, basis)
+    return _solve_rotated(rotated_problem(problem, basis), basis, t, x, guess_M)
+
+
+def _solve_rotated(rp, basis, t, x, guess_M=None):
+    """degenerate_solve_info on the rotated problem rp, built by the caller."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     M, info = hodograph.solve_M(rp, t, basis.L @ x, guess_M=guess_M)
     v = hodograph.u_from_M(rp.spec, t, M)
@@ -248,12 +253,13 @@ def non_periodicity_witness(problem, T, sample_points, threshold=1e-3, basis=Non
         raise ValueError("periodicity comparison is a g = 0 statement")
     if basis is None:
         basis = coriolis3d_basis(_zaxis_omega(problem.spec.A))
+    rp = rotated_problem(problem, basis)
     for t, x in sample_points:
         t = float(t)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         try:
-            s1, info = degenerate_solve_info(problem, basis, t, x)
-            s2, _ = degenerate_solve_info(problem, basis, t + T, x, guess_M=info.M)
+            s1, info = _solve_rotated(rp, basis, t, x)
+            s2, _ = _solve_rotated(rp, basis, t + T, x, guess_M=info.M)
         except (HodoflowError, FloatingPointError, np.linalg.LinAlgError):
             continue  # a failed sample is just not a witness
         delta = float(np.abs(s2.u - s1.u).max())

@@ -89,8 +89,14 @@ def integrals(spec, s):
 
 
 def u_from_M(spec, t, M):
-    """Velocity at time t of the particle launched with velocity M, (n,) or (k, n)."""
+    """Velocity at time t of the particle launched with velocity M, (n,) or (k, n).
+
+    A (k,) array t gives row i its own time t[i], from one matops.phi_table.
+    """
     M = np.atleast_1d(np.asarray(M, dtype=float))
+    if np.ndim(t):
+        E, P1, _ = matops.phi_table(spec.A, t)
+        return matops.matvec(E, M) + matops.matvec(P1, spec.g)
     return matops.matvec(matops.mat_exp(spec.A, t), M) + matops.phi1(spec.A, t) @ spec.g
 
 
@@ -146,17 +152,28 @@ def residual_u(problem, t, x, u):
 
 
 def _default_guess(problem, x):
+    """Cold-start M for one position x (n,) or for each row of a stack (k, n).
+
+    u0(x) clipped into the domain; the middle of the domain box where u0 is
+    not defined at x.  A stack that u0 refuses is guessed row by row.
+    """
     data = problem.data
+    X = np.atleast_1d(np.asarray(x, dtype=float))
+    if X.ndim == 1:
+        return _default_guess(problem, X[None])[0]
     try:
-        M0 = data.u0(np.atleast_1d(x))
-        if data.in_domain(M0):
-            return np.asarray(M0, dtype=float)
-        return data.clip_to_domain(M0)
+        M0 = np.array(_rows(data.u0, X), dtype=float)
     except (DomainError, NotInvertibleError):
+        if len(X) > 1:
+            return np.concatenate([_default_guess(problem, X[i : i + 1]) for i in range(len(X))])
         box = data.domain_box()
         lo = np.where(np.isfinite(box[:, 0]), box[:, 0], -1.0)
         hi = np.where(np.isfinite(box[:, 1]), box[:, 1], 1.0)
-        return 0.5 * (lo + hi)
+        return (0.5 * (lo + hi))[None]
+    outside = ~_rows(data.in_domain, M0)
+    if outside.any():
+        M0[outside] = data.clip_to_domain(M0[outside])
+    return M0
 
 
 def _scan_guess(problem, res_fn):
@@ -196,9 +213,11 @@ def _rows(f, M):
 
 
 def _newton(problem, t, X, M0):
-    """Damped Newton on residual_M = 0 at one time t, for every row of X at once.
+    """Damped Newton on residual_M = 0 for every row of X at once.
 
-    X holds k positions and M0 their starting guesses, both (k, n).  Returns
+    X holds k positions and M0 their starting guesses, both (k, n); t is one
+    time for every row, or a (k,) array with row i's own time (phi1 and phi2
+    then come from one matops.phi_table).  Returns
     (M, iters, rnorm, status), one entry per row: status is OK, SINGULAR,
     NO_CONVERGENCE or DOMAIN_EXIT, M the root or the last in-domain iterate of
     a failed row, iters the Newton iterations used and rnorm the max-norm
@@ -209,18 +228,28 @@ def _newton(problem, t, X, M0):
     """
     spec, data = problem.spec, problem.data
     tol = problem.newton_tol
-    P1 = matops.phi1(spec.A, t)
-    P2g = matops.phi2(spec.A, t) @ spec.g
+    per_row = np.ndim(t) > 0
+    if per_row:
+        _, P1, P2 = matops.phi_table(spec.A, t)
+        P2g = matops.matvec(P2, spec.g)
+    else:
+        P1 = matops.phi1(spec.A, t)
+        P2g = matops.phi2(spec.A, t) @ spec.g
 
-    def res(X, M):
-        return X - matops.matvec(P1, M) - P2g - _rows(data.phi, M)
+    def at(rows):
+        """(P1, phi2 g) of the given rows."""
+        return (P1[rows], P2g[rows]) if per_row else (P1, P2g)
+
+    def res(rows, M):
+        P, Pg = at(rows)
+        return X[rows] - matops.matvec(P, M) - Pg - _rows(data.phi, M)
 
     k = len(X)
     M = np.array(M0, dtype=float)
     outside = ~_rows(data.in_domain, M)
     if outside.any():
         M[outside] = data.clip_to_domain(M[outside])
-    r = res(X, M)
+    r = res(slice(None), M)
     rnorm = np.abs(r).max(axis=1)
     iters = np.zeros(k, dtype=int)
     status = np.full(k, "NO_CONVERGENCE", dtype=object)
@@ -241,22 +270,22 @@ def _newton(problem, t, X, M0):
         if not rows.size:
             break
         Mr = M[rows]
-        step, singular = matops.solve_stacked(P1 + _rows(data.phi_jacobian, Mr), r[rows])
+        step, singular = matops.solve_stacked(at(rows)[0] + _rows(data.phi_jacobian, Mr), r[rows])
         if singular.any():
             for i in rows[singular]:
                 # singular at the start: the guess, not the target, is on the
                 # fold set; restart once from the best point of a coarse scan
-                M_new = _scan_guess(problem, lambda Ms, x=X[i]: res(x, Ms)) if fresh[i] else None
+                M_new = _scan_guess(problem, lambda Ms, i=i: res(i, Ms)) if fresh[i] else None
                 fresh[i] = False
                 if M_new is None:
                     finish(i, it - 1, "SINGULAR")
                 else:
                     M[i] = M_new
-                    r[i] = res(X[i : i + 1], M[i : i + 1])[0]
+                    r[i] = res([i], M[i : i + 1])[0]
                     rnorm[i] = np.abs(r[i]).max()
             rows, Mr, step = rows[~singular], Mr[~singular], step[~singular]
         # damped update: halve until the residual decreases and M stays in-domain
-        Xr, rnr = X[rows], rnorm[rows]
+        rnr = rnorm[rows]
         pending = np.ones(len(rows), dtype=bool)
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -264,7 +293,7 @@ def _newton(problem, t, X, M0):
             inside = _rows(data.in_domain, trial)
             cand = pending & inside
             if cand.any():
-                r_new = res(Xr[cand], trial[cand])
+                r_new = res(rows[cand], trial[cand])
                 rn_new = np.abs(r_new).max(axis=1)
                 take = (rn_new < rnr[cand]) | (rn_new <= tol)
                 acc = np.flatnonzero(cand)[take]
@@ -283,6 +312,14 @@ def _newton(problem, t, X, M0):
     finish(rows[rnorm[rows] <= tol], problem.newton_max_iter, "OK")
     finish(np.flatnonzero(alive), problem.newton_max_iter, "NO_CONVERGENCE")
     return M, iters, rnorm, status
+
+
+#: the error solve_M raises for each failed _newton status
+STATUS_ERRORS = {
+    "SINGULAR": JacobianSingularError,
+    "DOMAIN_EXIT": DomainExitError,
+    "NO_CONVERGENCE": NoConvergenceError,
+}
 
 
 def solve_M(problem, t, x, guess_M=None):
@@ -426,7 +463,7 @@ def solve_field(problem, t_values, x_points):
     iters = np.zeros((len(X), len(times)), dtype=int)
     status = np.full((len(X), len(times)), "POST_BLOWUP", dtype=object)
     live = np.ones(len(X), dtype=bool)
-    guess = np.array([_default_guess(problem, x) for x in X])
+    guess = _default_guess(problem, X)
     for j, t in enumerate(times):
         rows = np.flatnonzero(live)
         if not rows.size:

@@ -39,6 +39,10 @@ same formula as phi1, so the same bits), otherwise one stacked _expm of the
 augmented matrices [[tA, tI], [0, 0]], whose top-right block is phi1 itself.
 It has no Taylor route and raises nothing: rows that overflow come back
 non-finite, for the caller to judge.
+
+phi_table stacks e^{tA}, phi1 and phi2 over many times at once (one stacked
+_expm of the 3n-augmented matrices), for work that carries its own time per
+row, such as the samples of a comparison run.
 """
 
 from __future__ import annotations
@@ -290,6 +294,28 @@ def phi1_table(A, ts):
     W[:, :n, n:] = tt * np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         return _expm(W)[:, :n, n:]
+
+
+def phi_table(A, ts):
+    """(e^{tA}, phi1(A, t), phi2(A, t)) for every t of the 1-D array ts.
+
+    Each is a (len(ts), n, n) stack, the first block row of one stacked _expm
+    of t [[A, I, 0], [0, 0, I], [0, 0, 0]].  Raises OverflowMatrixError when
+    any entry is not finite, as mat_exp does.
+    """
+    A = _as_square(A)
+    ts = np.asarray(ts, dtype=float)
+    n = A.shape[0]
+    tt = ts[:, None, None]
+    W = np.zeros((ts.size, 3 * n, 3 * n))
+    W[:, :n, :n] = tt * A
+    W[:, :n, n : 2 * n] = tt * _eye(n)
+    W[:, n : 2 * n, 2 * n :] = tt * _eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _expm(W)[:, :n]
+    if not np.all(np.isfinite(E)):
+        raise OverflowMatrixError(f"phi table overflowed for t up to {ts.max(initial=0.0)!r}")
+    return E[:, :, :n], E[:, :, n : 2 * n], E[:, :, 2 * n :]
 
 
 def phi2(A, t):

@@ -15,8 +15,9 @@ needed, is the inverse of d(phi)/dM — exact, no finite differences.
 
 phi, phi_jacobian and in_domain take one point M of shape (n,) or a stack of
 points (k, n), and return (n,) / (n, n) / bool or (k, n) / (k, n, n) / (k,)
-bool; row i of a stacked result equals the one-point call on M[i].  u0 takes
-one point.
+bool; row i of a stacked result equals the one-point call on M[i].  u0 has
+the same contract over positions x: (n,) -> (n,), (k, n) -> (k, n); a stack
+raises DomainError when any of its rows is outside the profile's branch.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class Tanh1D(InitialData):
 
     def u0(self, x):
         x = np.atleast_1d(x)
-        return self.mu * (1.0 - np.tanh(self.kappa * x[0])) * np.ones(1)
+        return _points_first([self.mu * (1.0 - np.tanh(self.kappa * x.T[0]))], x)
 
     def phi(self, M):
         M = np.atleast_1d(M)
@@ -211,11 +212,14 @@ class Gauss1D(InitialData):
 
     def u0(self, x):
         x = np.atleast_1d(x)
-        if self.branch * x[0] < 0:
+        x1 = x.T[0]
+        wrong = np.atleast_1d(self.branch * x1 < 0)
+        if wrong.any():
             raise DomainError(
-                f"x={x[0]!r} is on the wrong flank for branch={self.branch:+d}"
+                f"x={np.atleast_1d(x1)[wrong][0]!r} is on the wrong flank for "
+                f"branch={self.branch:+d}"
             )
-        return np.array([self.eta * np.exp(-((self.kappa * x[0]) ** 2))])
+        return _points_first([self.eta * np.exp(-((self.kappa * x1) ** 2))], x)
 
     def phi(self, M):
         M = np.atleast_1d(M)
@@ -254,7 +258,8 @@ class Tanh2D(InitialData):
     def u0(self, x):
         x = np.atleast_1d(x)
         e = self.eps
-        return np.array([-np.tanh(x[0] + e * x[1]), -np.tanh(e * x[0] + x[1])])
+        x1, x2 = x.T[0], x.T[1]
+        return _points_first([-np.tanh(x1 + e * x2), -np.tanh(e * x1 + x2)], x)
 
     def phi(self, M):
         M = np.atleast_1d(M)
@@ -307,14 +312,14 @@ class Gauss2DCoriolis(InitialData):
 
     def u0(self, x):
         x = np.atleast_1d(x)
-        if self.sx * x[0] < 0 or self.sy * x[1] < 0:
-            raise DomainError(f"x={tuple(x)} outside the ({self.sx:+d},{self.sy:+d}) quadrant")
+        x1, x2 = x.T[0], x.T[1]
+        wrong = np.atleast_1d((self.sx * x1 < 0) | (self.sy * x2 < 0))
+        if wrong.any():
+            bad = tuple(np.atleast_2d(x)[wrong][0])
+            raise DomainError(f"x={bad} outside the ({self.sx:+d},{self.sy:+d}) quadrant")
         a = self.amplitude
-        return np.array(
-            [
-                a * np.exp(-(x[0] ** 2 + x[1] ** 2)),
-                a * np.exp(-(x[0] ** 2 + 2.0 * x[1] ** 2)),
-            ]
+        return _points_first(
+            [a * np.exp(-(x1**2 + x2**2)), a * np.exp(-(x1**2 + 2.0 * x2**2))], x
         )
 
     def _inside(self, M):
@@ -380,7 +385,7 @@ class LinearR(InitialData):
         self.dim = R.shape[0]
 
     def u0(self, x):
-        return self.Rinv @ np.atleast_1d(x)
+        return matops.matvec(self.Rinv, np.atleast_1d(x))
 
     def phi(self, M):
         return matops.matvec(self.R, np.atleast_1d(M))
@@ -415,7 +420,7 @@ class Constant(InitialData):
         self.dim = self.c.size
 
     def u0(self, x):
-        return self.c.copy()
+        return np.broadcast_to(self.c, np.atleast_1d(x).shape[:-1] + self.c.shape).copy()
 
     def phi(self, M):
         raise NotInvertibleError("constant profile is not invertible; solve in closed form")
@@ -454,7 +459,9 @@ class Separable(InitialData):
 
     def u0(self, x):
         x = np.atleast_1d(x)
-        return np.array([c.u0(x[i : i + 1])[0] for i, c in enumerate(self.components)])
+        return np.concatenate(
+            [c.u0(x[..., i : i + 1]) for i, c in enumerate(self.components)], axis=-1
+        )
 
     def phi(self, M):
         M = np.atleast_1d(M)

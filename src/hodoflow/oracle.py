@@ -24,8 +24,10 @@ import numpy as np
 from . import matops
 from .errors import OverflowMatrixError
 
-#: time steps per phi1_table in first_caustic_time's sign scan
+#: time steps per phi1_table in caustic_times' sign scan
 _SCAN_CHUNK = 256
+#: matrices per stacked determinant in caustic_times' sign scan (bounds its memory)
+_DET_BLOCK = 1024
 
 
 @dataclass
@@ -37,9 +39,18 @@ class FlowResult:
 
 
 def exact_flow(spec, x0, u0_val, t):
-    """Closed-form characteristic through (x0, u0_val) evaluated at time t."""
+    """Closed-form characteristic through (x0, u0_val) evaluated at time t.
+
+    A (k,) array t flows the rows of the (k, n) stacks x0 and u0_val, row i to
+    its own time t[i], from one matops.phi_table.
+    """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     u0_val = np.atleast_1d(np.asarray(u0_val, dtype=float))
+    if np.ndim(t):
+        E, P1, P2 = matops.phi_table(spec.A, t)
+        u = matops.matvec(E, u0_val) + matops.matvec(P1, spec.g)
+        x = x0 + matops.matvec(P1, u0_val) + matops.matvec(P2, spec.g)
+        return FlowResult(t=t, x=x, u=u)
     E = matops.mat_exp(spec.A, t)
     P1 = matops.phi1(spec.A, t)
     P2 = matops.phi2(spec.A, t)
@@ -88,61 +99,104 @@ def flow_jacobian_det(spec, data, x0, t):
     M = u0(x0); its first positive zero is where neighbouring characteristics
     cross (the solution's gradient catastrophe).
     """
-    return _jac_det(spec.A, _u0_jacobian(data, x0), t)
+    Ju0 = _u0_jacobian(data, np.atleast_1d(np.asarray(x0, dtype=float)))
+    return float(np.linalg.det(np.eye(Ju0.shape[0]) + matops.phi1(spec.A, t) @ Ju0))
 
 
 def _u0_jacobian(data, x0):
-    """J_{u0}(x0) = (d phi/dM)^{-1} at M = u0(x0)."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    """J_{u0}(x0) = (d phi/dM)^{-1} at M = u0(x0), for one x0 (n,) or a stack (k, n)."""
     return np.linalg.inv(data.phi_jacobian(data.u0(x0)))
 
 
-def _jac_det(A, Ju0, t):
-    """det(I + phi1(A,t) J_{u0}), the flow Jacobian determinant at time t."""
-    return float(np.linalg.det(np.eye(Ju0.shape[0]) + matops.phi1(A, t) @ Ju0))
+def _flow_dets(P, Ju0):
+    """det(I + P[i] Ju0[j]) as a (len(P), len(Ju0)) table, _DET_BLOCK matrices at a time."""
+    eye = np.eye(Ju0.shape[-1])
+    cols = max(1, _DET_BLOCK // len(P))
+    return np.concatenate([np.linalg.det(eye + P[:, None] @ Ju0[None, j : j + cols])
+                           for j in range(0, len(Ju0), cols)], axis=1)
 
 
 def first_caustic_time(spec, data, x0, t_max=50.0, step=1e-2, tol=1e-10):
     """First positive zero of the flow Jacobian determinant, or None.
 
-    Sign-scan on the nodes min(i * step, t_max), then bisect the first
-    bracketing interval.  The determinant is flow_jacobian_det's, with
-    J_{u0}(x0) computed once; the scan evaluates it _SCAN_CHUNK steps at a
-    time from one matops.phi1_table each and stops at the first chunk that
-    holds a zero or a sign change.  A node whose determinant is not finite
-    (phi1 overflowed) before any bracket raises OverflowMatrixError; the
-    bisection uses the scalar phi1.
+    The one-row call of caustic_times.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    t = caustic_times(spec, data, x0[None], np.array([float(t_max)]), step=step, tol=tol)[0]
+    return None if np.isnan(t) else float(t)
+
+
+def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
+    """First positive zero of flow_jacobian_det for every row of the (k, n)
+    stack x0, each scanned up to its own t_max[i]; a (k,) array, NaN where a
+    row has none.
+
+    Row i is sign-scanned on the nodes min(j * step, t_max[i]), then its first
+    bracketing interval is bisected to tol.  phi1 depends on t alone, so the
+    rows share their nodes: one matops.phi1_table per _SCAN_CHUNK steps (up to
+    the largest live t_max) and one over the end nodes t_max, and the
+    determinants of a chunk are one (nodes x rows) table, with J_{u0} computed
+    once per row.  A row leaves the scan at its first zero or sign change, or
+    past its own t_max.  The bracketing rows are bisected together, one
+    phi1_table over their midpoints per step.  A row whose first such node is
+    not finite (phi1 overflowed), within its own t_max, raises
+    OverflowMatrixError.
     """
     A, Ju0 = spec.A, _u0_jacobian(data, x0)
-    eye = np.eye(Ju0.shape[0])
-    nsteps = int(np.ceil(t_max / step))
-    for start in range(0, nsteps, _SCAN_CHUNK):
-        # steps start .. start + _SCAN_CHUNK; a chunk repeats the last node of the one before
-        ts = np.minimum(np.arange(start, min(start + _SCAN_CHUNK, nsteps) + 1) * step, t_max)
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = np.linalg.det(eye + matops.phi1_table(A, ts) @ Ju0)
-            hit = ~np.isfinite(f[1:]) | (f[1:] == 0.0) | (f[:-1] * f[1:] < 0.0)
-        if not hit.any():
-            continue
-        i = int(np.argmax(hit)) + 1
-        if not np.isfinite(f[i]):
-            raise OverflowMatrixError(
-                f"flow Jacobian determinant not finite at t={float(ts[i])!r}"
-            )
-        if f[i] == 0.0:
-            return float(ts[i])
-        a, b, fa = float(ts[i - 1]), float(ts[i]), float(f[i - 1])
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            fm = _jac_det(A, Ju0, m)
-            if fm == 0.0:
-                return m
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        return 0.5 * (a + b)
-    return None
+    eye = np.eye(Ju0.shape[-1])
+    k = len(Ju0)
+    t_max = np.asarray(t_max, dtype=float)
+    nsteps = np.maximum(np.ceil(t_max / step), 0.0).astype(int)
+    out = np.full(k, np.nan)
+    f_prev, t_prev = np.ones(k), np.zeros(k)  # the t = 0 node: det(I)
+    a, b, fa = np.zeros(k), np.zeros(k), np.zeros(k)  # bracket [a, b], det at a
+    bracket = np.zeros(k, dtype=bool)
+    live = nsteps > 0
+    lo = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_end = np.linalg.det(eye + matops.phi1_table(A, t_max) @ Ju0)
+        while live.any():
+            rows = np.flatnonzero(live)
+            hi = min(lo + _SCAN_CHUNK, int(nsteps[rows].max()) + 1)
+            idx = np.arange(lo, hi)
+            ts = idx * step
+            tm = t_max[rows]
+            # node j of row i is min(j * step, t_max[i]): a shared row before its end
+            f = np.where(ts[:, None] < tm, _flow_dets(matops.phi1_table(A, ts), Ju0[rows]),
+                         f_end[rows])
+            g = np.vstack([f_prev[rows], f])
+            nodes = np.vstack([t_prev[rows], np.minimum(ts[:, None], tm)])
+            hit = ~np.isfinite(g[1:]) | (g[1:] == 0.0) | (g[:-1] * g[1:] < 0.0)
+            hit &= idx[:, None] <= nsteps[rows]
+            j = np.flatnonzero(hit.any(axis=0))
+            i = hit[:, j].argmax(axis=0) + 1
+            bad = ~np.isfinite(g[i, j])
+            if bad.any():
+                raise OverflowMatrixError(f"flow Jacobian determinant not finite at "
+                                          f"t={float(nodes[i[bad][0], j[bad][0]])!r}")
+            done = rows[j]
+            out[done] = np.where(g[i, j] == 0.0, nodes[i, j], np.nan)
+            bracket[done] = g[i, j] != 0.0
+            a[done], b[done], fa[done] = nodes[i - 1, j], nodes[i, j], g[i - 1, j]
+            live[done] = False
+            live[rows[hi - 1 >= nsteps[rows]]] = False
+            f_prev[rows], t_prev[rows] = g[-1], nodes[-1]
+            lo = hi
+        # bisection of every bracket at once, each row to its own b - a <= tol
+        act = bracket & (b - a > tol)
+        while act.any():
+            r = np.flatnonzero(act)
+            m = 0.5 * (a[r] + b[r])
+            fm = np.linalg.det(eye + matops.phi1_table(A, m) @ Ju0[r])
+            zero = fm == 0.0
+            out[r[zero]] = m[zero]
+            bracket[r[zero]] = False
+            left = fa[r] * fm < 0.0
+            b[r[left]] = m[left]
+            a[r[~left]], fa[r[~left]] = m[~left], fm[~left]
+            act = bracket & (b - a > tol)
+        out[bracket] = 0.5 * (a[bracket] + b[bracket])
+    return out
 
 
 def pde_residual(u_field, spec, t, x, h=1e-4):

@@ -13,7 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hodoflow import blowup, cli, degenerate, hodograph, model, oracle
+from hodoflow import blowup, cli, degenerate, hodograph, matops, model, oracle
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -496,8 +496,16 @@ _TANH_1D = {
     ("solve", {**_TANH_1D, "task": {"name": "solve", "times": {"start": 0.0, "stop": 0.4,
                                                                "num": 0},
                                     "points": [[0.1]]}}),
+    ("compare", {**_TANH_1D, "task": {"name": "compare", "t_range": [0.5, 0.1]}}),
+    ("period", {**_GAUSS_PERIOD, "task": {"name": "period", "verify": {
+        "num_points": 2, "t_range": [2.0, 1.0]}}}),
+    ("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 0}}),
+    ("period", {**_GAUSS_PERIOD, "task": {"name": "period", "verify": {"num_points": 0}}}),
+    ("compare", {**_TANH_1D, "task": {"name": "compare", "t_range": [-3.0, -0.5]}}),
 ], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
-        "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0"])
+        "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0",
+        "compare-t_range-reversed", "period-t_range-reversed", "compare-num_samples-0",
+        "period-num_points-0", "compare-t_range-negative"])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
@@ -700,3 +708,105 @@ def test_column_writer_matches_row_formatter(tmp_path, capsys, case):
     body = out.read_text().split("\n")
     header_at = next(i for i, line in enumerate(body) if not line.startswith("#"))
     assert "\n".join(body[header_at + 1:]) == _row_body(rows)
+
+
+# ---------------------------------------------------------------------------
+# the stacked compare pass against the one-sample-at-a-time route it replaced
+
+
+def _compare_3d_cfg(seed, num=24, t_range=(0.9, 1.3)):
+    return {"problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
+            "data": C3D_BLOWUP_DATA,
+            "task": {"name": "compare", "num_samples": num, "t_range": list(t_range),
+                     "bound": 1.0e-8, "seed": seed}}
+
+
+def _per_sample_compare(cfg):
+    """(status, newton iterations, x, err) of each sample, solved one at a time:
+    a one-row caustic scan, a scalar exact flow and a one-row Newton solve."""
+    problem = cli.build_problem(cfg)
+    spec, data, task = problem.spec, problem.data, cfg["task"]
+    rot = cfg["problem"].get("preset") == "coriolis3d"
+    basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"]) if rot else None
+    frame = degenerate.rotated_problem(problem, basis) if rot else problem
+    rng = np.random.default_rng(task["seed"])
+    box = data.sample_box()
+    out = []
+    for _ in range(task["num_samples"]):
+        y0 = rng.uniform(box[:, 0], box[:, 1])
+        t = rng.uniform(*task["t_range"])
+        x0 = basis.P @ y0 if rot else y0
+        u0 = degenerate.u0_original(basis, data, x0) if rot else data.u0(y0)
+        flow = oracle.exact_flow(spec, x0, u0, t)
+        if oracle.first_caustic_time(frame.spec, data, y0, t_max=t) is not None:
+            out.append(("POST_BLOWUP", None, flow.x, None))
+            continue
+        xf = basis.L @ flow.x if rot else flow.x
+        M, it, _, st = hodograph._newton(frame, t, xf[None],
+                                         hodograph._default_guess(frame, xf)[None])
+        if st[0] != "OK":
+            name = hodograph.STATUS_ERRORS[st[0]].__name__
+            out.append((f"SOLVE_FAIL({name})", int(it[0]), flow.x, None))
+            continue
+        u = hodograph.u_from_M(frame.spec, t, M[0])
+        u = basis.P @ u if rot else u
+        out.append(("OK", int(it[0]), flow.x, float(np.max(np.abs(u - flow.u)))))
+    return out
+
+
+_STACKED_COMPARE_CASES = {
+    **{f"coriolis3d-seed{s}": _compare_3d_cfg(s) for s in range(1, 11)},
+    "coriolis3d-past-t-star": _compare_3d_cfg(3, num=60, t_range=(0.05, 2.0)),
+    "tanh1d-post-blowup": {**_TANH_1D, "task": {"name": "compare", "num_samples": 40,
+                                                "t_range": [0.05, 3.0], "bound": 1.0,
+                                                "seed": 7}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STACKED_COMPARE_CASES))
+def test_stacked_compare_matches_per_sample_route(monkeypatch, case):
+    """Every sample keeps its status and Newton iteration count; x and err
+    agree to 1e-12."""
+    cfg = _STACKED_COMPARE_CASES[case]
+    real_newton = hodograph._newton
+    iters = []
+
+    def recording(*args):
+        out = real_newton(*args)
+        iters.extend(int(i) for i in out[1])
+        return out
+
+    monkeypatch.setattr(hodograph, "_newton", recording)
+    rows = cli._compare_rows(cfg, cli.build_problem(cfg), cfg["task"], cfg["task"]["seed"])
+    monkeypatch.undo()
+    ref = _per_sample_compare(cfg)
+    assert [r[-1] for r in rows] == [st for st, _, _, _ in ref]
+    assert iters == [it for st, it, _, _ in ref if st != "POST_BLOWUP"]
+    for row, (_, _, x, err) in zip(rows, ref):
+        assert np.max(np.abs(np.array(row[2:-2], dtype=float) - x)) <= 1e-12
+        assert (row[-2] is None) == (err is None)
+        if err is not None:
+            assert abs(row[-2] - err) <= 1e-12
+    if case.startswith("tanh1d") or case.endswith("t-star"):
+        assert {"OK", "POST_BLOWUP"} <= {r[-1] for r in rows}
+
+
+def test_compare_expm_calls_do_not_grow_with_samples(monkeypatch):
+    """compare evaluates its matrix functions once per stacked table, never
+    per sample: the same number of _expm calls at 24 and at 96 samples."""
+    real_expm = matops._expm
+    calls = []
+
+    def counting(W):
+        calls.append(W.shape)
+        return real_expm(W)
+
+    monkeypatch.setattr(matops, "_expm", counting)
+    counts = []
+    for num in (24, 96):
+        cfg = _compare_3d_cfg(1, num=num)
+        calls.clear()
+        rows = cli._compare_rows(cfg, cli.build_problem(cfg), cfg["task"], 1)
+        assert [r[-1] for r in rows] == ["OK"] * num
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts

@@ -298,3 +298,34 @@ def test_witness_search_lets_programming_errors_through():
         degenerate.non_periodicity_witness(
             problem, 2.0 * np.pi / w, [(0.1, np.array([0.5, 0.8, 1.9]))]
         )
+
+
+def test_u0_original_takes_a_stack():
+    """u0_original on a (k, 3) stack equals its (3,) calls row by row."""
+    basis = degenerate.coriolis3d_basis([0.3, -1.1, 0.7])
+    data = rotated_c3d_data()
+    box = data.sample_box()
+    Y = np.random.default_rng(2).uniform(box[:, 0], box[:, 1], size=(6, 3))
+    X = Y @ basis.P.T
+    stacked = degenerate.u0_original(basis, data, X)
+    assert stacked.shape == (6, 3)
+    assert np.array_equal(stacked, np.array([degenerate.u0_original(basis, data, x) for x in X]))
+
+
+def test_witness_builds_the_rotated_problem_once(monkeypatch):
+    """The rotated problem depends on the force alone: one per witness search,
+    however many sample points it solves at two times each."""
+    w = 1.1
+    problem = model.HodographProblem(model.coriolis3d_spec(w), rotated_c3d_data())
+    basis = degenerate.coriolis3d_basis(w)
+    real = degenerate.rotated_problem
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(degenerate, "rotated_problem", counting)
+    pts = [(0.1 * i, basis.P @ np.array([0.5, 0.8, 1.2 + 0.1 * i])) for i in range(5)]
+    degenerate.non_periodicity_witness(problem, 2.0 * np.pi / w, pts, threshold=1e9)
+    assert len(calls) == 1

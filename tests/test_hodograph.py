@@ -398,3 +398,29 @@ def test_field_cases_reach_every_status_and_a_rescue(monkeypatch):
         if case[0] == "tanh1d":
             assert rows[0].status == "OK" and len(rescues) == 1 and rescues[0] is not None
     assert seen == {"OK", "SINGULAR", "NO_CONVERGENCE", "DOMAIN_EXIT", "POST_BLOWUP"}
+
+
+@pytest.mark.parametrize("case", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
+def test_newton_with_a_time_per_row_matches_one_time_calls(case):
+    """_newton with a (k,) array of times against one call per row at its own
+    scalar time: the same statuses and iterations, M within 1e-12."""
+    problem, times, points = _field_problem(case)
+    X = np.array([x for x in points for _ in times])
+    T = np.array([t for _ in points for t in times])
+    M0 = hodograph._default_guess(problem, X)
+    M, iters, _, status = hodograph._newton(problem, T, X, M0)
+    for i in range(len(X)):
+        Mi, it, _, st = hodograph._newton(problem, T[i], X[i : i + 1], M0[i : i + 1])
+        assert (status[i], iters[i]) == (st[0], it[0]), (i, T[i], X[i])
+        if st[0] == "OK":
+            assert np.max(np.abs(M[i] - Mi[0])) <= 1e-12
+
+
+def test_stacked_default_guess_matches_row_calls():
+    """The stack guess equals the (n,) guesses, also when u0 refuses a row."""
+    problem = model.HodographProblem(model.ForceSpec(np.zeros((1, 1)), np.zeros(1)),
+                                     model.make_data("gauss1d", eta=0.9, kappa=1.1))
+    X = np.array([[0.3], [-0.4], [1.2], [5.0]])
+    rows = np.array([hodograph._default_guess(problem, x) for x in X])
+    assert np.array_equal(hodograph._default_guess(problem, X), rows)
+    assert rows[1, 0] == 0.45, "u0 is undefined at x < 0: the middle of (0, eta)"

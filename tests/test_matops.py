@@ -325,3 +325,26 @@ def test_expm_overflow_stays_in_its_row():
     E = matops._expm(bad)
     assert np.isnan(E[1]).all()
     assert np.allclose(E[[0, 2]], matops._expm(bad[[0, 2]]), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("A", [
+    np.array([[0.0, 1.2, 0.0], [-1.2, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    np.array([[0.4, 1.0], [-0.7, 0.2]]),
+    np.array([[0.5]]),
+    np.zeros((2, 2)),
+], ids=["rotation3d", "dense2d", "scalar", "zero"])
+def test_phi_table_matches_single_calls(A):
+    """Each row of phi_table is mat_exp, phi1 and phi2 at its own time, to
+    rounding, across the Taylor and augmented routes and negative times."""
+    ts = np.array([0.0, 1e-3, 0.05, 0.3, 0.9, 1.3, 3.0, -1.0])
+    E, P1, P2 = matops.phi_table(A, ts)
+    assert E.shape == P1.shape == P2.shape == (len(ts),) + A.shape
+    for i, t in enumerate(ts):
+        for got, want in ((E[i], matops.mat_exp(A, t)), (P1[i], matops.phi1(A, t)),
+                          (P2[i], matops.phi2(A, t))):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def test_phi_table_overflow_raises():
+    with pytest.raises(OverflowMatrixError):
+        matops.phi_table(np.array([[800.0]]), np.array([0.1, 2.0]))

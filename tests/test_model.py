@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodoflow import model
-from hodoflow.errors import ConfigError, NotInvertibleError
+from hodoflow.errors import ConfigError, DomainError, NotInvertibleError
 
 
 def test_force_spec_shapes_and_rank():
@@ -198,3 +198,24 @@ def test_stacked_family_calls_match_row_calls(family, unit):
     assert all(p.shape == (n,) for p in phi_rows) and all(j.shape == (n, n) for j in jac_rows)
     np.testing.assert_allclose(phi, np.array(phi_rows), rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(jac, np.array(jac_rows), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("family", sorted(STACK_CASES))
+def test_stacked_u0_matches_row_calls(family):
+    """u0 on a (k, n) stack of sample-box points equals the row-by-row (n,)
+    calls exactly; a stack with one row off the profile's branch raises as
+    that row alone does."""
+    data = model.make_data(family, **STACK_CASES[family])
+    box = data.sample_box()
+    X = np.random.default_rng(4).uniform(box[:, 0], box[:, 1], size=(9, len(box)))
+    stacked = data.u0(X)
+    rows = [data.u0(x) for x in X]
+    assert stacked.shape == X.shape and all(r.shape == (len(box),) for r in rows)
+    assert np.array_equal(stacked, np.array(rows))
+    assert data.u0(X[:1]).shape == (1, len(box))
+    if family in ("gauss1d", "gauss2d_coriolis"):
+        X[4] = -X[4]
+        with pytest.raises(DomainError):
+            data.u0(X[4])
+        with pytest.raises(DomainError):
+            data.u0(X)

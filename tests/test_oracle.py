@@ -176,3 +176,78 @@ def test_pde_residual_on_exact_solution():
     for t, x in [(0.1, -0.4), (0.25, 0.3), (0.4, 1.0)]:
         res = oracle.pde_residual(u_field, spec, t, np.array([x]))
         assert np.max(np.abs(res)) < 1e-5, f"PDE residual {res} at (t={t}, x={x})"
+
+
+def _tanh_runs():
+    data = model.make_data("tanh1d", mu=1.0, kappa=1.0)
+    x0 = np.array([[0.0], [0.8], [-1.5], [2.5], [-0.3]])
+    return [(model.ForceSpec(np.array([[a]]), np.zeros(1)), data, x0) for a in (0.0, 0.6, -0.4)]
+
+
+@pytest.mark.parametrize("case", ["tanh1d", "coriolis3d"])
+def test_caustic_times_match_row_calls(case):
+    """The stacked screen, every row with its own t_max, against
+    first_caustic_time row by row: the same None/NaN pattern and times within
+    1e-10, with rows that end before, inside and after a caustic."""
+    rng = np.random.default_rng(8)
+    if case == "tanh1d":
+        runs = _tanh_runs()
+    else:
+        spec, data = _c3d_rotated()
+        box = data.sample_box()
+        runs = [(spec, data, rng.uniform(box[:, 0], box[:, 1], size=(12, 3)))]
+    found = missed = 0
+    for spec, data, x0 in runs:
+        t_max = rng.uniform(0.0, 3.2, size=len(x0))
+        got = oracle.caustic_times(spec, data, x0, t_max)
+        assert got.shape == (len(x0),)
+        for g, x, t in zip(got, x0, t_max):
+            ref = oracle.first_caustic_time(spec, data, x, t_max=t)
+            assert np.isnan(g) == (ref is None), (x, t, g, ref)
+            if ref is not None:
+                assert abs(g - ref) <= 1e-10 and g <= t
+                found += 1
+            else:
+                missed += 1
+    assert found and missed
+
+
+def test_caustic_times_span_several_chunks():
+    """Rows scanned past one _SCAN_CHUNK of steps meet the row calls too."""
+    spec, data, x0 = _tanh_runs()[2]  # A = -0.4: late caustics or none
+    t_max = np.array([2.0, 4.0, 6.0, 9.0, 9.5])
+    got = oracle.caustic_times(spec, data, x0, t_max)
+    for g, x, t in zip(got, x0, t_max):
+        ref = oracle.first_caustic_time(spec, data, x, t_max=t)
+        assert (ref is None and np.isnan(g)) or abs(g - ref) <= 1e-10
+    assert np.isfinite(got).any() and np.isnan(got).any()
+
+
+def test_caustic_times_overflow_order():
+    """A = 800 overflows phi1 past t ~ 0.887 on the shared nodes.  Rows with a
+    caustic before that return it; a rising row raises only when its own
+    t_max reaches the overflow."""
+    spec = model.ForceSpec(np.array([[800.0]]), np.zeros(1))
+    falling = model.make_data("tanh1d", mu=1.0, kappa=1.0)
+    x0 = np.array([[0.0], [1.0], [-2.0], [3.0]])
+    got = oracle.caustic_times(spec, falling, x0, np.array([2.0, 1.5, 2.0, 0.5]))
+    ref = [oracle.first_caustic_time(spec, falling, x, t_max=2.0) for x in x0]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
+    assert got[0] == pytest.approx(np.log1p(800.0) / 800.0, abs=1e-10)
+    rising = model.make_data("gauss1d", eta=1.0, kappa=1.0, branch=-1)
+    xr = np.array([[-0.5], [-1.0]])
+    assert np.isnan(oracle.caustic_times(spec, rising, xr, np.array([0.5, 0.8]))).all()
+    with pytest.raises(OverflowMatrixError):
+        oracle.caustic_times(spec, rising, xr, np.array([0.5, 2.0]))
+
+
+def test_stacked_exact_flow_matches_row_calls():
+    """exact_flow with one time per row equals the scalar calls to rounding."""
+    spec = model.ForceSpec(np.array([[0.4, 1.0], [-0.7, 0.2]]), np.array([0.1, -0.3]))
+    rng = np.random.default_rng(1)
+    x0, u0, t = rng.normal(size=(7, 2)), rng.normal(size=(7, 2)), rng.uniform(-1.0, 3.0, 7)
+    flow = oracle.exact_flow(spec, x0, u0, t)
+    for i in range(7):
+        one = oracle.exact_flow(spec, x0[i], u0[i], t[i])
+        np.testing.assert_allclose(flow.x[i], one.x, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(flow.u[i], one.u, rtol=1e-14, atol=1e-14)
