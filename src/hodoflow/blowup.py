@@ -9,28 +9,35 @@ det e^{tA}) where
 
     blowup_residual(t, M) = det( phi1(A,t) + d(phi)/dM ) = 0.
 
-For the force matrices treated here this transcendental condition reduces to
-algebra in one scalar:
+A *sheet* is one root branch of this condition sampled over a grid in M-space.
+Every sheet comes from the one constructor _stacked_sheets: it builds the
+grid, masks it with one data.in_domain call, evaluates the builder's root
+function once over the in-domain (k, n) stack (one column per branch,
+NaN-padded), applies the builder's time map, and gives each sheet a branch_fn
+that is the same evaluation on a one-row stack, so a probe at a grid point
+returns the stored value bit for bit.  A builder is its root function:
 
-* 1D:             t = log(1 - A phi'(M)) / A, real iff A phi'(M) < 1
-* A = a*Id:       det(tau*Id + J) = 0 with tau = (e^{at}-1)/a  (polynomial)
-* elliptic 2x2:   trace A = 0 and det A = lam^2 > 0 (the coriolis2d and
-                  periodic2d presets), so A^2 = -lam^2 I and
-                  a sin(lam t) + b cos(lam t) + c = 0 with (a,b,c) from A and J;
-                  the first positive root in closed form (coriolis2d_first_time)
-* A = diag(a1,a2): exponential polynomial in tau = e^{t a2/q} when a1/a2 = p/q
+* 1D (sheet_1d):        t = log(1 - A phi'(M)) / A, real iff A phi'(M) < 1
+* A = a*Id (sheets_diag): det(tau*Id + J) = 0 with tau = (e^{at}-1)/a
+                        (a quadratic for n = 2, the characteristic polynomial
+                        otherwise)
+* elliptic 2x2 (sheets_coriolis2d): trace A = 0 and det A = lam^2 > 0 (the
+                        coriolis2d and periodic2d presets), so A^2 = -lam^2 I
+                        and a sin(lam t) + b cos(lam t) + c = 0 with (a,b,c)
+                        from A and J; the first positive root in closed form
+                        (coriolis2d_first_time)
+* A = diag(a1,a2) (sheets_diag2): an exponential polynomial in tau = e^{t a2/q}
+                        when a1/a2 = p/q
+* anything else (sheets_scan): the roots of the residual scan scan_roots, a
+                        sign scan over one phi1 table (matops.phi1_table), each
+                        bracket refined by safeguarded Newton on the exact
+                        t-derivative d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t);
+                        the first positive root on [0, t_max] or every root on
+                        [-t_max, t_max] (the irrational-ratio diag2 case).
 
-Everything else (an irrational ratio a1/a2, the rotated rank-deficient 3D
-force) goes through the one residual scan, scan_roots: a sign scan over one
-phi1 table (matops.phi1_table), each bracket refined by safeguarded Newton on
-the exact t-derivative, which needs no further matrix function because
-d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t).  build_sheets picks the sheet
-routine from the structure of A; every closed-form sheet is one stacked
-phi_jacobian over its grid.
-
-A *sheet* is one root branch sampled over a grid in M-space; absent entries
-(no real root) record the violated reality condition.  min_blowup_time picks
-the catastrophe: the infimum of positive blow-up times over all sheets,
+build_sheets picks the builder from the structure of A.  Absent entries (no
+real root) record the violated reality condition.  min_blowup_time picks the
+catastrophe: the infimum of positive blow-up times over all sheets,
 re-checked against blowup_residual for the actual A before it is reported.
 """
 
@@ -50,6 +57,7 @@ from .errors import (
     OverflowMatrixError,
 )
 from .hodograph import hodograph_position, u_from_M
+from .model import Constant
 
 #: imaginary-part tolerance for accepting a polynomial root as real
 _IMAG_TOL = 1e-9
@@ -126,42 +134,34 @@ def blowup_residual(problem, t, M):
     return float(np.linalg.det(P1 + problem.data.phi_jacobian(M)))
 
 
-def _scan_table(A, t_grid):
-    """matops.phi1_table over a scan grid; OverflowMatrixError if any row is not finite."""
-    table = matops.phi1_table(A, t_grid)
-    if not np.all(np.isfinite(table)):
-        raise OverflowMatrixError(
-            f"phi1 overflowed on the scan grid [{t_grid[0]!r}, {t_grid[-1]!r}]"
-        )
-    return table
-
-
 def _refine_root(A, J, lo, hi, flo, fhi):
     """Root of f(t) = det(phi1(A, t) + J) in a bracket with f(lo) f(hi) < 0.
 
     Safeguarded Newton from the regula-falsi point, one phi1 per step.  With
     K = phi1 + J, f'(t) = sum_j det(K with column j replaced by column j of
-    e^{tA} = I + A phi1), one stacked det.  Each step shrinks the bracket by
-    the sign of f; a Newton step that leaves the open bracket is replaced by
-    its midpoint.  Returns the Newton iterate once the step is <= _ROOT_TOL,
-    the bracket midpoint once the bracket is, or t itself where f is exactly 0.
+    e^{tA} = I + A phi1); f and those n determinants are one stacked det.
+    Each step shrinks the bracket by the sign of f; a Newton step that leaves
+    the open bracket is replaced by its midpoint.  Returns the Newton iterate
+    once the step is <= _ROOT_TOL, the bracket midpoint once the bracket is,
+    or t itself where f is exactly 0.
     """
     n = J.shape[0]
     cols = np.arange(n)
+    eye = np.eye(n)
     t = lo - flo * (hi - lo) / (fhi - flo)
     for _ in range(_ROOT_MAX_ITER):
         P1 = matops.phi1(A, t)
-        K = P1 + J
-        f = float(np.linalg.det(K))
+        Ks = np.repeat((P1 + J)[None], n + 1, axis=0)
+        Ks[cols + 1, :, cols] = (eye + A @ P1).T
+        dets = np.linalg.det(Ks)
+        f = float(dets[0])
         if f == 0.0:
             return float(t)
         if flo * f < 0.0:
             hi = t
         else:
             lo, flo = t, f
-        Kj = np.repeat(K[None], n, axis=0)
-        Kj[cols, :, cols] = (np.eye(n) + A @ P1).T
-        df = float(np.linalg.det(Kj).sum())
+        df = float(dets[1:].sum())
         step = f / df if df != 0.0 else np.inf
         if abs(step) <= _ROOT_TOL:
             return float(t - step)
@@ -207,26 +207,60 @@ def _grid_points(data, M_grid, num):
     return axes, pts
 
 
+def _ragged(rows, width=0):
+    """The rows as one (len(rows), max(width, longest row)) array, NaN-padded."""
+    out = np.full((len(rows), max([width, *map(len, rows)])), np.nan)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def _stacked_sheets(problem, M_grid, branch, values, absent_reason, to_time=None):
+    """Sheets from one stacked evaluation over an M-grid.
+
+    The grid is M_grid (per-axis arrays), else the data's default grid of
+    problem.grid_num points per axis.  values maps an in-domain (k, n) stack
+    of M to (k, b) root values, one column per branch, NaN-padded; points
+    outside the domain get NaN.  to_time, when given, maps root values to
+    times and the raw values are kept as tau.  Sheet k is named
+    branch.format(k), and its branch_fn is values and to_time on the one-row
+    stack M[None].
+    """
+    data = problem.data
+    axes, pts = _grid_points(data, M_grid, problem.grid_num)
+    inside = data.in_domain(pts)
+    roots = values(pts[inside])
+    tau = np.full((roots.shape[1], len(pts)), np.nan)
+    tau[:, inside] = roots.T
+    t = tau if to_time is None else to_time(tau)
+
+    def probe(k):
+        def branch_fn(M):
+            M = np.atleast_1d(np.asarray(M, dtype=float))
+            if not data.in_domain(M):
+                return np.nan
+            row = values(M[None])[0]
+            row = row if to_time is None else to_time(row)
+            return float(row[k]) if k < row.size else np.nan
+
+        return branch_fn
+
+    return [BlowupSheet(branch.format(k), axes, pts, t[k], None if to_time is None else tau[k],
+                        absent_reason, probe(k)) for k in range(len(t))]
+
+
 def sheet_1d(problem, M_grid=None):
     """The single 1D blow-up sheet t(M) = log(1 - A phi'(M))/A over an M-grid."""
-    data = problem.data
     a = float(problem.spec.A[0, 0])
-    axes, pts = _grid_points(data, None if M_grid is None else [M_grid], problem.grid_num)
-    tau = -data.phi_jacobian(pts)[:, 0, 0]
-    t = _time_from_tau(a, tau)
-
-    def branch_fn(M):
-        return float(_time_from_tau(a, -data.phi_jacobian(np.atleast_1d(M))[0, 0]))
-
-    return BlowupSheet(
-        branch="1d",
-        axes=axes,
-        points=pts,
-        t=t,
-        tau=tau,
-        absent_reason="A*phi'(M) >= 1 (no real blow-up time)",
-        branch_fn=branch_fn,
+    (sheet,) = _stacked_sheets(
+        problem,
+        None if M_grid is None else [M_grid],
+        "1d",
+        lambda M: -problem.data.phi_jacobian(M)[:, 0],
+        "A*phi'(M) >= 1 (no real blow-up time)",
+        to_time=lambda tau: _time_from_tau(a, tau),
     )
+    return sheet
 
 
 def _golden_min(f, a, b, tol=1e-12, max_iter=200):
@@ -293,57 +327,31 @@ def sheets_diag(problem, M_grid=None):
 
     Returns n sheets labelled tau0 < tau1 < ... (roots sorted ascending per
     grid point); complex pairs and grid points outside the domain leave NaN
-    gaps.  Works for a = 0, where the time map is the identity t = tau.
+    gaps.  n = 2 is the quadratic tau^2 + tr(J) tau + det(J) over the stack,
+    larger n the real roots of each characteristic polynomial.  Works for
+    a = 0, where the time map is the identity t = tau.
     """
     spec, data = problem.spec, problem.data
     a = matops.scalar_multiple(spec.A)
     if a is None:
         raise ValueError("sheets_diag needs A to be a scalar multiple of the identity")
     n = spec.n
-    axes, pts = _grid_points(data, M_grid, problem.grid_num)
-    taus = np.full((pts.shape[0], n), np.nan)
-    inside = np.flatnonzero(data.in_domain(pts))
-    J = data.phi_jacobian(pts[inside])
-    if n == 2:
-        # det(tau*I + J) = tau^2 + tr(J) tau + det(J), vectorized over the grid
+
+    def taus(M):
+        J = data.phi_jacobian(M)
+        if n != 2:
+            return _ragged([_real_roots_poly(np.poly(-Ji))[:n] for Ji in J], width=n)
         tr = J[:, 0, 0] + J[:, 1, 1]
         dt = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         disc = tr * tr - 4.0 * dt
         ok = disc >= -_IMAG_TOL * np.maximum(1.0, tr * tr)
         root = np.sqrt(np.maximum(disc, 0.0))
-        taus[inside[ok], 0] = 0.5 * (-tr[ok] - root[ok])
-        taus[inside[ok], 1] = 0.5 * (-tr[ok] + root[ok])
-    else:
-        for i, Ji in zip(inside, J):
-            rr = _real_roots_poly(np.poly(-Ji))
-            taus[i, : min(n, rr.size)] = rr[:n]
+        pair = np.stack([0.5 * (-tr - root), 0.5 * (-tr + root)], axis=1)
+        return np.where(ok[:, None], pair, np.nan)
 
-    def make_branch_fn(idx):
-        def branch_fn(M):
-            M = np.atleast_1d(M)
-            if not data.in_domain(M):
-                return np.nan
-            rr = _real_roots_poly(np.poly(-data.phi_jacobian(M)))
-            if idx >= rr.size:
-                return np.nan
-            return float(_time_from_tau(a, rr[idx]))
-
-        return branch_fn
-
-    sheets = []
-    for k in range(n):
-        sheets.append(
-            BlowupSheet(
-                branch=f"tau{k}",
-                axes=axes,
-                points=pts,
-                t=_time_from_tau(a, taus[:, k]),
-                tau=taus[:, k],
-                absent_reason="complex root pair or 1 + a*tau <= 0",
-                branch_fn=make_branch_fn(k),
-            )
-        )
-    return sheets
+    return _stacked_sheets(problem, M_grid, "tau{}", taus,
+                           "complex root pair or 1 + a*tau <= 0",
+                           to_time=lambda tau: _time_from_tau(a, tau))
 
 
 def _elliptic_lambda(A):
@@ -411,37 +419,20 @@ def coriolis2d_first_time(abc, lam):
 def sheets_coriolis2d(problem, M_grid=None):
     """First-positive-time blow-up sheet for an elliptic 2x2 A (trace 0, det > 0).
 
-    One sheet: coriolis2d_first_time of the trig condition, from one stacked
-    phi_jacobian over the in-domain grid points (NaN outside the domain or
-    where there is no real root); branch_fn is the same evaluation at one M.
+    One sheet: coriolis2d_first_time of the trig condition from one stacked
+    phi_jacobian (NaN outside the domain or where there is no real root).
     """
     A, data = problem.spec.A, problem.data
     lam = _elliptic_lambda(A)
     if lam is None:
         raise ValueError("sheets_coriolis2d needs a 2x2 A with trace 0 and det A > 0")
-    axes, pts = _grid_points(data, M_grid, problem.grid_num)
 
     def first_times(M):
         abc = CoriolisABC(*_coriolis_abc(A, lam, data.phi_jacobian(M)))
-        return coriolis2d_first_time(abc, lam)
+        return coriolis2d_first_time(abc, lam)[:, None]
 
-    def first_positive(M):
-        M = np.atleast_1d(M)
-        return first_times(M) if data.in_domain(M) else np.nan
-
-    inside = data.in_domain(pts)
-    t = np.full(len(pts), np.nan)
-    t[inside] = first_times(pts[inside])
-    return [
-        BlowupSheet(
-            branch="coriolis_first",
-            axes=axes,
-            points=pts,
-            t=t,
-            absent_reason="a^2 + b^2 < c^2: no real root of a sin(wt) + b cos(wt) + c",
-            branch_fn=first_positive,
-        )
-    ]
+    return _stacked_sheets(problem, M_grid, "coriolis_first", first_times,
+                           "a^2 + b^2 < c^2: no real root of a sin(wt) + b cos(wt) + c")
 
 
 def _domain_edges(data, axes, points, inside, steps=60):
@@ -520,14 +511,11 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
         K1 = a2 J22 - 1,  K2 = a1 J11 - 1,  K3 = 1 - a1 J11 - a2 J22 + a1 a2 det J,
 
     has degree <= 6, roots come from the companion matrix, and every candidate
-    time is re-verified against blowup_residual to 1e-9.  Otherwise each grid
-    point is scanned on [-t_max, t_max] with the given step by scan_roots,
-    with J = d(phi)/dM evaluated once per point, phi1 tabulated once over the
-    scan grid (entrywise, A being diagonal) and every bracket refined by
-    Newton.  A must be exactly diagonal; a1 = a2 delegates to sheets_diag.
+    time is re-verified against blowup_residual to 1e-9; t_max is not used.
+    Otherwise every root on [-t_max, t_max] comes from sheets_scan with the
+    given step.  A must be exactly diagonal; a1 = a2 delegates to sheets_diag.
     """
-    spec, data = problem.spec, problem.data
-    A = spec.A
+    A = problem.spec.A
     if A.shape != (2, 2) or not matops.is_exact_diagonal(A):
         raise ValueError("sheets_diag2 needs A = diag(a1, a2)")
     a1, a2 = float(A[0, 0]), float(A[1, 1])
@@ -537,106 +525,65 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
         raise DegenerateMatrixError("diag(a1, a2) with a zero entry is rank-deficient")
 
     frac = _rationalize(a1 / a2)
-    use_poly = False
     if frac is not None:
         p, q = frac.numerator, frac.denominator
         exps = np.array([p + q, p, q, 0])
-        shift = -min(exps.min(), 0)
-        degree = int(exps.max() + shift)
-        use_poly = degree <= 6 and degree >= 1
+        exps -= min(exps.min(), 0)
+        degree = int(exps.max())
+    if frac is None or not 1 <= degree <= 6:
+        return sheets_scan(problem, M_grid, t_max, scan_step, first_only=False, branch="t{}")
 
-    axes, pts = _grid_points(data, M_grid, problem.grid_num)
-
-    def times_poly(M):
-        J = data.phi_jacobian(M)
+    def times_poly(M, J):
         detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
         K1 = a2 * J[1, 1] - 1.0
         K2 = a1 * J[0, 0] - 1.0
         K3 = 1.0 - a1 * J[0, 0] - a2 * J[1, 1] + a1 * a2 * detJ
         coeffs = np.zeros(degree + 1)
-        for e, K in zip(exps + shift, (1.0, K1, K2, K3)):
+        for e, K in zip(exps, (1.0, K1, K2, K3)):
             coeffs[degree - int(e)] += K
-        out = []
         scale = max(1.0, abs(detJ))
-        for tau in _real_roots_poly(coeffs):
-            if tau <= 0.0:
-                continue
-            ti = (q / a2) * np.log(tau)
-            if abs(blowup_residual(problem, ti, M)) <= _TIME_RESIDUAL_TOL * scale:
-                out.append(float(ti))
-        return sorted(out)
+        times = ((q / a2) * np.log(tau) for tau in _real_roots_poly(coeffs) if tau > 0.0)
+        return sorted(float(ti) for ti in times
+                      if abs(blowup_residual(problem, ti, M)) <= _TIME_RESIDUAL_TOL * scale)
 
-    if not use_poly:
-        t_grid = np.arange(-t_max, t_max + scan_step, scan_step)
-        P1_tab = _scan_table(A, t_grid)
-
-    def times_scan(M):
-        return list(scan_roots(A, t_grid, P1_tab, data.phi_jacobian(M)))
-
-    times_of = times_poly if use_poly else times_scan
-
-    all_times = [times_of(p) if data.in_domain(p) else [] for p in pts]
-    n_sheets = max((len(ts) for ts in all_times), default=0)
-    sheets = []
-    for k in range(n_sheets):
-        tk = np.array([ts[k] if k < len(ts) else np.nan for ts in all_times])
-
-        def make_fn(idx):
-            def branch_fn(M):
-                M = np.atleast_1d(M)
-                if not data.in_domain(M):
-                    return np.nan
-                ts = times_of(M)
-                return ts[idx] if idx < len(ts) else np.nan
-
-            return branch_fn
-
-        sheets.append(
-            BlowupSheet(
-                branch=f"t{k}",
-                axes=axes,
-                points=pts,
-                t=tk,
-                absent_reason="no real root of the exponential polynomial"
-                if use_poly
-                else f"no sign change of the residual on [{-t_max}, {t_max}]",
-                branch_fn=make_fn(k),
-            )
-        )
-    return sheets
+    return _stacked_sheets(
+        problem, M_grid, "t{}",
+        lambda M: _ragged([times_poly(Mi, Ji) for Mi, Ji in zip(M, problem.data.phi_jacobian(M))]),
+        "no real root of the exponential polynomial",
+    )
 
 
-def sheets_first_root(problem, M_grid=None, t_max=10.0, scan_step=5e-2, branch="first_root"):
-    """First-positive-time blow-up sheet for any force matrix A.
+def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=True,
+                branch="first_root"):
+    """Blow-up sheets of the residual scan, for any force matrix A.
 
-    One sheet: per grid point, the smallest t > 0 among the scan_roots of
-    det(phi1(A, t) + d(phi)/dM) on the grid 0, scan_step, 2 scan_step, ...,
-    t_max (NaN outside the domain or where no root is found).  One phi1 table
-    per call serves every grid point and every branch_fn probe; each bracket
-    up to the first positive root is refined by Newton, one phi1 per step.
+    Per in-domain grid point, the scan_roots of det(phi1(A, t) + d(phi)/dM)
+    over one phi1 table shared by every grid point and every branch_fn probe.
+    first_only: one sheet named branch, the smallest t > 0 on the nodes 0,
+    scan_step, 2 scan_step, ..., t_max (the scan stops at that root).
+    Otherwise every root on arange(-t_max, t_max + scan_step, scan_step), in
+    increasing t, sheet k named branch.format(k).  NaN where no root is found.
     """
     A, data = problem.spec.A, problem.data
-    axes, pts = _grid_points(data, M_grid, problem.grid_num)
-    t_grid = np.concatenate([[0.0], np.arange(scan_step, t_max + scan_step, scan_step)])
-    P1_tab = _scan_table(A, t_grid)
+    if first_only:
+        t_grid = np.concatenate([[0.0], np.arange(scan_step, t_max + scan_step, scan_step)])
+    else:
+        t_grid = np.arange(-t_max, t_max + scan_step, scan_step)
+    P1_tab = matops.phi1_table(A, t_grid)
+    if not np.all(np.isfinite(P1_tab)):
+        raise OverflowMatrixError(
+            f"phi1 overflowed on the scan grid [{t_grid[0]!r}, {t_grid[-1]!r}]")
 
-    def first_positive(M):
-        M = np.atleast_1d(M)
-        if not data.in_domain(M):
-            return np.nan
-        roots = scan_roots(A, t_grid, P1_tab, data.phi_jacobian(M))
-        return next((t for t in roots if t > 0.0), np.nan)
+    def roots(M):
+        # one point at a time: the scan of each row costs far more than its Jacobian
+        scans = [scan_roots(A, t_grid, P1_tab, data.phi_jacobian(Mi)) for Mi in M]
+        if first_only:
+            return np.array([next((t for t in r if t > 0.0), np.nan) for r in scans]).reshape(-1, 1)
+        return _ragged([list(r) for r in scans])
 
-    return [
-        BlowupSheet(
-            branch=branch,
-            axes=axes,
-            points=pts,
-            t=np.array([first_positive(p) for p in pts]),
-            absent_reason=f"no sign change of the residual on [0, {t_max}]",
-            branch_fn=first_positive,
-        )
-    ]
+    lo = 0 if first_only else -t_max
+    return _stacked_sheets(problem, M_grid, branch, roots,
+                           f"no sign change of the residual on [{lo}, {t_max}]")
 
 
 def sheet_extremum(sheet, mode="min", positive_only=False):
@@ -771,10 +718,12 @@ def build_sheets(problem, grid_num=None, t_max=10.0):
     sheet with no root on its grid gets certify_coriolis_absent); an exactly
     diagonal 2x2 A to sheets_diag2 up to t_max.  The per-axis M-grid size is
     grid_num, else the data family's default.  Returns (sheets,
-    certificate_lines); any other A raises ConfigError.
+    certificate_lines); any other A, and constant data, raise ConfigError.
     """
     A, n = problem.spec.A, problem.spec.n
-    grids = problem.data.m_grids(grid_num) if grid_num else problem.data.m_grids()
+    if isinstance(problem.data, Constant):
+        raise ConfigError("constant data has no blow-up sheets: its characteristics never cross")
+    grids = problem.data.m_grids() if grid_num is None else problem.data.m_grids(grid_num)
     cert_lines = []
     if n == 1:
         sheets = [sheet_1d(problem, M_grid=grids[0])]

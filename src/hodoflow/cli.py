@@ -58,6 +58,13 @@ def _coerce(kind, value, key):
         raise ConfigError(f"bad value {value!r} for config key {key!r}") from None
 
 
+def _positive(kind, value, key):
+    """_coerce, and a ConfigError unless the value is positive and finite."""
+    value = _coerce(kind, value, key)
+    _require(0 < value < np.inf, f"config key {key!r} must be positive and finite, got {value!r}")
+    return value
+
+
 def _floats(value, key):
     return _coerce(lambda v: np.asarray(v, dtype=float), value, key)
 
@@ -350,8 +357,8 @@ def cmd_blowup(cfg, out_path):
     grid_num = task.get("grid_num")
     sheets, cert_lines = blowup.build_sheets(
         problem,
-        grid_num=None if grid_num is None else _coerce(int, grid_num, "grid_num"),
-        t_max=_coerce(float, task.get("t_max", 10.0), "t_max"),
+        grid_num=None if grid_num is None else _positive(int, grid_num, "grid_num"),
+        t_max=_positive(float, task.get("t_max", 10.0), "t_max"),
     )
     ext = blowup.min_blowup_time(problem, sheets)
     comments = [f"config-sha256: {config_hash(cfg)}", "command: blowup"]
@@ -454,12 +461,17 @@ def _compare_rows(cfg, problem, task, seed):
     else:
         frame, X0, U0 = problem, Y0, data.u0(Y0)
         to_frame = from_frame = np.eye(spec.n)
-    caustic = oracle.caustic_times(frame.spec, data, Y0, T)
+    constant = isinstance(data, model.Constant)
+    # constant data is rigid transport: its characteristics never cross
+    caustic = np.full(num, np.inf) if constant else oracle.caustic_times(frame.spec, data, Y0, T)
     flow = oracle.exact_flow(spec, X0, U0, T)
     err = np.full(num, np.nan)
     status = np.full(num, "POST_BLOWUP", dtype=object)
     rows = np.flatnonzero(~(caustic <= T))
-    if rows.size:
+    if constant:
+        u = np.array([hodograph.closed_form("const_M", spec, T[i], flow.x[i], U0[i]) for i in rows])
+        err[rows], status[rows] = np.abs(u - flow.u[rows]).max(axis=1), "OK"
+    elif rows.size:
         Xf = matops.matvec(to_frame, flow.x[rows])
         M, _, _, st = hodograph._newton(frame, T[rows], Xf, hodograph._default_guess(frame, Xf))
         ok = st == "OK"
@@ -541,11 +553,11 @@ def cmd_coriolis3d(cfg, out_path):
             return 2
         return 0
     # blowup: the first positive root of the residual on the rotated M-grid
-    sheets = blowup.sheets_first_root(
+    sheets = blowup.sheets_scan(
         rot_problem,
-        M_grid=rot_problem.data.m_grids(_coerce(int, task.get("grid_num", 11), "grid_num")),
-        t_max=_coerce(float, task.get("t_max", 10.0), "t_max"),
-        scan_step=_coerce(float, task.get("scan_step", 5e-2), "scan_step"),
+        M_grid=rot_problem.data.m_grids(_positive(int, task.get("grid_num", 11), "grid_num")),
+        t_max=_positive(float, task.get("t_max", 10.0), "t_max"),
+        scan_step=_positive(float, task.get("scan_step", 5e-2), "scan_step"),
         branch="coriolis3d_first",
     )
     ext = blowup.min_blowup_time(rot_problem, sheets)

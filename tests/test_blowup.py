@@ -264,7 +264,7 @@ def test_first_root_sheet_matches_diag2_scan():
     time at every grid point (both go through blowup.scan_roots)."""
     problem = make_problem(np.diag([1.0, -np.sqrt(2.0)]), "tanh2d", {"eps": 0.5}, grid_num=5)
     diag2 = blowup.sheets_diag2(problem, t_max=3.0)
-    (first,) = blowup.sheets_first_root(problem, t_max=3.0)
+    (first,) = blowup.sheets_scan(problem, t_max=3.0)
     finite = 0
     for i, M in enumerate(first.points):
         positive = [s.t[i] for s in diag2 if s.t[i] > 0.0]
@@ -274,6 +274,9 @@ def test_first_root_sheet_matches_diag2_scan():
         assert abs(first.t[i] - min(positive)) <= 1e-11, f"M={M}"
         finite += 1
     assert finite > 5
+
+
+_OFF_PATTERN = [[0.2, 1.1], [-0.9, -0.3]]
 
 
 def _c3d_rotated_problem(grid_num):
@@ -288,27 +291,44 @@ def _c3d_rotated_problem(grid_num):
     return degenerate.rotated_problem(problem, degenerate.coriolis3d_basis(1.2))
 
 
-@pytest.mark.parametrize("case", ["off_pattern", "coriolis3d"])
-def test_first_root_newton_matches_bisection_non_diagonal(case):
-    """Newton-refined first-root sheets for a non-diagonal A against the plain
-    bisection scan on the same nodes: identical NaN pattern, times within 1e-12."""
+@pytest.mark.parametrize("case, first_only", [
+    ("off_pattern", True), ("coriolis3d", True), ("off_pattern", False),
+], ids=["off_pattern", "coriolis3d", "off_pattern-all-roots"])
+def test_first_root_newton_matches_bisection_non_diagonal(case, first_only):
+    """Newton-refined scan sheets for a non-diagonal A against the plain
+    bisection scan on the same nodes: identical NaN pattern, times within 1e-12.
+    first_only keeps the first root t > 0 on 0, step, ..., t_max; otherwise
+    sheet k holds the k-th root on [-t_max, t_max]."""
     if case == "off_pattern":
-        problem = make_problem([[0.2, 1.1], [-0.9, -0.3]], "tanh2d", {"eps": 0.5}, grid_num=7)
+        problem = make_problem(_OFF_PATTERN, "tanh2d", {"eps": 0.5}, grid_num=7)
         t_max = 10.0
     else:
         problem, t_max = _c3d_rotated_problem(grid_num=4), 5.0
     assert not matops.is_exact_diagonal(problem.spec.A)
-    (sheet,) = blowup.sheets_first_root(problem, t_max=t_max)
-    ts = np.concatenate([[0.0], np.arange(5e-2, t_max + 5e-2, 5e-2)])
+    sheets = blowup.sheets_scan(problem, t_max=t_max, first_only=first_only, branch="s{}")
+    if first_only:
+        ts = np.concatenate([[0.0], np.arange(5e-2, t_max + 5e-2, 5e-2)])
+        reason = f"[0, {t_max}]"
+        assert len(sheets) == 1
+    else:
+        ts = np.arange(-t_max, t_max + 5e-2, 5e-2)
+        reason = f"[{-t_max}, {t_max}]"
+        assert len(sheets) > 1
+    assert [s.branch for s in sheets] == [f"s{k}" for k in range(len(sheets))]
+    assert all(s.absent_reason == f"no sign change of the residual on {reason}" for s in sheets)
     finite = 0
-    for M, t in zip(sheet.points, sheet.t):
+    for i, M in enumerate(sheets[0].points):
         roots = _reference_scan(problem, M, ts) if problem.data.in_domain(M) else []
-        ref = next((r for r in roots if r > 0.0), np.nan)
-        assert np.isnan(t) == np.isnan(ref), f"M={M}: {t} vs {ref}"
-        if np.isfinite(ref):
-            assert abs(t - ref) <= 1e-12, f"M={M}: {t!r} vs {ref!r}"
-            finite += 1
-    assert 5 < finite < sheet.t.size, finite
+        if first_only:
+            roots = [r for r in roots if r > 0.0][:1]
+        for k, sheet in enumerate(sheets):
+            t = sheet.t[i]
+            if k < len(roots):
+                assert abs(t - roots[k]) <= 1e-12, f"M={M} sheet {k}: {t!r} vs {roots[k]!r}"
+                finite += 1
+            else:
+                assert np.isnan(t), f"M={M} sheet {k}: {t!r}"
+    assert 5 < finite < sum(s.t.size for s in sheets), finite
 
 
 @pytest.mark.parametrize("w, step", [(1.0, 1.7), (-2.5, 1.1)])
@@ -404,7 +424,7 @@ def test_coriolis_first_time_matches_residual_scan(family, params, A):
     problem = make_problem(A, family, params, grid_num=41)
     sheet = blowup.sheets_coriolis2d(problem)[0]
     lam = blowup._elliptic_lambda(problem.spec.A)
-    scanned = blowup.sheets_first_root(
+    scanned = blowup.sheets_scan(
         problem, M_grid=[[0.0], [0.0]], t_max=4.0 * np.pi / lam, scan_step=1e-3
     )[0].branch_fn
     data = problem.data
@@ -485,3 +505,59 @@ def test_closed_form_sheets_match_per_point_loop(case):
         finite = np.isfinite(ref)
         assert 0 < finite.sum() < ref.size, finite.sum()
         assert np.allclose(sheet.t[finite], ref[finite], rtol=1e-14, atol=0.0)
+
+
+_C3D_SCALAR_DATA = ("separable", {"components": [
+    ("tanh1d", {"mu": 0.8, "kappa": 0.9}),
+    ("gauss1d", {"eta": 0.6, "kappa": 1.1}),
+    ("gauss1d", {"eta": 0.7, "kappa": 0.8}),
+]})
+
+
+@pytest.mark.parametrize("case", [
+    "1d", "scalar2d", "scalar2d-linear-double-root", "scalar2d-linear-close-roots",
+    "scalar3d", "elliptic", "periodic2d", "diag2-rational", "diag2-irrational",
+    "scan-first", "scan-all",
+])
+def test_branch_fn_returns_the_stored_grid_value(case):
+    """At every grid point each sheet's branch_fn returns the sheet's own stored
+    time bit for bit, NaN at the same points: the grid and the refinement probe
+    are one evaluation.  The two linear cases have a (near-)double root, where a
+    probe that solved the quadratic another way than the grid gave NaN beside a
+    finite grid value, or one root for both sheets."""
+    if case == "1d":
+        problem = make_problem([[-0.7]], "tanh1d", {"mu": 1.0, "kappa": 1.0}, grid_num=41)
+        sheets = [blowup.sheet_1d(problem)]
+    elif case.startswith("scalar2d"):
+        R = {"scalar2d-linear-double-root": [[1.1, 0.3], [-0.3, 0.5]],
+             "scalar2d-linear-close-roots": [[0.3, 0.2], [-0.05, 0.5]]}.get(case)
+        family, params = ("tanh2d", {"eps": 0.5}) if R is None else ("linear", {"R": R})
+        problem = make_problem(-0.4 * np.eye(2), family, params, grid_num=21)
+        sheets = blowup.sheets_diag(problem)
+    elif case == "scalar3d":
+        problem = make_problem(-0.3 * np.eye(3), *_C3D_SCALAR_DATA, grid_num=7)
+        sheets = blowup.sheets_diag(problem)
+    elif case in ("elliptic", "periodic2d"):
+        A = (model.coriolis2d_spec(-1.3).A if case == "elliptic"
+             else periodicity.make_periodic_2d(1.3, 0.7, 2.0))
+        problem = make_problem(A, "gauss2d_coriolis", {"amplitude": 1.0}, grid_num=31)
+        sheets = blowup.sheets_coriolis2d(problem)
+    elif case == "diag2-rational":
+        problem = make_problem(np.diag([0.6, -0.6]), "tanh2d", {"eps": 0.5}, grid_num=15)
+        sheets = blowup.sheets_diag2(problem)
+    elif case == "diag2-irrational":
+        problem = make_problem(np.diag([1.0, -np.sqrt(2.0)]), "tanh2d", {"eps": 0.5}, grid_num=5)
+        sheets = blowup.sheets_diag2(problem, t_max=3.0)
+        assert "sign change" in sheets[0].absent_reason, "expected the scan path"
+    else:
+        problem = make_problem(_OFF_PATTERN, "tanh2d", {"eps": 0.5}, grid_num=5)
+        sheets = blowup.sheets_scan(problem, t_max=6.0, first_only=case == "scan-first")
+    finite = 0
+    for sheet in sheets:
+        probed = np.array([sheet.branch_fn(M) for M in sheet.points])
+        nan = np.isnan(sheet.t)
+        assert np.array_equal(np.isnan(probed), nan), f"{sheet.branch}: NaN patterns differ"
+        assert np.array_equal(probed[~nan].view(np.int64), sheet.t[~nan].view(np.int64)), (
+            f"{sheet.branch}: probe differs from the grid value")
+        finite += int((~nan).sum())
+    assert finite > 0, case

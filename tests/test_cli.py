@@ -177,6 +177,27 @@ def test_compare_gate_pass_and_fail(tmp_path):
     assert rc == 3, "an unreachable bound must trip the comparison gate"
 
 
+@pytest.mark.parametrize("matrix, g, c", [
+    ([[0.3]], [1.0], [0.5]),
+    ([[-0.4, 0.7], [-0.7, -0.4]], [0.2, -1.0], [0.5, -0.25]),
+])
+def test_compare_constant_data_is_solved_in_closed_form(tmp_path, matrix, g, c):
+    """Constant data is rigid transport: no characteristics cross, so no sample
+    is POST_BLOWUP, and each one's velocity is the closed form, equal to the
+    exact flow's to rounding."""
+    cfg = {
+        "problem": {"matrix": matrix, "g": g},
+        "data": {"family": "constant", "params": {"c": c}},
+        "task": {"name": "compare", "num_samples": 5, "t_range": [0.05, 2.0], "seed": 3},
+    }
+    out = tmp_path / "const.csv"
+    assert cli.main(["compare", "--config", write_cfg(tmp_path, "const.yaml", cfg),
+                     "--out", str(out)]) == 0
+    comments, _, body = read_csv(out)
+    assert "# samples: 5 (ok: 5, post_blowup: 0, solve_fail: 0)" in comments, comments
+    assert all(row[-1] == "OK" and float(row[-2]) <= 1e-14 for row in body), body
+
+
 def test_compare_seed_flag_changes_then_restores_bytes(tmp_path):
     cfg_path = write_cfg(tmp_path, "cmp.yaml", {
         "problem": {"matrix": [[0.0]], "g": [1.0]},
@@ -476,6 +497,14 @@ _TANH_1D = {
     "problem": {"matrix": [[0.0]], "g": [1.0]},
     "data": {"family": "tanh1d", "params": {"mu": 1.0, "kappa": 1.0}},
 }
+_DIAG2_IRRATIONAL = {
+    "problem": {"matrix": [[1.0, 0.0], [0.0, -1.4142135623730951]]},
+    "data": {"family": "tanh2d", "params": {"eps": 0.5}},
+}
+_C3D_BLOWUP = {
+    "problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
+    "data": C3D_BLOWUP_DATA,
+}
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -502,10 +531,27 @@ _TANH_1D = {
     ("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 0}}),
     ("period", {**_GAUSS_PERIOD, "task": {"name": "period", "verify": {"num_points": 0}}}),
     ("compare", {**_TANH_1D, "task": {"name": "compare", "t_range": [-3.0, -0.5]}}),
+    ("blowup", {**_DIAG2_IRRATIONAL, "task": {"name": "blowup", "grid_num": -1}}),
+    ("blowup", {**_DIAG2_IRRATIONAL, "task": {"name": "blowup", "grid_num": 0}}),
+    ("blowup", {**_DIAG2_IRRATIONAL, "task": {"name": "blowup", "grid_num": 3, "t_max": -1.0}}),
+    ("blowup", {**_DIAG2_IRRATIONAL, "task": {"name": "blowup", "grid_num": 3, "t_max": 0.0}}),
+    ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
+                                            "grid_num": 0}}),
+    ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
+                                            "t_max": -5.0}}),
+    ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
+                                            "scan_step": 0}}),
+    ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
+                                            "scan_step": -0.05}}),
+    ("blowup", {"problem": {"matrix": [[0.3]]}, "data": {"family": "constant", "params": {
+        "c": [0.5]}}, "task": {"name": "blowup"}}),
 ], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
         "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0",
         "compare-t_range-reversed", "period-t_range-reversed", "compare-num_samples-0",
-        "period-num_points-0", "compare-t_range-negative"])
+        "period-num_points-0", "compare-t_range-negative", "blowup-grid_num-negative",
+        "blowup-grid_num-0", "blowup-t_max-negative", "blowup-t_max-0", "coriolis3d-grid_num-0",
+        "coriolis3d-t_max-negative", "coriolis3d-scan_step-0", "coriolis3d-scan_step-negative",
+        "blowup-constant-data"])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
@@ -605,7 +651,7 @@ def test_blowup_scalar_matrix_on_curved_domain_is_warning_free(tmp_path, capsys)
                      "--out", str(out)]) == 0
     assert "Warning" not in capsys.readouterr().err
     comments, _, body = read_csv(out)
-    assert "# t_star: 0.7869381154991719" in comments
+    assert "# t_star: 0.786938115499232" in comments
     assert len(body) == 2 * 41 * 41 and any(row[3] == "nan" for row in body)
 
 

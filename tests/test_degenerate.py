@@ -196,7 +196,7 @@ def test_coriolis3d_blowup_residual_root():
     """Frozen root: w = 1.2, separable data, M = (0.75, 0.35, 0.4)."""
     problem = rotated_c3d_problem(1.2)
     M = np.array([0.75, 0.35, 0.4])
-    (sheet,) = blowup.sheets_first_root(
+    (sheet,) = blowup.sheets_scan(
         problem, M_grid=[[m] for m in M], t_max=5.0, scan_step=1e-2
     )
     t_root = float(sheet.t[0])
