@@ -709,6 +709,12 @@ def _verify_blowup_time(problem, t_star, M_star):
         )
 
 
+def require_sheets(data):
+    """ConfigError for data with no blow-up sheets: constant data, whose characteristics never cross."""
+    if isinstance(data, Constant):
+        raise ConfigError("constant data has no blow-up sheets: its characteristics never cross")
+
+
 def build_sheets(problem, grid_num=None, t_max=10.0):
     """Blow-up sheets dispatched on the structure of A, with certificate lines.
 
@@ -721,8 +727,7 @@ def build_sheets(problem, grid_num=None, t_max=10.0):
     certificate_lines); any other A, and constant data, raise ConfigError.
     """
     A, n = problem.spec.A, problem.spec.n
-    if isinstance(problem.data, Constant):
-        raise ConfigError("constant data has no blow-up sheets: its characteristics never cross")
+    require_sheets(problem.data)
     grids = problem.data.m_grids() if grid_num is None else problem.data.m_grids(grid_num)
     cert_lines = []
     if n == 1:

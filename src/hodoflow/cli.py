@@ -200,8 +200,8 @@ def build_problem(cfg):
     return model.HodographProblem(
         spec,
         data,
-        newton_tol=_coerce(float, solver.get("newton_tol", 1e-12), "newton_tol"),
-        newton_max_iter=_coerce(int, solver.get("max_iter", 50), "max_iter"),
+        newton_tol=_positive(float, solver.get("newton_tol", 1e-12), "newton_tol"),
+        newton_max_iter=_positive(int, solver.get("max_iter", 50), "max_iter"),
     )
 
 
@@ -553,6 +553,7 @@ def cmd_coriolis3d(cfg, out_path):
             return 2
         return 0
     # blowup: the first positive root of the residual on the rotated M-grid
+    blowup.require_sheets(rot_problem.data)
     sheets = blowup.sheets_scan(
         rot_problem,
         M_grid=rot_problem.data.m_grids(_positive(int, task.get("grid_num", 11), "grid_num")),

@@ -39,6 +39,8 @@ from .model import Constant
 
 #: damping budget: the Newton step may be halved this many times
 _MAX_HALVINGS = 8
+#: the damped step lengths tried after a refused full step: 1/2, ..., 2^-_MAX_HALVINGS
+_HALVES = 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
 
 
 @dataclass
@@ -213,64 +215,99 @@ def _rows(f, M):
 
 
 def _newton(problem, t, X, M0):
-    """Damped Newton on residual_M = 0 for every row of X at once.
+    """Damped Newton on residual_M = 0 for every row of X, each row on its own schedule.
 
-    X holds k positions and M0 their starting guesses, both (k, n); t is one
-    time for every row, or a (k,) array with row i's own time (phi1 and phi2
-    then come from one matops.phi_table).  Returns
-    (M, iters, rnorm, status), one entry per row: status is OK, SINGULAR,
-    NO_CONVERGENCE or DOMAIN_EXIT, M the root or the last in-domain iterate of
-    a failed row, iters the Newton iterations used and rnorm the max-norm
-    residual at M.  Each row follows the one-point rules: a step is halved
-    until the residual decreases (or meets newton_tol) with M in-domain, at
-    most _MAX_HALVINGS times; a singular Newton matrix before the first step
-    restarts the row once from _scan_guess.
+    X holds k positions and M0 their starting guesses, both (k, n).  t is one
+    time for every row, a (k,) array with row i's own time (phi1 and phi2 then
+    come from one matops.phi_table), or a (k, q) array: a queue of q times per
+    row, solved in turn, each root the guess for the row's next time (one
+    matops.phi1/phi2 call per distinct time).  Returns (M, iters, rnorm,
+    status), one entry per row and queued time, (k, q) for a queue and (k,)
+    otherwise: status is OK, SINGULAR, NO_CONVERGENCE or DOMAIN_EXIT, and
+    POST_BLOWUP for every queued time after a row's first failure; M is the
+    root or the last in-domain iterate of a failed time, iters the Newton
+    iterations used and rnorm the max-norm residual at M.
+
+    Rows do not wait for each other: a row that converges moves on to its
+    next time in the same pass, with its guess clipped into the domain and a
+    fresh newton_max_iter budget.  Each time follows the one-point rules: the
+    step is damped by the first of 1, 1/2, ..., 2^-_MAX_HALVINGS that keeps M
+    in-domain and decreases the residual (or meets newton_tol), the smallest
+    trial deciding DOMAIN_EXIT or NO_CONVERGENCE when none does; a singular
+    Newton matrix before the first step restarts the row once from
+    _scan_guess.  The full step is tried on every row, and the halvings of
+    the rows that refuse it in one stacked pass.
     """
     spec, data = problem.spec, problem.data
-    tol = problem.newton_tol
-    per_row = np.ndim(t) > 0
-    if per_row:
-        _, P1, P2 = matops.phi_table(spec.A, t)
+    tol, max_iter = problem.newton_tol, problem.newton_max_iter
+    T = np.asarray(t, dtype=float)
+    k, n = np.shape(X)
+    if T.ndim == 1:
+        _, P1, P2 = matops.phi_table(spec.A, T)
         P2g = matops.matvec(P2, spec.g)
+        queue = np.arange(k)[:, None]
     else:
-        P1 = matops.phi1(spec.A, t)
-        P2g = matops.phi2(spec.A, t) @ spec.g
-
-    def at(rows):
-        """(P1, phi2 g) of the given rows."""
-        return (P1[rows], P2g[rows]) if per_row else (P1, P2g)
-
-    def res(rows, M):
-        P, Pg = at(rows)
-        return X[rows] - matops.matvec(P, M) - Pg - _rows(data.phi, M)
-
-    k = len(X)
+        times, queue = np.unique(T, return_inverse=True)
+        P1 = np.array([matops.phi1(spec.A, s) for s in times])
+        P2g = np.array([matops.phi2(spec.A, s) @ spec.g for s in times])
+        queue = queue.reshape(T.shape) if T.ndim else np.zeros((k, 1), dtype=int)
+    q = queue.shape[1]
+    cur = queue[:, 0].copy()  # table row of each row's current time
+    pos = np.zeros(k, dtype=int)  # its place in the queue
     M = np.array(M0, dtype=float)
-    outside = ~_rows(data.in_domain, M)
-    if outside.any():
-        M[outside] = data.clip_to_domain(M[outside])
-    r = res(slice(None), M)
-    rnorm = np.abs(r).max(axis=1)
+    r = np.empty_like(M)
+    rnorm = np.empty(k)
     iters = np.zeros(k, dtype=int)
-    status = np.full(k, "NO_CONVERGENCE", dtype=object)
+    fresh = np.ones(k, dtype=bool)  # neither stepped nor rescued at this time
     alive = np.ones(k, dtype=bool)
-    fresh = np.ones(k, dtype=bool)  # neither stepped nor rescued yet
+    # results by slot: row * q + place in the queue
+    out_M = np.full((k * q, n), np.nan)
+    out_iters = np.zeros(k * q, dtype=int)
+    out_rnorm = np.full(k * q, np.nan)
+    out_status = np.full(k * q, "POST_BLOWUP", dtype=object)
 
-    def finish(rows, it, why):
-        iters[rows] = it
-        status[rows] = why
+    def res(rows, Ms):
+        c = cur[rows]
+        return X[rows] - matops.matvec(P1[c], Ms) - P2g[c] - _rows(data.phi, Ms)
+
+    def arm(rows):
+        """Start rows at their current time: guess clipped into the domain."""
+        outside = ~_rows(data.in_domain, M[rows])
+        if outside.any():
+            M[rows[outside]] = data.clip_to_domain(M[rows[outside]])
+        r[rows] = res(rows, M[rows])
+        rnorm[rows] = np.abs(r[rows]).max(axis=1)
+        iters[rows] = 0
+        fresh[rows] = True
+
+    def finish(rows, why, it):
+        s = rows * q + pos[rows]
+        out_M[s], out_rnorm[s], out_iters[s], out_status[s] = M[rows], rnorm[rows], it, why
         alive[rows] = False
 
-    for it in range(1, problem.newton_max_iter + 1):
+    arm(np.arange(k))
+    rounds = 0  # passes made: no row has more iterations at its current time
+    while True:
+        done = np.flatnonzero(alive & (rnorm <= tol))
+        while done.size:
+            finish(done, "OK", iters[done])
+            pos[done] += 1
+            done = done[pos[done] < q]
+            if done.size:  # a converged row moves on to its next time at once
+                alive[done] = True
+                cur[done] = queue[done, pos[done]]
+                arm(done)
+                done = done[rnorm[done] <= tol]
         rows = np.flatnonzero(alive)
-        conv = rnorm[rows] <= tol
-        if conv.any():
-            finish(rows[conv], it - 1, "OK")
-            rows = rows[~conv]
+        if rounds >= max_iter:
+            spent = iters[rows] >= max_iter
+            finish(rows[spent], "NO_CONVERGENCE", max_iter)
+            rows = rows[~spent]
         if not rows.size:
             break
+        rounds += 1
         Mr = M[rows]
-        step, singular = matops.solve_stacked(at(rows)[0] + _rows(data.phi_jacobian, Mr), r[rows])
+        step, singular = matops.solve_stacked(P1[cur[rows]] + _rows(data.phi_jacobian, Mr), r[rows])
         if singular.any():
             for i in rows[singular]:
                 # singular at the start: the guess, not the target, is on the
@@ -278,40 +315,54 @@ def _newton(problem, t, X, M0):
                 M_new = _scan_guess(problem, lambda Ms, i=i: res(i, Ms)) if fresh[i] else None
                 fresh[i] = False
                 if M_new is None:
-                    finish(i, it - 1, "SINGULAR")
+                    finish(i, "SINGULAR", iters[i])
                 else:
                     M[i] = M_new
                     r[i] = res([i], M[i : i + 1])[0]
                     rnorm[i] = np.abs(r[i]).max()
+                    iters[i] += 1
             rows, Mr, step = rows[~singular], Mr[~singular], step[~singular]
-        # damped update: halve until the residual decreases and M stays in-domain
-        rnr = rnorm[rows]
-        pending = np.ones(len(rows), dtype=bool)
-        lam = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            trial = Mr + lam * step
-            inside = _rows(data.in_domain, trial)
-            cand = pending & inside
-            if cand.any():
-                r_new = res(rows[cand], trial[cand])
+            if not rows.size:
+                continue
+        # damped update: the full step, then the halvings of the rows it fails
+        trial = Mr + step
+        refused = ~_rows(data.in_domain, trial)
+        cand = np.flatnonzero(~refused)
+        if cand.size:
+            r_new = res(rows[cand], trial[cand])
+            rn_new = np.abs(r_new).max(axis=1)
+            take = (rn_new < rnorm[rows[cand]]) | (rn_new <= tol)
+            refused[cand[~take]] = True
+            acc, done = cand[take], rows[cand[take]]
+            M[done], r[done], rnorm[done] = trial[acc], r_new[take], rn_new[take]
+        if refused.any():
+            p = rows[refused]
+            h = len(_HALVES)
+            trials = (Mr[refused, None] + _HALVES[:, None] * step[refused, None]).reshape(-1, n)
+            inside = _rows(data.in_domain, trials)
+            ok = np.zeros(len(trials), dtype=bool)
+            c = np.flatnonzero(inside)
+            if c.size:
+                owner = p[c // h]
+                r_new = res(owner, trials[c])
                 rn_new = np.abs(r_new).max(axis=1)
-                take = (rn_new < rnr[cand]) | (rn_new <= tol)
-                acc = np.flatnonzero(cand)[take]
-                done = rows[acc]
-                M[done], r[done], rnorm[done] = trial[acc], r_new[take], rn_new[take]
-                fresh[done] = False
-                pending[acc] = False
-            if not pending.any():
-                break
-            lam *= 0.5
-        else:
-            # the last trial, at the smallest step, decides why the row failed
-            finish(rows[pending & ~inside], it - 1, "DOMAIN_EXIT")
-            finish(rows[pending & inside], it - 1, "NO_CONVERGENCE")
-    rows = np.flatnonzero(alive)
-    finish(rows[rnorm[rows] <= tol], problem.newton_max_iter, "OK")
-    finish(np.flatnonzero(alive), problem.newton_max_iter, "NO_CONVERGENCE")
-    return M, iters, rnorm, status
+                ok[c] = (rn_new < rnorm[owner]) | (rn_new <= tol)
+            ok = ok.reshape(-1, h)
+            took = ok.any(axis=1)
+            if took.any():  # each row takes its first accepted trial
+                first = np.flatnonzero(took) * h + ok[took].argmax(axis=1)
+                at, done = np.searchsorted(c, first), p[took]
+                M[done], r[done], rnorm[done] = trials[first], r_new[at], rn_new[at]
+            if not took.all():
+                # the last trial, at the smallest step, decides why a row failed
+                last = inside[h - 1 :: h]
+                for why, mask in (("DOMAIN_EXIT", ~took & ~last), ("NO_CONVERGENCE", ~took & last)):
+                    finish(p[mask], why, iters[p[mask]])
+                rows = rows[alive[rows]]
+        fresh[rows] = False
+        iters[rows] += 1
+    shape = (k, q) if T.ndim == 2 else (k,)
+    return out_M.reshape(*shape, n), out_iters.reshape(shape), out_rnorm.reshape(shape), out_status.reshape(shape)
 
 
 #: the error solve_M raises for each failed _newton status
@@ -443,12 +494,13 @@ class FieldSample:
 def solve_field(problem, t_values, x_points):
     """Sweep the solver over times x points with per-point guess continuation.
 
-    Each spatial point keeps its own M guess, updated after every successful
-    solve at the previous time.  A sweep does not attempt to continue past a
+    Each spatial point is one track: its times are solved in order, each from
+    the root of the one before.  A sweep does not attempt to continue past a
     gradient catastrophe: after the first failed time on a track, later times
     on that track are marked POST_BLOWUP, never interpolated or branch-hopped.
-    At each time one _newton call solves every live track together.  Rows come
-    point-major: all times of the first point, then of the next.
+    One _newton call solves every track, each moving on to its next time as
+    soon as it converges.  Rows come point-major: all times of the first
+    point, then of the next.
     """
     spec, data = problem.spec, problem.data
     X = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_points])
@@ -459,26 +511,19 @@ def solve_field(problem, t_values, x_points):
             for x in X
             for t in times
         ]
+    if not times:
+        return []
+    M, iters, _, status = _newton(problem, np.tile(times, (len(X), 1)), X, _default_guess(problem, X))
+    ok = status == "OK"
     u = [[None] * len(times) for _ in X]
-    iters = np.zeros((len(X), len(times)), dtype=int)
-    status = np.full((len(X), len(times)), "POST_BLOWUP", dtype=object)
-    live = np.ones(len(X), dtype=bool)
-    guess = _default_guess(problem, X)
     for j, t in enumerate(times):
-        rows = np.flatnonzero(live)
-        if not rows.size:
-            break
-        M, it, _, st = _newton(problem, t, X[rows], guess[rows])
-        ok = st == "OK"
-        status[rows, j] = st
-        live[rows[~ok]] = False
-        rows, M = rows[ok], M[ok]
-        guess[rows] = M
-        iters[rows, j] = it[ok]
-        for i, u_i in zip(rows, u_from_M(spec, t, M)):
-            u[i][j] = u_i
+        rows = np.flatnonzero(ok[:, j])
+        if rows.size:
+            for i, u_i in zip(rows, u_from_M(spec, t, M[rows, j])):
+                u[i][j] = u_i
     return [
-        FieldSample(t=t, x=X[i], u=u[i][j], iters=int(iters[i, j]), status=status[i, j])
+        FieldSample(t=t, x=X[i], u=u[i][j], iters=int(iters[i, j]) if ok[i, j] else 0,
+                    status=status[i, j])
         for i in range(len(X))
         for j, t in enumerate(times)
     ]

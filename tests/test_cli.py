@@ -501,6 +501,11 @@ _DIAG2_IRRATIONAL = {
     "problem": {"matrix": [[1.0, 0.0], [0.0, -1.4142135623730951]]},
     "data": {"family": "tanh2d", "params": {"eps": 0.5}},
 }
+_CORIOLIS_ONE_POINT = {
+    "problem": {"preset": "coriolis2d", "omega": 1.0},
+    "data": {"family": "gauss2d_coriolis", "params": {"amplitude": 1.0}},
+    "task": {"name": "solve", "times": [0.3], "points": [[0.5, 0.5]]},
+}
 _C3D_BLOWUP = {
     "problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
     "data": C3D_BLOWUP_DATA,
@@ -545,13 +550,20 @@ _C3D_BLOWUP = {
                                             "scan_step": -0.05}}),
     ("blowup", {"problem": {"matrix": [[0.3]]}, "data": {"family": "constant", "params": {
         "c": [0.5]}}, "task": {"name": "blowup"}}),
+    ("coriolis3d", {"problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
+                    "data": {"family": "constant", "params": {"c": [0.1, 0.2, 0.3]}},
+                    "task": {"name": "coriolis3d", "mode": "blowup", "grid_num": 3}}),
+    *[("solve", {**_CORIOLIS_ONE_POINT, "solver": solver})
+      for solver in ({"max_iter": -3}, {"max_iter": 0}, {"newton_tol": -1.0},
+                     {"newton_tol": float("nan")})],
 ], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
         "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0",
         "compare-t_range-reversed", "period-t_range-reversed", "compare-num_samples-0",
         "period-num_points-0", "compare-t_range-negative", "blowup-grid_num-negative",
         "blowup-grid_num-0", "blowup-t_max-negative", "blowup-t_max-0", "coriolis3d-grid_num-0",
         "coriolis3d-t_max-negative", "coriolis3d-scan_step-0", "coriolis3d-scan_step-negative",
-        "blowup-constant-data"])
+        "blowup-constant-data", "coriolis3d-constant-data", "solver-max_iter-negative",
+        "solver-max_iter-0", "solver-newton_tol-negative", "solver-newton_tol-nan"])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1

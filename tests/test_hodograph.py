@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import yaml
 
-from hodoflow import hodograph, matops, model, oracle
+from hodoflow import cli, hodograph, matops, model, oracle
 from hodoflow.errors import (
     DegenerateMatrixError,
     DomainExitError,
@@ -202,6 +203,15 @@ def test_residual_u_cross_checks_residual_M():
         assert np.max(np.abs(r_u - r_M)) <= 1e-12
 
 
+#: one track of a FIELD_CASES case that fails with each status: (case, point, statuses)
+_FAILED_TRACKS = {
+    "SINGULAR": ("linear", [0.3, -0.2], ["OK", "SINGULAR", "POST_BLOWUP"]),
+    "NO_CONVERGENCE": ("tanh2d", [1.0, -0.5],
+                       ["OK", "NO_CONVERGENCE", "POST_BLOWUP", "POST_BLOWUP", "POST_BLOWUP"]),
+    "DOMAIN_EXIT": ("gauss1d", [0.5], ["OK", "OK", "DOMAIN_EXIT", "POST_BLOWUP", "POST_BLOWUP"]),
+}
+
+
 @pytest.mark.parametrize("error, status", [
     (JacobianSingularError("singular"), "SINGULAR"),
     (NoConvergenceError("stalled"), "NO_CONVERGENCE"),
@@ -211,27 +221,32 @@ def test_solve_field_marks_the_failed_track_dead(monkeypatch, error, status):
     """A failed row status writes u = None and iters = 0, and every later time on
     that track is POST_BLOWUP without another solve; solve_M raises the
     status's error for the same row."""
-    problem = model.HodographProblem(
-        model.ForceSpec(np.array([[0.5]]), np.zeros(1)), model.make_data("tanh1d", mu=1.0, kappa=1.0)
-    )
-    real_newton = hodograph._newton
-    calls = []
+    case, point, statuses = _FAILED_TRACKS[status]
+    problem, times, _ = _field_problem(next(c for c in FIELD_CASES if c[0] == case))
+    x = np.array(point)
+    fail = next(j for j, st in enumerate(statuses) if st != "OK")
+    real_solve = matops.solve_stacked
+    solved = []
 
-    def failing_after_first(problem, t, X, M0):
-        calls.append(t)
-        M, iters, rnorm, statuses = real_newton(problem, t, X, M0)
-        if t > 0.0:
-            statuses = np.full(len(X), status, dtype=object)
-        return M, iters, rnorm, statuses
+    def counting(A, B):
+        solved.append(len(A))
+        return real_solve(A, B)
 
-    monkeypatch.setattr(hodograph, "_newton", failing_after_first)
-    rows = hodograph.solve_field(problem, [0.0, 0.1, 0.2, 0.3], [np.array([0.2])])
-    assert [r.status for r in rows] == ["OK", status, "POST_BLOWUP", "POST_BLOWUP"]
-    assert rows[0].u is not None
-    assert all(r.u is None and r.iters == 0 for r in rows[1:])
-    assert calls == [0.0, 0.1]
+    monkeypatch.setattr(matops, "solve_stacked", counting)
+    rows = hodograph.solve_field(problem, times, [x])
+    assert [r.status for r in rows] == statuses
+    assert all(r.u is not None for r in rows[:fail])
+    assert all(r.u is None and r.iters == 0 for r in rows[fail:])
+    # the Newton steps of the whole sweep are those of the sweep cut at the failure
+    steps, solved[:] = sum(solved), []
+    hodograph.solve_field(problem, times[: fail + 1], [x])
+    assert steps == sum(solved) > 0
+    monkeypatch.undo()
+    guess = None
+    for t in times[:fail]:
+        guess = hodograph.solve_M(problem, t, x, guess)[1].M
     with pytest.raises(type(error)):
-        hodograph.solve_M(problem, 0.1, np.array([0.2]))
+        hodograph.solve_M(problem, times[fail], x, guess)
 
 
 def _scan_guess_loop(problem, res_fn):
@@ -380,6 +395,74 @@ def test_solve_field_matches_per_point_solves(case, solve):
             assert row.u is None
         else:
             assert np.max(np.abs(row.u - u)) <= 1e-13
+
+
+#: a track's times repeat and go back, so its queue length and iteration
+#: counts differ from its neighbours' and the tracks fall out of step
+_OUT_OF_STEP_TIMES = [0.0, 0.1, 0.1, 0.05, 0.25, 0.2, 0.4, 0.3, 0.6, 0.9]
+_OUT_OF_STEP_CASES = [
+    ("gauss2d_coriolis", model.coriolis2d_spec(1.0), {"amplitude": 1.0},
+     [[0.1, 0.16], [0.3, 0.2], [0.5, 0.3], [0.6, 0.6], [0.9, 0.9], [1.1, 0.5], [0.2, 1.0], [1.2, 1.1]]),
+    ("tanh2d", model.diag_spec([0.6, -0.6]), {"eps": 0.5},
+     [[-1.0, 0.5], [0.0, 0.0], [1.0, -0.5], [1.5, 1.5], [0.3, 0.8], [-0.6, -1.2]]),
+]
+
+
+@pytest.mark.parametrize("max_iter", range(1, 7))
+@pytest.mark.parametrize("case", _OUT_OF_STEP_CASES, ids=[c[0] for c in _OUT_OF_STEP_CASES])
+def test_solve_field_tracks_out_of_step_match_the_loop(case, max_iter):
+    """Repeated and decreasing times under budgets of 1 to 6 iterations: the
+    sweep gives the plain one-point loop's statuses and iterations, u within 1e-13."""
+    family, spec, params, points = case
+    problem = model.HodographProblem(spec, model.make_data(family, **params), newton_max_iter=max_iter)
+    points = [np.array(p, dtype=float) for p in points]
+    rows = hodograph.solve_field(problem, _OUT_OF_STEP_TIMES, points)
+    ref = _per_point_field(problem, _OUT_OF_STEP_TIMES, points, _solve_M_loop)
+    assert [(r.status, r.iters) for r in rows] == [(st, it) for _, it, st in ref]
+    for row, (u, _, _) in zip(rows, ref):
+        assert (row.u is None) == (u is None)
+        if u is not None:
+            assert np.max(np.abs(row.u - u)) <= 1e-13
+
+
+def _sweep_seed_1_config():
+    """The solve-sweep benchmark config of seed 1: one seeded point in each cell
+    of a 10 x 10 grid over [0.05, 1.2]^2, at 7 times in [0, 0.9]."""
+    rng = np.random.default_rng(1)
+    cells = np.stack(np.meshgrid(np.arange(10), np.arange(10), indexing="ij"), axis=-1).reshape(-1, 2)
+    points = 0.05 + 1.15 * (cells + rng.uniform(size=cells.shape)) / 10
+    return {
+        "problem": {"preset": "coriolis2d", "omega": 1.0},
+        "data": {"family": "gauss2d_coriolis", "params": {"amplitude": 1.0}},
+        "task": {"name": "solve", "times": {"start": 0.0, "stop": 0.9, "num": 7},
+                 "points": [[float(a), float(b)] for a, b in points]},
+    }
+
+
+def test_sweep_newton_passes_stay_few(monkeypatch, tmp_path):
+    """On the seed-1 sweep, one phi_jacobian call per batched Newton pass, at
+    most 60 passes and at most 150 in_domain calls (a schedule in which every
+    time waits for its slowest track, and every halving for the slowest row,
+    makes 98 and 790)."""
+    calls = {"phi_jacobian": 0, "in_domain": 0, "solve_stacked": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(model.Gauss2DCoriolis, "phi_jacobian")
+    counting(model.Gauss2DCoriolis, "in_domain")
+    counting(matops, "solve_stacked")
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump(_sweep_seed_1_config()))
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 0
+    assert calls["phi_jacobian"] == calls["solve_stacked"], calls
+    assert calls["phi_jacobian"] <= 60 and calls["in_domain"] <= 150, calls
 
 
 def test_field_cases_reach_every_status_and_a_rescue(monkeypatch):
