@@ -263,31 +263,66 @@ def sheet_1d(problem, M_grid=None):
     return sheet
 
 
-def _golden_min(f, a, b, tol=1e-12, max_iter=200):
-    """Plain golden-section minimization on [a, b]; returns (x, f(x))."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+
+
+def _line_min(f, a, b, tol=1e-12, max_iter=200):
+    """Brent's bounded minimizer on [a, b] (Brent 1973, ch. 5).
+
+    A parabolic step through the three best points so far, or a golden-section
+    step when the parabola is undefined, leaves the bracket, is not shorter
+    than half the step before last, or passes through a non-finite value (NaN
+    counts as inf).  Stops once the bracket around the best point is narrower than tol.
+    Returns the best probed point and its value, (x, f(x)).
+    """
+
+    def value(u):
+        fu = float(f(u))
+        return np.inf if np.isnan(fu) else fu
+
+    eps = np.finfo(float).eps
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = value(x)
+    d = e = 0.0
     for _ in range(max_iter):
-        if (b - a) < tol:
+        m = 0.5 * (a + b)
+        tol1 = 0.25 * tol + eps * abs(x)
+        if max(x - a, b - x) <= 2.0 * tol1:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+        step = None
+        if abs(e) > tol1 and np.isfinite(fx + fw + fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                if min(x + step - a, b - x - step) < 2.0 * tol1:
+                    step = tol1 if x < m else -tol1
+        if step is None:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+            e, d = d, step
+        u = x + (d if abs(d) >= tol1 else np.copysign(tol1, d))
+        fu = value(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def certify_no_blowup_1d(problem, num=2001):
     """Global no-blow-up certificate for 1D: A phi'(M) >= 1 on the whole domain.
 
-    Minimizes s(M) = A*phi'(M) by dense grid plus golden-section refinement;
+    Minimizes s(M) = A*phi'(M) by dense grid plus a Brent line search;
     Certified iff the minimum exceeds 1 (then 1 - A phi' <= 0 everywhere and
     the log in the sheet formula never has a positive argument).
     """
@@ -299,7 +334,7 @@ def certify_no_blowup_1d(problem, num=2001):
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
     f = lambda m: a * data.phi_jacobian(np.array([m]))[0, 0]
-    m_star, v_star = _golden_min(f, lo, hi)
+    m_star, v_star = _line_min(f, lo, hi)
     if vals[i] < v_star:
         m_star, v_star = grid[i], vals[i]
     certified = bool(v_star > 1.0)
@@ -465,8 +500,9 @@ def certify_coriolis_absent(problem, sheet):
     a sin(lam t) + b cos(lam t) + c has no real root at M iff a^2 + b^2 - c^2
     < 0 there, so the sheet is absent everywhere iff that margin stays below 0
     on the whole domain.  Its sup is taken over the in-domain grid points and
-    the points where the grid lines meet the domain edge, then golden-refined
-    per coordinate (sheet_extremum); Certified iff the sup is below 0.
+    the points where the grid lines meet the domain edge, then refined by
+    per-coordinate Brent line searches (sheet_extremum); Certified iff the
+    sup is below 0.
     """
     A, data = problem.spec.A, problem.data
     lam = _elliptic_lambda(A)
@@ -587,7 +623,11 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
 
 
 def sheet_extremum(sheet, mode="min", positive_only=False):
-    """Grid extremum of a sheet's time values, golden-refined via branch_fn.
+    """Grid extremum of a sheet's time values, refined via branch_fn.
+
+    Coordinate descent from the grid extremum: each pass runs one Brent line
+    search (_line_min, to 1e-11) per coordinate over the neighbouring grid
+    cells and keeps a point only when it beats the best value by 1e-14.
 
     Returns (t_extreme, M_at).  positive_only restricts to t > 0 entries.
     """
@@ -625,7 +665,7 @@ def sheet_extremum(sheet, mode="min", positive_only=False):
                 Mv[jj] = v
                 return f(Mv)
 
-            v_star, fv = _golden_min(f1, lo, hi, tol=1e-11)
+            v_star, fv = _line_min(f1, lo, hi, tol=1e-11)
             if fv < best - 1e-14:
                 M[j] = v_star
                 best = fv
@@ -663,9 +703,9 @@ def certify_branch_absent(problem, sheet):
 def min_blowup_time(problem, sheets):
     """Catastrophe record: infimum of positive blow-up times over all sheets.
 
-    Grid minimum refined by per-coordinate golden-section descent on the
-    owning branch; returns NoBlowup when no sheet has a positive time on its
-    grid.  The reported (t*, M*) must satisfy
+    Grid minimum refined by per-coordinate Brent line searches on the
+    owning branch (sheet_extremum); returns NoBlowup when no sheet has a
+    positive time on its grid.  The reported (t*, M*) must satisfy
 
         |blowup_residual(t*, M*)| <= 1e-9 * max(1, |phi1(A, t*)|_F, |J(M*)|_F)^n
 

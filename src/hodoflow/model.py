@@ -546,6 +546,10 @@ class HodographProblem:
     grid_num: int = 201
 
     def __post_init__(self):
+        for key in ("newton_tol", "newton_max_iter", "grid_num"):
+            value = getattr(self, key)
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
         if self.data.dim is not None and self.data.dim != self.spec.n:
             raise ConfigError(
                 f"dimension mismatch: A is {self.spec.n}x{self.spec.n}, "

@@ -372,6 +372,56 @@ def test_blowup_scan_phi1_call_budget(monkeypatch):
     assert len(calls) <= 600, len(calls)
 
 
+def _probed_line_min(f, a, b, tol):
+    """_line_min with every probe recorded: ((x, f(x)), [(u, f(u)), ...])."""
+    probes = []
+
+    def recorded(u):
+        probes.append((u, f(u)))
+        return probes[-1][1]
+
+    return blowup._line_min(recorded, a, b, tol=tol), probes
+
+
+@pytest.mark.parametrize("c, a, b", [(0.3, 0.0, 1.0), (0.123456789, 0.1, 0.9),
+                                     (0.77, 0.0, 1.0), (0.3, 0.25, 0.35)])
+def test_line_min_quartic_converges_in_few_probes(c, a, b):
+    """A smooth quartic with a simple minimum: Brent's parabolic steps reach
+    it to 1e-11 in at most 25 probes, where golden section needs ~57 on [0, 1]."""
+    (x, fx), probes = _probed_line_min(lambda u: (u - c) ** 2 * (u + 1.0) ** 2, a, b, tol=1e-11)
+    assert abs(x - c) <= 1e-11, (x, c)
+    assert len(probes) <= 25, len(probes)
+
+
+@pytest.mark.parametrize("f", [
+    lambda u: np.inf if u < 0.4 else (u - 0.5) ** 2,
+    lambda u: np.nan if u > 0.6 else (u - 0.5) ** 2,
+    lambda u: np.inf if u < 0.6 else (u - 0.8) ** 2,
+], ids=["inf-left", "nan-right", "inf-at-start"])
+def test_line_min_never_returns_inf_after_a_finite_probe(f):
+    """Where the branch has no root the probe is inf (NaN counts as inf): the
+    search steps over that side and returns the finite minimum."""
+    (x, fx), probes = _probed_line_min(f, 0.0, 1.0, tol=1e-11)
+    assert any(np.isfinite(v) for _, v in probes)
+    assert np.isfinite(fx) and fx <= 1e-20, (x, fx)
+
+
+@pytest.mark.parametrize("f, edge", [(lambda u: u, 0.0), (lambda u: (u - 2.0) ** 2, 1.0)],
+                         ids=["left", "right"])
+def test_line_min_endpoint_minimum(f, edge):
+    (x, _), _ = _probed_line_min(f, 0.0, 1.0, tol=1e-11)
+    assert 0.0 <= x <= 1.0 and abs(x - edge) <= 1e-11, x
+
+
+@pytest.mark.parametrize("f", [lambda u: np.sin(20.0 * u) + u, lambda u: abs(u - 0.3),
+                               lambda u: np.inf if 0.2 < u < 0.7 else np.cos(u)])
+def test_line_min_returns_the_best_probed_point(f):
+    """The result is a probed point and its value, the least over all probes."""
+    (x, fx), probes = _probed_line_min(f, 0.0, 1.0, tol=1e-11)
+    assert (x, fx) in probes
+    assert fx == min(v for _, v in probes)
+
+
 def test_near_rotation_is_not_a_rotation():
     """[[0, 1], [-1.000009, 0]] is elliptic with lam = sqrt(1.000009), not a unit
     rotation: every finite sheet time is a residual root of that A."""

@@ -461,6 +461,35 @@ def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
     assert "solver failure" in err and "re-check" in err and "Traceback" not in err, err
 
 
+def test_blowup_scan_refinement_keeps_its_summary_in_few_probes(tmp_path, monkeypatch):
+    """The blowup-scan benchmark config (diag(1, -sqrt 2), tanh2d eps 9, grid 3,
+    t_max 0.11): the minimum sits on the grid point M = 0, so the refinement
+    keeps the grid summary bit for bit, and its Brent line searches make at
+    most 30 branch_fn probes (golden section made 116)."""
+    cfg = write_cfg(tmp_path, "scan.yaml", {
+        "problem": {"preset": "diag", "rates": [1.0, -float(np.sqrt(2.0))]},
+        "data": {"family": "tanh2d", "params": {"eps": 9.0}},
+        "task": {"name": "blowup", "grid_num": 3, "t_max": 0.11},
+    })
+    probes = []
+    sheets_scan = blowup.sheets_scan
+
+    def counted(*args, **kwargs):
+        sheets = sheets_scan(*args, **kwargs)
+        for sheet in sheets:
+            branch_fn = sheet.branch_fn
+            sheet.branch_fn = lambda M, fn=branch_fn: probes.append(M) or fn(M)
+        return sheets
+
+    monkeypatch.setattr(blowup, "sheets_scan", counted)
+    out = tmp_path / "scan.csv"
+    assert cli.main(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    comments, _, _ = read_csv(out)
+    assert "# t_star: 0.10096597532376488" in comments
+    assert "# M_star: 0.0 0.0" in comments
+    assert 0 < len(probes) <= 30, len(probes)
+
+
 C3D_BLOWUP_DATA = {"family": "separable", "components": [
     {"family": "tanh1d", "params": {"mu": 0.8, "kappa": 0.9}},
     {"family": "gauss1d", "params": {"eta": 0.6, "kappa": 1.1}},
@@ -663,7 +692,7 @@ def test_blowup_scalar_matrix_on_curved_domain_is_warning_free(tmp_path, capsys)
                      "--out", str(out)]) == 0
     assert "Warning" not in capsys.readouterr().err
     comments, _, body = read_csv(out)
-    assert "# t_star: 0.786938115499232" in comments
+    assert "# t_star: 0.7869381154991254" in comments
     assert len(body) == 2 * 41 * 41 and any(row[3] == "nan" for row in body)
 
 

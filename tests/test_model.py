@@ -126,6 +126,15 @@ def test_problem_dimension_mismatch():
         model.HodographProblem(model.coriolis2d_spec(1.0), model.make_data("tanh1d", mu=1.0, kappa=1.0))
 
 
+@pytest.mark.parametrize("knob", [{"newton_tol": float("nan")}, {"newton_max_iter": -1},
+                                  {"grid_num": 0}], ids=["tol-nan", "max-iter-negative", "grid-zero"])
+def test_problem_solver_knobs_must_be_positive_and_finite(knob):
+    """The Python API applies the CLI's rule for solver knobs: a NaN tolerance
+    or a non-positive budget is a ConfigError, not a silent NO_CONVERGENCE."""
+    with pytest.raises(ConfigError, match=next(iter(knob))):
+        model.HodographProblem(model.coriolis2d_spec(1.0), model.make_data("gauss2d_coriolis"), **knob)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.2, max_value=3.0), st.floats(min_value=0.2, max_value=3.0))
 def test_tanh1d_inverse_property(mu, kappa):
