@@ -31,8 +31,9 @@ returns the stored value bit for bit.  A builder is its root function:
 * anything else (sheets_scan): the roots of the residual scan scan_roots, a
                         sign scan over one phi1 table (matops.phi1_table), each
                         bracket refined by safeguarded Newton on the exact
-                        t-derivative d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t);
-                        the first positive root on [0, t_max] or every root on
+                        t-derivative d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t),
+                        both from one matops.phi1_exp evaluator per scan;
+                        the first positive root on (0, t_max] or every root on
                         [-t_max, t_max] (the irrational-ratio diag2 case).
 
 build_sheets picks the builder from the structure of A.  Absent entries (no
@@ -67,6 +68,8 @@ _TIME_RESIDUAL_TOL = 1e-9
 _ROOT_TOL = 1e-12
 #: Newton iterations per bracket before scan_roots settles for the bracket midpoint
 _ROOT_MAX_ITER = 100
+#: most t-nodes a sheets_scan grid may have; past it the run is refused, not tabulated
+_SCAN_MAX_NODES = 10**6
 
 
 @dataclass
@@ -134,25 +137,26 @@ def blowup_residual(problem, t, M):
     return float(np.linalg.det(P1 + problem.data.phi_jacobian(M)))
 
 
-def _refine_root(A, J, lo, hi, flo, fhi):
+def _refine_root(phi1_exp, J, lo, hi, flo, fhi):
     """Root of f(t) = det(phi1(A, t) + J) in a bracket with f(lo) f(hi) < 0.
 
-    Safeguarded Newton from the regula-falsi point, one phi1 per step.  With
+    Safeguarded Newton from the regula-falsi point, one phi1_exp(t) =
+    (phi1(A, t), e^{tA}) per step (the matops.phi1_exp evaluator of A).  With
     K = phi1 + J, f'(t) = sum_j det(K with column j replaced by column j of
-    e^{tA} = I + A phi1); f and those n determinants are one stacked det.
-    Each step shrinks the bracket by the sign of f; a Newton step that leaves
-    the open bracket is replaced by its midpoint.  Returns the Newton iterate
-    once the step is <= _ROOT_TOL, the bracket midpoint once the bracket is,
-    or t itself where f is exactly 0.
+    e^{tA}); f and those n determinants are one stacked det over one (n+1,
+    n, n) array, filled afresh each step.  Each step shrinks the bracket by
+    the sign of f; a Newton step that leaves the open bracket is replaced by
+    its midpoint.  Returns the Newton iterate once the step is <= _ROOT_TOL,
+    the bracket midpoint once the bracket is, or t itself where f is exactly 0.
     """
     n = J.shape[0]
     cols = np.arange(n)
-    eye = np.eye(n)
+    Ks = np.empty((n + 1, n, n))
     t = lo - flo * (hi - lo) / (fhi - flo)
     for _ in range(_ROOT_MAX_ITER):
-        P1 = matops.phi1(A, t)
-        Ks = np.repeat((P1 + J)[None], n + 1, axis=0)
-        Ks[cols + 1, :, cols] = (eye + A @ P1).T
+        P1, E = phi1_exp(t)
+        Ks[:] = P1 + J
+        Ks[cols + 1, :, cols] = E.T
         dets = np.linalg.det(Ks)
         f = float(dets[0])
         if f == 0.0:
@@ -173,20 +177,24 @@ def _refine_root(A, J, lo, hi, flo, fhi):
     return float(0.5 * (lo + hi))
 
 
-def scan_roots(A, t_grid, P1_tab, J):
+def scan_roots(A, t_grid, P1_tab, J, phi1_exp=None):
     """Roots of det(phi1(A, t) + J) on t_grid, yielded in increasing t.
 
     P1_tab[i] = phi1(A, t_grid[i]); the scan values are one stacked
     det(P1_tab + J).  A value of exactly 0 at a grid node is a root; a strict
     sign change between neighbours is refined by _refine_root (safeguarded
-    Newton on the blow-up residual itself) to 1e-12.
+    Newton on the blow-up residual itself) to 1e-12.  phi1_exp is the
+    matops.phi1_exp(A) evaluator the refinement uses; callers that scan many
+    J against one A pass it in, else it is built here.
     """
     vals = np.linalg.det(P1_tab + J)
+    if phi1_exp is None:
+        phi1_exp = matops.phi1_exp(A)
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
         if vals[i] == 0.0:
             yield float(t_grid[i])
             continue
-        yield _refine_root(A, J, t_grid[i], t_grid[i + 1], vals[i], vals[i + 1])
+        yield _refine_root(phi1_exp, J, t_grid[i], t_grid[i + 1], vals[i], vals[i + 1])
 
 
 def _time_from_tau(a, tau):
@@ -594,30 +602,41 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     """Blow-up sheets of the residual scan, for any force matrix A.
 
     Per in-domain grid point, the scan_roots of det(phi1(A, t) + d(phi)/dM)
-    over one phi1 table shared by every grid point and every branch_fn probe.
-    first_only: one sheet named branch, the smallest t > 0 on the nodes 0,
-    scan_step, 2 scan_step, ..., t_max (the scan stops at that root).
-    Otherwise every root on arange(-t_max, t_max + scan_step, scan_step), in
-    increasing t, sheet k named branch.format(k).  NaN where no root is found.
+    over one phi1 table and one matops.phi1_exp evaluator, both shared by
+    every grid point and every branch_fn probe.
+    first_only: one sheet named branch, the smallest t in (0, t_max], scanned
+    on the nodes 0, scan_step, 2 scan_step, ..., up to one step past t_max.
+    Otherwise every root in [-t_max, t_max], scanned on arange(-t_max, t_max
+    + scan_step, scan_step), in increasing t, sheet k named branch.format(k).
+    Roots refined past t_max are dropped.  NaN where no root is found.
+    A grid of more than _SCAN_MAX_NODES nodes raises ConfigError before
+    anything is tabulated.
     """
     A, data = problem.spec.A, problem.data
+    lo = 0 if first_only else -t_max
+    start = scan_step if first_only else -t_max
+    nodes = first_only + (t_max + scan_step - start) / scan_step
+    if nodes > _SCAN_MAX_NODES:
+        raise ConfigError(
+            f"blowup scan of t_max {t_max!r} with step {scan_step!r} needs {nodes:,.0f} "
+            f"t-nodes, more than the {_SCAN_MAX_NODES:,} allowed; lower t_max")
+    t_grid = np.arange(start, t_max + scan_step, scan_step)
     if first_only:
-        t_grid = np.concatenate([[0.0], np.arange(scan_step, t_max + scan_step, scan_step)])
-    else:
-        t_grid = np.arange(-t_max, t_max + scan_step, scan_step)
+        t_grid = np.concatenate([[0.0], t_grid])
     P1_tab = matops.phi1_table(A, t_grid)
     if not np.all(np.isfinite(P1_tab)):
         raise OverflowMatrixError(
             f"phi1 overflowed on the scan grid [{t_grid[0]!r}, {t_grid[-1]!r}]")
+    phi1_exp = matops.phi1_exp(A)
 
     def roots(M):
         # one point at a time: the scan of each row costs far more than its Jacobian
-        scans = [scan_roots(A, t_grid, P1_tab, data.phi_jacobian(Mi)) for Mi in M]
+        scans = [scan_roots(A, t_grid, P1_tab, data.phi_jacobian(Mi), phi1_exp) for Mi in M]
         if first_only:
-            return np.array([next((t for t in r if t > 0.0), np.nan) for r in scans]).reshape(-1, 1)
-        return _ragged([list(r) for r in scans])
+            firsts = (next((t for t in r if t > 0.0), np.nan) for r in scans)
+            return np.array([t if t <= t_max else np.nan for t in firsts]).reshape(-1, 1)
+        return _ragged([[t for t in r if abs(t) <= t_max] for r in scans])
 
-    lo = 0 if first_only else -t_max
     return _stacked_sheets(problem, M_grid, branch, roots,
                            f"no sign change of the residual on [{lo}, {t_max}]")
 

@@ -40,6 +40,10 @@ augmented matrices [[tA, tI], [0, 0]], whose top-right block is phi1 itself.
 It has no Taylor route and raises nothing: rows that overflow come back
 non-finite, for the caller to judge.
 
+phi1_exp(A) is the evaluator t -> (phi1(A, t), e^{tA} = I + A phi1) of one
+fixed A, for the root refinements that call it at one t after another: the
+structure of A is tested once, when it is built, with phi1's bits.
+
 phi_table stacks e^{tA}, phi1 and phi2 over many times at once (one stacked
 _expm of the 3n-augmented matrices), for work that carries its own time per
 row, such as the samples of a comparison run.
@@ -273,6 +277,36 @@ def phi1(A, t):
     return t * _phi_dimless(t * A, 1)
 
 
+def phi1_exp(A):
+    """The evaluator t -> (phi1(A, t), e^{tA}) of one fixed A.
+
+    The structure of A is tested here, once, not per call.  e^{tA} is formed
+    as I + A phi1(A, t).  An exactly diagonal A goes entrywise: phi1 is
+    diag(expm1(a t)/a), t where a = 0, and e^{tA} is diag(1 + a phi1), both
+    bit for bit what phi1 and I + A @ phi1 give; a non-finite entry raises
+    OverflowMatrixError as phi1 does.  Any other A takes phi1's Taylor or
+    augmented route, with the same bits as phi1.
+    """
+    A = _as_square(A)
+    if not is_exact_diagonal(A):
+        eye = _eye(A.shape[0])
+
+        def general(t):
+            P1 = t * _phi_dimless(t * A, 1)
+            return P1, eye + A @ P1
+
+        return general
+    a = np.diagonal(A).copy()
+
+    def diagonal(t):
+        d = _phi1_diagonal(a, t)
+        if not np.isfinite(d).all():
+            raise OverflowMatrixError(f"phi1 overflowed for t={t!r} on diagonal {a!r}")
+        return np.diag(d), np.diag(1.0 + a * d)
+
+    return diagonal
+
+
 def phi1_table(A, ts):
     """phi1(A, t) for every t of the 1-D array ts, as a (len(ts), n, n) array.
 
@@ -361,8 +395,30 @@ def matvec(A, V):
     return np.matmul(A, V[..., None])[..., 0]
 
 
+def _cond2(A):
+    """2-norm condition numbers of a (k, 2, 2) stack in closed form.
+
+    Each K = [[a, b], [c, d]] is A scaled by its largest |entry|.  With
+    p = hypot(a + d, b - c) and q = hypot(a - d, b + c) the singular values
+    are (p + q)/2 and |p - q|/2, so sigma_max^2 = (||K||_F^2 + p q)/2 and
+    cond = sigma_max^2 / |det K|: no cancellation but the determinant's.
+    inf where det K = 0 or an entry is not finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        K = A / np.abs(A).max(axis=(1, 2), initial=0.0)[:, None, None]
+        a, b, c, d = K[:, 0, 0], K[:, 0, 1], K[:, 1, 0], K[:, 1, 1]
+        pq = np.hypot(a + d, b - c) * np.hypot(a - d, b + c)
+        cond = 0.5 * (a * a + b * b + c * c + d * d + pq) / np.abs(a * d - b * c)
+    return np.where(np.isfinite(cond), cond, np.inf)
+
+
 def _cond(A):
-    """Condition numbers of a (k, n, n) stack; inf where the SVD fails."""
+    """Condition numbers of a (k, n, n) stack; inf where the SVD fails.
+
+    2x2 stacks take the closed form _cond2, larger ones the SVD.
+    """
+    if A.shape[-1] == 2:
+        return _cond2(A)
     try:
         return np.linalg.cond(A)
     except np.linalg.LinAlgError:  # one bad matrix fails the whole stack

@@ -600,6 +600,77 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     assert "config error" in err and "Traceback" not in err, err
 
 
+_SCAN_CFG = {
+    "problem": {"preset": "diag", "rates": [1.0, -float(np.sqrt(2.0))]},
+    "data": {"family": "tanh2d", "params": {"eps": 9.0}},
+}
+
+
+def _counted_scan_run(tmp_path, monkeypatch, name, task):
+    """A blowup run of _SCAN_CFG: (matops.is_exact_diagonal calls, branch_fn probes)."""
+    calls, probes = [], []
+    is_exact_diagonal, sheets_scan = matops.is_exact_diagonal, blowup.sheets_scan
+
+    def counted_scan(*args, **kwargs):
+        sheets = sheets_scan(*args, **kwargs)
+        for sheet in sheets:
+            sheet.branch_fn = lambda M, fn=sheet.branch_fn: probes.append(M) or fn(M)
+        return sheets
+
+    monkeypatch.setattr(matops, "is_exact_diagonal", lambda A: calls.append(1) or is_exact_diagonal(A))
+    monkeypatch.setattr(blowup, "sheets_scan", counted_scan)
+    cfg = write_cfg(tmp_path, f"{name}.yaml", {**_SCAN_CFG, "task": {"name": "blowup", **task}})
+    assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    monkeypatch.undo()
+    return len(calls), len(probes)
+
+
+def test_blowup_scan_classifies_A_a_fixed_number_of_times(tmp_path, monkeypatch):
+    """The structure of A is tested a fixed number of times per run, however
+    many branch_fn probes the refinement makes: the probes share one
+    matops.phi1_exp evaluator instead of calling phi1 per Newton step."""
+    few = _counted_scan_run(tmp_path, monkeypatch, "few", {"grid_num": 3, "t_max": 0.11})
+    many = _counted_scan_run(tmp_path, monkeypatch, "many", {"grid_num": 5, "t_max": 0.11})
+    assert few[1] != many[1] and min(few[1], many[1]) >= 20, (few, many)
+    assert few[0] == many[0] <= 8, (few, many)
+
+
+def test_blowup_scan_reports_no_root_past_t_max(tmp_path):
+    """The all-roots grid reaches one step past t_max; a root refined there
+    (t ~ 0.10097 for t_max 0.0951) is dropped, not reported as t*."""
+    cfg = write_cfg(tmp_path, "cut.yaml", {**_SCAN_CFG, "task": {
+        "name": "blowup", "grid_num": 3, "t_max": 0.0951}})
+    out = tmp_path / "cut.csv"
+    assert cli.main(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    comments, _, body = read_csv(out)
+    assert "# no blow-up: no positive root on the M-grid" in comments, comments
+    assert not any(c.startswith("# t_star") for c in comments)
+    assert all(abs(float(row[-1])) <= 0.0951 for row in body if row[-1] != "nan")
+
+
+@pytest.mark.parametrize("command, cfg, needle", [
+    ("blowup", {**_SCAN_CFG, "task": {"name": "blowup", "grid_num": 3, "t_max": 1e6}},
+     "t_max 1000000.0 with step 0.01 needs 200,000,001 t-nodes"),
+    ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
+                                            "grid_num": 3, "t_max": 1e6}},
+     "t_max 1000000.0 with step 0.05 needs 20,000,001 t-nodes"),
+], ids=["blowup", "coriolis3d"])
+def test_blowup_scan_past_the_node_budget_is_refused(tmp_path, capsys, monkeypatch,
+                                                     command, cfg, needle):
+    """A t_max whose scan grid exceeds blowup._SCAN_MAX_NODES exits 1 with a
+    config error naming t_max, the step and the node count; the phi1 table is
+    never built."""
+
+    def no_table(A, ts):
+        raise AssertionError(f"phi1 table of {len(ts)} nodes built")
+
+    monkeypatch.setattr(matops, "phi1_table", no_table)
+    path = write_cfg(tmp_path, "big.yaml", cfg)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "big.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and needle in err and "Traceback" not in err, err
+
+
 def _not_a_number(text):
     try:
         float(text)

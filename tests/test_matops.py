@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodoflow import matops
+from hodoflow import matops, model
 from hodoflow.errors import OverflowMatrixError, SingularMatrixError
 
 def random_matrix(n, scale=1.0, seed=None):
@@ -348,3 +348,120 @@ def test_phi_table_matches_single_calls(A):
 def test_phi_table_overflow_raises():
     with pytest.raises(OverflowMatrixError):
         matops.phi_table(np.array([[800.0]]), np.array([0.1, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# phi1_exp: the fixed-A evaluator under the blow-up root refinement
+
+#: force matrices of every route: diagonal (negative, zero, mixed), the
+#: elliptic 2x2, the coriolis3d 3x3 and a 4x4 block rotation
+EVALUATOR_MATRICES = {
+    "diag-negative": np.diag([-1.0, -0.5, -3.0]),
+    "diag-zero": np.diag([0.0, 0.0]),
+    "diag-mixed": np.diag(DIAG_VALUES),
+    "diag-1x1": np.array([[0.7]]),
+    "elliptic": np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    "coriolis3d": model.coriolis3d_spec(1.2, g_mag=0.5).A,
+    "rotation4": np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                           [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(EVALUATOR_MATRICES))
+def test_phi1_exp_is_phi1_bit_for_bit(name):
+    """(phi1, e^{tA}) from the evaluator are phi1(A, t) and I + A @ phi1(A, t)
+    bit for bit, on both sides of the Taylor cutoff and for t of both signs."""
+    A = EVALUATOR_MATRICES[name]
+    evaluate = matops.phi1_exp(A)
+    for t in (*TABLE_TIMES, *DIAG_VALUES, -1e-9, 0.1, -4.0):
+        P1, E = evaluate(t)
+        ref = matops.phi1(A, t)
+        assert P1.tobytes() == ref.tobytes(), f"t={t}:\n{P1}\n{ref}"
+        assert E.tobytes() == (np.eye(len(A)) + A @ ref).tobytes(), f"t={t}"
+
+
+@pytest.mark.parametrize("A", [np.diag([800.0, 1.0]), np.array([[800.0, 1.0], [0.0, 1.0]])],
+                         ids=["diagonal", "triangular"])
+def test_phi1_exp_overflow_raises_where_phi1_does(A):
+    evaluate = matops.phi1_exp(A)
+    evaluate(0.5)
+    matops.phi1(A, 0.5)
+    for call in (lambda: evaluate(1.0), lambda: matops.phi1(A, 1.0)):
+        with pytest.raises(OverflowMatrixError):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# _cond: closed-form 2x2 condition numbers under solve_stacked's guard
+
+_EPS = np.finfo(float).eps
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def _conditioned_2x2(rng, conds, scales):
+    """U diag(1, 1/cond) V times a scale, U and V random rotations."""
+    return np.array([s * _rotation(rng.uniform(0, 2 * np.pi)) @ np.diag([1.0, 1.0 / c])
+                     @ _rotation(rng.uniform(0, 2 * np.pi)) for c, s in zip(conds, scales)])
+
+
+def test_cond_2x2_agrees_with_the_svd():
+    """Against np.linalg.cond: 1e-12 relative on random Gaussian matrices with
+    cond <= 1e3; up to cond 1e8 both carry rounding of order eps * cond (the
+    determinant's), so the bound there is 1e-12 + 4 eps cond."""
+    rng = np.random.default_rng(70)
+    gauss = rng.standard_normal((4000, 2, 2))
+    built = _conditioned_2x2(rng, 10.0 ** rng.uniform(0, 8, 2000),
+                             10.0 ** rng.uniform(-150, 150, 2000))
+    for A in (gauss, built):
+        ref = np.linalg.cond(A)
+        got = matops._cond(A)
+        keep = ref <= 1e8
+        rel = np.abs(got[keep] / ref[keep] - 1.0)
+        assert np.all(rel <= 1e-12 + 4.0 * _EPS * ref[keep]), rel.max()
+    small = np.linalg.cond(gauss) <= 1e3
+    assert small.sum() > 3500
+    assert np.all(np.abs(matops._cond(gauss[small]) / np.linalg.cond(gauss[small]) - 1.0) <= 1e-12)
+
+
+def test_cond_2x2_matches_a_50_digit_reference():
+    """The closed form is at least as close to the exact condition number as
+    the SVD route: within eps * cond + 4 eps of a 50-digit mpmath value."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(71)
+    A = _conditioned_2x2(rng, 10.0 ** rng.uniform(0, 8, 300), 10.0 ** rng.uniform(-3, 3, 300))
+    got = matops._cond(A)
+    with mpmath.workdps(50):
+        exact = []
+        for M in A:
+            s = mpmath.svd_r(mpmath.matrix(M.tolist()), compute_uv=False)
+            exact.append(float(max(s) / min(s)))
+    exact = np.array(exact)
+    assert np.all(np.abs(got / exact - 1.0) <= _EPS * exact + 4.0 * _EPS)
+
+
+def test_cond_2x2_keeps_every_singular_decision():
+    """Random and scaled 2x2 matrices with cond outside [1e12, 1e14], entries
+    near 1e+-150, exactly singular and non-finite ones: the same side of
+    _SOLVE_COND_LIMIT as the SVD, and inf wherever det = 0 or an entry is not
+    finite."""
+    rng = np.random.default_rng(72)
+    conds = 10.0 ** np.concatenate([rng.uniform(0, 12, 1500), rng.uniform(14, 18, 1500)])
+    scales = (10.0 ** rng.choice([-150.0, 0.0, 150.0], conds.size)
+              * rng.uniform(0.5, 2.0, conds.size))
+    A = _conditioned_2x2(rng, conds, scales)
+    singular = np.array([[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]],
+                         [[1e-300, 0.0], [0.0, 0.0]], [[3.0, 0.0], [1e150, 0.0]],
+                         [[np.nan, 1.0], [0.0, 1.0]], [[np.inf, 1.0], [0.0, 1.0]]])
+    assert np.all(matops._cond(singular) == np.inf)
+    A = np.concatenate([A, singular[:4]])
+    with np.errstate(all="ignore"):
+        ref = np.linalg.cond(A)
+    got = matops._cond(A)
+    limit = matops._SOLVE_COND_LIMIT
+    outside = ~((ref >= 1e12) & (ref <= 1e14))
+    assert outside.sum() > 2900
+    want = ~np.isfinite(ref) | (ref > limit)
+    assert np.array_equal((~np.isfinite(got) | (got > limit))[outside], want[outside])
