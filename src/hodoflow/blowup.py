@@ -68,8 +68,10 @@ _TIME_RESIDUAL_TOL = 1e-9
 _ROOT_TOL = 1e-12
 #: Newton iterations per bracket before scan_roots settles for the bracket midpoint
 _ROOT_MAX_ITER = 100
-#: most t-nodes a sheets_scan grid may have; past it the run is refused, not tabulated
-_SCAN_MAX_NODES = 10**6
+#: most matrix entries a sheets_scan phi1 table may take: nodes * n^2 for an
+#: exactly diagonal A, nodes * (2n)^2 for the augmented exponential of any other
+#: (10^6 nodes of a diagonal 2x2); past it the run is refused, not tabulated
+_SCAN_MAX_ENTRIES = 4 * 10**6
 
 
 @dataclass
@@ -151,12 +153,13 @@ def _refine_root(phi1_exp, J, lo, hi, flo, fhi):
     """
     n = J.shape[0]
     cols = np.arange(n)
+    rows = cols + 1
     Ks = np.empty((n + 1, n, n))
     t = lo - flo * (hi - lo) / (fhi - flo)
     for _ in range(_ROOT_MAX_ITER):
         P1, E = phi1_exp(t)
         Ks[:] = P1 + J
-        Ks[cols + 1, :, cols] = E.T
+        Ks[rows, :, cols] = E.T
         dets = np.linalg.det(Ks)
         f = float(dets[0])
         if f == 0.0:
@@ -609,17 +612,19 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     Otherwise every root in [-t_max, t_max], scanned on arange(-t_max, t_max
     + scan_step, scan_step), in increasing t, sheet k named branch.format(k).
     Roots refined past t_max are dropped.  NaN where no root is found.
-    A grid of more than _SCAN_MAX_NODES nodes raises ConfigError before
-    anything is tabulated.
+    A grid whose phi1 table would take more than _SCAN_MAX_ENTRIES matrix
+    entries raises ConfigError before anything is tabulated.
     """
     A, data = problem.spec.A, problem.data
     lo = 0 if first_only else -t_max
     start = scan_step if first_only else -t_max
     nodes = first_only + (t_max + scan_step - start) / scan_step
-    if nodes > _SCAN_MAX_NODES:
+    width = A.shape[0] * (1 if matops.is_exact_diagonal(A) else 2)
+    if nodes * width**2 > _SCAN_MAX_ENTRIES:
         raise ConfigError(
             f"blowup scan of t_max {t_max!r} with step {scan_step!r} needs {nodes:,.0f} "
-            f"t-nodes, more than the {_SCAN_MAX_NODES:,} allowed; lower t_max")
+            f"t-nodes of {width}x{width} matrices, more than the {_SCAN_MAX_ENTRIES:,} "
+            f"entries allowed; raise the step (scan_step) or lower t_max")
     t_grid = np.arange(start, t_max + scan_step, scan_step)
     if first_only:
         t_grid = np.concatenate([[0.0], t_grid])

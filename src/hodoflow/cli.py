@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from functools import lru_cache
 
 import numpy as np
 import yaml
@@ -582,10 +581,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@lru_cache(maxsize=None)
 def _build_parser():
-    """The argument parser, built on the first call and reused (parse_args
-    leaves it unchanged)."""
     parser = _Parser(prog="hodoflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (

@@ -254,11 +254,41 @@ def _phi_dimless(B, k):
     return _phi_augmented(B, k)
 
 
-def _phi1_diagonal(a, t):
-    """expm1(a t)/a entrywise, t where a = 0; t broadcasts against the diagonal a."""
+def _phi1_diagonal(a):
+    """t -> expm1(a t)/a entrywise, t where a = 0, for the fixed diagonal a.
+
+    t broadcasts against a; the zero mask and the divisor are formed once.
+    """
     zero = a == 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(zero, t, np.expm1(a * t) / np.where(zero, 1.0, a))
+    divisor = np.where(zero, 1.0, a)
+    any_zero = bool(zero.any())
+
+    def entries(t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.expm1(a * t) / divisor
+        return np.where(zero, t, d) if any_zero else d
+
+    return entries
+
+
+def _phi1_of(A):
+    """t -> phi1(A, t) for one fixed square A, whose structure is tested here, once.
+
+    An exactly diagonal A goes entrywise; any other A through the Taylor or
+    augmented route of _phi_dimless.
+    """
+    if not is_exact_diagonal(A):
+        return lambda t: t * _phi_dimless(t * A, 1)
+    a = np.diagonal(A)
+    entries = _phi1_diagonal(a)
+
+    def diagonal(t):
+        d = entries(t)
+        if not np.isfinite(d).all():
+            raise OverflowMatrixError(f"phi1 overflowed for t={t!r} on diagonal {a!r}")
+        return np.diag(d)
+
+    return diagonal
 
 
 def phi1(A, t):
@@ -267,44 +297,25 @@ def phi1(A, t):
     An exactly diagonal A gets diag(expm1(a t)/a), with t where a = 0, and
     raises OverflowMatrixError when that is not finite.
     """
-    A = _as_square(A)
-    if is_exact_diagonal(A):
-        a = np.diagonal(A)
-        d = _phi1_diagonal(a, t)
-        if not np.all(np.isfinite(d)):
-            raise OverflowMatrixError(f"phi1 overflowed for t={t!r} on diagonal {a!r}")
-        return np.diag(d)
-    return t * _phi_dimless(t * A, 1)
+    return _phi1_of(_as_square(A))(t)
 
 
 def phi1_exp(A):
     """The evaluator t -> (phi1(A, t), e^{tA}) of one fixed A.
 
-    The structure of A is tested here, once, not per call.  e^{tA} is formed
-    as I + A phi1(A, t).  An exactly diagonal A goes entrywise: phi1 is
-    diag(expm1(a t)/a), t where a = 0, and e^{tA} is diag(1 + a phi1), both
-    bit for bit what phi1 and I + A @ phi1 give; a non-finite entry raises
-    OverflowMatrixError as phi1 does.  Any other A takes phi1's Taylor or
-    augmented route, with the same bits as phi1.
+    The structure of A is tested here, once, not per call.  The first value
+    is phi1(A, t) bit for bit (both go through _phi1_of), the second
+    I + A phi1(A, t).
     """
-    A = _as_square(A)
-    if not is_exact_diagonal(A):
-        eye = _eye(A.shape[0])
+    A = _as_square(A).copy()
+    p1 = _phi1_of(A)
+    eye = _eye(A.shape[0])
 
-        def general(t):
-            P1 = t * _phi_dimless(t * A, 1)
-            return P1, eye + A @ P1
+    def evaluate(t):
+        P1 = p1(t)
+        return P1, eye + A @ P1
 
-        return general
-    a = np.diagonal(A).copy()
-
-    def diagonal(t):
-        d = _phi1_diagonal(a, t)
-        if not np.isfinite(d).all():
-            raise OverflowMatrixError(f"phi1 overflowed for t={t!r} on diagonal {a!r}")
-        return np.diag(d), np.diag(1.0 + a * d)
-
-    return diagonal
+    return evaluate
 
 
 def phi1_table(A, ts):
@@ -320,7 +331,7 @@ def phi1_table(A, ts):
     if is_exact_diagonal(A):
         table = np.zeros((ts.size, n, n))
         idx = np.arange(n)
-        table[:, idx, idx] = _phi1_diagonal(np.diagonal(A), ts[:, None])
+        table[:, idx, idx] = _phi1_diagonal(np.diagonal(A))(ts[:, None])
         return table
     tt = ts[:, None, None]
     W = np.zeros((ts.size, 2 * n, 2 * n))

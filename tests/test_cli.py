@@ -632,7 +632,7 @@ def test_blowup_scan_classifies_A_a_fixed_number_of_times(tmp_path, monkeypatch)
     few = _counted_scan_run(tmp_path, monkeypatch, "few", {"grid_num": 3, "t_max": 0.11})
     many = _counted_scan_run(tmp_path, monkeypatch, "many", {"grid_num": 5, "t_max": 0.11})
     assert few[1] != many[1] and min(few[1], many[1]) >= 20, (few, many)
-    assert few[0] == many[0] <= 8, (few, many)
+    assert few[0] == many[0] <= 9, (few, many)
 
 
 def test_blowup_scan_reports_no_root_past_t_max(tmp_path):
@@ -648,27 +648,54 @@ def test_blowup_scan_reports_no_root_past_t_max(tmp_path):
     assert all(abs(float(row[-1])) <= 0.0951 for row in body if row[-1] != "nan")
 
 
+def _no_table(A, ts):
+    raise AssertionError(f"phi1 table of {len(ts)} nodes built")
+
+
 @pytest.mark.parametrize("command, cfg, needle", [
     ("blowup", {**_SCAN_CFG, "task": {"name": "blowup", "grid_num": 3, "t_max": 1e6}},
-     "t_max 1000000.0 with step 0.01 needs 200,000,001 t-nodes"),
+     "t_max 1000000.0 with step 0.01 needs 200,000,001 t-nodes of 2x2 matrices"),
     ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
                                             "grid_num": 3, "t_max": 1e6}},
-     "t_max 1000000.0 with step 0.05 needs 20,000,001 t-nodes"),
-], ids=["blowup", "coriolis3d"])
-def test_blowup_scan_past_the_node_budget_is_refused(tmp_path, capsys, monkeypatch,
-                                                     command, cfg, needle):
-    """A t_max whose scan grid exceeds blowup._SCAN_MAX_NODES exits 1 with a
-    config error naming t_max, the step and the node count; the phi1 table is
-    never built."""
-
-    def no_table(A, ts):
-        raise AssertionError(f"phi1 table of {len(ts)} nodes built")
-
-    monkeypatch.setattr(matops, "phi1_table", no_table)
+     "t_max 1000000.0 with step 0.05 needs 20,000,001 t-nodes of 6x6 matrices"),
+    ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
+                                            "grid_num": 3, "scan_step": 1.1e-5}},
+     "t_max 10.0 with step 1.1e-05 needs 909,092 t-nodes of 6x6 matrices"),
+], ids=["blowup", "coriolis3d", "coriolis3d-small-step"])
+def test_blowup_scan_past_the_table_budget_is_refused(tmp_path, capsys, monkeypatch,
+                                                      command, cfg, needle):
+    """A scan whose phi1 table exceeds blowup._SCAN_MAX_ENTRIES exits 1 with a
+    config error naming t_max, the step and the node count; the table is never
+    built.  A non-diagonal A counts its augmented (2n)^2 entries per node, so a
+    small scan_step is refused at the default t_max."""
+    monkeypatch.setattr(matops, "phi1_table", _no_table)
     path = write_cfg(tmp_path, "big.yaml", cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "big.csv")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and needle in err and "Traceback" not in err, err
+    assert "raise the step (scan_step) or lower t_max" in err, err
+
+
+@pytest.mark.parametrize("command, cfg, entries", [
+    ("blowup", {**_SCAN_CFG, "task": {"name": "blowup", "grid_num": 3, "t_max": 0.11}},
+     23 * 2 * 2),
+    ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
+                                            "grid_num": 3}},
+     201 * 6 * 6),
+], ids=["blowup", "coriolis3d"])
+def test_blowup_scan_table_budget_is_inclusive(tmp_path, capsys, monkeypatch,
+                                               command, cfg, entries):
+    """The budget counts nodes * n^2 for a diagonal A (blowup-scan's 2x2, 23
+    nodes on [-0.11, 0.12]) and nodes * (2n)^2 for the augmented table of the
+    coriolis3d 3x3 (201 nodes on [0, 10]): a budget of exactly that many
+    entries runs, one entry fewer is refused before the table is built."""
+    path = write_cfg(tmp_path, "edge.yaml", cfg)
+    monkeypatch.setattr(blowup, "_SCAN_MAX_ENTRIES", entries)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "edge.csv")]) == 0
+    monkeypatch.setattr(blowup, "_SCAN_MAX_ENTRIES", entries - 1)
+    monkeypatch.setattr(matops, "phi1_table", _no_table)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "edge.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def _not_a_number(text):

@@ -367,15 +367,27 @@ EVALUATOR_MATRICES = {
 }
 
 
+def _phi1_formula(A, t):
+    """phi1 written out: diag(expm1(a t)/a), t where a = 0, for an exactly
+    diagonal A; t phi_1(tA) by the Taylor/augmented dispatch otherwise."""
+    if np.count_nonzero(A - np.diag(np.diagonal(A))):
+        return t * matops._phi_dimless(t * A, 1)
+    a = np.diagonal(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.diag(np.where(a == 0.0, t, np.expm1(a * t) / np.where(a == 0.0, 1.0, a)))
+
+
 @pytest.mark.parametrize("name", list(EVALUATOR_MATRICES))
 def test_phi1_exp_is_phi1_bit_for_bit(name):
     """(phi1, e^{tA}) from the evaluator are phi1(A, t) and I + A @ phi1(A, t)
-    bit for bit, on both sides of the Taylor cutoff and for t of both signs."""
+    bit for bit, on both sides of the Taylor cutoff and for t of both signs;
+    and phi1 is its formula bit for bit."""
     A = EVALUATOR_MATRICES[name]
     evaluate = matops.phi1_exp(A)
     for t in (*TABLE_TIMES, *DIAG_VALUES, -1e-9, 0.1, -4.0):
         P1, E = evaluate(t)
         ref = matops.phi1(A, t)
+        assert ref.tobytes() == _phi1_formula(A, t).tobytes(), f"t={t}"
         assert P1.tobytes() == ref.tobytes(), f"t={t}:\n{P1}\n{ref}"
         assert E.tobytes() == (np.eye(len(A)) + A @ ref).tobytes(), f"t={t}"
 
