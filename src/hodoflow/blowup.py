@@ -72,6 +72,8 @@ _ROOT_MAX_ITER = 100
 #: exactly diagonal A, nodes * (2n)^2 for the augmented exponential of any other
 #: (10^6 nodes of a diagonal 2x2); past it the run is refused, not tabulated
 _SCAN_MAX_ENTRIES = 4 * 10**6
+#: Newton steps sheet_extremum takes from the grid extremum before it settles
+_EXTREMUM_STEPS = 20
 
 
 @dataclass
@@ -180,19 +182,16 @@ def _refine_root(phi1_exp, J, lo, hi, flo, fhi):
     return float(0.5 * (lo + hi))
 
 
-def scan_roots(A, t_grid, P1_tab, J, phi1_exp=None):
+def scan_roots(t_grid, P1_tab, J, phi1_exp):
     """Roots of det(phi1(A, t) + J) on t_grid, yielded in increasing t.
 
     P1_tab[i] = phi1(A, t_grid[i]); the scan values are one stacked
     det(P1_tab + J).  A value of exactly 0 at a grid node is a root; a strict
     sign change between neighbours is refined by _refine_root (safeguarded
-    Newton on the blow-up residual itself) to 1e-12.  phi1_exp is the
-    matops.phi1_exp(A) evaluator the refinement uses; callers that scan many
-    J against one A pass it in, else it is built here.
+    Newton on the blow-up residual itself) to 1e-12, through phi1_exp, the
+    matops.phi1_exp(A) evaluator of the A that P1_tab tabulates.
     """
     vals = np.linalg.det(P1_tab + J)
-    if phi1_exp is None:
-        phi1_exp = matops.phi1_exp(A)
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
         if vals[i] == 0.0:
             yield float(t_grid[i])
@@ -274,80 +273,21 @@ def sheet_1d(problem, M_grid=None):
     return sheet
 
 
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
-
-
-def _line_min(f, a, b, tol=1e-12, max_iter=200):
-    """Brent's bounded minimizer on [a, b] (Brent 1973, ch. 5).
-
-    A parabolic step through the three best points so far, or a golden-section
-    step when the parabola is undefined, leaves the bracket, is not shorter
-    than half the step before last, or passes through a non-finite value (NaN
-    counts as inf).  Stops once the bracket around the best point is narrower than tol.
-    Returns the best probed point and its value, (x, f(x)).
-    """
-
-    def value(u):
-        fu = float(f(u))
-        return np.inf if np.isnan(fu) else fu
-
-    eps = np.finfo(float).eps
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = value(x)
-    d = e = 0.0
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        tol1 = 0.25 * tol + eps * abs(x)
-        if max(x - a, b - x) <= 2.0 * tol1:
-            break
-        step = None
-        if abs(e) > tol1 and np.isfinite(fx + fw + fv):
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p, q) if q > 0.0 else (p, -q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                step = p / q
-                if min(x + step - a, b - x - step) < 2.0 * tol1:
-                    step = tol1 if x < m else -tol1
-        if step is None:
-            e = (a if x >= m else b) - x
-            d = _GOLDEN * e
-        else:
-            e, d = d, step
-        u = x + (d if abs(d) >= tol1 else np.copysign(tol1, d))
-        fu = value(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (a, u) if u >= x else (u, b)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
-
-
 def certify_no_blowup_1d(problem, num=2001):
     """Global no-blow-up certificate for 1D: A phi'(M) >= 1 on the whole domain.
 
-    Minimizes s(M) = A*phi'(M) by dense grid plus a Brent line search;
-    Certified iff the minimum exceeds 1 (then 1 - A phi' <= 0 everywhere and
-    the log in the sheet formula never has a positive argument).
+    Minimizes s(M) = A*phi'(M) over a one-axis sheet of num grid points,
+    refined by sheet_extremum's Newton steps; Certified iff the minimum
+    exceeds 1 (then 1 - A phi' <= 0 everywhere and the log in the sheet
+    formula never has a positive argument).
     """
     data = problem.data
     a = float(problem.spec.A[0, 0])
     grid = data.m_grids(num)[0]
-    vals = a * data.phi_jacobian(grid[:, None])[:, 0, 0]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    f = lambda m: a * data.phi_jacobian(np.array([m]))[0, 0]
-    m_star, v_star = _line_min(f, lo, hi)
-    if vals[i] < v_star:
-        m_star, v_star = grid[i], vals[i]
+    slope = lambda M: a * data.phi_jacobian(M)[:, 0, 0]
+    samples = BlowupSheet(branch="slope", axes=[grid], points=grid[:, None],
+                          t=slope(grid[:, None]), branch_fn=lambda M: float(slope(M[None])[0]))
+    v_star, (m_star,) = sheet_extremum(samples)
     certified = bool(v_star > 1.0)
     reason = (f"min over M of A*phi'(M) = {v_star:.12g} > 1: no real blow-up time" if certified
               else f"A*phi'(M) = {v_star:.12g} <= 1 at M = {m_star:.12g}")
@@ -512,8 +452,8 @@ def certify_coriolis_absent(problem, sheet):
     < 0 there, so the sheet is absent everywhere iff that margin stays below 0
     on the whole domain.  Its sup is taken over the in-domain grid points and
     the points where the grid lines meet the domain edge, then refined by
-    per-coordinate Brent line searches (sheet_extremum); Certified iff the
-    sup is below 0.
+    Newton steps on the margin (sheet_extremum); Certified iff the sup is
+    below 0.
     """
     A, data = problem.spec.A, problem.data
     lam = _elliptic_lambda(A)
@@ -636,7 +576,7 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
 
     def roots(M):
         # one point at a time: the scan of each row costs far more than its Jacobian
-        scans = [scan_roots(A, t_grid, P1_tab, data.phi_jacobian(Mi), phi1_exp) for Mi in M]
+        scans = [scan_roots(t_grid, P1_tab, data.phi_jacobian(Mi), phi1_exp) for Mi in M]
         if first_only:
             firsts = (next((t for t in r if t > 0.0), np.nan) for r in scans)
             return np.array([t if t <= t_max else np.nan for t in firsts]).reshape(-1, 1)
@@ -647,13 +587,20 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
 
 
 def sheet_extremum(sheet, mode="min", positive_only=False):
-    """Grid extremum of a sheet's time values, refined via branch_fn.
+    """Grid extremum of a sheet's time values, refined by Newton on branch_fn.
 
-    Coordinate descent from the grid extremum: each pass runs one Brent line
-    search (_line_min, to 1e-11) per coordinate over the neighbouring grid
-    cells and keeps a point only when it beats the best value by 1e-14.
+    Newton starts from the grid extremum, whose value is probed again through
+    branch_fn.  Each step takes the central-difference gradient and Hessian of
+    branch_fn with a step of 1e-4 grid cells per axis (2n axis probes and 4
+    corner probes per coordinate pair) and probes the Newton point, clipped to
+    the grid's bounding box.  The search stops at the first step that does not
+    strictly improve the value, at a non-finite probe, at a Hessian that is
+    not definite (positive for "min", negative for "max"), at a gradient of
+    exactly 0, or after _EXTREMUM_STEPS steps.
 
-    Returns (t_extreme, M_at).  positive_only restricts to t > 0 entries.
+    Returns (t_extreme, M_at), the best probed value and its point, or the
+    grid value where the probe at the grid extremum is not finite.
+    positive_only restricts to t > 0 entries.
     """
     t = sheet.t.copy()
     if positive_only:
@@ -661,14 +608,10 @@ def sheet_extremum(sheet, mode="min", positive_only=False):
     if not np.any(np.isfinite(t)):
         return None
     sign = 1.0 if mode == "min" else -1.0
-    vals = np.where(np.isfinite(t), sign * t, np.inf)
-    i0 = int(np.argmin(vals))
-    M0 = sheet.points[i0].copy()
-    t0 = float(t[i0])
+    i0 = int(np.argmin(np.where(np.isfinite(t), sign * t, np.inf)))
+    M = sheet.points[i0].copy()
     if sheet.branch_fn is None:
-        return t0, M0
-    spacing = [float(ax[1] - ax[0]) if ax.size > 1 else 1.0 for ax in sheet.axes]
-    bounds = [(ax[0], ax[-1]) for ax in sheet.axes]
+        return float(t[i0]), M
 
     def f(Mv):
         ti = sheet.branch_fn(Mv)
@@ -676,28 +619,30 @@ def sheet_extremum(sheet, mode="min", positive_only=False):
             return np.inf
         return sign * ti
 
-    M = M0.copy()
-    best = sign * t0
-    for _ in range(40):
-        improved = False
-        for j in range(M.size):
-            lo = max(bounds[j][0], M[j] - spacing[j])
-            hi = min(bounds[j][1], M[j] + spacing[j])
-
-            def f1(v, jj=j):
-                Mv = M.copy()
-                Mv[jj] = v
-                return f(Mv)
-
-            v_star, fv = _line_min(f1, lo, hi, tol=1e-11)
-            if fv < best - 1e-14:
-                M[j] = v_star
-                best = fv
-                improved = True
-        if not improved:
-            break
+    best = f(M)
     if not np.isfinite(best):
-        return t0, M0
+        return float(t[i0]), M
+    h = np.array([1e-4 * float(ax[1] - ax[0]) if ax.size > 1 else 1e-4 for ax in sheet.axes])
+    e = np.diag(h)
+    lo, hi = np.array([ax[0] for ax in sheet.axes]), np.array([ax[-1] for ax in sheet.axes])
+    for _ in range(_EXTREMUM_STEPS):
+        up, down = (np.array([f(M + s * ej) for ej in e]) for s in (1.0, -1.0))
+        grad = (up - down) / (2.0 * h)
+        if not np.all(np.isfinite(grad)) or not np.any(grad):
+            break
+        hess = np.diag((up - 2.0 * best + down) / h**2)
+        for j in range(M.size):
+            for k in range(j):
+                pp, pm, mp, mm = (f(M + a * e[j] + b * e[k])
+                                  for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+                hess[j, k] = hess[k, j] = (pp - pm - mp + mm) / (4.0 * h[j] * h[k])
+        if not np.all(np.isfinite(hess)) or np.linalg.eigvalsh(hess)[0] <= 0.0:
+            break
+        trial = np.clip(M - np.linalg.solve(hess, grad), lo, hi)
+        value = f(trial)
+        if not value < best:
+            break
+        M, best = trial, value
     return float(sign * best), M
 
 
@@ -727,9 +672,9 @@ def certify_branch_absent(problem, sheet):
 def min_blowup_time(problem, sheets):
     """Catastrophe record: infimum of positive blow-up times over all sheets.
 
-    Grid minimum refined by per-coordinate Brent line searches on the
-    owning branch (sheet_extremum); returns NoBlowup when no sheet has a
-    positive time on its grid.  The reported (t*, M*) must satisfy
+    Grid minimum refined by Newton steps on the owning branch's branch_fn
+    (sheet_extremum); returns NoBlowup when no sheet has a positive time on
+    its grid.  The reported (t*, M*) must satisfy
 
         |blowup_residual(t*, M*)| <= 1e-9 * max(1, |phi1(A, t*)|_F, |J(M*)|_F)^n
 

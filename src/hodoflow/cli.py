@@ -65,6 +65,13 @@ def _positive(kind, value, key):
     return value
 
 
+def _seed(flag, block):
+    """The --seed flag, else the block's seed (default 0); a ConfigError unless >= 0."""
+    seed = _coerce(int, block.get("seed", 0), "seed") if flag is None else flag
+    _require(seed >= 0, f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _floats(value, key):
     return _coerce(lambda v: np.asarray(v, dtype=float), value, key)
 
@@ -384,8 +391,8 @@ def cmd_period(cfg, out_path, seed=None):
     task = _task_block(cfg, "period")
     report = periodicity.check_periodic(
         spec.A,
-        rational_tol=_coerce(float, task.get("rational_tol", 1e-9), "rational_tol"),
-        max_denominator=_coerce(int, task.get("max_denominator", 64), "max_denominator"),
+        rational_tol=_positive(float, task.get("rational_tol", 1e-9), "rational_tol"),
+        max_denominator=_positive(int, task.get("max_denominator", 64), "max_denominator"),
     )
     lines = [f"# config-sha256: {config_hash(cfg)}", "command: period"]
     lines.append(f"periodic: {str(bool(report)).lower()}")
@@ -403,9 +410,7 @@ def cmd_period(cfg, out_path, seed=None):
         _require(isinstance(verify, dict), "'verify' must be a mapping")
         problem = build_problem(cfg)
         _require(not np.any(problem.spec.g), "period verification needs g = 0")
-        if seed is None:
-            seed = _coerce(int, verify.get("seed", 0), "seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(seed, verify))
         num = _coerce(int, verify.get("num_points", 20), "num_points")
         _require(num > 0, f"period verify needs num_points > 0, got {num}")
         t_lo, t_hi = _pair(verify.get("t_range", [0.0, report.T]), "t_range")
@@ -414,7 +419,7 @@ def cmd_period(cfg, out_path, seed=None):
             (rng.uniform(t_lo, t_hi), rng.uniform(box[:, 0], box[:, 1])) for _ in range(num)
         ]
         check = periodicity.verify_solution_period(
-            problem, report.T, samples, tol=_coerce(float, verify.get("tol", 1e-8), "tol")
+            problem, report.T, samples, tol=_positive(float, verify.get("tol", 1e-8), "tol")
         )
         lines.append(f"verify: {'pass' if check.ok else 'fail'}")
         lines.append(f"verify_max_delta: {_fmt(check.max_delta)}")
@@ -486,7 +491,7 @@ def _compare_rows(cfg, problem, task, seed):
 def cmd_compare(cfg, out_path, seed=None):
     problem = build_problem(cfg)
     task = _task_block(cfg, "compare")
-    eff_seed = seed if seed is not None else _coerce(int, task.get("seed", 0), "seed")
+    eff_seed = _seed(seed, task)
     rows = _compare_rows(cfg, problem, task, eff_seed)
     bound = _coerce(float, task.get("bound", 1e-9), "bound")
     errs = [r[-2] for r in rows if r[-1] == "OK"]

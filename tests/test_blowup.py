@@ -344,7 +344,7 @@ def test_scan_roots_coarse_brackets_match_bisection(w, step):
     for M in blowup._grid_points(data, None, 7)[1]:
         if not data.in_domain(M):
             continue
-        got = list(blowup.scan_roots(A, ts, P1_tab, data.phi_jacobian(M)))
+        got = list(blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), matops.phi1_exp(A)))
         ref = _reference_scan(problem, M, ts)
         assert len(got) == len(ref), f"M={M}: {got} vs {ref}"
         assert np.all(np.abs(np.subtract(got, ref)) <= 1e-12), f"M={M}: {got} vs {ref}"
@@ -372,54 +372,108 @@ def test_blowup_scan_phi1_call_budget(monkeypatch):
     assert len(calls) <= 600, len(calls)
 
 
-def _probed_line_min(f, a, b, tol):
-    """_line_min with every probe recorded: ((x, f(x)), [(u, f(u)), ...])."""
+def _synthetic_sheet(f, num=11):
+    """A sheet of t = f(M) on a num x num grid of [0, 1]^2 whose branch_fn is f
+    with every probe value recorded: (sheet, probes)."""
+    axes = [np.linspace(0.0, 1.0, num)] * 2
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     probes = []
-
-    def recorded(u):
-        probes.append((u, f(u)))
-        return probes[-1][1]
-
-    return blowup._line_min(recorded, a, b, tol=tol), probes
+    sheet = blowup.BlowupSheet("s", axes, points, np.array([f(M) for M in points]),
+                               branch_fn=lambda M: probes.append(f(M)) or probes[-1])
+    return sheet, probes
 
 
-@pytest.mark.parametrize("c, a, b", [(0.3, 0.0, 1.0), (0.123456789, 0.1, 0.9),
-                                     (0.77, 0.0, 1.0), (0.3, 0.25, 0.35)])
-def test_line_min_quartic_converges_in_few_probes(c, a, b):
-    """A smooth quartic with a simple minimum: Brent's parabolic steps reach
-    it to 1e-11 in at most 25 probes, where golden section needs ~57 on [0, 1]."""
-    (x, fx), probes = _probed_line_min(lambda u: (u - c) ** 2 * (u + 1.0) ** 2, a, b, tol=1e-11)
-    assert abs(x - c) <= 1e-11, (x, c)
-    assert len(probes) <= 25, len(probes)
+@pytest.mark.parametrize("f, t_min, M_min", [
+    (lambda M: 2.0 + (M[0] - 0.33) ** 2 + 0.5 * (M[0] - 0.33) * (M[1] - 0.61)
+     + 2.0 * (M[1] - 0.61) ** 2, 2.0, (0.33, 0.61)),
+    (lambda M: 1.0 + (M[0] - 0.123456789) ** 2 * (M[0] + 1.0) ** 2
+     + (M[1] - 0.77) ** 2 * (M[1] + 1.0) ** 2, 1.0, (0.123456789, 0.77)),
+    (lambda M: 1.0 + 5.0 * (M[1] - 0.5 - (M[0] - 0.4) ** 2) ** 2 + (M[0] - 0.43) ** 2,
+     1.0, (0.43, 0.5009)),
+    (lambda M: np.cosh(M[0] - 0.314) * np.cosh(2.0 * (M[1] - 0.456)), 1.0, (0.314, 0.456)),
+], ids=["coupled-quadratic", "quartic", "curved-valley", "cosh"])
+def test_sheet_extremum_smooth_minimum_in_few_probes(f, t_min, M_min):
+    """A smooth minimum between grid points: Newton on the central-difference
+    gradient and Hessian reaches it to 1e-11 in at most 40 branch_fn probes,
+    also along a curved valley that no coordinate direction follows."""
+    sheet, probes = _synthetic_sheet(f)
+    t, M = blowup.sheet_extremum(sheet)
+    assert abs(t - t_min) <= 1e-11, t
+    assert np.allclose(M, M_min, atol=1e-6), M
+    assert len(probes) <= 40, len(probes)
+
+
+def _smooth(M):
+    return 1.0 + (M[0] - 0.41) ** 2 + (M[1] - 0.53) ** 2
 
 
 @pytest.mark.parametrize("f", [
-    lambda u: np.inf if u < 0.4 else (u - 0.5) ** 2,
-    lambda u: np.nan if u > 0.6 else (u - 0.5) ** 2,
-    lambda u: np.inf if u < 0.6 else (u - 0.8) ** 2,
+    lambda M: np.inf if M[0] < 0.4 else _smooth(M),
+    lambda M: np.nan if M[1] > 0.53 + 5e-6 else _smooth(M),
+    lambda M: np.inf if np.hypot(M[0] - 0.4, M[1] - 0.5) < 1e-9 else _smooth(M),
 ], ids=["inf-left", "nan-right", "inf-at-start"])
-def test_line_min_never_returns_inf_after_a_finite_probe(f):
-    """Where the branch has no root the probe is inf (NaN counts as inf): the
-    search steps over that side and returns the finite minimum."""
-    (x, fx), probes = _probed_line_min(f, 0.0, 1.0, tol=1e-11)
-    assert any(np.isfinite(v) for _, v in probes)
-    assert np.isfinite(fx) and fx <= 1e-20, (x, fx)
+def test_sheet_extremum_finite_beside_non_finite_probes(f):
+    """Where the branch has no root the probe is inf or NaN: a non-finite probe
+    beside the minimum, or at the grid extremum itself, ends the search with a
+    finite value no worse than the grid's.  The stored grid is the smooth sheet,
+    so the probe at the grid extremum (0.4, 0.5) can disagree with it."""
+    sheet, probes = _synthetic_sheet(f)
+    sheet.t = np.array([_smooth(M) for M in sheet.points])
+    t, M = blowup.sheet_extremum(sheet)
+    assert any(not np.isfinite(v) for v in probes), probes
+    assert np.isfinite(t) and t <= sheet.t.min(), t
+    assert t == _smooth(M)
 
 
-@pytest.mark.parametrize("f, edge", [(lambda u: u, 0.0), (lambda u: (u - 2.0) ** 2, 1.0)],
-                         ids=["left", "right"])
-def test_line_min_endpoint_minimum(f, edge):
-    (x, _), _ = _probed_line_min(f, 0.0, 1.0, tol=1e-11)
-    assert 0.0 <= x <= 1.0 and abs(x - edge) <= 1e-11, x
+@pytest.mark.parametrize("f, M_min", [
+    (lambda M: 1.0 + M[0] + M[1], (0.0, 0.0)),
+    (lambda M: (M[0] - 2.0) ** 2 + (M[1] - 0.537) ** 2, (1.0, 0.537)),
+], ids=["left", "right"])
+def test_sheet_extremum_edge_minimum_stays_in_box(f, M_min):
+    """A minimum on the edge of the grid's box, or past it, is reported inside
+    the box: the Newton point is clipped to the box."""
+    sheet, _ = _synthetic_sheet(f)
+    t, M = blowup.sheet_extremum(sheet)
+    assert np.all((0.0 <= M) & (M <= 1.0)), M
+    assert np.allclose(M, M_min, atol=1e-9), M
+    assert t == f(M)
 
 
-@pytest.mark.parametrize("f", [lambda u: np.sin(20.0 * u) + u, lambda u: abs(u - 0.3),
-                               lambda u: np.inf if 0.2 < u < 0.7 else np.cos(u)])
-def test_line_min_returns_the_best_probed_point(f):
-    """The result is a probed point and its value, the least over all probes."""
-    (x, fx), probes = _probed_line_min(f, 0.0, 1.0, tol=1e-11)
-    assert (x, fx) in probes
-    assert fx == min(v for _, v in probes)
+@pytest.mark.parametrize("f, mode", [
+    (lambda M: abs(M[0] - 0.33) + M[1] ** 2, "min"),
+    (lambda M: np.sin(20.0 * M[0]) + M[0] + (M[1] - 0.47) ** 2, "min"),
+    (lambda M: -abs(M[0] - 0.33) - (M[1] - 0.61) ** 2 - 0.2 * M[0] * M[1], "max"),
+], ids=["kink", "wiggle", "max"])
+def test_sheet_extremum_returns_a_probed_value_no_worse_than_grid(f, mode):
+    """The result is a probed value at the point returned, and no worse than
+    the grid extremum, also on a kinked sheet and in mode="max"."""
+    sheet, probes = _synthetic_sheet(f)
+    grid = sheet.t.min() if mode == "min" else sheet.t.max()
+    t, M = blowup.sheet_extremum(sheet, mode=mode)
+    assert t in probes and t == f(M)
+    assert (t <= grid) if mode == "min" else (t >= grid), (t, grid)
+
+
+def _c2d_problem(A, grid_num):
+    return make_problem(A, "gauss2d_coriolis", {"amplitude": 1.0}, grid_num=grid_num)
+
+
+@pytest.mark.parametrize("problem, build, refs", [
+    (_c2d_problem(model.coriolis2d_spec(1.0).A, 101), blowup.sheets_coriolis2d,
+     [0.8162565608586139]),
+    (_c2d_problem(periodicity.make_periodic_2d(1.0, 0.3, 0.8), 41), blowup.sheets_coriolis2d,
+     [0.8649620763002015]),
+    (_c2d_problem(-0.2 * np.eye(2), 41), blowup.sheets_diag,
+     [0.786938115497736, 11.121261681602014]),
+], ids=["criterion-5", "periodic2d", "scalar-0.2"])
+def test_sheet_minimum_matches_nelder_mead(problem, build, refs):
+    """Each sheet minimum on gauss2d_coriolis lies within 1e-12 of a
+    scipy Nelder-Mead minimum of the same branch_fn (xatol 1e-13, fatol 1e-16),
+    taken once and pinned here."""
+    sheets = build(problem)
+    got = [blowup.sheet_extremum(s, positive_only=True)[0] for s in sheets]
+    assert np.all(np.abs(np.subtract(got, refs)) <= 1e-12), got
+    assert blowup.min_blowup_time(problem, sheets).t_star == min(got)
 
 
 def test_near_rotation_is_not_a_rotation():
