@@ -28,18 +28,21 @@ returns the stored value bit for bit.  A builder is its root function:
                         (coriolis2d_first_time)
 * A = diag(a1,a2) (sheets_diag2): an exponential polynomial in tau = e^{t a2/q}
                         when a1/a2 = p/q
-* anything else (sheets_scan): the roots of the residual scan scan_roots, a
-                        sign scan over one phi1 table (matops.phi1_table), each
-                        bracket refined by safeguarded Newton on the exact
-                        t-derivative d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t),
-                        both from one matops.phi1_exp evaluator per scan;
+* any other A, singular ones and n >= 3 included (sheets_scan): the roots of
+                        the residual scan scan_roots, a sign scan over one
+                        phi1 table (matops.phi1_table), each bracket refined
+                        by safeguarded Newton on the exact t-derivative
+                        d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t), both
+                        from one matops.phi1_exp evaluator per scan;
                         the first positive root on (0, t_max] or every root on
-                        [-t_max, t_max] (the irrational-ratio diag2 case).
+                        [-t_max, t_max] (the diag2 case with an irrational
+                        ratio or a zero entry).
 
-build_sheets picks the builder from the structure of A.  Absent entries (no
-real root) record the violated reality condition.  min_blowup_time picks the
-catastrophe: the infimum of positive blow-up times over all sheets,
-re-checked against blowup_residual for the actual A before it is reported.
+build_sheets picks the builder from the structure of A; no A is refused.
+Absent entries (no real root) record the violated reality condition.
+min_blowup_time picks the catastrophe: the infimum of positive blow-up times
+over all sheets, re-checked against blowup_residual for the actual A before
+it is reported.
 """
 
 from __future__ import annotations
@@ -51,12 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import matops
-from .errors import (
-    BlowupVerificationError,
-    ConfigError,
-    DegenerateMatrixError,
-    OverflowMatrixError,
-)
+from .errors import BlowupVerificationError, ConfigError, OverflowMatrixError
 from .hodograph import hodograph_position, u_from_M
 from .model import Constant
 
@@ -70,7 +68,8 @@ _ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 100
 #: most matrix entries a sheets_scan phi1 table may take: nodes * n^2 for an
 #: exactly diagonal A, nodes * (2n)^2 for the augmented exponential of any other
-#: (10^6 nodes of a diagonal 2x2); past it the run is refused, not tabulated
+#: (10^6 nodes of a diagonal 2x2); past it the run is refused, not tabulated.
+#: An M-grid's mesh (points * n entries) has the same cap
 _SCAN_MAX_ENTRIES = 4 * 10**6
 #: Newton steps sheet_extremum takes from the grid extremum before it settles
 _EXTREMUM_STEPS = 20
@@ -211,7 +210,13 @@ def _time_from_tau(a, tau):
 
 
 def _grid_points(data, M_grid, num):
+    """The grid axes and their (k, n) mesh; a ConfigError naming grid_num when
+    the mesh would take more than _SCAN_MAX_ENTRIES entries."""
     axes = data.m_grids(num) if M_grid is None else [np.asarray(g, dtype=float) for g in M_grid]
+    points = int(np.prod([ax.size for ax in axes]))
+    if points * len(axes) > _SCAN_MAX_ENTRIES:
+        raise ConfigError(f"an M-grid of {points:,} points in {len(axes)}D exceeds the "
+                          f"{_SCAN_MAX_ENTRIES:,} entries allowed; lower grid_num")
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     return axes, pts
@@ -499,8 +504,9 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
 
     has degree <= 6, roots come from the companion matrix, and every candidate
     time is re-verified against blowup_residual to 1e-9; t_max is not used.
-    Otherwise every root on [-t_max, t_max] comes from sheets_scan with the
-    given step.  A must be exactly diagonal; a1 = a2 delegates to sheets_diag.
+    Otherwise, a zero entry included, every root on [-t_max, t_max] comes
+    from sheets_scan with the given step.  A must be exactly diagonal; a1 = a2
+    delegates to sheets_diag.
     """
     A = problem.spec.A
     if A.shape != (2, 2) or not matops.is_exact_diagonal(A):
@@ -508,10 +514,8 @@ def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
     a1, a2 = float(A[0, 0]), float(A[1, 1])
     if a1 == a2:
         return sheets_diag(problem, M_grid)
-    if a1 == 0.0 or a2 == 0.0:
-        raise DegenerateMatrixError("diag(a1, a2) with a zero entry is rank-deficient")
 
-    frac = _rationalize(a1 / a2)
+    frac = None if 0.0 in (a1, a2) else _rationalize(a1 / a2)
     if frac is not None:
         p, q = frac.numerator, frac.denominator
         exps = np.array([p + q, p, q, 0])
@@ -718,26 +722,25 @@ def _verify_blowup_time(problem, t_star, M_star):
         )
 
 
-def require_sheets(data):
-    """ConfigError for data with no blow-up sheets: constant data, whose characteristics never cross."""
-    if isinstance(data, Constant):
-        raise ConfigError("constant data has no blow-up sheets: its characteristics never cross")
-
-
-def build_sheets(problem, grid_num=None, t_max=10.0):
+def build_sheets(problem, grid_num=None, t_max=10.0, scan_step=5e-2):
     """Blow-up sheets dispatched on the structure of A, with certificate lines.
 
     1D goes to sheet_1d plus the global certificate; A = a*Id to sheets_diag
     plus a per-sheet absence certificate; an elliptic 2x2 A (trace exactly 0,
     det A > 0: the coriolis2d and periodic2d presets) to sheets_coriolis2d (a
     sheet with no root on its grid gets certify_coriolis_absent); an exactly
-    diagonal 2x2 A to sheets_diag2 up to t_max.  The per-axis M-grid size is
-    grid_num, else the data family's default.  Returns (sheets,
-    certificate_lines); any other A, and constant data, raise ConfigError.
+    diagonal 2x2 A to sheets_diag2 up to t_max; any other A, singular ones
+    included, to sheets_scan's first positive root on (0, t_max] with the
+    step scan_step.  The per-axis M-grid size is grid_num, else 201 for n <= 2
+    and 11 for n >= 3.  Returns (sheets, certificate_lines); constant data,
+    whose characteristics never cross, raises ConfigError.
     """
     A, n = problem.spec.A, problem.spec.n
-    require_sheets(problem.data)
-    grids = problem.data.m_grids() if grid_num is None else problem.data.m_grids(grid_num)
+    if isinstance(problem.data, Constant):
+        raise ConfigError("constant data has no blow-up sheets: its characteristics never cross")
+    if grid_num is None:
+        grid_num = 201 if n <= 2 else 11
+    grids = problem.data.m_grids(grid_num)
     cert_lines = []
     if n == 1:
         sheets = [sheet_1d(problem, M_grid=grids[0])]
@@ -759,8 +762,5 @@ def build_sheets(problem, grid_num=None, t_max=10.0):
     elif n == 2 and matops.is_exact_diagonal(A):
         sheets = sheets_diag2(problem, M_grid=grids, t_max=t_max)
     else:
-        raise ConfigError(
-            "blowup scan needs A scalar, 1D, 2x2 diagonal, or 2x2 elliptic (trace 0, det > 0); "
-            "use the coriolis3d command for the rotating 3D preset"
-        )
+        sheets = sheets_scan(problem, M_grid=grids, t_max=t_max, scan_step=scan_step)
     return sheets, cert_lines

@@ -9,11 +9,12 @@ in the repository README).  The file has up to four blocks::
     solver:    optional Newton knobs (newton_tol, max_iter)
 
 Subcommands: ``solve`` (CSV sweep of u(t, x)), ``blowup`` (sheet scan plus
-catastrophe summary), ``period`` (text report from the matrix-exponential
-period test), ``compare`` (random characteristic samples against the implicit
-solver, with a pass/fail error gate) and ``coriolis3d`` (solve/blowup routed
-through the kernel-adapted frame for the rotating 3D preset; initial data for
-this command is registered in the rotated coordinates ``y = L x``).
+catastrophe summary, for any force matrix A), ``period`` (text report from the
+matrix-exponential period test), ``compare`` (random characteristic samples
+against the implicit solver, with a pass/fail error gate) and ``coriolis3d``
+(solve or blowup in the kernel-adapted frame of the rotating 3D preset).
+``solve`` and ``blowup`` read coriolis3d-preset data in the original frame x,
+``compare`` and ``coriolis3d`` in the rotated frame ``y = L x`` (_frame).
 
 Output is CSV (or plain text for ``period``) with a leading comment block that
 carries the config hash; identical config plus seed produces byte-identical
@@ -212,6 +213,15 @@ def build_problem(cfg):
     )
 
 
+def _frame(cfg, problem):
+    """(problem, None), or for the coriolis3d preset (its rotated problem, the
+    basis): compare and coriolis3d read that preset's data in y = L x."""
+    if cfg["problem"].get("preset") != "coriolis3d":
+        return problem, None
+    basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"])
+    return degenerate.rotated_problem(problem, basis), basis
+
+
 def _task_block(cfg, command):
     task = cfg.get("task", {})
     name = task.get("name")
@@ -315,18 +325,25 @@ def _sample_columns(samples, points, U):
 
 
 def cmd_solve(cfg, out_path):
-    problem = build_problem(cfg)
-    task = _task_block(cfg, "solve")
+    return _solve(cfg, out_path, "solve", build_problem(cfg), _task_block(cfg, "solve"))
+
+
+def _solve(cfg, out_path, command, problem, task, basis=None):
+    """The solve sweep of the task's times and points.  With the basis of a
+    rotated frame (_frame), problem is the rotated problem: points map in
+    through L and each solved u back through P."""
     times = _parse_times(task)
     points = _parse_points(task, problem.spec.n)
-    samples = hodograph.solve_field(problem, times, points)
+    frame_points = points if basis is None else points @ basis.L.T
+    samples = hodograph.solve_field(problem, times, frame_points)
+    U = [s.u if basis is None or s.u is None else basis.P @ s.u for s in samples]
     n = problem.spec.n
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"u{i + 1}" for i in range(n)] + ["newton_iters", "status"])
-    _emit(out_path, [f"config-sha256: {config_hash(cfg)}", "command: solve"], header,
-          _sample_columns(samples, points, [s.u for s in samples]))
+    _emit(out_path, [f"config-sha256: {config_hash(cfg)}", f"command: {command}"], header,
+          _sample_columns(samples, points, U))
     if not any(s.status == "OK" for s in samples):
-        print("solve: no point/time converged", file=sys.stderr)
+        print(f"{command}: no point/time converged", file=sys.stderr)
         return 2
     return 0
 
@@ -335,12 +352,12 @@ def cmd_solve(cfg, out_path):
 # blowup
 
 
-def _summary_lines(ext, to_original=None):
+def _summary_lines(ext, basis=None):
     if isinstance(ext, blowup.NoBlowup):
         return [f"no blow-up: {ext.reason}"]
     x_star, u_star = ext.x_star, ext.u_star
-    if to_original is not None:
-        x_star, u_star = to_original(x_star), to_original(u_star)
+    if basis is not None:
+        x_star, u_star = basis.P @ x_star, basis.P @ u_star
     return [
         f"t_star: {_fmt(ext.t_star)}",
         f"M_star: {' '.join(_fmt(v) for v in np.atleast_1d(ext.M_star))}",
@@ -359,21 +376,28 @@ def _sheet_columns(sheets, n):
 
 
 def cmd_blowup(cfg, out_path):
-    problem = build_problem(cfg)
-    task = _task_block(cfg, "blowup")
+    return _blowup(cfg, out_path, "blowup", build_problem(cfg), _task_block(cfg, "blowup"))
+
+
+def _blowup(cfg, out_path, command, problem, task, basis=None):
+    """The sheet scan and catastrophe summary.  With the basis of a rotated
+    frame (_frame), problem is the rotated problem, x* and u* map back through
+    P, and the task may set scan_step."""
     grid_num = task.get("grid_num")
+    step = 5e-2 if basis is None else task.get("scan_step", 5e-2)  # blowup has no scan_step key
     sheets, cert_lines = blowup.build_sheets(
         problem,
         grid_num=None if grid_num is None else _positive(int, grid_num, "grid_num"),
         t_max=_positive(float, task.get("t_max", 10.0), "t_max"),
+        scan_step=_positive(float, step, "scan_step"),
     )
     ext = blowup.min_blowup_time(problem, sheets)
-    comments = [f"config-sha256: {config_hash(cfg)}", "command: blowup"]
+    comments = [f"config-sha256: {config_hash(cfg)}", f"command: {command}"]
     for sheet in sheets:
         if sheet.absent_reason:
             comments.append(f"sheet {sheet.branch} nan entries: {sheet.absent_reason}")
     comments.extend(cert_lines)
-    summary = _summary_lines(ext)
+    summary = _summary_lines(ext, basis)
     comments.extend(summary)
     header = ["branch"] + [f"M{i + 1}" for i in range(problem.spec.n)] + ["t"]
     _emit(out_path, comments, header, _sheet_columns(sheets, problem.spec.n))
@@ -457,15 +481,14 @@ def _compare_rows(cfg, problem, task, seed):
         Y0[i] = rng.uniform(box[:, 0], box[:, 1])
         T[i] = rng.uniform(t_lo, t_hi)
     # x0 and the solve run in the data's frame: the kernel-adapted one for coriolis3d
-    if cfg["problem"].get("preset") == "coriolis3d":
-        basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"])
-        frame = degenerate.rotated_problem(problem, basis)
+    frame, basis = _frame(cfg, problem)
+    if basis is None:
+        X0, U0 = Y0, data.u0(Y0)
+        to_frame = from_frame = np.eye(spec.n)
+    else:
         X0 = matops.matvec(basis.P, Y0)
         U0 = degenerate.u0_original(basis, data, X0)
         to_frame, from_frame = basis.L, basis.P
-    else:
-        frame, X0, U0 = problem, Y0, data.u0(Y0)
-        to_frame = from_frame = np.eye(spec.n)
     constant = isinstance(data, model.Constant)
     # constant data is rigid transport: its characteristics never cross
     caustic = np.full(num, np.inf) if constant else oracle.caustic_times(frame.spec, data, Y0, T)
@@ -492,8 +515,9 @@ def cmd_compare(cfg, out_path, seed=None):
     problem = build_problem(cfg)
     task = _task_block(cfg, "compare")
     eff_seed = _seed(seed, task)
-    rows = _compare_rows(cfg, problem, task, eff_seed)
     bound = _coerce(float, task.get("bound", 1e-9), "bound")
+    _require(bound >= 0.0, f"config key 'bound' must be a non-negative number, got {bound!r}")
+    rows = _compare_rows(cfg, problem, task, eff_seed)
     errs = [r[-2] for r in rows if r[-1] == "OK"]
     max_err = max(errs) if errs else float("nan")
     n_fail = sum(1 for r in rows if str(r[-1]).startswith("SOLVE_FAIL"))
@@ -526,52 +550,19 @@ def cmd_compare(cfg, out_path, seed=None):
 
 
 # ---------------------------------------------------------------------------
-# coriolis3d (degenerate-frame solve/blowup)
-
-
-def _coriolis3d_setup(cfg):
-    problem = build_problem(cfg)
-    _require(cfg["problem"].get("preset") == "coriolis3d",
-             "the coriolis3d command needs problem.preset: coriolis3d")
-    basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"])
-    return problem, basis
+# coriolis3d (solve/blowup in the kernel-adapted frame)
 
 
 def cmd_coriolis3d(cfg, out_path):
-    problem, basis = _coriolis3d_setup(cfg)
+    problem = build_problem(cfg)
+    _require(cfg["problem"].get("preset") == "coriolis3d",
+             "the coriolis3d command needs problem.preset: coriolis3d")
     task = _task_block(cfg, "coriolis3d")
     mode = task.get("mode", "solve")
     _require(mode in ("solve", "blowup"), "coriolis3d mode must be 'solve' or 'blowup'")
-    rot_problem = degenerate.rotated_problem(problem, basis)
-    comments = [f"config-sha256: {config_hash(cfg)}", f"command: coriolis3d ({mode})"]
-    if mode == "solve":
-        times = _parse_times(task)
-        points = _parse_points(task, 3)
-        y_points = points @ basis.L.T
-        samples = hodograph.solve_field(rot_problem, times, y_points)
-        header = (["t"] + [f"x{i + 1}" for i in range(3)]
-                  + [f"u{i + 1}" for i in range(3)] + ["newton_iters", "status"])
-        U = [None if s.u is None else basis.P @ s.u for s in samples]
-        _emit(out_path, comments, header, _sample_columns(samples, points, U))
-        if not any(s.status == "OK" for s in samples):
-            print("coriolis3d: no point/time converged", file=sys.stderr)
-            return 2
-        return 0
-    # blowup: the first positive root of the residual on the rotated M-grid
-    blowup.require_sheets(rot_problem.data)
-    sheets = blowup.sheets_scan(
-        rot_problem,
-        M_grid=rot_problem.data.m_grids(_positive(int, task.get("grid_num", 11), "grid_num")),
-        t_max=_positive(float, task.get("t_max", 10.0), "t_max"),
-        scan_step=_positive(float, task.get("scan_step", 5e-2), "scan_step"),
-        branch="coriolis3d_first",
-    )
-    ext = blowup.min_blowup_time(rot_problem, sheets)
-    comments.extend(_summary_lines(ext, to_original=lambda v: basis.P @ v))
-    _emit(out_path, comments, ["branch", "M1", "M2", "M3", "t"], _sheet_columns(sheets, 3))
-    if out_path:
-        print("\n".join(comments[2:]))
-    return 0
+    frame, basis = _frame(cfg, problem)
+    run = _solve if mode == "solve" else _blowup
+    return run(cfg, out_path, f"coriolis3d ({mode})", frame, task, basis)
 
 
 # ---------------------------------------------------------------------------

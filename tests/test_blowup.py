@@ -195,6 +195,23 @@ def test_sheets_diag2_irrational_scan_path():
     assert finite > 20
 
 
+@pytest.mark.parametrize("rates", [(0.6, 0.0), (0.0, 0.6)])
+def test_sheets_diag2_zero_entry_scan_path(rates):
+    """A zero rate (rank-deficient A) goes to the same all-roots scan as an
+    irrational ratio, sheets t0, t1, ...; every root verifies."""
+    problem = make_problem(np.diag(rates), "tanh2d", {"eps": 0.5}, grid_num=9)
+    sheets = blowup.sheets_diag2(problem, t_max=3.0)
+    assert sheets[0].branch == "t0"
+    finite = 0
+    for sheet in sheets:
+        for M, t in zip(sheet.points, sheet.t):
+            if np.isfinite(t):
+                assert abs(blowup.blowup_residual(problem, float(t), M)) < 1e-8
+                finite += 1
+    assert finite > 20
+    assert blowup.min_blowup_time(problem, sheets).t_star > 0.0
+
+
 def test_sheets_diag2_equal_rates_delegates():
     problem = make_problem(np.diag([0.5, 0.5]), "tanh2d", {"eps": 0.5}, grid_num=41)
     a = blowup.min_blowup_time(problem, blowup.sheets_diag2(problem))

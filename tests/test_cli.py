@@ -308,6 +308,7 @@ def _schema_configs(draw):
         return {**draw(st.dictionaries(_KEY, _VALUE, max_size=4)), **fixed}
 
     cfg = {"problem": block(matrix=draw(_VALUE))}
+    cfg["problem"].pop("preset", None)  # a free preset value fails validate_config
     if draw(st.booleans()):
         cfg["data"] = block(family=draw(st.sampled_from(sorted(model.FAMILIES))),
                             params=block())
@@ -371,13 +372,85 @@ def _blowup_cfg(matrix, family, params, **task):
     ([[1.0e-13, 1.0], [-1.0, 0.0]], "gauss2d_coriolis", {"amplitude": 1.0}),
     ([[1.0, 1.0e-13], [0.0, -1.4142135623730951]], "tanh2d", {"eps": 0.5}),
 ])
-def test_blowup_near_pattern_matrix_exits_1(tmp_path, capsys, matrix, family, params):
-    """A matrix merely close to an elliptic (trace 0) or diagonal one is a
-    config error with a message, not a misclassified scan or a traceback."""
-    cfg = write_cfg(tmp_path, "near.yaml", _blowup_cfg(matrix, family, params))
-    assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path / "near.csv")]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err, err
+def test_blowup_near_pattern_matrix_scans_the_matrix_given(tmp_path, matrix, family, params):
+    """A matrix merely close to an elliptic (trace 0) or diagonal one never
+    reaches a closed-form builder: it goes to the residual scan of that
+    matrix (every sheet cell first_root), and its t* is a root for it."""
+    cfg = _blowup_cfg(matrix, family, params)
+    out = tmp_path / "near.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "near.yaml", cfg),
+                     "--out", str(out)]) == 0
+    comments, _, body = read_csv(out)
+    assert body and {row[0] for row in body} == {"first_root"}
+    summary = _summary(comments)
+    if "t_star" in summary:
+        M_star = np.array([float(v) for v in summary["M_star"].split()])
+        blowup._verify_blowup_time(cli.build_problem(cfg), float(summary["t_star"]), M_star)
+
+
+def _summary(comments):
+    return dict(c[2:].split(": ", 1) for c in comments if ": " in c)
+
+
+@pytest.mark.parametrize("matrix, branches, t_star", [
+    ([[0.2, 1.1], [-0.9, -0.3]], {"first_root"}, 0.7777557860304075),
+    ([[0.6, 0.0], [0.0, 0.0]], {"t0", "t1"}, 0.6022344009370001),
+], ids=["off-pattern", "diag-zero-entry"])
+def test_blowup_without_a_closed_form_runs_the_scan(tmp_path, matrix, branches, t_star):
+    """An off-pattern 2x2 gets the first-root scan and diag(0.6, 0) the
+    all-roots scan of an irrational ratio; both report a re-checked t*."""
+    cfg = _blowup_cfg(matrix, "tanh2d", {"eps": 0.5}, grid_num=11)
+    out = tmp_path / "scan.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "scan.yaml", cfg),
+                     "--out", str(out)]) == 0
+    comments, _, body = read_csv(out)
+    assert {row[0] for row in body} <= branches and len(body) >= 11 * 11
+    summary = _summary(comments)
+    assert float(summary["t_star"]) == t_star
+    M_star = np.array([float(v) for v in summary["M_star"].split()])
+    blowup._verify_blowup_time(cli.build_problem(cfg), t_star, M_star)
+
+
+def test_blowup_four_dimensional_rotation_runs(tmp_path):
+    """The 4x4 block rotation (periods 2 pi and pi) has no closed-form builder:
+    the first-root scan of its residual runs over a 4D M-grid."""
+    rotation = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
+    comp = {"family": "tanh1d", "params": {"mu": 0.8, "kappa": 0.9}}
+    cfg = {"problem": {"matrix": rotation},
+           "data": {"family": "separable", "components": [comp] * 4},
+           "task": {"name": "blowup", "grid_num": 3}}
+    out = tmp_path / "rot4.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "rot4.yaml", cfg),
+                     "--out", str(out)]) == 0
+    _, header, body = read_csv(out)
+    assert header == ["branch", "M1", "M2", "M3", "M4", "t"] and len(body) == 3**4
+    assert {row[0] for row in body} == {"first_root"}
+
+
+def test_blowup_of_the_coriolis3d_preset_matches_its_rotated_frame(tmp_path):
+    """blowup reads coriolis3d-preset data in the original frame and the
+    coriolis3d command in y = L x, with L swapping x1 and x3 for a scalar
+    omega: with the separable components reversed, both find the same t* and
+    x* bit for bit, and M* reversed."""
+    summaries = []
+    for command, data in (("coriolis3d", C3D_BLOWUP_DATA),
+                          ("blowup", {"family": "separable",
+                                      "components": C3D_BLOWUP_DATA["components"][::-1]})):
+        task = {"name": command, "mode": "blowup"} if command == "coriolis3d" else {}
+        cfg = {"problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
+               "data": data, "task": task}
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", write_cfg(tmp_path, f"{command}.yaml", cfg),
+                         "--out", str(out)]) == 0
+        comments, _, body = read_csv(out)
+        assert len(body) == 11**3 and {row[0] for row in body} == {"first_root"}
+        summaries.append(_summary(comments))
+    rotated, original = summaries
+    assert rotated["t_star"] == original["t_star"] == "1.3888888888888888"
+    assert rotated["x_star"] == original["x_star"]
+    assert rotated["M_star"].split() == original["M_star"].split()[::-1]
+    u_rot, u_orig = (np.array(s["u_star"].split(), dtype=float) for s in summaries)
+    assert np.max(np.abs(u_rot - u_orig)) <= 1e-15
 
 
 def test_blowup_periodic2d_preset(tmp_path):
@@ -591,6 +664,8 @@ _C3D_BLOWUP = {
                    {"verify": {"num_points": 2, "tol": float("nan")}},
                    {"verify": {"num_points": 2, "seed": -1}})],
     ("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 2, "seed": -1}}),
+    *[("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 2, "bound": bound}})
+      for bound in (float("nan"), -1.0)],
 ], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
         "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0",
         "compare-t_range-reversed", "period-t_range-reversed", "compare-num_samples-0",
@@ -601,7 +676,7 @@ _C3D_BLOWUP = {
         "solver-max_iter-0", "solver-newton_tol-negative", "solver-newton_tol-nan",
         "period-max_denominator-0", "period-max_denominator-negative", "period-rational_tol-nan",
         "period-rational_tol-negative", "period-verify-tol-nan", "period-verify-seed-negative",
-        "compare-seed-negative"])
+        "compare-seed-negative", "compare-bound-nan", "compare-bound-negative"])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
@@ -720,6 +795,28 @@ def test_blowup_scan_table_budget_is_inclusive(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(matops, "phi1_table", _no_table)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "edge.csv")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, entries", [
+    ("blowup", {"problem": {"preset": "coriolis2d", "omega": 1.0},
+                "data": {"family": "gauss2d_coriolis", "params": {"amplitude": 1.0}},
+                "task": {"name": "blowup", "grid_num": 5}}, 5**2 * 2),
+    ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
+                                            "grid_num": 5, "t_max": 1.0, "scan_step": 0.5}},
+     5**3 * 3),
+], ids=["blowup", "coriolis3d"])
+def test_blowup_m_grid_budget_is_inclusive(tmp_path, capsys, monkeypatch, command, cfg, entries):
+    """An M-grid of points * n entries within blowup._SCAN_MAX_ENTRIES runs;
+    one entry fewer is refused with a config error naming grid_num before
+    the grid is meshed (the coriolis3d phi1 table, 3 nodes of 6x6, fits)."""
+    path = write_cfg(tmp_path, "grid.yaml", cfg)
+    monkeypatch.setattr(blowup, "_SCAN_MAX_ENTRIES", entries)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "grid.csv")]) == 0
+    monkeypatch.setattr(blowup, "_SCAN_MAX_ENTRIES", entries - 1)
+    monkeypatch.setattr(np, "meshgrid", lambda *a, **k: pytest.fail("M-grid meshed"))
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "grid.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "lower grid_num" in err and "Traceback" not in err, err
 
 
 def _not_a_number(text):
