@@ -34,7 +34,14 @@ import yaml
 from . import blowup, degenerate, hodograph, matops, model, oracle, periodicity
 from .errors import ConfigError, HodoflowError
 
-_COMMANDS = ("solve", "blowup", "period", "compare", "coriolis3d")
+_COMMAND_HELP = {  # each command's one-line description in --help
+    "solve": "sweep u(t, x) over a time/point grid, CSV output",
+    "blowup": "scan blow-up sheets and report the first catastrophe",
+    "period": "matrix-exponential periodicity report for A",
+    "compare": "random characteristics vs the implicit solver, with gate",
+    "coriolis3d": "solve/blowup through the kernel-adapted rotating frame",
+}
+_COMMANDS = tuple(_COMMAND_HELP)
 _PRESETS = ("coriolis2d", "coriolis3d", "diag", "periodic2d")
 _TOP_KEYS = ("problem", "data", "task", "solver")
 
@@ -315,13 +322,15 @@ def _write_text(out_path, text):
 def _sample_columns(samples, points, U):
     """CSV columns t, x1..xn, u1..un, newton_iters, status of solve_field's
     point-major samples over points; U holds each sample's u (None where
-    unsolved)."""
+    unsolved).  Each time and point coordinate is formatted once and repeated:
+    by position, as a cache by value would merge -0.0 with 0.0."""
     n = points.shape[1]
-    X = np.repeat(points, len(samples) // len(points), axis=0)
+    q = len(samples) // len(points)
+    t = [_fmt(s.t) for s in samples[:q]] * len(points)
+    X = [[text for text in map(_fmt, axis.tolist()) for _ in range(q)] for axis in points.T]
     nan_u = np.full(n, np.nan)
     U = np.array([nan_u if u is None else u for u in U], dtype=float).reshape(-1, n)
-    return [np.array([s.t for s in samples], dtype=float), *X.T, *U.T,
-            [s.iters for s in samples], [s.status for s in samples]]
+    return [t, *X, *U.T, [s.iters for s in samples], [s.status for s in samples]]
 
 
 def cmd_solve(cfg, out_path):
@@ -578,22 +587,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    parser = _Parser(prog="hodoflow", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("solve", "sweep u(t, x) over a time/point grid, CSV output"),
-        ("blowup", "scan blow-up sheets and report the first catastrophe"),
-        ("period", "matrix-exponential periodicity report for A"),
-        ("compare", "random characteristics vs the implicit solver, with gate"),
-        ("coriolis3d", "solve/blowup through the kernel-adapted rotating frame"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", required=True, help="YAML run config")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the task seed (compare / period verify)")
+    commands = "\n".join(f"  {name:<12}{text}" for name, text in _COMMAND_HELP.items())
+    parser = _Parser(prog="hodoflow", description=__doc__.splitlines()[0],
+                     epilog=f"commands:\n{commands}",
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, help="what to run (see below)")
+    parser.add_argument("--config", required=True, help="YAML run config")
+    parser.add_argument("--out", default=None, help="output file (default: stdout)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the task seed (compare / period verify)")
     return parser
 
 

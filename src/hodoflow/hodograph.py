@@ -39,8 +39,8 @@ from .model import Constant
 
 #: damping budget: the Newton step may be halved this many times
 _MAX_HALVINGS = 8
-#: the damped step lengths tried after a refused full step: 1/2, ..., 2^-_MAX_HALVINGS
-_HALVES = 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
+#: the damped step lengths, longest first: 1, 1/2, ..., 2^-_MAX_HALVINGS
+_LADDER = 0.5 ** np.arange(_MAX_HALVINGS + 1)
 
 
 @dataclass
@@ -214,43 +214,45 @@ def _rows(f, M):
     return f(M)
 
 
-def _newton(problem, t, X, M0):
+def _newton(problem, t, X, M0, table=None):
     """Damped Newton on residual_M = 0 for every row of X, each row on its own schedule.
 
     X holds k positions and M0 their starting guesses, both (k, n).  t is one
-    time for every row, a (k,) array with row i's own time (phi1 and phi2 then
-    come from one matops.phi_table), or a (k, q) array: a queue of q times per
-    row, solved in turn, each root the guess for the row's next time (one
-    matops.phi1/phi2 call per distinct time).  Returns (M, iters, rnorm,
-    status), one entry per row and queued time, (k, q) for a queue and (k,)
-    otherwise: status is OK, SINGULAR, NO_CONVERGENCE or DOMAIN_EXIT, and
-    POST_BLOWUP for every queued time after a row's first failure; M is the
-    root or the last in-domain iterate of a failed time, iters the Newton
-    iterations used and rnorm the max-norm residual at M.
+    time for every row, a (k,) array with row i's own time, or a (k, q)
+    array: a queue of q times per row, solved in turn, each root the guess for
+    the row's next time.  phi1 and phi2 come from one matops.phi_table over
+    the (k,) times, else over the distinct times np.unique(t); a caller that
+    needs e^{tA} at those distinct times passes that table in.
+    Returns (M, iters, rnorm, status), one entry per row and queued time,
+    (k, q) for a queue and (k,) otherwise: status is OK, SINGULAR,
+    NO_CONVERGENCE or DOMAIN_EXIT, and POST_BLOWUP for every queued time
+    after a row's first failure; M is the root or the last in-domain iterate
+    of a failed time, iters the Newton iterations used and rnorm the max-norm
+    residual at M.
 
     Rows do not wait for each other: a row that converges moves on to its
     next time in the same pass, with its guess clipped into the domain and a
     fresh newton_max_iter budget.  Each time follows the one-point rules: the
     step is damped by the first of 1, 1/2, ..., 2^-_MAX_HALVINGS that keeps M
     in-domain and decreases the residual (or meets newton_tol), the smallest
-    trial deciding DOMAIN_EXIT or NO_CONVERGENCE when none does; a singular
+    length deciding DOMAIN_EXIT or NO_CONVERGENCE when none does; a singular
     Newton matrix before the first step restarts the row once from
-    _scan_guess.  The full step is tried on every row, and the halvings of
-    the rows that refuse it in one stacked pass.
+    _scan_guess.  All step lengths of every row are tested with one
+    in_domain call; each round then evaluates the residual at the next
+    in-domain length of every row still undecided, so a pass usually makes
+    one residual evaluation per row.
     """
     spec, data = problem.spec, problem.data
     tol, max_iter = problem.newton_tol, problem.newton_max_iter
     T = np.asarray(t, dtype=float)
     k, n = np.shape(X)
     if T.ndim == 1:
-        _, P1, P2 = matops.phi_table(spec.A, T)
-        P2g = matops.matvec(P2, spec.g)
-        queue = np.arange(k)[:, None]
+        times, queue = T, np.arange(k)[:, None]
     else:
         times, queue = np.unique(T, return_inverse=True)
-        P1 = np.array([matops.phi1(spec.A, s) for s in times])
-        P2g = np.array([matops.phi2(spec.A, s) @ spec.g for s in times])
         queue = queue.reshape(T.shape) if T.ndim else np.zeros((k, 1), dtype=int)
+    _, P1, P2 = matops.phi_table(spec.A, times) if table is None else table
+    P2g = matops.matvec(P2, spec.g)
     q = queue.shape[1]
     cur = queue[:, 0].copy()  # table row of each row's current time
     pos = np.zeros(k, dtype=int)  # its place in the queue
@@ -265,6 +267,7 @@ def _newton(problem, t, X, M0):
     out_iters = np.zeros(k * q, dtype=int)
     out_rnorm = np.full(k * q, np.nan)
     out_status = np.full(k * q, "POST_BLOWUP", dtype=object)
+    h = len(_LADDER)
 
     def res(rows, Ms):
         c = cur[rows]
@@ -324,41 +327,29 @@ def _newton(problem, t, X, M0):
             rows, Mr, step = rows[~singular], Mr[~singular], step[~singular]
             if not rows.size:
                 continue
-        # damped update: the full step, then the halvings of the rows it fails
-        trial = Mr + step
-        refused = ~_rows(data.in_domain, trial)
-        cand = np.flatnonzero(~refused)
-        if cand.size:
-            r_new = res(rows[cand], trial[cand])
+        # damped update: every step length of every row in one domain test,
+        # then rounds over each undecided row's next in-domain length
+        trials = (Mr[:, None] + _LADDER[:, None] * step[:, None]).reshape(-1, n)
+        untried = _rows(data.in_domain, trials).reshape(-1, h)  # in-domain lengths left
+        shortest_inside = untried[:, -1].copy()
+        took = np.zeros(len(rows), dtype=bool)
+        lanes = np.flatnonzero(untried.any(axis=1))  # undecided rows, by place in rows
+        while lanes.size:
+            first = untried[lanes].argmax(axis=1)
+            untried[lanes, first] = False
+            owner, Mt = rows[lanes], trials[lanes * h + first]
+            r_new = res(owner, Mt)
             rn_new = np.abs(r_new).max(axis=1)
-            take = (rn_new < rnorm[rows[cand]]) | (rn_new <= tol)
-            refused[cand[~take]] = True
-            acc, done = cand[take], rows[cand[take]]
-            M[done], r[done], rnorm[done] = trial[acc], r_new[take], rn_new[take]
-        if refused.any():
-            p = rows[refused]
-            h = len(_HALVES)
-            trials = (Mr[refused, None] + _HALVES[:, None] * step[refused, None]).reshape(-1, n)
-            inside = _rows(data.in_domain, trials)
-            ok = np.zeros(len(trials), dtype=bool)
-            c = np.flatnonzero(inside)
-            if c.size:
-                owner = p[c // h]
-                r_new = res(owner, trials[c])
-                rn_new = np.abs(r_new).max(axis=1)
-                ok[c] = (rn_new < rnorm[owner]) | (rn_new <= tol)
-            ok = ok.reshape(-1, h)
-            took = ok.any(axis=1)
-            if took.any():  # each row takes its first accepted trial
-                first = np.flatnonzero(took) * h + ok[took].argmax(axis=1)
-                at, done = np.searchsorted(c, first), p[took]
-                M[done], r[done], rnorm[done] = trials[first], r_new[at], rn_new[at]
-            if not took.all():
-                # the last trial, at the smallest step, decides why a row failed
-                last = inside[h - 1 :: h]
-                for why, mask in (("DOMAIN_EXIT", ~took & ~last), ("NO_CONVERGENCE", ~took & last)):
-                    finish(p[mask], why, iters[p[mask]])
-                rows = rows[alive[rows]]
+            take = (rn_new < rnorm[owner]) | (rn_new <= tol)
+            M[owner[take]], r[owner[take]], rnorm[owner[take]] = Mt[take], r_new[take], rn_new[take]
+            took[lanes[take]] = True
+            lanes = lanes[~take & untried[lanes].any(axis=1)]
+        if not took.all():
+            # the smallest step length decides why a row failed
+            for why, mask in (("DOMAIN_EXIT", ~took & ~shortest_inside),
+                              ("NO_CONVERGENCE", ~took & shortest_inside)):
+                finish(rows[mask], why, iters[rows[mask]])
+            rows = rows[took]
         fresh[rows] = False
         iters[rows] += 1
     shape = (k, q) if T.ndim == 2 else (k,)
@@ -499,8 +490,8 @@ def solve_field(problem, t_values, x_points):
     gradient catastrophe: after the first failed time on a track, later times
     on that track are marked POST_BLOWUP, never interpolated or branch-hopped.
     One _newton call solves every track, each moving on to its next time as
-    soon as it converges.  Rows come point-major: all times of the first
-    point, then of the next.
+    soon as it converges, and u comes from the e^{tA} and phi1 of its table.
+    Rows come point-major: all times of the first point, then of the next.
     """
     spec, data = problem.spec, problem.data
     X = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_points])
@@ -513,17 +504,17 @@ def solve_field(problem, t_values, x_points):
         ]
     if not times:
         return []
-    M, iters, _, status = _newton(problem, np.tile(times, (len(X), 1)), X, _default_guess(problem, X))
+    distinct, col = np.unique(times, return_inverse=True)
+    E, P1, _ = table = matops.phi_table(spec.A, distinct)
+    M, iters, _, status = _newton(problem, np.tile(times, (len(X), 1)), X,
+                                  _default_guess(problem, X), table)
     ok = status == "OK"
-    u = [[None] * len(times) for _ in X]
-    for j, t in enumerate(times):
-        rows = np.flatnonzero(ok[:, j])
-        if rows.size:
-            for i, u_i in zip(rows, u_from_M(spec, t, M[rows, j])):
-                u[i][j] = u_i
+    c = np.broadcast_to(col, ok.shape)[ok]
+    U = np.full(M.shape, np.nan)
+    U[ok] = matops.matvec(E[c], M[ok]) + matops.matvec(P1[c], spec.g)
     return [
-        FieldSample(t=t, x=X[i], u=u[i][j], iters=int(iters[i, j]) if ok[i, j] else 0,
-                    status=status[i, j])
+        FieldSample(t=t, x=X[i], u=U[i, j] if ok[i, j] else None,
+                    iters=int(iters[i, j]) if ok[i, j] else 0, status=status[i, j])
         for i in range(len(X))
         for j, t in enumerate(times)
     ]

@@ -261,6 +261,28 @@ def test_usage_error_exit_1():
     assert exc.value.code == 1
 
 
+def test_help_lists_every_command_and_options_go_either_side(tmp_path, capsys):
+    """--help names every command with its description, and --config, --out,
+    --threads and --seed parse before the command as after it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for name in cli._COMMANDS:
+        assert f"  {name} " in text and cli._COMMAND_HELP[name] in text, name
+    cfg_path = write_cfg(tmp_path, "solve.yaml", SOLVE_CFG)
+    opts = ["--config", cfg_path, "--out", str(tmp_path / "o.csv"), "--threads", "2", "--seed", "5"]
+    parser = cli._build_parser()
+    assert parser.parse_args(["solve", *opts]) == parser.parse_args([*opts, "solve"])
+    assert vars(parser.parse_args([*opts[:4], "compare", *opts[4:]])) == {
+        "command": "compare", "config": cfg_path, "out": str(tmp_path / "o.csv"),
+        "threads": 2, "seed": 5}
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert cli.main(["--config", cfg_path, "--out", str(first), "solve"]) == 0
+    assert cli.main(["solve", "--config", cfg_path, "--out", str(last)]) == 0
+    assert first.read_bytes() == last.read_bytes()
+
+
 def test_config_round_trip_identity(tmp_path):
     cfg_path = write_cfg(tmp_path, "rt.yaml", SOLVE_CFG)
     cfg = cli.load_config(cfg_path)
