@@ -81,15 +81,19 @@ def _seed(flag, block):
 
 
 def _floats(value, key):
-    return _coerce(lambda v: np.asarray(v, dtype=float), value, key)
+    """A config number or array as floats; a ConfigError unless all are finite."""
+    arr = _coerce(lambda v: np.asarray(v, dtype=float), value, key)
+    _require(np.isfinite(arr).all(), f"config key {key!r} needs finite numbers, got {value!r}")
+    return arr
 
 
 def _pair(value, key):
-    """A two-entry config list of floats lo <= hi, such as t_range."""
+    """A two-entry config list of finite floats lo <= hi, such as t_range."""
     _require(isinstance(value, (list, tuple)) and len(value) == 2,
              f"config key {key!r} needs a list of two numbers, got {value!r}")
     lo, hi = (_coerce(float, v, key) for v in value)
-    _require(lo <= hi, f"config key {key!r} needs low <= high, got {value!r}")
+    _require(-np.inf < lo <= hi < np.inf,
+             f"config key {key!r} needs finite low <= high, got {value!r}")
     return lo, hi
 
 
@@ -247,7 +251,10 @@ def _parse_times(task):
             raise ConfigError(f"times range is missing {exc.args[0]!r}") from None
         num = _coerce(int, num, "num")
         _require(num > 0, f"times range needs num > 0, got {num}")
-        return np.linspace(_coerce(float, start, "start"), _coerce(float, stop, "stop"), num)
+        start, stop = _coerce(float, start, "start"), _coerce(float, stop, "stop")
+        _require(np.isfinite([start, stop]).all(),
+                 f"times range needs finite start and stop, got {[start, stop]}")
+        return np.linspace(start, stop, num)
     if isinstance(times, list):
         _require(len(times) > 0, "'times' list is empty")
         return _floats(times, "times")
@@ -294,8 +301,8 @@ def _fmt(v):
 
 
 def _emit(out_path, comments, header, columns):
-    """Commented CSV from one column per header entry: a float array (NaN
-    for an empty cell, written 'nan') or a list of ints or strings.
+    """Commented CSV from one column per header entry: an array or a list of
+    floats (NaN for an empty cell, written 'nan'), ints or strings.
 
     Each column is formatted in one pass; str of a Python float is its repr,
     so every float cell is _fmt's text.
@@ -319,18 +326,15 @@ def _write_text(out_path, text):
 # solve
 
 
-def _sample_columns(samples, points, U):
-    """CSV columns t, x1..xn, u1..un, newton_iters, status of solve_field's
-    point-major samples over points; U holds each sample's u (None where
-    unsolved).  Each time and point coordinate is formatted once and repeated:
-    by position, as a cache by value would merge -0.0 with 0.0."""
-    n = points.shape[1]
-    q = len(samples) // len(points)
-    t = [_fmt(s.t) for s in samples[:q]] * len(points)
+def _sample_columns(times, points, U, iters, status):
+    """CSV columns t, x1..xn, u1..un, newton_iters, status of a solve_field
+    sweep over times x points, point-major.  Each time and point coordinate
+    is formatted once and repeated: by position, as a cache by value would
+    merge -0.0 with 0.0."""
+    k, q, n = U.shape
+    t = [_fmt(v) for v in times] * k
     X = [[text for text in map(_fmt, axis.tolist()) for _ in range(q)] for axis in points.T]
-    nan_u = np.full(n, np.nan)
-    U = np.array([nan_u if u is None else u for u in U], dtype=float).reshape(-1, n)
-    return [t, *X, *U.T, [s.iters for s in samples], [s.status for s in samples]]
+    return [t, *X, *U.reshape(-1, n).T, iters.ravel(), status.ravel()]
 
 
 def cmd_solve(cfg, out_path):
@@ -344,14 +348,14 @@ def _solve(cfg, out_path, command, problem, task, basis=None):
     times = _parse_times(task)
     points = _parse_points(task, problem.spec.n)
     frame_points = points if basis is None else points @ basis.L.T
-    samples = hodograph.solve_field(problem, times, frame_points)
-    U = [s.u if basis is None or s.u is None else basis.P @ s.u for s in samples]
+    U, iters, status = hodograph.solve_field(problem, times, frame_points)
+    U = U if basis is None else matops.matvec(basis.P, U)
     n = problem.spec.n
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"u{i + 1}" for i in range(n)] + ["newton_iters", "status"])
     _emit(out_path, [f"config-sha256: {config_hash(cfg)}", f"command: {command}"], header,
-          _sample_columns(samples, points, U))
-    if not any(s.status == "OK" for s in samples):
+          _sample_columns(times, points, U, iters, status))
+    if not (status == "OK").any():
         print(f"{command}: no point/time converged", file=sys.stderr)
         return 2
     return 0
@@ -468,14 +472,15 @@ def cmd_period(cfg, out_path, seed=None):
 # compare
 
 
-def _compare_rows(cfg, problem, task, seed):
-    """Random characteristic endpoints vs the implicit solver.
+def _compare_columns(cfg, problem, task, seed):
+    """Random characteristic endpoints vs the implicit solver: (T, X, err, status).
 
     Samples x0 from the data's sampling box and t from t_range, flows the
     exact characteristic to (t, x(t)), then asks the solver for u(t, x(t)).
     Points whose track hits a caustic before t are tagged POST_BLOWUP and
     excluded from the gate.  Every sample is handled at once: one caustic
     screen, one stacked exact flow and one Newton solve with a time per row.
+    err is NaN where status is not OK; a sample the solver fails is SOLVE_FAIL(<error>).
     """
     spec, data = problem.spec, problem.data
     num = _coerce(int, task.get("num_samples", 200), "num_samples")
@@ -516,8 +521,7 @@ def _compare_rows(cfg, problem, task, seed):
         err[rows[ok]] = np.abs(u - flow.u[rows[ok]]).max(axis=1)
         status[rows] = [s if s == "OK" else
                         f"SOLVE_FAIL({hodograph.STATUS_ERRORS[s].__name__})" for s in st]
-    return [[i, T[i], *flow.x[i], None if np.isnan(err[i]) else err[i], status[i]]
-            for i in range(num)]
+    return T, flow.x, err, status
 
 
 def cmd_compare(cfg, out_path, seed=None):
@@ -526,26 +530,24 @@ def cmd_compare(cfg, out_path, seed=None):
     eff_seed = _seed(seed, task)
     bound = _coerce(float, task.get("bound", 1e-9), "bound")
     _require(bound >= 0.0, f"config key 'bound' must be a non-negative number, got {bound!r}")
-    rows = _compare_rows(cfg, problem, task, eff_seed)
-    errs = [r[-2] for r in rows if r[-1] == "OK"]
-    max_err = max(errs) if errs else float("nan")
-    n_fail = sum(1 for r in rows if str(r[-1]).startswith("SOLVE_FAIL"))
-    n_post = sum(1 for r in rows if r[-1] == "POST_BLOWUP")
-    gate_ok = bool(errs) and max_err <= bound
+    T, X, err, status = _compare_columns(cfg, problem, task, eff_seed)
+    ok = status == "OK"
+    n_ok, n_post = int(ok.sum()), int((status == "POST_BLOWUP").sum())
+    n_fail = len(T) - n_ok - n_post
+    max_err = err[ok].max() if n_ok else float("nan")
+    gate_ok = n_ok > 0 and max_err <= bound
     comments = [
         f"config-sha256: {config_hash(cfg)}",
         "command: compare",
         f"seed: {eff_seed}",
-        f"samples: {len(rows)} (ok: {len(errs)}, post_blowup: {n_post}, solve_fail: {n_fail})",
+        f"samples: {len(T)} (ok: {n_ok}, post_blowup: {n_post}, solve_fail: {n_fail})",
         f"max_error: {_fmt(max_err)}",
         f"bound: {_fmt(bound)}",
         f"gate: {'pass' if gate_ok and not n_fail else 'fail'}",
     ]
     n = problem.spec.n
     header = ["sample", "t"] + [f"x{i + 1}" for i in range(n)] + ["err", "status"]
-    cols = list(zip(*rows)) or [()] * len(header)
-    floats = [np.array([np.nan if v is None else v for v in c], dtype=float) for c in cols[1:-1]]
-    _emit(out_path, comments, header, [cols[0], *floats, cols[-1]])
+    _emit(out_path, comments, header, [range(len(T)), T, *X.T, err, status])
     if out_path:
         print("\n".join(comments[3:]))
     if n_fail:

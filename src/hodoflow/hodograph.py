@@ -404,7 +404,7 @@ def solve_u(problem, t, x, guess_M=None):
 
 
 def solve_u_info(problem, t, x, guess_M=None):
-    """solve_u plus the Newton iteration record (used by the CLI CSV output)."""
+    """solve_u plus the Newton iteration record, whose M can warm-start a later solve."""
     spec, data = problem.spec, problem.data
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(data, Constant):
@@ -471,19 +471,8 @@ def to_bar_variables(spec, s):
     return StateSample(t=tbar, x=xbar, u=ubar)
 
 
-@dataclass
-class FieldSample:
-    """One row of a solve sweep."""
-
-    t: float
-    x: np.ndarray
-    u: np.ndarray | None
-    iters: int
-    status: str  # OK | SINGULAR | NO_CONVERGENCE | DOMAIN_EXIT | POST_BLOWUP
-
-
 def solve_field(problem, t_values, x_points):
-    """Sweep the solver over times x points with per-point guess continuation.
+    """Sweep the solver over k points x q times with per-point guess continuation.
 
     Each spatial point is one track: its times are solved in order, each from
     the root of the one before.  A sweep does not attempt to continue past a
@@ -491,19 +480,18 @@ def solve_field(problem, t_values, x_points):
     on that track are marked POST_BLOWUP, never interpolated or branch-hopped.
     One _newton call solves every track, each moving on to its next time as
     soon as it converges, and u comes from the e^{tA} and phi1 of its table.
-    Rows come point-major: all times of the first point, then of the next.
+    Returns (U, iters, status), point i and time j at [i, j]: U (k, q, n) is
+    NaN and iters (k, q) is 0 where status (k, q), _newton's, is not OK.
     """
     spec, data = problem.spec, problem.data
     X = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_points])
-    times = [float(t) for t in t_values]
-    if isinstance(data, Constant):
-        return [
-            FieldSample(t=t, x=x, u=closed_form("const_M", spec, t, x, data.c), iters=0, status="OK")
-            for x in X
-            for t in times
-        ]
-    if not times:
-        return []
+    times = np.asarray(t_values, dtype=float)
+    if isinstance(data, Constant) or not times.size:
+        # constant data is rigid transport, u depends on t only (no times: empty arrays)
+        u = [closed_form("const_M", spec, t, X[:1], data.c) for t in times.tolist()]
+        shape = (len(X), len(times))
+        return (np.tile(np.reshape(u, (-1, spec.n)), (len(X), 1, 1)),
+                np.zeros(shape, dtype=int), np.full(shape, "OK", dtype=object))
     distinct, col = np.unique(times, return_inverse=True)
     E, P1, _ = table = matops.phi_table(spec.A, distinct)
     M, iters, _, status = _newton(problem, np.tile(times, (len(X), 1)), X,
@@ -512,9 +500,4 @@ def solve_field(problem, t_values, x_points):
     c = np.broadcast_to(col, ok.shape)[ok]
     U = np.full(M.shape, np.nan)
     U[ok] = matops.matvec(E[c], M[ok]) + matops.matvec(P1[c], spec.g)
-    return [
-        FieldSample(t=t, x=X[i], u=U[i, j] if ok[i, j] else None,
-                    iters=int(iters[i, j]) if ok[i, j] else 0, status=status[i, j])
-        for i in range(len(X))
-        for j, t in enumerate(times)
-    ]
+    return U, np.where(ok, iters, 0), status

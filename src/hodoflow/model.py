@@ -45,6 +45,9 @@ class ForceSpec:
             raise ConfigError(f"A must be square, got {self.A.shape}")
         if self.g.shape != (self.A.shape[0],):
             raise ConfigError(f"g has shape {self.g.shape}, expected ({self.A.shape[0]},)")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.g).all()):
+            raise ConfigError(
+                f"A and g must be finite, got A={self.A.tolist()}, g={self.g.tolist()}")
 
     @property
     def n(self):
@@ -162,8 +165,8 @@ class Tanh1D(InitialData):
     name = "tanh1d"
 
     def __init__(self, mu=1.0, kappa=1.0):
-        if mu <= 0 or kappa <= 0:
-            raise ConfigError("tanh profile needs mu > 0 and kappa > 0")
+        if not (0 < mu < np.inf and 0 < kappa < np.inf):
+            raise ConfigError("tanh profile needs finite mu > 0 and kappa > 0")
         self.mu = float(mu)
         self.kappa = float(kappa)
 
@@ -202,8 +205,8 @@ class Gauss1D(InitialData):
     name = "gauss1d"
 
     def __init__(self, eta=1.0, kappa=1.0, branch=+1):
-        if eta <= 0 or kappa <= 0:
-            raise ConfigError("gaussian profile needs eta > 0 and kappa > 0")
+        if not (0 < eta < np.inf and 0 < kappa < np.inf):
+            raise ConfigError("gaussian profile needs finite eta > 0 and kappa > 0")
         if branch not in (+1, -1):
             raise ConfigError("branch must be +1 or -1")
         self.eta = float(eta)
@@ -251,8 +254,8 @@ class Tanh2D(InitialData):
 
     def __init__(self, eps=0.5):
         eps = float(eps)
-        if eps <= 0 or eps == 1.0:
-            raise ConfigError("coupling eps must be positive and != 1")
+        if not 0 < eps < np.inf or eps == 1.0:
+            raise ConfigError("coupling eps must be positive, finite and != 1")
         self.eps = eps
 
     def u0(self, x):
@@ -302,8 +305,8 @@ class Gauss2DCoriolis(InitialData):
     name = "gauss2d_coriolis"
 
     def __init__(self, amplitude=1.0, sx=+1, sy=+1):
-        if amplitude <= 0:
-            raise ConfigError("amplitude must be positive")
+        if not 0 < amplitude < np.inf:
+            raise ConfigError("amplitude must be positive and finite")
         if sx not in (+1, -1) or sy not in (+1, -1):
             raise ConfigError("branch signs must be +1 or -1")
         self.amplitude = float(amplitude)
@@ -376,8 +379,8 @@ class LinearR(InitialData):
 
     def __init__(self, R):
         R = np.atleast_2d(np.asarray(R, dtype=float))
-        if R.shape[0] != R.shape[1]:
-            raise ConfigError("R must be square")
+        if R.shape[0] != R.shape[1] or not np.isfinite(R).all():
+            raise ConfigError("R must be square and finite")
         if matops.rank(R) < R.shape[0]:
             raise NotInvertibleError("R must be invertible for a linear profile")
         self.R = R
@@ -417,6 +420,8 @@ class Constant(InitialData):
 
     def __init__(self, c):
         self.c = np.atleast_1d(np.asarray(c, dtype=float))
+        if not np.isfinite(self.c).all():
+            raise ConfigError(f"constant velocity c must be finite, got {self.c.tolist()}")
         self.dim = self.c.size
 
     def u0(self, x):

@@ -613,6 +613,7 @@ def test_coriolis3d_blowup_any_axis(tmp_path):
     assert summaries[0]["M_star"] == summaries[1]["M_star"]
 
 
+NAN, INF = float("nan"), float("inf")
 _GAUSS_PERIOD = {
     "problem": {"preset": "coriolis2d", "omega": 1.0},
     "data": {"family": "gauss2d_coriolis", "params": {"amplitude": 0.05}},
@@ -688,6 +689,42 @@ _C3D_BLOWUP = {
     ("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 2, "seed": -1}}),
     *[("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 2, "bound": bound}})
       for bound in (float("nan"), -1.0)],
+    # non-finite force and data numbers
+    ("blowup", {**_DIAG2_IRRATIONAL, "problem": {"matrix": [[NAN, 0.0], [0.0, -1.0]]},
+                "task": {"name": "blowup", "grid_num": 3}}),
+    ("blowup", {**_DIAG2_IRRATIONAL, "problem": {"preset": "diag", "rates": [NAN, -1.0]},
+                "task": {"name": "blowup", "grid_num": 3}}),
+    *[("period", {"problem": {"matrix": matrix}, "task": {"name": "period"}})
+      for matrix in ([[0.0, 1.0], [-1.0, NAN]], [[0.0, INF], [-1.0, 0.0]])],
+    ("solve", {"problem": {"matrix": [[0.0]]}, "data": {"family": "linear", "params": {
+        "R": [[NAN]]}}, "task": {"name": "solve", "times": [0.1], "points": [[0.1]]}}),
+    ("solve", {**_CORIOLIS_ONE_POINT, "problem": {"matrix": [[0.0, NAN], [-1.0, 0.0]]}}),
+    ("solve", {**_CORIOLIS_ONE_POINT, "problem": {"preset": "coriolis2d", "omega": NAN}}),
+    ("solve", {**_CORIOLIS_ONE_POINT, "data": {"family": "gauss2d_coriolis",
+                                               "params": {"amplitude": NAN}}}),
+    ("solve", {"problem": {"preset": "diag", "rates": [0.6, -0.6]},
+               "data": {"family": "tanh2d", "params": {"eps": NAN}},
+               "task": {"name": "solve", "times": [0.1], "points": [[0.1, 0.2]]}}),
+    ("solve", {**_TANH_1D, "data": {"family": "tanh1d", "params": {"mu": INF, "kappa": 1.0}},
+               "task": {"name": "solve", "times": [0.1], "points": [[0.1]]}}),
+    ("solve", {**_TANH_1D, "data": {"family": "gauss1d", "params": {"eta": 1.0, "kappa": NAN}},
+               "task": {"name": "solve", "times": [0.1], "points": [[0.1]]}}),
+    ("solve", {**_TANH_1D, "problem": {"matrix": [[0.0]], "g": [NAN]},
+               "task": {"name": "solve", "times": [0.1], "points": [[0.1]]}}),
+    ("solve", {"problem": {"matrix": [[0.0]]}, "data": {"family": "constant", "params": {
+        "c": [NAN]}}, "task": {"name": "solve", "times": [0.1], "points": [[0.1]]}}),
+    # non-finite task numbers
+    ("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 2,
+                                      "t_range": [0.1, INF]}}),
+    ("period", {**_GAUSS_PERIOD, "task": {"name": "period", "verify": {
+        "num_points": 2, "t_range": [0.0, INF]}}}),
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": [NAN], "points": [[0.1]]}}),
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": {"start": 0.0, "stop": INF,
+                                                               "num": 3},
+                                    "points": [[0.1]]}}),
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": [0.1], "points": [[NAN]]}}),
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": [0.1],
+                                    "points": {"min": [-INF], "max": [0.5], "num": 3}}}),
 ], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
         "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0",
         "compare-t_range-reversed", "period-t_range-reversed", "compare-num_samples-0",
@@ -698,7 +735,12 @@ _C3D_BLOWUP = {
         "solver-max_iter-0", "solver-newton_tol-negative", "solver-newton_tol-nan",
         "period-max_denominator-0", "period-max_denominator-negative", "period-rational_tol-nan",
         "period-rational_tol-negative", "period-verify-tol-nan", "period-verify-seed-negative",
-        "compare-seed-negative", "compare-bound-nan", "compare-bound-negative"])
+        "compare-seed-negative", "compare-bound-nan", "compare-bound-negative",
+        "blowup-matrix-nan", "blowup-diag-rate-nan", "period-matrix-nan", "period-matrix-inf",
+        "solve-linear-R-nan", "solve-matrix-nan", "solve-omega-nan", "solve-amplitude-nan",
+        "solve-eps-nan", "solve-mu-inf", "solve-kappa-nan", "solve-g-nan",
+        "solve-constant-c-nan", "compare-t_range-inf", "period-verify-t_range-inf",
+        "solve-times-nan", "solve-times-stop-inf", "solve-points-nan", "solve-points-min-inf"])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
@@ -953,9 +995,11 @@ def _row_body(rows):
     return "".join(",".join(_row_fmt(v) for v in row) + "\n" for row in rows)
 
 
-def _sample_rows(samples, n, x_of=lambda i, s: s.x, u_of=lambda u: u):
-    return [[s.t, *x_of(i, s), *(list(u_of(s.u)) if s.u is not None else [None] * n),
-             s.iters, s.status] for i, s in enumerate(samples)]
+def _sample_rows(times, points, U, iters, status, u_of=lambda u: u):
+    """One row per (point, time) of a solve_field sweep, None for an unsolved u."""
+    return [[float(t), *x, *(list(u_of(U[i, j])) if status[i, j] == "OK" else [None] * len(x)),
+             int(iters[i, j]), status[i, j]]
+            for i, x in enumerate(points) for j, t in enumerate(times)]
 
 
 def _sheet_rows(sheets):
@@ -967,9 +1011,8 @@ def _sheet_rows(sheets):
 def _solve_rows(cfg):
     problem = cli.build_problem(cfg)
     task = cfg["task"]
-    samples = hodograph.solve_field(problem, cli._parse_times(task),
-                                    cli._parse_points(task, problem.spec.n))
-    return _sample_rows(samples, problem.spec.n)
+    times, points = cli._parse_times(task), cli._parse_points(task, problem.spec.n)
+    return _sample_rows(times, points, *hodograph.solve_field(problem, times, points))
 
 
 def _blowup_rows(cfg):
@@ -977,8 +1020,15 @@ def _blowup_rows(cfg):
     return _sheet_rows(sheets)
 
 
-def _compare_rows(cfg):
-    return cli._compare_rows(cfg, cli.build_problem(cfg), cfg["task"], cfg["task"]["seed"])
+def _compare_columns(cfg):
+    return cli._compare_columns(cfg, cli.build_problem(cfg), cfg["task"], cfg["task"]["seed"])
+
+
+def _compare_table(cfg):
+    """One line of cells per compare sample, None for a missing error."""
+    T, X, err, status = _compare_columns(cfg)
+    return [[i, T[i], *X[i], None if np.isnan(err[i]) else err[i], status[i]]
+            for i in range(len(T))]
 
 
 def _coriolis3d_rows(cfg):
@@ -986,10 +1036,9 @@ def _coriolis3d_rows(cfg):
     basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"])
     times = cli._parse_times(cfg["task"])
     points = cli._parse_points(cfg["task"], 3)
-    samples = hodograph.solve_field(degenerate.rotated_problem(problem, basis), times,
-                                    points @ basis.L.T)
-    return _sample_rows(samples, 3, x_of=lambda i, s: points[i // len(times)],
-                        u_of=lambda u: basis.P @ u)
+    sweep = hodograph.solve_field(degenerate.rotated_problem(problem, basis), times,
+                                  points @ basis.L.T)
+    return _sample_rows(times, points, *sweep, u_of=lambda u: basis.P @ u)
 
 
 _WRITER_CASES = {
@@ -1009,7 +1058,7 @@ _WRITER_CASES = {
         "data": {"family": "tanh1d", "params": {"mu": 1.3, "kappa": 0.9}},
         "task": {"name": "blowup", "grid_num": 41},
     }),
-    "compare-none-errors": ("compare", _compare_rows, {
+    "compare-none-errors": ("compare", _compare_table, {
         **_TANH_1D,
         "task": {"name": "compare", "num_samples": 40, "t_range": [0.05, 3.0],
                  "bound": 1.0, "seed": 7},
@@ -1105,18 +1154,18 @@ def test_stacked_compare_matches_per_sample_route(monkeypatch, case):
         return out
 
     monkeypatch.setattr(hodograph, "_newton", recording)
-    rows = cli._compare_rows(cfg, cli.build_problem(cfg), cfg["task"], cfg["task"]["seed"])
+    _, X, err, status = _compare_columns(cfg)
     monkeypatch.undo()
     ref = _per_sample_compare(cfg)
-    assert [r[-1] for r in rows] == [st for st, _, _, _ in ref]
+    assert status.tolist() == [st for st, _, _, _ in ref]
     assert iters == [it for st, it, _, _ in ref if st != "POST_BLOWUP"]
-    for row, (_, _, x, err) in zip(rows, ref):
-        assert np.max(np.abs(np.array(row[2:-2], dtype=float) - x)) <= 1e-12
-        assert (row[-2] is None) == (err is None)
-        if err is not None:
-            assert abs(row[-2] - err) <= 1e-12
+    for x_i, err_i, (_, _, x, e) in zip(X, err, ref):
+        assert np.max(np.abs(x_i - x)) <= 1e-12
+        assert np.isnan(err_i) == (e is None)
+        if e is not None:
+            assert abs(err_i - e) <= 1e-12
     if case.startswith("tanh1d") or case.endswith("t-star"):
-        assert {"OK", "POST_BLOWUP"} <= {r[-1] for r in rows}
+        assert {"OK", "POST_BLOWUP"} <= set(status)
 
 
 def test_compare_expm_calls_do_not_grow_with_samples(monkeypatch):
@@ -1134,7 +1183,7 @@ def test_compare_expm_calls_do_not_grow_with_samples(monkeypatch):
     for num in (24, 96):
         cfg = _compare_3d_cfg(1, num=num)
         calls.clear()
-        rows = cli._compare_rows(cfg, cli.build_problem(cfg), cfg["task"], 1)
-        assert [r[-1] for r in rows] == ["OK"] * num
+        status = cli._compare_columns(cfg, cli.build_problem(cfg), cfg["task"], 1)[3]
+        assert status.tolist() == ["OK"] * num
         counts.append(len(calls))
     assert counts[0] == counts[1], counts

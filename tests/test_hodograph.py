@@ -137,13 +137,32 @@ def test_solve_field_tracks_die_after_blowup():
     data = model.make_data("tanh1d", mu=1.0, kappa=1.0)
     problem = model.HodographProblem(spec, data)
     times = [0.0, 0.5, 1.05, 1.5, 2.0]
-    rows = hodograph.solve_field(problem, times, [np.array([1.0])])
-    statuses = [r.status for r in rows]
+    _, _, status = hodograph.solve_field(problem, times, [np.array([1.0])])
+    statuses = list(status[0])
     assert statuses[0] == "OK" and statuses[1] == "OK"
     first_bad = next(i for i, s in enumerate(statuses) if s != "OK")
     assert all(s == "POST_BLOWUP" for s in statuses[first_bad + 1:]), (
         f"track must stay dead after first failure: {statuses}"
     )
+
+
+def test_constant_data_sweep_equals_closed_form_at_every_point_and_time():
+    """Constant data is transported in closed form once per time and spread
+    over the points; each cell is closed_form's u at that (point, time) bit for
+    bit.  As many points as times, each distinct, so a sweep that spread the
+    times over the points axis would still have the right shape."""
+    spec = model.ForceSpec(np.array([[0.2, 1.1], [-0.9, -0.3]]), np.array([0.3, -0.7]))
+    c = np.array([0.5, -0.25])
+    problem = model.HodographProblem(spec, model.make_data("constant", c=c))
+    times = [0.0, 0.35, 1.7]
+    points = [np.array([0.1, 0.2]), np.array([-2.0, 3.0]), np.array([5.0, -1.0])]
+    U, iters, status = hodograph.solve_field(problem, times, points)
+    assert U.shape == (3, 3, 2)
+    for i, x in enumerate(points):
+        for j, t in enumerate(times):
+            assert np.array_equal(U[i, j], hodograph.closed_form("const_M", spec, t, x, c))
+    assert not iters.any() and (status == "OK").all()
+    assert not np.array_equal(U[0, 1], U[0, 2]), "u must vary with t for this test to bite"
 
 
 def test_singular_starting_guess_is_rescued():
@@ -171,9 +190,9 @@ def test_solve_field_guess_continuation_keeps_iterations_low():
     data = model.make_data("gauss2d_coriolis", amplitude=0.3)
     problem = model.HodographProblem(spec, data)
     times = np.linspace(0.0, 1.0, 21)
-    rows = hodograph.solve_field(problem, times, [np.array([0.5, 0.5])])
-    assert all(r.status == "OK" for r in rows)
-    late = [r.iters for r in rows[2:]]
+    _, iters, status = hodograph.solve_field(problem, times, [np.array([0.5, 0.5])])
+    assert (status == "OK").all()
+    late = iters[0, 2:].tolist()
     assert max(late) <= 5, f"warm-started Newton should stay cheap, got {late}"
 
 
@@ -218,7 +237,7 @@ _FAILED_TRACKS = {
     (DomainExitError("left the domain"), "DOMAIN_EXIT"),
 ])
 def test_solve_field_marks_the_failed_track_dead(monkeypatch, error, status):
-    """A failed row status writes u = None and iters = 0, and every later time on
+    """A failed row status writes u = NaN and iters = 0, and every later time on
     that track is POST_BLOWUP without another solve; solve_M raises the
     status's error for the same row."""
     case, point, statuses = _FAILED_TRACKS[status]
@@ -233,10 +252,10 @@ def test_solve_field_marks_the_failed_track_dead(monkeypatch, error, status):
         return real_solve(A, B)
 
     monkeypatch.setattr(matops, "solve_stacked", counting)
-    rows = hodograph.solve_field(problem, times, [x])
-    assert [r.status for r in rows] == statuses
-    assert all(r.u is not None for r in rows[:fail])
-    assert all(r.u is None and r.iters == 0 for r in rows[fail:])
+    U, iters, status = hodograph.solve_field(problem, times, [x])
+    assert status[0].tolist() == statuses
+    assert np.isfinite(U[0, :fail]).all()
+    assert np.isnan(U[0, fail:]).all() and not iters[0, fail:].any()
     # the Newton steps of the whole sweep are those of the sweep cut at the failure
     steps, solved[:] = sum(solved), []
     hodograph.solve_field(problem, times[: fail + 1], [x])
@@ -386,15 +405,17 @@ def test_solve_field_matches_per_point_solves(case, solve):
     """The batched sweep against per-point solve_M calls and against the plain
     one-point Newton loop: same status and iterations, u within 1e-13."""
     problem, times, points = _field_problem(case)
-    rows = hodograph.solve_field(problem, times, points)
+    U, iters, status = hodograph.solve_field(problem, times, points)
     ref = _per_point_field(problem, times, points, solve)
-    assert [(r.status, r.iters) for r in rows] == [(st, it) for _, it, st in ref]
-    assert [(r.t, tuple(r.x)) for r in rows] == [(t, tuple(x)) for x in points for t in times]
-    for row, (u, _, _) in zip(rows, ref):
+    assert list(zip(status.ravel(), iters.ravel().tolist())) == [(st, it) for _, it, st in ref]
+    # point i and time j at [i, j]: ref is point-major
+    assert U.shape == (len(points), len(times), problem.spec.n)
+    assert iters.shape == status.shape == (len(points), len(times))
+    for u_row, (u, _, _) in zip(U.reshape(-1, problem.spec.n), ref):
         if u is None:
-            assert row.u is None
+            assert np.isnan(u_row).all()
         else:
-            assert np.max(np.abs(row.u - u)) <= 1e-13
+            assert np.max(np.abs(u_row - u)) <= 1e-13
 
 
 #: a track's times repeat and go back, so its queue length and iteration
@@ -416,13 +437,13 @@ def test_solve_field_tracks_out_of_step_match_the_loop(case, max_iter):
     family, spec, params, points = case
     problem = model.HodographProblem(spec, model.make_data(family, **params), newton_max_iter=max_iter)
     points = [np.array(p, dtype=float) for p in points]
-    rows = hodograph.solve_field(problem, _OUT_OF_STEP_TIMES, points)
+    U, iters, status = hodograph.solve_field(problem, _OUT_OF_STEP_TIMES, points)
     ref = _per_point_field(problem, _OUT_OF_STEP_TIMES, points, _solve_M_loop)
-    assert [(r.status, r.iters) for r in rows] == [(st, it) for _, it, st in ref]
-    for row, (u, _, _) in zip(rows, ref):
-        assert (row.u is None) == (u is None)
+    assert list(zip(status.ravel(), iters.ravel().tolist())) == [(st, it) for _, it, st in ref]
+    for u_row, (u, _, _) in zip(U.reshape(-1, spec.n), ref):
+        assert np.isnan(u_row).all() == (u is None)
         if u is not None:
-            assert np.max(np.abs(row.u - u)) <= 1e-13
+            assert np.max(np.abs(u_row - u)) <= 1e-13
 
 
 def test_sample_columns_text_equals_per_cell_formatting(tmp_path):
@@ -432,16 +453,16 @@ def test_sample_columns_text_equals_per_cell_formatting(tmp_path):
     family, spec, params, _ = _OUT_OF_STEP_CASES[1]
     problem = model.HodographProblem(spec, model.make_data(family, **params), newton_max_iter=4)
     points = np.array([[-0.0, 0.5], [0.0, -0.0], [1.5, 1.5], [-1.0, 0.0]])
-    samples = hodograph.solve_field(problem, _OUT_OF_STEP_TIMES, points)
-    U = [s.u for s in samples]
+    U, iters, status = hodograph.solve_field(problem, _OUT_OF_STEP_TIMES, points)
     out = tmp_path / "cols.csv"
-    cli._emit(str(out), [], ["h"], cli._sample_columns(samples, points, U))
-    want = ["h"] + [",".join([cli._fmt(s.t), *map(cli._fmt, s.x),
-                              *(["nan"] * 2 if s.u is None else map(cli._fmt, s.u)),
-                              str(s.iters), s.status]) for s in samples]
+    cli._emit(str(out), [], ["h"], cli._sample_columns(_OUT_OF_STEP_TIMES, points, U, iters, status))
+    want = ["h"] + [",".join([cli._fmt(t), *map(cli._fmt, x),
+                              *(["nan"] * 2 if status[i, j] != "OK" else map(cli._fmt, U[i, j])),
+                              str(iters[i, j]), status[i, j]])
+                    for i, x in enumerate(points) for j, t in enumerate(_OUT_OF_STEP_TIMES)]
     assert out.read_text().splitlines() == want
     assert {"-0.0", "nan"} <= {cell for line in want for cell in line.split(",")}
-    assert {s.status for s in samples} >= {"OK", "NO_CONVERGENCE", "POST_BLOWUP"}
+    assert set(status.ravel()) >= {"OK", "NO_CONVERGENCE", "POST_BLOWUP"}
 
 
 #: tanh1d free flow (A = 0, g = 0), where the Newton step of each row ends
@@ -562,10 +583,10 @@ def test_field_cases_reach_every_status_and_a_rescue(monkeypatch):
     monkeypatch.setattr(hodograph, "_scan_guess", spy)
     seen = set()
     for case in FIELD_CASES:
-        rows = hodograph.solve_field(*_field_problem(case))
-        seen.update(r.status for r in rows)
+        _, _, status = hodograph.solve_field(*_field_problem(case))
+        seen.update(status.ravel())
         if case[0] == "tanh1d":
-            assert rows[0].status == "OK" and len(rescues) == 1 and rescues[0] is not None
+            assert status[0, 0] == "OK" and len(rescues) == 1 and rescues[0] is not None
     assert seen == {"OK", "SINGULAR", "NO_CONVERGENCE", "DOMAIN_EXIT", "POST_BLOWUP"}
 
 
