@@ -27,7 +27,7 @@ returns the stored value bit for bit.  A builder is its root function:
                         from A and J; the first positive root in closed form
                         (coriolis2d_first_time)
 * A = diag(a1,a2) (sheets_diag2): an exponential polynomial in tau = e^{t a2/q}
-                        when a1/a2 = p/q
+                        when a1/a2 = p/q to a few ulps
 * any other A, singular ones and n >= 3 included (sheets_scan): the roots of
                         the residual scan scan_roots, a sign scan over one
                         phi1 table (matops.phi1_table), each bracket refined
@@ -35,7 +35,7 @@ returns the stored value bit for bit.  A builder is its root function:
                         d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t), both
                         from one matops.phi1_exp evaluator per scan;
                         the first positive root on (0, t_max] or every root on
-                        [-t_max, t_max] (the diag2 case with an irrational
+                        [-t_max, t_max] (the diag2 case with any other
                         ratio or a zero entry).
 
 build_sheets picks the builder from the structure of A; no A is refused.
@@ -486,7 +486,9 @@ def certify_coriolis_absent(problem, sheet):
     return Certificate(certified, reason, worst, sup)
 
 
-def _rationalize(r, max_denominator=64, tol=1e-9):
+def _rationalize(r, max_denominator=64, tol=4e-16):
+    """p/q with q <= max_denominator when r is p/q to a few ulps, else None: a
+    ratio that only resembles p/q is not taken for it."""
     fr = Fraction(r).limit_denominator(max_denominator)
     if abs(float(fr) - r) <= tol * max(1.0, abs(r)):
         return fr
@@ -496,8 +498,9 @@ def _rationalize(r, max_denominator=64, tol=1e-9):
 def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
     """Blow-up sheets for A = diag(a1, a2) in two dimensions.
 
-    When a1/a2 is rational p/q (continued-fraction reconstruction, denominator
-    <= 64) and the resulting polynomial in tau = e^{t a2 / q},
+    When a1/a2 is rational p/q to a few ulps (continued-fraction
+    reconstruction, denominator <= 64) and the resulting polynomial in
+    tau = e^{t a2 / q},
 
         tau^{p+q} + K1 tau^p + K2 tau^q + K3 = 0,
         K1 = a2 J22 - 1,  K2 = a1 J11 - 1,  K3 = 1 - a1 J11 - a2 J22 + a1 a2 det J,

@@ -293,11 +293,7 @@ def _parse_points(task, n):
 
 
 def _fmt(v):
-    if v is None:
-        return "nan"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    return repr(float(v))
 
 
 def _emit(out_path, comments, header, columns):

@@ -9,21 +9,17 @@ phi-functions are the workhorses of the implicit solution formulas:
 with the dimensionless entire functions phi_1(z) = (e^z - 1)/z and
 phi_2(z) = (e^z - 1 - z)/z^2.  Both are evaluated without ever inverting A, so
 singular (including nilpotent and exactly zero) matrices are fine.  There are
-three routes:
+two routes:
 
 * exact-diagonal A (every off-diagonal entry exactly 0): phi1 entrywise,
   as expm1(a t)/a (t where a = 0);
-* small arguments, ||tA||_inf < 0.25: a truncated Taylor series whose length
-  is fixed in advance from that norm, summed in Horner form;
-* everything else: the block-augmented exponential
+* everything else, and phi2 of every A: the block-augmented exponential
 
     exp [[tA, I, 0],   =  [[e^{tA}, phi_1(tA), phi_2(tA)],
          [0,  0, I],        [0,      I,         t...    ],
          [0,  0, 0]]        [0,      0,         I       ]]
 
   whose first block row delivers the phi functions directly.
-
-phi2 of a diagonal A takes the Taylor or augmented route like any other A.
 
 Every exponential here (mat_exp, the augmented route, phi1_table) is _expm:
 scaling and squaring with a diagonal Pade approximant of degree 3, 5, 7, 9
@@ -37,8 +33,8 @@ phi1_table stacks phi1 over many times at once, for the root scans whose
 matrix functions depend on t alone: entrywise for an exact-diagonal A (the
 same formula as phi1, so the same bits), otherwise one stacked _expm of the
 augmented matrices [[tA, tI], [0, 0]], whose top-right block is phi1 itself.
-It has no Taylor route and raises nothing: rows that overflow come back
-non-finite, for the caller to judge.
+It raises nothing: rows that overflow come back non-finite, for the caller
+to judge.
 
 phi1_exp(A) is the evaluator t -> (phi1(A, t), e^{tA} = I + A phi1) of one
 fixed A, for the root refinements that call it at one t after another: the
@@ -59,10 +55,6 @@ import numpy as np
 
 from .errors import OverflowMatrixError, SingularMatrixError
 
-# ``small argument'' cutoff for the Taylor path, in the infinity norm of tA
-_TAYLOR_CUTOFF = 0.25
-# relative truncation target for the Taylor series
-_TAYLOR_RTOL = 1e-17
 # eigenvector-matrix condition number above which we refuse to call a matrix
 # diagonalizable (defective matrices come out of LAPACK with cond(V) ~ 1/sqrt(eps))
 _DIAG_COND_LIMIT = 1e8
@@ -191,46 +183,6 @@ def mat_exp(A, t=1.0):
     return E
 
 
-def _series_length(beta, k):
-    """Number of terms N of the phi_k Taylor series for ||B||_inf <= beta < 1.
-
-    With c_j = beta^j / (j+k)!, the tail sum_{j>=N} c_j is at most
-    c_N / (1 - beta), and ||phi_k(B)|| >= 1/k! - c_1 / (1 - beta).  N is the
-    smallest length whose tail bound is below _TAYLOR_RTOL times that lower
-    bound.
-    """
-    # that test with both sides multiplied by (1 - beta); c runs through c_N
-    floor = _TAYLOR_RTOL * (1.0 - beta - beta / (k + 1)) / _factorial(k)
-    n = 1
-    c = beta / _factorial(k + 1)
-    while c > floor:
-        n += 1
-        c *= beta / (k + n)
-    return n
-
-
-def _phi_series(B, k, beta):
-    """Taylor sum of phi_k(B) = sum_{j>=0} B^j / (j+k)!, beta = ||B||_inf.
-
-    The length comes from _series_length; the sum is nested (Horner) form,
-    phi_k(B) = (I + B/(k+1) (I + B/(k+2) (I + ...))) / k!.
-    """
-    eye = np.eye(B.shape[0])
-    S = eye
-    for j in range(_series_length(beta, k) - 1, 0, -1):
-        S = B @ S
-        S *= 1.0 / (k + j)
-        S += eye
-    return S / _factorial(k)
-
-
-def _factorial(k):
-    f = 1
-    for i in range(2, k + 1):
-        f *= i
-    return f
-
-
 def _phi_augmented(B, k):
     """phi_k(B) from the block-augmented exponential; no inversion, singular-safe."""
     n = B.shape[0]
@@ -245,13 +197,6 @@ def _phi_augmented(B, k):
     if not np.all(np.isfinite(E)):
         raise OverflowMatrixError("phi-function evaluation overflowed")
     return E[:n, k * n : (k + 1) * n]
-
-
-def _phi_dimless(B, k):
-    beta = float(np.linalg.norm(B, np.inf))
-    if beta < _TAYLOR_CUTOFF:
-        return _phi_series(B, k, beta)
-    return _phi_augmented(B, k)
 
 
 def _phi1_diagonal(a):
@@ -274,11 +219,11 @@ def _phi1_diagonal(a):
 def _phi1_of(A):
     """t -> phi1(A, t) for one fixed square A, whose structure is tested here, once.
 
-    An exactly diagonal A goes entrywise; any other A through the Taylor or
-    augmented route of _phi_dimless.
+    An exactly diagonal A goes entrywise; any other A through the
+    augmented exponential of _phi_augmented.
     """
     if not is_exact_diagonal(A):
-        return lambda t: t * _phi_dimless(t * A, 1)
+        return lambda t: t * _phi_augmented(t * A, 1)
     a = np.diagonal(A)
     entries = _phi1_diagonal(a)
 
@@ -294,8 +239,9 @@ def _phi1_of(A):
 def phi1(A, t):
     """A^-1 (e^{tA} - 1) = t * phi_1(tA); valid for singular A, zero matrix at t = 0.
 
-    An exactly diagonal A gets diag(expm1(a t)/a), with t where a = 0, and
-    raises OverflowMatrixError when that is not finite.
+    An exactly diagonal A gets diag(expm1(a t)/a), with t where a = 0, any
+    other A the augmented exponential; both raise OverflowMatrixError when
+    the result is not finite.
     """
     return _phi1_of(_as_square(A))(t)
 
@@ -366,16 +312,15 @@ def phi_table(A, ts):
 def phi2(A, t):
     """A^-2 (e^{tA} - 1 - tA) = t^2 * phi_2(tA); valid for singular A."""
     A = _as_square(A)
-    return (t * t) * _phi_dimless(t * A, 2)
+    return (t * t) * _phi_augmented(t * A, 2)
 
 
 @dataclass
 class Spectrum:
-    """Eigenvalues plus the two facts the periodicity analysis needs."""
+    """Eigenvalues plus the diagonalizability verdict the periodicity analysis needs."""
 
     eigenvalues: np.ndarray
     diagonalizable: bool
-    eigvec_cond: float
 
 
 def eig(A):
@@ -384,8 +329,7 @@ def eig(A):
     w, V = np.linalg.eig(A)
     order = np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)))
     w = w[order]
-    cond = float(np.linalg.cond(V))
-    return Spectrum(eigenvalues=w, diagonalizable=bool(cond < _DIAG_COND_LIMIT), eigvec_cond=cond)
+    return Spectrum(eigenvalues=w, diagonalizable=bool(np.linalg.cond(V) < _DIAG_COND_LIMIT))
 
 
 def rank(A, tol=1e-10):

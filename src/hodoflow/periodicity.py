@@ -40,7 +40,6 @@ class PeriodicityReport:
     periodic: bool
     T: float | None
     eigenvalues: np.ndarray
-    lambdas: np.ndarray | None = None
     multipliers: list[Fraction] | None = None
     reason: str = ""
     exp_defect: float | None = None
@@ -115,7 +114,6 @@ def check_periodic(A, rational_tol=1e-9, max_denominator=64):
         periodic=True,
         T=T,
         eigenvalues=nu,
-        lambdas=lam,
         multipliers=fracs,
         exp_defect=defect,
     )

@@ -219,6 +219,24 @@ def test_sheets_diag2_equal_rates_delegates():
     assert a.t_star == pytest.approx(b.t_star, abs=1e-10)
 
 
+def test_sheets_diag2_look_alike_ratio_is_scanned():
+    """a1/a2 within 1e-9 of -2 but not -2: no grid point loses a root that the
+    all-roots scan finds for the A given, and each first positive time is the
+    scan's."""
+    problem = make_problem(np.diag([1.0, -0.5000000004]), "tanh2d", {"eps": 0.5}, grid_num=11)
+    diag2 = blowup.sheets_diag2(problem)
+    scan = blowup.sheets_scan(problem, t_max=10.0, scan_step=1e-2, first_only=False)
+    finite = 0
+    for i, M in enumerate(scan[0].points):
+        got = [s.t[i] for s in diag2 if s.t[i] > 0.0]
+        want = [s.t[i] for s in scan if s.t[i] > 0.0]
+        assert bool(got) == bool(want), f"M={M}: diag2 {got}, scan {want}"
+        if want:
+            assert min(got) == min(want), f"M={M}"
+            finite += 1
+    assert finite > 20
+
+
 def test_no_blowup_reported_for_damped_gauss():
     problem = make_problem([[-3.01]], "gauss1d", {"eta": 1.0, "kappa": 1.0})
     out = blowup.min_blowup_time(problem, blowup.sheet_1d(problem))

@@ -76,8 +76,8 @@ def test_phi_identities_random(n, t, seed):
     assert np.allclose(A @ P2, P1 - t * np.eye(n), atol=1e-10 * scale)
 
 
-def test_phi_taylor_vs_augmented_agree_across_threshold():
-    # ||tA|| straddles the series/augmented-exponential switch point
+def test_phi_small_and_large_arguments_agree_with_solve():
+    # ||tA|| from 0.01 to 1: small and large arguments alike
     A = random_matrix(3, seed=4)
     A /= np.linalg.norm(A, np.inf)
     for t in (0.01, 0.1, 0.24, 0.26, 1.0):
@@ -155,29 +155,39 @@ def test_exact_diagonal_overflow_raises():
         matops.phi1(A, 1.0)
 
 
+def _phi_reference(A, t):
+    """(phi1(A, t), phi2(A, t)) to 40 digits (mpmath), rounded to float: the
+    first block row of exp(t [[A, I, 0], [0, 0, I], [0, 0, 0]]), with A and t
+    taken exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    n = A.shape[0]
+    W = np.zeros((3 * n, 3 * n), dtype=object)
+    W[:n, :n] = A
+    W[:n, n:2 * n] = W[n:2 * n, 2 * n:] = np.eye(n)
+    with mpmath.workdps(40):
+        tm = mpmath.mpf(t)
+        E = mpmath.expm(mpmath.matrix([[tm * mpmath.mpf(float(w)) for w in row] for row in W]))
+        top = np.array(E.tolist()[:n], dtype=float)
+    return top[:, n:2 * n], top[:, 2 * n:]
+
+
+#: t for ||A||_inf = 1, so ||tA||_inf runs from 1e-12 to 1, both signs
+ACCURACY_TIMES = [s * t for t in np.geomspace(1e-12, 1.0, 13) for s in (1.0, -1.0)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_horner_taylor_vs_augmented_across_cutoff(n):
-    """The fixed-length Horner series against the augmented exponential, for
-    ||B||_inf on both sides of the 0.25 switch point, phi_1 and phi_2."""
+def test_phi1_phi2_against_40_digit_reference(n):
+    """phi1 and phi2 within 2e-15 of the 40-digit augmented exponential, in
+    the inf-norm relative to the reference, for ||tA||_inf from 1e-12 to 1."""
     A = random_matrix(n, seed=40 + n)
     A /= np.linalg.norm(A, np.inf)
-    for beta in (1e-6, 0.05, 0.2, 0.2499, 0.2501, 0.3):
-        B = beta * A
-        for k in (1, 2):
-            got = matops._phi_series(B, k, beta)
-            ref = matops._phi_augmented(B, k)
-            err = np.linalg.norm(got - ref, np.inf)
-            assert err <= 1e-14 * np.linalg.norm(ref, np.inf), f"n={n} beta={beta} k={k}"
-        if n > 1:
-            # the public entry points (A is not diagonal, so they reach the series)
-            t = beta
-            assert np.allclose(matops.phi1(A, t), t * matops._phi_augmented(B, 1),
-                               rtol=0.0, atol=1e-14 * t)
-            assert np.allclose(matops.phi2(A, t), t * t * matops._phi_augmented(B, 2),
-                               rtol=0.0, atol=1e-14 * t * t)
+    for t in ACCURACY_TIMES:
+        for got, ref in zip((matops.phi1(A, t), matops.phi2(A, t)), _phi_reference(A, t)):
+            err = np.linalg.norm(got - ref, np.inf) / np.linalg.norm(ref, np.inf)
+            assert err <= 2e-15, f"n={n} t={t}: {err:.2e}"
 
 
-#: ||tA||_inf on both sides of the 0.25 Taylor cutoff, for ||A||_inf = 1
+#: ||tA||_inf small and large, of both signs, for ||A||_inf = 1
 TABLE_TIMES = np.array([0.0, 1e-6, -0.05, 0.2, 0.2499, -0.2501, 0.3, 1.0, -2.5])
 
 
@@ -335,7 +345,7 @@ def test_expm_overflow_stays_in_its_row():
 ], ids=["rotation3d", "dense2d", "scalar", "zero"])
 def test_phi_table_matches_single_calls(A):
     """Each row of phi_table is mat_exp, phi1 and phi2 at its own time, to
-    rounding, across the Taylor and augmented routes and negative times."""
+    rounding, for small and large arguments and negative times."""
     ts = np.array([0.0, 1e-3, 0.05, 0.3, 0.9, 1.3, 3.0, -1.0])
     E, P1, P2 = matops.phi_table(A, ts)
     assert E.shape == P1.shape == P2.shape == (len(ts),) + A.shape
@@ -369,9 +379,9 @@ EVALUATOR_MATRICES = {
 
 def _phi1_formula(A, t):
     """phi1 written out: diag(expm1(a t)/a), t where a = 0, for an exactly
-    diagonal A; t phi_1(tA) by the Taylor/augmented dispatch otherwise."""
+    diagonal A; t phi_1(tA) by the augmented exponential otherwise."""
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
-        return t * matops._phi_dimless(t * A, 1)
+        return t * matops._phi_augmented(t * A, 1)
     a = np.diagonal(A)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.diag(np.where(a == 0.0, t, np.expm1(a * t) / np.where(a == 0.0, 1.0, a)))
@@ -380,7 +390,7 @@ def _phi1_formula(A, t):
 @pytest.mark.parametrize("name", list(EVALUATOR_MATRICES))
 def test_phi1_exp_is_phi1_bit_for_bit(name):
     """(phi1, e^{tA}) from the evaluator are phi1(A, t) and I + A @ phi1(A, t)
-    bit for bit, on both sides of the Taylor cutoff and for t of both signs;
+    bit for bit, for small and large ||tA|| and for t of both signs;
     and phi1 is its formula bit for bit."""
     A = EVALUATOR_MATRICES[name]
     evaluate = matops.phi1_exp(A)
