@@ -146,7 +146,7 @@ def _refine_root(phi1_exp, J, lo, hi, flo, fhi):
     Safeguarded Newton from the regula-falsi point, one phi1_exp(t) =
     (phi1(A, t), e^{tA}) per step (the matops.phi1_exp evaluator of A).  With
     K = phi1 + J, f'(t) = sum_j det(K with column j replaced by column j of
-    e^{tA}); f and those n determinants are one stacked det over one (n+1,
+    e^{tA}); f and those n determinants are one matops.det over one (n+1,
     n, n) array, filled afresh each step.  Each step shrinks the bracket by
     the sign of f; a Newton step that leaves the open bracket is replaced by
     its midpoint.  Returns the Newton iterate once the step is <= _ROOT_TOL,
@@ -161,7 +161,7 @@ def _refine_root(phi1_exp, J, lo, hi, flo, fhi):
         P1, E = phi1_exp(t)
         Ks[:] = P1 + J
         Ks[rows, :, cols] = E.T
-        dets = np.linalg.det(Ks)
+        dets = matops.det(Ks)
         f = float(dets[0])
         if f == 0.0:
             return float(t)
@@ -185,12 +185,14 @@ def scan_roots(t_grid, P1_tab, J, phi1_exp):
     """Roots of det(phi1(A, t) + J) on t_grid, yielded in increasing t.
 
     P1_tab[i] = phi1(A, t_grid[i]); the scan values are one stacked
-    det(P1_tab + J).  A value of exactly 0 at a grid node is a root; a strict
+    matops.det(P1_tab + J), the cofactor expansion for n <= 3, whose bits do
+    not depend on the stack, so a branch_fn probe rescans a grid point to the
+    same roots.  A value of exactly 0 at a grid node is a root; a strict
     sign change between neighbours is refined by _refine_root (safeguarded
     Newton on the blow-up residual itself) to 1e-12, through phi1_exp, the
     matops.phi1_exp(A) evaluator of the A that P1_tab tabulates.
     """
-    vals = np.linalg.det(P1_tab + J)
+    vals = matops.det(P1_tab + J)
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
         if vals[i] == 0.0:
             yield float(t_grid[i])

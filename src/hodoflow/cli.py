@@ -475,7 +475,8 @@ def _compare_columns(cfg, problem, task, seed):
     exact characteristic to (t, x(t)), then asks the solver for u(t, x(t)).
     Points whose track hits a caustic before t are tagged POST_BLOWUP and
     excluded from the gate.  Every sample is handled at once: one caustic
-    screen, one stacked exact flow and one Newton solve with a time per row.
+    screen, one stacked exact flow and one Newton solve with a time per row,
+    whose phi_table in the solve frame also gives the velocities.
     err is NaN where status is not OK; a sample the solver fails is SOLVE_FAIL(<error>).
     """
     spec, data = problem.spec, problem.data
@@ -511,9 +512,12 @@ def _compare_columns(cfg, problem, task, seed):
         err[rows], status[rows] = np.abs(u - flow.u[rows]).max(axis=1), "OK"
     elif rows.size:
         Xf = matops.matvec(to_frame, flow.x[rows])
-        M, _, _, st = hodograph._newton(frame, T[rows], Xf, hodograph._default_guess(frame, Xf))
+        E, P1, _ = table = matops.phi_table(frame.spec.A, T[rows])
+        M, _, _, st = hodograph._newton(frame, T[rows], Xf, hodograph._default_guess(frame, Xf),
+                                        table)
         ok = st == "OK"
-        u = matops.matvec(from_frame, hodograph.u_from_M(frame.spec, T[rows[ok]], M[ok]))
+        u = matops.matvec(E[ok], M[ok]) + matops.matvec(P1[ok], frame.spec.g)
+        u = matops.matvec(from_frame, u)
         err[rows[ok]] = np.abs(u - flow.u[rows[ok]]).max(axis=1)
         status[rows] = [s if s == "OK" else
                         f"SOLVE_FAIL({hodograph.STATUS_ERRORS[s].__name__})" for s in st]

@@ -91,14 +91,8 @@ def integrals(spec, s):
 
 
 def u_from_M(spec, t, M):
-    """Velocity at time t of the particle launched with velocity M, (n,) or (k, n).
-
-    A (k,) array t gives row i its own time t[i], from one matops.phi_table.
-    """
+    """Velocity at time t of the particle launched with velocity M, (n,) or (k, n)."""
     M = np.atleast_1d(np.asarray(M, dtype=float))
-    if np.ndim(t):
-        E, P1, _ = matops.phi_table(spec.A, t)
-        return matops.matvec(E, M) + matops.matvec(P1, spec.g)
     return matops.matvec(matops.mat_exp(spec.A, t), M) + matops.phi1(spec.A, t) @ spec.g
 
 

@@ -43,6 +43,10 @@ structure of A is tested once, when it is built, with phi1's bits.
 phi_table stacks e^{tA}, phi1 and phi2 over many times at once (one stacked
 _expm of the 3n-augmented matrices), for work that carries its own time per
 row, such as the samples of a comparison run.
+
+det takes the determinants of a stack, for the tables of the blow-up scan and
+the caustic screen: written out by cofactors for n <= 3, with the same bits
+for a matrix in any stack, instead of one LAPACK LU per matrix.
 """
 
 from __future__ import annotations
@@ -348,6 +352,30 @@ def matvec(A, V):
     V @ A.T is not.
     """
     return np.matmul(A, V[..., None])[..., 0]
+
+
+# det's cofactor expansions along the first row, of the entries in row-major order
+_DET_FORMULA = {
+    1: lambda a: +a,
+    2: lambda a, b, c, d: a * d - b * c,
+    3: lambda a, b, c, d, e, f, g, h, i: (a * (e * i - f * h) - b * (d * i - f * g)
+                                          + c * (d * h - e * g)),
+}
+
+
+def det(A):
+    """Determinants of a (..., n, n) stack, shape (...).
+
+    n <= 3 by the cofactor expansion _DET_FORMULA, entrywise over the stack,
+    so a matrix gets the same bits whatever stack it sits in; n >= 4 by
+    np.linalg.det.  A non-finite entry gives a non-finite determinant; the
+    floating-point warnings on the way are the caller's np.errstate to set.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[-1]
+    if n > 3:
+        return np.linalg.det(A)
+    return _DET_FORMULA[n](*(A[..., r, c] for r in range(n) for c in range(n)))
 
 
 def _cond2(A):

@@ -11,8 +11,12 @@ which is a linear ODE with the closed-form solution
 
 (the x(t) line is the t-integral of the u(t) line).  These routines exist to
 check the implicit solver, so they deliberately share nothing with it beyond
-the phi-function evaluator: there is also a plain fixed-step RK4 integrator
-that does not even use phi functions, plus a finite-difference PDE residual.
+the phi-function evaluator and the determinant kernel matops.det, which is
+tested against exact rational determinants; the one-point flow_jacobian_det
+(like blowup.blowup_residual on the solver's side) stays on LAPACK's
+np.linalg.det, a second route to the values the tables produce.  There is
+also a plain fixed-step RK4 integrator that does not even use phi functions,
+plus a finite-difference PDE residual.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from .errors import OverflowMatrixError
 
 #: time steps per phi1_table in caustic_times' sign scan
 _SCAN_CHUNK = 256
-#: matrices per stacked determinant in caustic_times' sign scan (bounds its memory)
-_DET_BLOCK = 1024
+#: matrices per block of caustic_times' determinant table, one GEMM and one
+#: matops.det each (bounds its memory: about 2.4 MB of 3x3 matrices)
+_DET_BLOCK = 1 << 15
 
 
 @dataclass
@@ -109,11 +114,22 @@ def _u0_jacobian(data, x0):
 
 
 def _flow_dets(P, Ju0):
-    """det(I + P[i] Ju0[j]) as a (len(P), len(Ju0)) table, _DET_BLOCK matrices at a time."""
-    eye = np.eye(Ju0.shape[-1])
-    cols = max(1, _DET_BLOCK // len(P))
-    return np.concatenate([np.linalg.det(eye + P[:, None] @ Ju0[None, j : j + cols])
-                           for j in range(0, len(Ju0), cols)], axis=1)
+    """det(I + P[i] Ju0[j]) as a (len(P), len(Ju0)) table, _DET_BLOCK matrices at a time.
+
+    Each block of columns is one 2-D GEMM, (nodes n, n) @ (n, cols n), whose
+    entry (i, a; j, c) is (P[i] Ju0[j])[a, c], I added on its diagonal in
+    place, and one matops.det of its (nodes, cols, n, n) view.
+    """
+    m, n = len(P), Ju0.shape[-1]
+    rows, diag = P.reshape(-1, n), np.arange(n)
+    cols = max(1, _DET_BLOCK // m)
+    out = []
+    for j in range(0, len(Ju0), cols):
+        block = Ju0[j : j + cols]
+        K = (rows @ block.transpose(1, 0, 2).reshape(n, -1)).reshape(m, n, len(block), n)
+        K[:, diag, :, diag] += 1.0
+        out.append(matops.det(K.transpose(0, 2, 1, 3)))
+    return np.concatenate(out, axis=1)
 
 
 def first_caustic_time(spec, data, x0, t_max=50.0, step=1e-2, tol=1e-10):
@@ -135,7 +151,8 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
     bracketing interval is bisected to tol.  phi1 depends on t alone, so the
     rows share their nodes: one matops.phi1_table per _SCAN_CHUNK steps (up to
     the largest live t_max) and one over the end nodes t_max, and the
-    determinants of a chunk are one (nodes x rows) table, with J_{u0} computed
+    determinants of a chunk are one (nodes x rows) table, _flow_dets (one
+    GEMM and one matops.det per _DET_BLOCK matrices), with J_{u0} computed
     once per row.  A row leaves the scan at its first zero or sign change, or
     past its own t_max.  The bracketing rows are bisected together, one
     phi1_table over their midpoints per step.  A row whose first such node is
@@ -154,7 +171,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
     live = nsteps > 0
     lo = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        f_end = np.linalg.det(eye + matops.phi1_table(A, t_max) @ Ju0)
+        f_end = matops.det(eye + matops.phi1_table(A, t_max) @ Ju0)
         while live.any():
             rows = np.flatnonzero(live)
             hi = min(lo + _SCAN_CHUNK, int(nsteps[rows].max()) + 1)
@@ -187,7 +204,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
         while act.any():
             r = np.flatnonzero(act)
             m = 0.5 * (a[r] + b[r])
-            fm = np.linalg.det(eye + matops.phi1_table(A, m) @ Ju0[r])
+            fm = matops.det(eye + matops.phi1_table(A, m) @ Ju0[r])
             zero = fm == 0.0
             out[r[zero]] = m[zero]
             bracket[r[zero]] = False

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import pathlib
@@ -1166,6 +1167,28 @@ def test_stacked_compare_matches_per_sample_route(monkeypatch, case):
             assert abs(err_i - e) <= 1e-12
     if case.startswith("tanh1d") or case.endswith("t-star"):
         assert {"OK", "POST_BLOWUP"} <= set(status)
+
+
+def test_compare_phi_table_call_budget(tmp_path, monkeypatch):
+    """A coriolis3d compare past t* (OK, POST_BLOWUP and SOLVE_FAIL samples)
+    makes two phi_table calls: the original-frame exact flow, and the rotated
+    solve whose table also gives the velocities.  Its CSV is byte for byte the
+    one written when the velocities had a rotated table of their own."""
+    real_table = matops.phi_table
+    calls = []
+
+    def counting(A, ts):
+        calls.append(len(ts))
+        return real_table(A, ts)
+
+    monkeypatch.setattr(matops, "phi_table", counting)
+    cfg = _STACKED_COMPARE_CASES["coriolis3d-past-t-star"]
+    out = tmp_path / "compare.csv"
+    assert cli.main(["compare", "--config", write_cfg(tmp_path, "compare.yaml", cfg),
+                     "--out", str(out)]) == 2
+    assert len(calls) == 2 and calls[0] == 60 and calls[1] < 60, calls
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "47ff819fa4f42aafd80eac2909f3a14200384640e47ea83024abca5b85af9d4e")
 
 
 def test_compare_expm_calls_do_not_grow_with_samples(monkeypatch):

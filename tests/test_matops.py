@@ -1,6 +1,9 @@
 """Matrix-exponential and phi-function identities, spectra, rank/solve guards."""
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -487,3 +490,68 @@ def test_cond_2x2_keeps_every_singular_decision():
     assert outside.sum() > 2900
     want = ~np.isfinite(ref) | (ref > limit)
     assert np.array_equal((~np.isfinite(got) | (got > limit))[outside], want[outside])
+
+
+def _dyadic_stack(rng, m, n):
+    """m random n x n matrices whose entries are integers over powers of 2,
+    so Fraction holds every entry exactly."""
+    return rng.integers(-2**20, 2**20, size=(m, n, n)) / 2.0 ** rng.integers(0, 24, size=(m, n, n))
+
+
+def _leibniz_terms(A):
+    """The n! signed products of the Leibniz expansion of det A, as Fractions."""
+    n = len(A)
+    terms = []
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for r, c in enumerate(perm):
+            term *= Fraction(float(A[r, c]))
+        terms.append(term)
+    return terms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_det_matches_exact_rationals(n):
+    """The cofactor expansion against the exact determinant, to 4 ulps of the
+    sum of the absolute Leibniz terms (its rounding scale)."""
+    A = _dyadic_stack(np.random.default_rng(n), 500, n)
+    got = matops.det(A)
+    assert got.shape == (500,)
+    for a, d in zip(A, got):
+        terms = _leibniz_terms(a)
+        scale = float(sum(abs(t) for t in terms))
+        assert abs(float(sum(terms) - Fraction(float(d)))) <= 4 * np.finfo(float).eps * scale
+
+
+def test_det_of_4x4_is_lapacks():
+    A = np.random.default_rng(4).standard_normal((50, 4, 4))
+    assert np.array_equal(matops.det(A), np.linalg.det(A))
+    assert matops.det(A[0]) == np.linalg.det(A[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 7, 1000])
+def test_det_row_of_a_stack_is_the_one_matrix_call(n, m):
+    """A matrix gets the same bits whatever stack it sits in (branch_fn probes
+    of a blow-up sheet rely on it)."""
+    A = np.random.default_rng(10 * m + n).standard_normal((m, n, n))
+    stacked = matops.det(A)
+    assert stacked.shape == (m,)
+    assert all(stacked[i] == matops.det(A[i]) for i in range(m))
+    assert np.array_equal(matops.det(A.reshape(1, m, n, n))[0], stacked)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_det_non_finite_entry_is_non_finite(n, bad):
+    """Every position of a matrix with zeros and ones around it: the
+    determinant is not finite, and under the caller's errstate no
+    RuntimeWarning escapes."""
+    A = np.array([np.eye(n), np.zeros((n, n)), np.ones((n, n)), random_matrix(n, seed=n)])
+    stack = np.repeat(A[None], n * n, axis=0)  # (positions, 4, n, n)
+    for p in range(n * n):
+        stack[p, :, p // n, p % n] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = matops.det(stack)
+    assert got.shape == (n * n, 4) and not np.isfinite(got).any()

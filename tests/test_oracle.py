@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hodoflow import degenerate, model, oracle
+from hodoflow import degenerate, matops, model, oracle
 from hodoflow.errors import OverflowMatrixError
 
 
@@ -251,3 +251,61 @@ def test_stacked_exact_flow_matches_row_calls():
         one = oracle.exact_flow(spec, x0[i], u0[i], t[i])
         np.testing.assert_allclose(flow.x[i], one.x, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(flow.u[i], one.u, rtol=1e-14, atol=1e-14)
+
+
+def _c3d_table():
+    """The compare-3d caustic table's inputs: phi1 of the rotated force on 130
+    nodes of step 0.02 (past the data's t* ~ 1.389, so both signs occur), and
+    J_{u0} at 24 seeded rotated-frame samples."""
+    spec, data = _c3d_rotated()
+    box = data.sample_box()
+    x0 = np.random.default_rng(1).uniform(box[:, 0], box[:, 1], size=(24, 3))
+    P = matops.phi1_table(spec.A, np.arange(1, 131) * 0.02)
+    return spec, data, x0, P, oracle._u0_jacobian(data, x0)
+
+
+def test_flow_dets_match_per_matrix_lapack():
+    """The GEMM-and-cofactor table against det(I + P[i] Ju0[j]) one matrix at
+    a time: 1e-12 relative and the identical sign pattern."""
+    _, _, _, P, Ju0 = _c3d_table()
+    got = oracle._flow_dets(P, Ju0)
+    ref = np.array([[np.linalg.det(np.eye(3) + p @ j) for j in Ju0] for p in P])
+    assert got.shape == (130, 24)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    assert np.array_equal(np.sign(got), np.sign(ref))
+    assert (ref < 0.0).any() and (ref > 0.0).any()
+
+
+@pytest.mark.parametrize("block", [None, 300])
+def test_flow_dets_blocks_stay_within_det_block(monkeypatch, block):
+    """No stacked determinant of caustic_times holds more than _DET_BLOCK
+    matrices, also when a small _DET_BLOCK splits the table into blocks; the
+    screen keeps its caustics."""
+    spec, data, x0, P, Ju0 = _c3d_table()
+    t_max = np.full(len(x0), 2.6)
+    full = oracle._flow_dets(P, Ju0)
+    expected = oracle.caustic_times(spec, data, x0, t_max)
+    if block is not None:
+        monkeypatch.setattr(oracle, "_DET_BLOCK", block)
+    shapes, calls = [], []
+    real_det, real_flow_dets = matops.det, oracle._flow_dets
+
+    def recording(A):
+        shapes.append(A.shape)
+        return real_det(A)
+
+    def counting(P, Ju0):
+        calls.append(len(P))
+        return real_flow_dets(P, Ju0)
+
+    monkeypatch.setattr(matops, "det", recording)
+    monkeypatch.setattr(oracle, "_flow_dets", counting)
+    split = oracle._flow_dets(P, Ju0)
+    got = oracle.caustic_times(spec, data, x0, t_max)
+    tables = [s for s in shapes if len(s) == 4]  # (nodes, samples, n, n) blocks
+    assert all(np.prod(s[:-2]) <= oracle._DET_BLOCK for s in shapes)
+    # one block per table at the default size, several at 300 matrices
+    assert (len(tables) == len(calls)) == (block is None) and len(calls) >= 2
+    assert np.all(np.abs(split - full) <= 1e-13 * np.abs(full))
+    assert np.array_equal(np.isnan(got), np.isnan(expected)) and np.isfinite(got).any()
+    assert np.nanmax(np.abs(got - expected)) <= 1e-10
