@@ -439,25 +439,27 @@ def cmd_period(cfg, out_path, seed=None):
     else:
         lines.append(f"reason: {report.reason}")
     verify = task.get("verify")
-    if report.periodic and verify is not None and "data" in cfg:
+    if verify is not None:  # checked whole, also where A turns out not to be periodic
         _require(isinstance(verify, dict), "'verify' must be a mapping")
+        _require("data" in cfg, "period verification needs a 'data' block")
         problem = build_problem(cfg)
         _require(not np.any(problem.spec.g), "period verification needs g = 0")
         rng = np.random.default_rng(_seed(seed, verify))
         num = _coerce(int, verify.get("num_points", 20), "num_points")
         _require(num > 0, f"period verify needs num_points > 0, got {num}")
-        t_lo, t_hi = _pair(verify.get("t_range", [0.0, report.T]), "t_range")
-        box = problem.data.sample_box()
-        samples = [
-            (rng.uniform(t_lo, t_hi), rng.uniform(box[:, 0], box[:, 1])) for _ in range(num)
-        ]
-        check = periodicity.verify_solution_period(
-            problem, report.T, samples, tol=_positive(float, verify.get("tol", 1e-8), "tol")
-        )
-        lines.append(f"verify: {'pass' if check.ok else 'fail'}")
-        lines.append(f"verify_max_delta: {_fmt(check.max_delta)}")
-        for failure in check.failures:
-            lines.append(f"verify_failure: {failure}")
+        t_range = _pair(verify["t_range"], "t_range") if "t_range" in verify else None
+        tol = _positive(float, verify.get("tol", 1e-8), "tol")
+        if report.periodic:
+            t_lo, t_hi = t_range or (0.0, report.T)
+            box = problem.data.sample_box()
+            samples = [
+                (rng.uniform(t_lo, t_hi), rng.uniform(box[:, 0], box[:, 1])) for _ in range(num)
+            ]
+            check = periodicity.verify_solution_period(problem, report.T, samples, tol=tol)
+            lines.append(f"verify: {'pass' if check.ok else 'fail'}")
+            lines.append(f"verify_max_delta: {_fmt(check.max_delta)}")
+            for failure in check.failures:
+                lines.append(f"verify_failure: {failure}")
     _write_text(out_path, "\n".join(lines) + "\n")
     if out_path:
         print("\n".join(lines[1:]))
@@ -476,7 +478,7 @@ def _compare_columns(cfg, problem, task, seed):
     Points whose track hits a caustic before t are tagged POST_BLOWUP and
     excluded from the gate.  Every sample is handled at once: one caustic
     screen, one stacked exact flow and one Newton solve with a time per row,
-    whose phi_table in the solve frame also gives the velocities.
+    which also gives the velocities in the solve frame.
     err is NaN where status is not OK; a sample the solver fails is SOLVE_FAIL(<error>).
     """
     spec, data = problem.spec, problem.data
@@ -512,15 +514,13 @@ def _compare_columns(cfg, problem, task, seed):
         err[rows], status[rows] = np.abs(u - flow.u[rows]).max(axis=1), "OK"
     elif rows.size:
         Xf = matops.matvec(to_frame, flow.x[rows])
-        E, P1, _ = table = matops.phi_table(frame.spec.A, T[rows])
-        M, _, _, st = hodograph._newton(frame, T[rows], Xf, hodograph._default_guess(frame, Xf),
-                                        table)
-        ok = st == "OK"
-        u = matops.matvec(E[ok], M[ok]) + matops.matvec(P1[ok], frame.spec.g)
-        u = matops.matvec(from_frame, u)
+        _, U, _, _, st = hodograph._newton(frame, T[rows, None], Xf,
+                                           hodograph._default_guess(frame, Xf))
+        ok = st[:, 0] == "OK"
+        u = matops.matvec(from_frame, U[ok, 0])
         err[rows[ok]] = np.abs(u - flow.u[rows[ok]]).max(axis=1)
         status[rows] = [s if s == "OK" else
-                        f"SOLVE_FAIL({hodograph.STATUS_ERRORS[s].__name__})" for s in st]
+                        f"SOLVE_FAIL({hodograph.STATUS_ERRORS[s].__name__})" for s in st[:, 0]]
     return T, flow.x, err, status
 
 

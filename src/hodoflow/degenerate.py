@@ -207,11 +207,7 @@ def degenerate_solve_info(problem, basis, t, x, guess_M=None):
     problem.data holds the *rotated* initial velocity v0(y); the sample comes
     back in original coordinates through u = P v.
     """
-    return _solve_rotated(rotated_problem(problem, basis), basis, t, x, guess_M)
-
-
-def _solve_rotated(rp, basis, t, x, guess_M=None):
-    """degenerate_solve_info on the rotated problem rp, built by the caller."""
+    rp = rotated_problem(problem, basis)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     M, info = hodograph.solve_M(rp, t, basis.L @ x, guess_M=guess_M)
     v = hodograph.u_from_M(rp.spec, t, M)
@@ -219,8 +215,7 @@ def _solve_rotated(rp, basis, t, x, guess_M=None):
 
 
 def degenerate_solve(problem, basis, t, x, guess_M=None):
-    sample, _ = degenerate_solve_info(problem, basis, t, x, guess_M)
-    return sample
+    return degenerate_solve_info(problem, basis, t, x, guess_M)[0]
 
 
 def _zaxis_omega(A):
@@ -246,23 +241,30 @@ def non_periodicity_witness(problem, T, sample_points, threshold=1e-3, basis=Non
 
     Even though e^{TA} = I for the rotation force, the kernel component rides
     dy/dt = v with no restoring term, so any dependence of the kernel velocity
-    on the kernel coordinate breaks periodicity.  Returns the first witness
-    found, or None (e.g. when that component of the data is constant).
+    on the kernel coordinate breaks periodicity.  One _newton call solves
+    every sample in the rotated frame at t and, from that root, at t + T; a
+    sample that fails either solve is just not a witness.  Returns the first
+    witness in sample order, or None (e.g. when that component of the data
+    is constant).
     """
     if np.any(np.asarray(problem.spec.g, dtype=float) != 0.0):
         raise ValueError("periodicity comparison is a g = 0 statement")
     if basis is None:
         basis = coriolis3d_basis(_zaxis_omega(problem.spec.A))
+    if not len(sample_points):
+        return None
     rp = rotated_problem(problem, basis)
-    for t, x in sample_points:
-        t = float(t)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        try:
-            s1, info = _solve_rotated(rp, basis, t, x)
-            s2, _ = _solve_rotated(rp, basis, t + T, x, guess_M=info.M)
-        except (HodoflowError, FloatingPointError, np.linalg.LinAlgError):
-            continue  # a failed sample is just not a witness
-        delta = float(np.abs(s2.u - s1.u).max())
-        if delta > threshold:
-            return WitnessPoint(t=t, x=x, delta=delta)
-    return None
+    ts = np.array([t for t, _ in sample_points], dtype=float)
+    X = np.array([x for _, x in sample_points], dtype=float)
+    Y = matops.matvec(basis.L, X)
+    try:
+        _, V, _, _, _ = hodograph._newton(rp, np.column_stack([ts, ts + T]), Y,
+                                          hodograph._default_guess(rp, Y))
+    except HodoflowError:
+        return None  # data without an inverse map (constant) solves no sample
+    U = matops.matvec(basis.P, V)
+    delta = np.abs(U[:, 1] - U[:, 0]).max(axis=1)  # NaN, never a witness, where a solve failed
+    i = int(np.argmax(delta > threshold))  # the first witness, if there is one
+    if not delta[i] > threshold:
+        return None
+    return WitnessPoint(t=float(ts[i]), x=X[i], delta=float(delta[i]))

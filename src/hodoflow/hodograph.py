@@ -208,21 +208,19 @@ def _rows(f, M):
     return f(M)
 
 
-def _newton(problem, t, X, M0, table=None):
+def _newton(problem, t, X, M0):
     """Damped Newton on residual_M = 0 for every row of X, each row on its own schedule.
 
-    X holds k positions and M0 their starting guesses, both (k, n).  t is one
-    time for every row, a (k,) array with row i's own time, or a (k, q)
-    array: a queue of q times per row, solved in turn, each root the guess for
-    the row's next time.  phi1 and phi2 come from one matops.phi_table over
-    the (k,) times, else over the distinct times np.unique(t); a caller that
-    needs e^{tA} at those distinct times passes that table in.
-    Returns (M, iters, rnorm, status), one entry per row and queued time,
-    (k, q) for a queue and (k,) otherwise: status is OK, SINGULAR,
-    NO_CONVERGENCE or DOMAIN_EXIT, and POST_BLOWUP for every queued time
-    after a row's first failure; M is the root or the last in-domain iterate
-    of a failed time, iters the Newton iterations used and rnorm the max-norm
-    residual at M.
+    X holds k positions and M0 their starting guesses, both (k, n).  t is a
+    (k, q) queue of times: row i solves t[i, 0], ..., t[i, q - 1] in turn,
+    each root the guess for its next time.  e^{tA}, phi1 and phi2 come from
+    one matops.phi_table over the distinct times np.unique(t).
+    Returns (M, U, iters, rnorm, status), one entry per row and queued time,
+    (k, q) (M and U (k, q, n)): status is OK, SINGULAR, NO_CONVERGENCE or
+    DOMAIN_EXIT, and POST_BLOWUP for every queued time after a row's first
+    failure; M is the root or the last in-domain iterate of a failed time, U
+    the velocity e^{tA} M + phi1(A,t) g at a root and NaN elsewhere, iters
+    the Newton iterations used and rnorm the max-norm residual at M.
 
     Rows do not wait for each other: a row that converges moves on to its
     next time in the same pass, with its guess clipped into the domain and a
@@ -238,14 +236,10 @@ def _newton(problem, t, X, M0, table=None):
     """
     spec, data = problem.spec, problem.data
     tol, max_iter = problem.newton_tol, problem.newton_max_iter
-    T = np.asarray(t, dtype=float)
     k, n = np.shape(X)
-    if T.ndim == 1:
-        times, queue = T, np.arange(k)[:, None]
-    else:
-        times, queue = np.unique(T, return_inverse=True)
-        queue = queue.reshape(T.shape) if T.ndim else np.zeros((k, 1), dtype=int)
-    _, P1, P2 = matops.phi_table(spec.A, times) if table is None else table
+    times, queue = np.unique(np.asarray(t, dtype=float), return_inverse=True)
+    queue = queue.reshape(k, -1)
+    E, P1, P2 = matops.phi_table(spec.A, times)
     P2g = matops.matvec(P2, spec.g)
     q = queue.shape[1]
     cur = queue[:, 0].copy()  # table row of each row's current time
@@ -346,11 +340,15 @@ def _newton(problem, t, X, M0, table=None):
             rows = rows[took]
         fresh[rows] = False
         iters[rows] += 1
-    shape = (k, q) if T.ndim == 2 else (k,)
-    return out_M.reshape(*shape, n), out_iters.reshape(shape), out_rnorm.reshape(shape), out_status.reshape(shape)
+    ok = out_status == "OK"
+    c = queue.ravel()[ok]
+    out_U = np.full((k * q, n), np.nan)
+    out_U[ok] = matops.matvec(E[c], out_M[ok]) + matops.matvec(P1[c], spec.g)
+    return (out_M.reshape(k, q, n), out_U.reshape(k, q, n), out_iters.reshape(k, q),
+            out_rnorm.reshape(k, q), out_status.reshape(k, q))
 
 
-#: the error solve_M raises for each failed _newton status
+#: the error class of each failed _newton status
 STATUS_ERRORS = {
     "SINGULAR": JacobianSingularError,
     "DOMAIN_EXIT": DomainExitError,
@@ -358,33 +356,32 @@ STATUS_ERRORS = {
 }
 
 
+def newton_error(status, t, M, iters, rnorm):
+    """The STATUS_ERRORS error of a failed _newton status at time t, M the last iterate."""
+    text = {
+        "SINGULAR": f"Newton matrix singular at M={M!r}, t={t!r}: the iterate sits on the "
+                    "blow-up set",
+        "DOMAIN_EXIT": f"Newton iterate left the data domain at t={t!r} (last in-domain M={M!r})",
+        "NO_CONVERGENCE": f"no convergence at t={t!r} after {iters} iterations "
+                          f"(residual {rnorm:.3e})",
+    }[status]
+    extra = {"residual": rnorm} if status == "NO_CONVERGENCE" else {}
+    return STATUS_ERRORS[status](text, M=M.copy(), **extra)
+
+
 def solve_M(problem, t, x, guess_M=None):
     """Newton solve of residual_M = 0; returns (M, NewtonInfo).
 
-    The one-point case of _newton; a failed row raises its status's error.
+    The one-point case of _newton; a failed row raises its newton_error.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     M0 = _default_guess(problem, x) if guess_M is None else np.atleast_1d(guess_M)
-    M, iters, rnorm, status = _newton(problem, t, x[None], np.asarray(M0, dtype=float)[None])
-    M, iters, rnorm, status = M[0], int(iters[0]), float(rnorm[0]), status[0]
-    if status == "OK":
-        return M, NewtonInfo(iters=iters, M=M, residual_norm=rnorm)
-    if status == "SINGULAR":
-        raise JacobianSingularError(
-            f"Newton matrix singular at M={M!r}, t={t!r}: the iterate sits on the "
-            "blow-up set",
-            M=M.copy(),
-        )
-    if status == "DOMAIN_EXIT":
-        raise DomainExitError(
-            f"Newton iterate left the data domain at t={t!r} (last in-domain M={M!r})",
-            M=M.copy(),
-        )
-    raise NoConvergenceError(
-        f"no convergence at t={t!r} after {iters} iterations (residual {rnorm:.3e})",
-        M=M.copy(),
-        residual=rnorm,
-    )
+    M, _, iters, rnorm, status = _newton(problem, np.full((1, 1), t), x[None],
+                                         np.asarray(M0, dtype=float)[None])
+    M, iters, rnorm, status = M[0, 0], int(iters[0, 0]), float(rnorm[0, 0]), status[0, 0]
+    if status != "OK":
+        raise newton_error(status, t, M, iters, rnorm)
+    return M, NewtonInfo(iters=iters, M=M, residual_norm=rnorm)
 
 
 def solve_u(problem, t, x, guess_M=None):
@@ -393,19 +390,12 @@ def solve_u(problem, t, x, guess_M=None):
     Constant data has no inverse map: it is transported in closed form instead
     of iterated.
     """
-    sample, _ = solve_u_info(problem, t, x, guess_M)
-    return sample
-
-
-def solve_u_info(problem, t, x, guess_M=None):
-    """solve_u plus the Newton iteration record, whose M can warm-start a later solve."""
     spec, data = problem.spec, problem.data
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(data, Constant):
-        u = closed_form("const_M", spec, t, x, data.c)
-        return StateSample(t=t, x=x, u=u), NewtonInfo(iters=0, M=data.c.copy(), residual_norm=0.0)
-    M, info = solve_M(problem, t, x, guess_M)
-    return StateSample(t=t, x=x, u=u_from_M(spec, t, M)), info
+        return StateSample(t=t, x=x, u=closed_form("const_M", spec, t, x, data.c))
+    M, _ = solve_M(problem, t, x, guess_M)
+    return StateSample(t=t, x=x, u=u_from_M(spec, t, M))
 
 
 def closed_form(kind, spec, t, x, c):
@@ -473,7 +463,7 @@ def solve_field(problem, t_values, x_points):
     gradient catastrophe: after the first failed time on a track, later times
     on that track are marked POST_BLOWUP, never interpolated or branch-hopped.
     One _newton call solves every track, each moving on to its next time as
-    soon as it converges, and u comes from the e^{tA} and phi1 of its table.
+    soon as it converges, and gives the velocities too.
     Returns (U, iters, status), point i and time j at [i, j]: U (k, q, n) is
     NaN and iters (k, q) is 0 where status (k, q), _newton's, is not OK.
     """
@@ -486,12 +476,6 @@ def solve_field(problem, t_values, x_points):
         shape = (len(X), len(times))
         return (np.tile(np.reshape(u, (-1, spec.n)), (len(X), 1, 1)),
                 np.zeros(shape, dtype=int), np.full(shape, "OK", dtype=object))
-    distinct, col = np.unique(times, return_inverse=True)
-    E, P1, _ = table = matops.phi_table(spec.A, distinct)
-    M, iters, _, status = _newton(problem, np.tile(times, (len(X), 1)), X,
-                                  _default_guess(problem, X), table)
-    ok = status == "OK"
-    c = np.broadcast_to(col, ok.shape)[ok]
-    U = np.full(M.shape, np.nan)
-    U[ok] = matops.matvec(E[c], M[ok]) + matops.matvec(P1[c], spec.g)
-    return U, np.where(ok, iters, 0), status
+    _, U, iters, _, status = _newton(problem, np.tile(times, (len(X), 1)), X,
+                                     _default_guess(problem, X))
+    return U, np.where(status == "OK", iters, 0), status

@@ -161,6 +161,36 @@ def test_period_with_verification(tmp_path):
     assert "verify: pass" in text, text
 
 
+def test_period_verification_of_constant_data(tmp_path):
+    """u = e^{tA} c is exactly T-periodic when g = 0: constant data passes."""
+    cfg = {
+        "problem": {"preset": "coriolis2d", "omega": 1.0},
+        "data": {"family": "constant", "params": {"c": [0.3, -0.1]}},
+        "task": {"name": "period", "verify": {"num_points": 3}},
+    }
+    out = tmp_path / "pc.txt"
+    assert cli.main(["period", "--config", write_cfg(tmp_path, "pc.yaml", cfg), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "verify: pass" in text and "verify_failure" not in text, text
+
+
+def test_readme_period_example_matches_a_run(tmp_path):
+    """The README's period example, run from its own YAML block, prints the
+    output shown there, every line but the config hash."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Example: period report with flow verification", 1)[1]
+    blocks = section.split("```")
+    cfg_text, shown = blocks[1].removeprefix("yaml\n"), blocks[3].strip().splitlines()
+    assert shown[0] == "$ hodoflow period --config period.yaml", shown[0]
+    cfg_path = tmp_path / "period.yaml"
+    cfg_path.write_text(cfg_text)
+    out = tmp_path / "period.txt"
+    assert cli.main(["period", "--config", str(cfg_path), "--out", str(out)]) == 0
+    got = out.read_text().splitlines()
+    assert got[0].startswith("# config-sha256: ") and shown[1] == "# config-sha256: ..."
+    assert got[1:] == shown[2:]
+
+
 def test_compare_gate_pass_and_fail(tmp_path):
     cfg = {
         "problem": {"matrix": [[0.0]], "g": [1.0]},
@@ -726,6 +756,12 @@ _C3D_BLOWUP = {
     ("solve", {**_TANH_1D, "task": {"name": "solve", "times": [0.1], "points": [[NAN]]}}),
     ("solve", {**_TANH_1D, "task": {"name": "solve", "times": [0.1],
                                     "points": {"min": [-INF], "max": [0.5], "num": 3}}}),
+    # a verify block is checked whole, also where it would not run
+    ("period", {"problem": _GAUSS_PERIOD["problem"], "task": {"name": "period", "verify": {
+        "num_points": 2}}}),
+    ("period", {"problem": {"preset": "diag", "rates": [1.0, -1.0]},
+                "data": {"family": "tanh2d", "params": {"eps": 0.5}},
+                "task": {"name": "period", "verify": {"num_points": 0, "tol": -1}}}),
 ], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
         "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0",
         "compare-t_range-reversed", "period-t_range-reversed", "compare-num_samples-0",
@@ -741,7 +777,8 @@ _C3D_BLOWUP = {
         "solve-linear-R-nan", "solve-matrix-nan", "solve-omega-nan", "solve-amplitude-nan",
         "solve-eps-nan", "solve-mu-inf", "solve-kappa-nan", "solve-g-nan",
         "solve-constant-c-nan", "compare-t_range-inf", "period-verify-t_range-inf",
-        "solve-times-nan", "solve-times-stop-inf", "solve-points-nan", "solve-points-min-inf"])
+        "solve-times-nan", "solve-times-stop-inf", "solve-points-nan", "solve-points-min-inf",
+        "period-verify-no-data", "period-verify-non-periodic"])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
@@ -1120,15 +1157,15 @@ def _per_sample_compare(cfg):
             out.append(("POST_BLOWUP", None, flow.x, None))
             continue
         xf = basis.L @ flow.x if rot else flow.x
-        M, it, _, st = hodograph._newton(frame, t, xf[None],
-                                         hodograph._default_guess(frame, xf)[None])
-        if st[0] != "OK":
-            name = hodograph.STATUS_ERRORS[st[0]].__name__
-            out.append((f"SOLVE_FAIL({name})", int(it[0]), flow.x, None))
+        M, _, it, _, st = hodograph._newton(frame, np.full((1, 1), t), xf[None],
+                                            hodograph._default_guess(frame, xf)[None])
+        if st[0, 0] != "OK":
+            name = hodograph.STATUS_ERRORS[st[0, 0]].__name__
+            out.append((f"SOLVE_FAIL({name})", int(it[0, 0]), flow.x, None))
             continue
-        u = hodograph.u_from_M(frame.spec, t, M[0])
+        u = hodograph.u_from_M(frame.spec, t, M[0, 0])
         u = basis.P @ u if rot else u
-        out.append(("OK", int(it[0]), flow.x, float(np.max(np.abs(u - flow.u)))))
+        out.append(("OK", int(it[0, 0]), flow.x, float(np.max(np.abs(u - flow.u)))))
     return out
 
 
@@ -1151,7 +1188,7 @@ def test_stacked_compare_matches_per_sample_route(monkeypatch, case):
 
     def recording(*args):
         out = real_newton(*args)
-        iters.extend(int(i) for i in out[1])
+        iters.extend(int(i) for i in out[2].ravel())
         return out
 
     monkeypatch.setattr(hodograph, "_newton", recording)

@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hodoflow import blowup, degenerate, matops, model, oracle
-from hodoflow.errors import DegenerateMatrixError
+from hodoflow import blowup, degenerate, hodograph, matops, model, oracle
+from hodoflow.errors import DegenerateMatrixError, HodoflowError
 
 C3D_COMPONENTS = [
     ("tanh1d", {"mu": 0.8, "kappa": 0.9}),
@@ -329,3 +329,57 @@ def test_witness_builds_the_rotated_problem_once(monkeypatch):
     pts = [(0.1 * i, basis.P @ np.array([0.5, 0.8, 1.2 + 0.1 * i])) for i in range(5)]
     degenerate.non_periodicity_witness(problem, 2.0 * np.pi / w, pts, threshold=1e9)
     assert len(calls) == 1
+
+
+def test_stacked_witness_matches_per_sample_solves(monkeypatch):
+    """One _newton call over the (t, t + T) queue: each sample fails exactly
+    where a per-sample degenerate_solve_info route raises, its delta agrees
+    to 1e-15 elsewhere, and the witness is the route's first delta over the
+    threshold."""
+    w = 1.1
+    data = model.make_data("separable", components=[
+        ("tanh1d", {"mu": 0.8, "kappa": 0.9}),
+        ("gauss1d", {"eta": 0.05, "kappa": 1.1}),
+        ("gauss1d", {"eta": 0.07, "kappa": 0.8}),
+    ])
+    problem = model.HodographProblem(model.coriolis3d_spec(w), data)
+    basis = degenerate.coriolis3d_basis(w)
+    T = 2.0 * np.pi / w
+    rng = np.random.default_rng(7)
+    ys = [np.array([rng.uniform(1.5, 2.3), rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5)])
+          for _ in range(40)]
+    pts = [(rng.uniform(0.0, 0.3), basis.P @ y) for y in ys]
+    ref = []
+    for t, x in pts:
+        try:
+            s1, info = degenerate.degenerate_solve_info(problem, basis, t, x)
+            s2, _ = degenerate.degenerate_solve_info(problem, basis, t + T, x, guess_M=info.M)
+        except HodoflowError:
+            ref.append(None)
+            continue
+        ref.append(float(np.abs(s2.u - s1.u).max()))
+    real_newton = hodograph._newton
+    calls = []
+
+    def recording(*args):
+        calls.append(real_newton(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(hodograph, "_newton", recording)
+    witness = degenerate.non_periodicity_witness(problem, T, pts, threshold=0.025, basis=basis)
+    assert len(calls) == 1
+    V = calls[0][1]
+    deltas = np.abs(matops.matvec(basis.P, V[:, 1] - V[:, 0])).max(axis=1)
+    failed = [d is None for d in ref]
+    assert 0 < sum(failed) < len(pts) - 1
+    assert np.isnan(deltas).tolist() == failed
+    assert max(abs(deltas[i] - d) for i, d in enumerate(ref) if d is not None) <= 1e-15
+    first = next(i for i, d in enumerate(ref) if d is not None and d > 0.025)
+    assert first > failed.index(False), "the witness is not just the first solved sample"
+    assert witness.t == pts[first][0] and np.array_equal(witness.x, pts[first][1])
+    assert abs(witness.delta - ref[first]) <= 1e-15
+
+
+def test_witness_of_no_samples_is_none():
+    problem = model.HodographProblem(model.coriolis3d_spec(1.1), rotated_c3d_data())
+    assert degenerate.non_periodicity_witness(problem, 2.0 * np.pi / 1.1, []) is None

@@ -95,8 +95,7 @@ def test_closed_form_constant_data():
     spec = model.ForceSpec(np.array([[0.7]]), np.array([0.2]))
     data = model.make_data("constant", c=[0.9])
     problem = model.HodographProblem(spec, data)
-    sample, info = hodograph.solve_u_info(problem, 0.6, np.array([1.3]))
-    assert info.iters == 0
+    sample = hodograph.solve_u(problem, 0.6, np.array([1.3]))
     exact = oracle.exact_flow(spec, [0.0], [0.9], 0.6)
     assert np.allclose(sample.u, exact.u, atol=1e-12)
 
@@ -499,13 +498,13 @@ def test_ladder_takes_a_shorter_length_in_a_second_round(monkeypatch):
     t, x, m0, _ = _LADDER_ROWS[0]
     x, M0 = np.array([x]), np.array([m0])
     seen = _phi_points(monkeypatch, problem.data)
-    M, iters, _, status = hodograph._newton(problem, t, x[None], M0[None])
+    M, _, iters, _, status = hodograph._newton(problem, np.full((1, 1), t), x[None], M0[None])
     got, seen[:] = list(seen), []
     M_ref, info = _solve_M_loop(problem, t, x, M0)
     # the loop evaluates its accepted point again to build the next step
     ref = [p for i, p in enumerate(seen) if i == 0 or not np.array_equal(p, seen[i - 1])]
-    assert (status[0], iters[0]) == ("OK", info.iters)
-    assert np.max(np.abs(M[0] - M_ref)) <= 1e-13
+    assert (status[0, 0], iters[0, 0]) == ("OK", info.iters)
+    assert np.max(np.abs(M[0, 0] - M_ref)) <= 1e-13
     assert len(got) == len(ref) > 1 + info.iters, (len(got), info.iters)
     assert np.max(np.abs(np.array(got) - np.array(ref))) <= 1e-12
 
@@ -518,7 +517,8 @@ def test_ladder_smallest_length_decides_the_failure():
     T = np.array([row[0] for row in _LADDER_ROWS])
     X = np.array([[row[1]] for row in _LADDER_ROWS])
     M0 = np.array([[row[2]] for row in _LADDER_ROWS])
-    M, iters, _, status = hodograph._newton(problem, T, X, M0)
+    M, _, iters, _, status = hodograph._newton(problem, T[:, None], X, M0)
+    M, iters, status = M[:, 0], iters[:, 0], status[:, 0]
     assert list(status) == [row[3] for row in _LADDER_ROWS]
     for i, (t, _, _, want) in enumerate(_LADDER_ROWS):
         if want == "OK":
@@ -592,18 +592,21 @@ def test_field_cases_reach_every_status_and_a_rescue(monkeypatch):
 
 @pytest.mark.parametrize("case", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
 def test_newton_with_a_time_per_row_matches_one_time_calls(case):
-    """_newton with a (k,) array of times against one call per row at its own
-    scalar time: the same statuses and iterations, M within 1e-12."""
+    """_newton with a one-time queue per row, each row at its own time,
+    against one call per row: the same statuses and iterations, M and U
+    within 1e-12, U NaN exactly where the status is not OK."""
     problem, times, points = _field_problem(case)
     X = np.array([x for x in points for _ in times])
-    T = np.array([t for _ in points for t in times])
+    T = np.array([[t] for _ in points for t in times])
     M0 = hodograph._default_guess(problem, X)
-    M, iters, _, status = hodograph._newton(problem, T, X, M0)
+    M, U, iters, _, status = hodograph._newton(problem, T, X, M0)
+    assert np.isnan(U[status != "OK"]).all() and np.isfinite(U[status == "OK"]).all()
     for i in range(len(X)):
-        Mi, it, _, st = hodograph._newton(problem, T[i], X[i : i + 1], M0[i : i + 1])
-        assert (status[i], iters[i]) == (st[0], it[0]), (i, T[i], X[i])
-        if st[0] == "OK":
-            assert np.max(np.abs(M[i] - Mi[0])) <= 1e-12
+        Mi, Ui, it, _, st = hodograph._newton(problem, T[i : i + 1], X[i : i + 1], M0[i : i + 1])
+        assert (status[i, 0], iters[i, 0]) == (st[0, 0], it[0, 0]), (i, T[i], X[i])
+        if st[0, 0] == "OK":
+            assert np.max(np.abs(M[i, 0] - Mi[0, 0])) <= 1e-12
+            assert np.max(np.abs(U[i, 0] - Ui[0, 0])) <= 1e-12
 
 
 def test_stacked_default_guess_matches_row_calls():

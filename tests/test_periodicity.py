@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hodoflow import matops, model, periodicity
+from hodoflow import blowup, hodograph, matops, model, periodicity
+from hodoflow.errors import HodoflowError
 
 
 def block_diag_rotations(*lams):
@@ -155,3 +156,83 @@ def test_verify_solution_period_lets_programming_errors_through():
     problem = model.HodographProblem(model.coriolis2d_spec(1.0), data)
     with pytest.raises(TypeError):
         periodicity.verify_solution_period(problem, 2.0 * np.pi, [(0.1, np.array([0.5, 0.5]))])
+
+
+def _per_sample_period(problem, T, samples, tol):
+    """(failure text or None, delta or None) of each sample, solved one at a
+    time: solve_M at t, the blow-up determinant sign test at its root, then
+    solve_M at t + T from that root."""
+    spec = problem.spec
+    out = []
+    for t, x in samples:
+        t = float(t)
+        try:
+            M1, _ = hodograph.solve_M(problem, t, x)
+            if blowup.blowup_residual(problem, t, M1) * blowup.blowup_residual(problem, 0.0, M1) <= 0:
+                out.append(("sample point is on or past the blow-up set", None))
+                continue
+            M2, _ = hodograph.solve_M(problem, t + T, x, guess_M=M1)
+        except HodoflowError as exc:
+            out.append((f"{type(exc).__name__}: {exc}", None))
+            continue
+        delta = float(np.abs(hodograph.u_from_M(spec, t + T, M2)
+                             - hodograph.u_from_M(spec, t, M1)).max())
+        out.append((f"|u(t+T) - u(t)| = {delta:.3e} > {tol:.1e}" if delta > tol else None, delta))
+    return out
+
+
+def test_stacked_period_check_matches_per_sample_solves(monkeypatch):
+    """The amplitude-1.0 Gaussian under unit rotation, 40 samples drawn as the
+    CLI's period verify with seed 3 draws them: one _newton call over the
+    (t, t + T) queue gives every sample the verdict and failure text of a
+    per-sample solve_M route, 8 of them DomainExit or NoConvergence, and each
+    passing sample's delta to 1e-15."""
+    problem = model.HodographProblem(model.coriolis2d_spec(1.0),
+                                     model.make_data("gauss2d_coriolis", amplitude=1.0))
+    T = periodicity.check_periodic(problem.spec.A).T
+    rng = np.random.default_rng(3)
+    box = problem.data.sample_box()
+    samples = [(rng.uniform(0.0, T), rng.uniform(box[:, 0], box[:, 1])) for _ in range(40)]
+    real_newton = hodograph._newton
+    calls = []
+
+    def recording(*args):
+        calls.append(real_newton(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(hodograph, "_newton", recording)
+    check = periodicity.verify_solution_period(problem, T, samples, tol=1e-8)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    ref = _per_sample_period(problem, T, samples, 1e-8)
+    failed = [i for i, (why, _) in enumerate(ref) if why is not None]
+    assert [t for t, _, _ in check.failures] == [float(samples[i][0]) for i in failed]
+    assert all(x is samples[i][1] or np.array_equal(x, samples[i][1])
+               for (_, x, _), i in zip(check.failures, failed))
+    assert [why for _, _, why in check.failures] == [ref[i][0] for i in failed]
+    assert len(failed) == 8 and not check.ok
+    assert all(ref[i][0].startswith(("DomainExitError", "NoConvergenceError")) for i in failed)
+    U = calls[0][1]
+    deltas = np.abs(U[:, 1] - U[:, 0]).max(axis=1)
+    passed = [i for i in range(40) if i not in failed]
+    assert max(abs(deltas[i] - ref[i][1]) for i in passed) <= 1e-15
+    assert abs(check.max_delta - max(ref[i][1] for i in passed)) <= 1e-15
+
+
+def test_period_check_of_no_samples_passes():
+    problem = model.HodographProblem(model.coriolis2d_spec(1.0),
+                                     model.make_data("gauss2d_coriolis", amplitude=0.05))
+    check = periodicity.verify_solution_period(problem, 2.0 * np.pi, [])
+    assert check.ok and check.max_delta == 0.0 and check.failures == []
+
+
+def test_period_check_of_constant_data_is_closed_form():
+    """Constant data is rigid transport u = e^{tA} c, exactly T-periodic when
+    g = 0: every sample passes, with no Newton solve."""
+    problem = model.HodographProblem(model.coriolis2d_spec(1.0),
+                                     model.make_data("constant", c=[0.3, -0.1]))
+    rng = np.random.default_rng(1)
+    samples = [(rng.uniform(0.0, 5.0), rng.uniform(-1.0, 1.0, size=2)) for _ in range(5)]
+    check = periodicity.verify_solution_period(problem, 2.0 * np.pi, samples)
+    assert check.ok, check.failures
+    assert check.max_delta <= 1e-15
