@@ -59,8 +59,12 @@ def _require(cond, msg):
 
 
 def _coerce(kind, value, key):
-    """kind(value) for a config number or array, or a ConfigError naming the key."""
+    """kind(value) for a config number or array, or a ConfigError naming the key;
+    an int key takes no bool and no fraction, which int() would truncate."""
     try:
+        if kind is int and (isinstance(value, bool)
+                            or isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"bad value {value!r} for config key {key!r}") from None
@@ -452,9 +456,9 @@ def cmd_period(cfg, out_path, seed=None):
         if report.periodic:
             t_lo, t_hi = t_range or (0.0, report.T)
             box = problem.data.sample_box()
-            samples = [
-                (rng.uniform(t_lo, t_hi), rng.uniform(box[:, 0], box[:, 1])) for _ in range(num)
-            ]
+            R = rng.random((num, 1 + len(box)))  # per sample: t, then x
+            samples = list(zip(t_lo + (t_hi - t_lo) * R[:, 0],
+                               box[:, 0] + (box[:, 1] - box[:, 0]) * R[:, 1:]))
             check = periodicity.verify_solution_period(problem, report.T, samples, tol=tol)
             lines.append(f"verify: {'pass' if check.ok else 'fail'}")
             lines.append(f"verify_max_delta: {_fmt(check.max_delta)}")
@@ -489,10 +493,8 @@ def _compare_columns(cfg, problem, task, seed):
                           "has a negative bound")
     rng = np.random.default_rng(seed)
     box = data.sample_box()
-    Y0, T = np.empty((num, spec.n)), np.empty(num)
-    for i in range(num):
-        Y0[i] = rng.uniform(box[:, 0], box[:, 1])
-        T[i] = rng.uniform(t_lo, t_hi)
+    R = rng.random((num, len(box) + 1))  # per sample: x0, then t
+    Y0, T = box[:, 0] + (box[:, 1] - box[:, 0]) * R[:, :-1], t_lo + (t_hi - t_lo) * R[:, -1]
     # x0 and the solve run in the data's frame: the kernel-adapted one for coriolis3d
     frame, basis = _frame(cfg, problem)
     if basis is None:

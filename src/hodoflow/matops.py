@@ -21,28 +21,30 @@ two routes:
 
   whose first block row delivers the phi functions directly.
 
-Every exponential here (mat_exp, the augmented route, phi1_table) is _expm:
-scaling and squaring with a diagonal Pade approximant of degree 3, 5, 7, 9
-or 13 (Higham 2005), in numpy alone.  It takes one matrix or a stack of
-them.  A stack shares one Pade degree (set by its largest norm) and one
-stacked linear solve; each of its matrices is scaled and squared by its own
-power of 2, so a row agrees with a single call on it to rounding, and a row
-that overflows leaves the others finite.
+Every other matrix function of t here is a first block row [e^{tA}, phi1,
+..., phik] of that exponential, from _block_row(A, t, k): mat_exp is k = 0,
+phi1 and phi2 are k = 1 and 2 at (tA, 1) times t^k, phi1_table and phi_table
+are k = 1 and 2 over many t.  _block_row is the one caller of _expm: scaling
+and squaring with a diagonal Pade approximant of degree 3, 5, 7, 9 or 13
+(Higham 2005), in numpy alone, on one matrix (a scalar t: the fast path for
+one call) or a stack.  A stack shares one Pade degree (set by its largest
+norm) and one stacked linear solve; each of its matrices is scaled and
+squared by its own power of 2, so a row agrees with a single call on it to
+rounding, and a row that overflows leaves the others finite.
 
 phi1_table stacks phi1 over many times at once, for the root scans whose
 matrix functions depend on t alone: entrywise for an exact-diagonal A (the
-same formula as phi1, so the same bits), otherwise one stacked _expm of the
-augmented matrices [[tA, tI], [0, 0]], whose top-right block is phi1 itself.
-It raises nothing: rows that overflow come back non-finite, for the caller
-to judge.
+same formula as phi1, so the same bits), otherwise the stacked k = 1 row.  It
+raises nothing: rows that overflow come back non-finite, for the caller to
+judge.
 
 phi1_exp(A) is the evaluator t -> (phi1(A, t), e^{tA} = I + A phi1) of one
 fixed A, for the root refinements that call it at one t after another: the
 structure of A is tested once, when it is built, with phi1's bits.
 
-phi_table stacks e^{tA}, phi1 and phi2 over many times at once (one stacked
-_expm of the 3n-augmented matrices), for work that carries its own time per
-row, such as the samples of a comparison run.
+phi_table stacks e^{tA}, phi1 and phi2 over many times at once (the stacked
+k = 2 row), for work that carries its own time per row, such as the samples
+of a comparison run.
 
 det takes the determinants of a stack, for the tables of the blow-up scan and
 the caustic screen: written out by cofactors for n <= 3, with the same bits
@@ -171,36 +173,44 @@ def _expm(W):
     return E
 
 
-def mat_exp(A, t=1.0):
-    """e^{tA} by scaling and squaring (_expm).
+def _block_row(A, t, k):
+    """[e^{tA}, phi1(A, t), ..., phik(A, t)], the first block row of
+    exp(t [[A, I, 0...], [0, 0, I...], ..., [0...]]): the one caller of _expm.
 
-    Raises OverflowMatrixError if the result leaves the representable range
-    (reported, never silently saturated).
+    A scalar t gives one (n, (k+1) n) row by _expm's single-matrix path, a 1-D
+    float array t a (len(t), n, (k+1) n) stack by one stacked _expm.  Entries
+    that overflow come back non-finite, for the caller to judge.
     """
-    A = _as_square(A)
+    n, m = A.shape[0], A.shape[0] * (k + 1)
+    tt = t[:, None, None] if getattr(t, "ndim", 0) else t
+    W = tt * A
+    if k:  # pad with tI on the block superdiagonal; k = 0 keeps mat_exp at _expm(tA)'s cost
+        tA, tI, W = W, tt * _eye(n), np.zeros(W.shape[:-2] + (m, m))
+        W[..., :n, :n] = tA
+        for r in range(n, m, n):
+            W[..., r - n : r, r : r + n] = tI
     with np.errstate(over="ignore", invalid="ignore"):
-        E = _expm(t * A)
-    if not np.all(np.isfinite(E)):
-        raise OverflowMatrixError(
-            f"exp(tA) overflowed for t={t!r}, ||A||={np.linalg.norm(A, np.inf):.3e}"
-        )
+        return _expm(W)[..., :n, :]
+
+
+def mat_exp(A, t=1.0):
+    """e^{tA}, the k = 0 block row; raises OverflowMatrixError if it leaves the
+    representable range (reported, never silently saturated)."""
+    A = _as_square(A)
+    E = _block_row(A, t, 0)
+    if not np.isfinite(E).all():
+        raise OverflowMatrixError(f"exp(tA) overflowed for t={t!r}, "
+                                  f"||A||={np.linalg.norm(A, np.inf):.3e}")
     return E
 
 
-def _phi_augmented(B, k):
-    """phi_k(B) from the block-augmented exponential; no inversion, singular-safe."""
-    n = B.shape[0]
-    m = n * (k + 1)
-    W = np.zeros((m, m))
-    W[:n, :n] = B
-    for blk in range(k):
-        r = blk * n
-        W[r : r + n, r + n : r + 2 * n] = np.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = _expm(W)
-    if not np.all(np.isfinite(E)):
+def _phi_k(A, t, k):
+    """phi_k(tA), the last block of the row at (tA, 1): no inversion, so singular
+    A is fine.  Raises OverflowMatrixError unless the whole row is finite."""
+    row = _block_row(t * A, 1.0, k)
+    if not np.isfinite(row).all():
         raise OverflowMatrixError("phi-function evaluation overflowed")
-    return E[:n, k * n : (k + 1) * n]
+    return row[:, k * A.shape[0] :]
 
 
 def _phi1_diagonal(a):
@@ -221,13 +231,10 @@ def _phi1_diagonal(a):
 
 
 def _phi1_of(A):
-    """t -> phi1(A, t) for one fixed square A, whose structure is tested here, once.
-
-    An exactly diagonal A goes entrywise; any other A through the
-    augmented exponential of _phi_augmented.
-    """
+    """t -> phi1(A, t) for one fixed square A, whose structure is tested here,
+    once: an exactly diagonal A goes entrywise, any other A through _phi_k."""
     if not is_exact_diagonal(A):
-        return lambda t: t * _phi_augmented(t * A, 1)
+        return lambda t: t * _phi_k(A, t, 1)
     a = np.diagonal(A)
     entries = _phi1_diagonal(a)
 
@@ -272,51 +279,36 @@ def phi1_table(A, ts):
     """phi1(A, t) for every t of the 1-D array ts, as a (len(ts), n, n) array.
 
     An exactly diagonal A goes entrywise, bit for bit as phi1; any other A
-    through one stacked _expm of [[tA, tI], [0, 0]] (top-right block: phi1).
-    Rows that overflow are returned non-finite, not raised.
+    through the stacked k = 1 block row.  Rows that overflow are returned
+    non-finite, not raised.
     """
     A = _as_square(A)
     ts = np.asarray(ts, dtype=float)
     n = A.shape[0]
-    if is_exact_diagonal(A):
-        table = np.zeros((ts.size, n, n))
-        idx = np.arange(n)
-        table[:, idx, idx] = _phi1_diagonal(np.diagonal(A))(ts[:, None])
-        return table
-    tt = ts[:, None, None]
-    W = np.zeros((ts.size, 2 * n, 2 * n))
-    W[:, :n, :n] = tt * A
-    W[:, :n, n:] = tt * np.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _expm(W)[:, :n, n:]
+    if not is_exact_diagonal(A):
+        return _block_row(A, ts, 1)[..., n:]
+    table, idx = np.zeros((ts.size, n, n)), np.arange(n)
+    table[:, idx, idx] = _phi1_diagonal(np.diagonal(A))(ts[:, None])
+    return table
 
 
 def phi_table(A, ts):
     """(e^{tA}, phi1(A, t), phi2(A, t)) for every t of the 1-D array ts.
 
-    Each is a (len(ts), n, n) stack, the first block row of one stacked _expm
-    of t [[A, I, 0], [0, 0, I], [0, 0, 0]].  Raises OverflowMatrixError when
-    any entry is not finite, as mat_exp does.
+    Each is a (len(ts), n, n) stack, the stacked k = 2 block row.  Raises
+    OverflowMatrixError when any entry is not finite, as mat_exp does.
     """
     A = _as_square(A)
     ts = np.asarray(ts, dtype=float)
-    n = A.shape[0]
-    tt = ts[:, None, None]
-    W = np.zeros((ts.size, 3 * n, 3 * n))
-    W[:, :n, :n] = tt * A
-    W[:, :n, n : 2 * n] = tt * _eye(n)
-    W[:, n : 2 * n, 2 * n :] = tt * _eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = _expm(W)[:, :n]
-    if not np.all(np.isfinite(E)):
+    row, n = _block_row(A, ts, 2), A.shape[0]
+    if not np.isfinite(row).all():
         raise OverflowMatrixError(f"phi table overflowed for t up to {ts.max(initial=0.0)!r}")
-    return E[:, :, :n], E[:, :, n : 2 * n], E[:, :, 2 * n :]
+    return row[..., :n], row[..., n : 2 * n], row[..., 2 * n :]
 
 
 def phi2(A, t):
     """A^-2 (e^{tA} - 1 - tA) = t^2 * phi_2(tA); valid for singular A."""
-    A = _as_square(A)
-    return (t * t) * _phi_augmented(t * A, 2)
+    return (t * t) * _phi_k(_as_square(A), t, 2)
 
 
 @dataclass

@@ -40,27 +40,22 @@ class FlowResult:
     t: float
     x: np.ndarray
     u: np.ndarray
-    jac_det: float | None = None
 
 
 def exact_flow(spec, x0, u0_val, t):
     """Closed-form characteristic through (x0, u0_val) evaluated at time t.
 
     A (k,) array t flows the rows of the (k, n) stacks x0 and u0_val, row i to
-    its own time t[i], from one matops.phi_table.
+    its own time t[i]; a scalar t flows the one point.  Either way it is one
+    matops.phi_table, of one row for a scalar t.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     u0_val = np.atleast_1d(np.asarray(u0_val, dtype=float))
-    if np.ndim(t):
-        E, P1, P2 = matops.phi_table(spec.A, t)
-        u = matops.matvec(E, u0_val) + matops.matvec(P1, spec.g)
-        x = x0 + matops.matvec(P1, u0_val) + matops.matvec(P2, spec.g)
-        return FlowResult(t=t, x=x, u=u)
-    E = matops.mat_exp(spec.A, t)
-    P1 = matops.phi1(spec.A, t)
-    P2 = matops.phi2(spec.A, t)
-    u = E @ u0_val + P1 @ spec.g
-    x = x0 + P1 @ u0_val + P2 @ spec.g
+    ts = np.asarray(t, dtype=float)
+    E, P1, P2 = (T.reshape(ts.shape + T.shape[1:])
+                 for T in matops.phi_table(spec.A, ts.reshape(-1)))
+    u = matops.matvec(E, u0_val) + matops.matvec(P1, spec.g)
+    x = x0 + matops.matvec(P1, u0_val) + matops.matvec(P2, spec.g)
     return FlowResult(t=t, x=x, u=u)
 
 

@@ -762,6 +762,21 @@ _C3D_BLOWUP = {
     ("period", {"problem": {"preset": "diag", "rates": [1.0, -1.0]},
                 "data": {"family": "tanh2d", "params": {"eps": 0.5}},
                 "task": {"name": "period", "verify": {"num_points": 0, "tol": -1}}}),
+    # integer keys refuse a fraction or a bool instead of truncating it
+    *[("solve", {**_TANH_1D, "task": {"name": "solve", "times": {"start": 0.0, "stop": 0.4,
+                                                                 "num": num},
+                                      "points": [[0.1]]}}) for num in (2.7, True)],
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": [0.1],
+                                    "points": {"min": [-1.0], "max": [0.5], "num": 2.5}}}),
+    ("blowup", {**_DIAG2_IRRATIONAL, "task": {"name": "blowup", "grid_num": 3.9}}),
+    *[("solve", {**_CORIOLIS_ONE_POINT, "solver": {"max_iter": max_iter}})
+      for max_iter in (10.5, 0.5)],
+    ("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 2.5}}),
+    ("period", {**_GAUSS_PERIOD, "task": {"name": "period", "verify": {"num_points": 2.5}}}),
+    ("solve", {**_CORIOLIS_ONE_POINT, "problem": {"preset": "coriolis2d", "omega": 1.0,
+                                                  "dimension": 2.5}}),
+    ("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 2, "seed": 1.5}}),
+    ("period", {**_GAUSS_PERIOD, "task": {"name": "period", "max_denominator": 64.5}}),
 ], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
         "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0",
         "compare-t_range-reversed", "period-t_range-reversed", "compare-num_samples-0",
@@ -778,12 +793,39 @@ _C3D_BLOWUP = {
         "solve-eps-nan", "solve-mu-inf", "solve-kappa-nan", "solve-g-nan",
         "solve-constant-c-nan", "compare-t_range-inf", "period-verify-t_range-inf",
         "solve-times-nan", "solve-times-stop-inf", "solve-points-nan", "solve-points-min-inf",
-        "period-verify-no-data", "period-verify-non-periodic"])
+        "period-verify-no-data", "period-verify-non-periodic", "solve-times-num-fraction",
+        "solve-times-num-bool", "solve-points-num-fraction", "blowup-grid_num-fraction",
+        "solver-max_iter-fraction", "solver-max_iter-half", "compare-num_samples-fraction",
+        "period-verify-num_points-fraction", "solve-dimension-fraction", "compare-seed-fraction",
+        "period-max_denominator-fraction"])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("key, value, task", [
+    ("grid_num", 3.9, {"name": "blowup", "grid_num": 3.9}),
+    ("grid_num", True, {"name": "blowup", "grid_num": True}),
+])
+def test_bad_integer_key_names_the_key_and_the_value(tmp_path, capsys, key, value, task):
+    """The message quotes the key and the value as the config wrote it."""
+    cfg_path = write_cfg(tmp_path, "bad.yaml", {**_DIAG2_IRRATIONAL, "task": task})
+    assert cli.main(["blowup", "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1
+    assert f"bad value {value!r} for config key {key!r}" in capsys.readouterr().err
+
+
+def test_integral_float_integer_key_runs_as_the_integer(tmp_path):
+    """grid_num 3.0 scans the same 3-grid as grid_num 3: only the hash line differs."""
+    texts = []
+    for i, grid_num in enumerate((3, 3.0)):
+        cfg = {**_DIAG2_IRRATIONAL, "task": {"name": "blowup", "grid_num": grid_num}}
+        out = tmp_path / f"o{i}.csv"
+        assert cli.main(["blowup", "--config", write_cfg(tmp_path, f"c{i}.yaml", cfg),
+                         "--out", str(out)]) == 0
+        texts.append(out.read_text(encoding="utf-8").splitlines())
+    assert texts[0][0] != texts[1][0] and texts[0][1:] == texts[1][1:]
 
 
 @pytest.mark.parametrize("command, cfg", [

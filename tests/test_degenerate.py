@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hodoflow import blowup, degenerate, hodograph, matops, model, oracle
-from hodoflow.errors import DegenerateMatrixError, HodoflowError
+from hodoflow.errors import DegenerateMatrixError, HodoflowError, NotInvertibleError
 
 C3D_COMPONENTS = [
     ("tanh1d", {"mu": 0.8, "kappa": 0.9}),
@@ -249,8 +249,11 @@ def test_non_periodicity_witness_found():
 
 
 def test_witness_absent_for_kernel_constant_data():
-    """A constant kernel component cannot witness non-periodicity: the search
-    degrades gracefully to None instead of inventing a delta."""
+    """A constant kernel component has no inverse map, so the rotated problem
+    has no M-domain: its default guess and _newton both raise
+    NotInvertibleError ("constant profile has no M-domain"), no sample is
+    solved or compared, and the search returns None instead of inventing a
+    delta."""
     w = 1.1
     spec = model.coriolis3d_spec(w)
     data = model.make_data(
@@ -271,6 +274,13 @@ def test_witness_absent_for_kernel_constant_data():
                                                     rng.uniform(0.3, 1.5)]))
         for _ in range(20)
     ]
+    rp = degenerate.rotated_problem(problem, basis)
+    ts = np.array([t for t, _ in pts])
+    Y = matops.matvec(basis.L, np.array([x for _, x in pts]))
+    with pytest.raises(NotInvertibleError, match="constant profile has no M-domain"):
+        hodograph._default_guess(rp, Y)
+    with pytest.raises(NotInvertibleError, match="constant profile has no M-domain"):
+        hodograph._newton(rp, np.column_stack([ts, ts + T]), Y, np.zeros_like(Y))
     witness = degenerate.non_periodicity_witness(problem, T, pts, threshold=1e-3)
     assert witness is None, f"flat kernel produced witness {witness}"
 

@@ -1,0 +1,56 @@
+"""Every matrix exponential in src/hodoflow goes through matops._block_row.
+
+The phi-functions, e^{tA} and their tables are all first block rows of one
+augmented exponential, so one builder makes that matrix and calls
+matops._expm: a scalar t on its single-matrix path, a 1-D t as one stack.
+Any other reference to _expm (a call, an alias or an import), outside
+_block_row and _expm itself, fails this scan.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hodoflow"
+
+ALLOWED = {("matops.py", "_block_row")}
+#: _expm may name itself; it is not a caller
+OWN = {("matops.py", "_expm")}
+
+
+def _expm_uses(tree):
+    """(enclosing function, line) of every reference to _expm."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name if func is None else func
+        if ((isinstance(node, ast.Name) and node.id == "_expm")
+                or (isinstance(node, ast.Attribute) and node.attr == "_expm")):
+            found.append((func, node.lineno))
+        if (isinstance(node, ast.ImportFrom)
+                and any(alias.name == "_expm" for alias in node.names)):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_expm_only_in_the_block_row_builder():
+    uses = {path.name: _expm_uses(ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(SRC.glob("*.py"))}
+    sites = {(module, func) for module, found in uses.items() for func, _ in found} - OWN
+    stray = [f"{module}:{line} in {func}" for module, found in uses.items()
+             for func, line in found if (module, func) not in ALLOWED | OWN]
+    assert stray == [], "matops._expm outside _block_row:\n" + "\n".join(stray)
+    assert sites == ALLOWED, sites
+
+
+def test_scan_sees_a_stray_call():
+    """The scan finds a direct call, a module attribute and an import."""
+    tree = ast.parse("from .matops import _expm\n"
+                     "def f(W):\n    return _expm(W)\n"
+                     "def g(W):\n    return matops._expm(W)\n")
+    assert _expm_uses(tree) == [(None, 1), ("f", 3), ("g", 5)]

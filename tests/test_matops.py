@@ -140,7 +140,7 @@ def test_exact_diagonal_route_matches_augmented():
     assert matops.is_exact_diagonal(A)
     for t in DIAG_VALUES:
         got = matops.phi1(A, t)
-        ref = t * matops._phi_augmented(t * A, 1)
+        ref = t * matops._block_row(t * A, 1.0, 1)[:, len(A):]
         assert np.count_nonzero(got - np.diag(np.diagonal(got))) == 0
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), f"t={t}:\n{got}\n{ref}"
 
@@ -384,7 +384,7 @@ def _phi1_formula(A, t):
     """phi1 written out: diag(expm1(a t)/a), t where a = 0, for an exactly
     diagonal A; t phi_1(tA) by the augmented exponential otherwise."""
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
-        return t * matops._phi_augmented(t * A, 1)
+        return t * matops._block_row(t * A, 1.0, 1)[:, len(A):]
     a = np.diagonal(A)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.diag(np.where(a == 0.0, t, np.expm1(a * t) / np.where(a == 0.0, 1.0, a)))
