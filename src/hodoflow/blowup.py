@@ -26,8 +26,6 @@ returns the stored value bit for bit.  A builder is its root function:
                         and a sin(lam t) + b cos(lam t) + c = 0 with (a,b,c)
                         from A and J; the first positive root in closed form
                         (coriolis2d_first_time)
-* A = diag(a1,a2) (sheets_diag2): an exponential polynomial in tau = e^{t a2/q}
-                        when a1/a2 = p/q to a few ulps
 * any other A, singular ones and n >= 3 included (sheets_scan): the roots of
                         the residual scan scan_roots, a sign scan over one
                         phi1 table (matops.phi1_table), each bracket refined
@@ -35,8 +33,8 @@ returns the stored value bit for bit.  A builder is its root function:
                         d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t), both
                         from one matops.phi1_exp evaluator per scan;
                         the first positive root on (0, t_max] or every root on
-                        [-t_max, t_max] (the diag2 case with any other
-                        ratio or a zero entry).
+                        [-t_max, t_max] (sheets_diag2, for any A = diag(a1, a2)
+                        that is not a*Id).
 
 build_sheets picks the builder from the structure of A; no A is refused.
 Absent entries (no real root) record the violated reality condition.
@@ -48,7 +46,6 @@ it is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -488,65 +485,16 @@ def certify_coriolis_absent(problem, sheet):
     return Certificate(certified, reason, worst, sup)
 
 
-def _rationalize(r, max_denominator=64, tol=4e-16):
-    """p/q with q <= max_denominator when r is p/q to a few ulps, else None: a
-    ratio that only resembles p/q is not taken for it."""
-    fr = Fraction(r).limit_denominator(max_denominator)
-    if abs(float(fr) - r) <= tol * max(1.0, abs(r)):
-        return fr
-    return None
-
-
 def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
-    """Blow-up sheets for A = diag(a1, a2) in two dimensions.
-
-    When a1/a2 is rational p/q to a few ulps (continued-fraction
-    reconstruction, denominator <= 64) and the resulting polynomial in
-    tau = e^{t a2 / q},
-
-        tau^{p+q} + K1 tau^p + K2 tau^q + K3 = 0,
-        K1 = a2 J22 - 1,  K2 = a1 J11 - 1,  K3 = 1 - a1 J11 - a2 J22 + a1 a2 det J,
-
-    has degree <= 6, roots come from the companion matrix, and every candidate
-    time is re-verified against blowup_residual to 1e-9; t_max is not used.
-    Otherwise, a zero entry included, every root on [-t_max, t_max] comes
-    from sheets_scan with the given step.  A must be exactly diagonal; a1 = a2
-    delegates to sheets_diag.
+    """Blow-up sheets for A = diag(a1, a2) in two dimensions: every root on
+    [-t_max, t_max], sheets t0, t1, ..., from sheets_scan with the given step,
+    whatever the ratio a1/a2 (rational, irrational, a zero entry or a1 = a2).
+    A must be exactly diagonal.
     """
     A = problem.spec.A
     if A.shape != (2, 2) or not matops.is_exact_diagonal(A):
         raise ValueError("sheets_diag2 needs A = diag(a1, a2)")
-    a1, a2 = float(A[0, 0]), float(A[1, 1])
-    if a1 == a2:
-        return sheets_diag(problem, M_grid)
-
-    frac = None if 0.0 in (a1, a2) else _rationalize(a1 / a2)
-    if frac is not None:
-        p, q = frac.numerator, frac.denominator
-        exps = np.array([p + q, p, q, 0])
-        exps -= min(exps.min(), 0)
-        degree = int(exps.max())
-    if frac is None or not 1 <= degree <= 6:
-        return sheets_scan(problem, M_grid, t_max, scan_step, first_only=False, branch="t{}")
-
-    def times_poly(M, J):
-        detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        K1 = a2 * J[1, 1] - 1.0
-        K2 = a1 * J[0, 0] - 1.0
-        K3 = 1.0 - a1 * J[0, 0] - a2 * J[1, 1] + a1 * a2 * detJ
-        coeffs = np.zeros(degree + 1)
-        for e, K in zip(exps, (1.0, K1, K2, K3)):
-            coeffs[degree - int(e)] += K
-        scale = max(1.0, abs(detJ))
-        times = ((q / a2) * np.log(tau) for tau in _real_roots_poly(coeffs) if tau > 0.0)
-        return sorted(float(ti) for ti in times
-                      if abs(blowup_residual(problem, ti, M)) <= _TIME_RESIDUAL_TOL * scale)
-
-    return _stacked_sheets(
-        problem, M_grid, "t{}",
-        lambda M: _ragged([times_poly(Mi, Ji) for Mi, Ji in zip(M, problem.data.phi_jacobian(M))]),
-        "no real root of the exponential polynomial",
-    )
+    return sheets_scan(problem, M_grid, t_max, scan_step, first_only=False, branch="t{}")
 
 
 def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=True,
@@ -562,7 +510,10 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     + scan_step, scan_step), in increasing t, sheet k named branch.format(k).
     Roots refined past t_max are dropped.  NaN where no root is found.
     A grid whose phi1 table would take more than _SCAN_MAX_ENTRIES matrix
-    entries raises ConfigError before anything is tabulated.
+    entries raises ConfigError before anything is tabulated; a table with a
+    non-finite entry raises OverflowMatrixError naming the overflowing node
+    nearest t = 0.  A determinant that leaves the float range is a scan value
+    of +-inf or NaN, without a floating-point warning.
     """
     A, data = problem.spec.A, problem.data
     lo = 0 if first_only else -t_max
@@ -573,23 +524,28 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
         raise ConfigError(
             f"blowup scan of t_max {t_max!r} with step {scan_step!r} needs {nodes:,.0f} "
             f"t-nodes of {width}x{width} matrices, more than the {_SCAN_MAX_ENTRIES:,} "
-            f"entries allowed; raise the step (scan_step) or lower t_max")
+            f"entries allowed; lower t_max (coriolis3d also takes a larger scan_step)")
     t_grid = np.arange(start, t_max + scan_step, scan_step)
     if first_only:
         t_grid = np.concatenate([[0.0], t_grid])
     P1_tab = matops.phi1_table(A, t_grid)
-    if not np.all(np.isfinite(P1_tab)):
+    over = t_grid[~np.isfinite(P1_tab).all(axis=(1, 2))]
+    if over.size:
+        near = float(over[np.argmin(np.abs(over))])
         raise OverflowMatrixError(
-            f"phi1 overflowed on the scan grid [{t_grid[0]!r}, {t_grid[-1]!r}]")
+            f"phi1 overflowed on the scan grid [{float(t_grid[0])!r}, {float(t_grid[-1])!r}]: "
+            f"the overflowing node nearest t = 0 is t = {near!r}; lower t_max below "
+            f"{abs(near)!r} (the grid reaches one step past t_max)")
     phi1_exp = matops.phi1_exp(A)
 
     def roots(M):
         # one point at a time: the scan of each row costs far more than its Jacobian
-        scans = [scan_roots(t_grid, P1_tab, data.phi_jacobian(Mi), phi1_exp) for Mi in M]
-        if first_only:
-            firsts = (next((t for t in r if t > 0.0), np.nan) for r in scans)
-            return np.array([t if t <= t_max else np.nan for t in firsts]).reshape(-1, 1)
-        return _ragged([[t for t in r if abs(t) <= t_max] for r in scans])
+        with np.errstate(over="ignore", invalid="ignore"):
+            scans = [scan_roots(t_grid, P1_tab, data.phi_jacobian(Mi), phi1_exp) for Mi in M]
+            if first_only:
+                firsts = (next((t for t in r if t > 0.0), np.nan) for r in scans)
+                return np.array([t if t <= t_max else np.nan for t in firsts]).reshape(-1, 1)
+            return _ragged([[t for t in r if abs(t) <= t_max] for r in scans])
 
     return _stacked_sheets(problem, M_grid, branch, roots,
                            f"no sign change of the residual on [{lo}, {t_max}]")
@@ -734,9 +690,11 @@ def build_sheets(problem, grid_num=None, t_max=10.0, scan_step=5e-2):
     plus a per-sheet absence certificate; an elliptic 2x2 A (trace exactly 0,
     det A > 0: the coriolis2d and periodic2d presets) to sheets_coriolis2d (a
     sheet with no root on its grid gets certify_coriolis_absent); an exactly
-    diagonal 2x2 A to sheets_diag2 up to t_max; any other A, singular ones
-    included, to sheets_scan's first positive root on (0, t_max] with the
-    step scan_step.  The per-axis M-grid size is grid_num, else 201 for n <= 2
+    diagonal 2x2 A to sheets_diag2's every root on [-t_max, t_max]; any other
+    A, singular ones included, to sheets_scan's first positive root on
+    (0, t_max] with the step scan_step.  Every test is exact: A = a*Id only
+    when every entry is, so a matrix merely close to a pattern goes to a scan
+    of the A given.  The per-axis M-grid size is grid_num, else 201 for n <= 2
     and 11 for n >= 3.  Returns (sheets, certificate_lines); constant data,
     whose characteristics never cross, raises ConfigError.
     """

@@ -99,12 +99,11 @@ def is_exact_diagonal(A):
     return np.count_nonzero(A) == np.count_nonzero(np.diagonal(A))
 
 
-def scalar_multiple(A, tol=1e-12):
-    """a such that A = a*Id to tol * max(1, |a|) per entry, or None."""
+def scalar_multiple(A):
+    """a such that A == a*Id entry for entry, or None: a matrix merely close to
+    a*Id is not taken for it."""
     a = float(A[0, 0])
-    if np.allclose(A, a * np.eye(A.shape[0]), rtol=0.0, atol=tol * max(1.0, abs(a))):
-        return a
-    return None
+    return a if np.array_equal(A, a * _eye(A.shape[0])) else None
 
 
 @lru_cache(maxsize=None)

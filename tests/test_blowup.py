@@ -1,6 +1,9 @@
 """Blow-up sheets: closed forms, certificates, diagonal machinery, Coriolis scan."""
 from __future__ import annotations
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -213,6 +216,8 @@ def test_sheets_diag2_zero_entry_scan_path(rates):
 
 
 def test_sheets_diag2_equal_rates_delegates():
+    """diag(0.5, 0.5) called on sheets_diag2 directly gets its all-roots scan
+    (build_sheets sends it to sheets_diag); the scan's t* is sheets_diag's."""
     problem = make_problem(np.diag([0.5, 0.5]), "tanh2d", {"eps": 0.5}, grid_num=41)
     a = blowup.min_blowup_time(problem, blowup.sheets_diag2(problem))
     b = blowup.min_blowup_time(problem, blowup.sheets_diag(problem))
@@ -220,9 +225,9 @@ def test_sheets_diag2_equal_rates_delegates():
 
 
 def test_sheets_diag2_look_alike_ratio_is_scanned():
-    """a1/a2 within 1e-9 of -2 but not -2: no grid point loses a root that the
-    all-roots scan finds for the A given, and each first positive time is the
-    scan's."""
+    """a1/a2 within 1e-9 of -2 but not -2: sheets_diag2 is the all-roots scan
+    of the A given, so no grid point loses a root that it finds, and each
+    first positive time is the scan's."""
     problem = make_problem(np.diag([1.0, -0.5000000004]), "tanh2d", {"eps": 0.5}, grid_num=11)
     diag2 = blowup.sheets_diag2(problem)
     scan = blowup.sheets_scan(problem, t_max=10.0, scan_step=1e-2, first_only=False)
@@ -235,6 +240,93 @@ def test_sheets_diag2_look_alike_ratio_is_scanned():
             assert min(got) == min(want), f"M={M}"
             finite += 1
     assert finite > 20
+
+
+def _exp_poly_times(problem, M):
+    """Every real blow-up time at M for A = diag(a1, a2) with a1/a2 = p/q, from
+    the paper's exponential polynomial in tau = e^{t a2/q}:
+
+        tau^{p+q} + K1 tau^p + K2 tau^q + K3 = 0,
+        K1 = a2 J22 - 1,  K2 = a1 J11 - 1,  K3 = 1 - a1 J11 - a2 J22 + a1 a2 det J,
+
+    its real positive roots from the companion matrix (np.roots), t = (q/a2)
+    log tau, each re-checked against blowup_residual to 1e-9 max(1, |det J|).
+    A test-only reference: sheets_diag2's scan is held to it."""
+    a1, a2 = np.diagonal(problem.spec.A)
+    ratio = Fraction(float(a1 / a2)).limit_denominator(64)
+    p, q = ratio.numerator, ratio.denominator
+    exps = np.array([p + q, p, q, 0])
+    exps -= min(exps.min(), 0)
+    J = problem.data.phi_jacobian(M[None])[0]
+    detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    K = (1.0, a2 * J[1, 1] - 1.0, a1 * J[0, 0] - 1.0,
+         1.0 - a1 * J[0, 0] - a2 * J[1, 1] + a1 * a2 * detJ)
+    coeffs = np.zeros(exps.max() + 1)
+    for e, k in zip(exps, K):
+        coeffs[exps.max() - e] += k
+    tau = blowup._real_roots_poly(coeffs)
+    times = (q / a2) * np.log(tau[tau > 0.0])
+    scale = max(1.0, abs(detJ))
+    return sorted(float(t) for t in times
+                  if abs(blowup.blowup_residual(problem, t, M)) <= 1e-9 * scale)
+
+
+@pytest.mark.parametrize("rates, grid_num", [
+    ((0.6, -0.6), 11), ((1.0, 2.0), 15), ((0.5, -1.0), 21), ((1.0, -0.5), 13), ((0.3, 0.9), 17),
+])
+def test_sheets_diag2_scan_matches_the_exponential_polynomial(rates, grid_num):
+    """A rational ratio: at every grid point the all-roots scan of sheets_diag2
+    finds exactly the polynomial's roots inside [-t_max, t_max], each within
+    1e-12, and NaN in every other sheet."""
+    t_max = 10.0
+    problem = make_problem(np.diag(rates), "tanh2d", {"eps": 0.5}, grid_num=grid_num)
+    sheets = blowup.sheets_diag2(problem, t_max=t_max)
+    finite = 0
+    for i, M in enumerate(sheets[0].points):
+        inside = problem.data.in_domain(M[None])[0]
+        ref = [t for t in _exp_poly_times(problem, M) if abs(t) <= t_max] if inside else []
+        got = [s.t[i] for s in sheets if np.isfinite(s.t[i])]
+        assert len(got) == len(ref), f"M={M}: scan {got}, polynomial {ref}"
+        assert np.all(np.abs(np.subtract(got, ref)) <= 1e-12), f"M={M}: {got} vs {ref}"
+        finite += len(got)
+    assert finite > grid_num, finite
+
+
+@pytest.mark.parametrize("rates, t_star", [
+    ((20.0, 40.0), 0.09081400186377889),
+    ((20.0, 40.0 * np.sqrt(2.0)), 0.07086116580067613),
+], ids=["rational", "irrational"])
+def test_sheets_diag2_scan_past_the_float_range_is_warning_free(rates, t_star):
+    """Large rates: det(phi1 + J) leaves the float range on the scan grid far
+    from any root.  The scan reads those values as +-inf or NaN without a
+    floating-point warning, and diag(20, 40) keeps the exponential
+    polynomial's t*."""
+    problem = make_problem(np.diag(rates), "tanh2d", {"eps": 0.5}, grid_num=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ext = blowup.min_blowup_time(problem, blowup.sheets_diag2(problem))
+    assert abs(ext.t_star - t_star) <= 1e-12, ext.t_star
+
+
+@pytest.mark.parametrize("A", [
+    [[0.5, 0.0], [0.0, 0.5 + 3e-13]],
+    [[0.5, 4e-13], [0.0, 0.5]],
+    [[-0.4, 0.0], [2e-13, -0.4]],
+], ids=["diagonal", "upper", "lower"])
+def test_near_scalar_matrix_reaches_the_scan(monkeypatch, A):
+    """A matrix within 1e-12 of a*I that is not a*I is no scalar multiple:
+    build_sheets scans the A given, writes no tau certificate, and its t*
+    passes the residual re-check for that A."""
+    assert matops.scalar_multiple(np.array(A)) is None
+    problem = make_problem(A, "tanh2d", {"eps": 0.5}, grid_num=11)
+    scans, sheets_scan = [], blowup.sheets_scan
+    monkeypatch.setattr(blowup, "sheets_scan",
+                        lambda *args, **kwargs: scans.append(1) or sheets_scan(*args, **kwargs))
+    sheets, cert_lines = blowup.build_sheets(problem, grid_num=11)
+    assert scans == [1] and not any(s.branch.startswith("tau") for s in sheets)
+    assert not any("tau" in line for line in cert_lines), cert_lines
+    ext = blowup.min_blowup_time(problem, sheets)
+    blowup._verify_blowup_time(problem, ext.t_star, ext.M_star)
 
 
 def test_no_blowup_reported_for_damped_gauss():

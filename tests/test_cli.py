@@ -552,15 +552,26 @@ def test_blowup_near_scalar_diagonal_scans_actual_matrix(tmp_path):
     assert abs(blowup.blowup_residual(problem, float(summary["t_star"]), M_star)) <= 1e-8
 
 
-def test_blowup_scalar_tolerance_scales_with_the_entry(tmp_path):
-    """diag(1000, 1000 + 5e-10) is 1000*I to 1e-12 * 1000: the dispatch and
-    sheets_diag agree on that and the scan runs (no traceback)."""
-    cfg = _blowup_cfg([[1000.0, 0.0], [0.0, 1000.0 + 5e-10]], "tanh2d", {"eps": 0.5})
-    out = tmp_path / "s.csv"
-    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "s.yaml", cfg),
-                     "--out", str(out)]) == 0
-    comments, _, _ = read_csv(out)
-    assert any(c.startswith("# certificate[tau0]") for c in comments), comments
+@pytest.mark.parametrize("matrix, node", [
+    ([[50.0, 0.0], [0.0, 100.0]], "7.0999999999996355"),
+    ([[1000.0, 0.0], [0.0, 1000.0 + 5e-10]], "0.7099999999997717"),
+], ids=["rational-diag", "near-scalar"])
+def test_blowup_scan_overflow_names_its_node_and_t_max(tmp_path, capsys, matrix, node):
+    """A diagonal 2x2 whose phi1 overflows inside [-t_max, t_max] exits 2 with
+    a message in plain floats naming the overflowing node nearest t = 0 and
+    t_max, and no traceback.  diag(50, 100) has a rational ratio, and
+    diag(1000, 1000 + 5e-10) is no scalar multiple of the identity: both get
+    the all-roots scan.  A t_max below the named node runs."""
+    cfg = _blowup_cfg(matrix, "tanh2d", {"eps": 0.5}, grid_num=5)
+    path = write_cfg(tmp_path, "over.yaml", cfg)
+    assert cli.main(["blowup", "--config", path, "--out", str(tmp_path / "over.csv")]) == 2
+    err = capsys.readouterr().err
+    assert (f"solver failure: phi1 overflowed on the scan grid [-10.0, 9.999999999999574]: the "
+            f"overflowing node nearest t = 0 is t = {node}; lower t_max below {node}") in err, err
+    assert "np.float64" not in err and "Traceback" not in err, err
+    cfg["task"]["t_max"] = 0.9 * float(node)
+    path = write_cfg(tmp_path, "lower.yaml", cfg)
+    assert cli.main(["blowup", "--config", path, "--out", str(tmp_path / "lower.csv")]) == 0
 
 
 def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
@@ -910,13 +921,14 @@ def test_blowup_scan_past_the_table_budget_is_refused(tmp_path, capsys, monkeypa
     """A scan whose phi1 table exceeds blowup._SCAN_MAX_ENTRIES exits 1 with a
     config error naming t_max, the step and the node count; the table is never
     built.  A non-diagonal A counts its augmented (2n)^2 entries per node, so a
-    small scan_step is refused at the default t_max."""
+    small scan_step is refused at the default t_max.  scan_step is named as a
+    coriolis3d key only: blowup does not read it."""
     monkeypatch.setattr(matops, "phi1_table", _no_table)
     path = write_cfg(tmp_path, "big.yaml", cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "big.csv")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and needle in err and "Traceback" not in err, err
-    assert "raise the step (scan_step) or lower t_max" in err, err
+    assert "lower t_max (coriolis3d also takes a larger scan_step)" in err, err
 
 
 @pytest.mark.parametrize("command, cfg, entries", [
