@@ -510,10 +510,12 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     + scan_step, scan_step), in increasing t, sheet k named branch.format(k).
     Roots refined past t_max are dropped.  NaN where no root is found.
     A grid whose phi1 table would take more than _SCAN_MAX_ENTRIES matrix
-    entries raises ConfigError before anything is tabulated; a table with a
-    non-finite entry raises OverflowMatrixError naming the overflowing node
-    nearest t = 0.  A determinant that leaves the float range is a scan value
-    of +-inf or NaN, without a floating-point warning.
+    entries raises ConfigError before anything is tabulated.  The scan stops
+    short of the first node on each side of t = 0 where phi1 overflows, and
+    the sheets' absent_reason names that node and the lowered horizon;
+    OverflowMatrixError is raised only when no finite node past t = 0 is left
+    on a side being scanned.  A determinant that leaves the float range is a
+    scan value of +-inf or NaN, without a floating-point warning.
     """
     A, data = problem.spec.A, problem.data
     lo = 0 if first_only else -t_max
@@ -529,13 +531,26 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     if first_only:
         t_grid = np.concatenate([[0.0], t_grid])
     P1_tab = matops.phi1_table(A, t_grid)
-    over = t_grid[~np.isfinite(P1_tab).all(axis=(1, 2))]
-    if over.size:
-        near = float(over[np.argmin(np.abs(over))])
+    # the scan stops short of the first overflowing node on each side of t = 0
+    over = np.flatnonzero(~np.isfinite(P1_tab).all(axis=(1, 2)))
+    below, above = over[t_grid[over] < 0.0], over[t_grid[over] > 0.0]
+    i0 = below[-1] + 1 if below.size else 0
+    i1 = above[0] if above.size else len(t_grid)
+    if not (t_grid[i1 - 1] > 0.0 and (first_only or t_grid[i0] < 0.0)):
+        node = float(t_grid[i1] if t_grid[i1 - 1] <= 0.0 else t_grid[i0 - 1])
         raise OverflowMatrixError(
-            f"phi1 overflowed on the scan grid [{float(t_grid[0])!r}, {float(t_grid[-1])!r}]: "
-            f"the overflowing node nearest t = 0 is t = {near!r}; lower t_max below "
-            f"{abs(near)!r} (the grid reaches one step past t_max)")
+            f"phi1 overflowed at t = {node!r}, the first node of the scan grid "
+            f"[{float(t_grid[0])!r}, {float(t_grid[-1])!r}] past t = 0 on its side: no finite "
+            f"node is left to scan there")
+    reason = f"no sign change of the residual on [{lo}, {t_max}]"
+    if over.size:
+        edges = " and ".join(repr(float(t)) for t in t_grid[[*below[-1:], *above[:1]]])
+        t_grid, P1_tab = t_grid[i0:i1], P1_tab[i0:i1]
+        low = float(t_grid[0]) if below.size else lo
+        high = float(t_grid[-1]) if above.size else t_max
+        reason = (f"no sign change of the residual on [{low!r}, {high!r}]: phi1 overflows at "
+                  f"t = {edges}, so the horizon is lowered from t_max {t_max!r} to the last "
+                  f"finite node")
     phi1_exp = matops.phi1_exp(A)
 
     def roots(M):
@@ -547,8 +562,7 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
                 return np.array([t if t <= t_max else np.nan for t in firsts]).reshape(-1, 1)
             return _ragged([[t for t in r if abs(t) <= t_max] for r in scans])
 
-    return _stacked_sheets(problem, M_grid, branch, roots,
-                           f"no sign change of the residual on [{lo}, {t_max}]")
+    return _stacked_sheets(problem, M_grid, branch, roots, reason)
 
 
 def sheet_extremum(sheet, mode="min", positive_only=False):

@@ -20,18 +20,24 @@ Output is CSV (or plain text for ``period``) with a leading comment block that
 carries the config hash; identical config plus seed produces byte-identical
 output (``--threads`` is accepted and has no effect).  Exit codes: 0 success,
 1 config error, 2 solver failure, 3 comparison gate breach.
+
+Every command runs hodograph, matops and model, which load with this module;
+blowup, degenerate, oracle and periodicity are imported inside the functions
+that run them, so a command loads only its own modules (``solve`` none of
+these four).  The argument parser is built on the first main() call and kept.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 
 import numpy as np
 import yaml
 
-from . import blowup, degenerate, hodograph, matops, model, oracle, periodicity
+from . import hodograph, matops, model  # every command runs these; the rest load where used
 from .errors import ConfigError, HodoflowError
 
 _COMMAND_HELP = {  # each command's one-line description in --help
@@ -175,6 +181,8 @@ def build_spec(problem):
         elif preset == "diag":
             spec = model.diag_spec(problem["rates"], g=g_vec)
         elif preset == "periodic2d":
+            from . import periodicity
+
             A = periodicity.make_periodic_2d(
                 float(problem["lam"]), float(problem["a11"]), float(problem["a12"])
             )
@@ -233,6 +241,8 @@ def _frame(cfg, problem):
     basis): compare and coriolis3d read that preset's data in y = L x."""
     if cfg["problem"].get("preset") != "coriolis3d":
         return problem, None
+    from . import degenerate
+
     basis = degenerate.coriolis3d_basis(cfg["problem"]["omega"])
     return degenerate.rotated_problem(problem, basis), basis
 
@@ -366,6 +376,8 @@ def _solve(cfg, out_path, command, problem, task, basis=None):
 
 
 def _summary_lines(ext, basis=None):
+    from . import blowup
+
     if isinstance(ext, blowup.NoBlowup):
         return [f"no blow-up: {ext.reason}"]
     x_star, u_star = ext.x_star, ext.u_star
@@ -396,6 +408,8 @@ def _blowup(cfg, out_path, command, problem, task, basis=None):
     """The sheet scan and catastrophe summary.  With the basis of a rotated
     frame (_frame), problem is the rotated problem, x* and u* map back through
     P, and the task may set scan_step."""
+    from . import blowup
+
     grid_num = task.get("grid_num")
     step = 5e-2 if basis is None else task.get("scan_step", 5e-2)  # blowup has no scan_step key
     sheets, cert_lines = blowup.build_sheets(
@@ -424,6 +438,8 @@ def _blowup(cfg, out_path, command, problem, task, basis=None):
 
 
 def cmd_period(cfg, out_path, seed=None):
+    from . import periodicity
+
     spec = build_spec(cfg["problem"])
     task = _task_block(cfg, "period")
     report = periodicity.check_periodic(
@@ -485,6 +501,8 @@ def _compare_columns(cfg, problem, task, seed):
     which also gives the velocities in the solve frame.
     err is NaN where status is not OK; a sample the solver fails is SOLVE_FAIL(<error>).
     """
+    from . import oracle
+
     spec, data = problem.spec, problem.data
     num = _coerce(int, task.get("num_samples", 200), "num_samples")
     _require(num > 0, f"compare needs num_samples > 0, got {num}")
@@ -501,6 +519,8 @@ def _compare_columns(cfg, problem, task, seed):
         X0, U0 = Y0, data.u0(Y0)
         to_frame = from_frame = np.eye(spec.n)
     else:
+        from . import degenerate
+
         X0 = matops.matvec(basis.P, Y0)
         U0 = degenerate.u0_original(basis, data, X0)
         to_frame, from_frame = basis.L, basis.P
@@ -590,7 +610,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and kept: each add_argument
+    makes a help formatter that queries the terminal size."""
     commands = "\n".join(f"  {name:<12}{text}" for name, text in _COMMAND_HELP.items())
     parser = _Parser(prog="hodoflow", description=__doc__.splitlines()[0],
                      epilog=f"commands:\n{commands}",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -14,7 +15,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hodoflow import blowup, cli, degenerate, hodograph, matops, model, oracle
+from hodoflow import (blowup, cli, degenerate, errors, hodograph, matops, model, oracle,
+                      periodicity)
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -314,6 +316,31 @@ def test_help_lists_every_command_and_options_go_either_side(tmp_path, capsys):
     assert first.read_bytes() == last.read_bytes()
 
 
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """cli.main builds its argparse parser on the first call and keeps it: two
+    runs construct one _Parser.  --help still exits 0 with the text of a
+    freshly built parser, and a usage error still exits 1."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    cfg_path = write_cfg(tmp_path, "solve.yaml", SOLVE_CFG)
+    for name in ("first.csv", "second.csv"):
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path / name)]) == 0
+    assert len(built) == 1
+    for argv, code in ((["--help"], 0), (["nosuchcommand", "--config", cfg_path], 1)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code, argv
+    assert capsys.readouterr().out == cli._build_parser.__wrapped__().format_help()
+    assert len(built) == 2  # the one cached parser, and the fresh one built above
+
+
 def test_config_round_trip_identity(tmp_path):
     cfg_path = write_cfg(tmp_path, "rt.yaml", SOLVE_CFG)
     cfg = cli.load_config(cfg_path)
@@ -552,26 +579,52 @@ def test_blowup_near_scalar_diagonal_scans_actual_matrix(tmp_path):
     assert abs(blowup.blowup_residual(problem, float(summary["t_star"]), M_star)) <= 1e-8
 
 
-@pytest.mark.parametrize("matrix, node", [
-    ([[50.0, 0.0], [0.0, 100.0]], "7.0999999999996355"),
-    ([[1000.0, 0.0], [0.0, 1000.0 + 5e-10]], "0.7099999999997717"),
-], ids=["rational-diag", "near-scalar"])
-def test_blowup_scan_overflow_names_its_node_and_t_max(tmp_path, capsys, matrix, node):
-    """A diagonal 2x2 whose phi1 overflows inside [-t_max, t_max] exits 2 with
-    a message in plain floats naming the overflowing node nearest t = 0 and
-    t_max, and no traceback.  diag(50, 100) has a rational ratio, and
-    diag(1000, 1000 + 5e-10) is no scalar multiple of the identity: both get
-    the all-roots scan.  A t_max below the named node runs."""
+@pytest.mark.parametrize("matrix, horizon, node, t_max", [
+    ([[50.0, 0.0], [0.0, 100.0]], "[-10.0, 7.089999999999634]", "7.0999999999996355", 7.0),
+    ([[1000.0, 0.0], [0.0, 1000.0 + 5e-10]], "[-10.0, 0.6999999999997719]",
+     "0.7099999999997717", 0.7),
+    ([[-100.0, 0.0], [0.0, 50.0]], "[-7.090000000000062, 10.0]", "-7.100000000000062", 7.0),
+], ids=["rational-diag", "near-scalar", "below-zero"])
+def test_blowup_scan_overflow_names_its_node_and_t_max(tmp_path, capsys, matrix, horizon, node,
+                                                       t_max):
+    """A diagonal 2x2 whose phi1 overflows inside [-t_max, t_max] is scanned up
+    to the last finite node on that side of t = 0.  The sheets' nan-entries
+    comment names the lowered horizon, the overflowing node in plain floats
+    and t_max, and the run reports the t_star of a run whose t_max stops
+    short of the overflow, bit for bit.  diag(50, 100) has a rational ratio,
+    diag(1000, 1000 + 5e-10) is no scalar multiple of the identity (both get
+    the all-roots scan), and diag(-100, 50) overflows below t = 0."""
     cfg = _blowup_cfg(matrix, "tanh2d", {"eps": 0.5}, grid_num=5)
     path = write_cfg(tmp_path, "over.yaml", cfg)
-    assert cli.main(["blowup", "--config", path, "--out", str(tmp_path / "over.csv")]) == 2
-    err = capsys.readouterr().err
-    assert (f"solver failure: phi1 overflowed on the scan grid [-10.0, 9.999999999999574]: the "
-            f"overflowing node nearest t = 0 is t = {node}; lower t_max below {node}") in err, err
-    assert "np.float64" not in err and "Traceback" not in err, err
-    cfg["task"]["t_max"] = 0.9 * float(node)
+    assert cli.main(["blowup", "--config", path, "--out", str(tmp_path / "over.csv")]) == 0
+    assert "np.float64" not in capsys.readouterr().err
+    comments, _, _ = read_csv(tmp_path / "over.csv")
+    reason = (f"no sign change of the residual on {horizon}: phi1 overflows at t = {node}, so "
+              f"the horizon is lowered from t_max 10.0 to the last finite node")
+    assert f"# sheet t0 nan entries: {reason}" in comments, comments
+    cfg["task"]["t_max"] = t_max
     path = write_cfg(tmp_path, "lower.yaml", cfg)
     assert cli.main(["blowup", "--config", path, "--out", str(tmp_path / "lower.csv")]) == 0
+    lower, _, _ = read_csv(tmp_path / "lower.csv")
+    assert not any("overflows" in c for c in lower), lower
+    t_star = [c for c in comments if c.startswith("# t_star: ")]
+    assert len(t_star) == 1 and t_star == [c for c in lower if c.startswith("# t_star: ")]
+
+
+@pytest.mark.parametrize("matrix, span, node", [
+    ([[1.0e5, 0.0], [0.0, 2.0e5]], "[-10.0, 9.999999999999574]", "0.009999999999786624"),
+    ([[1.0e4, 1.0], [0.0, 2.0e4]], "[0.0, 10.000000000000002]", "0.05"),
+], ids=["all-roots", "first-root"])
+def test_blowup_scan_refuses_when_no_finite_node_is_left(tmp_path, capsys, matrix, span, node):
+    """A phi1 that overflows at the first scan node past t = 0 leaves nothing
+    to scan on that side: the run exits 2 naming that node and the grid, in
+    plain floats and with no traceback."""
+    path = write_cfg(tmp_path, "over.yaml", _blowup_cfg(matrix, "tanh2d", {"eps": 0.5}))
+    assert cli.main(["blowup", "--config", path, "--out", str(tmp_path / "over.csv")]) == 2
+    err = capsys.readouterr().err
+    assert (f"solver failure: phi1 overflowed at t = {node}, the first node of the scan grid "
+            f"{span} past t = 0 on its side: no finite node is left to scan there") in err, err
+    assert "np.float64" not in err and "Traceback" not in err, err
 
 
 def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
@@ -1023,16 +1076,73 @@ def test_malformed_blocks_fail_loud(tmp_path_factory, where, junk, block):
     assert "Traceback" not in err.getvalue()
 
 
-def test_cli_import_loads_no_scipy():
-    """The runtime needs numpy and PyYAML only: importing the package and its
-    CLI in a fresh interpreter must not bring in any scipy module."""
+def _loaded_modules(code, *args):
+    """The names in sys.modules after running code in a fresh interpreter on the
+    package source; code sees its extra command-line arguments as sys.argv[1:]."""
     src = pathlib.Path(cli.__file__).resolve().parent.parent
-    code = ("import sys, hodoflow, hodoflow.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = f"import json, sys; {code}; print(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]", out
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return set(json.loads(out.strip().splitlines()[-1]))
+
+
+#: modules only some commands run, which the CLI imports where it uses them
+DEFERRED = {"hodoflow.blowup", "hodoflow.degenerate", "hodoflow.oracle", "hodoflow.periodicity",
+            "fractions"}
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    """The runtime needs numpy and PyYAML only: importing the package and its
+    CLI in a fresh interpreter must not bring in any scipy module.  A command
+    loads only the modules it runs: importing the CLI and building a solve
+    problem loads none of blowup, degenerate, oracle, periodicity or
+    fractions, a blowup run loads blowup, and a period run periodicity."""
+    solve = write_cfg(tmp_path, "solve.yaml", SOLVE_CFG)
+    mods = _loaded_modules("import hodoflow, hodoflow.cli as cli; "
+                           "cli.build_problem(cli.load_config(sys.argv[1]))", solve)
+    assert not [m for m in mods if m.split(".")[0] == "scipy"], sorted(mods)
+    assert {"hodoflow.hodograph", "hodoflow.matops", "hodoflow.model"} <= mods
+    assert not mods & DEFERRED, sorted(mods & DEFERRED)
+    run = ("import hodoflow.cli as cli; "
+           "assert cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]) == 0")
+    blowup_cfg = write_cfg(tmp_path, "blowup.yaml", {**SOLVE_CFG, "task": {"grid_num": 5}})
+    mods = _loaded_modules(run, "blowup", blowup_cfg, tmp_path / "blowup.csv")
+    assert mods & DEFERRED == {"hodoflow.blowup"}, sorted(mods & DEFERRED)
+    period_cfg = write_cfg(tmp_path, "period.yaml", {"problem": {"matrix": [[0.0, 1.0], [-1.0, 0.0]]}})
+    mods = _loaded_modules(run, "period", period_cfg, tmp_path / "period.txt")
+    assert mods & DEFERRED == {"hodoflow.periodicity", "fractions"}, sorted(mods & DEFERRED)
+
+
+def test_package_exports_resolve_on_first_use():
+    """hodoflow exports the same 29 names, each bound to the object its
+    submodule defines; dir and a star import see them all, a submodule is an
+    attribute, and an unknown name raises AttributeError."""
+    import hodoflow
+
+    homes = {
+        blowup: ["certify_branch_absent", "certify_no_blowup_1d", "min_blowup_time", "sheet_1d",
+                 "sheets_coriolis2d", "sheets_diag", "sheets_diag2"],
+        degenerate: ["build_basis", "coriolis3d_basis", "degenerate_integrals",
+                     "degenerate_solve", "non_periodicity_witness"],
+        errors: ["ConfigError", "HodoflowError"],
+        hodograph: ["integrals", "residual_M", "solve_field", "solve_u"],
+        model: ["ForceSpec", "HodographProblem", "coriolis2d_spec", "coriolis3d_spec",
+                "make_data"],
+        oracle: ["exact_flow", "first_caustic_time", "rk4_flow"],
+        periodicity: ["check_periodic", "make_periodic_2d", "verify_solution_period"],
+    }
+    assert sorted(hodoflow.__all__) == sorted(name for names in homes.values() for name in names)
+    for module, names in homes.items():
+        assert getattr(hodoflow, module.__name__.rsplit(".", 1)[1]) is module
+        for name in names:
+            assert getattr(hodoflow, name) is getattr(module, name), name
+    assert set(hodoflow.__all__) <= set(dir(hodoflow))
+    star = {}
+    exec("from hodoflow import *", star)
+    assert set(hodoflow.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hodoflow.no_such_name
 
 
 def test_blowup_coriolis_degenerate_trig_is_absent(tmp_path, capsys):
