@@ -19,7 +19,7 @@ returns the stored value bit for bit.  A builder is its root function:
 
 * 1D (sheet_1d):        t = log(1 - A phi'(M)) / A, real iff A phi'(M) < 1
 * A = a*Id (sheets_diag): det(tau*Id + J) = 0 with tau = (e^{at}-1)/a
-                        (a quadratic for n = 2, the characteristic polynomial
+                        (a quadratic for n = 2, the real eigenvalues of -J
                         otherwise)
 * elliptic 2x2 (sheets_coriolis2d): trace A = 0 and det A = lam^2 > 0 (the
                         coriolis2d and periodic2d presets), so A^2 = -lam^2 I
@@ -55,7 +55,7 @@ from .errors import BlowupVerificationError, ConfigError, OverflowMatrixError
 from .hodograph import hodograph_position, u_from_M
 from .model import Constant
 
-#: imaginary-part tolerance for accepting a polynomial root as real
+#: imaginary-part tolerance for accepting a root or an eigenvalue as real
 _IMAG_TOL = 1e-9
 #: residual tolerance for accepting a candidate blow-up time
 _TIME_RESIDUAL_TOL = 1e-9
@@ -221,9 +221,9 @@ def _grid_points(data, M_grid, num):
     return axes, pts
 
 
-def _ragged(rows, width=0):
-    """The rows as one (len(rows), max(width, longest row)) array, NaN-padded."""
-    out = np.full((len(rows), max([width, *map(len, rows)])), np.nan)
+def _ragged(rows):
+    """The rows as one (len(rows), longest row) array, NaN-padded."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
     for i, row in enumerate(rows):
         out[i, : len(row)] = row
     return out
@@ -298,28 +298,14 @@ def certify_no_blowup_1d(problem, num=2001):
     return Certificate(certified, reason, np.array([m_star]), float(v_star))
 
 
-def _real_roots_poly(coeffs):
-    """Real roots of a polynomial given by numpy-order coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    nz = np.flatnonzero(np.abs(coeffs) > 0.0)
-    if nz.size == 0:
-        return np.array([])
-    coeffs = coeffs[nz[0] :]
-    if coeffs.size <= 1:
-        return np.array([])
-    roots = np.roots(coeffs)
-    real = roots[np.abs(roots.imag) <= _IMAG_TOL * np.maximum(1.0, np.abs(roots.real))]
-    return np.sort(real.real)
-
-
 def sheets_diag(problem, M_grid=None):
     """Blow-up sheets for A = a*Id: roots of det(tau*Id + J_phi(M)) = 0.
 
     Returns n sheets labelled tau0 < tau1 < ... (roots sorted ascending per
     grid point); complex pairs and grid points outside the domain leave NaN
     gaps.  n = 2 is the quadratic tau^2 + tr(J) tau + det(J) over the stack,
-    larger n the real roots of each characteristic polynomial.  Works for
-    a = 0, where the time map is the identity t = tau.
+    any other n the real eigenvalues of -J from one eigvals call over the
+    stack.  Works for a = 0, where the time map is the identity t = tau.
     """
     spec, data = problem.spec, problem.data
     a = matops.scalar_multiple(spec.A)
@@ -330,7 +316,9 @@ def sheets_diag(problem, M_grid=None):
     def taus(M):
         J = data.phi_jacobian(M)
         if n != 2:
-            return _ragged([_real_roots_poly(np.poly(-Ji))[:n] for Ji in J], width=n)
+            lam = np.linalg.eigvals(-J)
+            real = np.abs(lam.imag) <= _IMAG_TOL * np.maximum(1.0, np.abs(lam.real))
+            return np.sort(np.where(real, lam.real, np.nan), axis=1)
         tr = J[:, 0, 0] + J[:, 1, 1]
         dt = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         disc = tr * tr - 4.0 * dt

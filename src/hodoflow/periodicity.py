@@ -13,7 +13,8 @@ lam_k = lam_ref * p_k/q_k (reduced fractions), the smallest admissible T is
 
 which this module computes from floating-point eigenvalues by continued
 fractions (fractions.Fraction.limit_denominator) and then re-verifies against
-(*) directly, including a divisor sweep so the reported period is fundamental.
+(*) directly, once.  It is fundamental: the reference's own ratio is 1/1 and
+every p_k/q_k is reduced, so a period m*2*pi/|lam_ref| needs lcm(q_k) | m.
 
 Necessary structure: tr A = 0, det A != 0, and n even (pure-imaginary spectra
 of real matrices come in conjugate pairs), so odd dimensions never pass.
@@ -48,17 +49,6 @@ class PeriodicityReport:
         return self.periodic
 
 
-def _divisors(s):
-    out = set()
-    d = 1
-    while d * d <= s:
-        if s % d == 0:
-            out.add(d)
-            out.add(s // d)
-        d += 1
-    return sorted(out)
-
-
 def _report_false(nu, reason):
     return PeriodicityReport(periodic=False, T=None, eigenvalues=nu, reason=reason)
 
@@ -66,10 +56,13 @@ def _report_false(nu, reason):
 def check_periodic(A, rational_tol=1e-9, max_denominator=64):
     """Decide e^{TA} = I solvability and return the minimal positive T.
 
-    Failure reasons are returned in the report, never raised: singular A,
-    non-diagonalizable A, eigenvalues with a real part beyond
-    rational_tol*||A||, or imaginary-part ratios that no fraction with
-    denominator <= max_denominator approximates to rational_tol.
+    T is 2*pi*lcm(q_k)/|lam_ref| from the reduced multipliers p_k/q_k, with
+    no divisor left to try (see the module docstring), and one mat_exp
+    checks e^{TA} = I.  Failure reasons are returned in the report, never
+    raised: singular A, non-diagonalizable A, eigenvalues with a real part
+    beyond rational_tol*||A||, imaginary-part ratios that no fraction with
+    denominator <= max_denominator approximates to rational_tol, or a
+    defect of e^{TA} - I that is not within _EXP_DEFECT_TOL.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -95,24 +88,17 @@ def check_periodic(A, rational_tol=1e-9, max_denominator=64):
             f"with denominators <= {max_denominator})",
         )
 
-    s = lcm(*(f.denominator for f in fracs))
-    T0 = 2.0 * pi * s / abs(ref)
-    # T0 is a period by construction; the fundamental one is T0/d for some
-    # integer divisor d of s, found by direct testing of the group identity.
-    T, defect = None, None
-    for d in sorted(_divisors(s), reverse=True):
-        cand = T0 / d
-        dc = float(np.abs(matops.mat_exp(A, cand) - np.eye(n)).max())
-        if dc <= _EXP_DEFECT_TOL:
-            T, defect = cand, dc
-            break
-    if T is None:
+    # T0 is fundamental (module docstring); the one test of (*) guards the
+    # rational approximation, and `not <=` also fails a NaN defect
+    T0 = 2.0 * pi * lcm(*(f.denominator for f in fracs)) / abs(ref)
+    defect = float(np.abs(matops.mat_exp(A, T0) - np.eye(n)).max())
+    if not defect <= _EXP_DEFECT_TOL:
         return _report_false(
-            nu, f"e^{{TA}} never reached the identity (defect at T0: {dc:.3e})"
+            nu, f"e^{{TA}} never reached the identity (defect at T0: {defect:.3e})"
         )
     return PeriodicityReport(
         periodic=True,
-        T=T,
+        T=T0,
         eigenvalues=nu,
         multipliers=fracs,
         exp_defect=defect,

@@ -242,6 +242,20 @@ def test_sheets_diag2_look_alike_ratio_is_scanned():
     assert finite > 20
 
 
+def _real_roots_poly(coeffs):
+    """Real roots of a polynomial given by numpy-order coefficients."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    nz = np.flatnonzero(np.abs(coeffs) > 0.0)
+    if nz.size == 0:
+        return np.array([])
+    coeffs = coeffs[nz[0] :]
+    if coeffs.size <= 1:
+        return np.array([])
+    roots = np.roots(coeffs)
+    real = roots[np.abs(roots.imag) <= blowup._IMAG_TOL * np.maximum(1.0, np.abs(roots.real))]
+    return np.sort(real.real)
+
+
 def _exp_poly_times(problem, M):
     """Every real blow-up time at M for A = diag(a1, a2) with a1/a2 = p/q, from
     the paper's exponential polynomial in tau = e^{t a2/q}:
@@ -264,7 +278,7 @@ def _exp_poly_times(problem, M):
     coeffs = np.zeros(exps.max() + 1)
     for e, k in zip(exps, K):
         coeffs[exps.max() - e] += k
-    tau = blowup._real_roots_poly(coeffs)
+    tau = _real_roots_poly(coeffs)
     times = (q / a2) * np.log(tau[tau > 0.0])
     scale = max(1.0, abs(detJ))
     return sorted(float(t) for t in times
@@ -743,11 +757,17 @@ _C3D_SCALAR_DATA = ("separable", {"components": [
     ("gauss1d", {"eta": 0.6, "kappa": 1.1}),
     ("gauss1d", {"eta": 0.7, "kappa": 0.8}),
 ]})
+#: the same tanh component twice: -J has an exact double eigenvalue wherever M1 = M2
+_C3D_REPEATED_DATA = ("separable", {"components": [
+    ("tanh1d", {"mu": 0.8, "kappa": 0.9}),
+    ("tanh1d", {"mu": 0.8, "kappa": 0.9}),
+    ("gauss1d", {"eta": 0.6, "kappa": 1.1}),
+]})
 
 
 @pytest.mark.parametrize("case", [
     "1d", "scalar2d", "scalar2d-linear-double-root", "scalar2d-linear-close-roots",
-    "scalar3d", "elliptic", "periodic2d", "diag2-rational", "diag2-irrational",
+    "scalar3d", "scalar3d-repeated", "elliptic", "periodic2d", "diag2-rational", "diag2-irrational",
     "scan-first", "scan-all",
 ])
 def test_branch_fn_returns_the_stored_grid_value(case):
@@ -765,8 +785,9 @@ def test_branch_fn_returns_the_stored_grid_value(case):
         family, params = ("tanh2d", {"eps": 0.5}) if R is None else ("linear", {"R": R})
         problem = make_problem(-0.4 * np.eye(2), family, params, grid_num=21)
         sheets = blowup.sheets_diag(problem)
-    elif case == "scalar3d":
-        problem = make_problem(-0.3 * np.eye(3), *_C3D_SCALAR_DATA, grid_num=7)
+    elif case.startswith("scalar3d"):
+        data = _C3D_REPEATED_DATA if case == "scalar3d-repeated" else _C3D_SCALAR_DATA
+        problem = make_problem(-0.3 * np.eye(3), *data, grid_num=7)
         sheets = blowup.sheets_diag(problem)
     elif case in ("elliptic", "periodic2d"):
         A = (model.coriolis2d_spec(-1.3).A if case == "elliptic"
@@ -792,3 +813,41 @@ def test_branch_fn_returns_the_stored_grid_value(case):
             f"{sheet.branch}: probe differs from the grid value")
         finite += int((~nan).sum())
     assert finite > 0, case
+
+
+@pytest.mark.parametrize("data", [_C3D_SCALAR_DATA, _C3D_REPEATED_DATA], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("grid_num", [7, 11, 21])
+def test_scalar3d_separable_t_star_is_the_closed_form(data, grid_num):
+    """A = -0.3 I on separable data with a tanh component (mu 0.8, kappa
+    0.9): a blow-up time is t = -log1p(-0.3 tau)/0.3 with tau an eigenvalue
+    of -J, and the sheet's extremum tau = 1/(kappa mu) sits on the grid node
+    M = mu, so t* = -log1p(-0.3/(0.9*0.8))/0.3 is reported bit for bit at
+    every grid, as is the tau0 certificate's sup A*tau = -5/12."""
+    problem = make_problem(-0.3 * np.eye(3), *data, grid_num=grid_num)
+    sheets, lines = blowup.build_sheets(problem, grid_num=grid_num)
+    ext = blowup.min_blowup_time(problem, sheets)
+    assert ext.t_star == -np.log1p(-0.3 / (0.9 * 0.8)) / 0.3
+    assert ext.t_star == 1.7966550024422898
+    assert lines[0].startswith("certificate[tau0]: NotAbsent (A*tau(M) = -0.416666666667 >= -1")
+
+
+def test_scalar3d_repeated_eigenvalue_stays_real():
+    """Separable data has a diagonal J, so the roots tau of det(tau I + J) are
+    the sorted diagonal of -J.  Every sheet stores exactly those, so where the
+    two tanh components meet (M1 = M2, an exact double root) the middle sheet
+    keeps its real tau: a root finder that split the double root into a
+    complex pair left NaN there."""
+    problem = make_problem(-0.3 * np.eye(3), *_C3D_REPEATED_DATA, grid_num=7)
+    sheets = blowup.sheets_diag(problem)
+    pts = sheets[0].points
+    assert problem.data.in_domain(pts).all()
+    J = problem.data.phi_jacobian(pts)
+    diag = np.diagonal(J, axis1=1, axis2=2)
+    assert np.array_equal(J, diag[:, :, None] * np.eye(3))
+    ref = np.sort(-diag, axis=1)
+    for k, sheet in enumerate(sheets):
+        assert np.array_equal(sheet.tau, ref[:, k]), sheet.branch
+        assert np.array_equal(sheet.t, blowup._time_from_tau(-0.3, ref[:, k]), equal_nan=True)
+    double = pts[:, 0] == pts[:, 1]
+    assert double.sum() == 49
+    assert int(np.isfinite(sheets[1].t[double]).sum()) == 35

@@ -176,6 +176,29 @@ def test_period_verification_of_constant_data(tmp_path):
     assert "verify: pass" in text and "verify_failure" not in text, text
 
 
+def test_period_verification_writes_each_failing_sample(tmp_path):
+    """Linear data under unit rotation reaches its blow-up set at t ~ 0.51 at
+    every M: of the four samples drawn on [0.2, 1.6] with seed 2, the two
+    later ones each get a verify_failure line naming (t, x, reason)."""
+    cfg = {
+        "problem": {"preset": "coriolis2d", "omega": 1.0},
+        "data": {"family": "linear", "params": {"R": [[1.0, 0.0], [0.0, -0.5]]}},
+        "task": {"name": "period", "verify": {"num_points": 4, "t_range": [0.2, 1.6],
+                                              "seed": 2}},
+    }
+    out = tmp_path / "pf.txt"
+    assert cli.main(["period", "--config", write_cfg(tmp_path, "pf.yaml", cfg), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "verify: fail" in lines
+    failures = [line for line in lines if line.startswith("verify_failure: ")]
+    assert failures == [
+        "verify_failure: (0.566256987949043, array([-0.40301771,  0.62845148]), "
+        "'sample point is on or past the blow-up set')",
+        "verify_failure: (1.1204062208258296, array([ 0.12453133, -0.69987547]), "
+        "'sample point is on or past the blow-up set')",
+    ]
+
+
 def test_readme_period_example_matches_a_run(tmp_path):
     """The README's period example, run from its own YAML block, prints the
     output shown there, every line but the config hash."""

@@ -112,6 +112,34 @@ def test_closed_form_kinds_are_consistent():
     assert np.allclose(u_I1 - spec.g * t - spec.A @ x, c, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind, tol", [
+    ("const_I1", 1e-11), ("const_I2", 1e-9), ("const_M", 1e-8), ("const_N", 1e-6),
+])
+def test_closed_form_kinds_solve_the_pde(kind, tol):
+    """Each closed-form field solves u_t + (u.grad)u = g + Au for an A of no
+    special pattern and g != 0, to the central-difference error (h = 1e-4) of
+    oracle.pde_residual, at times on both sides of t = 0."""
+    spec = model.ForceSpec(np.array([[0.2, 1.1], [-0.9, -0.3]]), np.array([0.2, -0.4]))
+    c = np.array([0.4, 0.1])
+    field = lambda t, x: hodograph.closed_form(kind, spec, t, x, c)
+    for t, x in [(0.3, [0.1, -0.2]), (0.7, [0.3, -0.5]), (1.2, [-0.6, 0.4]), (-0.5, [0.2, 0.9])]:
+        res = oracle.pde_residual(field, spec, t, np.array(x))
+        assert res <= tol, f"{kind} at t={t}, x={x}: residual {res:.3e}"
+
+
+@pytest.mark.parametrize("kind", ["const_I2", "const_N"])
+def test_closed_form_kinds_refuse_degenerate_A(kind):
+    spec = model.coriolis3d_spec(1.0)
+    with pytest.raises(DegenerateMatrixError, match=f"{kind} field needs invertible A"):
+        hodograph.closed_form(kind, spec, 0.5, np.zeros(3), np.ones(3))
+
+
+def test_closed_form_const_N_refuses_t_zero():
+    spec = model.ForceSpec(np.array([[0.2, 1.1], [-0.9, -0.3]]), np.array([0.2, -0.4]))
+    with pytest.raises(SingularMatrixError, match="singular at t = 0"):
+        hodograph.closed_form("const_N", spec, 0.0, np.zeros(2), np.ones(2))
+
+
 def test_to_bar_variables_reduces_to_free_hodograph():
     """After the bar map, the forced solution satisfies xbar - tbar*ubar = phi(ubar)."""
     spec = model.ForceSpec(np.array([[0.5]]), np.array([0.3]))

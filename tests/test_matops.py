@@ -124,6 +124,20 @@ def test_solve_stacked_flags_a_non_finite_row_alone():
         matops.solve(A[1], B[1])
 
 
+def test_cond_of_a_3x3_stack_falls_back_per_matrix():
+    """3x3 stacks take the SVD, which one NaN matrix fails for the whole
+    stack: _cond then conditions each matrix alone, inf for the bad one, and
+    solve_stacked flags only that row."""
+    A = np.stack([np.eye(3), np.eye(3), 2.0 * np.eye(3)])
+    A[1, 0, 0] = np.nan
+    assert matops._cond(A).tolist() == [1.0, np.inf, 1.0]
+    B = np.arange(9.0).reshape(3, 3)
+    X, singular = matops.solve_stacked(A, B)
+    assert singular.tolist() == [False, True, False]
+    assert np.isnan(X[1]).all()
+    assert np.array_equal(X[[0, 2]], np.linalg.solve(A[[0, 2]], B[[0, 2]][..., None])[..., 0])
+
+
 def test_solve_matches_numpy():
     A = random_matrix(4, seed=9) + 4.0 * np.eye(4)
     b = np.arange(4.0)

@@ -58,6 +58,31 @@ def test_divisor_sweep_finds_fundamental():
     assert rep.T == pytest.approx(np.pi, rel=1e-12), "gcd(2,4)=2 gives T = pi"
 
 
+def test_periodic_A_costs_one_matrix_exponential(monkeypatch):
+    """The period 2*pi*lcm(q_k)/|lam_ref| is fundamental, so rates 2 and 3
+    are checked by one e^{TA} (a divisor sweep also tried T/2, T/3, T/6)."""
+    calls = []
+    real_exp = matops.mat_exp
+
+    def counting(A, t):
+        calls.append(t)
+        return real_exp(A, t)
+
+    monkeypatch.setattr(matops, "mat_exp", counting)
+    rep = periodicity.check_periodic(block_diag_rotations(2.0, 3.0))
+    assert rep, rep.reason
+    assert calls == [rep.T] and rep.T == pytest.approx(2.0 * np.pi, rel=1e-15)
+
+
+def test_near_rational_rates_never_reach_the_identity():
+    """62 + 5e-8 passes for 62/63 of the rate 63 (ratio defect 8e-10 <=
+    1e-9), so T0 = 2*pi; the second block then misses the identity there by
+    2*pi*5e-8."""
+    rep = periodicity.check_periodic(block_diag_rotations(63.0, 62.0 + 5e-8))
+    assert not rep and rep.T is None
+    assert rep.reason == "e^{TA} never reached the identity (defect at T0: 3.142e-07)"
+
+
 def test_rejects_real_eigenvalues():
     rep = periodicity.check_periodic(np.diag([1.0, -1.0]))
     assert not rep
@@ -217,6 +242,23 @@ def test_stacked_period_check_matches_per_sample_solves(monkeypatch):
     passed = [i for i in range(40) if i not in failed]
     assert max(abs(deltas[i] - ref[i][1]) for i in passed) <= 1e-15
     assert abs(check.max_delta - max(ref[i][1] for i in passed)) <= 1e-15
+
+
+def test_verify_solution_period_flags_points_past_the_blow_up_set():
+    """Linear data phi(M) = R M under unit rotation: det(phi1(A, t) + R) is
+    the same at every M, -0.5 at t = 0 and positive from t ~ 0.51 on.  The
+    solves converge at every time, so the two later samples fail on the sign
+    test alone, and the earlier ones pass."""
+    problem = model.HodographProblem(model.coriolis2d_spec(1.0),
+                                     model.make_data("linear", R=[[1.0, 0.0], [0.0, -0.5]]))
+    x = np.array([0.3, -0.2])
+    samples = [(0.1, x), (0.4, x), (0.8, x), (1.8, x)]
+    check = periodicity.verify_solution_period(problem, 2.0 * np.pi, samples)
+    assert not check.ok
+    assert [(t, why) for t, _, why in check.failures] == [
+        (0.8, "sample point is on or past the blow-up set"),
+        (1.8, "sample point is on or past the blow-up set")]
+    assert check.max_delta <= 1e-13
 
 
 def test_period_check_of_no_samples_passes():
