@@ -437,6 +437,12 @@ def _domain_edges(data, axes, points, inside, steps=60):
     return lo
 
 
+def _point_text(M):
+    """M as (m1, m2, ...), each coordinate its float repr (17 significant
+    digits), whatever numpy's print options."""
+    return "(" + ", ".join(repr(float(v)) for v in np.atleast_1d(M)) + ")"
+
+
 def certify_coriolis_absent(problem, sheet):
     """Absence certificate for the elliptic 2x2 sheet (sheets_coriolis2d).
 
@@ -469,7 +475,7 @@ def certify_coriolis_absent(problem, sheet):
     certified = sup < 0.0
     reason = (f"sup over M of a^2 + b^2 - c^2 = {sup:.12g} < 0: "
               "no real root of a sin(wt) + b cos(wt) + c" if certified
-              else f"a^2 + b^2 - c^2 = {sup:.12g} >= 0 at M = {worst!r}")
+              else f"a^2 + b^2 - c^2 = {sup:.12g} >= 0 at M = {_point_text(worst)}")
     return Certificate(certified, reason, worst, sup)
 
 
@@ -632,7 +638,7 @@ def certify_branch_absent(problem, sheet):
     certified = sup < -1.0
     reason = (f"sup over M of A*tau(M) = {sup:.12g} < -1: reality condition "
               "1 + A*tau > 0 violated everywhere on the branch" if certified
-              else f"A*tau(M) = {sup:.12g} >= -1 at M = {worst!r}")
+              else f"A*tau(M) = {sup:.12g} >= -1 at M = {_point_text(worst)}")
     return Certificate(certified, reason, worst, sup)
 
 

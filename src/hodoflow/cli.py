@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import re
 import sys
 
 import numpy as np
@@ -51,8 +52,9 @@ _COMMANDS = tuple(_COMMAND_HELP)
 _PRESETS = ("coriolis2d", "coriolis3d", "diag", "periodic2d")
 _TOP_KEYS = ("problem", "data", "task", "solver")
 
-# libyaml's parser and emitter when PyYAML was built with it: same documents,
-# same canonical text (see dump_config), a fraction of the pure-Python time.
+# libyaml's parser, and its emitter for what dump_config does not write itself,
+# when PyYAML was built with it: same documents, same canonical text, a
+# fraction of the pure-Python time.
 if yaml.__with_libyaml__:
     _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
 else:
@@ -112,10 +114,17 @@ def _pair(value, key):
 
 
 def load_config(path):
-    """Read and validate a YAML run config; returns a plain dict."""
+    """Read and validate a YAML run config; returns a plain dict.
+
+    The loader (libyaml when PyYAML has it) composes the document into nodes,
+    with yaml.load's parser and error messages.  Plain data (string keys, str,
+    int, float, bool and null scalars, lists and mappings, no node met twice)
+    is then built in one walk, to the values SafeLoader gives; any other
+    document is built whole by the loader's own constructor.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = yaml.load(fh, Loader=_Loader)
+            cfg = _load(_Loader(fh))
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
@@ -127,16 +136,160 @@ def load_config(path):
 def dump_config(cfg):
     """Canonical YAML serialization (sorted keys); load(dump(cfg)) == cfg.
 
-    The text is yaml.safe_dump(cfg, sort_keys=True)'s for any config with
-    non-empty keys, except a string long enough to be line-folded that holds
-    non-ASCII or control characters, which libyaml folds differently.
+    The text is yaml.safe_dump(cfg, sort_keys=True)'s.  Plain data (string
+    keys, lists, mappings, floats, ints, bools, None and ASCII identifiers
+    that read back as strings, no list or mapping met twice) is written here
+    in SafeDumper's block layout; anything else goes through PyYAML, whose
+    libyaml emitter gives the same text for any config with non-empty keys,
+    except a string long enough to be line-folded that holds non-ASCII or
+    control characters, which libyaml folds differently, and a key of 123 to
+    128 characters, which libyaml writes as a simple key.
     """
+    if type(cfg) is dict or type(cfg) is list:
+        try:
+            return "\n".join(_block_lines(cfg, set())) + "\n"
+        except _NotPlain:
+            pass
     return yaml.dump(cfg, Dumper=_Dumper, sort_keys=True)
 
 
 def config_hash(cfg):
     """SHA-256 of the canonical serialization, used to stamp output files."""
     return hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest()
+
+
+class _NotPlain(Exception):
+    """A node or value outside plain data: PyYAML builds or writes the whole document."""
+
+
+_TAG = "tag:yaml.org,2002:"
+_STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
+# int and float text that int() and float() read as SafeConstructor does;
+# other int, float, bool and null text goes through the constructor for its tag
+_DECIMAL = {_TAG + "int": (re.compile(r"[-+]?(?:0|[1-9][0-9]*)\Z"), int),
+            _TAG + "float": (re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?\Z"), float)}
+_SCALAR_TAGS = (*_DECIMAL, _TAG + "bool", _TAG + "null")
+
+
+def _load(loader):
+    """yaml.load's value of the loader's one document (None for none)."""
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        try:
+            return _plain_data(node, loader, set())
+        except _NotPlain:
+            return loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
+def _plain_data(node, loader, seen):
+    """SafeConstructor's value of a composed plain-data node, built directly;
+    _NotPlain for merge keys, non-string keys, other tags and aliases (seen
+    holds the ids of the collection nodes met so far)."""
+    if node.id == "scalar":
+        return _scalar_value(node, loader)
+    if id(node) in seen:
+        raise _NotPlain  # an alias: SafeLoader shares the object, or builds a cycle
+    seen.add(id(node))
+    if node.tag == _SEQ:
+        return [_plain_data(item, loader, seen) for item in node.value]
+    if node.tag != _MAP:
+        raise _NotPlain
+    data = {}
+    for key, value in node.value:
+        if key.tag != _STR or key.id != "scalar":
+            raise _NotPlain  # also the merge key <<
+        data[key.value] = _plain_data(value, loader, seen)
+    return data
+
+
+def _scalar_value(node, loader):
+    """SafeConstructor's value of a str, int, float, bool or null scalar node."""
+    tag, text = node.tag, node.value
+    if tag == _STR:
+        return text
+    if tag in _DECIMAL:
+        pattern, kind = _DECIMAL[tag]
+        if pattern.match(text):
+            return kind(text)
+    if tag in _SCALAR_TAGS:
+        return loader.yaml_constructors[tag](loader, node)
+    raise _NotPlain
+
+
+# at most 122 characters: SafeDumper writes a longer key as '? key' (it counts
+# the 5 characters of the tag !!str toward its simple-key limit of 128),
+# libyaml only one past 128, so a longer key goes to PyYAML as it always did
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,121}\Z")
+_RESOLVER = yaml.resolver.Resolver()
+
+
+def _plain_str(text):
+    """Whether SafeDumper writes text as it is: an ASCII identifier that the
+    resolver reads back as a string (not yes, On, null, ...)."""
+    return (_WORD.match(text) is not None
+            and _RESOLVER.resolve(yaml.ScalarNode, text, (True, False)) == _STR)
+
+
+_NON_FINITE = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}
+
+
+def _scalar_text(value):
+    """SafeRepresenter's plain text of a scalar; _NotPlain for any other value.
+    A float is repr().lower() with '.0' put before a bare exponent."""
+    kind = type(value)
+    if kind is float:
+        text = repr(value).lower()
+        if "e" in text and "." not in text:
+            return text.replace("e", ".0e", 1)
+        return _NON_FINITE.get(text, text)
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is str and _plain_str(value):
+        return value
+    raise _NotPlain
+
+
+def _block_lines(value, seen):
+    """SafeDumper's block-style lines of a list or mapping, without the indent
+    of its position: one line for an empty one (seen holds the ids of the
+    collections written so far; a second meeting would be an anchor and an
+    alias)."""
+    if id(value) in seen:
+        raise _NotPlain
+    seen.add(id(value))
+    if not value:
+        return ["{}" if type(value) is dict else "[]"]
+    lines = []
+    if type(value) is list:
+        for item in value:
+            if type(item) is dict or type(item) is list:
+                first, *rest = _block_lines(item, seen)
+                lines.append("- " + first)
+                lines.extend(["  " + line for line in rest])
+            else:
+                lines.append("- " + _scalar_text(item))
+        return lines
+    if not all(type(key) is str and _plain_str(key) for key in value):
+        raise _NotPlain
+    for key in sorted(value):
+        item = value[key]
+        if type(item) is not dict and type(item) is not list:
+            lines.append(f"{key}: {_scalar_text(item)}")
+        elif not item:
+            lines.append(f"{key}: {_block_lines(item, seen)[0]}")
+        else:  # a mapping in a mapping is indented, a sequence is not
+            lines.append(key + ":")
+            sub = _block_lines(item, seen)
+            lines.extend(["  " + line for line in sub] if type(item) is dict else sub)
+    return lines
 
 
 def validate_config(cfg):
@@ -478,8 +631,9 @@ def cmd_period(cfg, out_path, seed=None):
             check = periodicity.verify_solution_period(problem, report.T, samples, tol=tol)
             lines.append(f"verify: {'pass' if check.ok else 'fail'}")
             lines.append(f"verify_max_delta: {_fmt(check.max_delta)}")
-            for failure in check.failures:
-                lines.append(f"verify_failure: {failure}")
+            for t, x, why in check.failures:
+                lines.append(f"verify_failure: t = {_fmt(t)}, "
+                             f"x = ({', '.join(map(_fmt, x))}): {why}")
     _write_text(out_path, "\n".join(lines) + "\n")
     if out_path:
         print("\n".join(lines[1:]))

@@ -192,11 +192,43 @@ def test_period_verification_writes_each_failing_sample(tmp_path):
     assert "verify: fail" in lines
     failures = [line for line in lines if line.startswith("verify_failure: ")]
     assert failures == [
-        "verify_failure: (0.566256987949043, array([-0.40301771,  0.62845148]), "
-        "'sample point is on or past the blow-up set')",
-        "verify_failure: (1.1204062208258296, array([ 0.12453133, -0.69987547]), "
-        "'sample point is on or past the blow-up set')",
+        "verify_failure: t = 0.566256987949043, x = (-0.4030177131717534, 0.6284514811885606): "
+        "sample point is on or past the blow-up set",
+        "verify_failure: t = 1.1204062208258296, x = (0.124531325560856, -0.6998754733893278): "
+        "sample point is on or past the blow-up set",
     ]
+
+
+@pytest.mark.parametrize("problem, data, grid, expected", [
+    ({"matrix": (-0.3 * np.eye(3)).tolist()},
+     {"family": "separable", "components": [
+         {"family": "tanh1d", "params": {"mu": 0.8, "kappa": 0.9}},
+         {"family": "gauss1d", "params": {"eta": 0.6, "kappa": 1.1}},
+         {"family": "gauss1d", "params": {"eta": 0.7, "kappa": 0.8}}]}, 5, [
+        "certificate[tau0]: NotAbsent (A*tau(M) = -0.416666666667 >= -1 "
+        "at M = (0.8, 0.003, 0.0034999999999999996))",
+        "certificate[tau1]: NotAbsent (A*tau(M) = -0.545964731267 >= -1 "
+        "at M = (0.8, 0.3, 0.0034999999999999996))",
+        "certificate[tau2]: NotAbsent (A*tau(M) = -0.643458433278 >= -1 "
+        "at M = (0.404, 0.3, 0.35000000000000003))",
+     ]),
+    ({"preset": "coriolis2d", "omega": 1.0},
+     {"family": "gauss2d_coriolis", "params": {"amplitude": 0.5}}, 21, [
+        "certificate[coriolis_first]: NotCertified (a^2 + b^2 - c^2 = 2.83382758518e+15 >= 0 "
+        "at M = (0.2995000000000001, 0.29950000000000004))",
+     ]),
+], ids=["scalar3d", "coriolis2d"])
+def test_certificate_lines_write_M_at_full_precision(tmp_path, problem, data, grid, expected):
+    """A refused absence certificate names its worst M with every coordinate's
+    float repr, as M_star is written, whatever numpy's print options: the
+    coriolis point is off the edge M1 = M2 by 2 ulps, which numpy's 4-digit
+    repr (0.2995, 0.2995) hid."""
+    cfg = {"problem": problem, "data": data, "task": {"name": "blowup", "grid_num": grid}}
+    out = tmp_path / "cert.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "cert.yaml", cfg),
+                     "--out", str(out)]) == 0
+    comments, _, _ = read_csv(out)
+    assert [c[2:] for c in comments if c.startswith("# certificate")] == expected
 
 
 def test_readme_period_example_matches_a_run(tmp_path):
@@ -371,11 +403,98 @@ def test_config_round_trip_identity(tmp_path):
     assert cli.config_hash(cfg) == cli.config_hash(yaml.safe_load(cli.dump_config(cfg)))
 
 
+def _sweep_shape():
+    """solve-sweep's shape: 100 seeded coriolis2d points at 7 times."""
+    points = np.random.default_rng(1).uniform(0.05, 1.2, size=(100, 2))
+    return {"problem": {"preset": "coriolis2d", "omega": 1.0},
+            "data": {"family": "gauss2d_coriolis", "params": {"amplitude": 1.0}},
+            "task": {"name": "solve", "times": {"start": 0.0, "stop": 0.9, "num": 7},
+                     "points": points.tolist()}}
+
+
+def _scan_shape():
+    """blowup-scan's shape: diag(1, -sqrt 2), tanh2d eps 9, grid 3."""
+    return {"problem": {"preset": "diag", "rates": [1.0, -np.sqrt(2.0).item()]},
+            "data": {"family": "tanh2d", "params": {"eps": 9.0}},
+            "task": {"name": "blowup", "grid_num": 3, "t_max": 0.11}}
+
+
+def _compare_shape():
+    """compare-3d's shape: coriolis3d with a separable components list."""
+    return {"problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
+            "data": {"family": "separable", "components": [
+                {"family": "tanh1d", "params": {"mu": 0.8, "kappa": 0.9}},
+                {"family": "gauss1d", "params": {"eta": 0.6, "kappa": 1.1}},
+                {"family": "gauss1d", "params": {"eta": 0.7, "kappa": 0.8}}]},
+            "task": {"name": "compare", "num_samples": 24, "t_range": [0.9, 1.3],
+                     "bound": 1.0e-8, "seed": 1}}
+
+
+def _quoted_shape():
+    """A string with a space, which SafeDumper quotes: PyYAML writes this one."""
+    return {"problem": {"preset": "diag", "rates": [1.0, 2.0], "note": "two rates"},
+            "data": {"family": "tanh2d", "params": {"eps": 0.5}}}
+
+
 def test_config_hash_is_pinned():
     """The canonical dump, and so every output stamp, is the one that the
-    pure-Python yaml.safe_dump gave before the CLI used libyaml."""
-    assert cli.config_hash(SOLVE_CFG) == (
-        "62e5fa62ab0c71958f686f5e750ed70dbce20757017655e8151499366befd702")
+    pure-Python yaml.safe_dump gave before the CLI used libyaml, and before
+    it wrote plain data itself: the benchmark-shaped configs and a quoted
+    string included."""
+    pinned = {
+        "62e5fa62ab0c71958f686f5e750ed70dbce20757017655e8151499366befd702": SOLVE_CFG,
+        "3a12fe47c7ebdde600978685a74a0c2d6135526b62d38a7618236892091b07e3": _sweep_shape(),
+        "4d055bd4faedb6db78d4b53e4a0f35491894be9f19bfd614ab20d7bb3e9f2294": _scan_shape(),
+        "28cdb17e68cada4a11cbd2e1fbd3f5798a031d464ab40dde4bed19193de8e241": _compare_shape(),
+        "f7a2e1e4d42ae7b4e89c2acaa6aa2ffabf536b0135178d0b24439cf9f8895eed": _quoted_shape(),
+    }
+    assert {cli.config_hash(cfg): cfg for cfg in pinned.values()} == pinned
+
+
+@pytest.mark.parametrize("make, dumps", [
+    (_sweep_shape, 0), (_scan_shape, 0), (_compare_shape, 0), (_quoted_shape, 1),
+], ids=["sweep", "blowup", "compare", "quoted"])
+def test_plain_configs_skip_pyyaml_construction_and_dump(tmp_path, monkeypatch, make, dumps):
+    """The benchmark-shaped configs are hashed, written and read back without
+    yaml.dump or SafeConstructor.construct_document; a quoted string costs one
+    yaml.dump per dump and reads back through the walk.  A merge key is built
+    by the constructor."""
+    calls = {"dump": 0, "construct": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(yaml, "dump", counted("dump", yaml.dump))
+    monkeypatch.setattr(yaml.constructor.SafeConstructor, "construct_document",
+                        counted("construct", yaml.constructor.SafeConstructor.construct_document))
+    cfg = make()
+    digest = cli.config_hash(cfg)
+    assert calls == {"dump": dumps, "construct": 0}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(cli.dump_config(cfg), encoding="utf-8")
+    loaded = cli.load_config(str(path))
+    assert loaded == cfg and cli.config_hash(loaded) == digest
+    assert calls == {"dump": 3 * dumps, "construct": 0}
+    path.write_text("problem: {<<: {preset: diag}, rates: [1.0, 2.0]}\n", encoding="utf-8")
+    assert cli.load_config(str(path)) == {"problem": {"preset": "diag", "rates": [1.0, 2.0]}}
+    assert calls == {"dump": 3 * dumps, "construct": 1}
+
+
+@pytest.mark.parametrize("length", [122, 123, 128, 129])
+def test_long_keys_keep_the_dump_of_pyyaml(length):
+    """A key of up to 122 characters is a simple key for both emitters and is
+    written directly; from 123 to 128 only libyaml keeps it simple, so such a
+    key, and a longer one, is dumped by PyYAML as before."""
+    word = "k" * length
+    cfg = {word: 1.0, "v": [{word: [word]}]}
+    text = cli.dump_config(cfg)
+    assert text == yaml.dump(cfg, Dumper=cli._Dumper, sort_keys=True)
+    if length <= 122:
+        assert text == yaml.dump(cfg, Dumper=yaml.SafeDumper, sort_keys=True)
+        assert text.startswith(word + ": 1.0\n")
 
 
 def _same(a, b):
@@ -391,26 +510,54 @@ def _same(a, b):
     return a == b
 
 
-_KEY = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12)
-_SCALAR = st.one_of(
-    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=100),
+_ALPHA = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+_WORD = st.builds(str.__add__, st.sampled_from(_ALPHA), st.text(_ALPHA + "0123456789", max_size=11))
+_NUMBER = st.one_of(
     st.floats(allow_subnormal=True),
     st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
-                     2.2250738585072014e-308, 1e300, -1e300]),
+                     2.2250738585072014e-308, 1e300, -1e300, 1e16, 1e-5]),
     st.integers(),
-    st.booleans(),
-    st.none(),
 )
-_VALUE = st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+#: YAML 1.1 words and digit-led strings: the resolver reads most as bool, null,
+#: int, float, timestamp, merge or value, so SafeDumper quotes them; y and 1e5
+#: it reads as strings (YAML 1.1 has y as a bool and PyYAML floats need a '.')
+_RESERVED = st.sampled_from(["yes", "On", "NO", "true", "null", "~", "0x1f", "010", "1e5",
+                             ".inf", "1_000", "2001-12-14", "<<", "=", "y"])
+_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=100)
+
+
+def _values(scalar, key):
+    """Scalars, lists and mappings of values: a list of mappings is the shape
+    of a separable 'components' list."""
+    return st.recursive(scalar, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(key, inner, max_size=3)), max_leaves=12)
+
+
+#: (key, scalar) strategies of plain data, which the CLI writes and reads
+#: itself; of quoted strings (reserved words and digit-led keys among them),
+#: which PyYAML writes; and with int keys, which PyYAML also reads
+_PLAIN = (_WORD, st.one_of(_WORD, _NUMBER, st.booleans(), st.none()))
+_QUOTED = (st.one_of(_WORD, _RESERVED, st.text("abcdefghijklmnopqrstuvwxyz_0123456789",
+                                                  min_size=1, max_size=12)),
+           st.one_of(_WORD, _RESERVED, _TEXT, _NUMBER, st.booleans(), st.none()))
+_INT_KEYS = (st.one_of(_QUOTED[0], st.integers(0, 9)), _QUOTED[1])
+#: kind -> (key, scalar, value) strategies
+_KINDS = {kind: (key, scalar, _values(scalar, key)) for kind, (key, scalar) in
+          {"plain": _PLAIN, "quoted": _QUOTED, "int-keys": _INT_KEYS, "alias": _PLAIN}.items()}
 
 
 @st.composite
 def _schema_configs(draw):
-    """Configs that pass validate_config, with free values under free keys."""
-    def block(**fixed):
-        return {**draw(st.dictionaries(_KEY, _VALUE, max_size=4)), **fixed}
+    """Configs that pass validate_config, with free values under free keys:
+    plain, quoted or int-keyed data, or plain data with one list under two
+    keys, which SafeDumper writes as an anchor and an alias."""
+    kind = draw(st.sampled_from(list(_KINDS)))
+    key, scalar, value = _KINDS[kind]
 
-    cfg = {"problem": block(matrix=draw(_VALUE))}
+    def block(**fixed):
+        return {**draw(st.dictionaries(key, value, max_size=4)), **fixed}
+
+    cfg = {"problem": block(matrix=draw(value))}
     cfg["problem"].pop("preset", None)  # a free preset value fails validate_config
     if draw(st.booleans()):
         cfg["data"] = block(family=draw(st.sampled_from(sorted(model.FAMILIES))),
@@ -419,14 +566,18 @@ def _schema_configs(draw):
         cfg["task"] = block(name=draw(st.sampled_from(["solve", "blowup", "compare"])))
     if draw(st.booleans()):
         cfg["solver"] = block()
+    if kind == "alias":
+        cfg["problem"]["first"] = cfg["problem"]["second"] = draw(st.lists(scalar, max_size=3))
     return cfg
 
 
 @settings(max_examples=100, deadline=None)
 @given(cfg=_schema_configs())
 def test_canonical_dump_and_load_match_pure_python_yaml(tmp_path_factory, cfg):
-    """libyaml (when PyYAML has it) writes the pure-Python SafeDumper's text
-    and reads back the pure-Python SafeLoader's values."""
+    """The CLI writes the pure-Python SafeDumper's text and reads back the
+    pure-Python SafeLoader's values, on its own paths for plain data and
+    through libyaml (when PyYAML has it) for the rest: quoted strings, int
+    keys, anchors and aliases."""
     text = cli.dump_config(cfg)
     assert text == yaml.dump(cfg, Dumper=yaml.SafeDumper, sort_keys=True)
     path = tmp_path_factory.mktemp("dump") / "cfg.yaml"
@@ -450,6 +601,48 @@ def test_malformed_config_text_is_a_config_error(tmp_path, capsys, raw, needle):
     assert "Traceback" not in err
     if needle == "not valid UTF-8":
         assert str(path) in err, err
+
+
+@pytest.mark.parametrize("text", [
+    "problem: {matrix: &m [[1.0, 0.0], [0.0, 1.0]], g: &g [0.0, 0.0]}\n"
+    "solver: {a: *m, b: *m, c: *g, d: &s tol, e: *s}\n",
+    "data: {family: tanh2d, params: &p {eps: 0.5}}\n"
+    "problem: {<<: [{preset: diag}, {rates: [1.0, 2.0]}], extra: {<<: *p, mu: 1.0}}\n",
+    "problem: {matrix: [[!!float 1]], g: [!!str 1.0], h: !!int 010}\n",
+    "problem: {matrix: [[1.0]], when: 2001-12-14, at: 2001-12-14t21:59:43.10-05:00}\n",
+    "problem: &p {matrix: [[1.0]], self: *p}\n",
+    "problem: {matrix: [[0x1f, 010, +5, -0, 1_000, 0b101, 1:30]],\n"
+    "          g: [.inf, -.inf, .nan, +1.5, -0.0, 1_0.5, 6.8523015e+5, 190:20:30.15, .5, 1.]}\n"
+    "solver: {flags: [Yes, off, ~, null, NULL, 'yes', \"1e5\"]}\n",
+    "problem: {matrix: [[1.0]]}\nsolver: {1: one, 2.5: x, true: t, null: n}\n",
+    "problem: {matrix: [[1.0]], g: !foo [0.0]}\n",
+    "problem: {preset: diag}\n---\nproblem: {preset: diag}\n",
+    "",
+], ids=["aliases", "merge", "explicit-tags", "timestamp", "recursive", "int-float-bool-null",
+        "non-string-keys", "unknown-tag", "two-documents", "empty"])
+@pytest.mark.parametrize("loader", [cli._Loader, yaml.SafeLoader], ids=["default", "pure-python"])
+def test_load_config_matches_pure_python_safe_loader(tmp_path, monkeypatch, loader, text):
+    """load_config, with libyaml's composer where PyYAML has it and with the
+    pure-Python one, gives yaml.load(SafeLoader)'s values, types and shared
+    objects (SafeDumper's text of a value shows all three, anchors included),
+    or raises its error with the same text; an empty file is no mapping."""
+    monkeypatch.setattr(cli, "_Loader", loader)
+    path = tmp_path / "raw.yaml"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:  # the same stream name in the marks
+        try:
+            ref = yaml.load(fh, Loader=yaml.SafeLoader)
+        except yaml.YAMLError as exc:
+            with pytest.raises(type(exc)) as got:
+                cli.load_config(str(path))
+            assert str(got.value) == str(exc)
+            return
+    if ref is None:
+        with pytest.raises(errors.ConfigError, match="top-level config must be a mapping"):
+            cli.load_config(str(path))
+        return
+    assert yaml.dump(cli.load_config(str(path)), Dumper=yaml.SafeDumper) == yaml.dump(
+        ref, Dumper=yaml.SafeDumper)
 
 
 def test_solve_all_points_outside_domain_exit_2(tmp_path):
