@@ -27,11 +27,15 @@ returns the stored value bit for bit.  A builder is its root function:
                         from A and J; the first positive root in closed form
                         (coriolis2d_first_time)
 * any other A, singular ones and n >= 3 included (sheets_scan): the roots of
-                        the residual scan scan_roots, a sign scan over one
-                        phi1 table (matops.phi1_table), each bracket refined
-                        by safeguarded Newton on the exact t-derivative
-                        d/dt phi1(A, t) = e^{tA} = I + A phi1(A, t), both
-                        from one matops.phi1_exp evaluator per scan;
+                        the residual, from a sign scan of one (points x
+                        t-nodes) determinant table over one phi1 table
+                        (matops.phi1_table) and the in-domain M stack, each
+                        bracket refined by safeguarded Newton on the exact
+                        t-derivative d/dt phi1(A, t) = e^{tA} = I + A phi1(A,
+                        t), both from one matops.phi1_exp evaluator per scan,
+                        each step's determinant and its slope from one
+                        matops.det_slope (Python floats for n <= 3);
+                        scan_roots is the one-point scan;
                         the first positive root on (0, t_max] or every root on
                         [-t_max, t_max] (sheets_diag2, for any A = diag(a1, a2)
                         that is not a*Id).
@@ -51,8 +55,8 @@ from typing import Callable
 import numpy as np
 
 from . import matops
-from .errors import BlowupVerificationError, ConfigError, OverflowMatrixError
-from .hodograph import hodograph_position, u_from_M
+from .errors import BlowupVerificationError, ConfigError, OverflowMatrixError, point_text
+from .hodograph import _rows, hodograph_position, u_from_M
 from .model import Constant
 
 #: imaginary-part tolerance for accepting a root or an eigenvalue as real
@@ -66,7 +70,9 @@ _ROOT_MAX_ITER = 100
 #: most matrix entries a sheets_scan phi1 table may take: nodes * n^2 for an
 #: exactly diagonal A, nodes * (2n)^2 for the augmented exponential of any other
 #: (10^6 nodes of a diagonal 2x2); past it the run is refused, not tabulated.
-#: An M-grid's mesh (points * n entries) has the same cap
+#: An M-grid's mesh (points * n entries) has the same cap, and so has each
+#: chunk of the scan's determinant table (points * nodes * n^2 entries): a grid
+#: past it is scanned in several chunks, not refused
 _SCAN_MAX_ENTRIES = 4 * 10**6
 #: Newton steps sheet_extremum takes from the grid extremum before it settles
 _EXTREMUM_STEPS = 20
@@ -143,58 +149,67 @@ def _refine_root(phi1_exp, J, lo, hi, flo, fhi):
     Safeguarded Newton from the regula-falsi point, one phi1_exp(t) =
     (phi1(A, t), e^{tA}) per step (the matops.phi1_exp evaluator of A).  With
     K = phi1 + J, f'(t) = sum_j det(K with column j replaced by column j of
-    e^{tA}); f and those n determinants are one matops.det over one (n+1,
-    n, n) array, filled afresh each step.  Each step shrinks the bracket by
-    the sign of f; a Newton step that leaves the open bracket is replaced by
-    its midpoint.  Returns the Newton iterate once the step is <= _ROOT_TOL,
-    the bracket midpoint once the bracket is, or t itself where f is exactly 0.
+    e^{tA}); both come from one matops.det_slope(K, e^{tA}), on Python floats
+    for n <= 3.  lo, hi, flo and fhi are floats.  Each step shrinks the
+    bracket by the sign of f; a Newton step that leaves the open bracket is
+    replaced by its midpoint.  Returns the Newton iterate once the step is
+    <= _ROOT_TOL, the bracket midpoint once the bracket is, or t itself where
+    f is exactly 0.
     """
-    n = J.shape[0]
-    cols = np.arange(n)
-    rows = cols + 1
-    Ks = np.empty((n + 1, n, n))
     t = lo - flo * (hi - lo) / (fhi - flo)
     for _ in range(_ROOT_MAX_ITER):
         P1, E = phi1_exp(t)
-        Ks[:] = P1 + J
-        Ks[rows, :, cols] = E.T
-        dets = matops.det(Ks)
-        f = float(dets[0])
+        f, df = matops.det_slope(P1 + J, E)
         if f == 0.0:
-            return float(t)
+            return t
         if flo * f < 0.0:
             hi = t
         else:
             lo, flo = t, f
-        df = float(dets[1:].sum())
         step = f / df if df != 0.0 else np.inf
         if abs(step) <= _ROOT_TOL:
-            return float(t - step)
+            return t - step
         if hi - lo <= _ROOT_TOL:
             break
         t = t - step
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-    return float(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
+
+
+def _scan_table(t_grid, P1_tab, J, phi1_exp, first_only):
+    """Roots of det(phi1(A, t) + J[p]) on t_grid for each Jacobian J[p] of the
+    (k, n, n) stack J: one list per point, in increasing t.
+
+    P1_tab[i] = phi1(A, t_grid[i]); the scan values are one (k, nodes) table
+    matops.det(P1_tab + J[:, None]), the cofactor expansion for n <= 3, whose
+    bits do not depend on the stack, so a branch_fn probe (k = 1) rescans a
+    grid point to the same roots.  A value of exactly 0 at a grid node is a
+    root; a strict sign change between neighbours is refined by _refine_root
+    (safeguarded Newton on the blow-up residual itself) to 1e-12, through
+    phi1_exp, the matops.phi1_exp(A) evaluator of the A that P1_tab
+    tabulates.  first_only keeps each point's first root t > 0 alone, and
+    refines none of that point's brackets past it.
+    """
+    vals = matops.det(P1_tab + J[:, None])
+    left, right = vals[:, :-1], vals[:, 1:]
+    points, nodes = np.nonzero((left == 0.0) | (left * right < 0.0))
+    ts = t_grid.tolist()
+    roots = [[] for _ in range(len(J))]
+    for p, i, flo, fhi in zip(points.tolist(), nodes.tolist(),
+                              left[points, nodes].tolist(), right[points, nodes].tolist()):
+        if first_only and roots[p]:
+            continue
+        t = ts[i] if flo == 0.0 else _refine_root(phi1_exp, J[p], ts[i], ts[i + 1], flo, fhi)
+        if t > 0.0 or not first_only:
+            roots[p].append(t)
+    return roots
 
 
 def scan_roots(t_grid, P1_tab, J, phi1_exp):
-    """Roots of det(phi1(A, t) + J) on t_grid, yielded in increasing t.
-
-    P1_tab[i] = phi1(A, t_grid[i]); the scan values are one stacked
-    matops.det(P1_tab + J), the cofactor expansion for n <= 3, whose bits do
-    not depend on the stack, so a branch_fn probe rescans a grid point to the
-    same roots.  A value of exactly 0 at a grid node is a root; a strict
-    sign change between neighbours is refined by _refine_root (safeguarded
-    Newton on the blow-up residual itself) to 1e-12, through phi1_exp, the
-    matops.phi1_exp(A) evaluator of the A that P1_tab tabulates.
-    """
-    vals = matops.det(P1_tab + J)
-    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
-        if vals[i] == 0.0:
-            yield float(t_grid[i])
-            continue
-        yield _refine_root(phi1_exp, J, t_grid[i], t_grid[i + 1], vals[i], vals[i + 1])
+    """Every root of det(phi1(A, t) + J) on t_grid for one Jacobian J, in
+    increasing t: the one-point call of the scan table (_scan_table)."""
+    return _scan_table(t_grid, P1_tab, J[None], phi1_exp, first_only=False)[0]
 
 
 def _time_from_tau(a, tau):
@@ -437,12 +452,6 @@ def _domain_edges(data, axes, points, inside, steps=60):
     return lo
 
 
-def _point_text(M):
-    """M as (m1, m2, ...), each coordinate its float repr (17 significant
-    digits), whatever numpy's print options."""
-    return "(" + ", ".join(repr(float(v)) for v in np.atleast_1d(M)) + ")"
-
-
 def certify_coriolis_absent(problem, sheet):
     """Absence certificate for the elliptic 2x2 sheet (sheets_coriolis2d).
 
@@ -475,7 +484,7 @@ def certify_coriolis_absent(problem, sheet):
     certified = sup < 0.0
     reason = (f"sup over M of a^2 + b^2 - c^2 = {sup:.12g} < 0: "
               "no real root of a sin(wt) + b cos(wt) + c" if certified
-              else f"a^2 + b^2 - c^2 = {sup:.12g} >= 0 at M = {_point_text(worst)}")
+              else f"a^2 + b^2 - c^2 = {sup:.12g} >= 0 at M = {point_text(worst)}")
     return Certificate(certified, reason, worst, sup)
 
 
@@ -495,9 +504,13 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
                 branch="first_root"):
     """Blow-up sheets of the residual scan, for any force matrix A.
 
-    Per in-domain grid point, the scan_roots of det(phi1(A, t) + d(phi)/dM)
-    over one phi1 table and one matops.phi1_exp evaluator, both shared by
-    every grid point and every branch_fn probe.
+    The roots of det(phi1(A, t) + d(phi)/dM) at every in-domain grid point,
+    from one phi1 table and one matops.phi1_exp evaluator, both shared by
+    every grid point and every branch_fn probe.  The in-domain M stack is
+    scanned in chunks of at most _SCAN_MAX_ENTRIES entries (points x nodes x
+    n^2), each one _scan_table: one phi_jacobian call (through
+    hodograph._rows, so a one-row probe takes the one-point form), one
+    determinant table and the refinement of its brackets.
     first_only: one sheet named branch, the smallest t in (0, t_max], scanned
     on the nodes 0, scan_step, 2 scan_step, ..., up to one step past t_max.
     Otherwise every root in [-t_max, t_max], scanned on arange(-t_max, t_max
@@ -546,15 +559,17 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
                   f"t = {edges}, so the horizon is lowered from t_max {t_max!r} to the last "
                   f"finite node")
     phi1_exp = matops.phi1_exp(A)
+    chunk = max(1, _SCAN_MAX_ENTRIES // (len(t_grid) * A.shape[0] ** 2))
 
     def roots(M):
-        # one point at a time: the scan of each row costs far more than its Jacobian
+        found = []
         with np.errstate(over="ignore", invalid="ignore"):
-            scans = [scan_roots(t_grid, P1_tab, data.phi_jacobian(Mi), phi1_exp) for Mi in M]
-            if first_only:
-                firsts = (next((t for t in r if t > 0.0), np.nan) for r in scans)
-                return np.array([t if t <= t_max else np.nan for t in firsts]).reshape(-1, 1)
-            return _ragged([[t for t in r if abs(t) <= t_max] for r in scans])
+            for s in range(0, len(M), chunk):
+                J = _rows(data.phi_jacobian, M[s : s + chunk])
+                found += _scan_table(t_grid, P1_tab, J, phi1_exp, first_only)
+        if first_only:
+            return np.array([r[0] if r and r[0] <= t_max else np.nan for r in found]).reshape(-1, 1)
+        return _ragged([[t for t in r if abs(t) <= t_max] for r in found])
 
     return _stacked_sheets(problem, M_grid, branch, roots, reason)
 
@@ -638,7 +653,7 @@ def certify_branch_absent(problem, sheet):
     certified = sup < -1.0
     reason = (f"sup over M of A*tau(M) = {sup:.12g} < -1: reality condition "
               "1 + A*tau > 0 violated everywhere on the branch" if certified
-              else f"A*tau(M) = {sup:.12g} >= -1 at M = {_point_text(worst)}")
+              else f"A*tau(M) = {sup:.12g} >= -1 at M = {point_text(worst)}")
     return Certificate(certified, reason, worst, sup)
 
 

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text of a point in
+their messages."""
+
+import numpy as np
+
+
+def point_text(M, digits=None):
+    """M as (m1, m2, ...), whatever numpy's print options: each coordinate its
+    float repr (17 significant digits), or rounded to digits significant
+    digits."""
+    values = [float(v) for v in np.atleast_1d(M)]
+    return "(" + ", ".join(repr(v) if digits is None else f"{v:.{digits}g}" for v in values) + ")"
 
 
 class HodoflowError(Exception):

@@ -34,6 +34,7 @@ from .errors import (
     NoConvergenceError,
     NotInvertibleError,
     SingularMatrixError,
+    point_text,
 )
 from .model import Constant
 
@@ -357,12 +358,19 @@ STATUS_ERRORS = {
 
 
 def newton_error(status, t, M, iters, rnorm):
-    """The STATUS_ERRORS error of a failed _newton status at time t, M the last iterate."""
+    """The STATUS_ERRORS error of a failed _newton status at time t, M the last iterate.
+
+    The text gives t as its float repr and M to 8 significant digits: a
+    stacked and a one-point _newton run agree on M to rounding only (a
+    stacked matops._expm picks one Pade degree for the whole stack), and the
+    text of a failure must not depend on which of them met it.
+    """
     text = {
-        "SINGULAR": f"Newton matrix singular at M={M!r}, t={t!r}: the iterate sits on the "
-                    "blow-up set",
-        "DOMAIN_EXIT": f"Newton iterate left the data domain at t={t!r} (last in-domain M={M!r})",
-        "NO_CONVERGENCE": f"no convergence at t={t!r} after {iters} iterations "
+        "SINGULAR": f"Newton matrix singular at M={point_text(M, 8)}, t={float(t)!r}: the "
+                    "iterate sits on the blow-up set",
+        "DOMAIN_EXIT": f"Newton iterate left the data domain at t={float(t)!r} "
+                       f"(last in-domain M={point_text(M, 8)})",
+        "NO_CONVERGENCE": f"no convergence at t={float(t)!r} after {iters} iterations "
                           f"(residual {rnorm:.3e})",
     }[status]
     extra = {"residual": rnorm} if status == "NO_CONVERGENCE" else {}

@@ -48,7 +48,10 @@ of a comparison run.
 
 det takes the determinants of a stack, for the tables of the blow-up scan and
 the caustic screen: written out by cofactors for n <= 3, with the same bits
-for a matrix in any stack, instead of one LAPACK LU per matrix.
+for a matrix in any stack, instead of one LAPACK LU per matrix.  det_slope
+gives one determinant and its slope along a direction, for the Newton steps of
+the blow-up root refinement: the same cofactors on Python floats for n <= 3,
+with det's bits, and det of a small stack above.
 """
 
 from __future__ import annotations
@@ -367,6 +370,36 @@ def det(A):
     if n > 3:
         return np.linalg.det(A)
     return _DET_FORMULA[n](*(A[..., r, c] for r in range(n) for c in range(n)))
+
+
+# for each column j, where the entries of K with column j taken from dK sit in
+# K's entries followed by dK's (both row-major)
+_COLUMN_FROM = {n: [[n * n * (c == j) + r * n + c for r in range(n) for c in range(n)]
+                    for j in range(n)] for n in _DET_FORMULA}
+
+
+def det_slope(K, dK):
+    """(det K, sum_j det(K with column j replaced by column j of dK)) of one
+    (n, n) pair, as floats: the value and slope of det K(s) where dK/ds = dK.
+
+    n <= 3 on Python floats by _DET_FORMULA, the operations of det in the same
+    order, so det K has det's bits, and the slope is summed from 0.0 in column
+    order as numpy sums n < 8 values; n >= 4 by det of the (n + 1)-matrix stack.
+    """
+    n = K.shape[-1]
+    if n > 3:
+        cols = np.arange(n)
+        Ks = np.empty((n + 1, n, n))
+        Ks[:] = K
+        Ks[cols + 1, :, cols] = dK.T
+        dets = det(Ks)
+        return float(dets[0]), float(dets[1:].sum())
+    formula = _DET_FORMULA[n]
+    entries = K.ravel().tolist() + dK.ravel().tolist()
+    slope = 0.0
+    for at in _COLUMN_FROM[n]:
+        slope += formula(*[entries[i] for i in at])
+    return formula(*entries[: n * n]), slope
 
 
 def _cond2(A):

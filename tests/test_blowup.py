@@ -493,6 +493,200 @@ def test_scan_roots_coarse_brackets_match_bisection(w, step):
     assert compared > 10, compared
 
 
+_ROT4 = [[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]]
+
+
+def _table_case(case):
+    """(problem, builder) of a scan-table case: the builder maps a problem to
+    its sheets, and to sheets_scan's arguments (first_only, t_max, scan_step)."""
+    if case == "blowup-scan":
+        problem = make_problem(np.diag([1.0, -np.sqrt(2.0)]), "tanh2d", {"eps": 9.0}, grid_num=3)
+        return problem, (False, 0.11, 1e-2), lambda p: blowup.sheets_diag2(p, t_max=0.11)
+    if case == "rotation4":
+        tanh, gauss = ("tanh1d", {"mu": 0.8, "kappa": 0.9}), ("gauss1d", {"eta": 0.6, "kappa": 1.1,
+                                                                          "branch": -1})
+        data = model.make_data("separable", components=[tanh, gauss, tanh, gauss])
+        problem = model.HodographProblem(model.ForceSpec(np.array(_ROT4), np.zeros(4)), data,
+                                         grid_num=3)
+        return problem, (False, 5.0, 5e-2), lambda p: blowup.sheets_scan(p, t_max=5.0,
+                                                                          first_only=False)
+    if case == "coriolis3d":
+        problem, args = _c3d_rotated_problem(grid_num=4), (True, 5.0, 5e-2)
+    else:
+        problem = make_problem(_OFF_PATTERN, "tanh2d", {"eps": 0.5}, grid_num=7)
+        args = (case == "off_pattern", 10.0, 5e-2)
+    first_only, t_max, _ = args
+    return problem, args, lambda p: blowup.sheets_scan(p, t_max=t_max, first_only=first_only)
+
+
+def _per_point_sheets(problem, first_only, t_max, scan_step):
+    """The sheet times of a scan, point by point: scan_roots of each in-domain
+    grid point's own phi_jacobian (its one-point form), over the scan's nodes."""
+    A, data = problem.spec.A, problem.data
+    if first_only:
+        ts = np.concatenate([[0.0], np.arange(scan_step, t_max + scan_step, scan_step)])
+    else:
+        ts = np.arange(-t_max, t_max + scan_step, scan_step)
+    P1_tab = matops.phi1_table(A, ts)
+    assert np.isfinite(P1_tab).all()
+    rows = []
+    for M in blowup._grid_points(data, None, problem.grid_num)[1]:
+        if not data.in_domain(M):
+            rows.append(None)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), matops.phi1_exp(A))
+        if first_only:
+            first = [r for r in roots if r > 0.0][:1]
+            rows.append([r for r in first if r <= t_max])
+        else:
+            rows.append([r for r in roots if abs(r) <= t_max])
+    width = 1 if first_only else max(len(r) for r in rows if r is not None)
+    return np.array([[np.nan] * width if r is None else r + [np.nan] * (width - len(r))
+                     for r in rows]).T
+
+
+_TABLE_CASES = ["blowup-scan", "off_pattern", "off_pattern-all-roots", "coriolis3d", "rotation4"]
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_scan_table_is_the_per_point_scan_bit_for_bit(case):
+    """The sheets of one determinant table over the whole in-domain M stack
+    hold, bit for bit and with the same NaN pattern, the per-point scan_roots
+    roots of the same grid: the same first root t > 0 within t_max in
+    first-root mode, every root within t_max otherwise (rotation4 is n = 4,
+    matops.det's LAPACK branch)."""
+    problem, args, build = _table_case(case)
+    sheets = build(problem)
+    ref = _per_point_sheets(problem, *args)
+    got = np.array([s.t for s in sheets])
+    assert got.shape == ref.shape, (got.shape, ref.shape)
+    assert got.tobytes() == ref.tobytes(), case
+    assert 0 < np.isfinite(got).sum() < got.size, case
+
+
+@pytest.mark.parametrize("case, entries", [
+    ("blowup-scan", 23 * 2 * 2),  # the phi1 table's own budget: 1 point per chunk
+    ("off_pattern", 202 * 4 * 4),  # the augmented phi1 table's budget: 4 points per chunk
+    ("off_pattern-all-roots", 401 * 2 * 2 * 10),  # 10 points per chunk
+    ("rotation4", 201 * 4 * 4 * 10),
+])
+def test_scan_table_chunks_give_the_same_sheets(monkeypatch, case, entries):
+    """With _SCAN_MAX_ENTRIES lowered so that the in-domain M stack is
+    scanned in three or more chunks of points x nodes x n^2 entries, the
+    sheets keep every bit, and a grid that only needs chunking is not
+    refused."""
+    problem, _, build = _table_case(case)
+    whole = build(problem)
+    chunks = []
+    scan_table = blowup._scan_table
+
+    def counted(t_grid, P1_tab, J, *args):
+        chunks.append(len(J))
+        assert len(J) * len(t_grid) * J.shape[-1] ** 2 <= entries
+        return scan_table(t_grid, P1_tab, J, *args)
+
+    monkeypatch.setattr(blowup, "_SCAN_MAX_ENTRIES", entries)
+    monkeypatch.setattr(blowup, "_scan_table", counted)
+    chunked = build(problem)
+    assert len(chunks) >= 3, chunks
+    assert [s.branch for s in chunked] == [s.branch for s in whole]
+    assert np.array([s.t for s in chunked]).tobytes() == np.array([s.t for s in whole]).tobytes()
+
+
+def _refine_root_reference(phi1_exp, J, lo, hi, flo, fhi, exits):
+    """_refine_root as it was on matops.det: each step fills one (n+1, n, n)
+    stack (K = phi1 + J, then K with column j replaced by column j of e^{tA})
+    and takes f and f' from one matops.det of it.  exits collects the branches
+    taken: "zero" (f exactly 0), "flat" (f' exactly 0), "leave" (a Newton step
+    outside the bracket), "narrow" (the bracket below _ROOT_TOL) and "step"."""
+    n = J.shape[0]
+    cols = np.arange(n)
+    rows = cols + 1
+    Ks = np.empty((n + 1, n, n))
+    t = lo - flo * (hi - lo) / (fhi - flo)
+    for _ in range(blowup._ROOT_MAX_ITER):
+        P1, E = phi1_exp(t)
+        Ks[:] = P1 + J
+        Ks[rows, :, cols] = E.T
+        dets = matops.det(Ks)
+        f = float(dets[0])
+        if f == 0.0:
+            exits.add("zero")
+            return float(t)
+        if flo * f < 0.0:
+            hi = t
+        else:
+            lo, flo = t, f
+        df = float(dets[1:].sum())
+        if df == 0.0:
+            exits.add("flat")
+        step = f / df if df != 0.0 else np.inf
+        if abs(step) <= blowup._ROOT_TOL:
+            exits.add("step")
+            return float(t - step)
+        if hi - lo <= blowup._ROOT_TOL:
+            exits.add("narrow")
+            break
+        t = t - step
+        if not lo < t < hi:
+            exits.add("leave")
+            t = 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
+
+
+def _random_brackets(rng):
+    """(A, J, lo, hi) brackets of det(phi1(A, t) + J) for n = 1-4: sign changes
+    on random coarse grids, and for n = 2, 3 brackets of 1e-12 to 5e-12 around a
+    bisected root of a near-rank-1 J with entries ~1e6, whose determinant is
+    rounding noise that near."""
+    for trial in range(240):
+        n = 1 + trial % 4
+        A = rng.normal(size=(n, n)) * rng.choice([0.3, 1.0, 3.0])
+        A = np.diag(np.diagonal(A)) if trial % 3 == 0 else A
+        J = rng.normal(size=(n, n))
+        ts = np.linspace(-3.0, 3.0, int(rng.integers(4, 40)))
+        vals = matops.det(matops.phi1_table(A, ts) + J)
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+            yield A, J, float(ts[i]), float(ts[i + 1])
+    for trial in range(120):
+        n = 2 + trial % 2
+        A = np.diag(rng.normal(size=n)) if trial % 3 else rng.normal(size=(n, n))
+        J = 1e6 * rng.normal(size=(n, 1)) @ rng.normal(size=(1, n)) + rng.normal(size=(n, n))
+        p1 = matops.phi1_exp(A)
+        f = lambda t: float(matops.det(p1(t)[0] + J))
+        lo, hi = -2.0, 2.0
+        if not f(lo) * f(hi) < 0.0:
+            continue
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if f(mid) * f(lo) < 0.0 else (mid, hi)
+        w = float(rng.choice([1e-12, 2e-12, 5e-12]))
+        yield A, J, lo - w * float(rng.random()), hi + w * float(rng.random())
+
+
+def test_refine_root_on_floats_is_the_det_stack_refinement():
+    """_refine_root's Python-float steps (matops.det_slope) return the bits of
+    the matops.det-stack refinement on every bracket: random ones for n = 1-4,
+    noisy ones narrower than a few _ROOT_TOL, and a step at t = 1 where f' is
+    exactly 0 (A = 0, f = (t - 1)^2 - 1 on [0.5, 3], regula falsi lands on 1).
+    Between them they take every exit: f exactly 0, f' exactly 0, a Newton
+    step outside the bracket, a bracket below _ROOT_TOL and a short step."""
+    rng = np.random.default_rng(2024)
+    brackets = [(np.zeros((2, 2)), np.array([[-1.0, 1.0], [1.0, -1.0]]), 0.5, 3.0),
+                *_random_brackets(rng)]
+    exits = set()
+    for A, J, lo, hi in brackets:
+        p1 = matops.phi1_exp(A)
+        flo, fhi = (float(matops.det(p1(t)[0] + J)) for t in (lo, hi))
+        if not flo * fhi < 0.0:
+            continue
+        ref = _refine_root_reference(p1, J, lo, hi, flo, fhi, exits)
+        got = blowup._refine_root(p1, J, lo, hi, flo, fhi)
+        assert type(got) is float and got.hex() == ref.hex(), (A, J, lo, hi, got, ref)
+    assert exits == {"zero", "flat", "leave", "narrow", "step"}, exits
+
+
 def test_blowup_scan_phi1_call_budget(monkeypatch):
     """The blowup-scan benchmark problem, diag(1, -sqrt 2) with tanh2d eps 9 on
     a grid of 3 up to t_max 0.11, stays within 600 phi1 calls through sheet

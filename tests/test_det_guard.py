@@ -7,6 +7,10 @@ matops.det's own n >= 4 fallback, and the one-matrix re-checks
 blowup.blowup_residual and oracle.flow_jacobian_det, which give the values
 the tables produce a second, independent route.  Any other reference to
 numpy's det (a call, an alias or an import) fails this scan.
+
+The cofactor formulas themselves, matops._DET_FORMULA, are referenced in
+matops.py alone: det and det_slope are where the choice between them and
+LAPACK is made, so it is made in one module.
 """
 from __future__ import annotations
 
@@ -47,3 +51,18 @@ def test_lapack_det_only_at_the_allowed_sites():
              for func, line in found if (module, func) not in ALLOWED]
     assert stray == [], "np.linalg.det outside the allowed sites:\n" + "\n".join(stray)
     assert sites == ALLOWED, sites
+
+
+def _names_used(tree, name):
+    """Lines of every reference to name: a bare name, an attribute or an import."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))]
+
+
+def test_det_formula_only_in_matops():
+    stray = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) if path.name != "matops.py"
+             for line in _names_used(ast.parse(path.read_text(encoding="utf-8")), "_DET_FORMULA")]
+    assert stray == [], "matops._DET_FORMULA outside matops.py:\n" + "\n".join(stray)
+    assert _names_used(ast.parse((SRC / "matops.py").read_text(encoding="utf-8")), "_DET_FORMULA")
