@@ -13,9 +13,10 @@ A *sheet* is one root branch of this condition sampled over a grid in M-space.
 Every sheet comes from the one constructor _stacked_sheets: it builds the
 grid, masks it with one data.in_domain call, evaluates the builder's root
 function once over the in-domain (k, n) stack (one column per branch,
-NaN-padded), applies the builder's time map, and gives each sheet a branch_fn
-that is the same evaluation on a one-row stack, so a probe at a grid point
-returns the stored value bit for bit.  A builder is its root function:
+NaN-padded) and applies the builder's time map.  Each sheet's branch_fn is
+that same evaluation on any (k, n) stack of M, so a probe at a grid point
+returns the stored value bit for bit, whatever stack it sits in.  A builder
+is its root function:
 
 * 1D (sheet_1d):        t = log(1 - A phi'(M)) / A, real iff A phi'(M) < 1
 * A = a*Id (sheets_diag): det(tau*Id + J) = 0 with tau = (e^{at}-1)/a
@@ -24,8 +25,8 @@ returns the stored value bit for bit.  A builder is its root function:
 * elliptic 2x2 (sheets_coriolis2d): trace A = 0 and det A = lam^2 > 0 (the
                         coriolis2d and periodic2d presets), so A^2 = -lam^2 I
                         and a sin(lam t) + b cos(lam t) + c = 0 with (a,b,c)
-                        from A and J; the first positive root in closed form
-                        (coriolis2d_first_time)
+                        from A and J (_coriolis_abc); the first positive root
+                        in closed form (coriolis2d_first_time)
 * any other A, singular ones and n >= 3 included (sheets_scan): the roots of
                         the residual, from a sign scan of one (points x
                         t-nodes) determinant table over one phi1 table
@@ -44,7 +45,8 @@ build_sheets picks the builder from the structure of A; no A is refused.
 Absent entries (no real root) record the violated reality condition.
 min_blowup_time picks the catastrophe: the infimum of positive blow-up times
 over all sheets, re-checked against blowup_residual for the actual A before
-it is reported.
+it is reported; sheet_extremum's Newton steps probe branch_fn once per
+stencil (the centre and axis points, the corner points, the trial point).
 """
 
 from __future__ import annotations
@@ -83,9 +85,10 @@ class BlowupSheet:
     """One root branch of the blow-up condition over an M-grid.
 
     t holds NaN where the branch has no real time; absent_reason says which
-    reality condition failed.  branch_fn re-evaluates the branch at an
-    off-grid M (used by the extremum refinement), tau holds the pre-time-map
-    root values for the diagonal machinery.
+    reality condition failed.  branch_fn re-evaluates the branch over a (k, n)
+    stack of M, grid points or not, to k values, NaN where the branch has none
+    (used by the extremum refinement); tau holds the pre-time-map root values
+    for the diagonal machinery.
     """
 
     branch: str
@@ -102,16 +105,6 @@ class BlowupSheet:
 
     def finite_positive(self):
         return np.isfinite(self.t) & (self.t > 1e-12)
-
-
-@dataclass
-class CoriolisABC:
-    """Coefficients of a sin(lam t) + b cos(lam t) + c = lam^2 * blow-up residual;
-    floats, or arrays of one shape."""
-
-    a: float
-    b: float
-    c: float
 
 
 @dataclass
@@ -183,11 +176,11 @@ def _scan_table(t_grid, P1_tab, J, phi1_exp, first_only):
 
     P1_tab[i] = phi1(A, t_grid[i]); the scan values are one (k, nodes) table
     matops.det(P1_tab + J[:, None]), the cofactor expansion for n <= 3, whose
-    bits do not depend on the stack, so a branch_fn probe (k = 1) rescans a
-    grid point to the same roots.  A value of exactly 0 at a grid node is a
-    root; a strict sign change between neighbours is refined by _refine_root
-    (safeguarded Newton on the blow-up residual itself) to 1e-12, through
-    phi1_exp, the matops.phi1_exp(A) evaluator of the A that P1_tab
+    bits do not depend on the stack, so a branch_fn probe rescans a grid point
+    to the same roots, whatever stack it sits in.  A value of exactly 0 at a
+    grid node is a root; a strict sign change between neighbours is refined by
+    _refine_root (safeguarded Newton on the blow-up residual itself) to 1e-12,
+    through phi1_exp, the matops.phi1_exp(A) evaluator of the A that P1_tab
     tabulates.  first_only keeps each point's first root t > 0 alone, and
     refines none of that point's brackets past it.
     """
@@ -252,30 +245,26 @@ def _stacked_sheets(problem, M_grid, branch, values, absent_reason, to_time=None
     of M to (k, b) root values, one column per branch, NaN-padded; points
     outside the domain get NaN.  to_time, when given, maps root values to
     times and the raw values are kept as tau.  Sheet k is named
-    branch.format(k), and its branch_fn is values and to_time on the one-row
-    stack M[None].
+    branch.format(k), and its branch_fn is the same evaluation on any (k, n)
+    stack: row k of its times, NaN where a point has fewer branches than the
+    grid.
     """
     data = problem.data
+
+    def evaluate(M, width=None):
+        """(tau, t) of the stack M, each (width, len(M)); width defaults to
+        the stack's own branch count."""
+        inside = data.in_domain(M)
+        roots = values(M[inside])[:, :width]
+        tau = np.full((roots.shape[1] if width is None else width, len(M)), np.nan)
+        tau[: roots.shape[1], inside] = roots.T
+        return tau, tau if to_time is None else to_time(tau)
+
     axes, pts = _grid_points(data, M_grid, problem.grid_num)
-    inside = data.in_domain(pts)
-    roots = values(pts[inside])
-    tau = np.full((roots.shape[1], len(pts)), np.nan)
-    tau[:, inside] = roots.T
-    t = tau if to_time is None else to_time(tau)
-
-    def probe(k):
-        def branch_fn(M):
-            M = np.atleast_1d(np.asarray(M, dtype=float))
-            if not data.in_domain(M):
-                return np.nan
-            row = values(M[None])[0]
-            row = row if to_time is None else to_time(row)
-            return float(row[k]) if k < row.size else np.nan
-
-        return branch_fn
-
+    tau, t = evaluate(pts)
     return [BlowupSheet(branch.format(k), axes, pts, t[k], None if to_time is None else tau[k],
-                        absent_reason, probe(k)) for k in range(len(t))]
+                        absent_reason, lambda M, k=k: evaluate(M, len(t))[1][k])
+            for k in range(len(t))]
 
 
 def sheet_1d(problem, M_grid=None):
@@ -305,7 +294,7 @@ def certify_no_blowup_1d(problem, num=2001):
     grid = data.m_grids(num)[0]
     slope = lambda M: a * data.phi_jacobian(M)[:, 0, 0]
     samples = BlowupSheet(branch="slope", axes=[grid], points=grid[:, None],
-                          t=slope(grid[:, None]), branch_fn=lambda M: float(slope(M[None])[0]))
+                          t=slope(grid[:, None]), branch_fn=slope)
     v_star, (m_star,) = sheet_extremum(samples)
     certified = bool(v_star > 1.0)
     reason = (f"min over M of A*phi'(M) = {v_star:.12g} > 1: no real blow-up time" if certified
@@ -359,7 +348,14 @@ def _elliptic_lambda(A):
 
 
 def _coriolis_abc(A, lam, J):
-    """(a, b, c) of coriolis2d_abc for one Jacobian (2, 2) or a stack (k, 2, 2)."""
+    """Trig coefficients (a, b, c) of the elliptic 2x2 blow-up condition for one
+    Jacobian J = d(phi)/dM (2, 2), or for each of a stack (k, 2, 2).
+
+    For trace A = 0 and det A = lam^2 > 0, phi1(A, t) = sin(lam t)/lam I +
+    (1 - cos(lam t))/lam^2 A, and
+        a = lam tr J,  b = -2 - tr(adj(J) A),  c = -b + lam^2 det J
+    so that lam^2 * blowup_residual(t, M) = a sin(lam t) + b cos(lam t) + c.
+    """
     J11, J12, J21, J22 = J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
     # tr(adj(J) A) for A = p diag(1, -1) + s [[0, 1], [-1, 0]] + d [[0, 1], [1, 0]];
     # a rotation w [[0, 1], [-1, 0]] has p = d = 0, leaving the one product w (J12 - J21)
@@ -370,22 +366,7 @@ def _coriolis_abc(A, lam, J):
     return a, b, c
 
 
-def coriolis2d_abc(problem, M):
-    """Trig coefficients of the elliptic 2x2 blow-up condition at M.
-
-    For trace A = 0 and det A = lam^2 > 0, phi1(A, t) = sin(lam t)/lam I +
-    (1 - cos(lam t))/lam^2 A, and with J = d(phi)/dM
-        a = lam tr J,  b = -2 - tr(adj(J) A),  c = -b + lam^2 det J
-    so that lam^2 * blowup_residual(t, M) = a sin(lam t) + b cos(lam t) + c.
-    """
-    lam = _elliptic_lambda(problem.spec.A)
-    if lam is None:
-        raise ValueError("coriolis2d_abc needs a 2x2 A with trace 0 and det A > 0")
-    a, b, c = _coriolis_abc(problem.spec.A, lam, problem.data.phi_jacobian(np.atleast_1d(M)))
-    return CoriolisABC(a=float(a), b=float(b), c=float(c))
-
-
-def coriolis2d_first_time(abc, lam):
+def coriolis2d_first_time(a, b, c, lam):
     """First t > 1e-12 with a sin(lam t) + b cos(lam t) + c = 0, or NaN if none.
 
     a, b, c are floats, or arrays of one shape evaluated elementwise; lam > 0.
@@ -395,7 +376,7 @@ def coriolis2d_first_time(abc, lam):
     root when R < |c| or R = 0.  Each returned time is re-verified against the
     trig equation to 1e-10.
     """
-    a, b, c = (np.asarray(v, dtype=float) for v in (abc.a, abc.b, abc.c))
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     R = np.hypot(a, b)
     with np.errstate(invalid="ignore", divide="ignore"):
         phi = np.arctan2(b, a)
@@ -421,8 +402,7 @@ def sheets_coriolis2d(problem, M_grid=None):
         raise ValueError("sheets_coriolis2d needs a 2x2 A with trace 0 and det A > 0")
 
     def first_times(M):
-        abc = CoriolisABC(*_coriolis_abc(A, lam, data.phi_jacobian(M)))
-        return coriolis2d_first_time(abc, lam)[:, None]
+        return coriolis2d_first_time(*_coriolis_abc(A, lam, data.phi_jacobian(M)), lam)[:, None]
 
     return _stacked_sheets(problem, M_grid, "coriolis_first", first_times,
                            "a^2 + b^2 < c^2: no real root of a sin(wt) + b cos(wt) + c")
@@ -476,7 +456,7 @@ def certify_coriolis_absent(problem, sheet):
     pts = np.concatenate([sheet.points[inside],
                           _domain_edges(data, sheet.axes, sheet.points, inside)])
     samples = BlowupSheet(branch="margin", axes=sheet.axes, points=pts, t=margin(pts),
-                          branch_fn=lambda M: float(margin(M[None])[0]))
+                          branch_fn=margin)
     found = sheet_extremum(samples, mode="max")
     if found is None:
         return Certificate(False, "no in-domain M with a finite a^2 + b^2 - c^2", None, np.nan)
@@ -581,10 +561,13 @@ def sheet_extremum(sheet, mode="min", positive_only=False):
     branch_fn.  Each step takes the central-difference gradient and Hessian of
     branch_fn with a step of 1e-4 grid cells per axis (2n axis probes and 4
     corner probes per coordinate pair) and probes the Newton point, clipped to
-    the grid's bounding box.  The search stops at the first step that does not
-    strictly improve the value, at a non-finite probe, at a Hessian that is
-    not definite (positive for "min", negative for "max"), at a gradient of
-    exactly 0, or after _EXTREMUM_STEPS steps.
+    the grid's bounding box.  A step makes at most three branch_fn calls, each
+    on one stack: the axis points (with the grid extremum on the first step),
+    the corner points once the gradient is usable, and the Newton point.  The
+    search stops at the first step that does not strictly improve the value,
+    at a non-finite probe, at a Hessian that is not definite (positive for
+    "min", negative for "max"), at a gradient of exactly 0, or after
+    _EXTREMUM_STEPS steps.
 
     Returns (t_extreme, M_at), the best probed value and its point, or the
     grid value where the probe at the grid extremum is not finite.
@@ -601,33 +584,38 @@ def sheet_extremum(sheet, mode="min", positive_only=False):
     if sheet.branch_fn is None:
         return float(t[i0]), M
 
-    def f(Mv):
-        ti = sheet.branch_fn(Mv)
-        if ti is None or not np.isfinite(ti) or (positive_only and ti <= 0.0):
-            return np.inf
-        return sign * ti
+    def f(stack):
+        """sign * branch_fn over the rows of stack; inf where a value is not
+        finite, or not positive under positive_only."""
+        ti = sheet.branch_fn(stack)
+        bad = ~np.isfinite(ti) | (positive_only & (ti <= 0.0))
+        return np.where(bad, np.inf, sign * ti)
 
-    best = f(M)
-    if not np.isfinite(best):
-        return float(t[i0]), M
+    n = M.size
     h = np.array([1e-4 * float(ax[1] - ax[0]) if ax.size > 1 else 1e-4 for ax in sheet.axes])
     e = np.diag(h)
     lo, hi = np.array([ax[0] for ax in sheet.axes]), np.array([ax[-1] for ax in sheet.axes])
-    for _ in range(_EXTREMUM_STEPS):
-        up, down = (np.array([f(M + s * ej) for ej in e]) for s in (1.0, -1.0))
+    # coordinate pairs (j, k), k < j, and the signs of the corners M + a e_j + b e_k
+    j, k = np.tril_indices(n, -1)
+    a, b = np.array([1, 1, -1, -1])[:, None], np.array([1, -1, 1, -1])[:, None]
+    first = f(np.concatenate([M[None], M + e, M - e]))
+    best, axis = first[0], first[1:]
+    if not np.isfinite(best):
+        return float(t[i0]), M
+    for step in range(_EXTREMUM_STEPS):
+        up, down = (axis if step == 0 else f(np.concatenate([M + e, M - e]))).reshape(2, n)
         grad = (up - down) / (2.0 * h)
         if not np.all(np.isfinite(grad)) or not np.any(grad):
             break
         hess = np.diag((up - 2.0 * best + down) / h**2)
-        for j in range(M.size):
-            for k in range(j):
-                pp, pm, mp, mm = (f(M + a * e[j] + b * e[k])
-                                  for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-                hess[j, k] = hess[k, j] = (pp - pm - mp + mm) / (4.0 * h[j] * h[k])
+        if j.size:
+            corners = (M + a * e[j][:, None]) + b * e[k][:, None]
+            pp, pm, mp, mm = f(corners.reshape(-1, n)).reshape(-1, 4).T
+            hess[j, k] = hess[k, j] = (pp - pm - mp + mm) / (4.0 * h[j] * h[k])
         if not np.all(np.isfinite(hess)) or np.linalg.eigvalsh(hess)[0] <= 0.0:
             break
         trial = np.clip(M - np.linalg.solve(hess, grad), lo, hi)
-        value = f(trial)
+        (value,) = f(trial[None])
         if not value < best:
             break
         M, best = trial, value
@@ -701,7 +689,7 @@ def _verify_blowup_time(problem, t_star, M_star):
     ) ** problem.spec.n
     if not abs(res) <= _TIME_RESIDUAL_TOL * scale:
         raise BlowupVerificationError(
-            f"blow-up time t*={t_star!r} at M*={M_star!r} fails the re-check: "
+            f"blow-up time t*={float(t_star)!r} at M*={point_text(M_star)} fails the re-check: "
             f"residual {res:.3e} exceeds {_TIME_RESIDUAL_TOL * scale:.3e}"
         )
 

@@ -62,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OverflowMatrixError, SingularMatrixError
+from .errors import OverflowMatrixError, SingularMatrixError, point_text
 
 # eigenvector-matrix condition number above which we refuse to call a matrix
 # diagonalizable (defective matrices come out of LAPACK with cond(V) ~ 1/sqrt(eps))
@@ -243,7 +243,8 @@ def _phi1_of(A):
     def diagonal(t):
         d = entries(t)
         if not np.isfinite(d).all():
-            raise OverflowMatrixError(f"phi1 overflowed for t={t!r} on diagonal {a!r}")
+            raise OverflowMatrixError(
+                f"phi1 overflowed for t={float(t)!r} on diagonal {point_text(a)}")
         return np.diag(d)
 
     return diagonal

@@ -89,7 +89,8 @@ def test_branch_absence_not_granted_below_threshold():
 
 
 def test_coriolis_abc_identity():
-    """w^2 * residual(t, M) equals a sin(wt) + b cos(wt) + c with the sheet's abc."""
+    """w^2 * residual(t, M) equals a sin(wt) + b cos(wt) + c with the sheet's
+    (a, b, c) at M."""
     problem = make_problem(
         model.coriolis2d_spec(1.3).A, "gauss2d_coriolis", {"amplitude": 0.7}
     )
@@ -98,10 +99,11 @@ def test_coriolis_abc_identity():
     for _ in range(10):
         # draw M inside the (coupled) invertibility region via the profile itself
         M = problem.data.u0(rng.uniform(0.1, 1.2, size=2))
-        abc = blowup.coriolis2d_abc(problem, M)
+        a, b, c = blowup._coriolis_abc(problem.spec.A, blowup._elliptic_lambda(problem.spec.A),
+                                       problem.data.phi_jacobian(M))
         for t in rng.uniform(0.1, 4.0, size=5):
             lhs = w * w * blowup.blowup_residual(problem, t, M)
-            rhs = abc.a * np.sin(w * t) + abc.b * np.cos(w * t) + abc.c
+            rhs = a * np.sin(w * t) + b * np.cos(w * t) + c
             assert abs(lhs - rhs) < 1e-10, f"abc identity off by {lhs - rhs:.2e}"
 
 
@@ -707,14 +709,23 @@ def test_blowup_scan_phi1_call_budget(monkeypatch):
     assert len(calls) <= 600, len(calls)
 
 
-def _synthetic_sheet(f, num=11):
+def _synthetic_sheet(f, num=11, calls=None):
     """A sheet of t = f(M) on a num x num grid of [0, 1]^2 whose branch_fn is f
-    with every probe value recorded: (sheet, probes)."""
+    on each row of a stack, with every probe value recorded: (sheet, probes).
+    calls, when given, gets each branch_fn call's row count."""
     axes = [np.linspace(0.0, 1.0, num)] * 2
     points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     probes = []
+
+    def branch_fn(stack):
+        if calls is not None:
+            calls.append(len(stack))
+        values = [f(M) for M in stack]
+        probes.extend(values)
+        return np.array(values)
+
     sheet = blowup.BlowupSheet("s", axes, points, np.array([f(M) for M in points]),
-                               branch_fn=lambda M: probes.append(f(M)) or probes[-1])
+                               branch_fn=branch_fn)
     return sheet, probes
 
 
@@ -730,12 +741,17 @@ def _synthetic_sheet(f, num=11):
 def test_sheet_extremum_smooth_minimum_in_few_probes(f, t_min, M_min):
     """A smooth minimum between grid points: Newton on the central-difference
     gradient and Hessian reaches it to 1e-11 in at most 40 branch_fn probes,
-    also along a curved valley that no coordinate direction follows."""
-    sheet, probes = _synthetic_sheet(f)
+    also along a curved valley that no coordinate direction follows.  Each
+    stencil is one call: the grid extremum and its 4 axis points, then per
+    step the 4 corners, the Newton point and the next 4 axis points."""
+    calls = []
+    sheet, probes = _synthetic_sheet(f, calls=calls)
     t, M = blowup.sheet_extremum(sheet)
     assert abs(t - t_min) <= 1e-11, t
     assert np.allclose(M, M_min, atol=1e-6), M
     assert len(probes) <= 40, len(probes)
+    assert sum(calls) == len(probes) and calls[0] == 5, calls
+    assert calls[1:] == ([4, 1, 4] * len(calls))[: len(calls) - 1], calls
 
 
 def _smooth(M):
@@ -811,6 +827,17 @@ def test_sheet_minimum_matches_nelder_mead(problem, build, refs):
     assert blowup.min_blowup_time(problem, sheets).t_star == min(got)
 
 
+def test_criterion_5_refinement_probes_in_few_calls():
+    """Criterion 5's sheet (unit rotation, unit Gaussian, grid 101): the
+    refinement probes 37 rows in at most 12 branch_fn calls, one per stencil."""
+    problem = _c2d_problem(model.coriolis2d_spec(1.0).A, 101)
+    (sheet,) = blowup.sheets_coriolis2d(problem)
+    calls, branch_fn = [], sheet.branch_fn
+    sheet.branch_fn = lambda M: calls.append(len(M)) or branch_fn(M)
+    blowup.min_blowup_time(problem, [sheet])
+    assert sum(calls) == 37 and len(calls) <= 12, calls
+
+
 def test_near_rotation_is_not_a_rotation():
     """[[0, 1], [-1.000009, 0]] is elliptic with lam = sqrt(1.000009), not a unit
     rotation: every finite sheet time is a residual root of that A."""
@@ -881,7 +908,7 @@ def test_coriolis_first_time_matches_residual_scan(family, params, A):
     Ms += [M for M in jitter if data.in_domain(M)]
     finite = 0
     for M in Ms:
-        t_closed, t_scan = sheet.branch_fn(M), scanned(M)
+        (t_closed,), (t_scan,) = sheet.branch_fn(M[None]), scanned(M[None])
         assert np.isnan(t_closed) == np.isnan(t_scan), f"M={M}: {t_closed} vs {t_scan}"
         if np.isfinite(t_closed):
             assert abs(t_closed - t_scan) <= 1e-10, f"M={M}: {t_closed!r} vs {t_scan!r}"
@@ -892,17 +919,15 @@ def test_coriolis_first_time_matches_residual_scan(family, params, A):
 def test_coriolis_first_time_degenerate_trig():
     """a = b = 0 and a^2 + b^2 < c^2 give NaN, not a ValueError; the first
     root follows the sign of a and skips a root at t = 0."""
-    assert np.isnan(blowup.coriolis2d_first_time(blowup.CoriolisABC(0.0, 0.0, -3.0), 2.0))
-    assert np.isnan(blowup.coriolis2d_first_time(blowup.CoriolisABC(0.0, 0.0, 0.0), 2.0))
-    assert np.isnan(blowup.coriolis2d_first_time(blowup.CoriolisABC(0.3, 0.4, 0.6), 1.0))
+    assert np.isnan(blowup.coriolis2d_first_time(0.0, 0.0, -3.0, 2.0))
+    assert np.isnan(blowup.coriolis2d_first_time(0.0, 0.0, 0.0, 2.0))
+    assert np.isnan(blowup.coriolis2d_first_time(0.3, 0.4, 0.6, 1.0))
     # sin(t) = 1/2: roots pi/6 and 5 pi/6; -sin(t) = 1/2 first at 7 pi/6
-    abc = blowup.CoriolisABC(1.0, 0.0, -0.5)
-    assert blowup.coriolis2d_first_time(abc, 1.0) == pytest.approx(np.pi / 6, abs=1e-14)
-    abc = blowup.CoriolisABC(-1.0, 0.0, -0.5)
-    assert blowup.coriolis2d_first_time(abc, 1.0) == pytest.approx(7 * np.pi / 6, abs=1e-14)
+    assert blowup.coriolis2d_first_time(1.0, 0.0, -0.5, 1.0) == pytest.approx(np.pi / 6, abs=1e-14)
+    assert blowup.coriolis2d_first_time(-1.0, 0.0, -0.5, 1.0) == pytest.approx(7 * np.pi / 6,
+                                                                                abs=1e-14)
     # a root at t = 0 is skipped: cos(t) - 1 = 0 next at 2 pi
-    abc = blowup.CoriolisABC(0.0, 1.0, -1.0)
-    assert blowup.coriolis2d_first_time(abc, 1.0) == pytest.approx(2 * np.pi, abs=1e-12)
+    assert blowup.coriolis2d_first_time(0.0, 1.0, -1.0, 1.0) == pytest.approx(2 * np.pi, abs=1e-12)
 
 
 def _per_point_scalar2d_taus(problem, pts):
@@ -926,7 +951,7 @@ def test_closed_form_sheets_match_per_point_loop(case):
     if case == "1d":
         problem = make_problem([[-0.7]], "tanh1d", {"mu": 1.0, "kappa": 1.0}, grid_num=101)
         sheets = [blowup.sheet_1d(problem)]
-        refs = [[sheets[0].branch_fn(p) for p in sheets[0].points]]
+        refs = [[sheets[0].branch_fn(p[None])[0] for p in sheets[0].points]]
     elif case == "scalar2d":
         problem = make_problem(-0.3 * np.eye(2), "tanh2d", {"eps": 0.5}, grid_num=31)
         sheets = blowup.sheets_diag(problem)
@@ -937,7 +962,7 @@ def test_closed_form_sheets_match_per_point_loop(case):
              else periodicity.make_periodic_2d(1.3, 0.7, 2.0))
         problem = make_problem(A, "gauss2d_coriolis", {"amplitude": 1.0}, grid_num=41)
         sheets = blowup.sheets_coriolis2d(problem)
-        refs = [[sheets[0].branch_fn(p) for p in sheets[0].points]]
+        refs = [[sheets[0].branch_fn(p[None])[0] for p in sheets[0].points]]
     for sheet, ref in zip(sheets, refs):
         ref = np.asarray(ref, dtype=float)
         assert np.array_equal(np.isnan(sheet.t), np.isnan(ref))
@@ -969,7 +994,10 @@ def test_branch_fn_returns_the_stored_grid_value(case):
     time bit for bit, NaN at the same points: the grid and the refinement probe
     are one evaluation.  The two linear cases have a (near-)double root, where a
     probe that solved the quadratic another way than the grid gave NaN beside a
-    finite grid value, or one root for both sheets."""
+    finite grid value, or one root for both sheets.  One call on a shuffled
+    stack of the grid, off-grid points and points past the grid's box (out of
+    the domain, unless it is all of M-space) returns each row's one-row value
+    bit for bit, NaN for NaN."""
     if case == "1d":
         problem = make_problem([[-0.7]], "tanh1d", {"mu": 1.0, "kappa": 1.0}, grid_num=41)
         sheets = [blowup.sheet_1d(problem)]
@@ -998,15 +1026,30 @@ def test_branch_fn_returns_the_stored_grid_value(case):
     else:
         problem = make_problem(_OFF_PATTERN, "tanh2d", {"eps": 0.5}, grid_num=5)
         sheets = blowup.sheets_scan(problem, t_max=6.0, first_only=case == "scan-first")
+    points = sheets[0].points
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    cell = np.array([ax[1] - ax[0] for ax in sheets[0].axes])
+    rng = np.random.default_rng(3)
+    probes = np.concatenate([points, points[::3] + 0.37 * cell,
+                             lo + (hi - lo) * rng.uniform(-1.0, 2.0, (20, len(lo)))])
+    order = rng.permutation(len(probes))
+    assert case.startswith("scalar2d-linear") or not problem.data.in_domain(probes).all()
     finite = 0
     for sheet in sheets:
-        probed = np.array([sheet.branch_fn(M) for M in sheet.points])
-        nan = np.isnan(sheet.t)
-        assert np.array_equal(np.isnan(probed), nan), f"{sheet.branch}: NaN patterns differ"
-        assert np.array_equal(probed[~nan].view(np.int64), sheet.t[~nan].view(np.int64)), (
+        single = np.array([sheet.branch_fn(M[None])[0] for M in probes])
+        assert _same_bits(single[: len(points)], sheet.t), (
             f"{sheet.branch}: probe differs from the grid value")
-        finite += int((~nan).sum())
+        assert _same_bits(sheet.branch_fn(probes[order]), single[order]), (
+            f"{sheet.branch}: a stacked probe differs from the one-row probes")
+        finite += int(np.isfinite(sheet.t).sum())
     assert finite > 0, case
+
+
+def _same_bits(x, y):
+    """x and y hold the same floats bit for bit, NaN at the same places."""
+    nan = np.isnan(y)
+    return (np.array_equal(np.isnan(x), nan)
+            and np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64)))
 
 
 @pytest.mark.parametrize("data", [_C3D_SCALAR_DATA, _C3D_REPEATED_DATA], ids=["distinct", "repeated"])

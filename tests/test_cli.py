@@ -846,7 +846,7 @@ def test_blowup_scan_refuses_when_no_finite_node_is_left(tmp_path, capsys, matri
 def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
     """A refined time that is not a root of the residual for the actual A is
     refused: the 1D branch shifted 1e-3 earlier makes the run exit 2, with a
-    message and no traceback."""
+    message and no traceback, that writes M* as plain floats."""
     cfg = write_cfg(tmp_path, "b1.yaml", {
         "problem": {"matrix": [[0.45]]},
         "data": {"family": "tanh1d", "params": {"mu": 1.3, "kappa": 0.9}},
@@ -865,13 +865,15 @@ def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path / "bad.csv")]) == 2
     err = capsys.readouterr().err
     assert "solver failure" in err and "re-check" in err and "Traceback" not in err, err
+    assert "M*=(" in err and "array(" not in err and "np.float64(" not in err, err
 
 
 def test_blowup_scan_refinement_keeps_its_summary_in_few_probes(tmp_path, monkeypatch):
     """The blowup-scan benchmark config (diag(1, -sqrt 2), tanh2d eps 9, grid 3,
     t_max 0.11): the minimum sits on the grid point M = 0, so the refinement
     keeps the grid summary bit for bit: the gradient there is exactly 0, so the
-    Newton refinement stops after at most 10 branch_fn probes."""
+    Newton refinement stops after its first stencil, one branch_fn call on the
+    grid point and its 4 axis points."""
     cfg = write_cfg(tmp_path, "scan.yaml", {
         "problem": {"preset": "diag", "rates": [1.0, -float(np.sqrt(2.0))]},
         "data": {"family": "tanh2d", "params": {"eps": 9.0}},
@@ -884,7 +886,7 @@ def test_blowup_scan_refinement_keeps_its_summary_in_few_probes(tmp_path, monkey
         sheets = sheets_scan(*args, **kwargs)
         for sheet in sheets:
             branch_fn = sheet.branch_fn
-            sheet.branch_fn = lambda M, fn=branch_fn: probes.append(M) or fn(M)
+            sheet.branch_fn = lambda M, fn=branch_fn: probes.append(len(M)) or fn(M)
         return sheets
 
     monkeypatch.setattr(blowup, "sheets_scan", counted)
@@ -893,7 +895,8 @@ def test_blowup_scan_refinement_keeps_its_summary_in_few_probes(tmp_path, monkey
     comments, _, _ = read_csv(out)
     assert "# t_star: 0.10096597532376488" in comments
     assert "# M_star: 0.0 0.0" in comments
-    assert 0 < len(probes) <= 10, len(probes)
+    assert 0 < sum(probes) <= 10, probes
+    assert probes == [5], probes
 
 
 C3D_BLOWUP_DATA = {"family": "separable", "components": [
@@ -1130,14 +1133,15 @@ _SCAN_CFG = {
 
 
 def _counted_scan_run(tmp_path, monkeypatch, name, task):
-    """A blowup run of _SCAN_CFG: (matops.is_exact_diagonal calls, branch_fn probes)."""
+    """A blowup run of _SCAN_CFG: (matops.is_exact_diagonal calls, branch_fn
+    probes, counted in rows of the probed stacks)."""
     calls, probes = [], []
     is_exact_diagonal, sheets_scan = matops.is_exact_diagonal, blowup.sheets_scan
 
     def counted_scan(*args, **kwargs):
         sheets = sheets_scan(*args, **kwargs)
         for sheet in sheets:
-            sheet.branch_fn = lambda M, fn=sheet.branch_fn: probes.append(M) or fn(M)
+            sheet.branch_fn = lambda M, fn=sheet.branch_fn: probes.extend(M) or fn(M)
         return sheets
 
     monkeypatch.setattr(matops, "is_exact_diagonal", lambda A: calls.append(1) or is_exact_diagonal(A))

@@ -172,6 +172,16 @@ def test_exact_diagonal_overflow_raises():
         matops.phi1(A, 1.0)
 
 
+def test_exact_diagonal_overflow_message_has_plain_floats():
+    """The overflow message writes t and the diagonal as float reprs, also for
+    a numpy scalar t, never as numpy reprs."""
+    with pytest.raises(OverflowMatrixError) as info:
+        matops.phi1(np.diag([1000.0, 1.0]), np.float64(1.0))
+    message = str(info.value)
+    assert "t=1.0 on diagonal (1000.0, 1.0)" in message, message
+    assert "array(" not in message and "np.float64(" not in message, message
+
+
 def _phi_reference(A, t):
     """(phi1(A, t), phi2(A, t)) to 40 digits (mpmath), rounded to float: the
     first block row of exp(t [[A, I, 0], [0, 0, I], [0, 0, 0]]), with A and t
