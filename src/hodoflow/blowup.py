@@ -29,13 +29,14 @@ is its root function:
                         in closed form (coriolis2d_first_time)
 * any other A, singular ones and n >= 3 included (sheets_scan): the roots of
                         the residual, from a sign scan of one (points x
-                        t-nodes) determinant table over one phi1 table
-                        (matops.phi1_table) and the in-domain M stack, each
-                        bracket refined by safeguarded Newton on the exact
+                        t-nodes) determinant table over one phi1 table and
+                        the in-domain M stack, every bracket refined at once
+                        by one masked, safeguarded Newton on the exact
                         t-derivative d/dt phi1(A, t) = e^{tA} = I + A phi1(A,
-                        t), both from one matops.phi1_exp evaluator per scan,
-                        each step's determinant and its slope from one
-                        matops.det_slope (Python floats for n <= 3);
+                        t) (_refine_brackets), each pass one phi1 table over
+                        the live brackets and one matops.det of their
+                        column-replaced stacks, every table from one
+                        matops.phi1_table evaluator per scan;
                         scan_roots is the one-point scan;
                         the first positive root on (0, t_max] or every root on
                         [-t_max, t_max] (sheets_diag2, for any A = diag(a1, a2)
@@ -65,9 +66,9 @@ from .model import Constant
 _IMAG_TOL = 1e-9
 #: residual tolerance for accepting a candidate blow-up time
 _TIME_RESIDUAL_TOL = 1e-9
-#: scan_roots stops refining a bracket once the Newton step or the bracket is this short
+#: the scan stops refining a bracket once the Newton step or the bracket is this short
 _ROOT_TOL = 1e-12
-#: Newton iterations per bracket before scan_roots settles for the bracket midpoint
+#: Newton iterations per bracket before the scan settles for the bracket midpoint
 _ROOT_MAX_ITER = 100
 #: most matrix entries a sheets_scan phi1 table may take: nodes * n^2 for an
 #: exactly diagonal A, nodes * (2n)^2 for the augmented exponential of any other
@@ -136,73 +137,107 @@ def blowup_residual(problem, t, M):
     return float(np.linalg.det(P1 + problem.data.phi_jacobian(M)))
 
 
-def _refine_root(phi1_exp, J, lo, hi, flo, fhi):
-    """Root of f(t) = det(phi1(A, t) + J) in a bracket with f(lo) f(hi) < 0.
+def _refine_brackets(A, table, J, lo, hi, flo, fhi):
+    """Roots of f(t) = det(phi1(A, t) + J[b]) in the brackets (lo[b], hi[b])
+    with flo[b] fhi[b] < 0, one per matrix of the (k, n, n) stack J, all
+    refined together: a (k,) array.
 
-    Safeguarded Newton from the regula-falsi point, one phi1_exp(t) =
-    (phi1(A, t), e^{tA}) per step (the matops.phi1_exp evaluator of A).  With
-    K = phi1 + J, f'(t) = sum_j det(K with column j replaced by column j of
-    e^{tA}); both come from one matops.det_slope(K, e^{tA}), on Python floats
-    for n <= 3.  lo, hi, flo and fhi are floats.  Each step shrinks the
-    bracket by the sign of f; a Newton step that leaves the open bracket is
-    replaced by its midpoint.  Returns the Newton iterate once the step is
-    <= _ROOT_TOL, the bracket midpoint once the bracket is, or t itself where
-    f is exactly 0.
+    Safeguarded Newton from the regula-falsi point.  Each pass takes one
+    table(t) = phi1(A, t) over the live brackets (table is the
+    matops.phi1_table evaluator of A) and e^{tA} = I + A phi1 from it; with
+    K = phi1 + J, f and f'(t) = sum_j det(K with column j replaced by column
+    j of e^{tA}) come from one matops.det of the (live, n + 1, n, n) stack.
+    Each step shrinks a bracket by the sign of f; a Newton step that leaves
+    the open bracket is replaced by its midpoint.  A root is the Newton
+    iterate once its step is <= _ROOT_TOL, the bracket midpoint once the
+    bracket is, or t itself where f is exactly 0.  Every operation is
+    entrywise or per matrix, so a root has the same bits whatever other
+    brackets are refined with it.
     """
+    n = J.shape[-1]
+    eye = np.eye(n)
+    swap = np.eye(n + 1, n, -1, dtype=bool)[:, None, :]  # matrix j + 1 takes column j
     t = lo - flo * (hi - lo) / (fhi - flo)
-    for _ in range(_ROOT_MAX_ITER):
-        P1, E = phi1_exp(t)
-        f, df = matops.det_slope(P1 + J, E)
-        if f == 0.0:
-            return t
-        if flo * f < 0.0:
-            hi = t
-        else:
-            lo, flo = t, f
-        step = f / df if df != 0.0 else np.inf
-        if abs(step) <= _ROOT_TOL:
-            return t - step
-        if hi - lo <= _ROOT_TOL:
-            break
-        t = t - step
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    roots = np.empty_like(t)
+    live = np.arange(len(t))
+    with np.errstate(divide="ignore"):
+        for _ in range(_ROOT_MAX_ITER):
+            if not live.size:
+                return roots
+            P1 = table(t)
+            dets = matops.det(np.where(swap, (eye + A @ P1)[:, None], (P1 + J)[:, None]))
+            f, df = dets[:, 0], dets[:, 1:].sum(axis=1)
+            left = flo * f < 0.0
+            hi = np.where(left, t, hi)
+            lo, flo = np.where(left, lo, t), np.where(left, flo, f)
+            step = f / df
+            mid = 0.5 * (lo + hi)
+            zero, short = f == 0.0, np.abs(step) <= _ROOT_TOL
+            end = zero | short | (hi - lo <= _ROOT_TOL)
+            if np.count_nonzero(end):
+                roots[live[end]] = np.where(zero, t, np.where(short, t - step, mid))[end]
+                go = ~end
+                live, t, step, lo, hi, flo, mid, J = (v[go] for v in (live, t, step, lo, hi,
+                                                                      flo, mid, J))
+            t = t - step
+            t = np.where((lo < t) & (t < hi), t, mid)
+    roots[live] = 0.5 * (lo + hi)
+    return roots
 
 
-def _scan_table(t_grid, P1_tab, J, phi1_exp, first_only):
-    """Roots of det(phi1(A, t) + J[p]) on t_grid for each Jacobian J[p] of the
-    (k, n, n) stack J: one list per point, in increasing t.
+def _scan_table(t_grid, P1_tab, J, A, table, t_max, first_only):
+    """Roots t with |t| <= t_max of det(phi1(A, t) + J[p]) on t_grid for each
+    Jacobian J[p] of the (k, n, n) stack J: a (k, w) array, each row's roots
+    in increasing t, NaN-padded.
 
-    P1_tab[i] = phi1(A, t_grid[i]); the scan values are one (k, nodes) table
-    matops.det(P1_tab + J[:, None]), the cofactor expansion for n <= 3, whose
-    bits do not depend on the stack, so a branch_fn probe rescans a grid point
-    to the same roots, whatever stack it sits in.  A value of exactly 0 at a
-    grid node is a root; a strict sign change between neighbours is refined by
-    _refine_root (safeguarded Newton on the blow-up residual itself) to 1e-12,
-    through phi1_exp, the matops.phi1_exp(A) evaluator of the A that P1_tab
-    tabulates.  first_only keeps each point's first root t > 0 alone, and
-    refines none of that point's brackets past it.
+    P1_tab = table(t_grid), table the matops.phi1_table evaluator of A; the
+    scan values are one (k, nodes) table matops.det(P1_tab + J[:, None]).  A
+    value of exactly 0 at a grid node is a root; a strict sign change between
+    neighbours is a bracket, refined to 1e-12 by _refine_brackets, one
+    stacked Newton over the brackets of every point.  The table rows, the
+    determinants and the refinement steps are each the same for a point
+    whatever stack it sits in, so a branch_fn probe rescans a grid point to
+    the same roots.  first_only gives w = 1: each point's first root t > 0,
+    from its first bracket, handing over to its next bracket where a root
+    comes out <= 0; no bracket past it is refined.  Otherwise every bracket
+    is refined, and w is the most roots of any point.
     """
     vals = matops.det(P1_tab + J[:, None])
     left, right = vals[:, :-1], vals[:, 1:]
     points, nodes = np.nonzero((left == 0.0) | (left * right < 0.0))
-    ts = t_grid.tolist()
-    roots = [[] for _ in range(len(J))]
-    for p, i, flo, fhi in zip(points.tolist(), nodes.tolist(),
-                              left[points, nodes].tolist(), right[points, nodes].tolist()):
-        if first_only and roots[p]:
-            continue
-        t = ts[i] if flo == 0.0 else _refine_root(phi1_exp, J[p], ts[i], ts[i + 1], flo, fhi)
-        if t > 0.0 or not first_only:
-            roots[p].append(t)
-    return roots
+    lo, hi = t_grid[nodes], t_grid[nodes + 1]
+    flo, fhi = left[points, nodes], right[points, nodes]
+    roots = lo.copy()  # where the left node is exactly 0
+
+    def refine(b):
+        b = b[flo[b] != 0.0]
+        roots[b] = _refine_brackets(A, table, J[points[b]], lo[b], hi[b], flo[b], fhi[b])
+
+    if not first_only:
+        refine(np.arange(len(points)))
+        keep = np.abs(roots) <= t_max
+        points, roots = points[keep], roots[keep]
+        rank = np.arange(len(points)) - np.searchsorted(points, points)  # place in its point
+        out = np.full((len(J), rank.max(initial=-1) + 1), np.nan)
+        out[points, rank] = roots
+        return out
+    out = np.full((len(J), 1), np.nan)
+    b = np.flatnonzero(np.diff(points, prepend=-1))  # each point's first bracket
+    while b.size:
+        refine(b)
+        found = roots[b] > 0.0
+        out[points[b[found]], 0] = roots[b[found]]
+        b = b[~found] + 1
+        b = b[b < len(points)]
+        b = b[points[b] == points[b - 1]]
+    out[out > t_max] = np.nan
+    return out
 
 
-def scan_roots(t_grid, P1_tab, J, phi1_exp):
+def scan_roots(t_grid, P1_tab, J, A, table):
     """Every root of det(phi1(A, t) + J) on t_grid for one Jacobian J, in
     increasing t: the one-point call of the scan table (_scan_table)."""
-    return _scan_table(t_grid, P1_tab, J[None], phi1_exp, first_only=False)[0]
+    return _scan_table(t_grid, P1_tab, J[None], A, table, np.inf, first_only=False)[0].tolist()
 
 
 def _time_from_tau(a, tau):
@@ -227,14 +262,6 @@ def _grid_points(data, M_grid, num):
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     return axes, pts
-
-
-def _ragged(rows):
-    """The rows as one (len(rows), longest row) array, NaN-padded."""
-    out = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = row
-    return out
 
 
 def _stacked_sheets(problem, M_grid, branch, values, absent_reason, to_time=None):
@@ -485,12 +512,13 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     """Blow-up sheets of the residual scan, for any force matrix A.
 
     The roots of det(phi1(A, t) + d(phi)/dM) at every in-domain grid point,
-    from one phi1 table and one matops.phi1_exp evaluator, both shared by
-    every grid point and every branch_fn probe.  The in-domain M stack is
-    scanned in chunks of at most _SCAN_MAX_ENTRIES entries (points x nodes x
-    n^2), each one _scan_table: one phi_jacobian call (through
-    hodograph._rows, so a one-row probe takes the one-point form), one
-    determinant table and the refinement of its brackets.
+    from one matops.phi1_table evaluator of A and its table over the nodes,
+    both shared by every grid point and every branch_fn probe.  The
+    in-domain M stack is scanned in chunks of at most _SCAN_MAX_ENTRIES
+    entries (points x nodes x n^2), each one _scan_table: one phi_jacobian
+    call (through hodograph._rows, so a one-row probe takes the one-point
+    form), one determinant table and one stacked refinement of its
+    brackets.
     first_only: one sheet named branch, the smallest t in (0, t_max], scanned
     on the nodes 0, scan_step, 2 scan_step, ..., up to one step past t_max.
     Otherwise every root in [-t_max, t_max], scanned on arange(-t_max, t_max
@@ -517,7 +545,8 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     t_grid = np.arange(start, t_max + scan_step, scan_step)
     if first_only:
         t_grid = np.concatenate([[0.0], t_grid])
-    P1_tab = matops.phi1_table(A, t_grid)
+    table = matops.phi1_table(A)
+    P1_tab = table(t_grid)
     # the scan stops short of the first overflowing node on each side of t = 0
     over = np.flatnonzero(~np.isfinite(P1_tab).all(axis=(1, 2)))
     below, above = over[t_grid[over] < 0.0], over[t_grid[over] > 0.0]
@@ -538,18 +567,17 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
         reason = (f"no sign change of the residual on [{low!r}, {high!r}]: phi1 overflows at "
                   f"t = {edges}, so the horizon is lowered from t_max {t_max!r} to the last "
                   f"finite node")
-    phi1_exp = matops.phi1_exp(A)
     chunk = max(1, _SCAN_MAX_ENTRIES // (len(t_grid) * A.shape[0] ** 2))
 
     def roots(M):
-        found = []
+        starts = range(0, len(M), chunk)
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(0, len(M), chunk):
-                J = _rows(data.phi_jacobian, M[s : s + chunk])
-                found += _scan_table(t_grid, P1_tab, J, phi1_exp, first_only)
-        if first_only:
-            return np.array([r[0] if r and r[0] <= t_max else np.nan for r in found]).reshape(-1, 1)
-        return _ragged([[t for t in r if abs(t) <= t_max] for r in found])
+            found = [_scan_table(t_grid, P1_tab, _rows(data.phi_jacobian, M[s : s + chunk]), A,
+                                 table, t_max, first_only) for s in starts]
+        t = np.full((len(M), max((f.shape[1] for f in found), default=int(first_only))), np.nan)
+        for s, f in zip(starts, found):
+            t[s : s + len(f), : f.shape[1]] = f
+        return t
 
     return _stacked_sheets(problem, M_grid, branch, roots, reason)
 

@@ -4,12 +4,10 @@ their messages."""
 import numpy as np
 
 
-def point_text(M, digits=None):
+def point_text(M):
     """M as (m1, m2, ...), whatever numpy's print options: each coordinate its
-    float repr (17 significant digits), or rounded to digits significant
-    digits."""
-    values = [float(v) for v in np.atleast_1d(M)]
-    return "(" + ", ".join(repr(v) if digits is None else f"{v:.{digits}g}" for v in values) + ")"
+    float repr (17 significant digits)."""
+    return "(" + ", ".join(repr(float(v)) for v in np.atleast_1d(M)) + ")"
 
 
 class HodoflowError(Exception):

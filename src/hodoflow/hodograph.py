@@ -360,16 +360,16 @@ STATUS_ERRORS = {
 def newton_error(status, t, M, iters, rnorm):
     """The STATUS_ERRORS error of a failed _newton status at time t, M the last iterate.
 
-    The text gives t as its float repr and M to 8 significant digits: a
-    stacked and a one-point _newton run agree on M to rounding only (a
-    stacked matops._expm picks one Pade degree for the whole stack), and the
-    text of a failure must not depend on which of them met it.
+    The text gives t and each coordinate of M as its float repr: a row of a
+    stacked _newton run has the bits of the one-point run at its time (each
+    matops.phi_table row is that of a one-row table), so the text of a
+    failure does not depend on how the points were batched.
     """
     text = {
-        "SINGULAR": f"Newton matrix singular at M={point_text(M, 8)}, t={float(t)!r}: the "
+        "SINGULAR": f"Newton matrix singular at M={point_text(M)}, t={float(t)!r}: the "
                     "iterate sits on the blow-up set",
         "DOMAIN_EXIT": f"Newton iterate left the data domain at t={float(t)!r} "
-                       f"(last in-domain M={point_text(M, 8)})",
+                       f"(last in-domain M={point_text(M)})",
         "NO_CONVERGENCE": f"no convergence at t={float(t)!r} after {iters} iterations "
                           f"(residual {rnorm:.3e})",
     }[status]

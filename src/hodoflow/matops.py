@@ -23,35 +23,31 @@ two routes:
 
 Every other matrix function of t here is a first block row [e^{tA}, phi1,
 ..., phik] of that exponential, from _block_row(A, t, k): mat_exp is k = 0,
-phi1 and phi2 are k = 1 and 2 at (tA, 1) times t^k, phi1_table and phi_table
-are k = 1 and 2 over many t.  _block_row is the one caller of _expm: scaling
-and squaring with a diagonal Pade approximant of degree 3, 5, 7, 9 or 13
-(Higham 2005), in numpy alone, on one matrix (a scalar t: the fast path for
-one call) or a stack.  A stack shares one Pade degree (set by its largest
-norm) and one stacked linear solve; each of its matrices is scaled and
-squared by its own power of 2, so a row agrees with a single call on it to
-rounding, and a row that overflows leaves the others finite.
+phi1 and phi2 are k = 1 and 2 at (tA, 1) times t^k, phi1_table is phi1 over
+many t, and phi_table is k = 2 over many t.  _block_row is the one caller of
+_expm, and _expm the one caller of _pade: scaling and squaring with a
+diagonal Pade approximant of degree 3, 5, 7, 9 or 13 (Higham 2005), in numpy
+alone, on one matrix (a scalar t: the fast path for one call) or a stack.
+Each matrix of a stack gets the degree and the power of 2 a single call
+would give it, and a stack runs _pade once per degree over its rows of that
+degree, so a row has the bits of a single call, whatever stack it sits in,
+and a row that overflows leaves the others finite.
 
-phi1_table stacks phi1 over many times at once, for the root scans whose
-matrix functions depend on t alone: entrywise for an exact-diagonal A (the
-same formula as phi1, so the same bits), otherwise the stacked k = 1 row.  It
-raises nothing: rows that overflow come back non-finite, for the caller to
-judge.
-
-phi1_exp(A) is the evaluator t -> (phi1(A, t), e^{tA} = I + A phi1) of one
-fixed A, for the root refinements that call it at one t after another: the
-structure of A is tested once, when it is built, with phi1's bits.
+phi1_table(A) is the evaluator ts -> phi1(A, t) over many times at once of
+one fixed A, whose structure it tests once, for the root scans and
+refinements whose matrix functions depend on t alone.  Each row has phi1's
+bits: entrywise for an exact-diagonal A, otherwise the stacked k = 1 row at
+(tA, 1) times t.  It raises nothing: rows that overflow come back
+non-finite, for the caller to judge.
 
 phi_table stacks e^{tA}, phi1 and phi2 over many times at once (the stacked
 k = 2 row), for work that carries its own time per row, such as the samples
 of a comparison run.
 
-det takes the determinants of a stack, for the tables of the blow-up scan and
-the caustic screen: written out by cofactors for n <= 3, with the same bits
-for a matrix in any stack, instead of one LAPACK LU per matrix.  det_slope
-gives one determinant and its slope along a direction, for the Newton steps of
-the blow-up root refinement: the same cofactors on Python floats for n <= 3,
-with det's bits, and det of a small stack above.
+det takes the determinants of a stack, for the tables and root refinements
+of the blow-up scan and the caustic screen: written out by cofactors for
+n <= 3, with the same bits for a matrix in any stack, instead of one LAPACK
+LU per matrix.
 """
 
 from __future__ import annotations
@@ -85,6 +81,7 @@ _PADE = {
 # largest 1-norm theta_m at which degree m needs no scaling (same paper)
 _PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
                (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETAS = np.array([theta for _, theta in _PADE_THETA])
 _THETA_13 = 5.371920351148152
 
 
@@ -146,18 +143,19 @@ def _expm(W):
     """e^W by scaling and squaring (Higham 2005) for one (k, k) matrix or a
     (N, k, k) stack.
 
-    The Pade degree is the lowest whose theta_m bounds the largest 1-norm;
-    past theta_9 it is 13, and each matrix gets its own scaling power s
-    (W / 2^s within theta_13) and is squared s times.  Rows with a non-finite
-    norm come back NaN, and rows that overflow while squaring come back
-    non-finite, each without touching the other rows.
+    Each matrix gets the lowest Pade degree whose theta_m bounds its own
+    1-norm; past theta_9 it is 13, with its own scaling power s (W / 2^s
+    within theta_13), squared s times.  A stack runs _pade once per degree on
+    its rows of that degree, so each row has the bits of a single call on it.
+    Rows with a non-finite norm come back NaN, and rows that overflow while
+    squaring come back non-finite, each without touching the other rows.
     """
     norm = np.abs(W).sum(axis=-2).max(axis=-1)
-    top = float(norm if W.ndim == 2 else norm.max(initial=0.0))
-    for m, theta in _PADE_THETA:
-        if top <= theta:
-            return _pade(W, m)
     if W.ndim == 2:
+        top = float(norm)
+        for m, theta in _PADE_THETA:
+            if top <= theta:
+                return _pade(W, m)
         if not math.isfinite(top):
             return np.full(W.shape, np.nan)
         s = max(0, math.ceil(math.log2(top / _THETA_13)))
@@ -165,13 +163,19 @@ def _expm(W):
         for _ in range(s):
             E = E @ E
         return E
-    ok = np.flatnonzero(np.isfinite(norm))
-    s = np.ceil(np.log2(np.maximum(norm[ok], _THETA_13) / _THETA_13)).astype(int)
     E = np.full(W.shape, np.nan)
-    E[ok] = _pade(W[ok] * np.exp2(-s)[:, None, None], 13)
-    for i in range(s.max(initial=0)):
-        rows = ok[s > i]
-        E[rows] = E[rows] @ E[rows]
+    group = np.searchsorted(_THETAS, norm)  # index into _PADE_THETA, or past it: degree 13
+    for g in np.unique(group).tolist():
+        rows = np.flatnonzero(group == g)
+        if g < len(_PADE_THETA):
+            E[rows] = _pade(W[rows], _PADE_THETA[g][0])
+            continue
+        rows = rows[np.isfinite(norm[rows])]
+        s = np.ceil(np.log2(np.maximum(norm[rows], _THETA_13) / _THETA_13)).astype(int)
+        E[rows] = _pade(W[rows] * np.exp2(-s)[:, None, None], 13)
+        for i in range(s.max(initial=0)):
+            sq = rows[s > i]
+            E[sq] = E[sq] @ E[sq]
     return E
 
 
@@ -180,10 +184,11 @@ def _block_row(A, t, k):
     exp(t [[A, I, 0...], [0, 0, I...], ..., [0...]]): the one caller of _expm.
 
     A scalar t gives one (n, (k+1) n) row by _expm's single-matrix path, a 1-D
-    float array t a (len(t), n, (k+1) n) stack by one stacked _expm.  Entries
-    that overflow come back non-finite, for the caller to judge.
+    float array t a (len(t), n, (k+1) n) stack by one stacked _expm, and so
+    does a (N, n, n) stack A with a scalar t.  Entries that overflow come back
+    non-finite, for the caller to judge.
     """
-    n, m = A.shape[0], A.shape[0] * (k + 1)
+    n, m = A.shape[-1], A.shape[-1] * (k + 1)
     tt = t[:, None, None] if getattr(t, "ndim", 0) else t
     W = tt * A
     if k:  # pad with tI on the block superdiagonal; k = 0 keeps mat_exp at _expm(tA)'s cost
@@ -232,24 +237,6 @@ def _phi1_diagonal(a):
     return entries
 
 
-def _phi1_of(A):
-    """t -> phi1(A, t) for one fixed square A, whose structure is tested here,
-    once: an exactly diagonal A goes entrywise, any other A through _phi_k."""
-    if not is_exact_diagonal(A):
-        return lambda t: t * _phi_k(A, t, 1)
-    a = np.diagonal(A)
-    entries = _phi1_diagonal(a)
-
-    def diagonal(t):
-        d = entries(t)
-        if not np.isfinite(d).all():
-            raise OverflowMatrixError(
-                f"phi1 overflowed for t={float(t)!r} on diagonal {point_text(a)}")
-        return np.diag(d)
-
-    return diagonal
-
-
 def phi1(A, t):
     """A^-1 (e^{tA} - 1) = t * phi_1(tA); valid for singular A, zero matrix at t = 0.
 
@@ -257,41 +244,40 @@ def phi1(A, t):
     other A the augmented exponential; both raise OverflowMatrixError when
     the result is not finite.
     """
-    return _phi1_of(_as_square(A))(t)
+    A = _as_square(A)
+    if not is_exact_diagonal(A):
+        return t * _phi_k(A, t, 1)
+    a = np.diagonal(A)
+    d = _phi1_diagonal(a)(t)
+    if not np.isfinite(d).all():
+        raise OverflowMatrixError(
+            f"phi1 overflowed for t={float(t)!r} on diagonal {point_text(a)}")
+    return np.diag(d)
 
 
-def phi1_exp(A):
-    """The evaluator t -> (phi1(A, t), e^{tA}) of one fixed A.
+def phi1_table(A):
+    """The evaluator ts -> phi1(A, t) for every t of the 1-D array ts, a
+    (len(ts), n, n) array, of one fixed A.
 
-    The structure of A is tested here, once, not per call.  The first value
-    is phi1(A, t) bit for bit (both go through _phi1_of), the second
-    I + A phi1(A, t).
+    The structure of A is tested here, once, not per call.  Each row is
+    phi1(A, t) bit for bit: entrywise for an exactly diagonal A, otherwise t
+    times the k = 1 row at (tA, 1), here one stacked _expm whose rows do not
+    depend on the stack.  Rows that overflow are returned non-finite, not
+    raised.
     """
     A = _as_square(A).copy()
-    p1 = _phi1_of(A)
-    eye = _eye(A.shape[0])
+    n, idx = A.shape[0], np.arange(A.shape[0])
+    entries = _phi1_diagonal(np.diagonal(A)) if is_exact_diagonal(A) else None
 
-    def evaluate(t):
-        P1 = p1(t)
-        return P1, eye + A @ P1
+    def table(ts):
+        ts = np.asarray(ts, dtype=float)
+        if entries is None:
+            tt = ts[:, None, None]
+            return tt * _block_row(tt * A, 1.0, 1)[..., n:]
+        out = np.zeros((ts.size, n, n))
+        out[:, idx, idx] = entries(ts[:, None])
+        return out
 
-    return evaluate
-
-
-def phi1_table(A, ts):
-    """phi1(A, t) for every t of the 1-D array ts, as a (len(ts), n, n) array.
-
-    An exactly diagonal A goes entrywise, bit for bit as phi1; any other A
-    through the stacked k = 1 block row.  Rows that overflow are returned
-    non-finite, not raised.
-    """
-    A = _as_square(A)
-    ts = np.asarray(ts, dtype=float)
-    n = A.shape[0]
-    if not is_exact_diagonal(A):
-        return _block_row(A, ts, 1)[..., n:]
-    table, idx = np.zeros((ts.size, n, n)), np.arange(n)
-    table[:, idx, idx] = _phi1_diagonal(np.diagonal(A))(ts[:, None])
     return table
 
 
@@ -371,36 +357,6 @@ def det(A):
     if n > 3:
         return np.linalg.det(A)
     return _DET_FORMULA[n](*(A[..., r, c] for r in range(n) for c in range(n)))
-
-
-# for each column j, where the entries of K with column j taken from dK sit in
-# K's entries followed by dK's (both row-major)
-_COLUMN_FROM = {n: [[n * n * (c == j) + r * n + c for r in range(n) for c in range(n)]
-                    for j in range(n)] for n in _DET_FORMULA}
-
-
-def det_slope(K, dK):
-    """(det K, sum_j det(K with column j replaced by column j of dK)) of one
-    (n, n) pair, as floats: the value and slope of det K(s) where dK/ds = dK.
-
-    n <= 3 on Python floats by _DET_FORMULA, the operations of det in the same
-    order, so det K has det's bits, and the slope is summed from 0.0 in column
-    order as numpy sums n < 8 values; n >= 4 by det of the (n + 1)-matrix stack.
-    """
-    n = K.shape[-1]
-    if n > 3:
-        cols = np.arange(n)
-        Ks = np.empty((n + 1, n, n))
-        Ks[:] = K
-        Ks[cols + 1, :, cols] = dK.T
-        dets = det(Ks)
-        return float(dets[0]), float(dets[1:].sum())
-    formula = _DET_FORMULA[n]
-    entries = K.ravel().tolist() + dK.ravel().tolist()
-    slope = 0.0
-    for at in _COLUMN_FROM[n]:
-        slope += formula(*[entries[i] for i in at])
-    return formula(*entries[: n * n]), slope
 
 
 def _cond2(A):

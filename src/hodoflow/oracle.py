@@ -28,7 +28,7 @@ import numpy as np
 from . import matops
 from .errors import OverflowMatrixError
 
-#: time steps per phi1_table in caustic_times' sign scan
+#: time steps per phi1 table in caustic_times' sign scan
 _SCAN_CHUNK = 256
 #: matrices per block of caustic_times' determinant table, one GEMM and one
 #: matops.det each (bounds its memory: about 2.4 MB of 3x3 matrices)
@@ -144,17 +144,17 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
 
     Row i is sign-scanned on the nodes min(j * step, t_max[i]), then its first
     bracketing interval is bisected to tol.  phi1 depends on t alone, so the
-    rows share their nodes: one matops.phi1_table per _SCAN_CHUNK steps (up to
-    the largest live t_max) and one over the end nodes t_max, and the
-    determinants of a chunk are one (nodes x rows) table, _flow_dets (one
-    GEMM and one matops.det per _DET_BLOCK matrices), with J_{u0} computed
-    once per row.  A row leaves the scan at its first zero or sign change, or
-    past its own t_max.  The bracketing rows are bisected together, one
-    phi1_table over their midpoints per step.  A row whose first such node is
-    not finite (phi1 overflowed), within its own t_max, raises
-    OverflowMatrixError.
+    rows share their nodes and one matops.phi1_table evaluator of A: one
+    table per _SCAN_CHUNK steps (up to the largest live t_max) and one over
+    the end nodes t_max, and the determinants of a chunk are one (nodes x
+    rows) table, _flow_dets (one GEMM and one matops.det per _DET_BLOCK
+    matrices), with J_{u0} computed once per row.  A row leaves the scan at
+    its first zero or sign change, or past its own t_max.  The bracketing
+    rows are bisected together, one table over their midpoints per step.  A
+    row whose first such node is not finite (phi1 overflowed), within its
+    own t_max, raises OverflowMatrixError.
     """
-    A, Ju0 = spec.A, _u0_jacobian(data, x0)
+    table, Ju0 = matops.phi1_table(spec.A), _u0_jacobian(data, x0)
     eye = np.eye(Ju0.shape[-1])
     k = len(Ju0)
     t_max = np.asarray(t_max, dtype=float)
@@ -166,7 +166,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
     live = nsteps > 0
     lo = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        f_end = matops.det(eye + matops.phi1_table(A, t_max) @ Ju0)
+        f_end = matops.det(eye + table(t_max) @ Ju0)
         while live.any():
             rows = np.flatnonzero(live)
             hi = min(lo + _SCAN_CHUNK, int(nsteps[rows].max()) + 1)
@@ -174,7 +174,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
             ts = idx * step
             tm = t_max[rows]
             # node j of row i is min(j * step, t_max[i]): a shared row before its end
-            f = np.where(ts[:, None] < tm, _flow_dets(matops.phi1_table(A, ts), Ju0[rows]),
+            f = np.where(ts[:, None] < tm, _flow_dets(table(ts), Ju0[rows]),
                          f_end[rows])
             g = np.vstack([f_prev[rows], f])
             nodes = np.vstack([t_prev[rows], np.minimum(ts[:, None], tm)])
@@ -199,7 +199,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
         while act.any():
             r = np.flatnonzero(act)
             m = 0.5 * (a[r] + b[r])
-            fm = matops.det(eye + matops.phi1_table(A, m) @ Ju0[r])
+            fm = matops.det(eye + table(m) @ Ju0[r])
             zero = fm == 0.0
             out[r[zero]] = m[zero]
             bracket[r[zero]] = False

@@ -482,12 +482,13 @@ def test_scan_roots_coarse_brackets_match_bisection(w, step):
     problem = make_problem(model.coriolis2d_spec(w).A, "tanh2d", {"eps": 2.0}, grid_num=7)
     A, data = problem.spec.A, problem.data
     ts = np.arange(0.0, 12.0, step)
-    P1_tab = matops.phi1_table(A, ts)
+    table = matops.phi1_table(A)
+    P1_tab = table(ts)
     compared = 0
     for M in blowup._grid_points(data, None, 7)[1]:
         if not data.in_domain(M):
             continue
-        got = list(blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), matops.phi1_exp(A)))
+        got = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), A, table)
         ref = _reference_scan(problem, M, ts)
         assert len(got) == len(ref), f"M={M}: {got} vs {ref}"
         assert np.all(np.abs(np.subtract(got, ref)) <= 1e-12), f"M={M}: {got} vs {ref}"
@@ -529,7 +530,8 @@ def _per_point_sheets(problem, first_only, t_max, scan_step):
         ts = np.concatenate([[0.0], np.arange(scan_step, t_max + scan_step, scan_step)])
     else:
         ts = np.arange(-t_max, t_max + scan_step, scan_step)
-    P1_tab = matops.phi1_table(A, ts)
+    table = matops.phi1_table(A)
+    P1_tab = table(ts)
     assert np.isfinite(P1_tab).all()
     rows = []
     for M in blowup._grid_points(data, None, problem.grid_num)[1]:
@@ -537,7 +539,7 @@ def _per_point_sheets(problem, first_only, t_max, scan_step):
             rows.append(None)
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            roots = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), matops.phi1_exp(A))
+            roots = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), A, table)
         if first_only:
             first = [r for r in roots if r > 0.0][:1]
             rows.append([r for r in first if r <= t_max])
@@ -596,21 +598,23 @@ def test_scan_table_chunks_give_the_same_sheets(monkeypatch, case, entries):
     assert np.array([s.t for s in chunked]).tobytes() == np.array([s.t for s in whole]).tobytes()
 
 
-def _refine_root_reference(phi1_exp, J, lo, hi, flo, fhi, exits):
-    """_refine_root as it was on matops.det: each step fills one (n+1, n, n)
-    stack (K = phi1 + J, then K with column j replaced by column j of e^{tA})
-    and takes f and f' from one matops.det of it.  exits collects the branches
-    taken: "zero" (f exactly 0), "flat" (f' exactly 0), "leave" (a Newton step
-    outside the bracket), "narrow" (the bracket below _ROOT_TOL) and "step"."""
+def _refine_root_reference(A, table, J, lo, hi, flo, fhi, exits):
+    """One bracket refined alone, as scan_roots refined it before its
+    brackets were stacked, on one-row tables: each step fills one
+    (n+1, n, n) stack (K = phi1 + J, then K with column j replaced by column
+    j of e^{tA} = I + A phi1) and takes f and f' from one matops.det of it.
+    exits collects the branches taken: "zero" (f exactly 0), "flat" (f'
+    exactly 0), "leave" (a Newton step outside the bracket), "narrow" (the
+    bracket below _ROOT_TOL) and "step"."""
     n = J.shape[0]
     cols = np.arange(n)
     rows = cols + 1
     Ks = np.empty((n + 1, n, n))
     t = lo - flo * (hi - lo) / (fhi - flo)
     for _ in range(blowup._ROOT_MAX_ITER):
-        P1, E = phi1_exp(t)
+        P1 = table(np.array([t]))[0]
         Ks[:] = P1 + J
-        Ks[rows, :, cols] = E.T
+        Ks[rows, :, cols] = (np.eye(n) + A @ P1).T
         dets = matops.det(Ks)
         f = float(dets[0])
         if f == 0.0:
@@ -648,15 +652,15 @@ def _random_brackets(rng):
         A = np.diag(np.diagonal(A)) if trial % 3 == 0 else A
         J = rng.normal(size=(n, n))
         ts = np.linspace(-3.0, 3.0, int(rng.integers(4, 40)))
-        vals = matops.det(matops.phi1_table(A, ts) + J)
+        vals = matops.det(matops.phi1_table(A)(ts) + J)
         for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
             yield A, J, float(ts[i]), float(ts[i + 1])
     for trial in range(120):
         n = 2 + trial % 2
         A = np.diag(rng.normal(size=n)) if trial % 3 else rng.normal(size=(n, n))
         J = 1e6 * rng.normal(size=(n, 1)) @ rng.normal(size=(1, n)) + rng.normal(size=(n, n))
-        p1 = matops.phi1_exp(A)
-        f = lambda t: float(matops.det(p1(t)[0] + J))
+        table = matops.phi1_table(A)
+        f = lambda t: float(matops.det(table(np.array([t]))[0] + J))
         lo, hi = -2.0, 2.0
         if not f(lo) * f(hi) < 0.0:
             continue
@@ -667,9 +671,10 @@ def _random_brackets(rng):
         yield A, J, lo - w * float(rng.random()), hi + w * float(rng.random())
 
 
-def test_refine_root_on_floats_is_the_det_stack_refinement():
-    """_refine_root's Python-float steps (matops.det_slope) return the bits of
-    the matops.det-stack refinement on every bracket: random ones for n = 1-4,
+def test_stacked_refinement_is_each_bracket_refined_alone():
+    """_refine_brackets over every bracket of one A at once returns, bit for
+    bit, each bracket refined as a stack of one, and the one-bracket
+    reference refinement on one-row tables: random brackets for n = 1-4,
     noisy ones narrower than a few _ROOT_TOL, and a step at t = 1 where f' is
     exactly 0 (A = 0, f = (t - 1)^2 - 1 on [0.5, 3], regula falsi lands on 1).
     Between them they take every exit: f exactly 0, f' exactly 0, a Newton
@@ -677,16 +682,48 @@ def test_refine_root_on_floats_is_the_det_stack_refinement():
     rng = np.random.default_rng(2024)
     brackets = [(np.zeros((2, 2)), np.array([[-1.0, 1.0], [1.0, -1.0]]), 0.5, 3.0),
                 *_random_brackets(rng)]
-    exits = set()
+    by_A = {}
     for A, J, lo, hi in brackets:
-        p1 = matops.phi1_exp(A)
-        flo, fhi = (float(matops.det(p1(t)[0] + J)) for t in (lo, hi))
-        if not flo * fhi < 0.0:
+        by_A.setdefault(A.tobytes() + bytes(A.shape), (A, []))[1].append((J, lo, hi))
+    exits, refined = set(), 0
+    for A, group in by_A.values():
+        table = matops.phi1_table(A)
+        rows = []
+        for J, lo, hi in group:
+            flo, fhi = (float(matops.det(table(np.array([t]))[0] + J)) for t in (lo, hi))
+            if flo * fhi < 0.0:
+                rows.append((J, lo, hi, flo, fhi))
+        if not rows:
             continue
-        ref = _refine_root_reference(p1, J, lo, hi, flo, fhi, exits)
-        got = blowup._refine_root(p1, J, lo, hi, flo, fhi)
-        assert type(got) is float and got.hex() == ref.hex(), (A, J, lo, hi, got, ref)
+        J, lo, hi, flo, fhi = (np.array(v) for v in zip(*rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = blowup._refine_brackets(A, table, J, lo, hi, flo, fhi)
+            for b, row in enumerate(rows):
+                alone = blowup._refine_brackets(A, table, *(np.array([v]) for v in row))
+                ref = _refine_root_reference(A, table, *row, exits)
+                assert stacked[b].hex() == alone[0].hex() == ref.hex(), (A, row, stacked[b], ref)
+                refined += 1
+    assert refined > 300, refined
     assert exits == {"zero", "flat", "leave", "narrow", "step"}, exits
+
+
+@pytest.mark.parametrize("first_only", [True, False])
+def test_scan_without_brackets_evaluates_no_table(first_only):
+    """A scan chunk with no sign change (the 4x4 rotation's residual keeps its
+    sign on [0, 5] at these points) returns NaN rows without a single phi1
+    table evaluation for the refinement."""
+    problem, _, _ = _table_case("rotation4")
+    A, data = problem.spec.A, problem.data
+    ts = np.arange(0.0, 5.05, 5e-2)
+    table = matops.phi1_table(A)
+    P1_tab, calls = table(ts), []
+    counted = lambda t: calls.append(len(t)) or table(t)
+    J = data.phi_jacobian(blowup._grid_points(data, None, 3)[1][:4])
+    vals = matops.det(P1_tab + J[:, None])
+    assert np.all(vals[:, :-1] * vals[:, 1:] > 0.0)
+    out = blowup._scan_table(ts, P1_tab, J, A, counted, 5.0, first_only)
+    assert out.shape == (4, 1 if first_only else 0) and np.isnan(out).all()
+    assert calls == []
 
 
 def test_blowup_scan_phi1_call_budget(monkeypatch):

@@ -1154,8 +1154,9 @@ def _counted_scan_run(tmp_path, monkeypatch, name, task):
 
 def test_blowup_scan_classifies_A_a_fixed_number_of_times(tmp_path, monkeypatch):
     """The structure of A is tested a fixed number of times per run, however
-    many branch_fn probes the refinement makes: the probes share one
-    matops.phi1_exp evaluator instead of calling phi1 per Newton step."""
+    many branch_fn probes the refinement makes: the scan and every probe
+    share one matops.phi1_table evaluator instead of calling phi1 per Newton
+    step."""
     few = _counted_scan_run(tmp_path, monkeypatch, "few", {"grid_num": 3, "t_max": 0.11})
     many = _counted_scan_run(tmp_path, monkeypatch, "many", {"grid_num": 6, "t_max": 0.11})
     assert few[1] < many[1] and many[1] >= 30, (few, many)
@@ -1175,8 +1176,8 @@ def test_blowup_scan_reports_no_root_past_t_max(tmp_path):
     assert all(abs(float(row[-1])) <= 0.0951 for row in body if row[-1] != "nan")
 
 
-def _no_table(A, ts):
-    raise AssertionError(f"phi1 table of {len(ts)} nodes built")
+def _no_table(A):
+    raise AssertionError("phi1 table evaluator built")
 
 
 @pytest.mark.parametrize("command, cfg, needle", [
@@ -1609,7 +1610,7 @@ def test_compare_phi_table_call_budget(tmp_path, monkeypatch):
                      "--out", str(out)]) == 2
     assert len(calls) == 2 and calls[0] == 60 and calls[1] < 60, calls
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "47ff819fa4f42aafd80eac2909f3a14200384640e47ea83024abca5b85af9d4e")
+        "f4480ecadca055740eb6f46e077d8de7ec0d8c67d29c5d21c2c86e71e7fe6f3e")
 
 
 def test_compare_expm_calls_do_not_grow_with_samples(monkeypatch):

@@ -9,8 +9,8 @@ the tables produce a second, independent route.  Any other reference to
 numpy's det (a call, an alias or an import) fails this scan.
 
 The cofactor formulas themselves, matops._DET_FORMULA, are referenced in
-matops.py alone: det and det_slope are where the choice between them and
-LAPACK is made, so it is made in one module.
+matops.py alone: det is where the choice between them and LAPACK is made,
+so it is made in one module.
 """
 from __future__ import annotations
 

@@ -4,7 +4,10 @@ The phi-functions, e^{tA} and their tables are all first block rows of one
 augmented exponential, so one builder makes that matrix and calls
 matops._expm: a scalar t on its single-matrix path, a 1-D t as one stack.
 Any other reference to _expm (a call, an alias or an import), outside
-_block_row and _expm itself, fails this scan.
+_block_row and _expm itself, fails this scan.  Likewise matops._pade, the
+Pade approximant, is referenced by _expm alone: the one place that picks
+each matrix's degree and scaling, so a matrix gets the same bits in any
+stack.
 """
 from __future__ import annotations
 
@@ -18,18 +21,18 @@ ALLOWED = {("matops.py", "_block_row")}
 OWN = {("matops.py", "_expm")}
 
 
-def _expm_uses(tree):
-    """(enclosing function, line) of every reference to _expm."""
+def _uses(tree, name):
+    """(enclosing function, line) of every reference to name."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name if func is None else func
-        if ((isinstance(node, ast.Name) and node.id == "_expm")
-                or (isinstance(node, ast.Attribute) and node.attr == "_expm")):
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)):
             found.append((func, node.lineno))
         if (isinstance(node, ast.ImportFrom)
-                and any(alias.name == "_expm" for alias in node.names)):
+                and any(alias.name == name for alias in node.names)):
             found.append((func, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -38,9 +41,15 @@ def _expm_uses(tree):
     return found
 
 
-def test_expm_only_in_the_block_row_builder():
-    uses = {path.name: _expm_uses(ast.parse(path.read_text(encoding="utf-8")))
+def _sites(name):
+    """{module: [(enclosing function, line), ...]} of every reference to name
+    in src/hodoflow."""
+    return {path.name: _uses(ast.parse(path.read_text(encoding="utf-8")), name)
             for path in sorted(SRC.glob("*.py"))}
+
+
+def test_expm_only_in_the_block_row_builder():
+    uses = _sites("_expm")
     sites = {(module, func) for module, found in uses.items() for func, _ in found} - OWN
     stray = [f"{module}:{line} in {func}" for module, found in uses.items()
              for func, line in found if (module, func) not in ALLOWED | OWN]
@@ -48,9 +57,19 @@ def test_expm_only_in_the_block_row_builder():
     assert sites == ALLOWED, sites
 
 
+def test_pade_only_in_expm():
+    uses = _sites("_pade")
+    own = {("matops.py", "_pade")}
+    sites = {(module, func) for module, found in uses.items() for func, _ in found} - own
+    stray = [f"{module}:{line} in {func}" for module, found in uses.items()
+             for func, line in found if (module, func) not in OWN | own]
+    assert stray == [], "matops._pade outside _expm:\n" + "\n".join(stray)
+    assert sites == OWN, sites
+
+
 def test_scan_sees_a_stray_call():
     """The scan finds a direct call, a module attribute and an import."""
     tree = ast.parse("from .matops import _expm\n"
                      "def f(W):\n    return _expm(W)\n"
                      "def g(W):\n    return matops._expm(W)\n")
-    assert _expm_uses(tree) == [(None, 1), ("f", 3), ("g", 5)]
+    assert _uses(tree, "_expm") == [(None, 1), ("f", 3), ("g", 5)]

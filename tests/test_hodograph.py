@@ -260,17 +260,17 @@ _FAILED_TRACKS = {
 
 @pytest.mark.parametrize("status, error, text", [
     ("SINGULAR", JacobianSingularError,
-     "Newton matrix singular at M=(0.12345679, -0.2), t=0.5: the iterate sits on the "
+     "Newton matrix singular at M=(0.123456789012, -0.2), t=0.5: the iterate sits on the "
      "blow-up set"),
     ("DOMAIN_EXIT", DomainExitError,
-     "Newton iterate left the data domain at t=0.5 (last in-domain M=(0.12345679, -0.2))"),
+     "Newton iterate left the data domain at t=0.5 (last in-domain M=(0.123456789012, -0.2))"),
     ("NO_CONVERGENCE", NoConvergenceError,
      "no convergence at t=0.5 after 3 iterations (residual 1.000e-03)"),
 ])
 def test_newton_error_text_is_plain_floats(status, error, text):
-    """A failed status's message writes t as its float repr and M as a tuple of
-    floats to 8 significant digits, whatever numpy's print options, for a numpy
-    scalar t and an array M alike; the error keeps M itself."""
+    """A failed status's message writes t and each coordinate of M as its
+    float repr, whatever numpy's print options, for a numpy scalar t and an
+    array M alike; the error keeps M itself."""
     M = np.array([0.123456789012, -0.2])
     with np.printoptions(precision=3, floatmode="fixed"):
         exc = hodograph.newton_error(status, np.float64(0.5), M, 3, 1e-3)

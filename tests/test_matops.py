@@ -221,8 +221,8 @@ TABLE_TIMES = np.array([0.0, 1e-6, -0.05, 0.2, 0.2499, -0.2501, 0.3, 1.0, -2.5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["zero", "nilpotent", "skew", "random", "diagonal"])
 def test_phi1_table_matches_phi1(kind, n):
-    """phi1_table row by row against the scalar phi1: bit for bit for an exactly
-    diagonal A (zero included), within 1e-14 relative for any other A."""
+    """phi1_table row by row against the scalar phi1, bit for bit: entrywise
+    for an exactly diagonal A (zero included), t phi_1(tA) for any other A."""
     rng = np.random.default_rng(60 + n)
     K = rng.standard_normal((n, n))
     A = {
@@ -235,26 +235,22 @@ def test_phi1_table_matches_phi1(kind, n):
     norm = np.linalg.norm(A, np.inf)
     if norm:
         A = A / norm
-    table = matops.phi1_table(A, TABLE_TIMES)
+    table = matops.phi1_table(A)(TABLE_TIMES)
     assert table.shape == (TABLE_TIMES.size, n, n)
     for t, row in zip(TABLE_TIMES, table):
         ref = matops.phi1(A, t)
-        if matops.is_exact_diagonal(A):
-            assert np.array_equal(row, ref), f"t={t}:\n{row}\n{ref}"
-        else:
-            err = np.linalg.norm(row - ref, np.inf)
-            assert err <= 1e-14 * np.linalg.norm(ref, np.inf), f"t={t}: {err:.2e}"
+        assert row.tobytes() == ref.tobytes(), f"t={t}:\n{row}\n{ref}"
 
 
 def test_phi1_table_diagonal_bits_and_overflow_rows():
     """The entrywise route keeps phi1's bits on DIAG_VALUES; rows that overflow
     come back non-finite instead of raising, on both routes."""
     A = np.diag(DIAG_VALUES)
-    table = matops.phi1_table(A, np.array(DIAG_VALUES))
+    table = matops.phi1_table(A)(np.array(DIAG_VALUES))
     for t, row in zip(DIAG_VALUES, table):
         assert np.array_equal(row, matops.phi1(A, t)), f"t={t}"
     for A in (np.diag([800.0, 1.0]), np.array([[800.0, 1.0], [0.0, 1.0]])):
-        table = matops.phi1_table(A, np.array([0.5, 1.0]))
+        table = matops.phi1_table(A)(np.array([0.5, 1.0]))
         assert np.all(np.isfinite(table[0])) and not np.all(np.isfinite(table[1]))
 
 
@@ -351,11 +347,11 @@ def test_expm_overflow_stays_in_its_row():
     reports the overflow."""
     A = np.array([[1.0, 2.0], [-0.5, 3.0]])
     ts = np.array([0.5, 2.0, 400.0, -1.0, 3.0])
-    table = matops.phi1_table(A, ts)
+    table = matops.phi1_table(A)(ts)
     finite = np.isfinite(table).all(axis=(1, 2))
     assert finite.tolist() == [True, True, False, True, True]
     keep = ts != 400.0
-    assert np.array_equal(table[keep], matops.phi1_table(A, ts[keep]))
+    assert np.array_equal(table[keep], matops.phi1_table(A)(ts[keep]))
     with pytest.raises(OverflowMatrixError):
         matops.mat_exp(A, 400.0)
     bad = np.array([np.eye(2), [[np.inf, 0.0], [1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]])
@@ -388,7 +384,8 @@ def test_phi_table_overflow_raises():
 
 
 # ---------------------------------------------------------------------------
-# phi1_exp: the fixed-A evaluator under the blow-up root refinement
+# phi1_exp: phi1 and e^{tA} = I + A phi1 from one phi1_table evaluator, as the
+# blow-up root refinement takes them
 
 #: force matrices of every route: diagonal (negative, zero, mixed), the
 #: elliptic 2x2, the coriolis3d 3x3 and a 4x4 block rotation
@@ -416,28 +413,72 @@ def _phi1_formula(A, t):
 
 @pytest.mark.parametrize("name", list(EVALUATOR_MATRICES))
 def test_phi1_exp_is_phi1_bit_for_bit(name):
-    """(phi1, e^{tA}) from the evaluator are phi1(A, t) and I + A @ phi1(A, t)
-    bit for bit, for small and large ||tA|| and for t of both signs;
-    and phi1 is its formula bit for bit."""
+    """Each row of one phi1_table(A) evaluation is phi1(A, t) bit for bit, for
+    small and large ||tA|| and t of both signs, and so is a one-row
+    evaluation; e^{tA} = I + A phi1 taken over the whole table is
+    I + A @ phi1(A, t) bit for bit; and phi1 is its formula bit for bit."""
     A = EVALUATOR_MATRICES[name]
-    evaluate = matops.phi1_exp(A)
-    for t in (*TABLE_TIMES, *DIAG_VALUES, -1e-9, 0.1, -4.0):
-        P1, E = evaluate(t)
+    ts = np.array([*TABLE_TIMES, *DIAG_VALUES, -1e-9, 0.1, -4.0])
+    table = matops.phi1_table(A)
+    P1 = table(ts)
+    E = np.eye(len(A)) + A @ P1
+    assert P1.shape == E.shape == (len(ts),) + A.shape
+    for t, row, E_row in zip(ts, P1, E):
         ref = matops.phi1(A, t)
         assert ref.tobytes() == _phi1_formula(A, t).tobytes(), f"t={t}"
-        assert P1.tobytes() == ref.tobytes(), f"t={t}:\n{P1}\n{ref}"
-        assert E.tobytes() == (np.eye(len(A)) + A @ ref).tobytes(), f"t={t}"
+        assert row.tobytes() == ref.tobytes(), f"t={t}:\n{row}\n{ref}"
+        assert table(np.array([t]))[0].tobytes() == ref.tobytes(), f"t={t}"
+        assert E_row.tobytes() == (np.eye(len(A)) + A @ ref).tobytes(), f"t={t}"
 
 
 @pytest.mark.parametrize("A", [np.diag([800.0, 1.0]), np.array([[800.0, 1.0], [0.0, 1.0]])],
                          ids=["diagonal", "triangular"])
 def test_phi1_exp_overflow_raises_where_phi1_does(A):
-    evaluate = matops.phi1_exp(A)
-    evaluate(0.5)
+    """A phi1_table row is non-finite exactly where phi1 raises, and leaves
+    the other rows finite."""
+    table = matops.phi1_table(A)(np.array([0.5, 1.0, 0.25]))
+    assert np.isfinite(table[[0, 2]]).all() and not np.isfinite(table[1]).all()
     matops.phi1(A, 0.5)
-    for call in (lambda: evaluate(1.0), lambda: matops.phi1(A, 1.0)):
-        with pytest.raises(OverflowMatrixError):
-            call()
+    matops.phi1(A, 0.25)
+    with pytest.raises(OverflowMatrixError):
+        matops.phi1(A, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# stack invariance: a matrix function row depends on its own matrix alone
+
+#: the 1-norms the stacks cover: inside each Pade threshold (3, 5, 7, 9),
+#: degree 13 without scaling, and degree 13 with 1-6 squarings
+INVARIANCE_NORMS = [1e-3, 0.012, 0.1, 0.25, 0.6, 0.95, 1.5, 2.09, 3.0, 5.3, 9.0, 40.0, 300.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_block_row_stacks_are_stack_invariant(n, k):
+    """Random stacks of block rows whose augmented matrices span every Pade
+    degree and scaling power: every permutation and sub-stack gives each
+    row bit for bit, and so does the one-matrix _expm on that row's matrix."""
+    rng = np.random.default_rng(100 + 10 * n + k)
+    m = n * (k + 1)
+    for trial in range(4):
+        A = rng.standard_normal((n, n))
+        W = np.zeros((len(INVARIANCE_NORMS), m, m))
+        W[:, :n, :n] = A
+        for r in range(n, m, n):
+            W[:, r - n : r, r : r + n] = np.eye(n)
+        ts = np.array(INVARIANCE_NORMS) / np.linalg.norm(W, 1, axis=(1, 2))
+        ts *= rng.choice([-1.0, 1.0], size=ts.size)
+        stack = matops._block_row(A, ts, k)
+        assert np.isfinite(stack).all()
+        for i, t in enumerate(ts):
+            W_i = t * W[i]
+            assert stack[i].tobytes() == matops._expm(W_i)[:n].tobytes(), (trial, t)
+            assert stack[i].tobytes() == matops._block_row(A, float(t), k).tobytes(), (trial, t)
+        for _ in range(3):
+            perm = rng.permutation(ts.size)
+            assert matops._block_row(A, ts[perm], k).tobytes() == stack[perm].tobytes()
+            sub = np.sort(rng.choice(ts.size, size=int(rng.integers(1, ts.size)), replace=False))
+            assert matops._block_row(A, ts[sub], k).tobytes() == stack[sub].tobytes()
 
 
 # ---------------------------------------------------------------------------

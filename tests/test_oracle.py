@@ -260,7 +260,7 @@ def _c3d_table():
     spec, data = _c3d_rotated()
     box = data.sample_box()
     x0 = np.random.default_rng(1).uniform(box[:, 0], box[:, 1], size=(24, 3))
-    P = matops.phi1_table(spec.A, np.arange(1, 131) * 0.02)
+    P = matops.phi1_table(spec.A)(np.arange(1, 131) * 0.02)
     return spec, data, x0, P, oracle._u0_jacobian(data, x0)
 
 

@@ -244,6 +244,42 @@ def test_stacked_period_check_matches_per_sample_solves(monkeypatch):
     assert abs(check.max_delta - max(ref[i][1] for i in passed)) <= 1e-15
 
 
+def test_stacked_newton_rows_are_the_one_point_solves_bit_for_bit():
+    """The seed-3 period-verify samples of the test above, solved as one
+    _newton call over the (t, t + T) queue: every row that a per-sample
+    solve_M reaches (t from the default guess, then t + T from the root at t)
+    has its M, iteration count, residual and status bit for bit, a failed
+    row's last iterate included, so a failure's text may write M in full."""
+    problem = model.HodographProblem(model.coriolis2d_spec(1.0),
+                                     model.make_data("gauss2d_coriolis", amplitude=1.0))
+    T = periodicity.check_periodic(problem.spec.A).T
+    rng = np.random.default_rng(3)
+    box = problem.data.sample_box()
+    samples = [(rng.uniform(0.0, T), rng.uniform(box[:, 0], box[:, 1])) for _ in range(40)]
+    times = np.array([[t, t + T] for t, _ in samples])
+    X = np.array([x for _, x in samples])
+    M, _, iters, rnorm, status = hodograph._newton(problem, times, X,
+                                                   hodograph._default_guess(problem, X))
+    failed = 0
+    for i, (t, x) in enumerate(samples):
+        guess = None
+        for j in range(2):
+            try:
+                M_one, info = hodograph.solve_M(problem, times[i, j], x, guess_M=guess)
+            except HodoflowError as exc:
+                assert type(exc) is hodograph.STATUS_ERRORS[status[i, j]], (i, j, exc)
+                assert M[i, j].tobytes() == exc.M.tobytes(), (i, j, M[i, j], exc.M)
+                assert str(exc) == str(hodograph.newton_error(status[i, j], times[i, j], M[i, j],
+                                                              iters[i, j], rnorm[i, j]))
+                failed += 1
+                break
+            assert M[i, j].tobytes() == M_one.tobytes(), (i, j, M[i, j], M_one)
+            assert (int(iters[i, j]), float(rnorm[i, j]), status[i, j]) == (
+                info.iters, info.residual_norm, "OK"), (i, j)
+            guess = M_one
+    assert failed >= 7, failed
+
+
 def test_verify_solution_period_flags_points_past_the_blow_up_set():
     """Linear data phi(M) = R M under unit rotation: det(phi1(A, t) + R) is
     the same at every M, -0.5 at t = 0 and positive from t ~ 0.51 on.  The
