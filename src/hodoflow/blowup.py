@@ -46,8 +46,13 @@ build_sheets picks the builder from the structure of A; no A is refused.
 Absent entries (no real root) record the violated reality condition.
 min_blowup_time picks the catastrophe: the infimum of positive blow-up times
 over all sheets, re-checked against blowup_residual for the actual A before
-it is reported; sheet_extremum's Newton steps probe branch_fn once per
-stencil (the centre and axis points, the corner points, the trial point).
+it is reported.  Each sheet's grid minimum is refined by Newton on the
+extremum conditions f = 0, f_M = 0 of the residual (_stationary_minimum),
+whose f, f_t and f_M come from one matops.det of the column-replaced stack
+(_extremum_conditions), with no branch_fn probe.  sheet_extremum's Newton
+steps probe branch_fn once per stencil (the centre and axis points, the
+corner points, the trial point); they refine the certificates, and the
+minimum of a sheet that cannot meet the extremum conditions.
 """
 
 from __future__ import annotations
@@ -77,8 +82,21 @@ _ROOT_MAX_ITER = 100
 #: chunk of the scan's determinant table (points * nodes * n^2 entries): a grid
 #: past it is scanned in several chunks, not refused
 _SCAN_MAX_ENTRIES = 4 * 10**6
-#: Newton steps sheet_extremum takes from the grid extremum before it settles
+#: Newton steps sheet_extremum takes from the grid extremum before it settles,
+#: and the most steps min_blowup_time's extremum-condition Newton may take
 _EXTREMUM_STEPS = 20
+#: imaginary step h of dJ/dM_k = Im J(M + i h e_k) / h, exact to rounding
+_COMPLEX_STEP = 1e-30
+#: central-difference step of the extremum-condition Newton's Jacobian, and the
+#: step length at which it has converged, both relative to t and to a grid cell
+_DIFF_STEP = 1e-5
+_STEP_TOL = 1e-12
+#: singular values of the scaled Newton Jacobian below this fraction of the
+#: largest are flat directions, which the minimum-norm step leaves alone
+_FLAT_RCOND = 1e-8
+#: |f_t| at or below this fraction of |e^{tA}| (|phi1| + |J|)^(n-1) is a
+#: crossing of two branches, where the extremum conditions degenerate
+_CROSSING_TOL = 1e-6
 
 
 @dataclass
@@ -88,8 +106,8 @@ class BlowupSheet:
     t holds NaN where the branch has no real time; absent_reason says which
     reality condition failed.  branch_fn re-evaluates the branch over a (k, n)
     stack of M, grid points or not, to k values, NaN where the branch has none
-    (used by the extremum refinement); tau holds the pre-time-map root values
-    for the diagonal machinery.
+    (used by sheet_extremum); tau holds the pre-time-map root values for the
+    diagonal machinery.
     """
 
     branch: str
@@ -673,12 +691,131 @@ def certify_branch_absent(problem, sheet):
     return Certificate(certified, reason, worst, sup)
 
 
+def _extremum_conditions(A, data, table, z):
+    """f(t, M) = det K, K = phi1(A, t) + J(M), its gradient (f_t, f_M1, ...,
+    f_Mn) and the scale |e^{tA}|_F (|phi1|_F + |J|_F)^(n-1) of f_t at each row
+    (t, M) of the (k, 1 + n) stack z: shapes (k,), (k, 1 + n) and (k,).  The
+    extremum conditions of the blow-up sheets are f = 0 and f_M = 0.
+
+    table is the matops.phi1_table evaluator of A.  f_t = d/ds det(K + s
+    e^{tA}) and f_M_k = d/ds det(K + s dJ_k) are each the sum over j of det(K
+    with column j replaced by column j of e^{tA} = I + A phi1, or of dJ_k); they
+    and f come from one matops.det of the (k, 1 + (1 + n) n, n, n) stack.
+    dJ_k = Im J(M + i h e_k) / h (h = _COMPLEX_STEP) is the complex step of the
+    data's own phi_jacobian, one call over the (k n, n) stack.  A row whose
+    matrices are not finite gets non-finite values.
+    """
+    t, M = z[:, 0], z[:, 1:]
+    k, n = M.shape
+    eye = np.eye(n)
+    P1, J = table(t), _rows(data.phi_jacobian, M)
+    K, E = P1 + J, eye + A @ P1
+    shifted = (M[:, None] + 1j * _COMPLEX_STEP * eye).reshape(-1, n)
+    dJ = data.phi_jacobian(shifted).imag.reshape(k, n, n, n) / _COMPLEX_STEP
+    columns = np.concatenate([E[:, None], dJ], axis=1)
+    swap = eye.astype(bool)[:, None, :]  # matrix j takes column j
+    replaced = np.where(swap, columns[:, :, None], K[:, None, None]).reshape(k, -1, n, n)
+    dets = matops.det(np.concatenate([K[:, None], replaced], axis=1))
+    norms = np.linalg.norm(np.stack([E, P1, J]), axis=(2, 3))
+    scale = norms[0] * (norms[1] + norms[2]) ** (n - 1)
+    return dets[:, 0], dets[:, 1:].reshape(k, 1 + n, n).sum(axis=2), scale
+
+
+def _flat_axes(sheet, i0):
+    """(n,) bool: the grid axes along which every grid neighbour of point i0
+    has the time of i0 bit for bit, an axis of one point among them (none
+    where the points are not the grid's mesh)."""
+    shape = [ax.size for ax in sheet.axes]
+    if sheet.t.size != np.prod(shape):
+        return np.zeros(len(shape), dtype=bool)
+    T, idx = sheet.t.reshape(shape), np.unravel_index(i0, shape)
+    flat = []
+    for k, size in enumerate(shape):
+        near = [T[idx[:k] + (j,) + idx[k + 1 :]] for j in (idx[k] - 1, idx[k] + 1) if 0 <= j < size]
+        flat.append(all(v == T[idx] for v in near))
+    return np.array(flat)
+
+
+def _stationary_minimum(problem, table, sheet, i0):
+    """The sheet's minimum (t*, M*) from its grid point i0 as the root of the
+    n + 1 extremum conditions F = (f, f_M) = 0 (_extremum_conditions), or
+    None where the sheet cannot meet them.
+
+    At a minimum of t(M) on a sheet, grad t = -f_M / f_t vanishes.  Newton
+    starts at (t0, M0), the grid point's time and point.  Each evaluation is
+    one stacked call on the iterate, first, and its 2 (n + 1) points shifted
+    by _DIFF_STEP times t0 and one grid cell; a call costs about as much as
+    one on the iterate alone.  Where F is exactly 0 at (t0, M0) the grid
+    point is returned untouched and no Jacobian is built.  An axis along
+    which the grid is flat at i0 (_flat_axes) keeps the grid's coordinate,
+    and its condition f_M_k is dropped: a sheet that depends on some
+    coordinates only has a whole set of minima, and Newton would wander along
+    it.  The Jacobian's f row is the exact gradient (f_t, f_M); its f_M rows
+    are central differences of the exact f_M at the shifted points.  The step
+    is the minimum-norm least-squares solution in units of t0 and a cell, so
+    a direction the Jacobian does not see (a singular value below _FLAT_RCOND
+    of the largest) keeps its coordinate too.  Newton has converged once F is
+    exactly 0 or a step is within _STEP_TOL of those units.  None where
+    branches cross, |f_t| <= _CROSSING_TOL |e^{tA}|_F (|phi1|_F +
+    |J|_F)^(n-1) at (t0, M0); where an iterate leaves the grid box or the
+    data domain, or a value is not finite (an edge minimum); where Newton has
+    not converged within _EXTREMUM_STEPS steps; or where the result has t >
+    t0 or t <= 0.
+    """
+    A, data = problem.spec.A, problem.data
+    t0, M0 = float(sheet.t[i0]), sheet.points[i0]
+    z = np.concatenate([[t0], M0])
+    lo, hi = np.array([ax[0] for ax in sheet.axes]), np.array([ax[-1] for ax in sheet.axes])
+    unit = np.array([t0] + [float(ax[1] - ax[0]) if ax.size > 1 else 1.0 for ax in sheet.axes])
+    h = _DIFF_STEP * unit
+    shifts = np.concatenate([np.zeros((1, z.size)), np.diag(h), np.diag(-h)])  # z first
+
+    def conditions(z):
+        """F at z, the gradients at z and its shifted points, and the scale of f_t at z."""
+        f, grads, scale = _extremum_conditions(A, data, table, z + shifts)
+        return np.concatenate([f[:1], grads[0, 1:]]), grads, scale[0]
+
+    with np.errstate(all="ignore"):
+        F, grads, scale = conditions(z)
+        if not F.any():
+            return t0, M0.copy()
+        if not abs(grads[0, 0]) > _CROSSING_TOL * scale:
+            return None
+        vary = np.flatnonzero(np.concatenate([[True], ~_flat_axes(sheet, i0)]))  # t, free M_k
+        sel, unit = np.ix_(vary, vary), unit[vary]
+        for _ in range(_EXTREMUM_STEPS):
+            # rows f_M: d(f_t, f_M)/dz by central differences; row f: the exact gradient
+            jac = (grads[1 : 1 + z.size] - grads[1 + z.size :]).T / (2.0 * h)
+            jac[0] = grads[0]
+            jac, Fv = jac[sel] * unit, F[vary]
+            if not (np.isfinite(jac).all() and np.isfinite(Fv).all()):
+                return None
+            step = unit * np.linalg.lstsq(jac, -Fv, rcond=_FLAT_RCOND)[0]
+            z[vary] += step
+            M = z[1:]
+            if not (((lo <= M) & (M <= hi)).all() and data.in_domain(M)):
+                return None
+            if (np.abs(step) <= _STEP_TOL * unit).all():
+                break
+            F, grads, _ = conditions(z)
+            if not F[vary].any():
+                break
+        else:
+            return None
+    t = float(z[0])
+    return (t, z[1:]) if 0.0 < t <= t0 else None
+
+
 def min_blowup_time(problem, sheets):
     """Catastrophe record: infimum of positive blow-up times over all sheets.
 
-    Grid minimum refined by Newton steps on the owning branch's branch_fn
-    (sheet_extremum); returns NoBlowup when no sheet has a positive time on
-    its grid.  The reported (t*, M*) must satisfy
+    Each sheet's positive grid minimum (t0, M0) is refined by Newton on the
+    extremum conditions f = 0, f_M = 0 of the residual f = det(phi1(A, t) +
+    J(M)) (_stationary_minimum), with no branch_fn probe; a sheet that cannot
+    meet them (no branch_fn, crossing branches, an edge minimum, no
+    convergence, or a result with t > t0 or t <= 0) falls back to Newton steps
+    on its branch_fn (sheet_extremum).  Returns NoBlowup when no sheet has a
+    positive time on its grid.  The reported (t*, M*) must satisfy
 
         |blowup_residual(t*, M*)| <= 1e-9 * max(1, |phi1(A, t*)|_F, |J(M*)|_F)^n
 
@@ -686,11 +823,16 @@ def min_blowup_time(problem, sheets):
     """
     if isinstance(sheets, BlowupSheet):
         sheets = [sheets]
+    table = matops.phi1_table(problem.spec.A)
     best = None
     for sheet in sheets:
-        res = sheet_extremum(sheet, mode="min", positive_only=True)
-        if res is None:
+        positive = sheet.finite_positive()
+        if not positive.any():
             continue
+        i0 = int(np.argmin(np.where(positive, sheet.t, np.inf)))
+        res = None if sheet.branch_fn is None else _stationary_minimum(problem, table, sheet, i0)
+        if res is None:
+            res = sheet_extremum(sheet, mode="min", positive_only=True)
         t_s, M_s = res
         if best is None or t_s < best[0]:
             best = (t_s, M_s, sheet.branch)

@@ -476,7 +476,7 @@ class Separable(InitialData):
 
     def phi_jacobian(self, M):
         M = np.atleast_1d(M)
-        J = np.zeros(M.shape + (self.dim,))
+        J = np.zeros(M.shape + (self.dim,), dtype=np.result_type(M, float))
         for i, c in enumerate(self.components):
             J[..., i, i] = c.phi_jacobian(M[..., i : i + 1])[..., 0, 0]
         return J

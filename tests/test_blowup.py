@@ -746,6 +746,26 @@ def test_blowup_scan_phi1_call_budget(monkeypatch):
     assert len(calls) <= 600, len(calls)
 
 
+def test_blowup_scan_grid_6_minimum_is_solved_to_rounding():
+    """The blowup-scan problem at grid 6, where no grid node is M = 0: Newton
+    on the extremum conditions puts M* at 0 to 1e-14 (central differences of
+    branch_fn left it near (-2e-12, -5e-12)), and t* within 1e-15 of the
+    bisection of the closed form det(phi1(A, t) + J(0)) =
+    (expm1(t) + 1/80) (expm1(-sqrt 2 t) / -sqrt 2 + 1/80) - 81/6400."""
+    problem = make_problem(np.diag([1.0, -np.sqrt(2.0)]), "tanh2d", {"eps": 9.0})
+    sheets, _ = blowup.build_sheets(problem, grid_num=6, t_max=0.11)
+    ext = blowup.min_blowup_time(problem, sheets)
+    assert np.all(np.abs(ext.M_star) <= 1e-14), ext.M_star
+    r = np.sqrt(2.0)
+    f = lambda t: (np.expm1(t) + 1 / 80) * (np.expm1(-r * t) / -r + 1 / 80) - 81 / 6400
+    lo, hi = 0.1, 0.11
+    assert f(lo) < 0.0 < f(hi)
+    while 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    assert abs(ext.t_star - lo) <= 1e-15, (ext.t_star, lo, hi)
+
+
 def _synthetic_sheet(f, num=11, calls=None):
     """A sheet of t = f(M) on a num x num grid of [0, 1]^2 whose branch_fn is f
     on each row of a stack, with every probe value recorded: (sheet, probes).
@@ -857,22 +877,166 @@ def _c2d_problem(A, grid_num):
 def test_sheet_minimum_matches_nelder_mead(problem, build, refs):
     """Each sheet minimum on gauss2d_coriolis lies within 1e-12 of a
     scipy Nelder-Mead minimum of the same branch_fn (xatol 1e-13, fatol 1e-16),
-    taken once and pinned here."""
+    taken once and pinned here, and min_blowup_time's t* from the extremum
+    conditions lies within 1e-14 of the least of them."""
     sheets = build(problem)
     got = [blowup.sheet_extremum(s, positive_only=True)[0] for s in sheets]
     assert np.all(np.abs(np.subtract(got, refs)) <= 1e-12), got
-    assert blowup.min_blowup_time(problem, sheets).t_star == min(got)
+    assert abs(blowup.min_blowup_time(problem, sheets).t_star - min(got)) <= 1e-14
 
 
-def test_criterion_5_refinement_probes_in_few_calls():
+def test_criterion_5_refinement_probes_in_few_calls(monkeypatch):
     """Criterion 5's sheet (unit rotation, unit Gaussian, grid 101): the
-    refinement probes 37 rows in at most 12 branch_fn calls, one per stencil."""
+    minimum lies between grid points, and Newton on the extremum conditions
+    reaches it in at most 6 stacked evaluations of them (the grid point, then
+    each iterate, each with its 6 shifted points), with no branch_fn call and
+    no fallback to sheet_extremum; F = (f, f_M) is 0 there to rounding."""
     problem = _c2d_problem(model.coriolis2d_spec(1.0).A, 101)
     (sheet,) = blowup.sheets_coriolis2d(problem)
-    calls, branch_fn = [], sheet.branch_fn
+    calls, rows, branch_fn = [], [], sheet.branch_fn
+    conditions = blowup._extremum_conditions
     sheet.branch_fn = lambda M: calls.append(len(M)) or branch_fn(M)
-    blowup.min_blowup_time(problem, [sheet])
-    assert sum(calls) == 37 and len(calls) <= 12, calls
+    monkeypatch.setattr(blowup, "_extremum_conditions",
+                        lambda A, data, table, z: rows.append(len(z)) or conditions(A, data, table, z))
+    monkeypatch.setattr(blowup, "sheet_extremum", None)
+    ext = blowup.min_blowup_time(problem, [sheet])
+    assert calls == [] and set(rows) == {7} and len(rows) <= 6, (calls, rows)
+    z = np.concatenate([[ext.t_star], ext.M_star])[None]
+    f, grad, _ = conditions(problem.spec.A, problem.data, matops.phi1_table(problem.spec.A), z)
+    assert np.all(np.abs([f[0], *grad[0, 1:]]) <= 1e-13 * abs(grad[0, 0])), (f, grad)
+
+
+def _routes(monkeypatch, problem, sheets):
+    """min_blowup_time over sheets, with the branch of every sheet that fell
+    back to sheet_extremum: (result, fallen-back branches)."""
+    fallen, sheet_extremum = [], blowup.sheet_extremum
+    monkeypatch.setattr(blowup, "sheet_extremum",
+                        lambda sheet, *a, **k: fallen.append(sheet.branch) or sheet_extremum(sheet, *a, **k))
+    return blowup.min_blowup_time(problem, sheets), fallen
+
+
+def _grid_minimum(sheet):
+    positive = sheet.finite_positive()
+    return int(np.argmin(np.where(positive, sheet.t, np.inf)))
+
+
+def test_edge_minimum_falls_back_to_branch_fn(monkeypatch):
+    """gauss2d_coriolis amplitude 0.3 under coriolis2d omega 0.5: the sheet's
+    grid minimum lies next to the curved domain's edge and Newton on the
+    extremum conditions leaves the domain, so the sheet falls back to
+    sheet_extremum, whose t* it reports bit for bit."""
+    problem = make_problem(model.coriolis2d_spec(0.5).A, "gauss2d_coriolis",
+                           {"amplitude": 0.3}, grid_num=101)
+    (sheet,) = blowup.sheets_coriolis2d(problem)
+    i0 = _grid_minimum(sheet)
+    shape = [ax.size for ax in sheet.axes]
+    i, j = np.unravel_index(i0, shape)
+    near = sheet.points.reshape(*shape, 2)[[i - 1, i + 1, i, i], [j, j, j - 1, j + 1]]
+    assert not problem.data.in_domain(near).all()
+    table = matops.phi1_table(problem.spec.A)
+    assert blowup._stationary_minimum(problem, table, sheet, i0) is None
+    ext, fallen = _routes(monkeypatch, problem, [sheet])
+    assert fallen == ["coriolis_first"]
+    assert ext.t_star == 3.1333699787763134
+    assert ext.t_star == blowup.sheet_extremum(sheet, positive_only=True)[0]
+
+
+def test_crossing_branches_fall_back_to_branch_fn(monkeypatch):
+    """A = 0.3 I (a repeated eigenvalue) on separable tanh data with mu kappa
+    = 0.72 in both components: the two branches tau0, tau1 of det(tau I + J)
+    cross at the minimum M = (0.8, 0.9), where f_t vanishes to within
+    _CROSSING_TOL and the extremum conditions degenerate.  Both sheets fall
+    back to sheet_extremum and keep its times bit for bit."""
+    data = ("separable", {"components": [("tanh1d", {"mu": 0.8, "kappa": 0.9}),
+                                         ("tanh1d", {"mu": 0.9, "kappa": 0.8})]})
+    problem = make_problem(0.3 * np.eye(2), *data, grid_num=11)
+    sheets = blowup.sheets_diag(problem)
+    table = matops.phi1_table(problem.spec.A)
+    for sheet in sheets:
+        i0 = _grid_minimum(sheet)
+        assert np.array_equal(sheet.points[i0], [0.8, 0.9000000000000001])
+        t0, M0 = sheet.t[i0], sheet.points[i0]
+        f, grad, scale = blowup._extremum_conditions(problem.spec.A, problem.data, table,
+                                                     np.concatenate([[t0], M0])[None])
+        P1, J = matops.phi1(problem.spec.A, t0), problem.data.phi_jacobian(M0)
+        bound = np.linalg.norm(np.eye(2) + problem.spec.A @ P1) * (np.linalg.norm(P1)
+                                                                   + np.linalg.norm(J))
+        assert scale[0] == pytest.approx(bound, rel=1e-14)
+        assert f[0] or grad[0, 1:].any()
+        assert abs(grad[0, 0]) <= blowup._CROSSING_TOL * bound, (f, grad, bound)
+        assert blowup._stationary_minimum(problem, table, sheet, i0) is None
+    ext, fallen = _routes(monkeypatch, problem, sheets)
+    assert fallen == ["tau0", "tau1"]
+    assert ext.t_star == 1.1610222993520276 and ext.branch == "tau0"
+    assert blowup.min_blowup_time(problem, sheets[1:]).t_star == 1.1610223291027442
+
+
+def _c3d_rotated():
+    """The coriolis3d preset (omega 1.2) in its kernel-adapted frame, on
+    separable data whose tanh component (mu 0.8, kappa 0.9) sits on the
+    decoupled axis: the first blow-up time depends on M1 alone."""
+    spec = model.coriolis3d_spec(1.2, g_mag=0.5)
+    data = model.make_data("separable", components=[
+        ("tanh1d", {"mu": 0.8, "kappa": 0.9}), ("gauss1d", {"eta": 0.6, "kappa": 1.1}),
+        ("gauss1d", {"eta": 0.7, "kappa": 0.8})])
+    return degenerate.rotated_problem(model.HodographProblem(spec, data),
+                                      degenerate.coriolis3d_basis(1.2))
+
+
+def test_flat_coriolis3d_sheet_on_its_grid_node_takes_the_conditions(monkeypatch):
+    """The flat coriolis3d separable sheet at the default grid 11: every grid
+    time with M1 = 0.8 is the exact root 1/(mu kappa), so the grid is flat
+    along M2 and M3 at its minimum.  Newton on the extremum conditions in t
+    and M1 alone, without a fallback, keeps that grid point and its time bit
+    for bit."""
+    problem = _c3d_rotated()
+    sheets, _ = blowup.build_sheets(problem, grid_num=11)
+    (sheet,) = sheets
+    i0 = _grid_minimum(sheet)
+    assert blowup._flat_axes(sheet, i0).tolist() == [False, True, True]
+    ext, fallen = _routes(monkeypatch, problem, sheets)
+    assert fallen == []
+    assert ext.t_star == sheet.t[i0] == 1.3888888888888888
+    assert np.array_equal(ext.M_star, sheet.points[i0])
+
+
+def test_flat_coriolis3d_sheet_off_its_grid_node_keeps_the_flat_coordinates(monkeypatch):
+    """At grid 10 no grid node has M1 = 0.8: Newton moves t and M1 only, the
+    flat axes M2 and M3 keep the grid minimum's coordinates, and t* is the
+    closed form 1/(mu kappa).  Newton steps on branch_fn stopped at the grid
+    value 1.4059002823047766, 1.2% late, because the flat axes leave the
+    central-difference Hessian singular."""
+    problem = _c3d_rotated()
+    sheets, _ = blowup.build_sheets(problem, grid_num=10)
+    (sheet,) = sheets
+    i0 = _grid_minimum(sheet)
+    assert blowup._flat_axes(sheet, i0).tolist() == [False, True, True]
+    ext, fallen = _routes(monkeypatch, problem, sheets)
+    assert fallen == []
+    assert abs(ext.t_star - 1.0 / (0.8 * 0.9)) <= 1e-15
+    assert abs(ext.M_star[0] - 0.8) <= 1e-12
+    assert np.array_equal(ext.M_star[1:], sheet.points[i0][1:])
+    assert blowup.sheet_extremum(sheet, positive_only=True)[0] == 1.4059002823047766
+
+
+def test_root_pair_inside_one_scan_step_is_reached_from_the_grid(monkeypatch):
+    """diag(1000, 1000 + 5e-10) on tanh2d eps 0.5, grid 5, t_max 0.7: at M = 0
+    both roots of det(phi1 + J(0)), expm1(1000 t) / 1000 = 2/3 and 2 (J(0) has
+    eigenvalues -2/3 and -2), lie in one 0.01 step of the all-roots scan, whose
+    sign does not change across it, so the grid's centre has no time and the
+    grid minimum, at M = (-0.99, 0), is 6% late.  Newton on the extremum
+    conditions goes from there to M = 0, with no fallback: t* is within 1e-14
+    of log1p(2000 / 3) / 1000.  Newton steps on branch_fn keep the grid
+    value."""
+    problem = make_problem(np.diag([1000.0, 1000.0 + 5e-10]), "tanh2d", {"eps": 0.5})
+    sheets, _ = blowup.build_sheets(problem, grid_num=5, t_max=0.7)
+    first = sheets[0]
+    assert np.isnan(first.t[12]) and np.array_equal(first.points[12], [0.0, 0.0])
+    assert blowup.sheet_extremum(first, positive_only=True)[0] == 0.006903722540265938
+    ext, fallen = _routes(monkeypatch, problem, sheets)
+    assert fallen == [] and ext.branch == first.branch
+    assert abs(ext.t_star - np.log1p(2000.0 / 3.0) / 1000.0) <= 1e-14, ext.t_star
+    assert np.all(np.abs(ext.M_star) <= 1e-14), ext.M_star
 
 
 def test_near_rotation_is_not_a_rotation():

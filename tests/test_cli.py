@@ -689,7 +689,7 @@ def _summary(comments):
 
 
 @pytest.mark.parametrize("matrix, branches, t_star", [
-    ([[0.2, 1.1], [-0.9, -0.3]], {"first_root"}, 0.7777557860304075),
+    ([[0.2, 1.1], [-0.9, -0.3]], {"first_root"}, 0.7777557860304074),
     ([[0.6, 0.0], [0.0, 0.0]], {"t0", "t1"}, 0.6022344009370001),
 ], ids=["off-pattern", "diag-zero-entry"])
 def test_blowup_without_a_closed_form_runs_the_scan(tmp_path, matrix, branches, t_star):
@@ -747,6 +747,34 @@ def test_blowup_of_the_coriolis3d_preset_matches_its_rotated_frame(tmp_path):
     assert rotated["M_star"].split() == original["M_star"].split()[::-1]
     u_rot, u_orig = (np.array(s["u_star"].split(), dtype=float) for s in summaries)
     assert np.max(np.abs(u_rot - u_orig)) <= 1e-15
+
+
+@pytest.mark.parametrize("grid_num", [7, 10])
+def test_blowup_flat_minimum_keeps_its_tie_break_in_both_frames(tmp_path, grid_num):
+    """The coriolis3d preset run (blowup, components reversed) and its
+    rotated-frame run (coriolis3d) share a flat minimum: t depends on the
+    tanh component's M alone.  Both pick the same grid point along the flat
+    axes and keep its coordinates there, also at grid 10, where no node has
+    M = 0.8 and Newton moves t and that one coordinate: the same t_star and
+    x_star text, and M_star's text mirrored."""
+    summaries = []
+    for command, data in (("coriolis3d", C3D_BLOWUP_DATA),
+                          ("blowup", {"family": "separable",
+                                      "components": C3D_BLOWUP_DATA["components"][::-1]})):
+        task = {"name": command, "grid_num": grid_num}
+        if command == "coriolis3d":
+            task["mode"] = "blowup"
+        cfg = {"problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
+               "data": data, "task": task}
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", write_cfg(tmp_path, f"{command}.yaml", cfg),
+                         "--out", str(out)]) == 0
+        summaries.append(_summary(read_csv(out)[0]))
+    rotated, original = summaries
+    assert rotated["t_star"] == original["t_star"] == "1.3888888888888888"
+    assert rotated["x_star"] == original["x_star"]
+    assert rotated["M_star"].split() == original["M_star"].split()[::-1]
+    assert rotated["M_star"].split()[0] == "0.8"
 
 
 def test_blowup_periodic2d_preset(tmp_path):
@@ -845,8 +873,10 @@ def test_blowup_scan_refuses_when_no_finite_node_is_left(tmp_path, capsys, matri
 
 def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
     """A refined time that is not a root of the residual for the actual A is
-    refused: the 1D branch shifted 1e-3 earlier makes the run exit 2, with a
-    message and no traceback, that writes M* as plain floats."""
+    refused: the 1D branch shifted 1e-3 earlier, grid and branch_fn alike,
+    makes the run exit 2, with a message and no traceback, that writes M* as
+    plain floats.  Newton on the extremum conditions finds the true minimum
+    later than the shifted grid's, so the sheet falls back to branch_fn."""
     cfg = write_cfg(tmp_path, "b1.yaml", {
         "problem": {"matrix": [[0.45]]},
         "data": {"family": "tanh1d", "params": {"mu": 1.3, "kappa": 0.9}},
@@ -858,6 +888,7 @@ def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
     def shifted(problem, M_grid=None):
         sheet = sheet_1d(problem, M_grid)
         branch_fn = sheet.branch_fn
+        sheet.t = sheet.t - 1e-3
         sheet.branch_fn = lambda M: branch_fn(M) - 1e-3
         return sheet
 
@@ -870,17 +901,17 @@ def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_blowup_scan_refinement_keeps_its_summary_in_few_probes(tmp_path, monkeypatch):
     """The blowup-scan benchmark config (diag(1, -sqrt 2), tanh2d eps 9, grid 3,
-    t_max 0.11): the minimum sits on the grid point M = 0, so the refinement
-    keeps the grid summary bit for bit: the gradient there is exactly 0, so the
-    Newton refinement stops after its first stencil, one branch_fn call on the
-    grid point and its 4 axis points."""
+    t_max 0.11): the minimum sits on the grid point M = 0, where the extremum
+    conditions F = (f, f_M) are exactly 0, so the refinement keeps the grid
+    summary bit for bit after one stacked evaluation of the conditions (that
+    point and its 6 shifted points) and no branch_fn call."""
     cfg = write_cfg(tmp_path, "scan.yaml", {
         "problem": {"preset": "diag", "rates": [1.0, -float(np.sqrt(2.0))]},
         "data": {"family": "tanh2d", "params": {"eps": 9.0}},
         "task": {"name": "blowup", "grid_num": 3, "t_max": 0.11},
     })
-    probes = []
-    sheets_scan = blowup.sheets_scan
+    probes, rows = [], []
+    sheets_scan, conditions = blowup.sheets_scan, blowup._extremum_conditions
 
     def counted(*args, **kwargs):
         sheets = sheets_scan(*args, **kwargs)
@@ -890,13 +921,14 @@ def test_blowup_scan_refinement_keeps_its_summary_in_few_probes(tmp_path, monkey
         return sheets
 
     monkeypatch.setattr(blowup, "sheets_scan", counted)
+    monkeypatch.setattr(blowup, "_extremum_conditions",
+                        lambda A, data, table, z: rows.append(len(z)) or conditions(A, data, table, z))
     out = tmp_path / "scan.csv"
     assert cli.main(["blowup", "--config", cfg, "--out", str(out)]) == 0
     comments, _, _ = read_csv(out)
     assert "# t_star: 0.10096597532376488" in comments
     assert "# M_star: 0.0 0.0" in comments
-    assert 0 < sum(probes) <= 10, probes
-    assert probes == [5], probes
+    assert probes == [] and rows == [7], (probes, rows)
 
 
 C3D_BLOWUP_DATA = {"family": "separable", "components": [
@@ -1133,30 +1165,24 @@ _SCAN_CFG = {
 
 
 def _counted_scan_run(tmp_path, monkeypatch, name, task):
-    """A blowup run of _SCAN_CFG: (matops.is_exact_diagonal calls, branch_fn
-    probes, counted in rows of the probed stacks)."""
-    calls, probes = [], []
-    is_exact_diagonal, sheets_scan = matops.is_exact_diagonal, blowup.sheets_scan
-
-    def counted_scan(*args, **kwargs):
-        sheets = sheets_scan(*args, **kwargs)
-        for sheet in sheets:
-            sheet.branch_fn = lambda M, fn=sheet.branch_fn: probes.extend(M) or fn(M)
-        return sheets
-
+    """A blowup run of _SCAN_CFG: (matops.is_exact_diagonal calls, points at
+    which the refinement evaluates the extremum conditions)."""
+    calls, rows = [], []
+    is_exact_diagonal, conditions = matops.is_exact_diagonal, blowup._extremum_conditions
     monkeypatch.setattr(matops, "is_exact_diagonal", lambda A: calls.append(1) or is_exact_diagonal(A))
-    monkeypatch.setattr(blowup, "sheets_scan", counted_scan)
+    monkeypatch.setattr(blowup, "_extremum_conditions",
+                        lambda A, data, table, z: rows.extend(z) or conditions(A, data, table, z))
     cfg = write_cfg(tmp_path, f"{name}.yaml", {**_SCAN_CFG, "task": {"name": "blowup", **task}})
     assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
     monkeypatch.undo()
-    return len(calls), len(probes)
+    return len(calls), len(rows)
 
 
 def test_blowup_scan_classifies_A_a_fixed_number_of_times(tmp_path, monkeypatch):
     """The structure of A is tested a fixed number of times per run, however
-    many branch_fn probes the refinement makes: the scan and every probe
-    share one matops.phi1_table evaluator instead of calling phi1 per Newton
-    step."""
+    many points the refinement evaluates: the scan shares one
+    matops.phi1_table evaluator, and the refinement builds one, instead of
+    calling phi1 per Newton step."""
     few = _counted_scan_run(tmp_path, monkeypatch, "few", {"grid_num": 3, "t_max": 0.11})
     many = _counted_scan_run(tmp_path, monkeypatch, "many", {"grid_num": 6, "t_max": 0.11})
     assert few[1] < many[1] and many[1] >= 30, (few, many)
@@ -1398,7 +1424,7 @@ def test_blowup_scalar_matrix_on_curved_domain_is_warning_free(tmp_path, capsys)
                      "--out", str(out)]) == 0
     assert "Warning" not in capsys.readouterr().err
     comments, _, body = read_csv(out)
-    assert "# t_star: 0.7869381154977365" in comments
+    assert "# t_star: 0.7869381154977371" in comments
     assert len(body) == 2 * 41 * 41 and any(row[3] == "nan" for row in body)
 
 

@@ -228,3 +228,29 @@ def test_stacked_u0_matches_row_calls(family):
             data.u0(X[4])
         with pytest.raises(DomainError):
             data.u0(X)
+
+
+@pytest.mark.parametrize("family", sorted(set(STACK_CASES) - {"constant"}))
+def test_phi_jacobian_complex_step_matches_central_differences(family):
+    """dJ/dM_k = Im J(M + i h e_k) / h with h = 1e-30, from one stacked complex
+    call of phi_jacobian (as the blow-up extremum conditions take it), matches
+    central differences of the real phi_jacobian at points of the domain, with
+    no ComplexWarning; a real call still returns float64 with the bits of the
+    row calls."""
+    data = model.make_data(family, **STACK_CASES[family])
+    box = data.sample_box()
+    M = data.u0(np.random.default_rng(6).uniform(box[:, 0], box[:, 1], size=(8, len(box))))
+    k, n = M.shape
+    eye = np.eye(n)
+    shifted = (M[:, None] + 1e-30j * eye).reshape(-1, n)
+    dJ = data.phi_jacobian(shifted).imag.reshape(k, n, n, n) / 1e-30
+    h = 1e-6 * np.maximum(np.abs(M), 1e-2)
+    up, down = (data.phi_jacobian((M[:, None] + s * h[:, :, None] * eye).reshape(-1, n))
+                .reshape(k, n, n, n) for s in (1.0, -1.0))
+    central = (up - down) / (2.0 * h[:, :, None, None])
+    scale = np.abs(dJ).max(axis=(1, 2, 3), keepdims=True)
+    assert np.all(np.abs(dJ - central) <= 1e-6 * np.maximum(scale, 1.0)), (
+        f"{family}: complex step off by {np.abs(dJ - central).max():.3e}")
+    real = data.phi_jacobian(M)
+    assert real.dtype == np.float64
+    assert np.array_equal(real, np.array([data.phi_jacobian(m) for m in M]))
