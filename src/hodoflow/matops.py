@@ -48,6 +48,10 @@ det takes the determinants of a stack, for the tables and root refinements
 of the blow-up scan and the caustic screen: written out by cofactors for
 n <= 3, with the same bits for a matrix in any stack, instead of one LAPACK
 LU per matrix.
+
+solve_stacked refuses matrices above condition number _SOLVE_COND_LIMIT.
+For n <= 3 the norm bound _cond_bound, from det's cofactors, clears most
+matrices, and only the others take the exact condition number _cond.
 """
 
 from __future__ import annotations
@@ -63,8 +67,13 @@ from .errors import OverflowMatrixError, SingularMatrixError, point_text
 # eigenvector-matrix condition number above which we refuse to call a matrix
 # diagonalizable (defective matrices come out of LAPACK with cond(V) ~ 1/sqrt(eps))
 _DIAG_COND_LIMIT = 1e8
-# conditioning ceiling for solve_stacked() and solve()
+# conditioning ceiling for solve_stacked() and solve(), certified with no exact
+# condition number for a matrix whose bound ||K||_F^n / |det K| (_cond_bound)
+# is at most _CERT_LIMIT
 _SOLVE_COND_LIMIT = 1e13
+_CERT_LIMIT = _SOLVE_COND_LIMIT / 10
+# smallest |det K| _cond_bound takes: det's underflow errors stay far below it
+_CERT_DET_FLOOR = 1e-290
 # coefficients b_0..b_m of the degree-m diagonal Pade approximant to e^x
 # (Higham 2005, "The scaling and squaring method for the matrix exponential
 # revisited", Algorithm 2.3); all are integers, exact in double precision
@@ -391,6 +400,28 @@ def _cond(A):
         return np.concatenate([_cond(a[None]) for a in A])
 
 
+def _cond_bound(A):
+    """||K||_F^n / |det K|, an upper bound on the 2-norm condition number of
+    each matrix K of a (k, n, n) stack, n <= 3, with no SVD; (k,).
+
+    |det K| <= sigma_max^(n-1) sigma_min gives the bound (cond + 1/cond for
+    n = 2, 1 for n = 1).  det's cofactors err by at most ~(n+1) eps
+    ||K||_F^n, so the computed bound is at least ~||K||_F / (sigma_min +
+    (n+1) eps ||K||_F): one at most _CERT_LIMIT means cond below 1.01
+    _CERT_LIMIT.  It is inf or NaN where |det K| < _CERT_DET_FLOOR, which
+    keeps underflow out, and where K is not finite or ||K||_F^n overflows
+    (|det K| <= ||K||_F^n / n^(n/2), so det cannot overflow first).
+    """
+    n = A.shape[-1]
+    X = A.reshape(len(A), n * n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if len(X) == 1:  # one matrix: det's formula on numpy scalars, several times faster
+            f2, d = X[0] @ X[0], abs(_DET_FORMULA[n](*X[0]))
+        else:
+            f2, d = np.einsum("ki,ki->k", X, X), np.abs(det(A))
+        return np.atleast_1d(f2 ** (0.5 * n) / (d * (d >= _CERT_DET_FLOOR)))
+
+
 def solve_stacked(A, B):
     """A[i] x[i] = B[i] for a (k, n, n) stack and (k, n) right-hand sides.
 
@@ -398,13 +429,21 @@ def solve_stacked(A, B):
     and left NaN in X, when its condition number is not finite or exceeds
     _SOLVE_COND_LIMIT: an explicit guard instead of garbage output.  The other
     rows are solved together.
+
+    For n <= 3 a row whose _cond_bound is at most _CERT_LIMIT, a tenth of the
+    limit, is not singular, and only the other rows take the exact condition
+    number _cond; for n >= 4 every row does.  The factor 10 is far above the
+    rounding of the bound and of _cond there, so every flag is the one _cond
+    alone gives.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    cond = _cond(A)
-    singular = ~np.isfinite(cond) | (cond > _SOLVE_COND_LIMIT)
-    if not singular.any():
-        return np.linalg.solve(A, B[..., None])[..., 0], singular
+    exact = ~(_cond_bound(A) <= _CERT_LIMIT) if A.shape[-1] <= 3 else np.ones(len(A), dtype=bool)
+    if not exact.any():
+        return np.linalg.solve(A, B[..., None])[..., 0], exact
+    cond = _cond(A[exact])
+    singular = exact.copy()
+    singular[exact] = ~np.isfinite(cond) | (cond > _SOLVE_COND_LIMIT)
     X = np.full(B.shape, np.nan)
     ok = ~singular
     if ok.any():

@@ -1639,6 +1639,22 @@ def test_compare_phi_table_call_budget(tmp_path, monkeypatch):
         "f4480ecadca055740eb6f46e077d8de7ec0d8c67d29c5d21c2c86e71e7fe6f3e")
 
 
+def test_compare_3d_newton_matrices_need_no_exact_cond(tmp_path, monkeypatch):
+    """Every 3x3 Newton matrix of the seed-1 coriolis3d compare is cleared by
+    matops._cond_bound: the exact condition number is never computed."""
+    real_cond, calls = matops._cond, []
+
+    def counting(A):
+        calls.append(len(A))
+        return real_cond(A)
+
+    monkeypatch.setattr(matops, "_cond", counting)
+    cfg = _STACKED_COMPARE_CASES["coriolis3d-seed1"]
+    assert cli.main(["compare", "--config", write_cfg(tmp_path, "compare.yaml", cfg),
+                     "--out", str(tmp_path / "compare.csv")]) == 0
+    assert calls == []
+
+
 def test_compare_expm_calls_do_not_grow_with_samples(monkeypatch):
     """compare evaluates its matrix functions once per stacked table, never
     per sample: the same number of _expm calls at 24 and at 96 samples."""

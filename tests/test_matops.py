@@ -557,6 +557,95 @@ def test_cond_2x2_keeps_every_singular_decision():
     assert np.array_equal((~np.isfinite(got) | (got > limit))[outside], want[outside])
 
 
+# ---------------------------------------------------------------------------
+# _cond_bound: the norm bound that spares solve_stacked the exact _cond
+
+
+def _conditioned(rng, n, conds, scales):
+    """s U diag(1, ..., 1/cond) V^T for each cond and scale s, U and V random
+    orthogonal, the middle singular values log-uniform in between."""
+    out = []
+    for c, s in zip(conds, scales):
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sv = np.sort(10.0 ** rng.uniform(-np.log10(c), 0.0, n))[::-1]
+        sv[0], sv[-1] = 1.0, 1.0 / c
+        out.append(s * (U * sv) @ V.T)
+    return np.array(out)
+
+
+def _unsolvable(n):
+    """Exactly singular, non-finite, underflowing and overflowing n x n matrices."""
+    eye = np.eye(n)
+    bad = [np.zeros((n, n)), np.ones((n, n)) if n > 1 else np.zeros((1, 1)),
+           1e-300 * eye, 1e-160 * eye, 1e200 * eye]
+    for value in (np.nan, np.inf, -np.inf):
+        M = eye.copy()
+        M[0, -1] = value
+        bad.append(M)
+    if n == 2:  # products that round to neighbouring subnormals: det = 5e-324, cond ~4e14
+        s = np.sqrt(2000.5) * 2.0**-537
+        bad.append(np.array([[s, s], [s, s * (1.0 + 1e-14)]]))
+    return np.array(bad)
+
+
+def _exact_guard_solve(A, B):
+    """solve_stacked deciding every row by the exact _cond, with no bound."""
+    cond = matops._cond(A)
+    singular = ~np.isfinite(cond) | (cond > matops._SOLVE_COND_LIMIT)
+    if not singular.any():
+        return np.linalg.solve(A, B[..., None])[..., 0], singular
+    X = np.full(B.shape, np.nan)
+    ok = ~singular
+    if ok.any():
+        X[ok] = np.linalg.solve(A[ok], B[ok][..., None])[..., 0]
+    return X, singular
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_solve_stacked_keeps_the_exact_guards_decisions(n):
+    """Against the exact guard alone, on matrices with cond in [1e11, 1e15]
+    (and a quarter as many in [1, 1e11]), entries scaled to 1e+-150, and
+    exactly singular, NaN, inf, underflowing and overflowing ones: the same
+    singular mask and the same bytes of X, for the whole stack, a shuffled
+    part of it and every matrix alone."""
+    rng = np.random.default_rng(80 + n)
+    m = 500
+    conds = 10.0 ** np.concatenate([rng.uniform(11, 15, 400), rng.uniform(0, 11, 100)])
+    scales = (10.0 ** rng.choice([-150.0, -100.0, 0.0, 0.0, 100.0, 150.0], m)
+              * rng.uniform(0.5, 2.0, m))
+    A = np.concatenate([_conditioned(rng, n, conds, scales), _unsolvable(n)])
+    B = rng.standard_normal((len(A), n))
+    if n == 3:  # one singular matrix makes LAPACK refuse the whole stack
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(A)
+    for rows in [np.arange(len(A)), rng.permutation(len(A))[:60]] + [[i] for i in range(len(A))]:
+        X, singular = matops.solve_stacked(A[rows], B[rows])
+        X_ref, singular_ref = _exact_guard_solve(A[rows], B[rows])
+        assert np.array_equal(singular, singular_ref), rows
+        assert X.tobytes() == X_ref.tobytes(), rows
+    if n <= 3:  # both routes are taken, and both verdicts given
+        bounded = matops._cond_bound(A) <= matops._CERT_LIMIT
+        _, singular = _exact_guard_solve(A, B)
+        assert bounded.any() and (~bounded & ~singular).any() and singular.any()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cond_bound_is_never_below_the_svd(n):
+    """On random Gaussian matrices, and built ones with cond up to 1e12 and
+    entries scaled by 1e+-80, the bound is at least np.linalg.cond, up to the
+    ~eps cond rounding both share, for a stack and for one matrix alone."""
+    rng = np.random.default_rng(90 + n)
+    gauss = rng.standard_normal((4000, n, n))
+    built = _conditioned(rng, n, 10.0 ** rng.uniform(0, 12, 2000), 10.0 ** rng.uniform(-80, 80, 2000))
+    for A in (gauss, built):
+        ref = np.linalg.cond(A)
+        floor = ref * (1.0 - 8.0 * _EPS * ref)
+        assert np.all(matops._cond_bound(A) >= floor)
+        alone = np.concatenate([matops._cond_bound(A[i : i + 1]) for i in range(200)])
+        assert np.all(alone >= floor[:200])
+
+
 def _dyadic_stack(rng, m, n):
     """m random n x n matrices whose entries are integers over powers of 2,
     so Fraction holds every entry exactly."""
