@@ -308,7 +308,7 @@ def validate_config(cfg):
         data = cfg["data"]
         _require(isinstance(data, dict), "'data' must be a mapping")
         _require("family" in data, "data block needs a 'family'")
-        _require(data["family"] in model.FAMILIES,
+        _require(isinstance(data["family"], str) and data["family"] in model.FAMILIES,
                  f"unknown data family {data['family']!r}; known: {sorted(model.FAMILIES)}")
     if "task" in cfg:
         task = cfg["task"]
@@ -355,24 +355,33 @@ def build_spec(problem):
     return spec
 
 
-def build_data(data_block):
-    """InitialData from the data block (family + params, separable recursion)."""
-    family = data_block["family"]
-    if family == "separable":
-        comps = data_block.get("components")
-        _require(isinstance(comps, list) and comps, "separable data needs a 'components' list")
-        pairs = []
-        for comp in comps:
-            _require(isinstance(comp, dict) and "family" in comp,
-                     "each separable component needs a 'family'")
-            pairs.append((comp["family"], dict(comp.get("params", {}))))
-        return model.make_data("separable", components=pairs)
-    params = data_block.get("params", {})
+def _make_data(family, params):
+    """model.make_data(family, **params); a ConfigError when params is not a
+    mapping or the family's constructor refuses it (TypeError, ValueError)."""
     _require(isinstance(params, dict), "'params' must be a mapping")
     try:
         return model.make_data(family, **params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params for family {family!r}: {exc}") from None
+
+
+def build_data(data_block):
+    """InitialData from the data block (family + params, separable recursion)."""
+    family = data_block["family"]
+    if family != "separable":
+        return _make_data(family, data_block.get("params", {}))
+    comps = data_block.get("components")
+    _require(isinstance(comps, list) and comps, "separable data needs a 'components' list")
+    parts = []
+    for comp in comps:
+        _require(isinstance(comp, dict) and "family" in comp,
+                 "each separable component needs a 'family'")
+        name = comp["family"]
+        _require(isinstance(name, str) and name in model.FAMILIES and name != "separable",
+                 f"a separable component needs a registered family other than 'separable', "
+                 f"got {name!r}")
+        parts.append(_make_data(name, comp.get("params", {})))
+    return model.Separable(parts)
 
 
 def build_problem(cfg):
@@ -424,7 +433,9 @@ def _parse_times(task):
         return np.linspace(start, stop, num)
     if isinstance(times, list):
         _require(len(times) > 0, "'times' list is empty")
-        return _floats(times, "times")
+        arr = _floats(times, "times")
+        _require(arr.ndim == 1, f"'times' must be a flat list of numbers, got {times!r}")
+        return arr
     raise ConfigError("task needs 'times': a list or {start, stop, num}")
 
 
@@ -690,8 +701,7 @@ def _compare_columns(cfg, problem, task, seed):
         err[rows], status[rows] = np.abs(u - flow.u[rows]).max(axis=1), "OK"
     elif rows.size:
         Xf = matops.matvec(to_frame, flow.x[rows])
-        _, U, _, _, st = hodograph._newton(frame, T[rows, None], Xf,
-                                           hodograph._default_guess(frame, Xf))
+        _, U, _, _, st = hodograph._newton(frame, T[rows, None], Xf)
         ok = st[:, 0] == "OK"
         u = matops.matvec(from_frame, U[ok, 0])
         err[rows[ok]] = np.abs(u - flow.u[rows[ok]]).max(axis=1)

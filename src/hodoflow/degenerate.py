@@ -258,8 +258,7 @@ def non_periodicity_witness(problem, T, sample_points, threshold=1e-3, basis=Non
     X = np.array([x for _, x in sample_points], dtype=float)
     Y = matops.matvec(basis.L, X)
     try:
-        _, V, _, _, _ = hodograph._newton(rp, np.column_stack([ts, ts + T]), Y,
-                                          hodograph._default_guess(rp, Y))
+        _, V, _, _, _ = hodograph._newton(rp, np.column_stack([ts, ts + T]), Y)
     except HodoflowError:
         return None  # data without an inverse map (constant) solves no sample
     U = matops.matvec(basis.P, V)

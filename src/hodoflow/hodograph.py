@@ -153,7 +153,8 @@ def _default_guess(problem, x):
     """Cold-start M for one position x (n,) or for each row of a stack (k, n).
 
     u0(x) clipped into the domain; the middle of the domain box where u0 is
-    not defined at x.  A stack that u0 refuses is guessed row by row.
+    not defined at x.  A stack that u0 refuses is guessed row by row.  Its
+    one caller is _newton, for a solve given no starting guess.
     """
     data = problem.data
     X = np.atleast_1d(np.asarray(x, dtype=float))
@@ -216,10 +217,12 @@ def _max_norm(R):
     return reduce(np.maximum, np.abs(R).T)
 
 
-def _newton(problem, t, X, M0):
+def _newton(problem, t, X, M0=None):
     """Damped Newton on residual_M = 0 for every row of X, each row on its own schedule.
 
-    X holds k positions and M0 their starting guesses, both (k, n).  t is a
+    X holds k positions and M0 their starting guesses, both (k, n); with no
+    M0 the rows start cold, from _default_guess, which is already clipped
+    into the domain, and a caller's M0 is clipped into the domain here.  t is a
     (k, q) queue of times: row i solves t[i, 0], ..., t[i, q - 1] in turn,
     each root the guess for its next time.  e^{tA}, phi1 and phi2 come from
     one matops.phi_table over the distinct times np.unique(t).
@@ -232,7 +235,7 @@ def _newton(problem, t, X, M0):
 
     Rows do not wait for each other: a row that converges moves on to its
     next time in the same pass, from its root (an in-domain iterate, so only
-    the starting guesses are clipped into the domain) and with a fresh
+    the starting guesses are tested for the domain) and with a fresh
     newton_max_iter budget.  Each time follows the one-point rules: the
     step is damped by the first of 1, 1/2, ..., 2^-_MAX_HALVINGS that keeps M
     in-domain and decreases the residual (or meets newton_tol), the smallest
@@ -246,6 +249,13 @@ def _newton(problem, t, X, M0):
     spec, data = problem.spec, problem.data
     tol, max_iter = problem.newton_tol, problem.newton_max_iter
     k, n = np.shape(X)
+    if M0 is None:
+        M = _default_guess(problem, X)
+    else:  # only a caller's guesses are clipped: every later M is an in-domain iterate
+        M = np.array(M0, dtype=float)
+        outside = ~_rows(data.in_domain, M)
+        if outside.any():
+            M[outside] = data.clip_to_domain(M[outside])
     times, queue = np.unique(np.asarray(t, dtype=float), return_inverse=True)
     queue = queue.reshape(k, -1)
     E, P1, P2 = matops.phi_table(spec.A, times)
@@ -253,7 +263,6 @@ def _newton(problem, t, X, M0):
     q = queue.shape[1]
     cur = queue[:, 0].copy()  # table row of each row's current time
     pos = np.zeros(k, dtype=int)  # its place in the queue
-    M = np.array(M0, dtype=float)
     r = np.empty_like(M)
     rnorm = np.empty(k)
     iters = np.zeros(k, dtype=int)  # 0: neither stepped nor rescued at this time
@@ -280,10 +289,6 @@ def _newton(problem, t, X, M0):
         out_M[s], out_rnorm[s], out_iters[s], out_status[s] = M[rows], rnorm[rows], it, why
         alive[rows] = False
 
-    # only the starting guesses are clipped: every later M is an in-domain iterate
-    outside = ~_rows(data.in_domain, M)
-    if outside.any():
-        M[outside] = data.clip_to_domain(M[outside])
     arm(np.arange(k))
     rounds = 0  # passes made: no row has more iterations at its current time
     while True:
@@ -317,9 +322,8 @@ def _newton(problem, t, X, M0):
                     finish(i, "SINGULAR", iters[i])
                 else:
                     M[i] = M_new
-                    r[i] = res([i], M[i : i + 1])[0]
-                    rnorm[i] = np.abs(r[i]).max()
-                    iters[i] += 1
+                    arm([i])
+                    iters[i] = 1  # the restart counts as an iteration
             rows, Mr, step = rows[~singular], Mr[~singular], step[~singular]
             if not rows.size:
                 continue
@@ -388,12 +392,12 @@ def newton_error(status, t, M, iters, rnorm):
 def solve_M(problem, t, x, guess_M=None):
     """Newton solve of residual_M = 0; returns (M, NewtonInfo).
 
-    The one-point case of _newton; a failed row raises its newton_error.
+    The one-point case of _newton, which makes the cold start when guess_M is
+    None; a failed row raises its newton_error.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    M0 = _default_guess(problem, x) if guess_M is None else np.atleast_1d(guess_M)
-    M, _, iters, rnorm, status = _newton(problem, np.full((1, 1), t), x[None],
-                                         np.asarray(M0, dtype=float)[None])
+    M0 = None if guess_M is None else np.asarray(np.atleast_1d(guess_M), dtype=float)[None]
+    M, _, iters, rnorm, status = _newton(problem, np.full((1, 1), t), x[None], M0)
     M, iters, rnorm, status = M[0, 0], int(iters[0, 0]), float(rnorm[0, 0]), status[0, 0]
     if status != "OK":
         raise newton_error(status, t, M, iters, rnorm)
@@ -492,6 +496,5 @@ def solve_field(problem, t_values, x_points):
         shape = (len(X), len(times))
         return (np.tile(np.reshape(u, (-1, spec.n)), (len(X), 1, 1)),
                 np.zeros(shape, dtype=int), np.full(shape, "OK", dtype=object))
-    _, U, iters, _, status = _newton(problem, np.tile(times, (len(X), 1)), X,
-                                     _default_guess(problem, X))
+    _, U, iters, _, status = _newton(problem, np.tile(times, (len(X), 1)), X)
     return U, np.where(status == "OK", iters, 0), status

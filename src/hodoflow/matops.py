@@ -51,7 +51,8 @@ LU per matrix.
 
 solve_stacked refuses matrices above condition number _SOLVE_COND_LIMIT.
 For n <= 3 the norm bound _cond_bound, from det's cofactors, clears most
-matrices, and only the others take the exact condition number _cond.
+matrices, and only the others take the exact condition number _cond, an
+SVD for every n.
 """
 
 from __future__ import annotations
@@ -368,30 +369,10 @@ def det(A):
     return _DET_FORMULA[n](*(A[..., r, c] for r in range(n) for c in range(n)))
 
 
-def _cond2(A):
-    """2-norm condition numbers of a (k, 2, 2) stack in closed form.
-
-    Each K = [[a, b], [c, d]] is A scaled by its largest |entry|.  With
-    p = hypot(a + d, b - c) and q = hypot(a - d, b + c) the singular values
-    are (p + q)/2 and |p - q|/2, so sigma_max^2 = (||K||_F^2 + p q)/2 and
-    cond = sigma_max^2 / |det K|: no cancellation but the determinant's.
-    inf where det K = 0 or an entry is not finite.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        K = A / np.abs(A).max(axis=(1, 2), initial=0.0)[:, None, None]
-        a, b, c, d = K[:, 0, 0], K[:, 0, 1], K[:, 1, 0], K[:, 1, 1]
-        pq = np.hypot(a + d, b - c) * np.hypot(a - d, b + c)
-        cond = 0.5 * (a * a + b * b + c * c + d * d + pq) / np.abs(a * d - b * c)
-    return np.where(np.isfinite(cond), cond, np.inf)
-
-
 def _cond(A):
-    """Condition numbers of a (k, n, n) stack; inf where the SVD fails.
-
-    2x2 stacks take the closed form _cond2, larger ones the SVD.
+    """2-norm condition numbers of a (k, n, n) stack by the SVD
+    (np.linalg.cond), for every n; inf where the SVD fails.
     """
-    if A.shape[-1] == 2:
-        return _cond2(A)
     try:
         return np.linalg.cond(A)
     except np.linalg.LinAlgError:  # one bad matrix fails the whole stack
@@ -432,9 +413,9 @@ def solve_stacked(A, B):
 
     For n <= 3 a row whose _cond_bound is at most _CERT_LIMIT, a tenth of the
     limit, is not singular, and only the other rows take the exact condition
-    number _cond; for n >= 4 every row does.  The factor 10 is far above the
-    rounding of the bound and of _cond there, so every flag is the one _cond
-    alone gives.
+    number _cond (np.linalg.cond); for n >= 4 every row does.  The factor 10
+    is far above the rounding of the bound and of the SVD there, so every
+    flag is the one _cond alone gives.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)

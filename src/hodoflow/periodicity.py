@@ -156,8 +156,7 @@ def verify_solution_period(problem, T, sample_points, tol=1e-8):
         U = matops.matvec(E, data.c)
     else:
         X = np.array(xs)
-        M, U, iters, rnorm, status = hodograph._newton(problem, times, X,
-                                                       hodograph._default_guess(problem, X))
+        M, U, iters, rnorm, status = hodograph._newton(problem, times, X)
         fail = status != "OK"
         for i in np.flatnonzero(fail.any(axis=1)):
             j = fail[i].argmax()  # the first failed time; the later one is POST_BLOWUP

@@ -1092,6 +1092,21 @@ _C3D_BLOWUP = {
                                                   "dimension": 2.5}}),
     ("compare", {**_TANH_1D, "task": {"name": "compare", "num_samples": 2, "seed": 1.5}}),
     ("period", {**_GAUSS_PERIOD, "task": {"name": "period", "max_denominator": 64.5}}),
+    # a data block that a family's constructor refuses, also inside separable
+    *[("solve", {**_TANH_1D, "data": data, "task": {"name": "solve", "times": [0.1],
+                                                     "points": [[0.1]]}}) for data in (
+        {"family": "separable", "components": [{"family": "separable"}]},
+        {"family": "separable", "components": [{"family": "tanh1d", "params": [1]}]},
+        {"family": "separable", "components": [{"family": "tanh1d", "params": {"bogus": 1}}]},
+        {"family": "separable", "components": [{"family": "tanh1d", "params": {"mu": "a"}}]},
+        {"family": "separable", "components": [{"family": ["tanh1d"]}]},
+        {"family": ["tanh1d"]},
+        {"family": "linear", "params": {"R": "x"}},
+        {"family": "linear", "params": {"R": [[1.0, 0.0], [0.0]]}},
+        {"family": "constant", "params": {"c": "x"}},
+        {"family": "tanh2d", "params": {"eps": "a"}},
+    )],
+    ("solve", {**_TANH_1D, "task": {"name": "solve", "times": [[0.1, 0.2]], "points": [[0.1]]}}),
 ], ids=["period-t_range", "compare-num_samples", "blowup-t_max", "solve-times-num",
         "solver-newton_tol", "solve-points-empty", "solve-points-num-0", "solve-times-num-0",
         "compare-t_range-reversed", "period-t_range-reversed", "compare-num_samples-0",
@@ -1112,7 +1127,10 @@ _C3D_BLOWUP = {
         "solve-times-num-bool", "solve-points-num-fraction", "blowup-grid_num-fraction",
         "solver-max_iter-fraction", "solver-max_iter-half", "compare-num_samples-fraction",
         "period-verify-num_points-fraction", "solve-dimension-fraction", "compare-seed-fraction",
-        "period-max_denominator-fraction"])
+        "period-max_denominator-fraction", "separable-in-separable", "component-params-list",
+        "component-params-unknown", "component-mu-string", "component-family-list",
+        "family-list", "linear-R-string", "linear-R-ragged", "constant-c-string",
+        "tanh2d-eps-string", "solve-times-nested"])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, command, cfg):
     cfg_path = write_cfg(tmp_path, "bad.yaml", cfg)
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o.txt")]) == 1

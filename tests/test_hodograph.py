@@ -595,8 +595,8 @@ def _sweep_seed_1_config():
 
 def test_sweep_newton_passes_stay_few(monkeypatch, tmp_path):
     """On the seed-1 sweep, one phi_jacobian call per batched Newton pass, at
-    most 60 passes and at most 50 in_domain calls: 46 for the step lengths
-    (one a pass), 2 for the cold start (the guess, then _newton's clip) and
+    most 60 passes and at most 47 in_domain calls: 46 for the step lengths
+    (one a pass), 1 for the cold start and
     none for the guesses of new times, which are in-domain roots (a schedule
     in which every time waits for its slowest track, and every halving for
     the slowest row, makes 98 and 790)."""
@@ -618,7 +618,7 @@ def test_sweep_newton_passes_stay_few(monkeypatch, tmp_path):
     cfg_path.write_text(yaml.safe_dump(_sweep_seed_1_config()))
     assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 0
     assert calls["phi_jacobian"] == calls["solve_stacked"], calls
-    assert calls["phi_jacobian"] <= 60 and calls["in_domain"] <= 50, calls
+    assert calls["phi_jacobian"] <= 60 and calls["in_domain"] <= 47, calls
 
 
 def _count_exact_cond(monkeypatch):
@@ -689,6 +689,19 @@ def test_newton_with_a_time_per_row_matches_one_time_calls(case):
         if st[0, 0] == "OK":
             assert np.max(np.abs(M[i, 0] - Mi[0, 0])) <= 1e-12
             assert np.max(np.abs(U[i, 0] - Ui[0, 0])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
+def test_newton_cold_start_is_the_default_guess(case):
+    """_newton with no starting guesses has the bits of _newton started from
+    _default_guess: M, U, iterations, residuals and statuses."""
+    problem, times, points = _field_problem(case)
+    X, T = np.array(points), np.tile(times, (len(points), 1))
+    cold = hodograph._newton(problem, T, X)
+    given = hodograph._newton(problem, T, X, hodograph._default_guess(problem, X))
+    for a, b in zip(cold, given):
+        same = a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+        assert a.dtype == b.dtype and a.shape == b.shape and same
 
 
 def test_stacked_default_guess_matches_row_calls():

@@ -482,7 +482,7 @@ def test_block_row_stacks_are_stack_invariant(n, k):
 
 
 # ---------------------------------------------------------------------------
-# _cond: closed-form 2x2 condition numbers under solve_stacked's guard
+# solve_stacked's guard on 2x2 matrices
 
 _EPS = np.finfo(float).eps
 
@@ -497,64 +497,27 @@ def _conditioned_2x2(rng, conds, scales):
                      @ _rotation(rng.uniform(0, 2 * np.pi)) for c, s in zip(conds, scales)])
 
 
-def test_cond_2x2_agrees_with_the_svd():
-    """Against np.linalg.cond: 1e-12 relative on random Gaussian matrices with
-    cond <= 1e3; up to cond 1e8 both carry rounding of order eps * cond (the
-    determinant's), so the bound there is 1e-12 + 4 eps cond."""
-    rng = np.random.default_rng(70)
-    gauss = rng.standard_normal((4000, 2, 2))
-    built = _conditioned_2x2(rng, 10.0 ** rng.uniform(0, 8, 2000),
-                             10.0 ** rng.uniform(-150, 150, 2000))
-    for A in (gauss, built):
-        ref = np.linalg.cond(A)
-        got = matops._cond(A)
-        keep = ref <= 1e8
-        rel = np.abs(got[keep] / ref[keep] - 1.0)
-        assert np.all(rel <= 1e-12 + 4.0 * _EPS * ref[keep]), rel.max()
-    small = np.linalg.cond(gauss) <= 1e3
-    assert small.sum() > 3500
-    assert np.all(np.abs(matops._cond(gauss[small]) / np.linalg.cond(gauss[small]) - 1.0) <= 1e-12)
-
-
-def test_cond_2x2_matches_a_50_digit_reference():
-    """The closed form is at least as close to the exact condition number as
-    the SVD route: within eps * cond + 4 eps of a 50-digit mpmath value."""
-    mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(71)
-    A = _conditioned_2x2(rng, 10.0 ** rng.uniform(0, 8, 300), 10.0 ** rng.uniform(-3, 3, 300))
-    got = matops._cond(A)
-    with mpmath.workdps(50):
-        exact = []
-        for M in A:
-            s = mpmath.svd_r(mpmath.matrix(M.tolist()), compute_uv=False)
-            exact.append(float(max(s) / min(s)))
-    exact = np.array(exact)
-    assert np.all(np.abs(got / exact - 1.0) <= _EPS * exact + 4.0 * _EPS)
-
-
-def test_cond_2x2_keeps_every_singular_decision():
+def test_solve_stacked_2x2_keeps_every_singular_decision():
     """Random and scaled 2x2 matrices with cond outside [1e12, 1e14], entries
-    near 1e+-150, exactly singular and non-finite ones: the same side of
-    _SOLVE_COND_LIMIT as the SVD, and inf wherever det = 0 or an entry is not
-    finite."""
+    near 1e+-150, exactly singular and non-finite ones: solve_stacked flags
+    every exactly singular or non-finite matrix, and every other one on the
+    side of _SOLVE_COND_LIMIT that np.linalg.cond gives."""
     rng = np.random.default_rng(72)
     conds = 10.0 ** np.concatenate([rng.uniform(0, 12, 1500), rng.uniform(14, 18, 1500)])
     scales = (10.0 ** rng.choice([-150.0, 0.0, 150.0], conds.size)
               * rng.uniform(0.5, 2.0, conds.size))
-    A = _conditioned_2x2(rng, conds, scales)
     singular = np.array([[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]],
                          [[1e-300, 0.0], [0.0, 0.0]], [[3.0, 0.0], [1e150, 0.0]],
                          [[np.nan, 1.0], [0.0, 1.0]], [[np.inf, 1.0], [0.0, 1.0]]])
-    assert np.all(matops._cond(singular) == np.inf)
-    A = np.concatenate([A, singular[:4]])
+    A = np.concatenate([_conditioned_2x2(rng, conds, scales), singular])
     with np.errstate(all="ignore"):
-        ref = np.linalg.cond(A)
-    got = matops._cond(A)
-    limit = matops._SOLVE_COND_LIMIT
+        X, flagged = matops.solve_stacked(A, rng.standard_normal((len(A), 2)))
+        ref = np.linalg.cond(A[: -2])  # the two non-finite matrices stay out of the SVD
+    assert flagged[-len(singular):].all() and np.isnan(X[flagged]).all()
     outside = ~((ref >= 1e12) & (ref <= 1e14))
     assert outside.sum() > 2900
-    want = ~np.isfinite(ref) | (ref > limit)
-    assert np.array_equal((~np.isfinite(got) | (got > limit))[outside], want[outside])
+    want = ~np.isfinite(ref) | (ref > matops._SOLVE_COND_LIMIT)
+    assert np.array_equal(flagged[: -2][outside], want[outside])
 
 
 # ---------------------------------------------------------------------------
