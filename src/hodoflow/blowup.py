@@ -36,7 +36,7 @@ is its root function:
                         t) (_refine_brackets), each pass one phi1 table over
                         the live brackets and one matops.det of their
                         column-replaced stacks, every table from one
-                        matops.phi1_table evaluator per scan;
+                        matops.time_table(A, 1) evaluator per scan;
                         scan_roots is the one-point scan;
                         the first positive root on (0, t_max] or every root on
                         [-t_max, t_max] (sheets_diag2, for any A = diag(a1, a2)
@@ -57,6 +57,7 @@ minimum of a sheet that cannot meet the extremum conditions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import matops
 from .errors import BlowupVerificationError, ConfigError, OverflowMatrixError, point_text
-from .hodograph import _rows, hodograph_position, u_from_M
+from .hodograph import _rows
 from .model import Constant
 
 #: imaginary-part tolerance for accepting a root or an eigenvalue as real
@@ -161,8 +162,8 @@ def _refine_brackets(A, table, J, lo, hi, flo, fhi):
     refined together: a (k,) array.
 
     Safeguarded Newton from the regula-falsi point.  Each pass takes one
-    table(t) = phi1(A, t) over the live brackets (table is the
-    matops.phi1_table evaluator of A) and e^{tA} = I + A phi1 from it; with
+    table(t)[1] = phi1(A, t) over the live brackets (table is the
+    matops.time_table(A, 1) evaluator) and e^{tA} = I + A phi1 from it; with
     K = phi1 + J, f and f'(t) = sum_j det(K with column j replaced by column
     j of e^{tA}) come from one matops.det of the (live, n + 1, n, n) stack.
     Each step shrinks a bracket by the sign of f; a Newton step that leaves
@@ -182,7 +183,7 @@ def _refine_brackets(A, table, J, lo, hi, flo, fhi):
         for _ in range(_ROOT_MAX_ITER):
             if not live.size:
                 return roots
-            P1 = table(t)
+            P1 = table(t)[1]
             dets = matops.det(np.where(swap, (eye + A @ P1)[:, None], (P1 + J)[:, None]))
             f, df = dets[:, 0], dets[:, 1:].sum(axis=1)
             left = flo * f < 0.0
@@ -208,7 +209,7 @@ def _scan_table(t_grid, P1_tab, J, A, table, t_max, first_only):
     Jacobian J[p] of the (k, n, n) stack J: a (k, w) array, each row's roots
     in increasing t, NaN-padded.
 
-    P1_tab = table(t_grid), table the matops.phi1_table evaluator of A; the
+    P1_tab = table(t_grid)[1], table the matops.time_table(A, 1) evaluator; the
     scan values are one (k, nodes) table matops.det(P1_tab + J[:, None]).  A
     value of exactly 0 at a grid node is a root; a strict sign change between
     neighbours is a bracket, refined to 1e-12 by _refine_brackets, one
@@ -530,7 +531,7 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     """Blow-up sheets of the residual scan, for any force matrix A.
 
     The roots of det(phi1(A, t) + d(phi)/dM) at every in-domain grid point,
-    from one matops.phi1_table evaluator of A and its table over the nodes,
+    from one matops.time_table(A, 1) evaluator and its table over the nodes,
     both shared by every grid point and every branch_fn probe.  The
     in-domain M stack is scanned in chunks of at most _SCAN_MAX_ENTRIES
     entries (points x nodes x n^2), each one _scan_table: one phi_jacobian
@@ -542,8 +543,9 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     Otherwise every root in [-t_max, t_max], scanned on arange(-t_max, t_max
     + scan_step, scan_step), in increasing t, sheet k named branch.format(k).
     Roots refined past t_max are dropped.  NaN where no root is found.
-    A grid whose phi1 table would take more than _SCAN_MAX_ENTRIES matrix
-    entries raises ConfigError before anything is tabulated.  The scan stops
+    A scan whose table would take more than _SCAN_MAX_ENTRIES matrix entries
+    (the evaluator's entries per node) raises ConfigError before any node is
+    evaluated.  The scan stops
     short of the first node on each side of t = 0 where phi1 overflows, and
     the sheets' absent_reason names that node and the lowered horizon;
     OverflowMatrixError is raised only when no finite node past t = 0 is left
@@ -554,8 +556,9 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     lo = 0 if first_only else -t_max
     start = scan_step if first_only else -t_max
     nodes = first_only + (t_max + scan_step - start) / scan_step
-    width = A.shape[0] * (1 if matops.is_exact_diagonal(A) else 2)
-    if nodes * width**2 > _SCAN_MAX_ENTRIES:
+    table = matops.time_table(A, 1)
+    if nodes * table.entries > _SCAN_MAX_ENTRIES:
+        width = math.isqrt(table.entries)
         raise ConfigError(
             f"blowup scan of t_max {t_max!r} with step {scan_step!r} needs {nodes:,.0f} "
             f"t-nodes of {width}x{width} matrices, more than the {_SCAN_MAX_ENTRIES:,} "
@@ -563,8 +566,7 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     t_grid = np.arange(start, t_max + scan_step, scan_step)
     if first_only:
         t_grid = np.concatenate([[0.0], t_grid])
-    table = matops.phi1_table(A)
-    P1_tab = table(t_grid)
+    P1_tab = table(t_grid)[1]
     # the scan stops short of the first overflowing node on each side of t = 0
     over = np.flatnonzero(~np.isfinite(P1_tab).all(axis=(1, 2)))
     below, above = over[t_grid[over] < 0.0], over[t_grid[over] > 0.0]
@@ -697,7 +699,7 @@ def _extremum_conditions(A, data, table, z):
     (t, M) of the (k, 1 + n) stack z: shapes (k,), (k, 1 + n) and (k,).  The
     extremum conditions of the blow-up sheets are f = 0 and f_M = 0.
 
-    table is the matops.phi1_table evaluator of A.  f_t = d/ds det(K + s
+    table is the matops.time_table(A, 1) evaluator.  f_t = d/ds det(K + s
     e^{tA}) and f_M_k = d/ds det(K + s dJ_k) are each the sum over j of det(K
     with column j replaced by column j of e^{tA} = I + A phi1, or of dJ_k); they
     and f come from one matops.det of the (k, 1 + (1 + n) n, n, n) stack.
@@ -708,7 +710,7 @@ def _extremum_conditions(A, data, table, z):
     t, M = z[:, 0], z[:, 1:]
     k, n = M.shape
     eye = np.eye(n)
-    P1, J = table(t), _rows(data.phi_jacobian, M)
+    P1, J = table(t)[1], _rows(data.phi_jacobian, M)
     K, E = P1 + J, eye + A @ P1
     shifted = (M[:, None] + 1j * _COMPLEX_STEP * eye).reshape(-1, n)
     dJ = data.phi_jacobian(shifted).imag.reshape(k, n, n, n) / _COMPLEX_STEP
@@ -819,11 +821,13 @@ def min_blowup_time(problem, sheets):
 
         |blowup_residual(t*, M*)| <= 1e-9 * max(1, |phi1(A, t*)|_F, |J(M*)|_F)^n
 
-    for the actual A, else BlowupVerificationError.
+    for the actual A, else BlowupVerificationError.  That scale, x* = phi(M*)
+    + phi1 M* + phi2 g and u* = e^{t*A} M* + phi1 g come from one k = 2
+    matops.time_row at t*.
     """
     if isinstance(sheets, BlowupSheet):
         sheets = [sheets]
-    table = matops.phi1_table(problem.spec.A)
+    table = matops.time_table(problem.spec.A, 1)
     best = None
     for sheet in sheets:
         positive = sheet.finite_positive()
@@ -839,22 +843,25 @@ def min_blowup_time(problem, sheets):
     if best is None:
         return NoBlowup(reason="no positive root on the M-grid")
     t_star, M_star, branch = best
-    _verify_blowup_time(problem, t_star, M_star)
+    E, P1, P2 = matops.time_row(problem.spec.A, t_star, 2)
+    _verify_blowup_time(problem, t_star, M_star, P1)
+    g = problem.spec.g
     return BlowupExtremum(
         t_star=float(t_star),
         M_star=M_star,
-        x_star=hodograph_position(problem, t_star, M_star),
-        u_star=u_from_M(problem.spec, t_star, M_star),
+        x_star=problem.data.phi(M_star) + P1 @ M_star + P2 @ g,
+        u_star=E @ M_star + P1 @ g,
         branch=branch,
     )
 
 
-def _verify_blowup_time(problem, t_star, M_star):
-    """BlowupVerificationError unless (t_star, M_star) is a root of the residual."""
+def _verify_blowup_time(problem, t_star, M_star, P1):
+    """BlowupVerificationError unless (t_star, M_star) is a root of the
+    residual; P1 = phi1(A, t_star) gives the scale."""
     res = blowup_residual(problem, t_star, M_star)
     scale = max(
         1.0,
-        float(np.linalg.norm(matops.phi1(problem.spec.A, t_star))),
+        float(np.linalg.norm(P1)),
         float(np.linalg.norm(problem.data.phi_jacobian(np.atleast_1d(M_star)))),
     ) ** problem.spec.n
     if not abs(res) <= _TIME_RESIDUAL_TOL * scale:

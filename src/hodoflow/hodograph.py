@@ -82,9 +82,7 @@ def integrals(spec, s):
             "degenerate_integrals on rotated coordinates"
         )
     A, g, t = spec.A, spec.g, s.t
-    Em = matops.mat_exp(A, -t)
-    P1m = matops.phi1(A, -t)
-    P2m = matops.phi2(A, -t)
+    Em, P1m, P2m = matops.time_row(A, -t, 2)
     I1 = s.u - g * t - A @ s.x
     I2 = Em @ (g + A @ s.u)
     M = Em @ s.u + P1m @ g
@@ -95,24 +93,15 @@ def integrals(spec, s):
 def u_from_M(spec, t, M):
     """Velocity at time t of the particle launched with velocity M, (n,) or (k, n)."""
     M = np.atleast_1d(np.asarray(M, dtype=float))
-    return matops.matvec(matops.mat_exp(spec.A, t), M) + matops.phi1(spec.A, t) @ spec.g
+    E, P1 = matops.time_row(spec.A, t, 1)
+    return matops.matvec(E, M) + P1 @ spec.g
 
 
 def m_from_u(spec, t, u):
     """Inverse of u_from_M: the launch velocity of the particle carrying u at t."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return matops.mat_exp(spec.A, -t) @ u + matops.phi1(spec.A, -t) @ spec.g
-
-
-def hodograph_position(problem, t, M):
-    """The x at which the particle with launch velocity M sits at time t."""
-    spec, data = problem.spec, problem.data
-    M = np.atleast_1d(np.asarray(M, dtype=float))
-    return (
-        data.phi(M)
-        + matops.phi1(spec.A, t) @ M
-        + matops.phi2(spec.A, t) @ spec.g
-    )
+    E, P1 = matops.time_row(spec.A, -t, 1)
+    return E @ u + P1 @ spec.g
 
 
 def residual_M(problem, t, x, M):
@@ -120,12 +109,8 @@ def residual_M(problem, t, x, M):
     spec, data = problem.spec, problem.data
     x = np.atleast_1d(np.asarray(x, dtype=float))
     M = np.atleast_1d(np.asarray(M, dtype=float))
-    return (
-        x
-        - matops.phi1(spec.A, t) @ M
-        - matops.phi2(spec.A, t) @ spec.g
-        - data.phi(M)
-    )
+    _, P1, P2 = matops.time_row(spec.A, t, 2)
+    return x - P1 @ M - P2 @ spec.g - data.phi(M)
 
 
 def residual_u(problem, t, x, u):
@@ -225,7 +210,7 @@ def _newton(problem, t, X, M0=None):
     into the domain, and a caller's M0 is clipped into the domain here.  t is a
     (k, q) queue of times: row i solves t[i, 0], ..., t[i, q - 1] in turn,
     each root the guess for its next time.  e^{tA}, phi1 and phi2 come from
-    one matops.phi_table over the distinct times np.unique(t).
+    one matops.time_row over the distinct times np.unique(t).
     Returns (M, U, iters, rnorm, status), one entry per row and queued time,
     (k, q) (M and U (k, q, n)): status is OK, SINGULAR, NO_CONVERGENCE or
     DOMAIN_EXIT, and POST_BLOWUP for every queued time after a row's first
@@ -258,7 +243,7 @@ def _newton(problem, t, X, M0=None):
             M[outside] = data.clip_to_domain(M[outside])
     times, queue = np.unique(np.asarray(t, dtype=float), return_inverse=True)
     queue = queue.reshape(k, -1)
-    E, P1, P2 = matops.phi_table(spec.A, times)
+    E, P1, P2 = matops.time_row(spec.A, times, 2)
     P2g = matops.matvec(P2, spec.g)
     q = queue.shape[1]
     cur = queue[:, 0].copy()  # table row of each row's current time
@@ -374,7 +359,7 @@ def newton_error(status, t, M, iters, rnorm):
 
     The text gives t and each coordinate of M as its float repr: a row of a
     stacked _newton run has the bits of the one-point run at its time (each
-    matops.phi_table row is that of a one-row table), so the text of a
+    matops.time_row row is that of a one-row call), so the text of a
     failure does not depend on how the points were batched.
     """
     text = {
@@ -440,7 +425,8 @@ def closed_form(kind, spec, t, x, c):
             raise DegenerateMatrixError("const_I2 field needs invertible A")
         return matops.solve(A, matops.mat_exp(A, t) @ c - g)
     if kind == "const_M":
-        return matops.mat_exp(A, t) @ c + matops.phi1(A, t) @ g
+        E, P1 = matops.time_row(A, t, 1)
+        return E @ c + P1 @ g
     if kind == "const_N":
         if spec.is_degenerate:
             raise DegenerateMatrixError("const_N field needs invertible A")

@@ -1,48 +1,38 @@
 """Dense matrix operations used throughout the solver.
 
-Everything here works on small (n <= 4 in practice) real matrices.  The two
-phi-functions are the workhorses of the implicit solution formulas:
+Everything here works on small (n <= 4 in practice) real matrices.  The
+matrix functions of the implicit solution formulas are e^{tA} and
 
     phi1(A, t) = A^-1 (e^{tA} - 1)            = t * phi_1(tA)
     phi2(A, t) = A^-2 (e^{tA} - 1 - tA)       = t^2 * phi_2(tA)
 
 with the dimensionless entire functions phi_1(z) = (e^z - 1)/z and
-phi_2(z) = (e^z - 1 - z)/z^2.  Both are evaluated without ever inverting A, so
-singular (including nilpotent and exactly zero) matrices are fine.  There are
-two routes:
-
-* exact-diagonal A (every off-diagonal entry exactly 0): phi1 entrywise,
-  as expm1(a t)/a (t where a = 0);
-* everything else, and phi2 of every A: the block-augmented exponential
+phi_2(z) = (e^z - 1 - z)/z^2, evaluated without ever inverting A, so
+singular (including nilpotent and exactly zero) matrices are fine.  They
+depend on t alone, so one evaluator makes them all: time_table(A, k) is
+ts -> (e^{tA}, phi1, ..., phik) over many times at once of one fixed A,
+whose structure it tests once.  Every block comes from the first block row
+of the augmented exponential at (tA, 1),
 
     exp [[tA, I, 0],   =  [[e^{tA}, phi_1(tA), phi_2(tA)],
-         [0,  0, I],        [0,      I,         t...    ],
-         [0,  0, 0]]        [0,      0,         I       ]]
+         [0,  0, I],        [0,      I,         I        ],
+         [0,  0, 0]]        [0,      0,         I        ]]
 
-  whose first block row delivers the phi functions directly.
+block j times t^j, except that an exactly diagonal A (every off-diagonal
+entry exactly 0) takes e^{tA} and phi1 entrywise, as exp(a t) and expm1(a
+t)/a (t where a = 0), so its k = 1 table runs no Pade evaluation.
+mat_exp, phi1 and phi2 are one-row calls of it (time_row) at k = 0, 1 and 2.
+A row has the bits of a one-row call at its time, whatever stack it sits in.
 
-Every other matrix function of t here is a first block row [e^{tA}, phi1,
-..., phik] of that exponential, from _block_row(A, t, k): mat_exp is k = 0,
-phi1 and phi2 are k = 1 and 2 at (tA, 1) times t^k, phi1_table is phi1 over
-many t, and phi_table is k = 2 over many t.  _block_row is the one caller of
-_expm, and _expm the one caller of _pade: scaling and squaring with a
-diagonal Pade approximant of degree 3, 5, 7, 9 or 13 (Higham 2005), in numpy
-alone, on one matrix (a scalar t: the fast path for one call) or a stack.
-Each matrix of a stack gets the degree and the power of 2 a single call
-would give it, and a stack runs _pade once per degree over its rows of that
-degree, so a row has the bits of a single call, whatever stack it sits in,
-and a row that overflows leaves the others finite.
-
-phi1_table(A) is the evaluator ts -> phi1(A, t) over many times at once of
-one fixed A, whose structure it tests once, for the root scans and
-refinements whose matrix functions depend on t alone.  Each row has phi1's
-bits: entrywise for an exact-diagonal A, otherwise the stacked k = 1 row at
-(tA, 1) times t.  It raises nothing: rows that overflow come back
-non-finite, for the caller to judge.
-
-phi_table stacks e^{tA}, phi1 and phi2 over many times at once (the stacked
-k = 2 row), for work that carries its own time per row, such as the samples
-of a comparison run.
+_block_row(A, t, k) builds that row, and time_table is its one caller;
+_block_row is the one caller of _expm, and _expm the one caller of _pade:
+scaling and squaring with a diagonal Pade approximant of degree 3, 5, 7, 9
+or 13 (Higham 2005), in numpy alone, on one matrix (a scalar t: the fast
+path for one call) or a stack.  Each matrix of a stack gets the degree and
+the power of 2 a single call would give it, and a stack runs _pade once per
+degree over its rows of that degree, so a row has the bits of a single
+call, whatever stack it sits in, and a row that overflows leaves the others
+finite.
 
 det takes the determinants of a stack, for the tables and root refinements
 of the blow-up scan and the caustic screen: written out by cofactors for
@@ -210,104 +200,79 @@ def _block_row(A, t, k):
         return _expm(W)[..., :n, :]
 
 
-def mat_exp(A, t=1.0):
-    """e^{tA}, the k = 0 block row; raises OverflowMatrixError if it leaves the
-    representable range (reported, never silently saturated)."""
-    A = _as_square(A)
-    E = _block_row(A, t, 0)
-    if not np.isfinite(E).all():
-        raise OverflowMatrixError(f"exp(tA) overflowed for t={t!r}, "
-                                  f"||A||={np.linalg.norm(A, np.inf):.3e}")
-    return E
+def time_table(A, k):
+    """The evaluator ts -> (E, P1, ..., Pk) of one fixed A: e^{tA}, phi1(A,
+    t), ..., phik(A, t) at a scalar t, each (n, n), or at every t of a 1-D
+    array ts, each a (len(ts), n, n) stack.
 
-
-def _phi_k(A, t, k):
-    """phi_k(tA), the last block of the row at (tA, 1): no inversion, so singular
-    A is fine.  Raises OverflowMatrixError unless the whole row is finite."""
-    row = _block_row(t * A, 1.0, k)
-    if not np.isfinite(row).all():
-        raise OverflowMatrixError("phi-function evaluation overflowed")
-    return row[:, k * A.shape[0] :]
-
-
-def _phi1_diagonal(a):
-    """t -> expm1(a t)/a entrywise, t where a = 0, for the fixed diagonal a.
-
-    t broadcasts against a; the zero mask and the divisor are formed once.
-    """
-    zero = a == 0.0
-    divisor = np.where(zero, 1.0, a)
-    any_zero = bool(zero.any())
-
-    def entries(t):
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = np.expm1(a * t) / divisor
-        return np.where(zero, t, d) if any_zero else d
-
-    return entries
-
-
-def phi1(A, t):
-    """A^-1 (e^{tA} - 1) = t * phi_1(tA); valid for singular A, zero matrix at t = 0.
-
-    An exactly diagonal A gets diag(expm1(a t)/a), with t where a = 0, any
-    other A the augmented exponential; both raise OverflowMatrixError when
-    the result is not finite.
-    """
-    A = _as_square(A)
-    if not is_exact_diagonal(A):
-        return t * _phi_k(A, t, 1)
-    a = np.diagonal(A)
-    d = _phi1_diagonal(a)(t)
-    if not np.isfinite(d).all():
-        raise OverflowMatrixError(
-            f"phi1 overflowed for t={float(t)!r} on diagonal {point_text(a)}")
-    return np.diag(d)
-
-
-def phi1_table(A):
-    """The evaluator ts -> phi1(A, t) for every t of the 1-D array ts, a
-    (len(ts), n, n) array, of one fixed A.
-
-    The structure of A is tested here, once, not per call.  Each row is
-    phi1(A, t) bit for bit: entrywise for an exactly diagonal A, otherwise t
-    times the k = 1 row at (tA, 1), here one stacked _expm whose rows do not
-    depend on the stack.  Rows that overflow are returned non-finite, not
-    raised.
+    The structure of A is tested here, once, not per call.  Block j is t^j
+    times block j of the k-row at (tA, 1) (_block_row), except E and P1 of
+    an exactly diagonal A with k >= 1: exp(a t) and expm1(a t)/a, t where
+    a = 0, entrywise.  Each row has the bits of a one-row call at its time.
+    Rows that overflow come back non-finite, not raised (time_row raises).
+    The evaluator's entries is the size of the largest matrix one t makes:
+    n^2 entrywise, ((k + 1) n)^2 for the row, for a caller's memory budget.
     """
     A = _as_square(A).copy()
-    n, idx = A.shape[0], np.arange(A.shape[0])
-    entries = _phi1_diagonal(np.diagonal(A)) if is_exact_diagonal(A) else None
+    n = A.shape[0]
+    a = np.diagonal(A) if k and is_exact_diagonal(A) else None
+    if a is not None:
+        zero, idx = a == 0.0, np.arange(n)
+        divisor, any_zero = np.where(zero, 1.0, a), bool(zero.any())
 
     def table(ts):
         ts = np.asarray(ts, dtype=float)
-        if entries is None:
-            tt = ts[:, None, None]
-            return tt * _block_row(tt * A, 1.0, 1)[..., n:]
-        out = np.zeros((ts.size, n, n))
-        out[:, idx, idx] = entries(ts[:, None])
-        return out
+        tt, blocks = ts[..., None, None], []
+        if a is None or k > 1:
+            row = _block_row(tt * A, 1.0, k)
+            blocks, scale = [row[..., :n]], tt
+            for j in range(1, k + 1):
+                blocks.append(scale * row[..., j * n : (j + 1) * n])
+                scale = scale * tt
+        if a is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                at = a * ts[..., None]
+                d = np.expm1(at) / divisor
+                E, P1 = np.zeros((2,) + at.shape + (n,))
+                E[..., idx, idx] = np.exp(at)
+            P1[..., idx, idx] = np.where(zero, ts[..., None], d) if any_zero else d
+            blocks[:2] = [E, P1]
+        return tuple(blocks)
 
+    table.entries = (n if a is not None and k == 1 else (k + 1) * n) ** 2
     return table
 
 
-def phi_table(A, ts):
-    """(e^{tA}, phi1(A, t), phi2(A, t)) for every t of the 1-D array ts.
-
-    Each is a (len(ts), n, n) stack, the stacked k = 2 block row.  Raises
-    OverflowMatrixError when any entry is not finite, as mat_exp does.
-    """
+def time_row(A, t, k):
+    """(E, P1, ..., Pk) of time_table(A, k) at t, a scalar or a 1-D array,
+    every entry finite: a row that overflows raises OverflowMatrixError
+    naming its t (reported, never silently saturated)."""
     A = _as_square(A)
-    ts = np.asarray(ts, dtype=float)
-    row, n = _block_row(A, ts, 2), A.shape[0]
-    if not np.isfinite(row).all():
-        raise OverflowMatrixError(f"phi table overflowed for t up to {ts.max(initial=0.0)!r}")
-    return row[..., :n], row[..., n : 2 * n], row[..., 2 * n :]
+    blocks = time_table(A, k)(t)
+    if not all(np.isfinite(b).all() for b in blocks):
+        bad = ~np.all([np.isfinite(b).all(axis=(-2, -1)) for b in blocks], axis=0)
+        where = (f"diagonal {point_text(np.diagonal(A))}" if is_exact_diagonal(A)
+                 else f"||A||_inf = {np.linalg.norm(A, np.inf):.3e}")
+        raise OverflowMatrixError(f"e^{{tA}} or a phi function overflowed for "
+                                  f"t={float(np.ravel(t)[bad.argmax()])!r} on {where}")
+    return blocks
+
+
+def mat_exp(A, t=1.0):
+    """e^{tA}, the one-row time_table call at k = 0."""
+    return time_row(A, t, 0)[0]
+
+
+def phi1(A, t):
+    """A^-1 (e^{tA} - 1) = t * phi_1(tA), the one-row time_table call at k = 1;
+    valid for singular A, the zero matrix at t = 0."""
+    return time_row(A, t, 1)[1]
 
 
 def phi2(A, t):
-    """A^-2 (e^{tA} - 1 - tA) = t^2 * phi_2(tA); valid for singular A."""
-    return (t * t) * _phi_k(_as_square(A), t, 2)
+    """A^-2 (e^{tA} - 1 - tA) = t^2 * phi_2(tA), the one-row time_table call
+    at k = 2; valid for singular A."""
+    return time_row(A, t, 2)[2]
 
 
 @dataclass

@@ -47,13 +47,11 @@ def exact_flow(spec, x0, u0_val, t):
 
     A (k,) array t flows the rows of the (k, n) stacks x0 and u0_val, row i to
     its own time t[i]; a scalar t flows the one point.  Either way it is one
-    matops.phi_table, of one row for a scalar t.
+    matops.time_row, of one row for a scalar t.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     u0_val = np.atleast_1d(np.asarray(u0_val, dtype=float))
-    ts = np.asarray(t, dtype=float)
-    E, P1, P2 = (T.reshape(ts.shape + T.shape[1:])
-                 for T in matops.phi_table(spec.A, ts.reshape(-1)))
+    E, P1, P2 = matops.time_row(spec.A, t, 2)
     u = matops.matvec(E, u0_val) + matops.matvec(P1, spec.g)
     x = x0 + matops.matvec(P1, u0_val) + matops.matvec(P2, spec.g)
     return FlowResult(t=t, x=x, u=u)
@@ -144,7 +142,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
 
     Row i is sign-scanned on the nodes min(j * step, t_max[i]), then its first
     bracketing interval is bisected to tol.  phi1 depends on t alone, so the
-    rows share their nodes and one matops.phi1_table evaluator of A: one
+    rows share their nodes and one matops.time_table(A, 1) evaluator: one
     table per _SCAN_CHUNK steps (up to the largest live t_max) and one over
     the end nodes t_max, and the determinants of a chunk are one (nodes x
     rows) table, _flow_dets (one GEMM and one matops.det per _DET_BLOCK
@@ -154,7 +152,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
     row whose first such node is not finite (phi1 overflowed), within its
     own t_max, raises OverflowMatrixError.
     """
-    table, Ju0 = matops.phi1_table(spec.A), _u0_jacobian(data, x0)
+    table, Ju0 = matops.time_table(spec.A, 1), _u0_jacobian(data, x0)
     eye = np.eye(Ju0.shape[-1])
     k = len(Ju0)
     t_max = np.asarray(t_max, dtype=float)
@@ -166,7 +164,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
     live = nsteps > 0
     lo = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        f_end = matops.det(eye + table(t_max) @ Ju0)
+        f_end = matops.det(eye + table(t_max)[1] @ Ju0)
         while live.any():
             rows = np.flatnonzero(live)
             hi = min(lo + _SCAN_CHUNK, int(nsteps[rows].max()) + 1)
@@ -174,7 +172,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
             ts = idx * step
             tm = t_max[rows]
             # node j of row i is min(j * step, t_max[i]): a shared row before its end
-            f = np.where(ts[:, None] < tm, _flow_dets(table(ts), Ju0[rows]),
+            f = np.where(ts[:, None] < tm, _flow_dets(table(ts)[1], Ju0[rows]),
                          f_end[rows])
             g = np.vstack([f_prev[rows], f])
             nodes = np.vstack([t_prev[rows], np.minimum(ts[:, None], tm)])
@@ -199,7 +197,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
         while act.any():
             r = np.flatnonzero(act)
             m = 0.5 * (a[r] + b[r])
-            fm = matops.det(eye + table(m) @ Ju0[r])
+            fm = matops.det(eye + table(m)[1] @ Ju0[r])
             zero = fm == 0.0
             out[r[zero]] = m[zero]
             bracket[r[zero]] = False

@@ -152,7 +152,7 @@ def verify_solution_period(problem, T, sample_points, tol=1e-8):
     why = [None] * len(ts)  # each sample's failure text, before the delta test
     if isinstance(data, Constant):
         # rigid transport u = e^{tA} c: nothing to solve and no blow-up set
-        E = matops.phi_table(spec.A, times.ravel())[0].reshape(len(ts), 2, spec.n, spec.n)
+        E = matops.time_row(spec.A, times.ravel(), 0)[0].reshape(len(ts), 2, spec.n, spec.n)
         U = matops.matvec(E, data.c)
     else:
         X = np.array(xs)
@@ -166,7 +166,7 @@ def verify_solution_period(problem, T, sample_points, tol=1e-8):
         # det(phi1(A, t) + dphi/dM) and det(dphi/dM), its t = 0 value, at each root
         rows = np.flatnonzero(~fail[:, 0])
         J = data.phi_jacobian(M[rows, 0])
-        r = matops.det(np.stack([matops.phi1_table(spec.A)(times[rows, 0]) + J, J], axis=1))
+        r = matops.det(np.stack([matops.time_row(spec.A, times[rows, 0], 1)[1] + J, J], axis=1))
         for i in rows[r[:, 0] * r[:, 1] <= 0.0]:
             why[i] = "sample point is on or past the blow-up set"
     delta = np.abs(U[:, 1] - U[:, 0]).max(axis=1)

@@ -342,7 +342,8 @@ def test_near_scalar_matrix_reaches_the_scan(monkeypatch, A):
     assert scans == [1] and not any(s.branch.startswith("tau") for s in sheets)
     assert not any("tau" in line for line in cert_lines), cert_lines
     ext = blowup.min_blowup_time(problem, sheets)
-    blowup._verify_blowup_time(problem, ext.t_star, ext.M_star)
+    blowup._verify_blowup_time(problem, ext.t_star, ext.M_star,
+                               matops.phi1(problem.spec.A, ext.t_star))
 
 
 def test_no_blowup_reported_for_damped_gauss():
@@ -482,8 +483,8 @@ def test_scan_roots_coarse_brackets_match_bisection(w, step):
     problem = make_problem(model.coriolis2d_spec(w).A, "tanh2d", {"eps": 2.0}, grid_num=7)
     A, data = problem.spec.A, problem.data
     ts = np.arange(0.0, 12.0, step)
-    table = matops.phi1_table(A)
-    P1_tab = table(ts)
+    table = matops.time_table(A, 1)
+    P1_tab = table(ts)[1]
     compared = 0
     for M in blowup._grid_points(data, None, 7)[1]:
         if not data.in_domain(M):
@@ -530,8 +531,8 @@ def _per_point_sheets(problem, first_only, t_max, scan_step):
         ts = np.concatenate([[0.0], np.arange(scan_step, t_max + scan_step, scan_step)])
     else:
         ts = np.arange(-t_max, t_max + scan_step, scan_step)
-    table = matops.phi1_table(A)
-    P1_tab = table(ts)
+    table = matops.time_table(A, 1)
+    P1_tab = table(ts)[1]
     assert np.isfinite(P1_tab).all()
     rows = []
     for M in blowup._grid_points(data, None, problem.grid_num)[1]:
@@ -612,7 +613,7 @@ def _refine_root_reference(A, table, J, lo, hi, flo, fhi, exits):
     Ks = np.empty((n + 1, n, n))
     t = lo - flo * (hi - lo) / (fhi - flo)
     for _ in range(blowup._ROOT_MAX_ITER):
-        P1 = table(np.array([t]))[0]
+        P1 = table(np.array([t]))[1][0]
         Ks[:] = P1 + J
         Ks[rows, :, cols] = (np.eye(n) + A @ P1).T
         dets = matops.det(Ks)
@@ -652,15 +653,15 @@ def _random_brackets(rng):
         A = np.diag(np.diagonal(A)) if trial % 3 == 0 else A
         J = rng.normal(size=(n, n))
         ts = np.linspace(-3.0, 3.0, int(rng.integers(4, 40)))
-        vals = matops.det(matops.phi1_table(A)(ts) + J)
+        vals = matops.det(matops.time_table(A, 1)(ts)[1] + J)
         for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
             yield A, J, float(ts[i]), float(ts[i + 1])
     for trial in range(120):
         n = 2 + trial % 2
         A = np.diag(rng.normal(size=n)) if trial % 3 else rng.normal(size=(n, n))
         J = 1e6 * rng.normal(size=(n, 1)) @ rng.normal(size=(1, n)) + rng.normal(size=(n, n))
-        table = matops.phi1_table(A)
-        f = lambda t: float(matops.det(table(np.array([t]))[0] + J))
+        table = matops.time_table(A, 1)
+        f = lambda t: float(matops.det(table(np.array([t]))[1][0] + J))
         lo, hi = -2.0, 2.0
         if not f(lo) * f(hi) < 0.0:
             continue
@@ -687,10 +688,10 @@ def test_stacked_refinement_is_each_bracket_refined_alone():
         by_A.setdefault(A.tobytes() + bytes(A.shape), (A, []))[1].append((J, lo, hi))
     exits, refined = set(), 0
     for A, group in by_A.values():
-        table = matops.phi1_table(A)
+        table = matops.time_table(A, 1)
         rows = []
         for J, lo, hi in group:
-            flo, fhi = (float(matops.det(table(np.array([t]))[0] + J)) for t in (lo, hi))
+            flo, fhi = (float(matops.det(table(np.array([t]))[1][0] + J)) for t in (lo, hi))
             if flo * fhi < 0.0:
                 rows.append((J, lo, hi, flo, fhi))
         if not rows:
@@ -715,8 +716,8 @@ def test_scan_without_brackets_evaluates_no_table(first_only):
     problem, _, _ = _table_case("rotation4")
     A, data = problem.spec.A, problem.data
     ts = np.arange(0.0, 5.05, 5e-2)
-    table = matops.phi1_table(A)
-    P1_tab, calls = table(ts), []
+    table = matops.time_table(A, 1)
+    P1_tab, calls = table(ts)[1], []
     counted = lambda t: calls.append(len(t)) or table(t)
     J = data.phi_jacobian(blowup._grid_points(data, None, 3)[1][:4])
     vals = matops.det(P1_tab + J[:, None])
@@ -902,7 +903,7 @@ def test_criterion_5_refinement_probes_in_few_calls(monkeypatch):
     ext = blowup.min_blowup_time(problem, [sheet])
     assert calls == [] and set(rows) == {7} and len(rows) <= 6, (calls, rows)
     z = np.concatenate([[ext.t_star], ext.M_star])[None]
-    f, grad, _ = conditions(problem.spec.A, problem.data, matops.phi1_table(problem.spec.A), z)
+    f, grad, _ = conditions(problem.spec.A, problem.data, matops.time_table(problem.spec.A, 1), z)
     assert np.all(np.abs([f[0], *grad[0, 1:]]) <= 1e-13 * abs(grad[0, 0])), (f, grad)
 
 
@@ -933,7 +934,7 @@ def test_edge_minimum_falls_back_to_branch_fn(monkeypatch):
     i, j = np.unravel_index(i0, shape)
     near = sheet.points.reshape(*shape, 2)[[i - 1, i + 1, i, i], [j, j, j - 1, j + 1]]
     assert not problem.data.in_domain(near).all()
-    table = matops.phi1_table(problem.spec.A)
+    table = matops.time_table(problem.spec.A, 1)
     assert blowup._stationary_minimum(problem, table, sheet, i0) is None
     ext, fallen = _routes(monkeypatch, problem, [sheet])
     assert fallen == ["coriolis_first"]
@@ -951,7 +952,7 @@ def test_crossing_branches_fall_back_to_branch_fn(monkeypatch):
                                          ("tanh1d", {"mu": 0.9, "kappa": 0.8})]})
     problem = make_problem(0.3 * np.eye(2), *data, grid_num=11)
     sheets = blowup.sheets_diag(problem)
-    table = matops.phi1_table(problem.spec.A)
+    table = matops.time_table(problem.spec.A, 1)
     for sheet in sheets:
         i0 = _grid_minimum(sheet)
         assert np.array_equal(sheet.points[i0], [0.8, 0.9000000000000001])

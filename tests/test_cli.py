@@ -681,7 +681,9 @@ def test_blowup_near_pattern_matrix_scans_the_matrix_given(tmp_path, matrix, fam
     summary = _summary(comments)
     if "t_star" in summary:
         M_star = np.array([float(v) for v in summary["M_star"].split()])
-        blowup._verify_blowup_time(cli.build_problem(cfg), float(summary["t_star"]), M_star)
+        t_star = float(summary["t_star"])
+        problem = cli.build_problem(cfg)
+        blowup._verify_blowup_time(problem, t_star, M_star, matops.phi1(problem.spec.A, t_star))
 
 
 def _summary(comments):
@@ -704,7 +706,8 @@ def test_blowup_without_a_closed_form_runs_the_scan(tmp_path, matrix, branches, 
     summary = _summary(comments)
     assert float(summary["t_star"]) == t_star
     M_star = np.array([float(v) for v in summary["M_star"].split()])
-    blowup._verify_blowup_time(cli.build_problem(cfg), t_star, M_star)
+    problem = cli.build_problem(cfg)
+    blowup._verify_blowup_time(problem, t_star, M_star, matops.phi1(problem.spec.A, t_star))
 
 
 def test_blowup_four_dimensional_rotation_runs(tmp_path):
@@ -794,7 +797,7 @@ def test_blowup_periodic2d_preset(tmp_path):
     M_star = np.array([float(v) for v in
                        next(c for c in comments if c.startswith("# M_star:")).split()[2:]])
     problem = cli.build_problem(cfg)
-    blowup._verify_blowup_time(problem, t_star, M_star)
+    blowup._verify_blowup_time(problem, t_star, M_star, matops.phi1(problem.spec.A, t_star))
     grid_times = [float(row[3]) for row in body if float(row[3]) > 0.0]
     assert grid_times and 0.0 < t_star <= min(grid_times)
 
@@ -1199,7 +1202,7 @@ def _counted_scan_run(tmp_path, monkeypatch, name, task):
 def test_blowup_scan_classifies_A_a_fixed_number_of_times(tmp_path, monkeypatch):
     """The structure of A is tested a fixed number of times per run, however
     many points the refinement evaluates: the scan shares one
-    matops.phi1_table evaluator, and the refinement builds one, instead of
+    matops.time_table(A, 1) evaluator, and the refinement builds one, instead of
     calling phi1 per Newton step."""
     few = _counted_scan_run(tmp_path, monkeypatch, "few", {"grid_num": 3, "t_max": 0.11})
     many = _counted_scan_run(tmp_path, monkeypatch, "many", {"grid_num": 6, "t_max": 0.11})
@@ -1220,8 +1223,19 @@ def test_blowup_scan_reports_no_root_past_t_max(tmp_path):
     assert all(abs(float(row[-1])) <= 0.0951 for row in body if row[-1] != "nan")
 
 
-def _no_table(A):
-    raise AssertionError("phi1 table evaluator built")
+def _no_table(monkeypatch):
+    """Patch matops.time_table so that every evaluator it builds refuses to
+    evaluate, while still giving its entries per node."""
+    build = matops.time_table
+
+    def refusing(A, k):
+        def table(ts):
+            raise AssertionError("time table evaluated")
+
+        table.entries = build(A, k).entries
+        return table
+
+    monkeypatch.setattr(matops, "time_table", refusing)
 
 
 @pytest.mark.parametrize("command, cfg, needle", [
@@ -1241,7 +1255,7 @@ def test_blowup_scan_past_the_table_budget_is_refused(tmp_path, capsys, monkeypa
     built.  A non-diagonal A counts its augmented (2n)^2 entries per node, so a
     small scan_step is refused at the default t_max.  scan_step is named as a
     coriolis3d key only: blowup does not read it."""
-    monkeypatch.setattr(matops, "phi1_table", _no_table)
+    _no_table(monkeypatch)
     path = write_cfg(tmp_path, "big.yaml", cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "big.csv")]) == 1
     err = capsys.readouterr().err
@@ -1266,7 +1280,7 @@ def test_blowup_scan_table_budget_is_inclusive(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(blowup, "_SCAN_MAX_ENTRIES", entries)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "edge.csv")]) == 0
     monkeypatch.setattr(blowup, "_SCAN_MAX_ENTRIES", entries - 1)
-    monkeypatch.setattr(matops, "phi1_table", _no_table)
+    _no_table(monkeypatch)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "edge.csv")]) == 1
     assert "config error" in capsys.readouterr().err
 
@@ -1637,24 +1651,24 @@ def test_stacked_compare_matches_per_sample_route(monkeypatch, case):
 
 def test_compare_phi_table_call_budget(tmp_path, monkeypatch):
     """A coriolis3d compare past t* (OK, POST_BLOWUP and SOLVE_FAIL samples)
-    makes two phi_table calls: the original-frame exact flow, and the rotated
-    solve whose table also gives the velocities.  Its CSV is byte for byte the
-    one written when the velocities had a rotated table of their own."""
-    real_table = matops.phi_table
+    evaluates two k = 2 time tables: the original-frame exact flow, and the
+    rotated solve whose table also gives the velocities.  Its CSV is pinned
+    byte for byte."""
+    real_table = matops.time_table
     calls = []
 
-    def counting(A, ts):
-        calls.append(len(ts))
-        return real_table(A, ts)
+    def counting(A, k):
+        table = real_table(A, k)
+        return (lambda ts: calls.append(np.size(ts)) or table(ts)) if k == 2 else table
 
-    monkeypatch.setattr(matops, "phi_table", counting)
+    monkeypatch.setattr(matops, "time_table", counting)
     cfg = _STACKED_COMPARE_CASES["coriolis3d-past-t-star"]
     out = tmp_path / "compare.csv"
     assert cli.main(["compare", "--config", write_cfg(tmp_path, "compare.yaml", cfg),
                      "--out", str(out)]) == 2
     assert len(calls) == 2 and calls[0] == 60 and calls[1] < 60, calls
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "f4480ecadca055740eb6f46e077d8de7ec0d8c67d29c5d21c2c86e71e7fe6f3e")
+        "1ab4a6b3c026a0aacbb4dd5c18eca47b3c54a50d7c0fb3f471f7aa2474b4587b")
 
 
 def test_compare_3d_newton_matrices_need_no_exact_cond(tmp_path, monkeypatch):

@@ -236,8 +236,9 @@ def test_residual_u_cross_checks_residual_M():
     points and at a perturbed velocity, where both are visibly nonzero."""
     spec = model.ForceSpec(np.diag([0.6, -0.6]), np.array([0.2, 0.1]))
     problem = model.HodographProblem(spec, model.make_data("tanh2d", eps=0.5))
-    for t, M0 in [(0.2, (0.3, -0.2)), (0.45, (-0.5, 0.4))]:
-        x = hodograph.hodograph_position(problem, t, np.array(M0))
+    for t, M0 in [(0.2, np.array([0.3, -0.2])), (0.45, np.array([-0.5, 0.4]))]:
+        # the x at which the particle launched with velocity M0 sits at time t
+        x = problem.data.phi(M0) + matops.phi1(spec.A, t) @ M0 + matops.phi2(spec.A, t) @ spec.g
         M, _ = hodograph.solve_M(problem, t, x)
         u = hodograph.u_from_M(spec, t, M)
         assert np.max(np.abs(hodograph.residual_u(problem, t, x, u))) <= 1e-12

@@ -216,13 +216,32 @@ def test_phi1_phi2_against_40_digit_reference(n):
 
 #: ||tA||_inf small and large, of both signs, for ||A||_inf = 1
 TABLE_TIMES = np.array([0.0, 1e-6, -0.05, 0.2, 0.2499, -0.2501, 0.3, 1.0, -2.5])
+#: the single call that is the top block of a time_table(A, k) row, by k
+SINGLE_CALLS = (matops.mat_exp, matops.phi1, matops.phi2)
+
+
+def _assert_rows_are_single_calls(A, ts):
+    """For k = 0, 1, 2: every block of every row of time_table(A, k)(ts) is
+    that of the evaluator's one-row call at its time bit for bit, and block
+    k is the single call mat_exp, phi1 or phi2 bit for bit."""
+    for k in range(3):
+        table = matops.time_table(A, k)
+        blocks = table(ts)
+        assert [b.shape for b in blocks] == [(len(ts),) + A.shape] * (k + 1)
+        for i, t in enumerate(ts):
+            one = table(t)
+            for j in range(k + 1):
+                assert blocks[j][i].tobytes() == one[j].tobytes(), f"k={k} j={j} t={t}"
+            ref = SINGLE_CALLS[k](A, t)
+            assert one[k].tobytes() == ref.tobytes(), f"k={k} t={t}:\n{one[k]}\n{ref}"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["zero", "nilpotent", "skew", "random", "diagonal"])
 def test_phi1_table_matches_phi1(kind, n):
-    """phi1_table row by row against the scalar phi1, bit for bit: entrywise
-    for an exactly diagonal A (zero included), t phi_1(tA) for any other A."""
+    """time_table row by row against the single calls, bit for bit, for k =
+    0, 1, 2 (_assert_rows_are_single_calls): phi1 entrywise for an exactly
+    diagonal A (zero included), t phi_1(tA) for any other A."""
     rng = np.random.default_rng(60 + n)
     K = rng.standard_normal((n, n))
     A = {
@@ -235,22 +254,18 @@ def test_phi1_table_matches_phi1(kind, n):
     norm = np.linalg.norm(A, np.inf)
     if norm:
         A = A / norm
-    table = matops.phi1_table(A)(TABLE_TIMES)
-    assert table.shape == (TABLE_TIMES.size, n, n)
-    for t, row in zip(TABLE_TIMES, table):
-        ref = matops.phi1(A, t)
-        assert row.tobytes() == ref.tobytes(), f"t={t}:\n{row}\n{ref}"
+    _assert_rows_are_single_calls(A, TABLE_TIMES)
 
 
 def test_phi1_table_diagonal_bits_and_overflow_rows():
     """The entrywise route keeps phi1's bits on DIAG_VALUES; rows that overflow
     come back non-finite instead of raising, on both routes."""
     A = np.diag(DIAG_VALUES)
-    table = matops.phi1_table(A)(np.array(DIAG_VALUES))
+    table = matops.time_table(A, 1)(np.array(DIAG_VALUES))[1]
     for t, row in zip(DIAG_VALUES, table):
         assert np.array_equal(row, matops.phi1(A, t)), f"t={t}"
     for A in (np.diag([800.0, 1.0]), np.array([[800.0, 1.0], [0.0, 1.0]])):
-        table = matops.phi1_table(A)(np.array([0.5, 1.0]))
+        table = matops.time_table(A, 1)(np.array([0.5, 1.0]))[1]
         assert np.all(np.isfinite(table[0])) and not np.all(np.isfinite(table[1]))
 
 
@@ -342,16 +357,16 @@ def test_expm_stack_rows_match_single_calls():
 
 
 def test_expm_overflow_stays_in_its_row():
-    """One overflowing row of a phi1_table stack comes back non-finite and
+    """One overflowing row of a time_table stack comes back non-finite and
     leaves the other rows finite and bit for bit as without it; mat_exp
     reports the overflow."""
     A = np.array([[1.0, 2.0], [-0.5, 3.0]])
     ts = np.array([0.5, 2.0, 400.0, -1.0, 3.0])
-    table = matops.phi1_table(A)(ts)
+    table = matops.time_table(A, 1)(ts)[1]
     finite = np.isfinite(table).all(axis=(1, 2))
     assert finite.tolist() == [True, True, False, True, True]
     keep = ts != 400.0
-    assert np.array_equal(table[keep], matops.phi1_table(A)(ts[keep]))
+    assert np.array_equal(table[keep], matops.time_table(A, 1)(ts[keep])[1])
     with pytest.raises(OverflowMatrixError):
         matops.mat_exp(A, 400.0)
     bad = np.array([np.eye(2), [[np.inf, 0.0], [1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]])
@@ -367,25 +382,29 @@ def test_expm_overflow_stays_in_its_row():
     np.zeros((2, 2)),
 ], ids=["rotation3d", "dense2d", "scalar", "zero"])
 def test_phi_table_matches_single_calls(A):
-    """Each row of phi_table is mat_exp, phi1 and phi2 at its own time, to
-    rounding, for small and large arguments and negative times."""
+    """Each block j of each row of time_table(A, k), for every k = 0, 1, 2 and
+    j <= k, is the single call mat_exp, phi1 or phi2 at its own time, to
+    rounding (bit for bit for j = k), for small and large arguments and
+    negative times."""
     ts = np.array([0.0, 1e-3, 0.05, 0.3, 0.9, 1.3, 3.0, -1.0])
-    E, P1, P2 = matops.phi_table(A, ts)
-    assert E.shape == P1.shape == P2.shape == (len(ts),) + A.shape
-    for i, t in enumerate(ts):
-        for got, want in ((E[i], matops.mat_exp(A, t)), (P1[i], matops.phi1(A, t)),
-                          (P2[i], matops.phi2(A, t))):
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+    for k in range(3):
+        blocks = matops.time_table(A, k)(ts)
+        assert len(blocks) == k + 1
+        for j, block in enumerate(blocks):
+            assert block.shape == (len(ts),) + A.shape
+            for t, got in zip(ts, block):
+                np.testing.assert_allclose(got, SINGLE_CALLS[j](A, t), rtol=1e-14, atol=1e-15)
 
 
 def test_phi_table_overflow_raises():
-    with pytest.raises(OverflowMatrixError):
-        matops.phi_table(np.array([[800.0]]), np.array([0.1, 2.0]))
+    """time_row raises where a row is not finite, naming its time."""
+    with pytest.raises(OverflowMatrixError, match="t=2.0"):
+        matops.time_row(np.array([[800.0]]), np.array([0.1, 2.0]), 2)
 
 
 # ---------------------------------------------------------------------------
-# phi1_exp: phi1 and e^{tA} = I + A phi1 from one phi1_table evaluator, as the
-# blow-up root refinement takes them
+# time_table over the force matrices of every route: each row is the single
+# call, and e^{tA} = I + A phi1 as the blow-up root refinement takes it
 
 #: force matrices of every route: diagonal (negative, zero, mixed), the
 #: elliptic 2x2, the coriolis3d 3x3 and a 4x4 block rotation
@@ -413,30 +432,32 @@ def _phi1_formula(A, t):
 
 @pytest.mark.parametrize("name", list(EVALUATOR_MATRICES))
 def test_phi1_exp_is_phi1_bit_for_bit(name):
-    """Each row of one phi1_table(A) evaluation is phi1(A, t) bit for bit, for
-    small and large ||tA|| and t of both signs, and so is a one-row
+    """Each row of one time_table(A, 1) evaluation is phi1(A, t) bit for bit,
+    for small and large ||tA|| and t of both signs, and so is a one-row
     evaluation; e^{tA} = I + A phi1 taken over the whole table is
-    I + A @ phi1(A, t) bit for bit; and phi1 is its formula bit for bit."""
+    I + A @ phi1(A, t) bit for bit; and phi1 is its formula bit for bit.
+    Every k = 0, 1, 2 row is the single call (_assert_rows_are_single_calls)."""
     A = EVALUATOR_MATRICES[name]
     ts = np.array([*TABLE_TIMES, *DIAG_VALUES, -1e-9, 0.1, -4.0])
-    table = matops.phi1_table(A)
-    P1 = table(ts)
+    _assert_rows_are_single_calls(A, ts)
+    table = matops.time_table(A, 1)
+    P1 = table(ts)[1]
     E = np.eye(len(A)) + A @ P1
     assert P1.shape == E.shape == (len(ts),) + A.shape
     for t, row, E_row in zip(ts, P1, E):
         ref = matops.phi1(A, t)
         assert ref.tobytes() == _phi1_formula(A, t).tobytes(), f"t={t}"
         assert row.tobytes() == ref.tobytes(), f"t={t}:\n{row}\n{ref}"
-        assert table(np.array([t]))[0].tobytes() == ref.tobytes(), f"t={t}"
+        assert table(np.array([t]))[1][0].tobytes() == ref.tobytes(), f"t={t}"
         assert E_row.tobytes() == (np.eye(len(A)) + A @ ref).tobytes(), f"t={t}"
 
 
 @pytest.mark.parametrize("A", [np.diag([800.0, 1.0]), np.array([[800.0, 1.0], [0.0, 1.0]])],
                          ids=["diagonal", "triangular"])
 def test_phi1_exp_overflow_raises_where_phi1_does(A):
-    """A phi1_table row is non-finite exactly where phi1 raises, and leaves
-    the other rows finite."""
-    table = matops.phi1_table(A)(np.array([0.5, 1.0, 0.25]))
+    """A time_table(A, 1) row is non-finite exactly where phi1 raises, and
+    leaves the other rows finite."""
+    table = matops.time_table(A, 1)(np.array([0.5, 1.0, 0.25]))[1]
     assert np.isfinite(table[[0, 2]]).all() and not np.isfinite(table[1]).all()
     matops.phi1(A, 0.5)
     matops.phi1(A, 0.25)

@@ -253,6 +253,25 @@ def test_stacked_exact_flow_matches_row_calls():
         np.testing.assert_allclose(flow.u[i], one.u, rtol=1e-14, atol=1e-14)
 
 
+def test_coriolis3d_axis_entries_are_exact():
+    """The coriolis3d force rotates about the z axis and leaves z decoupled, so
+    e^{tA}, phi1 and phi2 have the z entries 1, t and t^2/2 and no coupling.
+    The k = 2 table that _newton and exact_flow take (time_row, every block
+    from the row at (tA, 1) times t^j) gives them exactly at 2000 t in
+    [1.3, 1.45], past the data's t* ~ 1.389, and so does the exact flow of
+    a particle launched along z; a table at (A, t) missed P1 = t and
+    P2 = t^2/2 in 599 and 1111 of these rows."""
+    spec = model.coriolis3d_spec(1.2, g_mag=0.5)
+    ts = np.linspace(1.3, 1.45, 2000)
+    E, P1, P2 = matops.time_row(spec.A, ts, 2)
+    for block, axis in ((E, np.ones_like(ts)), (P1, ts), (P2, ts * ts / 2)):
+        assert np.array_equal(block[:, 2, 2], axis)
+        assert not block[:, 2, :2].any() and not block[:, :2, 2].any()
+    flow = oracle.exact_flow(spec, np.zeros((ts.size, 3)), np.tile([0.0, 0.0, 1.0], (ts.size, 1)), ts)
+    assert np.array_equal(flow.x[:, 2], ts - ts * ts / 4)
+    assert np.array_equal(flow.u[:, 2], 1.0 - ts / 2)
+
+
 def _c3d_table():
     """The compare-3d caustic table's inputs: phi1 of the rotated force on 130
     nodes of step 0.02 (past the data's t* ~ 1.389, so both signs occur), and
@@ -260,7 +279,7 @@ def _c3d_table():
     spec, data = _c3d_rotated()
     box = data.sample_box()
     x0 = np.random.default_rng(1).uniform(box[:, 0], box[:, 1], size=(24, 3))
-    P = matops.phi1_table(spec.A)(np.arange(1, 131) * 0.02)
+    P = matops.time_table(spec.A, 1)(np.arange(1, 131) * 0.02)[1]
     return spec, data, x0, P, oracle._u0_jacobian(data, x0)
 
 
