@@ -49,10 +49,10 @@ over all sheets, re-checked against blowup_residual for the actual A before
 it is reported.  Each sheet's grid minimum is refined by Newton on the
 extremum conditions f = 0, f_M = 0 of the residual (_stationary_minimum),
 whose f, f_t and f_M come from one matops.det of the column-replaced stack
-(_extremum_conditions), with no branch_fn probe.  sheet_extremum's Newton
-steps probe branch_fn once per stencil (the centre and axis points, the
-corner points, the trial point); they refine the certificates, and the
-minimum of a sheet that cannot meet the extremum conditions.
+(_extremum_conditions); a sheet that cannot meet them keeps its grid
+minimum.  The same Newton (_extremum_newton) refines the best sample of the
+certificates (_sample_extremum), on the complex-step gradient of A phi'(M)
+or of a^2 + b^2 - c^2.  No blow-up run probes branch_fn.
 """
 
 from __future__ import annotations
@@ -83,13 +83,17 @@ _ROOT_MAX_ITER = 100
 #: chunk of the scan's determinant table (points * nodes * n^2 entries): a grid
 #: past it is scanned in several chunks, not refused
 _SCAN_MAX_ENTRIES = 4 * 10**6
-#: Newton steps sheet_extremum takes from the grid extremum before it settles,
-#: and the most steps min_blowup_time's extremum-condition Newton may take
+#: Newton steps the extremum-condition Newton (_extremum_newton) takes from a
+#: grid minimum or a certificate's best sample before it gives up
 _EXTREMUM_STEPS = 20
-#: imaginary step h of dJ/dM_k = Im J(M + i h e_k) / h, exact to rounding
+#: halvings of a Newton step whose point leaves the grid box or the data domain
+#: before the extremum-condition Newton gives up
+_STEP_HALVINGS = 8
+#: imaginary step h of df/dM_k = Im f(M + i h e_k) / h, exact to rounding
 _COMPLEX_STEP = 1e-30
 #: central-difference step of the extremum-condition Newton's Jacobian, and the
-#: step length at which it has converged, both relative to t and to a grid cell
+#: step length at which it has converged, both relative to its units (t and a
+#: grid cell)
 _DIFF_STEP = 1e-5
 _STEP_TOL = 1e-12
 #: singular values of the scaled Newton Jacobian below this fraction of the
@@ -106,8 +110,10 @@ class BlowupSheet:
 
     t holds NaN where the branch has no real time; absent_reason says which
     reality condition failed.  branch_fn re-evaluates the branch over a (k, n)
-    stack of M, grid points or not, to k values, NaN where the branch has none
-    (used by sheet_extremum); tau holds the pre-time-map root values for the
+    stack of M, grid points or not, to k values, NaN where the branch has none.
+    No blow-up run calls it; it stays because the benchmark's tracer wraps it
+    on every traced blow-up run, and the tests take it as the per-point
+    reference of a sheet.  tau holds the pre-time-map root values for the
     diagonal machinery.
     """
 
@@ -330,18 +336,16 @@ def sheet_1d(problem, M_grid=None):
 def certify_no_blowup_1d(problem, num=2001):
     """Global no-blow-up certificate for 1D: A phi'(M) >= 1 on the whole domain.
 
-    Minimizes s(M) = A*phi'(M) over a one-axis sheet of num grid points,
-    refined by sheet_extremum's Newton steps; Certified iff the minimum
-    exceeds 1 (then 1 - A phi' <= 0 everywhere and the log in the sheet
-    formula never has a positive argument).
+    Minimizes s(M) = A*phi'(M) over num grid points, refined by Newton on
+    s'(M) = 0 (_sample_extremum); Certified iff the minimum exceeds 1 (then
+    1 - A phi' <= 0 everywhere and the log in the sheet formula never has a
+    positive argument).
     """
     data = problem.data
     a = float(problem.spec.A[0, 0])
     grid = data.m_grids(num)[0]
     slope = lambda M: a * data.phi_jacobian(M)[:, 0, 0]
-    samples = BlowupSheet(branch="slope", axes=[grid], points=grid[:, None],
-                          t=slope(grid[:, None]), branch_fn=slope)
-    v_star, (m_star,) = sheet_extremum(samples)
+    v_star, (m_star,) = _sample_extremum(data, [grid], grid[:, None], slope)
     certified = bool(v_star > 1.0)
     reason = (f"min over M of A*phi'(M) = {v_star:.12g} > 1: no real blow-up time" if certified
               else f"A*phi'(M) = {v_star:.12g} <= 1 at M = {m_star:.12g}")
@@ -485,7 +489,7 @@ def certify_coriolis_absent(problem, sheet):
     < 0 there, so the sheet is absent everywhere iff that margin stays below 0
     on the whole domain.  Its sup is taken over the in-domain grid points and
     the points where the grid lines meet the domain edge, then refined by
-    Newton steps on the margin (sheet_extremum); Certified iff the sup is
+    Newton on grad margin = 0 (_sample_extremum); Certified iff the sup is
     below 0.
     """
     A, data = problem.spec.A, problem.data
@@ -494,16 +498,13 @@ def certify_coriolis_absent(problem, sheet):
         raise ValueError("certify_coriolis_absent needs a 2x2 A with trace 0 and det A > 0")
 
     def margin(M):
-        with np.errstate(all="ignore"):
-            a, b, c = _coriolis_abc(A, lam, data.phi_jacobian(M))
-        return np.where(data.in_domain(M), a * a + b * b - c * c, np.nan)
+        a, b, c = _coriolis_abc(A, lam, data.phi_jacobian(M))
+        return a * a + b * b - c * c
 
     inside = data.in_domain(sheet.points)
     pts = np.concatenate([sheet.points[inside],
                           _domain_edges(data, sheet.axes, sheet.points, inside)])
-    samples = BlowupSheet(branch="margin", axes=sheet.axes, points=pts, t=margin(pts),
-                          branch_fn=margin)
-    found = sheet_extremum(samples, mode="max")
+    found = _sample_extremum(data, sheet.axes, pts, margin, sign=-1.0)
     if found is None:
         return Certificate(False, "no in-domain M with a finite a^2 + b^2 - c^2", None, np.nan)
     sup, worst = found
@@ -602,74 +603,6 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     return _stacked_sheets(problem, M_grid, branch, roots, reason)
 
 
-def sheet_extremum(sheet, mode="min", positive_only=False):
-    """Grid extremum of a sheet's time values, refined by Newton on branch_fn.
-
-    Newton starts from the grid extremum, whose value is probed again through
-    branch_fn.  Each step takes the central-difference gradient and Hessian of
-    branch_fn with a step of 1e-4 grid cells per axis (2n axis probes and 4
-    corner probes per coordinate pair) and probes the Newton point, clipped to
-    the grid's bounding box.  A step makes at most three branch_fn calls, each
-    on one stack: the axis points (with the grid extremum on the first step),
-    the corner points once the gradient is usable, and the Newton point.  The
-    search stops at the first step that does not strictly improve the value,
-    at a non-finite probe, at a Hessian that is not definite (positive for
-    "min", negative for "max"), at a gradient of exactly 0, or after
-    _EXTREMUM_STEPS steps.
-
-    Returns (t_extreme, M_at), the best probed value and its point, or the
-    grid value where the probe at the grid extremum is not finite.
-    positive_only restricts to t > 0 entries.
-    """
-    t = sheet.t.copy()
-    if positive_only:
-        t[~sheet.finite_positive()] = np.nan
-    if not np.any(np.isfinite(t)):
-        return None
-    sign = 1.0 if mode == "min" else -1.0
-    i0 = int(np.argmin(np.where(np.isfinite(t), sign * t, np.inf)))
-    M = sheet.points[i0].copy()
-    if sheet.branch_fn is None:
-        return float(t[i0]), M
-
-    def f(stack):
-        """sign * branch_fn over the rows of stack; inf where a value is not
-        finite, or not positive under positive_only."""
-        ti = sheet.branch_fn(stack)
-        bad = ~np.isfinite(ti) | (positive_only & (ti <= 0.0))
-        return np.where(bad, np.inf, sign * ti)
-
-    n = M.size
-    h = np.array([1e-4 * float(ax[1] - ax[0]) if ax.size > 1 else 1e-4 for ax in sheet.axes])
-    e = np.diag(h)
-    lo, hi = np.array([ax[0] for ax in sheet.axes]), np.array([ax[-1] for ax in sheet.axes])
-    # coordinate pairs (j, k), k < j, and the signs of the corners M + a e_j + b e_k
-    j, k = np.tril_indices(n, -1)
-    a, b = np.array([1, 1, -1, -1])[:, None], np.array([1, -1, 1, -1])[:, None]
-    first = f(np.concatenate([M[None], M + e, M - e]))
-    best, axis = first[0], first[1:]
-    if not np.isfinite(best):
-        return float(t[i0]), M
-    for step in range(_EXTREMUM_STEPS):
-        up, down = (axis if step == 0 else f(np.concatenate([M + e, M - e]))).reshape(2, n)
-        grad = (up - down) / (2.0 * h)
-        if not np.all(np.isfinite(grad)) or not np.any(grad):
-            break
-        hess = np.diag((up - 2.0 * best + down) / h**2)
-        if j.size:
-            corners = (M + a * e[j][:, None]) + b * e[k][:, None]
-            pp, pm, mp, mm = f(corners.reshape(-1, n)).reshape(-1, 4).T
-            hess[j, k] = hess[k, j] = (pp - pm - mp + mm) / (4.0 * h[j] * h[k])
-        if not np.all(np.isfinite(hess)) or np.linalg.eigvalsh(hess)[0] <= 0.0:
-            break
-        trial = np.clip(M - np.linalg.solve(hess, grad), lo, hi)
-        (value,) = f(trial[None])
-        if not value < best:
-            break
-        M, best = trial, value
-    return float(sign * best), M
-
-
 def certify_branch_absent(problem, sheet):
     """Absence certificate for one diagonal-machinery sheet.
 
@@ -703,17 +636,15 @@ def _extremum_conditions(A, data, table, z):
     e^{tA}) and f_M_k = d/ds det(K + s dJ_k) are each the sum over j of det(K
     with column j replaced by column j of e^{tA} = I + A phi1, or of dJ_k); they
     and f come from one matops.det of the (k, 1 + (1 + n) n, n, n) stack.
-    dJ_k = Im J(M + i h e_k) / h (h = _COMPLEX_STEP) is the complex step of the
-    data's own phi_jacobian, one call over the (k n, n) stack.  A row whose
-    matrices are not finite gets non-finite values.
+    dJ_k is the complex step of the data's own phi_jacobian (_complex_step).
+    A row whose matrices are not finite gets non-finite values.
     """
     t, M = z[:, 0], z[:, 1:]
     k, n = M.shape
     eye = np.eye(n)
     P1, J = table(t)[1], _rows(data.phi_jacobian, M)
     K, E = P1 + J, eye + A @ P1
-    shifted = (M[:, None] + 1j * _COMPLEX_STEP * eye).reshape(-1, n)
-    dJ = data.phi_jacobian(shifted).imag.reshape(k, n, n, n) / _COMPLEX_STEP
+    dJ = _complex_step(data.phi_jacobian, M)
     columns = np.concatenate([E[:, None], dJ], axis=1)
     swap = eye.astype(bool)[:, None, :]  # matrix j takes column j
     replaced = np.where(swap, columns[:, :, None], K[:, None, None]).reshape(k, -1, n, n)
@@ -738,74 +669,145 @@ def _flat_axes(sheet, i0):
     return np.array(flat)
 
 
+def _cells(axes):
+    """(n,): each grid axis' cell width, 1 for an axis of one point."""
+    return np.array([float(ax[1] - ax[0]) if ax.size > 1 else 1.0 for ax in axes])
+
+
+def _in_grid(data, axes):
+    """The predicate of one point M (n,): inside the grid's box and the data domain."""
+    lo, hi = np.array([ax[0] for ax in axes]), np.array([ax[-1] for ax in axes])
+    return lambda M: bool(((lo <= M) & (M <= hi)).all() and data.in_domain(M))
+
+
+def _stencil(unit):
+    """(h, offsets) with h = _DIFF_STEP unit: the (1 + 2m, m) offsets of one
+    Newton evaluation's points, 0 (the iterate) first, then +h_j e_j, -h_j e_j."""
+    h = _DIFF_STEP * unit
+    return h, np.concatenate([np.zeros((1, h.size)), np.diag(h), np.diag(-h)])
+
+
+def _central_jacobian(G, h):
+    """(m, m): row i the derivative of G_i at the iterate, by central
+    differences of the rows G of the stencil (_stencil) with steps h."""
+    return (G[1 : 1 + h.size] - G[1 + h.size :]).T / (2.0 * h)
+
+
+def _complex_step(f, M):
+    """d/dM_j of a holomorphic f over the rows of the (k, n) stack M, whose
+    values have shape s per row: (k, n, *s), entry j Im f(M + i h e_j) / h
+    (h = _COMPLEX_STEP), exact to rounding, from one call on a (k n, n) stack."""
+    k, n = M.shape
+    values = f((M[:, None] + 1j * _COMPLEX_STEP * np.eye(n)).reshape(-1, n))
+    return values.imag.reshape(k, n, *values.shape[1:]) / _COMPLEX_STEP
+
+
+def _extremum_newton(conditions, z, unit, vary, inside):
+    """Newton from z on the extremum conditions F = 0 of a sheet, where
+    conditions(z) is F at z and its (m, m) Jacobian: the root, or None.
+
+    Only the coordinates of the bool mask vary move.  The step is the
+    minimum-norm least-squares solution in units of unit, so a direction the
+    Jacobian does not see (a singular value below _FLAT_RCOND of the largest)
+    keeps its coordinate too; a step whose point fails inside (a predicate of
+    z) is halved, up to _STEP_HALVINGS times.  Converged once F[vary] is
+    exactly 0 (at z itself too) or a step is within _STEP_TOL of unit; None
+    where a value is not finite, where every halving fails inside, or after
+    _EXTREMUM_STEPS steps.
+    """
+    sel, unit = np.ix_(vary, vary), unit[vary]
+    with np.errstate(all="ignore"):
+        F, jac = conditions(z)
+        for _ in range(_EXTREMUM_STEPS):
+            if not F[vary].any():
+                return z
+            jac, Fv = jac[sel] * unit, F[vary]
+            if not (np.isfinite(jac).all() and np.isfinite(Fv).all()):
+                return None
+            step = unit * np.linalg.lstsq(jac, -Fv, rcond=_FLAT_RCOND)[0]
+            for _ in range(_STEP_HALVINGS + 1):
+                trial = z.copy()
+                trial[vary] += step
+                if inside(trial):
+                    break
+                step = 0.5 * step
+            else:
+                return None
+            z = trial
+            if (np.abs(step) <= _STEP_TOL * unit).all():
+                return z
+            F, jac = conditions(z)
+    return None if F[vary].any() else z
+
+
+def _sample_extremum(data, axes, points, value, sign=1.0):
+    """The least (sign 1) or greatest (sign -1) finite value of a holomorphic
+    value ((k, n) stack -> (k,)) over the sample stack points, refined by
+    Newton on grad value = 0: (value, M), or None where no sample is finite.
+
+    Newton (_extremum_newton) starts at the best sample, in units of the grid
+    cells of axes, on the complex-step gradient (_complex_step) with its
+    central differences as the Jacobian, and stays in the grid's box and the
+    data domain.  Its root replaces the sample only where its value is
+    strictly better, so the result is never worse than the best sample.
+    """
+    unit = _cells(axes)
+    h, shifts = _stencil(unit)
+
+    def conditions(z):
+        G = _complex_step(value, z + shifts)
+        return G[0], _central_jacobian(G, h)
+
+    with np.errstate(all="ignore"):
+        v = sign * value(points)
+        if not np.isfinite(v).any():
+            return None
+        i0 = int(np.argmin(np.where(np.isfinite(v), v, np.inf)))
+        best, M = v[i0], points[i0]
+        z = _extremum_newton(conditions, M.copy(), unit, np.ones(M.size, dtype=bool),
+                             _in_grid(data, axes))
+        vz = np.inf if z is None else sign * value(z[None])[0]
+    return (float(sign * vz), z) if vz < best else (float(sign * best), M)
+
+
 def _stationary_minimum(problem, table, sheet, i0):
     """The sheet's minimum (t*, M*) from its grid point i0 as the root of the
     n + 1 extremum conditions F = (f, f_M) = 0 (_extremum_conditions), or
     None where the sheet cannot meet them.
 
     At a minimum of t(M) on a sheet, grad t = -f_M / f_t vanishes.  Newton
-    starts at (t0, M0), the grid point's time and point.  Each evaluation is
-    one stacked call on the iterate, first, and its 2 (n + 1) points shifted
-    by _DIFF_STEP times t0 and one grid cell; a call costs about as much as
-    one on the iterate alone.  Where F is exactly 0 at (t0, M0) the grid
-    point is returned untouched and no Jacobian is built.  An axis along
-    which the grid is flat at i0 (_flat_axes) keeps the grid's coordinate,
-    and its condition f_M_k is dropped: a sheet that depends on some
-    coordinates only has a whole set of minima, and Newton would wander along
-    it.  The Jacobian's f row is the exact gradient (f_t, f_M); its f_M rows
-    are central differences of the exact f_M at the shifted points.  The step
-    is the minimum-norm least-squares solution in units of t0 and a cell, so
-    a direction the Jacobian does not see (a singular value below _FLAT_RCOND
-    of the largest) keeps its coordinate too.  Newton has converged once F is
-    exactly 0 or a step is within _STEP_TOL of those units.  None where
-    branches cross, |f_t| <= _CROSSING_TOL |e^{tA}|_F (|phi1|_F +
-    |J|_F)^(n-1) at (t0, M0); where an iterate leaves the grid box or the
-    data domain, or a value is not finite (an edge minimum); where Newton has
-    not converged within _EXTREMUM_STEPS steps; or where the result has t >
-    t0 or t <= 0.
+    (_extremum_newton) starts at (t0, M0), the grid point's time and point,
+    in units of t0 and a grid cell, and stays in the grid's box and the data
+    domain.  Each evaluation is one stacked call on the iterate and its
+    2 (n + 1) stencil points (_stencil), about the cost of one on the iterate
+    alone.  An axis along which the grid is flat at i0 (_flat_axes) keeps the
+    grid's coordinate and drops its condition f_M_k: a sheet that depends on
+    some coordinates only has a whole set of minima, and Newton would wander
+    along it.  The Jacobian's f row is the exact gradient (f_t, f_M), its f_M
+    rows central differences of the exact f_M.  None where branches cross
+    (|f_t| <= _CROSSING_TOL |e^{tA}|_F (|phi1|_F + |J|_F)^(n-1) at an
+    iterate), where Newton fails (an edge minimum, a value that is not
+    finite, no convergence), or where the result has t > t0 or t <= 0.
     """
     A, data = problem.spec.A, problem.data
     t0, M0 = float(sheet.t[i0]), sheet.points[i0]
-    z = np.concatenate([[t0], M0])
-    lo, hi = np.array([ax[0] for ax in sheet.axes]), np.array([ax[-1] for ax in sheet.axes])
-    unit = np.array([t0] + [float(ax[1] - ax[0]) if ax.size > 1 else 1.0 for ax in sheet.axes])
-    h = _DIFF_STEP * unit
-    shifts = np.concatenate([np.zeros((1, z.size)), np.diag(h), np.diag(-h)])  # z first
+    unit = np.concatenate([[t0], _cells(sheet.axes)])
+    h, shifts = _stencil(unit)
+    in_grid = _in_grid(data, sheet.axes)
 
     def conditions(z):
-        """F at z, the gradients at z and its shifted points, and the scale of f_t at z."""
         f, grads, scale = _extremum_conditions(A, data, table, z + shifts)
-        return np.concatenate([f[:1], grads[0, 1:]]), grads, scale[0]
+        F = np.concatenate([f[:1], grads[0, 1:]])
+        if not abs(grads[0, 0]) > _CROSSING_TOL * scale[0]:
+            F[0] = np.nan  # crossing branches: the conditions degenerate
+        jac = _central_jacobian(grads, h)
+        jac[0] = grads[0]
+        return F, jac
 
-    with np.errstate(all="ignore"):
-        F, grads, scale = conditions(z)
-        if not F.any():
-            return t0, M0.copy()
-        if not abs(grads[0, 0]) > _CROSSING_TOL * scale:
-            return None
-        vary = np.flatnonzero(np.concatenate([[True], ~_flat_axes(sheet, i0)]))  # t, free M_k
-        sel, unit = np.ix_(vary, vary), unit[vary]
-        for _ in range(_EXTREMUM_STEPS):
-            # rows f_M: d(f_t, f_M)/dz by central differences; row f: the exact gradient
-            jac = (grads[1 : 1 + z.size] - grads[1 + z.size :]).T / (2.0 * h)
-            jac[0] = grads[0]
-            jac, Fv = jac[sel] * unit, F[vary]
-            if not (np.isfinite(jac).all() and np.isfinite(Fv).all()):
-                return None
-            step = unit * np.linalg.lstsq(jac, -Fv, rcond=_FLAT_RCOND)[0]
-            z[vary] += step
-            M = z[1:]
-            if not (((lo <= M) & (M <= hi)).all() and data.in_domain(M)):
-                return None
-            if (np.abs(step) <= _STEP_TOL * unit).all():
-                break
-            F, grads, _ = conditions(z)
-            if not F[vary].any():
-                break
-        else:
-            return None
-    t = float(z[0])
-    return (t, z[1:]) if 0.0 < t <= t0 else None
+    vary = np.concatenate([[True], ~_flat_axes(sheet, i0)])  # t, free M_k
+    z = _extremum_newton(conditions, np.concatenate([[t0], M0]), unit, vary,
+                         lambda z: in_grid(z[1:]))
+    return None if z is None or not 0.0 < z[0] <= t0 else (float(z[0]), z[1:])
 
 
 def min_blowup_time(problem, sheets):
@@ -814,10 +816,10 @@ def min_blowup_time(problem, sheets):
     Each sheet's positive grid minimum (t0, M0) is refined by Newton on the
     extremum conditions f = 0, f_M = 0 of the residual f = det(phi1(A, t) +
     J(M)) (_stationary_minimum), with no branch_fn probe; a sheet that cannot
-    meet them (no branch_fn, crossing branches, an edge minimum, no
-    convergence, or a result with t > t0 or t <= 0) falls back to Newton steps
-    on its branch_fn (sheet_extremum).  Returns NoBlowup when no sheet has a
-    positive time on its grid.  The reported (t*, M*) must satisfy
+    meet them (crossing branches, an edge minimum, no convergence, or a result
+    with t > t0 or t <= 0) keeps its grid minimum (t0, M0).  Returns NoBlowup
+    when no sheet has a positive time on its grid.  The reported (t*, M*)
+    must satisfy
 
         |blowup_residual(t*, M*)| <= 1e-9 * max(1, |phi1(A, t*)|_F, |J(M*)|_F)^n
 
@@ -834,10 +836,8 @@ def min_blowup_time(problem, sheets):
         if not positive.any():
             continue
         i0 = int(np.argmin(np.where(positive, sheet.t, np.inf)))
-        res = None if sheet.branch_fn is None else _stationary_minimum(problem, table, sheet, i0)
-        if res is None:
-            res = sheet_extremum(sheet, mode="min", positive_only=True)
-        t_s, M_s = res
+        res = _stationary_minimum(problem, table, sheet, i0)
+        t_s, M_s = (float(sheet.t[i0]), sheet.points[i0].copy()) if res is None else res
         if best is None or t_s < best[0]:
             best = (t_s, M_s, sheet.branch)
     if best is None:

@@ -103,6 +103,22 @@ def test_criterion_03_certificate_thresholds():
     assert len(_residual_sign_scan(gauss_problem(-0.99 * thr))) == 2
 
 
+def _nelder_mead_extremum(sheet, sign):
+    """The least (sign 1) or greatest (sign -1) time of a sheet: scipy
+    Nelder-Mead on its branch_fn (xatol 1e-13, fatol 1e-16) from the grid
+    extremum, a reference that shares no code with min_blowup_time."""
+    from scipy.optimize import minimize
+
+    def f(M):
+        t = sheet.branch_fn(M[None])[0]
+        return sign * t if np.isfinite(t) else np.inf
+
+    grid = np.where(np.isfinite(sheet.t), sign * sheet.t, np.inf)
+    found = minimize(f, sheet.points[np.argmin(grid)], method="Nelder-Mead",
+                     options={"xatol": 1e-13, "fatol": 1e-16})
+    return sign * min(found.fun, grid.min())
+
+
 @criterion(4, "tanh2d branch extrema 1/(1+eps), 1/(1-eps) to 1e-6; absence at -(1+eps)-0.01")
 def test_criterion_04_tanh2d_sheets():
     for eps in (0.5, 2.0):
@@ -115,12 +131,12 @@ def test_criterion_04_tanh2d_sheets():
         f_plus = 1.0 / (1.0 + eps)
         f_minus = 1.0 / (1.0 - eps)
         if eps < 1.0:
-            t0, _ = blowup.sheet_extremum(sheets[0], mode="min")
-            t1, _ = blowup.sheet_extremum(sheets[1], mode="min")
+            t0 = _nelder_mead_extremum(sheets[0], 1.0)
+            t1 = _nelder_mead_extremum(sheets[1], 1.0)
         else:
             # the negative branch sorts first; its extremum closest to zero is a max
-            t1, _ = blowup.sheet_extremum(sheets[0], mode="max")
-            t0, _ = blowup.sheet_extremum(sheets[1], mode="min")
+            t1 = _nelder_mead_extremum(sheets[0], -1.0)
+            t0 = _nelder_mead_extremum(sheets[1], 1.0)
         assert abs(t0 - f_plus) <= 1e-6, f"eps={eps}: fast branch {t0!r} vs {f_plus}"
         assert abs(t1 - f_minus) <= 1e-6, f"eps={eps}: slow branch {t1!r} vs {f_minus}"
     # eps = 2, a = -(1+eps) - 0.01: the positive branch is certified absent

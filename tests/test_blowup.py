@@ -59,12 +59,68 @@ def test_certificate_gauss_threshold():
     assert not bad.certified, bad.reason
 
 
+@pytest.mark.parametrize("scale", [1.01, 0.99])
+def test_gauss_certificate_minimum_is_one_over_sqrt_e(scale):
+    """A phi'(M) of the unit gauss1d flank is least at M = 1/sqrt(e), where
+    phi'' = 0: Newton on the complex step of phi' puts the certificate's M
+    there to 1e-12, between the 2001 grid points."""
+    thr = np.sqrt(2.0 / np.e)
+    cert = blowup.certify_no_blowup_1d(
+        make_problem([[-scale * thr]], "gauss1d", {"eta": 1.0, "kappa": 1.0}))
+    assert cert.certified == (scale > 1.0)
+    assert abs(cert.worst_M[0] - np.exp(-0.5)) <= 1e-12, cert.worst_M
+    assert cert.value == pytest.approx(scale, rel=1e-14)
+
+
+def _certificate_samples(problem):
+    """(value, samples): a certificate and its best sample value, the least
+    A phi'(M) over the 1D grid or the greatest a^2 + b^2 - c^2 over the
+    in-domain grid points and domain edges of the elliptic sheet."""
+    A, data = problem.spec.A, problem.data
+    if problem.spec.n == 1:
+        grid = data.m_grids(2001)[0][:, None]
+        return blowup.certify_no_blowup_1d(problem), np.min(A[0, 0] * data.phi_jacobian(grid)[:, 0, 0])
+    (sheet,) = blowup.sheets_coriolis2d(problem)
+    inside = data.in_domain(sheet.points)
+    pts = np.concatenate([sheet.points[inside],
+                          blowup._domain_edges(data, sheet.axes, sheet.points, inside)])
+    with np.errstate(all="ignore"):
+        a, b, c = blowup._coriolis_abc(A, blowup._elliptic_lambda(A), data.phi_jacobian(pts))
+    return blowup.certify_coriolis_absent(problem, sheet), -np.max(a * a + b * b - c * c)
+
+
+@pytest.mark.parametrize("problem", [
+    make_problem([[0.45]], "tanh1d", {"mu": 1.3, "kappa": 0.9}),
+    make_problem([[-0.99]], "tanh1d", {"mu": 1.0, "kappa": 1.0}),
+    make_problem([[-0.8]], "gauss1d", {"eta": 1.0, "kappa": 1.0}),
+    make_problem(model.coriolis2d_spec(1.0).A, "gauss2d_coriolis", {"amplitude": 0.05}, grid_num=61),
+    make_problem(model.coriolis2d_spec(1.3).A, "gauss2d_coriolis", {"amplitude": 0.7}, grid_num=61),
+    make_problem(model.coriolis2d_spec(1.0).A, "gauss2d_coriolis", {"amplitude": 0.5}, grid_num=21),
+], ids=["tanh1d-edge", "tanh1d-flat", "gauss1d", "coriolis-absent", "coriolis-0.7", "coriolis-edge"])
+def test_no_certificate_value_is_worse_than_its_best_sample(problem):
+    """The Newton refinement of a certificate replaces its best sample only by
+    a strictly better in-domain point: the least A phi'(M) is at most the grid
+    minimum, the greatest a^2 + b^2 - c^2 at least the sampled maximum, and
+    the value is the one at the point reported."""
+    cert, best = _certificate_samples(problem)
+    if problem.spec.n == 1:
+        assert cert.value <= best, (cert.value, best)
+        at = problem.spec.A[0, 0] * problem.data.phi_jacobian(cert.worst_M[None])[0, 0, 0]
+    else:
+        assert -cert.value <= best, (cert.value, best)
+        A = problem.spec.A
+        a, b, c = blowup._coriolis_abc(A, blowup._elliptic_lambda(A),
+                                       problem.data.phi_jacobian(cert.worst_M[None])[0])
+        at = a * a + b * b - c * c
+    assert problem.data.in_domain(cert.worst_M)
+    assert at == pytest.approx(cert.value, rel=1e-14, abs=1e-300)
+
+
 def test_sheets_diag_free_tanh2d():
     """A = 0, eps = 0.5: branch extrema 1/(1+eps) and 1/(1-eps), both at M = 0."""
     problem = make_problem(np.zeros((2, 2)), "tanh2d", {"eps": 0.5}, grid_num=121)
     sheets = blowup.sheets_diag(problem)
-    t_fast, _ = blowup.sheet_extremum(sheets[0], mode="min")
-    t_slow, _ = blowup.sheet_extremum(sheets[1], mode="min")
+    t_fast, t_slow = (blowup.min_blowup_time(problem, [s]).t_star for s in sheets)
     assert t_fast == pytest.approx(1.0 / 1.5, abs=1e-6)
     assert t_slow == pytest.approx(2.0, abs=1e-6)
     ext = blowup.min_blowup_time(problem, sheets)
@@ -767,24 +823,27 @@ def test_blowup_scan_grid_6_minimum_is_solved_to_rounding():
     assert abs(ext.t_star - lo) <= 1e-15, (ext.t_star, lo, hi)
 
 
-def _synthetic_sheet(f, num=11, calls=None):
-    """A sheet of t = f(M) on a num x num grid of [0, 1]^2 whose branch_fn is f
-    on each row of a stack, with every probe value recorded: (sheet, probes).
-    calls, when given, gets each branch_fn call's row count."""
-    axes = [np.linspace(0.0, 1.0, num)] * 2
-    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    probes = []
+class _UnitBox(model.InitialData):
+    """Data whose domain holds the synthetic grid [0, 1]^2 with room to spare."""
 
-    def branch_fn(stack):
+    dim = 2
+
+    def domain_box(self):
+        return np.array([[-1.0, 2.0]] * 2)
+
+
+def _synthetic_extremum(f, sign=1.0, calls=None):
+    """_sample_extremum of f over the 11 x 11 grid of [0, 1]^2: ((value, M),
+    grid values).  calls, when given, gets each call's row count."""
+    axes = [np.linspace(0.0, 1.0, 11)] * 2
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+    def value(stack):
         if calls is not None:
             calls.append(len(stack))
-        values = [f(M) for M in stack]
-        probes.extend(values)
-        return np.array(values)
+        return np.array([f(M) for M in stack])
 
-    sheet = blowup.BlowupSheet("s", axes, points, np.array([f(M) for M in points]),
-                               branch_fn=branch_fn)
-    return sheet, probes
+    return blowup._sample_extremum(_UnitBox(), axes, points, value, sign), value(points)
 
 
 @pytest.mark.parametrize("f, t_min, M_min", [
@@ -796,71 +855,34 @@ def _synthetic_sheet(f, num=11, calls=None):
      1.0, (0.43, 0.5009)),
     (lambda M: np.cosh(M[0] - 0.314) * np.cosh(2.0 * (M[1] - 0.456)), 1.0, (0.314, 0.456)),
 ], ids=["coupled-quadratic", "quartic", "curved-valley", "cosh"])
-def test_sheet_extremum_smooth_minimum_in_few_probes(f, t_min, M_min):
-    """A smooth minimum between grid points: Newton on the central-difference
-    gradient and Hessian reaches it to 1e-11 in at most 40 branch_fn probes,
-    also along a curved valley that no coordinate direction follows.  Each
-    stencil is one call: the grid extremum and its 4 axis points, then per
-    step the 4 corners, the Newton point and the next 4 axis points."""
+def test_sample_extremum_smooth_minimum(f, t_min, M_min):
+    """A smooth minimum between grid points: Newton on the complex-step
+    gradient, with central differences of it as the Jacobian, reaches it to
+    1e-11 in at most 6 stacked gradient calls, each one call of f on the 10
+    complex points of the iterate and its 4 stencil points, also along a
+    curved valley that no coordinate direction follows."""
     calls = []
-    sheet, probes = _synthetic_sheet(f, calls=calls)
-    t, M = blowup.sheet_extremum(sheet)
+    (t, M), _ = _synthetic_extremum(f, calls=calls)
     assert abs(t - t_min) <= 1e-11, t
     assert np.allclose(M, M_min, atol=1e-6), M
-    assert len(probes) <= 40, len(probes)
-    assert sum(calls) == len(probes) and calls[0] == 5, calls
-    assert calls[1:] == ([4, 1, 4] * len(calls))[: len(calls) - 1], calls
+    steps = calls[1:-2]  # the samples first, the value at the root and the grid values last
+    assert calls[0] == calls[-1] == 121 and calls[-2] == 1, calls
+    assert set(steps) == {10} and len(steps) <= 6, calls
 
 
-def _smooth(M):
-    return 1.0 + (M[0] - 0.41) ** 2 + (M[1] - 0.53) ** 2
-
-
-@pytest.mark.parametrize("f", [
-    lambda M: np.inf if M[0] < 0.4 else _smooth(M),
-    lambda M: np.nan if M[1] > 0.53 + 5e-6 else _smooth(M),
-    lambda M: np.inf if np.hypot(M[0] - 0.4, M[1] - 0.5) < 1e-9 else _smooth(M),
-], ids=["inf-left", "nan-right", "inf-at-start"])
-def test_sheet_extremum_finite_beside_non_finite_probes(f):
-    """Where the branch has no root the probe is inf or NaN: a non-finite probe
-    beside the minimum, or at the grid extremum itself, ends the search with a
-    finite value no worse than the grid's.  The stored grid is the smooth sheet,
-    so the probe at the grid extremum (0.4, 0.5) can disagree with it."""
-    sheet, probes = _synthetic_sheet(f)
-    sheet.t = np.array([_smooth(M) for M in sheet.points])
-    t, M = blowup.sheet_extremum(sheet)
-    assert any(not np.isfinite(v) for v in probes), probes
-    assert np.isfinite(t) and t <= sheet.t.min(), t
-    assert t == _smooth(M)
-
-
-@pytest.mark.parametrize("f, M_min", [
-    (lambda M: 1.0 + M[0] + M[1], (0.0, 0.0)),
-    (lambda M: (M[0] - 2.0) ** 2 + (M[1] - 0.537) ** 2, (1.0, 0.537)),
-], ids=["left", "right"])
-def test_sheet_extremum_edge_minimum_stays_in_box(f, M_min):
-    """A minimum on the edge of the grid's box, or past it, is reported inside
-    the box: the Newton point is clipped to the box."""
-    sheet, _ = _synthetic_sheet(f)
-    t, M = blowup.sheet_extremum(sheet)
-    assert np.all((0.0 <= M) & (M <= 1.0)), M
-    assert np.allclose(M, M_min, atol=1e-9), M
-    assert t == f(M)
-
-
-@pytest.mark.parametrize("f, mode", [
-    (lambda M: abs(M[0] - 0.33) + M[1] ** 2, "min"),
-    (lambda M: np.sin(20.0 * M[0]) + M[0] + (M[1] - 0.47) ** 2, "min"),
-    (lambda M: -abs(M[0] - 0.33) - (M[1] - 0.61) ** 2 - 0.2 * M[0] * M[1], "max"),
-], ids=["kink", "wiggle", "max"])
-def test_sheet_extremum_returns_a_probed_value_no_worse_than_grid(f, mode):
-    """The result is a probed value at the point returned, and no worse than
-    the grid extremum, also on a kinked sheet and in mode="max"."""
-    sheet, probes = _synthetic_sheet(f)
-    grid = sheet.t.min() if mode == "min" else sheet.t.max()
-    t, M = blowup.sheet_extremum(sheet, mode=mode)
-    assert t in probes and t == f(M)
-    assert (t <= grid) if mode == "min" else (t >= grid), (t, grid)
+@pytest.mark.parametrize("f, sign", [
+    (lambda M: abs(M[0] - 0.33) + M[1] ** 2, 1.0),
+    (lambda M: np.sin(20.0 * M[0]) + M[0] + (M[1] - 0.47) ** 2, 1.0),
+    (lambda M: -abs(M[0] - 0.33) - (M[1] - 0.61) ** 2 - 0.2 * M[0] * M[1], -1.0),
+    (lambda M: (M[0] - 2.0) ** 2 + (M[1] - 0.537) ** 2, 1.0),
+], ids=["kink", "wiggle", "max", "past-the-edge"])
+def test_sample_extremum_is_no_worse_than_the_best_sample(f, sign):
+    """The result is the value at the point returned, a point of the grid's
+    box, and no worse than the best sample, also on a kinked sheet, for the
+    greatest value, and where the minimum lies past the box."""
+    (t, M), grid = _synthetic_extremum(f, sign)
+    assert t == f(M) and np.all((0.0 <= M) & (M <= 1.0)), (t, M)
+    assert sign * t <= np.min(sign * grid), (t, grid)
 
 
 def _c2d_problem(A, grid_num):
@@ -876,14 +898,33 @@ def _c2d_problem(A, grid_num):
      [0.786938115497736, 11.121261681602014]),
 ], ids=["criterion-5", "periodic2d", "scalar-0.2"])
 def test_sheet_minimum_matches_nelder_mead(problem, build, refs):
-    """Each sheet minimum on gauss2d_coriolis lies within 1e-12 of a
-    scipy Nelder-Mead minimum of the same branch_fn (xatol 1e-13, fatol 1e-16),
-    taken once and pinned here, and min_blowup_time's t* from the extremum
-    conditions lies within 1e-14 of the least of them."""
+    """Each sheet minimum on gauss2d_coriolis, min_blowup_time of that sheet
+    alone, lies within 1e-12 of a scipy Nelder-Mead minimum of the same
+    branch_fn (xatol 1e-13, fatol 1e-16), taken once and pinned here, and
+    min_blowup_time's t* over every sheet is the least of them."""
     sheets = build(problem)
-    got = [blowup.sheet_extremum(s, positive_only=True)[0] for s in sheets]
+    got = [blowup.min_blowup_time(problem, [s]).t_star for s in sheets]
     assert np.all(np.abs(np.subtract(got, refs)) <= 1e-12), got
-    assert abs(blowup.min_blowup_time(problem, sheets).t_star - min(got)) <= 1e-14
+    assert blowup.min_blowup_time(problem, sheets).t_star == min(got)
+
+
+def test_periodic2d_minimum_takes_the_conditions():
+    """The periodic2d sheet (grid 41): Newton on the extremum conditions
+    reaches the minimum, whose first step leaves the curved domain and is
+    halved back into it, with no fallback to the grid minimum; F = (f, f_M)
+    is 0 there to rounding and t* is 0.8649620763002022, 7e-16 from the
+    pinned Nelder-Mead minimum 0.8649620763002015."""
+    problem = _c2d_problem(periodicity.make_periodic_2d(1.0, 0.3, 0.8), 41)
+    (sheet,) = blowup.sheets_coriolis2d(problem)
+    i0 = _grid_minimum(sheet)
+    table = matops.time_table(problem.spec.A, 1)
+    t, M = blowup._stationary_minimum(problem, table, sheet, i0)
+    assert t < sheet.t[i0] and problem.data.in_domain(M)
+    ext, fallen = _routes(problem, [sheet])
+    assert fallen == [] and ext.t_star == t == 0.8649620763002022
+    z = np.concatenate([[t], M])[None]
+    f, grad, _ = blowup._extremum_conditions(problem.spec.A, problem.data, table, z)
+    assert np.all(np.abs([f[0], *grad[0, 1:]]) <= 1e-13 * abs(grad[0, 0])), (f, grad)
 
 
 def test_criterion_5_refinement_probes_in_few_calls(monkeypatch):
@@ -891,7 +932,7 @@ def test_criterion_5_refinement_probes_in_few_calls(monkeypatch):
     minimum lies between grid points, and Newton on the extremum conditions
     reaches it in at most 6 stacked evaluations of them (the grid point, then
     each iterate, each with its 6 shifted points), with no branch_fn call and
-    no fallback to sheet_extremum; F = (f, f_M) is 0 there to rounding."""
+    no fallback to the grid minimum; F = (f, f_M) is 0 there to rounding."""
     problem = _c2d_problem(model.coriolis2d_spec(1.0).A, 101)
     (sheet,) = blowup.sheets_coriolis2d(problem)
     calls, rows, branch_fn = [], [], sheet.branch_fn
@@ -899,20 +940,21 @@ def test_criterion_5_refinement_probes_in_few_calls(monkeypatch):
     sheet.branch_fn = lambda M: calls.append(len(M)) or branch_fn(M)
     monkeypatch.setattr(blowup, "_extremum_conditions",
                         lambda A, data, table, z: rows.append(len(z)) or conditions(A, data, table, z))
-    monkeypatch.setattr(blowup, "sheet_extremum", None)
     ext = blowup.min_blowup_time(problem, [sheet])
     assert calls == [] and set(rows) == {7} and len(rows) <= 6, (calls, rows)
+    assert ext.t_star < sheet.t[_grid_minimum(sheet)]
     z = np.concatenate([[ext.t_star], ext.M_star])[None]
     f, grad, _ = conditions(problem.spec.A, problem.data, matops.time_table(problem.spec.A, 1), z)
     assert np.all(np.abs([f[0], *grad[0, 1:]]) <= 1e-13 * abs(grad[0, 0])), (f, grad)
 
 
-def _routes(monkeypatch, problem, sheets):
-    """min_blowup_time over sheets, with the branch of every sheet that fell
-    back to sheet_extremum: (result, fallen-back branches)."""
-    fallen, sheet_extremum = [], blowup.sheet_extremum
-    monkeypatch.setattr(blowup, "sheet_extremum",
-                        lambda sheet, *a, **k: fallen.append(sheet.branch) or sheet_extremum(sheet, *a, **k))
+def _routes(problem, sheets):
+    """min_blowup_time over sheets, with the branch of every sheet that cannot
+    meet the extremum conditions and keeps its grid minimum: (result, those
+    branches)."""
+    table = matops.time_table(problem.spec.A, 1)
+    fallen = [s.branch for s in sheets if s.finite_positive().any()
+              and blowup._stationary_minimum(problem, table, s, _grid_minimum(s)) is None]
     return blowup.min_blowup_time(problem, sheets), fallen
 
 
@@ -921,11 +963,11 @@ def _grid_minimum(sheet):
     return int(np.argmin(np.where(positive, sheet.t, np.inf)))
 
 
-def test_edge_minimum_falls_back_to_branch_fn(monkeypatch):
+def test_edge_minimum_keeps_the_grid_minimum():
     """gauss2d_coriolis amplitude 0.3 under coriolis2d omega 0.5: the sheet's
     grid minimum lies next to the curved domain's edge and Newton on the
-    extremum conditions leaves the domain, so the sheet falls back to
-    sheet_extremum, whose t* it reports bit for bit."""
+    extremum conditions leaves the domain with every halving of its step, so
+    the sheet keeps its grid minimum, t* and M* bit for bit."""
     problem = make_problem(model.coriolis2d_spec(0.5).A, "gauss2d_coriolis",
                            {"amplitude": 0.3}, grid_num=101)
     (sheet,) = blowup.sheets_coriolis2d(problem)
@@ -936,18 +978,18 @@ def test_edge_minimum_falls_back_to_branch_fn(monkeypatch):
     assert not problem.data.in_domain(near).all()
     table = matops.time_table(problem.spec.A, 1)
     assert blowup._stationary_minimum(problem, table, sheet, i0) is None
-    ext, fallen = _routes(monkeypatch, problem, [sheet])
+    ext, fallen = _routes(problem, [sheet])
     assert fallen == ["coriolis_first"]
-    assert ext.t_star == 3.1333699787763134
-    assert ext.t_star == blowup.sheet_extremum(sheet, positive_only=True)[0]
+    assert ext.t_star == sheet.t[i0] == 3.1333699787763134
+    assert np.array_equal(ext.M_star, sheet.points[i0])
 
 
-def test_crossing_branches_fall_back_to_branch_fn(monkeypatch):
+def test_crossing_branches_keep_the_grid_minima():
     """A = 0.3 I (a repeated eigenvalue) on separable tanh data with mu kappa
     = 0.72 in both components: the two branches tau0, tau1 of det(tau I + J)
     cross at the minimum M = (0.8, 0.9), where f_t vanishes to within
-    _CROSSING_TOL and the extremum conditions degenerate.  Both sheets fall
-    back to sheet_extremum and keep its times bit for bit."""
+    _CROSSING_TOL and the extremum conditions degenerate.  Both sheets keep
+    their grid minima, t* and M* bit for bit."""
     data = ("separable", {"components": [("tanh1d", {"mu": 0.8, "kappa": 0.9}),
                                          ("tanh1d", {"mu": 0.9, "kappa": 0.8})]})
     problem = make_problem(0.3 * np.eye(2), *data, grid_num=11)
@@ -966,10 +1008,11 @@ def test_crossing_branches_fall_back_to_branch_fn(monkeypatch):
         assert f[0] or grad[0, 1:].any()
         assert abs(grad[0, 0]) <= blowup._CROSSING_TOL * bound, (f, grad, bound)
         assert blowup._stationary_minimum(problem, table, sheet, i0) is None
-    ext, fallen = _routes(monkeypatch, problem, sheets)
+    ext, fallen = _routes(problem, sheets)
     assert fallen == ["tau0", "tau1"]
-    assert ext.t_star == 1.1610222993520276 and ext.branch == "tau0"
-    assert blowup.min_blowup_time(problem, sheets[1:]).t_star == 1.1610223291027442
+    assert ext.t_star == sheets[0].t[i0] == 1.1610222993520276 and ext.branch == "tau0"
+    assert np.array_equal(ext.M_star, sheets[0].points[i0])
+    assert blowup.min_blowup_time(problem, sheets[1:]).t_star == sheets[1].t[i0] == 1.1610223291027442
 
 
 def _c3d_rotated():
@@ -984,7 +1027,7 @@ def _c3d_rotated():
                                       degenerate.coriolis3d_basis(1.2))
 
 
-def test_flat_coriolis3d_sheet_on_its_grid_node_takes_the_conditions(monkeypatch):
+def test_flat_coriolis3d_sheet_on_its_grid_node_takes_the_conditions():
     """The flat coriolis3d separable sheet at the default grid 11: every grid
     time with M1 = 0.8 is the exact root 1/(mu kappa), so the grid is flat
     along M2 and M3 at its minimum.  Newton on the extremum conditions in t
@@ -995,46 +1038,44 @@ def test_flat_coriolis3d_sheet_on_its_grid_node_takes_the_conditions(monkeypatch
     (sheet,) = sheets
     i0 = _grid_minimum(sheet)
     assert blowup._flat_axes(sheet, i0).tolist() == [False, True, True]
-    ext, fallen = _routes(monkeypatch, problem, sheets)
+    ext, fallen = _routes(problem, sheets)
     assert fallen == []
     assert ext.t_star == sheet.t[i0] == 1.3888888888888888
     assert np.array_equal(ext.M_star, sheet.points[i0])
 
 
-def test_flat_coriolis3d_sheet_off_its_grid_node_keeps_the_flat_coordinates(monkeypatch):
+def test_flat_coriolis3d_sheet_off_its_grid_node_keeps_the_flat_coordinates():
     """At grid 10 no grid node has M1 = 0.8: Newton moves t and M1 only, the
     flat axes M2 and M3 keep the grid minimum's coordinates, and t* is the
-    closed form 1/(mu kappa).  Newton steps on branch_fn stopped at the grid
-    value 1.4059002823047766, 1.2% late, because the flat axes leave the
-    central-difference Hessian singular."""
+    closed form 1/(mu kappa); the grid minimum, 1.4059002823047766, is 1.2%
+    late."""
     problem = _c3d_rotated()
     sheets, _ = blowup.build_sheets(problem, grid_num=10)
     (sheet,) = sheets
     i0 = _grid_minimum(sheet)
     assert blowup._flat_axes(sheet, i0).tolist() == [False, True, True]
-    ext, fallen = _routes(monkeypatch, problem, sheets)
+    ext, fallen = _routes(problem, sheets)
     assert fallen == []
     assert abs(ext.t_star - 1.0 / (0.8 * 0.9)) <= 1e-15
     assert abs(ext.M_star[0] - 0.8) <= 1e-12
     assert np.array_equal(ext.M_star[1:], sheet.points[i0][1:])
-    assert blowup.sheet_extremum(sheet, positive_only=True)[0] == 1.4059002823047766
+    assert sheet.t[i0] == 1.4059002823047766
 
 
-def test_root_pair_inside_one_scan_step_is_reached_from_the_grid(monkeypatch):
+def test_root_pair_inside_one_scan_step_is_reached_from_the_grid():
     """diag(1000, 1000 + 5e-10) on tanh2d eps 0.5, grid 5, t_max 0.7: at M = 0
     both roots of det(phi1 + J(0)), expm1(1000 t) / 1000 = 2/3 and 2 (J(0) has
     eigenvalues -2/3 and -2), lie in one 0.01 step of the all-roots scan, whose
     sign does not change across it, so the grid's centre has no time and the
     grid minimum, at M = (-0.99, 0), is 6% late.  Newton on the extremum
     conditions goes from there to M = 0, with no fallback: t* is within 1e-14
-    of log1p(2000 / 3) / 1000.  Newton steps on branch_fn keep the grid
-    value."""
+    of log1p(2000 / 3) / 1000."""
     problem = make_problem(np.diag([1000.0, 1000.0 + 5e-10]), "tanh2d", {"eps": 0.5})
     sheets, _ = blowup.build_sheets(problem, grid_num=5, t_max=0.7)
     first = sheets[0]
     assert np.isnan(first.t[12]) and np.array_equal(first.points[12], [0.0, 0.0])
-    assert blowup.sheet_extremum(first, positive_only=True)[0] == 0.006903722540265938
-    ext, fallen = _routes(monkeypatch, problem, sheets)
+    assert first.t[_grid_minimum(first)] == 0.006903722540265938
+    ext, fallen = _routes(problem, sheets)
     assert fallen == [] and ext.branch == first.branch
     assert abs(ext.t_star - np.log1p(2000.0 / 3.0) / 1000.0) <= 1e-14, ext.t_star
     assert np.all(np.abs(ext.M_star) <= 1e-14), ext.M_star

@@ -876,10 +876,10 @@ def test_blowup_scan_refuses_when_no_finite_node_is_left(tmp_path, capsys, matri
 
 def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
     """A refined time that is not a root of the residual for the actual A is
-    refused: the 1D branch shifted 1e-3 earlier, grid and branch_fn alike,
-    makes the run exit 2, with a message and no traceback, that writes M* as
-    plain floats.  Newton on the extremum conditions finds the true minimum
-    later than the shifted grid's, so the sheet falls back to branch_fn."""
+    refused: the 1D sheet's grid times shifted 1e-3 earlier make the run
+    exit 2, with a message and no traceback, that writes M* as plain floats.
+    Newton on the extremum conditions finds the true minimum later than the
+    shifted grid's, so the sheet keeps its shifted grid minimum."""
     cfg = write_cfg(tmp_path, "b1.yaml", {
         "problem": {"matrix": [[0.45]]},
         "data": {"family": "tanh1d", "params": {"mu": 1.3, "kappa": 0.9}},
@@ -890,9 +890,7 @@ def test_blowup_time_failing_the_recheck_exits_2(tmp_path, capsys, monkeypatch):
 
     def shifted(problem, M_grid=None):
         sheet = sheet_1d(problem, M_grid)
-        branch_fn = sheet.branch_fn
         sheet.t = sheet.t - 1e-3
-        sheet.branch_fn = lambda M: branch_fn(M) - 1e-3
         return sheet
 
     monkeypatch.setattr(blowup, "sheet_1d", shifted)
