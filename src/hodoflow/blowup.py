@@ -32,9 +32,9 @@ is its root function:
                         t-nodes) determinant table over one phi1 table and
                         the in-domain M stack, every bracket refined at once
                         by one masked, safeguarded Newton on the exact
-                        t-derivative d/dt phi1(A, t) = e^{tA} = I + A phi1(A,
-                        t) (_refine_brackets), each pass one phi1 table over
-                        the live brackets and one matops.det of their
+                        t-derivative d/dt phi1(A, t) = e^{tA}
+                        (_refine_brackets), each pass one (e^{tA}, phi1)
+                        table over the live brackets and one matops.det of their
                         column-replaced stacks, every table from one
                         matops.time_table(A, 1) evaluator per scan;
                         scan_roots is the one-point scan;
@@ -162,16 +162,16 @@ def blowup_residual(problem, t, M):
     return float(np.linalg.det(P1 + problem.data.phi_jacobian(M)))
 
 
-def _refine_brackets(A, table, J, lo, hi, flo, fhi):
+def _refine_brackets(table, J, lo, hi, flo, fhi):
     """Roots of f(t) = det(phi1(A, t) + J[b]) in the brackets (lo[b], hi[b])
     with flo[b] fhi[b] < 0, one per matrix of the (k, n, n) stack J, all
     refined together: a (k,) array.
 
     Safeguarded Newton from the regula-falsi point.  Each pass takes one
-    table(t)[1] = phi1(A, t) over the live brackets (table is the
-    matops.time_table(A, 1) evaluator) and e^{tA} = I + A phi1 from it; with
-    K = phi1 + J, f and f'(t) = sum_j det(K with column j replaced by column
-    j of e^{tA}) come from one matops.det of the (live, n + 1, n, n) stack.
+    table(t) = (e^{tA}, phi1(A, t)) over the live brackets (table is the
+    matops.time_table(A, 1) evaluator); with K = phi1 + J, f and f'(t) =
+    sum_j det(K with column j replaced by column j of e^{tA}) come from one
+    matops.det of the (live, n + 1, n, n) stack.
     Each step shrinks a bracket by the sign of f; a Newton step that leaves
     the open bracket is replaced by its midpoint.  A root is the Newton
     iterate once its step is <= _ROOT_TOL, the bracket midpoint once the
@@ -180,7 +180,6 @@ def _refine_brackets(A, table, J, lo, hi, flo, fhi):
     brackets are refined with it.
     """
     n = J.shape[-1]
-    eye = np.eye(n)
     swap = np.eye(n + 1, n, -1, dtype=bool)[:, None, :]  # matrix j + 1 takes column j
     t = lo - flo * (hi - lo) / (fhi - flo)
     roots = np.empty_like(t)
@@ -189,8 +188,8 @@ def _refine_brackets(A, table, J, lo, hi, flo, fhi):
         for _ in range(_ROOT_MAX_ITER):
             if not live.size:
                 return roots
-            P1 = table(t)[1]
-            dets = matops.det(np.where(swap, (eye + A @ P1)[:, None], (P1 + J)[:, None]))
+            E, P1 = table(t)
+            dets = matops.det(np.where(swap, E[:, None], (P1 + J)[:, None]))
             f, df = dets[:, 0], dets[:, 1:].sum(axis=1)
             left = flo * f < 0.0
             hi = np.where(left, t, hi)
@@ -210,7 +209,7 @@ def _refine_brackets(A, table, J, lo, hi, flo, fhi):
     return roots
 
 
-def _scan_table(t_grid, P1_tab, J, A, table, t_max, first_only):
+def _scan_table(t_grid, P1_tab, J, table, t_max, first_only):
     """Roots t with |t| <= t_max of det(phi1(A, t) + J[p]) on t_grid for each
     Jacobian J[p] of the (k, n, n) stack J: a (k, w) array, each row's roots
     in increasing t, NaN-padded.
@@ -236,7 +235,7 @@ def _scan_table(t_grid, P1_tab, J, A, table, t_max, first_only):
 
     def refine(b):
         b = b[flo[b] != 0.0]
-        roots[b] = _refine_brackets(A, table, J[points[b]], lo[b], hi[b], flo[b], fhi[b])
+        roots[b] = _refine_brackets(table, J[points[b]], lo[b], hi[b], flo[b], fhi[b])
 
     if not first_only:
         refine(np.arange(len(points)))
@@ -259,10 +258,10 @@ def _scan_table(t_grid, P1_tab, J, A, table, t_max, first_only):
     return out
 
 
-def scan_roots(t_grid, P1_tab, J, A, table):
+def scan_roots(t_grid, P1_tab, J, table):
     """Every root of det(phi1(A, t) + J) on t_grid for one Jacobian J, in
     increasing t: the one-point call of the scan table (_scan_table)."""
-    return _scan_table(t_grid, P1_tab, J[None], A, table, np.inf, first_only=False)[0].tolist()
+    return _scan_table(t_grid, P1_tab, J[None], table, np.inf, first_only=False)[0].tolist()
 
 
 def _time_from_tau(a, tau):
@@ -593,7 +592,7 @@ def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=Tru
     def roots(M):
         starts = range(0, len(M), chunk)
         with np.errstate(over="ignore", invalid="ignore"):
-            found = [_scan_table(t_grid, P1_tab, _rows(data.phi_jacobian, M[s : s + chunk]), A,
+            found = [_scan_table(t_grid, P1_tab, _rows(data.phi_jacobian, M[s : s + chunk]),
                                  table, t_max, first_only) for s in starts]
         t = np.full((len(M), max((f.shape[1] for f in found), default=int(first_only))), np.nan)
         for s, f in zip(starts, found):
@@ -626,7 +625,7 @@ def certify_branch_absent(problem, sheet):
     return Certificate(certified, reason, worst, sup)
 
 
-def _extremum_conditions(A, data, table, z):
+def _extremum_conditions(data, table, z):
     """f(t, M) = det K, K = phi1(A, t) + J(M), its gradient (f_t, f_M1, ...,
     f_Mn) and the scale |e^{tA}|_F (|phi1|_F + |J|_F)^(n-1) of f_t at each row
     (t, M) of the (k, 1 + n) stack z: shapes (k,), (k, 1 + n) and (k,).  The
@@ -634,19 +633,18 @@ def _extremum_conditions(A, data, table, z):
 
     table is the matops.time_table(A, 1) evaluator.  f_t = d/ds det(K + s
     e^{tA}) and f_M_k = d/ds det(K + s dJ_k) are each the sum over j of det(K
-    with column j replaced by column j of e^{tA} = I + A phi1, or of dJ_k); they
+    with column j replaced by column j of e^{tA}, or of dJ_k); they
     and f come from one matops.det of the (k, 1 + (1 + n) n, n, n) stack.
     dJ_k is the complex step of the data's own phi_jacobian (_complex_step).
     A row whose matrices are not finite gets non-finite values.
     """
     t, M = z[:, 0], z[:, 1:]
     k, n = M.shape
-    eye = np.eye(n)
-    P1, J = table(t)[1], _rows(data.phi_jacobian, M)
-    K, E = P1 + J, eye + A @ P1
+    (E, P1), J = table(t), _rows(data.phi_jacobian, M)
+    K = P1 + J
     dJ = _complex_step(data.phi_jacobian, M)
     columns = np.concatenate([E[:, None], dJ], axis=1)
-    swap = eye.astype(bool)[:, None, :]  # matrix j takes column j
+    swap = np.eye(n, dtype=bool)[:, None, :]  # matrix j takes column j
     replaced = np.where(swap, columns[:, :, None], K[:, None, None]).reshape(k, -1, n, n)
     dets = matops.det(np.concatenate([K[:, None], replaced], axis=1))
     norms = np.linalg.norm(np.stack([E, P1, J]), axis=(2, 3))
@@ -789,14 +787,14 @@ def _stationary_minimum(problem, table, sheet, i0):
     iterate), where Newton fails (an edge minimum, a value that is not
     finite, no convergence), or where the result has t > t0 or t <= 0.
     """
-    A, data = problem.spec.A, problem.data
+    data = problem.data
     t0, M0 = float(sheet.t[i0]), sheet.points[i0]
     unit = np.concatenate([[t0], _cells(sheet.axes)])
     h, shifts = _stencil(unit)
     in_grid = _in_grid(data, sheet.axes)
 
     def conditions(z):
-        f, grads, scale = _extremum_conditions(A, data, table, z + shifts)
+        f, grads, scale = _extremum_conditions(data, table, z + shifts)
         F = np.concatenate([f[:1], grads[0, 1:]])
         if not abs(grads[0, 0]) > _CROSSING_TOL * scale[0]:
             F[0] = np.nan  # crossing branches: the conditions degenerate

@@ -545,7 +545,7 @@ def test_scan_roots_coarse_brackets_match_bisection(w, step):
     for M in blowup._grid_points(data, None, 7)[1]:
         if not data.in_domain(M):
             continue
-        got = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), A, table)
+        got = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), table)
         ref = _reference_scan(problem, M, ts)
         assert len(got) == len(ref), f"M={M}: {got} vs {ref}"
         assert np.all(np.abs(np.subtract(got, ref)) <= 1e-12), f"M={M}: {got} vs {ref}"
@@ -596,7 +596,7 @@ def _per_point_sheets(problem, first_only, t_max, scan_step):
             rows.append(None)
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            roots = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), A, table)
+            roots = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), table)
         if first_only:
             first = [r for r in roots if r > 0.0][:1]
             rows.append([r for r in first if r <= t_max])
@@ -655,11 +655,11 @@ def test_scan_table_chunks_give_the_same_sheets(monkeypatch, case, entries):
     assert np.array([s.t for s in chunked]).tobytes() == np.array([s.t for s in whole]).tobytes()
 
 
-def _refine_root_reference(A, table, J, lo, hi, flo, fhi, exits):
+def _refine_root_reference(table, J, lo, hi, flo, fhi, exits):
     """One bracket refined alone, as scan_roots refined it before its
     brackets were stacked, on one-row tables: each step fills one
     (n+1, n, n) stack (K = phi1 + J, then K with column j replaced by column
-    j of e^{tA} = I + A phi1) and takes f and f' from one matops.det of it.
+    j of the table's e^{tA}) and takes f and f' from one matops.det of it.
     exits collects the branches taken: "zero" (f exactly 0), "flat" (f'
     exactly 0), "leave" (a Newton step outside the bracket), "narrow" (the
     bracket below _ROOT_TOL) and "step"."""
@@ -669,9 +669,9 @@ def _refine_root_reference(A, table, J, lo, hi, flo, fhi, exits):
     Ks = np.empty((n + 1, n, n))
     t = lo - flo * (hi - lo) / (fhi - flo)
     for _ in range(blowup._ROOT_MAX_ITER):
-        P1 = table(np.array([t]))[1][0]
+        E, P1 = (block[0] for block in table(np.array([t])))
         Ks[:] = P1 + J
-        Ks[rows, :, cols] = (np.eye(n) + A @ P1).T
+        Ks[rows, :, cols] = E.T
         dets = matops.det(Ks)
         f = float(dets[0])
         if f == 0.0:
@@ -754,10 +754,10 @@ def test_stacked_refinement_is_each_bracket_refined_alone():
             continue
         J, lo, hi, flo, fhi = (np.array(v) for v in zip(*rows))
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = blowup._refine_brackets(A, table, J, lo, hi, flo, fhi)
+            stacked = blowup._refine_brackets(table, J, lo, hi, flo, fhi)
             for b, row in enumerate(rows):
-                alone = blowup._refine_brackets(A, table, *(np.array([v]) for v in row))
-                ref = _refine_root_reference(A, table, *row, exits)
+                alone = blowup._refine_brackets(table, *(np.array([v]) for v in row))
+                ref = _refine_root_reference(table, *row, exits)
                 assert stacked[b].hex() == alone[0].hex() == ref.hex(), (A, row, stacked[b], ref)
                 refined += 1
     assert refined > 300, refined
@@ -778,7 +778,7 @@ def test_scan_without_brackets_evaluates_no_table(first_only):
     J = data.phi_jacobian(blowup._grid_points(data, None, 3)[1][:4])
     vals = matops.det(P1_tab + J[:, None])
     assert np.all(vals[:, :-1] * vals[:, 1:] > 0.0)
-    out = blowup._scan_table(ts, P1_tab, J, A, counted, 5.0, first_only)
+    out = blowup._scan_table(ts, P1_tab, J, counted, 5.0, first_only)
     assert out.shape == (4, 1 if first_only else 0) and np.isnan(out).all()
     assert calls == []
 
@@ -923,7 +923,7 @@ def test_periodic2d_minimum_takes_the_conditions():
     ext, fallen = _routes(problem, [sheet])
     assert fallen == [] and ext.t_star == t == 0.8649620763002022
     z = np.concatenate([[t], M])[None]
-    f, grad, _ = blowup._extremum_conditions(problem.spec.A, problem.data, table, z)
+    f, grad, _ = blowup._extremum_conditions(problem.data, table, z)
     assert np.all(np.abs([f[0], *grad[0, 1:]]) <= 1e-13 * abs(grad[0, 0])), (f, grad)
 
 
@@ -939,12 +939,12 @@ def test_criterion_5_refinement_probes_in_few_calls(monkeypatch):
     conditions = blowup._extremum_conditions
     sheet.branch_fn = lambda M: calls.append(len(M)) or branch_fn(M)
     monkeypatch.setattr(blowup, "_extremum_conditions",
-                        lambda A, data, table, z: rows.append(len(z)) or conditions(A, data, table, z))
+                        lambda data, table, z: rows.append(len(z)) or conditions(data, table, z))
     ext = blowup.min_blowup_time(problem, [sheet])
     assert calls == [] and set(rows) == {7} and len(rows) <= 6, (calls, rows)
     assert ext.t_star < sheet.t[_grid_minimum(sheet)]
     z = np.concatenate([[ext.t_star], ext.M_star])[None]
-    f, grad, _ = conditions(problem.spec.A, problem.data, matops.time_table(problem.spec.A, 1), z)
+    f, grad, _ = conditions(problem.data, matops.time_table(problem.spec.A, 1), z)
     assert np.all(np.abs([f[0], *grad[0, 1:]]) <= 1e-13 * abs(grad[0, 0])), (f, grad)
 
 
@@ -999,7 +999,7 @@ def test_crossing_branches_keep_the_grid_minima():
         i0 = _grid_minimum(sheet)
         assert np.array_equal(sheet.points[i0], [0.8, 0.9000000000000001])
         t0, M0 = sheet.t[i0], sheet.points[i0]
-        f, grad, scale = blowup._extremum_conditions(problem.spec.A, problem.data, table,
+        f, grad, scale = blowup._extremum_conditions(problem.data, table,
                                                      np.concatenate([[t0], M0])[None])
         P1, J = matops.phi1(problem.spec.A, t0), problem.data.phi_jacobian(M0)
         bound = np.linalg.norm(np.eye(2) + problem.spec.A @ P1) * (np.linalg.norm(P1)

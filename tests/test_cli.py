@@ -923,7 +923,7 @@ def test_blowup_scan_refinement_keeps_its_summary_in_few_probes(tmp_path, monkey
 
     monkeypatch.setattr(blowup, "sheets_scan", counted)
     monkeypatch.setattr(blowup, "_extremum_conditions",
-                        lambda A, data, table, z: rows.append(len(z)) or conditions(A, data, table, z))
+                        lambda data, table, z: rows.append(len(z)) or conditions(data, table, z))
     out = tmp_path / "scan.csv"
     assert cli.main(["blowup", "--config", cfg, "--out", str(out)]) == 0
     comments, _, _ = read_csv(out)
@@ -1190,7 +1190,7 @@ def _counted_scan_run(tmp_path, monkeypatch, name, task):
     is_exact_diagonal, conditions = matops.is_exact_diagonal, blowup._extremum_conditions
     monkeypatch.setattr(matops, "is_exact_diagonal", lambda A: calls.append(1) or is_exact_diagonal(A))
     monkeypatch.setattr(blowup, "_extremum_conditions",
-                        lambda A, data, table, z: rows.extend(z) or conditions(A, data, table, z))
+                        lambda data, table, z: rows.extend(z) or conditions(data, table, z))
     cfg = write_cfg(tmp_path, f"{name}.yaml", {**_SCAN_CFG, "task": {"name": "blowup", **task}})
     assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
     monkeypatch.undo()

@@ -404,7 +404,7 @@ def test_phi_table_overflow_raises():
 
 # ---------------------------------------------------------------------------
 # time_table over the force matrices of every route: each row is the single
-# call, and e^{tA} = I + A phi1 as the blow-up root refinement takes it
+# call, and its e^{tA}, which the blow-up root refinement takes, is I + A phi1
 
 #: force matrices of every route: diagonal (negative, zero, mixed), the
 #: elliptic 2x2, the coriolis3d 3x3 and a 4x4 block rotation
@@ -434,22 +434,24 @@ def _phi1_formula(A, t):
 def test_phi1_exp_is_phi1_bit_for_bit(name):
     """Each row of one time_table(A, 1) evaluation is phi1(A, t) bit for bit,
     for small and large ||tA|| and t of both signs, and so is a one-row
-    evaluation; e^{tA} = I + A phi1 taken over the whole table is
-    I + A @ phi1(A, t) bit for bit; and phi1 is its formula bit for bit.
-    Every k = 0, 1, 2 row is the single call (_assert_rows_are_single_calls)."""
+    evaluation; the table's e^{tA} is the one-row evaluation's bit for bit
+    and I + A phi1(A, t) to 4e-16 of 1 + |A phi1|; and phi1 is its formula
+    bit for bit.  Every k = 0, 1, 2 row is the single call
+    (_assert_rows_are_single_calls)."""
     A = EVALUATOR_MATRICES[name]
     ts = np.array([*TABLE_TIMES, *DIAG_VALUES, -1e-9, 0.1, -4.0])
     _assert_rows_are_single_calls(A, ts)
     table = matops.time_table(A, 1)
-    P1 = table(ts)[1]
-    E = np.eye(len(A)) + A @ P1
+    E, P1 = table(ts)
     assert P1.shape == E.shape == (len(ts),) + A.shape
     for t, row, E_row in zip(ts, P1, E):
         ref = matops.phi1(A, t)
         assert ref.tobytes() == _phi1_formula(A, t).tobytes(), f"t={t}"
         assert row.tobytes() == ref.tobytes(), f"t={t}:\n{row}\n{ref}"
         assert table(np.array([t]))[1][0].tobytes() == ref.tobytes(), f"t={t}"
-        assert E_row.tobytes() == (np.eye(len(A)) + A @ ref).tobytes(), f"t={t}"
+        assert E_row.tobytes() == table(np.array([t]))[0][0].tobytes(), f"t={t}"
+        near = np.abs(E_row - np.eye(len(A)) - A @ ref).max() / (1.0 + np.abs(A @ ref).max())
+        assert near <= 4e-16, f"t={t}: {near:.2e}"
 
 
 @pytest.mark.parametrize("A", [np.diag([800.0, 1.0]), np.array([[800.0, 1.0], [0.0, 1.0]])],
