@@ -37,7 +37,6 @@ is its root function:
                         table over the live brackets and one matops.det of their
                         column-replaced stacks, every table from one
                         matops.time_table(A, 1) evaluator per scan;
-                        scan_roots is the one-point scan;
                         the first positive root on (0, t_max] or every root on
                         [-t_max, t_max] (sheets_diag2, for any A = diag(a1, a2)
                         that is not a*Id).
@@ -256,12 +255,6 @@ def _scan_table(t_grid, P1_tab, J, table, t_max, first_only):
         b = b[points[b] == points[b - 1]]
     out[out > t_max] = np.nan
     return out
-
-
-def scan_roots(t_grid, P1_tab, J, table):
-    """Every root of det(phi1(A, t) + J) on t_grid for one Jacobian J, in
-    increasing t: the one-point call of the scan table (_scan_table)."""
-    return _scan_table(t_grid, P1_tab, J[None], table, np.inf, first_only=False)[0].tolist()
 
 
 def _time_from_tau(a, tau):

@@ -461,7 +461,7 @@ def test_sheets_diag2_table_scan_matches_per_point_scan(rates, eps, t_max):
 
 def test_first_root_sheet_matches_diag2_scan():
     """The generic first-root sheet finds the smallest positive diag2 scan
-    time at every grid point (both go through blowup.scan_roots)."""
+    time at every grid point (both go through blowup._scan_table)."""
     problem = make_problem(np.diag([1.0, -np.sqrt(2.0)]), "tanh2d", {"eps": 0.5}, grid_num=5)
     diag2 = blowup.sheets_diag2(problem, t_max=3.0)
     (first,) = blowup.sheets_scan(problem, t_max=3.0)
@@ -531,6 +531,12 @@ def test_first_root_newton_matches_bisection_non_diagonal(case, first_only):
     assert 5 < finite < sum(s.t.size for s in sheets), finite
 
 
+def _one_point_scan(t_grid, P1_tab, J, table):
+    """Every root of det(phi1(A, t) + J) on t_grid for one Jacobian J, in
+    increasing t: the scan table (_scan_table) of a stack of one."""
+    return blowup._scan_table(t_grid, P1_tab, J[None], table, np.inf, first_only=False)[0].tolist()
+
+
 @pytest.mark.parametrize("w, step", [(1.0, 1.7), (-2.5, 1.1)])
 def test_scan_roots_coarse_brackets_match_bisection(w, step):
     """A rotation's residual oscillates, so a coarse bracket can hold a turning
@@ -545,7 +551,7 @@ def test_scan_roots_coarse_brackets_match_bisection(w, step):
     for M in blowup._grid_points(data, None, 7)[1]:
         if not data.in_domain(M):
             continue
-        got = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), table)
+        got = _one_point_scan(ts, P1_tab, data.phi_jacobian(M), table)
         ref = _reference_scan(problem, M, ts)
         assert len(got) == len(ref), f"M={M}: {got} vs {ref}"
         assert np.all(np.abs(np.subtract(got, ref)) <= 1e-12), f"M={M}: {got} vs {ref}"
@@ -580,8 +586,9 @@ def _table_case(case):
 
 
 def _per_point_sheets(problem, first_only, t_max, scan_step):
-    """The sheet times of a scan, point by point: scan_roots of each in-domain
-    grid point's own phi_jacobian (its one-point form), over the scan's nodes."""
+    """The sheet times of a scan, point by point: the scan of each in-domain
+    grid point's own phi_jacobian (its one-point form) alone, over the scan's
+    nodes."""
     A, data = problem.spec.A, problem.data
     if first_only:
         ts = np.concatenate([[0.0], np.arange(scan_step, t_max + scan_step, scan_step)])
@@ -596,7 +603,7 @@ def _per_point_sheets(problem, first_only, t_max, scan_step):
             rows.append(None)
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            roots = blowup.scan_roots(ts, P1_tab, data.phi_jacobian(M), table)
+            roots = _one_point_scan(ts, P1_tab, data.phi_jacobian(M), table)
         if first_only:
             first = [r for r in roots if r > 0.0][:1]
             rows.append([r for r in first if r <= t_max])
@@ -613,7 +620,7 @@ _TABLE_CASES = ["blowup-scan", "off_pattern", "off_pattern-all-roots", "coriolis
 @pytest.mark.parametrize("case", _TABLE_CASES)
 def test_scan_table_is_the_per_point_scan_bit_for_bit(case):
     """The sheets of one determinant table over the whole in-domain M stack
-    hold, bit for bit and with the same NaN pattern, the per-point scan_roots
+    hold, bit for bit and with the same NaN pattern, the per-point scan
     roots of the same grid: the same first root t > 0 within t_max in
     first-root mode, every root within t_max otherwise (rotation4 is n = 4,
     matops.det's LAPACK branch)."""
@@ -656,7 +663,7 @@ def test_scan_table_chunks_give_the_same_sheets(monkeypatch, case, entries):
 
 
 def _refine_root_reference(table, J, lo, hi, flo, fhi, exits):
-    """One bracket refined alone, as scan_roots refined it before its
+    """One bracket refined alone, as the one-point scan refined it before its
     brackets were stacked, on one-row tables: each step fills one
     (n+1, n, n) stack (K = phi1 + J, then K with column j replaced by column
     j of the table's e^{tA}) and takes f and f' from one matops.det of it.

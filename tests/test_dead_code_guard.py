@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hodoflow"
 
 #: module.name -> why a public name that nothing in the package calls is kept
 TEST_REFERENCES = {
-    "blowup.scan_roots": "the scan of one point, pinned against bisection in the blowup tests",
     "hodograph.residual_u": "the velocity-form residual, an independent route to residual_M",
     "hodograph.to_bar_variables": "the scalar-forcing change of variables the tests solve through",
     "oracle.flow_jacobian_det": "the one-matrix caustic determinant the oracle tests bisect",
