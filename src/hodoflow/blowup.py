@@ -269,9 +269,14 @@ def _time_from_tau(a, tau):
 
 
 def _grid_points(data, M_grid, num):
-    """The grid axes and their (k, n) mesh; a ConfigError naming grid_num when
-    the mesh would take more than _SCAN_MAX_ENTRIES entries."""
-    axes = data.m_grids(num) if M_grid is None else [np.asarray(g, dtype=float) for g in M_grid]
+    """The grid axes and their (k, n) mesh: M_grid's axes, else the data's
+    default grid of num points per axis, num None taking 201 for n <= 2 and
+    11 for n >= 3 (201 per axis is 8,120,601 points in 3D); a ConfigError
+    naming grid_num when the mesh would take more than _SCAN_MAX_ENTRIES
+    entries."""
+    if M_grid is None:
+        M_grid = data.m_grids((201 if data.dim <= 2 else 11) if num is None else num)
+    axes = [np.asarray(g, dtype=float) for g in M_grid]
     points = int(np.prod([ax.size for ax in axes]))
     if points * len(axes) > _SCAN_MAX_ENTRIES:
         raise ConfigError(f"an M-grid of {points:,} points in {len(axes)}D exceeds the "
@@ -285,7 +290,8 @@ def _stacked_sheets(problem, M_grid, branch, values, absent_reason, to_time=None
     """Sheets from one stacked evaluation over an M-grid.
 
     The grid is M_grid (per-axis arrays), else the data's default grid of
-    problem.grid_num points per axis.  values maps an in-domain (k, n) stack
+    problem.grid_num points per axis (_grid_points, which sizes it when
+    problem.grid_num is None).  values maps an in-domain (k, n) stack
     of M to (k, b) root values, one column per branch, NaN-padded; points
     outside the domain get NaN.  to_time, when given, maps root values to
     times and the raw values are kept as tau.  Sheet k is named
@@ -873,19 +879,17 @@ def build_sheets(problem, grid_num=None, t_max=10.0, scan_step=5e-2):
     A, singular ones included, to sheets_scan's first positive root on
     (0, t_max] with the step scan_step.  Every test is exact: A = a*Id only
     when every entry is, so a matrix merely close to a pattern goes to a scan
-    of the A given.  The per-axis M-grid size is grid_num, else 201 for n <= 2
-    and 11 for n >= 3.  Returns (sheets, certificate_lines); constant data,
-    whose characteristics never cross, raises ConfigError.
+    of the A given.  The per-axis M-grid size is grid_num, else the
+    builders' default (_grid_points).  Returns (sheets, certificate_lines);
+    constant data, whose characteristics never cross, raises ConfigError.
     """
     A, n = problem.spec.A, problem.spec.n
     if isinstance(problem.data, Constant):
         raise ConfigError("constant data has no blow-up sheets: its characteristics never cross")
-    if grid_num is None:
-        grid_num = 201 if n <= 2 else 11
-    grids = problem.data.m_grids(grid_num)
+    grids = None if grid_num is None else problem.data.m_grids(grid_num)
     cert_lines = []
     if n == 1:
-        sheets = [sheet_1d(problem, M_grid=grids[0])]
+        sheets = [sheet_1d(problem, M_grid=None if grids is None else grids[0])]
         cert = certify_no_blowup_1d(problem)
         word = "Certified" if cert.certified else "NotCertified"
         cert_lines.append(f"certificate: {word} ({cert.reason})")

@@ -542,17 +542,23 @@ def make_data(family, **params):
 
 @dataclass
 class HodographProblem:
-    """A force spec plus initial data plus the solver knobs."""
+    """A force spec plus initial data plus the solver knobs.
+
+    grid_num is the per-axis size of the blow-up builders' M-grid; None
+    leaves it to the builders (201 for n <= 2, 11 for n >= 3).
+    """
 
     spec: ForceSpec
     data: InitialData
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    grid_num: int = 201
+    grid_num: int | None = None
 
     def __post_init__(self):
         for key in ("newton_tol", "newton_max_iter", "grid_num"):
             value = getattr(self, key)
+            if key == "grid_num" and value is None:
+                continue
             if not 0 < value < np.inf:
                 raise ConfigError(f"{key} must be positive and finite, got {value!r}")
         if self.data.dim is not None and self.data.dim != self.spec.n:

@@ -1318,6 +1318,26 @@ def test_scalar3d_separable_t_star_is_the_closed_form(data, grid_num):
     assert lines[0].startswith("certificate[tau0]: NotAbsent (A*tau(M) = -0.416666666667 >= -1")
 
 
+@pytest.mark.parametrize("A, build", [
+    (-0.3 * np.eye(3), blowup.sheets_diag),
+    (model.coriolis3d_spec(1.2).A, blowup.sheets_scan),
+], ids=["sheets_diag", "sheets_scan"])
+def test_3d_default_grid_is_the_build_sheets_grid(A, build):
+    """A 3-D problem with no grid_num: a builder called without M_grid takes
+    11 points per axis, the grid build_sheets takes, not 201 (8,120,601
+    points, refused by the entry budget), and gives the same sheets."""
+    family, params = _C3D_SCALAR_DATA
+    problem = model.HodographProblem(model.ForceSpec(A, np.zeros(3)),
+                                     model.make_data(family, **params))
+    assert problem.grid_num is None
+    sheets = build(problem)
+    built, _ = blowup.build_sheets(problem)
+    assert [ax.size for ax in sheets[0].axes] == [11, 11, 11]
+    assert len(sheets) == len(built)
+    for sheet, other in zip(sheets, built):
+        assert np.array_equal(sheet.points, other.points) and _same_bits(sheet.t, other.t)
+
+
 def test_scalar3d_repeated_eigenvalue_stays_real():
     """Separable data has a diagonal J, so the roots tau of det(tau I + J) are
     the sorted diagonal of -J.  Every sheet stores exactly those, so where the
