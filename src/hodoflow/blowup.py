@@ -91,8 +91,7 @@ _STEP_HALVINGS = 8
 #: imaginary step h of df/dM_k = Im f(M + i h e_k) / h, exact to rounding
 _COMPLEX_STEP = 1e-30
 #: central-difference step of the extremum-condition Newton's Jacobian, and the
-#: step length at which it has converged, both relative to its units (t and a
-#: grid cell)
+#: step length at which it has converged, both in its units (t and a grid cell)
 _DIFF_STEP = 1e-5
 _STEP_TOL = 1e-12
 #: singular values of the scaled Newton Jacobian below this fraction of the
@@ -269,11 +268,9 @@ def _time_from_tau(a, tau):
 
 
 def _grid_points(data, M_grid, num):
-    """The grid axes and their (k, n) mesh: M_grid's axes, else the data's
-    default grid of num points per axis, num None taking 201 for n <= 2 and
-    11 for n >= 3 (201 per axis is 8,120,601 points in 3D); a ConfigError
-    naming grid_num when the mesh would take more than _SCAN_MAX_ENTRIES
-    entries."""
+    """The grid axes (M_grid, else the data's default grid of num points per
+    axis, num None taking 201 for n <= 2 and 11 otherwise) and their (k, n)
+    mesh; a ConfigError naming grid_num past _SCAN_MAX_ENTRIES entries."""
     if M_grid is None:
         M_grid = data.m_grids((201 if data.dim <= 2 else 11) if num is None else num)
     axes = [np.asarray(g, dtype=float) for g in M_grid]
@@ -290,10 +287,9 @@ def _stacked_sheets(problem, M_grid, branch, values, absent_reason, to_time=None
     """Sheets from one stacked evaluation over an M-grid.
 
     The grid is M_grid (per-axis arrays), else the data's default grid of
-    problem.grid_num points per axis (_grid_points, which sizes it when
-    problem.grid_num is None).  values maps an in-domain (k, n) stack
-    of M to (k, b) root values, one column per branch, NaN-padded; points
-    outside the domain get NaN.  to_time, when given, maps root values to
+    problem.grid_num points per axis (_grid_points).  values maps an
+    in-domain (k, n) stack of M to (k, b) root values, one column per branch,
+    NaN-padded; points outside the domain get NaN.  to_time, when given, maps root values to
     times and the raw values are kept as tau.  Sheet k is named
     branch.format(k), and its branch_fn is the same evaluation on any (k, n)
     stack: row k of its times, NaN where a point has fewer branches than the

@@ -542,17 +542,13 @@ def make_data(family, **params):
 
 @dataclass
 class HodographProblem:
-    """A force spec plus initial data plus the solver knobs.
-
-    grid_num is the per-axis size of the blow-up builders' M-grid; None
-    leaves it to the builders (201 for n <= 2, 11 for n >= 3).
-    """
+    """A force spec plus initial data plus the solver knobs."""
 
     spec: ForceSpec
     data: InitialData
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    grid_num: int | None = None
+    grid_num: int | None = None  # blow-up M-grid points per axis; None: the builders' rule
 
     def __post_init__(self):
         for key in ("newton_tol", "newton_max_iter", "grid_num"):
