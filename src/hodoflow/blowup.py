@@ -757,7 +757,7 @@ def _sample_extremum(data, axes, points, value, sign=1.0):
             return None
         i0 = int(np.argmin(np.where(np.isfinite(v), v, np.inf)))
         best, M = v[i0], points[i0]
-        z = _extremum_newton(conditions, M.copy(), unit, np.ones(M.size, dtype=bool),
+        z = _extremum_newton(conditions, M, unit, np.ones(M.size, dtype=bool),
                              _in_grid(data, axes))
         vz = np.inf if z is None else sign * value(z[None])[0]
     return (float(sign * vz), z) if vz < best else (float(sign * best), M)

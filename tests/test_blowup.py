@@ -73,9 +73,9 @@ def test_gauss_certificate_minimum_is_one_over_sqrt_e(scale):
 
 
 def _certificate_samples(problem):
-    """(value, samples): a certificate and its best sample value, the least
-    A phi'(M) over the 1D grid or the greatest a^2 + b^2 - c^2 over the
-    in-domain grid points and domain edges of the elliptic sheet."""
+    """(certificate, best): a certificate and its best sample value, the
+    least A phi'(M) over the 1D grid or minus the greatest a^2 + b^2 - c^2
+    over the in-domain grid points and domain edges of the elliptic sheet."""
     A, data = problem.spec.A, problem.data
     if problem.spec.n == 1:
         grid = data.m_grids(2001)[0][:, None]
