@@ -817,8 +817,9 @@ def min_blowup_time(problem, sheets):
         |blowup_residual(t*, M*)| <= 1e-9 * max(1, |phi1(A, t*)|_F, |J(M*)|_F)^n
 
     for the actual A, else BlowupVerificationError.  That scale, x* = phi(M*)
-    + phi1 M* + phi2 g and u* = e^{t*A} M* + phi1 g come from one k = 2
-    matops.time_row at t*.
+    + phi1 M* + phi2 g and u* = e^{t*A} M* + phi1 g come from one
+    matops.time_row at t*, of k = 2 for a non-zero g and k = 1 for g = 0,
+    where phi2 g is zero.
     """
     if isinstance(sheets, BlowupSheet):
         sheets = [sheets]
@@ -836,13 +837,17 @@ def min_blowup_time(problem, sheets):
     if best is None:
         return NoBlowup(reason="no positive root on the M-grid")
     t_star, M_star, branch = best
-    E, P1, P2 = matops.time_row(problem.spec.A, t_star, 2)
+    A, g = problem.spec.A, problem.spec.g
+    if g.any():
+        E, P1, P2 = matops.time_row(A, t_star, 2)
+        P2g = P2 @ g
+    else:  # phi2 g is zero: the k = 1 row, whose exponential is a size smaller
+        (E, P1), P2g = matops.time_row(A, t_star, 1), np.zeros_like(g)
     _verify_blowup_time(problem, t_star, M_star, P1)
-    g = problem.spec.g
     return BlowupExtremum(
         t_star=float(t_star),
         M_star=M_star,
-        x_star=problem.data.phi(M_star) + P1 @ M_star + P2 @ g,
+        x_star=problem.data.phi(M_star) + P1 @ M_star + P2g,
         u_star=E @ M_star + P1 @ g,
         branch=branch,
     )

@@ -56,9 +56,23 @@ _TOP_KEYS = ("problem", "data", "task", "solver")
 # when PyYAML was built with it: same documents, same canonical text, a
 # fraction of the pure-Python time.
 if yaml.__with_libyaml__:
-    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+    _SafeLoader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
 else:
-    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+    _SafeLoader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+
+
+class _Loader(_SafeLoader):
+    """The safe loader, whose composer tags plain int and float text of
+    _DECIMAL's patterns at once; any other node goes through PyYAML's
+    resolver and its per-node list of regular expressions."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0]:
+            if _FLOAT_TEXT.match(value):
+                return _FLOAT
+            if _INT_TEXT.match(value):
+                return _INT
+        return _SafeLoader.resolve(self, kind, value, implicit)
 
 
 def _require(cond, msg):
@@ -95,7 +109,8 @@ def _seed(flag, block):
 def _floats(value, key):
     """A config number or array as floats; a ConfigError unless all are finite."""
     arr = _coerce(lambda v: np.asarray(v, dtype=float), value, key)
-    _require(np.isfinite(arr).all(), f"config key {key!r} needs finite numbers, got {value!r}")
+    if not np.isfinite(arr).all():  # the text, a repr of every value, only for a failure
+        raise ConfigError(f"config key {key!r} needs finite numbers, got {value!r}")
     return arr
 
 
@@ -164,10 +179,13 @@ class _NotPlain(Exception):
 
 _TAG = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
-# int and float text that int() and float() read as SafeConstructor does;
-# other int, float, bool and null text goes through the constructor for its tag
-_DECIMAL = {_TAG + "int": (re.compile(r"[-+]?(?:0|[1-9][0-9]*)\Z"), int),
-            _TAG + "float": (re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?\Z"), float)}
+_INT, _FLOAT = _TAG + "int", _TAG + "float"
+# int and float text that the resolver tags int and float (_Loader at once)
+# and int() and float() read as SafeConstructor does; other int, float, bool
+# and null text goes through the resolver's list and the constructor for its tag
+_INT_TEXT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)\Z")
+_FLOAT_TEXT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?\Z")
+_DECIMAL = {_INT: (_INT_TEXT, int), _FLOAT: (_FLOAT_TEXT, float)}
 _SCALAR_TAGS = (*_DECIMAL, _TAG + "bool", _TAG + "null")
 
 
@@ -426,15 +444,17 @@ def _parse_times(task):
         except KeyError as exc:
             raise ConfigError(f"times range is missing {exc.args[0]!r}") from None
         num = _coerce(int, num, "num")
-        _require(num > 0, f"times range needs num > 0, got {num}")
+        if not num > 0:
+            raise ConfigError(f"times range needs num > 0, got {num}")
         start, stop = _coerce(float, start, "start"), _coerce(float, stop, "stop")
-        _require(np.isfinite([start, stop]).all(),
-                 f"times range needs finite start and stop, got {[start, stop]}")
+        if not np.isfinite([start, stop]).all():
+            raise ConfigError(f"times range needs finite start and stop, got {[start, stop]}")
         return np.linspace(start, stop, num)
     if isinstance(times, list):
         _require(len(times) > 0, "'times' list is empty")
         arr = _floats(times, "times")
-        _require(arr.ndim == 1, f"'times' must be a flat list of numbers, got {times!r}")
+        if arr.ndim != 1:
+            raise ConfigError(f"'times' must be a flat list of numbers, got {times!r}")
         return arr
     raise ConfigError("task needs 'times': a list or {start, stop, num}")
 

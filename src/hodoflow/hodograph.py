@@ -43,6 +43,9 @@ from .model import Constant
 _MAX_HALVINGS = 8
 #: the damped step lengths, longest first: 1, 1/2, ..., 2^-_MAX_HALVINGS
 _LADDER = 0.5 ** np.arange(_MAX_HALVINGS + 1)
+#: _newton's statuses: it holds each as its index here until it returns
+_STATUSES = np.array(["OK", "SINGULAR", "NO_CONVERGENCE", "DOMAIN_EXIT", "POST_BLOWUP"], dtype=object)
+_OK, _SINGULAR, _NO_CONVERGENCE, _DOMAIN_EXIT, _POST_BLOWUP = range(len(_STATUSES))
 
 
 @dataclass
@@ -220,15 +223,17 @@ def _newton(problem, t, X, M0=None):
 
     Rows do not wait for each other: a row that converges moves on to its
     next time in the same pass, from its root (an in-domain iterate, so only
-    the starting guesses are tested for the domain) and with a fresh
-    newton_max_iter budget.  Each time follows the one-point rules: the
-    step is damped by the first of 1, 1/2, ..., 2^-_MAX_HALVINGS that keeps M
-    in-domain and decreases the residual (or meets newton_tol), the smallest
-    length deciding DOMAIN_EXIT or NO_CONVERGENCE when none does; a singular
-    Newton matrix before the first step restarts the row once from
-    _scan_guess.  All step lengths of every row are tested with one
-    in_domain call; each round then evaluates the residual at the next
-    in-domain length of every row still undecided, so a pass usually makes
+    the starting guesses are tested for the domain), with the phi(M) of the
+    round that accepted it and a fresh newton_max_iter budget.  Each time
+    follows the one-point rules: the step is damped by the first of 1, 1/2,
+    ..., 2^-_MAX_HALVINGS that keeps M in-domain and decreases the residual
+    (or meets newton_tol), the smallest length deciding DOMAIN_EXIT or
+    NO_CONVERGENCE when none does; a singular Newton matrix before the first
+    step restarts the row once from _scan_guess.  All step lengths of every
+    row are tested with one in_domain call, and a row with no in-domain
+    length leaves then.  The first residual round takes every other row at
+    its longest in-domain length; a further round takes the next in-domain
+    length of each row that refused the one before, so a pass usually makes
     one residual evaluation per row.
     """
     spec, data = problem.spec, problem.data
@@ -246,7 +251,8 @@ def _newton(problem, t, X, M0=None):
     E, P1, P2 = matops.time_row(spec.A, times, 2)
     P2g = matops.matvec(P2, spec.g)
     q = queue.shape[1]
-    cur = queue[:, 0].copy()  # table row of each row's current time
+    P1c, P2gc = P1[queue[:, 0]], P2g[queue[:, 0]]  # each row's table rows at its current time
+    phiM = _rows(data.phi, M)  # phi of each row's M
     pos = np.zeros(k, dtype=int)  # its place in the queue
     r = np.empty_like(M)
     rnorm = np.empty(k)
@@ -256,16 +262,14 @@ def _newton(problem, t, X, M0=None):
     out_M = np.full((k * q, n), np.nan)
     out_iters = np.zeros(k * q, dtype=int)
     out_rnorm = np.full(k * q, np.nan)
-    out_status = np.full(k * q, "POST_BLOWUP", dtype=object)
-    h = len(_LADDER)
+    out_status = np.full(k * q, _POST_BLOWUP, dtype=np.int8)
 
-    def res(rows, Ms):
-        c = cur[rows]
-        return X[rows] - matops.matvec(P1[c], Ms) - P2g[c] - _rows(data.phi, Ms)
+    def res(rows, Ms, phis):
+        return X[rows] - matops.matvec(P1c[rows], Ms) - P2gc[rows] - phis
 
     def arm(rows):
-        """Start rows at their current time from the M they hold."""
-        r[rows] = r_rows = res(rows, M[rows])
+        """Start rows at their current time from the M and phi(M) they hold."""
+        r[rows] = r_rows = res(rows, M[rows], phiM[rows])
         rnorm[rows] = _max_norm(r_rows)
         iters[rows] = 0
 
@@ -279,71 +283,89 @@ def _newton(problem, t, X, M0=None):
     while True:
         done = (alive & (rnorm <= tol)).nonzero()[0]
         while done.size:
-            finish(done, "OK", iters[done])
+            finish(done, _OK, iters[done])
             pos[done] += 1
             done = done[pos[done] < q]
             if done.size:  # a converged row moves on to its next time at once
                 alive[done] = True
-                cur[done] = queue[done, pos[done]]
+                c = queue[done, pos[done]]
+                P1c[done], P2gc[done] = P1[c], P2g[c]
                 arm(done)
                 done = done[rnorm[done] <= tol]
         rows = alive.nonzero()[0]
         if rounds >= max_iter:
             spent = iters[rows] >= max_iter
             if spent.any():
-                finish(rows[spent], "NO_CONVERGENCE", max_iter)
+                finish(rows[spent], _NO_CONVERGENCE, max_iter)
                 rows = rows[~spent]
         if not rows.size:
             break
         rounds += 1
         Mr = M[rows]
-        step, singular = matops.solve_stacked(P1[cur[rows]] + _rows(data.phi_jacobian, Mr), r[rows])
+        step, singular = matops.solve_stacked(P1c[rows] + _rows(data.phi_jacobian, Mr), r[rows])
         if singular.any():
             for i in rows[singular]:
                 # singular at the start: the guess, not the target, is on the
                 # fold set; restart once from the best point of a coarse scan
-                M_new = _scan_guess(problem, lambda Ms, i=i: res(i, Ms)) if iters[i] == 0 else None
+                M_new = (_scan_guess(problem, lambda Ms, i=i: res(i, Ms, _rows(data.phi, Ms)))
+                         if iters[i] == 0 else None)
                 if M_new is None:
-                    finish(i, "SINGULAR", iters[i])
+                    finish(i, _SINGULAR, iters[i])
                 else:
-                    M[i] = M_new
+                    M[i], phiM[i] = M_new, data.phi(M_new)
                     arm([i])
                     iters[i] = 1  # the restart counts as an iteration
             rows, Mr, step = rows[~singular], Mr[~singular], step[~singular]
             if not rows.size:
                 continue
         # damped update: every step length of every row in one domain test,
-        # then rounds over each undecided row's next in-domain length
-        trials = (Mr[:, None] + _LADDER[:, None] * step[:, None]).reshape(-1, n)
-        untried = _rows(data.in_domain, trials).reshape(-1, h)  # in-domain lengths left
-        shortest_inside = untried[:, -1].copy()
-        took = np.zeros(len(rows), dtype=bool)
-        lanes = untried.any(axis=1).nonzero()[0]  # undecided rows, by place in rows
-        while lanes.size:
-            first = untried[lanes].argmax(axis=1)
-            untried[lanes, first] = False
-            owner, Mt = rows[lanes], trials[lanes * h + first]
-            r_new = res(owner, Mt)
+        # the trial points M + length * step in a (length, row) table
+        trials = (Mr + _LADDER[:, None, None] * step).reshape(-1, n)
+        untried = _rows(data.in_domain, trials).reshape(len(_LADDER), -1)  # in-domain lengths left
+        stuck = ~untried.any(axis=0)
+        if stuck.any():
+            finish(rows[stuck], _DOMAIN_EXIT, iters[rows[stuck]])
+            rows, Mr, step, untried = rows[~stuck], Mr[~stuck], step[~stuck], untried[:, ~stuck]
+        if not rows.size:
+            continue
+        shortest_inside = untried[-1].copy()
+        lanes = np.arange(len(rows))  # the rows of this round, by place in rows
+        first = untried.argmax(axis=0)
+        Mt = Mr + _LADDER[first, None] * step
+        while True:
+            owner = rows[lanes]
+            phi_t = _rows(data.phi, Mt)
+            r_new = res(owner, Mt, phi_t)
             rn_new = _max_norm(r_new)
             take = (rn_new < rnorm[owner]) | (rn_new <= tol)
+            if take.all():  # as a rule every row takes it: no mask to apply
+                M[owner], r[owner], rnorm[owner], phiM[owner] = Mt, r_new, rn_new, phi_t
+                break
             moved = owner[take]
-            M[moved], r[moved], rnorm[moved] = Mt[take], r_new[take], rn_new[take]
-            took[lanes[take]] = True
-            lanes = lanes[~take & untried[lanes].any(axis=1)]
-        if not took.all():
-            # the smallest step length decides why a row failed
-            for why, mask in (("DOMAIN_EXIT", ~took & ~shortest_inside),
-                              ("NO_CONVERGENCE", ~took & shortest_inside)):
-                if mask.any():
-                    finish(rows[mask], why, iters[rows[mask]])
-            rows = rows[took]
+            M[moved], r[moved], rnorm[moved], phiM[moved] = Mt[take], r_new[take], rn_new[take], phi_t[take]
+            # the rows that refused take their next in-domain length; the
+            # smallest step length decides why a row with none left failed
+            lanes, first = lanes[~take], first[~take]
+            untried[first, lanes] = False
+            left = untried[:, lanes].any(axis=0)
+            if not left.all():
+                for why, mask in ((_DOMAIN_EXIT, ~left & ~shortest_inside[lanes]),
+                                  (_NO_CONVERGENCE, ~left & shortest_inside[lanes])):
+                    if mask.any():
+                        finish(rows[lanes[mask]], why, iters[rows[lanes[mask]]])
+                lanes = lanes[left]
+                if not lanes.size:
+                    break
+            first = untried[:, lanes].argmax(axis=0)
+            Mt = Mr[lanes] + _LADDER[first, None] * step[lanes]
+        rows = rows[alive[rows]]
         iters[rows] += 1
-    ok = out_status == "OK"
+    ok = out_status == _OK
     c = queue.ravel()[ok]
     out_U = np.full((k * q, n), np.nan)
     out_U[ok] = matops.matvec(E[c], out_M[ok]) + matops.matvec(P1[c], spec.g)
     return (out_M.reshape(k, q, n), out_U.reshape(k, q, n), out_iters.reshape(k, q),
-            out_rnorm.reshape(k, q), out_status.reshape(k, q))
+            out_rnorm.reshape(k, q), _STATUSES[out_status].reshape(k, q))
 
 
 #: the error class of each failed _newton status
@@ -464,7 +486,8 @@ def to_bar_variables(spec, s):
 def solve_field(problem, t_values, x_points):
     """Sweep the solver over k points x q times with per-point guess continuation.
 
-    Each spatial point is one track: its times are solved in order, each from
+    Each of the k points of x_points, a (k, n) array or a list of k
+    length-n points, is one track: its times are solved in order, each from
     the root of the one before.  A sweep does not attempt to continue past a
     gradient catastrophe: after the first failed time on a track, later times
     on that track are marked POST_BLOWUP, never interpolated or branch-hopped.
@@ -474,7 +497,7 @@ def solve_field(problem, t_values, x_points):
     NaN and iters (k, q) is 0 where status (k, q), _newton's, is not OK.
     """
     spec, data = problem.spec, problem.data
-    X = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_points])
+    X = np.asarray(x_points, dtype=float)
     times = np.asarray(t_values, dtype=float)
     if isinstance(data, Constant) or not times.size:
         # constant data is rigid transport, u depends on t only (no times: empty arrays)

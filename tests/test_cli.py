@@ -603,6 +603,12 @@ def test_malformed_config_text_is_a_config_error(tmp_path, capsys, raw, needle):
         assert str(path) in err, err
 
 
+_INT_FLOAT_BOOL_NULL = (
+    "problem: {matrix: [[0x1f, 010, +5, -0, 1_000, 0b101, 1:30]],\n"
+    "          g: [.inf, -.inf, .nan, +1.5, -0.0, 1_0.5, 6.8523015e+5, 190:20:30.15, .5, 1.]}\n"
+    "solver: {flags: [Yes, off, ~, null, NULL, 'yes', \"1e5\"]}\n")
+
+
 @pytest.mark.parametrize("text", [
     "problem: {matrix: &m [[1.0, 0.0], [0.0, 1.0]], g: &g [0.0, 0.0]}\n"
     "solver: {a: *m, b: *m, c: *g, d: &s tol, e: *s}\n",
@@ -611,9 +617,7 @@ def test_malformed_config_text_is_a_config_error(tmp_path, capsys, raw, needle):
     "problem: {matrix: [[!!float 1]], g: [!!str 1.0], h: !!int 010}\n",
     "problem: {matrix: [[1.0]], when: 2001-12-14, at: 2001-12-14t21:59:43.10-05:00}\n",
     "problem: &p {matrix: [[1.0]], self: *p}\n",
-    "problem: {matrix: [[0x1f, 010, +5, -0, 1_000, 0b101, 1:30]],\n"
-    "          g: [.inf, -.inf, .nan, +1.5, -0.0, 1_0.5, 6.8523015e+5, 190:20:30.15, .5, 1.]}\n"
-    "solver: {flags: [Yes, off, ~, null, NULL, 'yes', \"1e5\"]}\n",
+    _INT_FLOAT_BOOL_NULL,
     "problem: {matrix: [[1.0]]}\nsolver: {1: one, 2.5: x, true: t, null: n}\n",
     "problem: {matrix: [[1.0]], g: !foo [0.0]}\n",
     "problem: {preset: diag}\n---\nproblem: {preset: diag}\n",
@@ -643,6 +647,33 @@ def test_load_config_matches_pure_python_safe_loader(tmp_path, monkeypatch, load
         return
     assert yaml.dump(cli.load_config(str(path)), Dumper=yaml.SafeDumper) == yaml.dump(
         ref, Dumper=yaml.SafeDumper)
+
+
+def _scalar_texts(node):
+    """The text of every scalar node under a composed node."""
+    if isinstance(node, yaml.ScalarNode):
+        return [node.value]
+    items = node.value if isinstance(node, yaml.SequenceNode) else [v for kv in node.value for v in kv]
+    return [text for item in items for text in _scalar_texts(item)]
+
+
+def test_loader_tags_scalars_as_the_pyyaml_resolver():
+    """cli._Loader.resolve, which tags int and float text of _DECIMAL's
+    patterns without PyYAML's regex list, gives the tag of PyYAML's resolver
+    for every scalar of the int-float-bool-null corpus and for number-like
+    text on either side of those patterns, plain or quoted."""
+    texts = _scalar_texts(yaml.compose(_INT_FLOAT_BOOL_NULL, Loader=yaml.SafeLoader)) + [
+        "1e5", "1.", ".5", "+.5", "-0", "00", "0o17", "1_000", "190:20:30.15", "2001-12-14"]
+    loader, ref = cli._Loader(""), yaml.resolver.Resolver()
+    try:
+        for text in texts:
+            for implicit in ((True, False), (False, True)):
+                assert (loader.resolve(yaml.ScalarNode, text, implicit)
+                        == ref.resolve(yaml.ScalarNode, text, implicit)), (text, implicit)
+    finally:
+        loader.dispose()
+    assert {ref.resolve(yaml.ScalarNode, text, (True, False)) for text in texts} == {
+        f"tag:yaml.org,2002:{tag}" for tag in ("int", "float", "bool", "null", "str", "timestamp")}
 
 
 def test_solve_all_points_outside_domain_exit_2(tmp_path):
@@ -930,6 +961,39 @@ def test_blowup_scan_refinement_keeps_its_summary_in_few_probes(tmp_path, monkey
     assert "# t_star: 0.10096597532376488" in comments
     assert "# M_star: 0.0 0.0" in comments
     assert probes == [] and rows == [7], (probes, rows)
+
+
+@pytest.mark.parametrize("cfg, summary, k2_calls", [
+    ({"problem": {"preset": "diag", "rates": [1.0, -float(np.sqrt(2.0))]},
+      "data": {"family": "tanh2d", "params": {"eps": 9.0}},
+      "task": {"name": "blowup", "grid_num": 3, "t_max": 0.11}},
+     ["t_star: 0.10096597532376488", "M_star: 0.0 0.0", "x_star: 0.0 0.0", "u_star: 0.0 0.0",
+      "branch: t0"], 0),
+    ({"problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
+      "data": {"family": "separable", "components": [
+          {"family": "gauss1d", "params": {"eta": 0.7, "kappa": 0.8}},
+          {"family": "gauss1d", "params": {"eta": 0.6, "kappa": 1.1}},
+          {"family": "tanh1d", "params": {"mu": 0.8, "kappa": 0.9}}]},
+      "task": {"name": "blowup", "grid_num": 5, "t_max": 5.0}},
+     ["t_star: 1.3888888888888888", "M_star: 0.0034999999999999996 0.003 0.8",
+      "x_star: 2.8829018483318514 2.0918448531836082 0.6288580246913581",
+      "u_star: 0.0026511914552049816 -0.003771098496174304 0.10555555555555562",
+      "branch: first_root"], 1),
+], ids=["g-zero", "g-non-zero"])
+def test_blowup_summary_takes_phi2_only_for_a_non_zero_g(tmp_path, monkeypatch, cfg, summary,
+                                                         k2_calls):
+    """x* = phi(M*) + phi1 M* + phi2 g needs phi2 only where g != 0: the
+    blowup-scan config (g = 0) makes no k = 2 matops.time_row call and keeps
+    its summary, and a coriolis3d-preset run (g_mag 0.5) makes one and keeps
+    its summary."""
+    ks, time_row = [], matops.time_row
+    monkeypatch.setattr(matops, "time_row", lambda A, t, k: ks.append(k) or time_row(A, t, k))
+    out = tmp_path / "blowup.csv"
+    assert cli.main(["blowup", "--config", write_cfg(tmp_path, "blowup.yaml", cfg),
+                     "--out", str(out)]) == 0
+    assert ks.count(2) == k2_calls, ks
+    comments, _, _ = read_csv(out)
+    assert comments[-len(summary):] == [f"# {line}" for line in summary], comments
 
 
 C3D_BLOWUP_DATA = {"family": "separable", "components": [

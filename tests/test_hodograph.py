@@ -600,8 +600,11 @@ def test_sweep_newton_passes_stay_few(monkeypatch, tmp_path):
     (one a pass), 1 for the cold start and
     none for the guesses of new times, which are in-domain roots (a schedule
     in which every time waits for its slowest track, and every halving for
-    the slowest row, makes 98 and 790)."""
-    calls = {"phi_jacobian": 0, "in_domain": 0, "solve_stacked": 0}
+    the slowest row, makes 98 and 790).  At most 60 phi calls: one for the
+    cold start and about one a pass, as a row that moves on to its next
+    time keeps the phi(M) of the round that accepted its root (evaluating
+    it again there makes 81)."""
+    calls = {"phi": 0, "phi_jacobian": 0, "in_domain": 0, "solve_stacked": 0}
 
     def counting(owner, name):
         real = getattr(owner, name)
@@ -612,6 +615,7 @@ def test_sweep_newton_passes_stay_few(monkeypatch, tmp_path):
 
         monkeypatch.setattr(owner, name, counted)
 
+    counting(model.Gauss2DCoriolis, "phi")
     counting(model.Gauss2DCoriolis, "phi_jacobian")
     counting(model.Gauss2DCoriolis, "in_domain")
     counting(matops, "solve_stacked")
@@ -620,6 +624,7 @@ def test_sweep_newton_passes_stay_few(monkeypatch, tmp_path):
     assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 0
     assert calls["phi_jacobian"] == calls["solve_stacked"], calls
     assert calls["phi_jacobian"] <= 60 and calls["in_domain"] <= 47, calls
+    assert calls["phi"] <= 60, calls
 
 
 def _count_exact_cond(monkeypatch):
