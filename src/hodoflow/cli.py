@@ -109,7 +109,7 @@ def _seed(flag, block):
 def _floats(value, key):
     """A config number or array as floats; a ConfigError unless all are finite."""
     arr = _coerce(lambda v: np.asarray(v, dtype=float), value, key)
-    if not np.isfinite(arr).all():  # the text, a repr of every value, only for a failure
+    if not np.isfinite(arr).all():  # its text, the repr of every value, only on failure
         raise ConfigError(f"config key {key!r} needs finite numbers, got {value!r}")
     return arr
 

@@ -44,7 +44,8 @@ _MAX_HALVINGS = 8
 #: the damped step lengths, longest first: 1, 1/2, ..., 2^-_MAX_HALVINGS
 _LADDER = 0.5 ** np.arange(_MAX_HALVINGS + 1)
 #: _newton's statuses: it holds each as its index here until it returns
-_STATUSES = np.array(["OK", "SINGULAR", "NO_CONVERGENCE", "DOMAIN_EXIT", "POST_BLOWUP"], dtype=object)
+_STATUSES = np.array(["OK", "SINGULAR", "NO_CONVERGENCE", "DOMAIN_EXIT", "POST_BLOWUP"],
+                     dtype=object)
 _OK, _SINGULAR, _NO_CONVERGENCE, _DOMAIN_EXIT, _POST_BLOWUP = range(len(_STATUSES))
 
 
@@ -231,7 +232,7 @@ def _newton(problem, t, X, M0=None):
     NO_CONVERGENCE when none does; a singular Newton matrix before the first
     step restarts the row once from _scan_guess.  All step lengths of every
     row are tested with one in_domain call, and a row with no in-domain
-    length leaves then.  The first residual round takes every other row at
+    length leaves then.  The first residual round takes each remaining row at
     its longest in-domain length; a further round takes the next in-domain
     length of each row that refused the one before, so a pass usually makes
     one residual evaluation per row.
@@ -342,7 +343,8 @@ def _newton(problem, t, X, M0=None):
                 M[owner], r[owner], rnorm[owner], phiM[owner] = Mt, r_new, rn_new, phi_t
                 break
             moved = owner[take]
-            M[moved], r[moved], rnorm[moved], phiM[moved] = Mt[take], r_new[take], rn_new[take], phi_t[take]
+            M[moved], r[moved], rnorm[moved] = Mt[take], r_new[take], rn_new[take]
+            phiM[moved] = phi_t[take]
             # the rows that refused take their next in-domain length; the
             # smallest step length decides why a row with none left failed
             lanes, first = lanes[~take], first[~take]

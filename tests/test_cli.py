@@ -653,7 +653,8 @@ def _scalar_texts(node):
     """The text of every scalar node under a composed node."""
     if isinstance(node, yaml.ScalarNode):
         return [node.value]
-    items = node.value if isinstance(node, yaml.SequenceNode) else [v for kv in node.value for v in kv]
+    items = (node.value if isinstance(node, yaml.SequenceNode)
+             else [item for pair in node.value for item in pair])
     return [text for item in items for text in _scalar_texts(item)]
 
 
