@@ -219,12 +219,14 @@ def degenerate_solve(problem, basis, t, x, guess_M=None):
 
 
 def _zaxis_omega(A):
+    """omega of A when A is exactly the z-axis preset coriolis3d_spec(omega).A:
+    the preset basis is built from that matrix, so a matrix merely close to it
+    is refused (ValueError), and its caller must pass a basis."""
     A = np.asarray(A, dtype=float)
-    w = A[0, 1] if A.shape == (3, 3) else 0.0
-    ref = w * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    if w == 0.0 or np.abs(A - ref).max() > 1e-12 * abs(w):
+    w = float(A[0, 1]) if A.shape == (3, 3) else 0.0
+    if w == 0.0 or not np.array_equal(A, model.coriolis3d_spec(w).A):
         raise ValueError("expected the z-axis rotation force omega*[[0,1,0],[-1,0,0],[0,0,0]]")
-    return float(w)
+    return w
 
 
 @dataclass

@@ -141,9 +141,11 @@ def residual_u(problem, t, x, u):
 def _default_guess(problem, x):
     """Cold-start M for one position x (n,) or for each row of a stack (k, n).
 
-    u0(x) clipped into the domain; the middle of the domain box where u0 is
-    not defined at x.  A stack that u0 refuses is guessed row by row.  Its
-    one caller is _newton, for a solve given no starting guess.
+    u0(x) clipped into the domain; where u0 is not defined at x, the middle
+    of the domain box, or, when that is outside the domain (a curved one, such
+    as gauss2d_coriolis's), the in-domain point of a coarse grid nearest to
+    it.  A stack that u0 refuses is guessed row by row.  Its one caller is
+    _newton, for a solve given no starting guess.
     """
     data = problem.data
     X = np.atleast_1d(np.asarray(x, dtype=float))
@@ -157,7 +159,11 @@ def _default_guess(problem, x):
         box = data.domain_box()
         lo = np.where(np.isfinite(box[:, 0]), box[:, 0], -1.0)
         hi = np.where(np.isfinite(box[:, 1]), box[:, 1], 1.0)
-        return (0.5 * (lo + hi))[None]
+        mid = 0.5 * (lo + hi)
+        pts = () if data.in_domain(mid) else _domain_points(data, 9)
+        if not len(pts):
+            return mid[None]
+        return pts[np.argmin(((pts - mid) ** 2).sum(axis=1))][None]
     outside = ~_rows(data.in_domain, M0)
     if outside.any():
         M0[outside] = data.clip_to_domain(M0[outside])
@@ -174,10 +180,7 @@ def _scan_guess(problem, res_fn):
     max-norm residual wins.
     """
     data = problem.data
-    num = {1: 65, 2: 25}.get(data.dim, 9)
-    mesh = np.meshgrid(*data.m_grids(num), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts = pts[data.in_domain(pts)]
+    pts = _domain_points(data, {1: 65, 2: 25}.get(data.dim, 9))
     if not len(pts):
         return None
     with np.errstate(all="ignore"):
@@ -186,6 +189,13 @@ def _scan_guess(problem, res_fn):
     if not finite.size:
         return None
     return pts[finite[np.argmin(vals[finite])]].copy()
+
+
+def _domain_points(data, num):
+    """The in-domain points of the grid data.m_grids(num), a (m, n) stack."""
+    mesh = np.meshgrid(*data.m_grids(num), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    return pts[data.in_domain(pts)]
 
 
 def _rows(f, M):

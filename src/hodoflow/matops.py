@@ -40,9 +40,11 @@ n <= 3, with the same bits for a matrix in any stack, instead of one LAPACK
 LU per matrix.
 
 solve_stacked refuses matrices above condition number _SOLVE_COND_LIMIT.
-For n <= 3 the norm bound _cond_bound, from det's cofactors, clears most
-matrices, and only the others take the exact condition number _cond, an
-SVD for every n.
+For n <= 3 the norm bound ||K||_F^n / |det K|, from det's cofactors,
+clears most matrices, and only the others take the exact condition number
+_cond, an SVD for every n.  A 2x2 matrix it clears is solved by its
+adjugate (_adjugate_solve), from the same det K; every other accepted
+matrix by LAPACK.
 """
 
 from __future__ import annotations
@@ -346,6 +348,15 @@ def _cond(A):
         return np.concatenate([_cond(a[None]) for a in A])
 
 
+def _over_det(norm, det_K):
+    """norm / |det K| entrywise: the certificate of _cond_bound and of the
+    adjugate route, from one ||K||_F^n and one det K per matrix.  It is inf
+    or NaN where |det K| < _CERT_DET_FLOOR and where norm or det K is not
+    finite; the warnings on the way are the caller's np.errstate to set."""
+    d = np.abs(det_K)
+    return norm / (d * (d >= _CERT_DET_FLOOR))
+
+
 def _cond_bound(A):
     """||K||_F^n / |det K|, an upper bound on the 2-norm condition number of
     each matrix K of a (k, n, n) stack, n <= 3, with no SVD; (k,).
@@ -357,15 +368,43 @@ def _cond_bound(A):
     _CERT_LIMIT.  It is inf or NaN where |det K| < _CERT_DET_FLOOR, which
     keeps underflow out, and where K is not finite or ||K||_F^n overflows
     (|det K| <= ||K||_F^n / n^(n/2), so det cannot overflow first).
+    solve_stacked takes it for n = 1 and 3; for n = 2, _adjugate_solve
+    forms the same certificate from the det K it solves with.
     """
     n = A.shape[-1]
     X = A.reshape(len(A), n * n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if len(X) == 1:  # one matrix: det's formula on numpy scalars, several times faster
-            f2, d = X[0] @ X[0], abs(_DET_FORMULA[n](*X[0]))
+            f2, d = X[0] @ X[0], _DET_FORMULA[n](*X[0])
         else:
-            f2, d = np.einsum("ki,ki->k", X, X), np.abs(det(A))
-        return np.atleast_1d(f2 ** (0.5 * n) / (d * (d >= _CERT_DET_FLOOR)))
+            f2, d = np.einsum("ki,ki->k", X, X), det(A)
+        return np.atleast_1d(_over_det(f2 ** (0.5 * n), d))
+
+
+def _adjugate_solve(A, B):
+    """K x = r for a (k, 2, 2) stack and (k, 2) right-hand sides by the
+    adjugate: x1 = (d r1 - b r2) / det K, x2 = (a r2 - c r1) / det K, with
+    det K = a d - b c by det's formula.  Returns (X, exact).
+
+    The same det K and ||K||_F^2 = a^2 + b^2 + c^2 + d^2 make _cond_bound's
+    certificate; a row it clears (at most _CERT_LIMIT) is not singular.  The
+    certificate also keeps the formula safe: ||K||_F^2 is finite, so every
+    entry is below ~1.3e154 and the products are finite for a moderate r,
+    and |det K| >= _CERT_DET_FLOOR.  exact marks the rows it does not clear,
+    and the rows whose x is not finite (an r beyond ~1e154 can overflow the
+    products), for the caller to decide by the exact condition number; their
+    X is not an answer.  Every row is entrywise arithmetic, so it has the same
+    bits in any stack.
+    """
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    r1, r2 = B[:, 0], B[:, 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det_K = _DET_FORMULA[2](a, b, c, d)
+        cleared = _over_det(a * a + b * b + c * c + d * d, det_K) <= _CERT_LIMIT
+        x1, x2 = (d * r1 - b * r2) / det_K, (a * r2 - c * r1) / det_K
+    X = np.empty(B.shape)
+    X[:, 0], X[:, 1] = x1, x2
+    return X, ~(cleared & np.isfinite(x1) & np.isfinite(x2))
 
 
 def solve_stacked(A, B):
@@ -380,20 +419,32 @@ def solve_stacked(A, B):
     limit, is not singular, and only the other rows take the exact condition
     number _cond (np.linalg.cond); for n >= 4 every row does.  The factor 10
     is far above the rounding of the bound and of the SVD there, so every
-    flag is the one _cond alone gives.
+    flag is the one _cond alone gives.  For n = 2 a cleared row is solved by
+    its adjugate (_adjugate_solve, which forms the bound from the det K it
+    divides by); every other row that is not singular, and every row for
+    n != 2, is solved by LAPACK (np.linalg.solve).  A row has the same bits
+    in any stack.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    exact = ~(_cond_bound(A) <= _CERT_LIMIT) if A.shape[-1] <= 3 else np.ones(len(A), dtype=bool)
-    if not exact.any():
-        return np.linalg.solve(A, B[..., None])[..., 0], exact
+    n = A.shape[-1]
+    if n == 2:  # the rows the adjugate clears are solved already
+        X, exact = _adjugate_solve(A, B)
+        if not exact.any():
+            return X, exact
+        unsolved = exact
+    else:
+        exact = ~(_cond_bound(A) <= _CERT_LIMIT) if n <= 3 else np.ones(len(A), dtype=bool)
+        if not exact.any():
+            return np.linalg.solve(A, B[..., None])[..., 0], exact
+        X, unsolved = np.full(B.shape, np.nan), np.ones(len(A), dtype=bool)
     cond = _cond(A[exact])
     singular = exact.copy()
     singular[exact] = ~np.isfinite(cond) | (cond > _SOLVE_COND_LIMIT)
-    X = np.full(B.shape, np.nan)
-    ok = ~singular
-    if ok.any():
-        X[ok] = np.linalg.solve(A[ok], B[ok][..., None])[..., 0]
+    X[singular] = np.nan
+    todo = unsolved & ~singular
+    if todo.any():
+        X[todo] = np.linalg.solve(A[todo], B[todo][..., None])[..., 0]
     return X, singular
 
 

@@ -294,6 +294,24 @@ def test_witness_refuses_a_1d_force():
         degenerate.non_periodicity_witness(problem, 1.0, [(0.1, np.zeros(1))])
 
 
+def test_witness_refuses_a_matrix_near_the_zaxis_preset():
+    """The preset basis is taken only for the exact z-axis matrix: one entry
+    off by 1e-13 would be solved with the preset's A_rot, not L A P of the A
+    given, so it is a ValueError, and a caller passes a basis instead."""
+    A = model.coriolis3d_spec(1.2).A.copy()
+    A[0, 1] += 1e-13
+    assert degenerate._zaxis_omega(model.coriolis3d_spec(1.2).A) == 1.2
+    with pytest.raises(ValueError, match="z-axis rotation"):
+        degenerate._zaxis_omega(A)
+    problem = model.HodographProblem(model.ForceSpec(A, np.zeros(3)), rotated_c3d_data())
+    with pytest.raises(ValueError, match="z-axis rotation"):
+        degenerate.non_periodicity_witness(problem, 2.0 * np.pi / 1.2,
+                                           [(0.1, np.array([0.5, 0.8, 1.9]))])
+    degenerate.non_periodicity_witness(problem, 2.0 * np.pi / 1.2,
+                                       [(0.1, np.array([0.5, 0.8, 1.9]))],
+                                       basis=degenerate.build_basis(A))
+
+
 def test_witness_search_lets_programming_errors_through():
     """A failed solve is not a witness, but a TypeError is a bug and surfaces."""
     w = 1.1

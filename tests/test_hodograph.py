@@ -1,6 +1,8 @@
 """Implicit solver: Newton solve vs characteristics, integrals, field sweeps."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -627,6 +629,43 @@ def test_sweep_newton_passes_stay_few(monkeypatch, tmp_path):
     assert calls["phi"] <= 60, calls
 
 
+def _count_lapack_solves(monkeypatch):
+    """The calls to np.linalg.solve, as a list of their matrix orders n."""
+    real, calls = np.linalg.solve, []
+
+    def counting(A, B):
+        calls.append(np.shape(A)[-1])
+        return real(A, B)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def test_sweep_newton_steps_take_no_lapack_solve(monkeypatch, tmp_path):
+    """Every 2x2 Newton system of the seed-1 sweep is cleared by the norm
+    bound and solved by its adjugate in matops.solve_stacked: np.linalg.solve
+    is never called on a 2x2 stack.  A compare run on the coriolis3d preset
+    still solves its 3x3 Newton systems through LAPACK."""
+    calls = _count_lapack_solves(monkeypatch)
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump(_sweep_seed_1_config()))
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 0
+    assert 2 not in calls, calls
+    cfg_path.write_text(yaml.safe_dump({
+        "problem": {"preset": "coriolis3d", "omega": 1.2, "g_mag": 0.5},
+        "data": {"family": "separable", "components": [
+            {"family": "tanh1d", "params": {"mu": 0.8, "kappa": 0.9}},
+            {"family": "gauss1d", "params": {"eta": 0.6, "kappa": 1.1}},
+            {"family": "gauss1d", "params": {"eta": 0.7, "kappa": 0.8}},
+        ]},
+        "task": {"name": "compare", "num_samples": 6, "t_range": [0.9, 1.3],
+                 "bound": 1.0e-8, "seed": 1},
+    }))
+    calls.clear()
+    assert cli.main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "c.csv")]) == 0
+    assert 3 in calls and 2 not in calls, calls
+
+
 def _count_exact_cond(monkeypatch):
     """The calls to the exact matops._cond, as a list of their stack sizes."""
     real, calls = matops._cond, []
@@ -718,3 +757,22 @@ def test_stacked_default_guess_matches_row_calls():
     rows = np.array([hodograph._default_guess(problem, x) for x in X])
     assert np.array_equal(hodograph._default_guess(problem, X), rows)
     assert rows[1, 0] == 0.45, "u0 is undefined at x < 0: the middle of (0, eta)"
+
+
+def test_cold_start_off_u0_lies_in_a_curved_domain():
+    """Where u0 refuses a point, the cold start lies in the data domain even
+    when the middle of the domain box does not: gauss2d_coriolis's box
+    middle (0.5, 0.5) is on the domain's edge M1 = M2, and a solve started
+    there divided by zero in phi_jacobian.  The solve raises no warning; the
+    refused point has no root on the (+, +) branch, so it ends DOMAIN_EXIT."""
+    data = model.make_data("gauss2d_coriolis", amplitude=1.0)
+    problem = model.HodographProblem(model.coriolis2d_spec(1.0), data)
+    X = np.array([[-0.1, 0.5], [0.3, 0.4]])
+    assert not data.in_domain(np.array([0.5, 0.5]))
+    guess = hodograph._default_guess(problem, X)
+    assert data.in_domain(guess).all()
+    assert np.array_equal(guess[1], data.u0(X[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, status = hodograph.solve_field(problem, [0.0, 0.3], X)
+    assert status.tolist() == [["DOMAIN_EXIT", "POST_BLOWUP"], ["OK", "DOMAIN_EXIT"]]

@@ -575,16 +575,38 @@ def _unsolvable(n):
     return np.array(bad)
 
 
+def _reference_solve(A, B):
+    """np.linalg.solve, except that a 2x2 row the norm bound clears,
+    ||K||_F^2 <= _CERT_LIMIT |det K| with |det K| >= _CERT_DET_FLOOR (taken
+    as ||K||_F^2 / |det K|, the bound's own rounding), is solved by its
+    adjugate, x1 = (d r1 - b r2) / det K, x2 = (a r2 - c r1) / det K with
+    det K = a d - b c, where that is finite."""
+    if A.shape[-1] != 2:
+        return np.linalg.solve(A, B[..., None])[..., 0]
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    r1, r2 = B[:, 0], B[:, 1]
+    with np.errstate(all="ignore"):
+        det_K = a * d - b * c
+        f2, abs_det = a * a + b * b + c * c + d * d, np.abs(det_K)
+        cleared = (f2 / abs_det <= matops._CERT_LIMIT) & (abs_det >= matops._CERT_DET_FLOOR)
+        X = np.column_stack([(d * r1 - b * r2) / det_K, (a * r2 - c * r1) / det_K])
+    rest = ~(cleared & np.isfinite(X).all(axis=1))
+    if rest.any():
+        X[rest] = np.linalg.solve(A[rest], B[rest][..., None])[..., 0]
+    return X
+
+
 def _exact_guard_solve(A, B):
-    """solve_stacked deciding every row by the exact _cond, with no bound."""
+    """solve_stacked deciding every row by the exact _cond, with no bound,
+    solving the rows it accepts by _reference_solve."""
     cond = matops._cond(A)
     singular = ~np.isfinite(cond) | (cond > matops._SOLVE_COND_LIMIT)
     if not singular.any():
-        return np.linalg.solve(A, B[..., None])[..., 0], singular
+        return _reference_solve(A, B), singular
     X = np.full(B.shape, np.nan)
     ok = ~singular
     if ok.any():
-        X[ok] = np.linalg.solve(A[ok], B[ok][..., None])[..., 0]
+        X[ok] = _reference_solve(A[ok], B[ok])
     return X, singular
 
 
@@ -614,6 +636,49 @@ def test_solve_stacked_keeps_the_exact_guards_decisions(n):
         bounded = matops._cond_bound(A) <= matops._CERT_LIMIT
         _, singular = _exact_guard_solve(A, B)
         assert bounded.any() and (~bounded & ~singular).any() and singular.any()
+
+
+def test_solve_stacked_2x2_is_accurate_against_exact_rationals():
+    """Against the exact solutions of the float systems, in Fractions, on
+    matrices with cond log-uniform in [1, 1e13] and entries scaled by 1e-150,
+    1 or 1e150 (the adjugate takes the cleared rows, LAPACK the others): the
+    relative forward error ||x - x*||_2 / ||x*||_2 of every row stays within
+    cond * eps, for the whole stack and for each matrix alone."""
+    rng = np.random.default_rng(39)
+    m = 1300
+    conds = 10.0 ** rng.uniform(0, 13, m)
+    scales = 10.0 ** rng.choice([-150.0, 0.0, 150.0], m) * rng.uniform(0.5, 2.0, m)
+    A = _conditioned_2x2(rng, conds, scales)
+    B = rng.standard_normal((m, 2)) * scales[:, None]
+    X, singular = matops.solve_stacked(A, B)
+    assert not singular.any()
+    assert all(matops.solve_stacked(A[i : i + 1], B[i : i + 1])[0].tobytes() == X[i].tobytes()
+               for i in range(m))
+    cleared = ~matops._adjugate_solve(A, B)[1]
+    assert 0 < cleared.sum() < m  # both routes are measured
+    for K, r, x, cond in zip(A, B, X, np.linalg.cond(A)):
+        a, b, c, d = (Fraction(float(v)) for v in K.ravel())
+        r1, r2 = Fraction(float(r[0])), Fraction(float(r[1]))
+        det_K = a * d - b * c
+        x1, x2 = (d * r1 - b * r2) / det_K, (a * r2 - c * r1) / det_K
+        err2 = (Fraction(float(x[0])) - x1) ** 2 + (Fraction(float(x[1])) - x2) ** 2
+        assert float(err2 / (x1 * x1 + x2 * x2)) <= (cond * _EPS) ** 2, (K, r, x, cond)
+
+
+def test_solve_stacked_2x2_overflowing_adjugate_takes_lapack():
+    """A cleared matrix whose right-hand side is so large that the adjugate's
+    products overflow, though x does not, is solved by LAPACK: finite, and
+    with LAPACK's bits; the rows beside it keep the adjugate's."""
+    A = np.array([[[2e100, 1e100], [1e100, 3e100]], [[2.0, 1.0], [1.0, 3.0]]])
+    B = np.array([[1e250, -1e250], [1.0, -1.0]])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(A[0, 1, 1] * B[0, 0])
+    X, singular = matops.solve_stacked(A, B)
+    assert not singular.any() and np.isfinite(X).all()
+    assert X[0].tobytes() == np.linalg.solve(A[0], B[0]).tobytes()
+    assert X[1].tobytes() == (np.array([3.0 + 1.0, -2.0 - 1.0]) / 5.0).tobytes()  # adj(K) r / 5
+    for i in range(2):
+        assert matops.solve_stacked(A[i : i + 1], B[i : i + 1])[0].tobytes() == X[i].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])
