@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -394,6 +395,80 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
         assert exc.value.code == code, argv
     assert capsys.readouterr().out == cli._build_parser.__wrapped__().format_help()
     assert len(built) == 2  # the one cached parser, and the fresh one built above
+
+
+# ---------------------------------------------------------------------------
+# the --out writer: the file is rewritten in place, then cut to the new bytes
+
+
+_PERIOD_CFG = {"problem": {"preset": "coriolis2d", "omega": 2.0}, "task": {"name": "period"}}
+
+
+def _stdout_text(tmp_path, capsys, command, cfg):
+    """The config path of a run and the text it prints with no --out."""
+    cfg_path = write_cfg(tmp_path, f"{command}.yaml", cfg)
+    assert cli.main([command, "--config", cfg_path]) == 0
+    return cfg_path, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, cfg", [("solve", SOLVE_CFG), ("period", _PERIOD_CFG)])
+def test_out_holds_exactly_the_printed_bytes(tmp_path, capsys, command, cfg):
+    """A longer file already at --out ends with exactly the run's bytes, a
+    new file is created with the same bytes, and they are the text the run
+    prints with no --out."""
+    cfg_path, text = _stdout_text(tmp_path, capsys, command, cfg)
+    old, new = tmp_path / "old.out", tmp_path / "new.out"
+    old.write_bytes(b"stale,row\n" * 10_000)
+    assert 0 < len(text) < old.stat().st_size
+    for out in (old, new):
+        assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode("utf-8"), out.name
+    capsys.readouterr()
+
+
+def test_out_to_dev_null_exits_0(tmp_path, capsys):
+    """A device is written and not cut: ftruncate would fail on /dev/null."""
+    cfg_path = write_cfg(tmp_path, "solve.yaml", SOLVE_CFG)
+    assert cli.main(["solve", "--config", cfg_path, "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_an_output_error(tmp_path, capsys, where):
+    """An --out that cannot be opened exits 1 with an output error naming it;
+    a config that cannot be read is still a config error."""
+    cfg_path = write_cfg(tmp_path, "solve.yaml", SOLVE_CFG)
+    out = tmp_path if where == "directory" else tmp_path / "no" / "such" / "out.csv"
+    assert cli.main(["solve", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"hodoflow: output error: cannot write {str(out)!r}: "), err
+    assert cli.main(["solve", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("hodoflow: config error: ")
+
+
+def test_failed_write_leaves_exactly_the_written_prefix(tmp_path, capsys, monkeypatch):
+    """A write that fails part-way (the disk full after 100 bytes) leaves
+    exactly those bytes in place of a longer file, as a truncating open
+    would, and exits 1 with an output error."""
+    cfg_path, text = _stdout_text(tmp_path, capsys, "solve", SOLVE_CFG)
+    written = 100
+
+    class FullDisk(io.BufferedWriter):
+        def write(self, data):
+            super().write(data[:written])
+            self.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_disk_open(file, mode="r", **kwargs):
+        return FullDisk(io.FileIO(file, "w")) if mode == "wb" else open(file, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"stale,row\n" * 10_000)
+    assert cli.main(["solve", "--config", cfg_path, "--out", str(out)]) == 1
+    assert out.read_bytes() == text.encode("utf-8")[:written]
+    assert capsys.readouterr().err == (f"hodoflow: output error: cannot write {str(out)!r}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def test_config_round_trip_identity(tmp_path):
