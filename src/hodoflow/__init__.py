@@ -21,7 +21,7 @@ _EXPORTS = {
     "hodograph": ("integrals", "residual_M", "solve_field", "solve_u"),
     "matops": (),
     "model": ("ForceSpec", "HodographProblem", "coriolis2d_spec", "coriolis3d_spec", "make_data"),
-    "oracle": ("exact_flow", "first_caustic_time", "rk4_flow"),
+    "oracle": ("exact_flow", "first_caustic_time"),
     "periodicity": ("check_periodic", "make_periodic_2d", "verify_solution_period"),
 }
 #: public name -> its submodule

@@ -65,7 +65,7 @@ import numpy as np
 from . import matops
 from .errors import BlowupVerificationError, ConfigError, OverflowMatrixError, point_text
 from .hodograph import _rows
-from .model import Constant
+from .model import Constant, mesh_points
 
 #: imaginary-part tolerance for accepting a root or an eigenvalue as real
 _IMAG_TOL = 1e-9
@@ -90,6 +90,12 @@ _EXTREMUM_STEPS = 20
 _STEP_HALVINGS = 8
 #: imaginary step h of df/dM_k = Im f(M + i h e_k) / h, exact to rounding
 _COMPLEX_STEP = 1e-30
+#: grid points over which certify_no_blowup_1d samples A phi'(M)
+_CERT_GRID_1D = 2001
+#: bisection halvings that move a point of _domain_edges onto the domain edge
+_EDGE_HALVINGS = 60
+#: node spacing of sheets_diag2's scan
+_DIAG2_SCAN_STEP = 1e-2
 #: central-difference step of the extremum-condition Newton's Jacobian, and the
 #: step length at which it has converged, both in its units (t and a grid cell)
 _DIFF_STEP = 1e-5
@@ -160,6 +166,22 @@ def blowup_residual(problem, t, M):
     return float(np.linalg.det(P1 + problem.data.phi_jacobian(M)))
 
 
+def _det_derivatives(K, D):
+    """det K and its derivatives d/ds det(K + s D_i) along directions D_i by
+    Jacobi's formula, for the (k, n, n) stack K and the (k, m, n, n) stack D
+    of m directions per matrix: shapes (k,) and (k, m).
+
+    Derivative i is the sum over j of det(K with column j replaced by column j
+    of D_i); every determinant is one matops.det of the (k, 1 + m n, n, n)
+    stack, K first, then the column-replaced matrices of D_1, ..., D_m.
+    """
+    k, m, n = *D.shape[:2], K.shape[-1]
+    swap = np.eye(n, dtype=bool)[:, None, :]  # matrix j takes column j
+    replaced = np.where(swap, D[:, :, None], K[:, None, None]).reshape(k, -1, n, n)
+    dets = matops.det(np.concatenate([K[:, None], replaced], axis=1))
+    return dets[:, 0], dets[:, 1:].reshape(k, m, n).sum(axis=2)
+
+
 def _refine_brackets(table, J, lo, hi, flo, fhi):
     """Roots of f(t) = det(phi1(A, t) + J[b]) in the brackets (lo[b], hi[b])
     with flo[b] fhi[b] < 0, one per matrix of the (k, n, n) stack J, all
@@ -167,9 +189,8 @@ def _refine_brackets(table, J, lo, hi, flo, fhi):
 
     Safeguarded Newton from the regula-falsi point.  Each pass takes one
     table(t) = (e^{tA}, phi1(A, t)) over the live brackets (table is the
-    matops.time_table(A, 1) evaluator); with K = phi1 + J, f and f'(t) =
-    sum_j det(K with column j replaced by column j of e^{tA}) come from one
-    matops.det of the (live, n + 1, n, n) stack.
+    matops.time_table(A, 1) evaluator); with K = phi1 + J, f = det K and
+    f'(t) = d/ds det(K + s e^{tA}) come from one _det_derivatives.
     Each step shrinks a bracket by the sign of f; a Newton step that leaves
     the open bracket is replaced by its midpoint.  A root is the Newton
     iterate once its step is <= _ROOT_TOL, the bracket midpoint once the
@@ -177,8 +198,6 @@ def _refine_brackets(table, J, lo, hi, flo, fhi):
     entrywise or per matrix, so a root has the same bits whatever other
     brackets are refined with it.
     """
-    n = J.shape[-1]
-    swap = np.eye(n + 1, n, -1, dtype=bool)[:, None, :]  # matrix j + 1 takes column j
     t = lo - flo * (hi - lo) / (fhi - flo)
     roots = np.empty_like(t)
     live = np.arange(len(t))
@@ -187,12 +206,11 @@ def _refine_brackets(table, J, lo, hi, flo, fhi):
             if not live.size:
                 return roots
             E, P1 = table(t)
-            dets = matops.det(np.where(swap, E[:, None], (P1 + J)[:, None]))
-            f, df = dets[:, 0], dets[:, 1:].sum(axis=1)
+            f, df = _det_derivatives(P1 + J, E[:, None])
             left = flo * f < 0.0
             hi = np.where(left, t, hi)
             lo, flo = np.where(left, lo, t), np.where(left, flo, f)
-            step = f / df
+            step = f / df[:, 0]
             mid = 0.5 * (lo + hi)
             zero, short = f == 0.0, np.abs(step) <= _ROOT_TOL
             end = zero | short | (hi - lo <= _ROOT_TOL)
@@ -267,20 +285,28 @@ def _time_from_tau(a, tau):
     return t
 
 
+def _check_grid(sizes):
+    """ConfigError naming grid_num when an M-grid of these per-axis sizes
+    takes more than _SCAN_MAX_ENTRIES entries (points * n); its callers check
+    before they build an axis."""
+    points = math.prod(sizes)
+    if points * len(sizes) > _SCAN_MAX_ENTRIES:
+        raise ConfigError(f"an M-grid of {points:,} points in {len(sizes)}D exceeds the "
+                          f"{_SCAN_MAX_ENTRIES:,} entries allowed; lower grid_num")
+
+
 def _grid_points(data, M_grid, num):
     """The grid axes (M_grid, else the data's default grid of num points per
     axis, num None taking 201 for n <= 2 and 11 otherwise) and their (k, n)
-    mesh; a ConfigError naming grid_num past _SCAN_MAX_ENTRIES entries."""
+    mesh; a ConfigError naming grid_num past _SCAN_MAX_ENTRIES entries
+    (_check_grid)."""
     if M_grid is None:
-        M_grid = data.m_grids((201 if data.dim <= 2 else 11) if num is None else num)
+        num = (201 if data.dim <= 2 else 11) if num is None else num
+        _check_grid([num] * data.dim)
+        M_grid = data.m_grids(num)
     axes = [np.asarray(g, dtype=float) for g in M_grid]
-    points = int(np.prod([ax.size for ax in axes]))
-    if points * len(axes) > _SCAN_MAX_ENTRIES:
-        raise ConfigError(f"an M-grid of {points:,} points in {len(axes)}D exceeds the "
-                          f"{_SCAN_MAX_ENTRIES:,} entries allowed; lower grid_num")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return axes, pts
+    _check_grid([ax.size for ax in axes])
+    return axes, mesh_points(axes)
 
 
 def _stacked_sheets(problem, M_grid, branch, values, absent_reason, to_time=None):
@@ -327,17 +353,17 @@ def sheet_1d(problem, M_grid=None):
     return sheet
 
 
-def certify_no_blowup_1d(problem, num=2001):
+def certify_no_blowup_1d(problem):
     """Global no-blow-up certificate for 1D: A phi'(M) >= 1 on the whole domain.
 
-    Minimizes s(M) = A*phi'(M) over num grid points, refined by Newton on
-    s'(M) = 0 (_sample_extremum); Certified iff the minimum exceeds 1 (then
-    1 - A phi' <= 0 everywhere and the log in the sheet formula never has a
-    positive argument).
+    Minimizes s(M) = A*phi'(M) over _CERT_GRID_1D grid points, refined by
+    Newton on s'(M) = 0 (_sample_extremum); Certified iff the minimum exceeds
+    1 (then 1 - A phi' <= 0 everywhere and the log in the sheet formula never
+    has a positive argument).
     """
     data = problem.data
     a = float(problem.spec.A[0, 0])
-    grid = data.m_grids(num)[0]
+    grid = data.m_grids(_CERT_GRID_1D)[0]
     slope = lambda M: a * data.phi_jacobian(M)[:, 0, 0]
     v_star, (m_star,) = _sample_extremum(data, [grid], grid[:, None], slope)
     certified = bool(v_star > 1.0)
@@ -452,10 +478,10 @@ def sheets_coriolis2d(problem, M_grid=None):
                            "a^2 + b^2 < c^2: no real root of a sin(wt) + b cos(wt) + c")
 
 
-def _domain_edges(data, axes, points, inside, steps=60):
+def _domain_edges(data, axes, points, inside):
     """In-domain points next to the domain edge, one on each grid segment that
-    crosses it: the segment's in-domain end, moved by bisection (steps halvings)
-    to within its length / 2^steps of the edge."""
+    crosses it: the segment's in-domain end, moved by bisection (_EDGE_HALVINGS
+    halvings) to within its length / 2^_EDGE_HALVINGS of the edge."""
     shape = [ax.size for ax in axes]
     grid = points.reshape(*shape, -1)
     inside = inside.reshape(shape)
@@ -469,7 +495,7 @@ def _domain_edges(data, axes, points, inside, steps=60):
         lo.append(np.where(a_in, pa, pb))
         hi.append(np.where(a_in, pb, pa))
     lo, hi = np.concatenate(lo), np.concatenate(hi)
-    for _ in range(steps):
+    for _ in range(_EDGE_HALVINGS):
         mid = 0.5 * (lo + hi)
         ins = data.in_domain(mid)
         lo[ins], hi[~ins] = mid[ins], mid[~ins]
@@ -509,16 +535,16 @@ def certify_coriolis_absent(problem, sheet):
     return Certificate(certified, reason, worst, sup)
 
 
-def sheets_diag2(problem, M_grid=None, t_max=10.0, scan_step=1e-2):
+def sheets_diag2(problem, M_grid=None, t_max=10.0):
     """Blow-up sheets for A = diag(a1, a2) in two dimensions: every root on
-    [-t_max, t_max], sheets t0, t1, ..., from sheets_scan with the given step,
-    whatever the ratio a1/a2 (rational, irrational, a zero entry or a1 = a2).
-    A must be exactly diagonal.
+    [-t_max, t_max], sheets t0, t1, ..., from sheets_scan with the step
+    _DIAG2_SCAN_STEP, whatever the ratio a1/a2 (rational, irrational, a zero
+    entry or a1 = a2).  A must be exactly diagonal.
     """
     A = problem.spec.A
     if A.shape != (2, 2) or not matops.is_exact_diagonal(A):
         raise ValueError("sheets_diag2 needs A = diag(a1, a2)")
-    return sheets_scan(problem, M_grid, t_max, scan_step, first_only=False, branch="t{}")
+    return sheets_scan(problem, M_grid, t_max, _DIAG2_SCAN_STEP, first_only=False, branch="t{}")
 
 
 def sheets_scan(problem, M_grid=None, t_max=10.0, scan_step=5e-2, first_only=True,
@@ -626,25 +652,19 @@ def _extremum_conditions(data, table, z):
     (t, M) of the (k, 1 + n) stack z: shapes (k,), (k, 1 + n) and (k,).  The
     extremum conditions of the blow-up sheets are f = 0 and f_M = 0.
 
-    table is the matops.time_table(A, 1) evaluator.  f_t = d/ds det(K + s
-    e^{tA}) and f_M_k = d/ds det(K + s dJ_k) are each the sum over j of det(K
-    with column j replaced by column j of e^{tA}, or of dJ_k); they
-    and f come from one matops.det of the (k, 1 + (1 + n) n, n, n) stack.
+    table is the matops.time_table(A, 1) evaluator.  f, f_t = d/ds det(K + s
+    e^{tA}) and f_M_k = d/ds det(K + s dJ_k) come from one _det_derivatives.
     dJ_k is the complex step of the data's own phi_jacobian (_complex_step).
     A row whose matrices are not finite gets non-finite values.
     """
     t, M = z[:, 0], z[:, 1:]
-    k, n = M.shape
     (E, P1), J = table(t), _rows(data.phi_jacobian, M)
     K = P1 + J
     dJ = _complex_step(data.phi_jacobian, M)
-    columns = np.concatenate([E[:, None], dJ], axis=1)
-    swap = np.eye(n, dtype=bool)[:, None, :]  # matrix j takes column j
-    replaced = np.where(swap, columns[:, :, None], K[:, None, None]).reshape(k, -1, n, n)
-    dets = matops.det(np.concatenate([K[:, None], replaced], axis=1))
+    f, grads = _det_derivatives(K, np.concatenate([E[:, None], dJ], axis=1))
     norms = np.linalg.norm(np.stack([E, P1, J]), axis=(2, 3))
-    scale = norms[0] * (norms[1] + norms[2]) ** (n - 1)
-    return dets[:, 0], dets[:, 1:].reshape(k, 1 + n, n).sum(axis=2), scale
+    scale = norms[0] * (norms[1] + norms[2]) ** (M.shape[1] - 1)
+    return f, grads, scale
 
 
 def _flat_axes(sheet, i0):
@@ -887,6 +907,8 @@ def build_sheets(problem, grid_num=None, t_max=10.0, scan_step=5e-2):
     A, n = problem.spec.A, problem.spec.n
     if isinstance(problem.data, Constant):
         raise ConfigError("constant data has no blow-up sheets: its characteristics never cross")
+    if grid_num is not None:
+        _check_grid([grid_num] * n)
     grids = None if grid_num is None else problem.data.m_grids(grid_num)
     cert_lines = []
     if n == 1:

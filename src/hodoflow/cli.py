@@ -475,9 +475,7 @@ def _parse_points(task, n):
         nums = [_coerce(int, k, "num") for k in ([num] * n if np.isscalar(num) else num)]
         _require(len(nums) == n, f"points num must be a scalar or {n} entries")
         _require(min(nums) > 0, f"points range needs every num > 0, got {nums}")
-        axes = [np.linspace(lo[i], hi[i], nums[i]) for i in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return model.mesh_points([np.linspace(lo[i], hi[i], nums[i]) for i in range(n)])
     if isinstance(pts, list):
         _require(len(pts) > 0, "'points' list is empty")
         arr = _floats(pts, "points")

@@ -31,7 +31,7 @@ non_periodicity_witness exhibits the violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,14 +157,9 @@ def rotated_spec(spec, basis):
 
 
 def rotated_problem(problem, basis):
-    """Problem in rotated coordinates; problem.data must already be rotated."""
-    return model.HodographProblem(
-        rotated_spec(problem.spec, basis),
-        problem.data,
-        newton_tol=problem.newton_tol,
-        newton_max_iter=problem.newton_max_iter,
-        grid_num=problem.grid_num,
-    )
+    """Problem in rotated coordinates, every other field kept; problem.data
+    must already be rotated."""
+    return replace(problem, spec=rotated_spec(problem.spec, basis))
 
 
 def degenerate_integrals(spec, basis, t, y, v):
@@ -214,8 +209,9 @@ def degenerate_solve_info(problem, basis, t, x, guess_M=None):
     return hodograph.StateSample(t=t, x=x, u=basis.P @ v), info
 
 
-def degenerate_solve(problem, basis, t, x, guess_M=None):
-    return degenerate_solve_info(problem, basis, t, x, guess_M)[0]
+def degenerate_solve(problem, basis, t, x):
+    """The StateSample of degenerate_solve_info, from its cold start."""
+    return degenerate_solve_info(problem, basis, t, x)[0]
 
 
 def _zaxis_omega(A):

@@ -37,7 +37,7 @@ from .errors import (
     SingularMatrixError,
     point_text,
 )
-from .model import Constant
+from .model import Constant, mesh_points
 
 #: damping budget: the Newton step may be halved this many times
 _MAX_HALVINGS = 8
@@ -117,27 +117,6 @@ def residual_M(problem, t, x, M):
     return x - P1 @ M - P2 @ spec.g - data.phi(M)
 
 
-def residual_u(problem, t, x, u):
-    """Velocity-form residual, via explicit A^{-1} (invertible A only).
-
-    Mathematically identical to residual_M at M = m_from_u(u), but computed
-    through a genuinely different route (matrix inverses instead of phi
-    functions) so the two can cross-check each other.
-    """
-    spec, data = problem.spec, problem.data
-    if spec.is_degenerate:
-        raise DegenerateMatrixError("velocity-form residual needs invertible A")
-    A, g = spec.A, spec.g
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    Ainv = np.linalg.inv(A)
-    Em = matops.mat_exp(A, -t)
-    W = Em - np.eye(spec.n)
-    N = x + Ainv @ Ainv @ (W @ (g + A @ u)) + Ainv @ g * t
-    M = Em @ u + Ainv @ (W @ g)
-    return N - data.phi(M)
-
-
 def _default_guess(problem, x):
     """Cold-start M for one position x (n,) or for each row of a stack (k, n).
 
@@ -193,8 +172,7 @@ def _scan_guess(problem, res_fn):
 
 def _domain_points(data, num):
     """The in-domain points of the grid data.m_grids(num), a (m, n) stack."""
-    mesh = np.meshgrid(*data.m_grids(num), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = mesh_points(data.m_grids(num))
     return pts[data.in_domain(pts)]
 
 
@@ -423,8 +401,9 @@ def solve_M(problem, t, x, guess_M=None):
     return M, NewtonInfo(iters=iters, M=M, residual_norm=rnorm)
 
 
-def solve_u(problem, t, x, guess_M=None):
-    """Velocity at (t, x); StateSample whose u solves the implicit system.
+def solve_u(problem, t, x):
+    """Velocity at (t, x); StateSample whose u solves the implicit system,
+    from solve_M's cold start.
 
     Constant data has no inverse map: it is transported in closed form instead
     of iterated.
@@ -433,7 +412,7 @@ def solve_u(problem, t, x, guess_M=None):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(data, Constant):
         return StateSample(t=t, x=x, u=closed_form("const_M", spec, t, x, data.c))
-    M, _ = solve_M(problem, t, x, guess_M)
+    M, _ = solve_M(problem, t, x)
     return StateSample(t=t, x=x, u=u_from_M(spec, t, M))
 
 
@@ -469,30 +448,6 @@ def closed_form(kind, spec, t, x, c):
         W = matops.mat_exp(A, -t) - np.eye(spec.n)
         return matops.solve(W, A @ (c - x) - g * t) - matops.solve(A, g)
     raise ValueError(f"unknown closed-form kind {kind!r}")
-
-
-def to_bar_variables(spec, s):
-    """Change of variables collapsing scalar forcing A = a*I onto A = 0, g = 0.
-
-    (t, x, u)  ->  (tbar, xbar, ubar) with
-
-        tbar = (e^{at} - 1)/a,   xbar = x - phi2(A,t) g,   ubar = M(t, u)
-
-    after which the solution satisfies the free hodograph relation
-    xbar - ubar*tbar = phi(ubar).  The a -> 0 limit is the pure Galilean shift
-    (t, x - g t^2/2, u - g t).
-    """
-    A = spec.A
-    a = matops.scalar_multiple(A)
-    if a is None:
-        raise ValueError("bar-variable map is defined for scalar matrices A = a*I only")
-    t = s.t
-    if a == 0.0:
-        return StateSample(t=t, x=s.x - 0.5 * spec.g * t * t, u=s.u - spec.g * t)
-    tbar = float(np.expm1(a * t) / a)
-    xbar = s.x - matops.phi2(A, t) @ spec.g
-    ubar = m_from_u(spec, t, s.u)
-    return StateSample(t=tbar, x=xbar, u=ubar)
 
 
 def solve_field(problem, t_values, x_points):

@@ -67,6 +67,8 @@ _SOLVE_COND_LIMIT = 1e13
 _CERT_LIMIT = _SOLVE_COND_LIMIT / 10
 # smallest |det K| _cond_bound takes: det's underflow errors stay far below it
 _CERT_DET_FLOOR = 1e-290
+# singular values at or below this fraction of the largest do not count to rank()
+_RANK_TOL = 1e-10
 # coefficients b_0..b_m of the degree-m diagonal Pade approximant to e^x
 # (Higham 2005, "The scaling and squaring method for the matrix exponential
 # revisited", Algorithm 2.3); all are integers, exact in double precision
@@ -294,13 +296,13 @@ def eig(A):
     return Spectrum(eigenvalues=w, diagonalizable=bool(np.linalg.cond(V) < _DIAG_COND_LIMIT))
 
 
-def rank(A, tol=1e-10):
-    """Numerical rank: number of singular values above tol * sigma_max."""
+def rank(A):
+    """Numerical rank: number of singular values above _RANK_TOL * sigma_max."""
     A = _as_square(A)
     s = np.linalg.svd(A, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > _RANK_TOL * s[0]))
 
 
 def matvec(A, V):

@@ -22,13 +22,16 @@ raises DomainError when any of its rows is outside the profile's branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import matops
 from .errors import ConfigError, DomainError, NotInvertibleError
+
+#: how far clip_to_domain keeps a point inside each face of the domain box
+_CLIP_MARGIN = 1e-6
 
 
 @dataclass
@@ -99,7 +102,6 @@ class InitialData:
     """Base class: an invertible initial velocity profile u0 with inverse phi."""
 
     dim = 1
-    name = "base"
 
     def u0(self, x):
         raise NotImplementedError
@@ -132,11 +134,13 @@ class InitialData:
         """Physical-space box (n, 2) from which test/compare points are drawn."""
         raise NotImplementedError
 
-    def clip_to_domain(self, M, margin=1e-6):
+    def clip_to_domain(self, M):
+        """M clipped into the domain box, _CLIP_MARGIN (relative to a box width
+        below 1) inside each face."""
         box = self.domain_box()
         width = box[:, 1] - box[:, 0]
-        lo = box[:, 0] + margin * np.minimum(width, 1.0)
-        hi = box[:, 1] - margin * np.minimum(width, 1.0)
+        lo = box[:, 0] + _CLIP_MARGIN * np.minimum(width, 1.0)
+        hi = box[:, 1] - _CLIP_MARGIN * np.minimum(width, 1.0)
         return np.clip(np.atleast_1d(M), lo, hi)
 
     def m_grids(self, num=201, inset=5e-3):
@@ -150,19 +154,11 @@ class InitialData:
             grids.append(np.linspace(lo_f + pad, hi_f - pad, num))
         return grids
 
-    def params(self):
-        return {}
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.params().items())
-        return f"{type(self).__name__}({inner})"
-
 
 class Tanh1D(InitialData):
     """Decreasing kink profile u0(x) = mu * (1 - tanh(kappa x)), values in (0, 2 mu)."""
 
     dim = 1
-    name = "tanh1d"
 
     def __init__(self, mu=1.0, kappa=1.0):
         if not (0 < mu < np.inf and 0 < kappa < np.inf):
@@ -190,9 +186,6 @@ class Tanh1D(InitialData):
     def sample_box(self):
         return np.array([[-2.0 / self.kappa, 2.0 / self.kappa]])
 
-    def params(self):
-        return {"mu": self.mu, "kappa": self.kappa}
-
 
 class Gauss1D(InitialData):
     """One flank of a Gaussian bump, u0(x) = eta * exp(-kappa^2 x^2) on branch*x >= 0.
@@ -202,7 +195,6 @@ class Gauss1D(InitialData):
     """
 
     dim = 1
-    name = "gauss1d"
 
     def __init__(self, eta=1.0, kappa=1.0, branch=+1):
         if not (0 < eta < np.inf and 0 < kappa < np.inf):
@@ -242,15 +234,11 @@ class Gauss1D(InitialData):
         lo, hi = 0.05 / self.kappa, 1.5 / self.kappa
         return np.array([[lo, hi]] if self.branch > 0 else [[-hi, -lo]])
 
-    def params(self):
-        return {"eta": self.eta, "kappa": self.kappa, "branch": self.branch}
-
 
 class Tanh2D(InitialData):
     """Coupled planar kinks u0 = (-tanh(x1 + eps x2), -tanh(eps x1 + x2)), eps != 1."""
 
     dim = 2
-    name = "tanh2d"
 
     def __init__(self, eps=0.5):
         eps = float(eps)
@@ -286,9 +274,6 @@ class Tanh2D(InitialData):
     def sample_box(self):
         return np.array([[-1.5, 1.5], [-1.5, 1.5]])
 
-    def params(self):
-        return {"eps": self.eps}
-
 
 class Gauss2DCoriolis(InitialData):
     """Anisotropic Gaussian pair u0 = amp * (exp(-(x^2+y^2)), exp(-(x^2+2y^2))).
@@ -302,7 +287,6 @@ class Gauss2DCoriolis(InitialData):
     """
 
     dim = 2
-    name = "gauss2d_coriolis"
 
     def __init__(self, amplitude=1.0, sx=+1, sy=+1):
         if not 0 < amplitude < np.inf:
@@ -367,15 +351,11 @@ class Gauss2DCoriolis(InitialData):
         by = [lo, hi] if self.sy > 0 else [-hi, -lo]
         return np.array([bx, by])
 
-    def params(self):
-        return {"amplitude": self.amplitude, "sx": self.sx, "sy": self.sy}
-
 
 class LinearR(InitialData):
     """Linear profile through an invertible matrix R: phi(M) = R M, u0(x) = R^{-1} x."""
 
     dim = None  # set per instance
-    name = "linear"
 
     def __init__(self, R):
         R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -408,15 +388,11 @@ class LinearR(InitialData):
     def sample_box(self):
         return np.array([[-1.0, 1.0]] * self.dim)
 
-    def params(self):
-        return {"R": self.R.tolist()}
-
 
 class Constant(InitialData):
     """Spatially uniform initial velocity; has no inverse map (rigid transport)."""
 
     dim = None
-    name = "constant"
 
     def __init__(self, c):
         self.c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -442,9 +418,6 @@ class Constant(InitialData):
     def sample_box(self):
         return np.array([[-1.0, 1.0]] * self.dim)
 
-    def params(self):
-        return {"c": self.c.tolist()}
-
 
 class Separable(InitialData):
     """Product profile built from independent 1D components, u0_i(x) = h_i(x_i).
@@ -453,7 +426,6 @@ class Separable(InitialData):
     """
 
     dim = None
-    name = "separable"
 
     def __init__(self, components):
         comps = list(components)
@@ -496,9 +468,6 @@ class Separable(InitialData):
     def sample_box(self):
         return np.vstack([c.sample_box() for c in self.components])
 
-    def params(self):
-        return {"components": [(c.name, c.params()) for c in self.components]}
-
 
 def _points_first(entries, M):
     """np.array(entries) with the point axis of M first.
@@ -512,6 +481,13 @@ def _points_first(entries, M):
     if M.ndim == 1:
         return out
     return out.T if out.ndim == 2 else out.transpose(2, 0, 1)
+
+
+def mesh_points(axes):
+    """The points of the grid with these per-axis arrays as a (k, n) stack,
+    the last axis varying fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 #: registry used by the CLI config loader

@@ -14,9 +14,10 @@ check the implicit solver, so they deliberately share nothing with it beyond
 the phi-function evaluator and the determinant kernel matops.det, which is
 tested against exact rational determinants; the one-point flow_jacobian_det
 (like blowup.blowup_residual on the solver's side) stays on LAPACK's
-np.linalg.det, a second route to the values the tables produce.  There is
-also a plain fixed-step RK4 integrator that does not even use phi functions,
-plus a finite-difference PDE residual.
+np.linalg.det, a second route to the values the tables produce.  The
+routes that share nothing with the package at all (a fixed-step RK4
+integrator that uses no phi functions, a finite-difference PDE residual) are
+the tests' own, in tests/reference_routes.py.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ import numpy as np
 from . import matops
 from .errors import OverflowMatrixError
 
+#: node spacing of caustic_times' sign scan, and the bracket width its
+#: bisection stops at
+_SCAN_STEP = 1e-2
+_BISECT_TOL = 1e-10
 #: time steps per phi1 table in caustic_times' sign scan
 _SCAN_CHUNK = 256
 #: matrices per block of caustic_times' determinant table, one GEMM and one
@@ -54,39 +59,6 @@ def exact_flow(spec, x0, u0_val, t):
     E, P1, P2 = matops.time_row(spec.A, t, 2)
     u = matops.matvec(E, u0_val) + matops.matvec(P1, spec.g)
     x = x0 + matops.matvec(P1, u0_val) + matops.matvec(P2, spec.g)
-    return FlowResult(t=t, x=x, u=u)
-
-
-def rk4_flow(spec_or_force, x0, u0_val, t, dt=1e-3):
-    """Classical RK4 on (x, u) with uniform steps covering [0, t].
-
-    spec_or_force is either a ForceSpec or a callable force(t, x, u) -> du/dt.
-    """
-    if callable(spec_or_force):
-        force = spec_or_force
-    else:
-        A, g = spec_or_force.A, spec_or_force.g
-
-        def force(s, x, u):
-            return g + A @ u
-
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    u = np.atleast_1d(np.asarray(u0_val, dtype=float)).copy()
-    if t == 0.0:
-        return FlowResult(t=0.0, x=x, u=u)
-    nsteps = max(1, int(np.ceil(abs(t) / dt)))
-    if nsteps > 10_000_000:
-        raise ValueError(f"step budget exceeded: {nsteps} steps for t={t}, dt={dt}")
-    h = t / nsteps
-    s = 0.0
-    for _ in range(nsteps):
-        k1x, k1u = u, force(s, x, u)
-        k2x, k2u = u + 0.5 * h * k1u, force(s + 0.5 * h, x + 0.5 * h * k1x, u + 0.5 * h * k1u)
-        k3x, k3u = u + 0.5 * h * k2u, force(s + 0.5 * h, x + 0.5 * h * k2x, u + 0.5 * h * k2u)
-        k4x, k4u = u + h * k3u, force(s + h, x + h * k3x, u + h * k3u)
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        s += h
     return FlowResult(t=t, x=x, u=u)
 
 
@@ -125,28 +97,28 @@ def _flow_dets(P, Ju0):
     return np.concatenate(out, axis=1)
 
 
-def first_caustic_time(spec, data, x0, t_max=50.0, step=1e-2, tol=1e-10):
+def first_caustic_time(spec, data, x0, t_max=50.0):
     """First positive zero of the flow Jacobian determinant, or None.
 
     The one-row call of caustic_times.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    t = caustic_times(spec, data, x0[None], np.array([float(t_max)]), step=step, tol=tol)[0]
+    t = caustic_times(spec, data, x0[None], np.array([float(t_max)]))[0]
     return None if np.isnan(t) else float(t)
 
 
-def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
+def caustic_times(spec, data, x0, t_max):
     """First positive zero of flow_jacobian_det for every row of the (k, n)
     stack x0, each scanned up to its own t_max[i]; a (k,) array, NaN where a
     row has none.
 
-    Row i is sign-scanned on the nodes min(j * step, t_max[i]), then its first
-    bracketing interval is bisected to tol.  phi1 depends on t alone, so the
-    rows share their nodes and one matops.time_table(A, 1) evaluator: one
-    table per _SCAN_CHUNK steps (up to the largest live t_max) and one over
-    the end nodes t_max, and the determinants of a chunk are one (nodes x
-    rows) table, _flow_dets (one GEMM and one matops.det per _DET_BLOCK
-    matrices), with J_{u0} computed once per row.  A row leaves the scan at
+    Row i is sign-scanned on the nodes min(j * _SCAN_STEP, t_max[i]), then its
+    first bracketing interval is bisected to _BISECT_TOL.  phi1 depends on t
+    alone, so the rows share their nodes and one matops.time_table(A, 1)
+    evaluator: one table per _SCAN_CHUNK steps (up to the largest live t_max)
+    and one over the end nodes t_max, and the determinants of a chunk are one
+    (nodes x rows) table, _flow_dets (one GEMM and one matops.det per
+    _DET_BLOCK matrices), with J_{u0} computed once per row.  A row leaves the scan at
     its first zero or sign change, or past its own t_max.  The bracketing
     rows are bisected together, one table over their midpoints per step.  A
     row whose first such node is not finite (phi1 overflowed), within its
@@ -156,7 +128,7 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
     eye = np.eye(Ju0.shape[-1])
     k = len(Ju0)
     t_max = np.asarray(t_max, dtype=float)
-    nsteps = np.maximum(np.ceil(t_max / step), 0.0).astype(int)
+    nsteps = np.maximum(np.ceil(t_max / _SCAN_STEP), 0.0).astype(int)
     out = np.full(k, np.nan)
     f_prev, t_prev = np.ones(k), np.zeros(k)  # the t = 0 node: det(I)
     a, b, fa = np.zeros(k), np.zeros(k), np.zeros(k)  # bracket [a, b], det at a
@@ -169,9 +141,9 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
             rows = np.flatnonzero(live)
             hi = min(lo + _SCAN_CHUNK, int(nsteps[rows].max()) + 1)
             idx = np.arange(lo, hi)
-            ts = idx * step
+            ts = idx * _SCAN_STEP
             tm = t_max[rows]
-            # node j of row i is min(j * step, t_max[i]): a shared row before its end
+            # node j of row i is min(j * _SCAN_STEP, t_max[i]): a shared row before its end
             f = np.where(ts[:, None] < tm, _flow_dets(table(ts)[1], Ju0[rows]),
                          f_end[rows])
             g = np.vstack([f_prev[rows], f])
@@ -192,8 +164,8 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
             live[rows[hi - 1 >= nsteps[rows]]] = False
             f_prev[rows], t_prev[rows] = g[-1], nodes[-1]
             lo = hi
-        # bisection of every bracket at once, each row to its own b - a <= tol
-        act = bracket & (b - a > tol)
+        # bisection of every bracket at once, each row to its own b - a <= _BISECT_TOL
+        act = bracket & (b - a > _BISECT_TOL)
         while act.any():
             r = np.flatnonzero(act)
             m = 0.5 * (a[r] + b[r])
@@ -204,26 +176,6 @@ def caustic_times(spec, data, x0, t_max, step=1e-2, tol=1e-10):
             left = fa[r] * fm < 0.0
             b[r[left]] = m[left]
             a[r[~left]], fa[r[~left]] = m[~left], fm[~left]
-            act = bracket & (b - a > tol)
+            act = bracket & (b - a > _BISECT_TOL)
         out[bracket] = 0.5 * (a[bracket] + b[bracket])
     return out
-
-
-def pde_residual(u_field, spec, t, x, h=1e-4):
-    """Max-norm residual of u_t + (u.grad)u - g - Au by central differences.
-
-    u_field(t, x) -> u must be smooth in a (2h)-ball; points within O(h) of a
-    gradient catastrophe will report garbage, by design.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.size
-    u = np.atleast_1d(u_field(t, x))
-    ut = (np.atleast_1d(u_field(t + h, x)) - np.atleast_1d(u_field(t - h, x))) / (2.0 * h)
-    adv = np.zeros(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        dj = (np.atleast_1d(u_field(t, x + e)) - np.atleast_1d(u_field(t, x - e))) / (2.0 * h)
-        adv += u[j] * dj
-    res = ut + adv - spec.g - spec.A @ u
-    return float(np.abs(res).max())

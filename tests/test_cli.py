@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodoflow import (blowup, cli, degenerate, errors, hodograph, matops, model, oracle,
                       periodicity)
+from reference_routes import pde_residual
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -87,7 +88,7 @@ def test_solve_rows_satisfy_pde(tmp_path):
         t, x, status = float(row[0]), float(row[1]), row[4]
         if status != "OK" or t == 0.0:
             continue
-        res = oracle.pde_residual(u_field, spec, t, np.array([x]))
+        res = pde_residual(u_field, spec, t, np.array([x]))
         assert np.max(np.abs(res)) < 1e-5, f"PDE residual {res} at t={t}, x={x}"
         checked += 1
         if checked >= 20:
@@ -1445,6 +1446,23 @@ def test_blowup_m_grid_budget_is_inclusive(tmp_path, capsys, monkeypatch, comman
     assert "config error" in err and "lower grid_num" in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("blowup", {**_DIAG2_IRRATIONAL, "task": {"name": "blowup", "grid_num": 10**12}}),
+    ("coriolis3d", {**_C3D_BLOWUP, "task": {"name": "coriolis3d", "mode": "blowup",
+                                            "grid_num": 10**12}}),
+], ids=["blowup", "coriolis3d"])
+def test_oversized_grid_num_is_refused_before_any_axis(tmp_path, capsys, monkeypatch,
+                                                        command, cfg):
+    """A grid_num whose M-grid would not fit in memory exits 1 with a config
+    error naming grid_num: the size is checked before an axis is built."""
+    path = write_cfg(tmp_path, "huge.yaml", cfg)
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("M-grid axis built"))
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "huge.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hodoflow: config error: ") and "grid_num" in err, err
+    assert "Traceback" not in err, err
+
+
 def _not_a_number(text):
     try:
         float(text)
@@ -1532,7 +1550,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 def test_package_exports_resolve_on_first_use():
-    """hodoflow exports the same 29 names, each bound to the object its
+    """hodoflow exports the same 28 names, each bound to the object its
     submodule defines; dir and a star import see them all, a submodule is an
     attribute, and an unknown name raises AttributeError."""
     import hodoflow
@@ -1546,7 +1564,7 @@ def test_package_exports_resolve_on_first_use():
         hodograph: ["integrals", "residual_M", "solve_field", "solve_u"],
         model: ["ForceSpec", "HodographProblem", "coriolis2d_spec", "coriolis3d_spec",
                 "make_data"],
-        oracle: ["exact_flow", "first_caustic_time", "rk4_flow"],
+        oracle: ["exact_flow", "first_caustic_time"],
         periodicity: ["check_periodic", "make_periodic_2d", "verify_solution_period"],
     }
     assert sorted(hodoflow.__all__) == sorted(name for names in homes.values() for name in names)

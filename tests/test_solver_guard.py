@@ -49,7 +49,7 @@ def test_solve_field_returns_point_time_arrays(data, max_iter):
     ok = status == "OK"
     assert np.isfinite(U[ok]).all() and np.isnan(U[~ok]).all()
     assert not iters[~ok].any()
-    if data.name == "gauss2d_coriolis":
+    if isinstance(data, model.Gauss2DCoriolis):
         assert 0 < ok.sum() < ok.size and iters[ok].any()
 
 
