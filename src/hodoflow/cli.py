@@ -127,6 +127,16 @@ def _pair(value, key):
     return lo, hi
 
 
+def _sized(key, build):
+    """build(), the array a config count sizes, or a ConfigError naming that
+    key when numpy cannot allocate it."""
+    try:
+        return build()
+    except MemoryError:
+        raise ConfigError(f"config key {key!r} asks for an array numpy cannot "
+                          "allocate; lower it") from None
+
+
 # ---------------------------------------------------------------------------
 # config loading
 
@@ -452,7 +462,7 @@ def _parse_times(task):
         start, stop = _coerce(float, start, "start"), _coerce(float, stop, "stop")
         if not np.isfinite([start, stop]).all():
             raise ConfigError(f"times range needs finite start and stop, got {[start, stop]}")
-        return np.linspace(start, stop, num)
+        return _sized("times.num", lambda: np.linspace(start, stop, num))
     if isinstance(times, list):
         _require(len(times) > 0, "'times' list is empty")
         arr = _floats(times, "times")
@@ -475,7 +485,8 @@ def _parse_points(task, n):
         nums = [_coerce(int, k, "num") for k in ([num] * n if np.isscalar(num) else num)]
         _require(len(nums) == n, f"points num must be a scalar or {n} entries")
         _require(min(nums) > 0, f"points range needs every num > 0, got {nums}")
-        return model.mesh_points([np.linspace(lo[i], hi[i], nums[i]) for i in range(n)])
+        return _sized("points.num", lambda: model.mesh_points(
+            [np.linspace(lo[i], hi[i], nums[i]) for i in range(n)]))
     if isinstance(pts, list):
         _require(len(pts) > 0, "'points' list is empty")
         arr = _floats(pts, "points")
@@ -698,7 +709,8 @@ def cmd_period(cfg, out_path, seed=None):
         if report.periodic:
             t_lo, t_hi = t_range or (0.0, report.T)
             box = problem.data.sample_box()
-            R = rng.random((num, 1 + len(box)))  # per sample: t, then x
+            # per sample: t, then x
+            R = _sized("verify.num_points", lambda: rng.random((num, 1 + len(box))))
             samples = list(zip(t_lo + (t_hi - t_lo) * R[:, 0],
                                box[:, 0] + (box[:, 1] - box[:, 0]) * R[:, 1:]))
             check = periodicity.verify_solution_period(problem, report.T, samples, tol=tol)
@@ -738,7 +750,7 @@ def _compare_columns(cfg, problem, task, seed):
                           "has a negative bound")
     rng = np.random.default_rng(seed)
     box = data.sample_box()
-    R = rng.random((num, len(box) + 1))  # per sample: x0, then t
+    R = _sized("num_samples", lambda: rng.random((num, len(box) + 1)))  # per sample: x0, then t
     Y0, T = box[:, 0] + (box[:, 1] - box[:, 0]) * R[:, :-1], t_lo + (t_hi - t_lo) * R[:, -1]
     # x0 and the solve run in the data's frame: the kernel-adapted one for coriolis3d
     frame, basis = _frame(cfg, problem)

@@ -18,6 +18,10 @@ points (k, n), and return (n,) / (n, n) / bool or (k, n) / (k, n, n) / (k,)
 bool; row i of a stacked result equals the one-point call on M[i].  u0 has
 the same contract over positions x: (n,) -> (n,), (k, n) -> (k, n); a stack
 raises DomainError when any of its rows is outside the profile's branch.
+
+The 1D families (tanh1d, gauss1d) write u0, phi and phi' once, as functions
+of one coordinate column (_Profile1D); a 1x1 linear and a 1D constant have
+the same column forms.  Separable evaluates its parts through them alone.
 """
 
 from __future__ import annotations
@@ -155,10 +159,28 @@ class InitialData:
         return grids
 
 
-class Tanh1D(InitialData):
-    """Decreasing kink profile u0(x) = mu * (1 - tanh(kappa x)), values in (0, 2 mu)."""
+class _Profile1D(InitialData):
+    """A 1D family written once as functions of one coordinate column: u0 of
+    x1, phi and phi' of m, each a scalar or a (k,) array.  The public (1,) /
+    (k, 1) forms wrap them, and Separable calls them on its own columns."""
 
     dim = 1
+
+    def u0(self, x):
+        x = np.atleast_1d(x)
+        return _points_first([self._u0_column(x.T[0])], x)
+
+    def phi(self, M):
+        M = np.atleast_1d(M)
+        return _points_first([self._phi_column(M.T[0])], M)
+
+    def phi_jacobian(self, M):
+        M = np.atleast_1d(M)
+        return _points_first([[self._dphi_column(M.T[0])]], M)
+
+
+class Tanh1D(_Profile1D):
+    """Decreasing kink profile u0(x) = mu * (1 - tanh(kappa x)), values in (0, 2 mu)."""
 
     def __init__(self, mu=1.0, kappa=1.0):
         if not (0 < mu < np.inf and 0 < kappa < np.inf):
@@ -166,19 +188,14 @@ class Tanh1D(InitialData):
         self.mu = float(mu)
         self.kappa = float(kappa)
 
-    def u0(self, x):
-        x = np.atleast_1d(x)
-        return _points_first([self.mu * (1.0 - np.tanh(self.kappa * x.T[0]))], x)
+    def _u0_column(self, x1):
+        return self.mu * (1.0 - np.tanh(self.kappa * x1))
 
-    def phi(self, M):
-        M = np.atleast_1d(M)
-        m = M.T[0]
-        return _points_first([np.arctanh(1.0 - m / self.mu) / self.kappa], M)
+    def _phi_column(self, m):
+        return np.arctanh(1.0 - m / self.mu) / self.kappa
 
-    def phi_jacobian(self, M):
-        M = np.atleast_1d(M)
-        m = M.T[0]
-        return _points_first([[-self.mu / (self.kappa * m * (2.0 * self.mu - m))]], M)
+    def _dphi_column(self, m):
+        return -self.mu / (self.kappa * m * (2.0 * self.mu - m))
 
     def domain_box(self):
         return np.array([[0.0, 2.0 * self.mu]])
@@ -187,14 +204,12 @@ class Tanh1D(InitialData):
         return np.array([[-2.0 / self.kappa, 2.0 / self.kappa]])
 
 
-class Gauss1D(InitialData):
+class Gauss1D(_Profile1D):
     """One flank of a Gaussian bump, u0(x) = eta * exp(-kappa^2 x^2) on branch*x >= 0.
 
     branch = +1 takes the decreasing right flank, branch = -1 the increasing left
     flank; the inverse map is phi(M) = branch * sqrt(log(eta/M)) / kappa on (0, eta).
     """
-
-    dim = 1
 
     def __init__(self, eta=1.0, kappa=1.0, branch=+1):
         if not (0 < eta < np.inf and 0 < kappa < np.inf):
@@ -205,27 +220,20 @@ class Gauss1D(InitialData):
         self.kappa = float(kappa)
         self.branch = int(branch)
 
-    def u0(self, x):
-        x = np.atleast_1d(x)
-        x1 = x.T[0]
-        wrong = np.atleast_1d(self.branch * x1 < 0)
+    def _u0_column(self, x1):
+        wrong = self.branch * x1 < 0
         if wrong.any():
             raise DomainError(
-                f"x={np.atleast_1d(x1)[wrong][0]!r} is on the wrong flank for "
+                f"x={np.atleast_1d(x1)[np.atleast_1d(wrong)][0]!r} is on the wrong flank for "
                 f"branch={self.branch:+d}"
             )
-        return _points_first([self.eta * np.exp(-((self.kappa * x1) ** 2))], x)
+        return self.eta * np.exp(-((self.kappa * x1) ** 2))
 
-    def phi(self, M):
-        M = np.atleast_1d(M)
-        m = M.T[0]
-        return _points_first([self.branch * np.sqrt(np.log(self.eta / m)) / self.kappa], M)
+    def _phi_column(self, m):
+        return self.branch * np.sqrt(np.log(self.eta / m)) / self.kappa
 
-    def phi_jacobian(self, M):
-        M = np.atleast_1d(M)
-        m = M.T[0]
-        root = np.sqrt(np.log(self.eta / m))
-        return _points_first([[-self.branch / (2.0 * self.kappa * m * root)]], M)
+    def _dphi_column(self, m):
+        return -self.branch / (2.0 * self.kappa * m * np.sqrt(np.log(self.eta / m)))
 
     def domain_box(self):
         return np.array([[0.0, self.eta]])
@@ -376,6 +384,16 @@ class LinearR(InitialData):
     def phi_jacobian(self, M):
         return np.broadcast_to(self.R, np.atleast_1d(M).shape[:-1] + self.R.shape).copy()
 
+    # the column forms of a 1x1 R, for Separable: u0, phi and phi' of one coordinate
+    def _u0_column(self, x1):
+        return matops.matvec(self.Rinv, x1[..., None])[..., 0]
+
+    def _phi_column(self, m):
+        return matops.matvec(self.R, m[..., None])[..., 0]
+
+    def _dphi_column(self, m):
+        return np.full(np.shape(m), self.R[0, 0])
+
     def domain_box(self):
         return np.array([[-np.inf, np.inf]] * self.dim)
 
@@ -403,11 +421,16 @@ class Constant(InitialData):
     def u0(self, x):
         return np.broadcast_to(self.c, np.atleast_1d(x).shape[:-1] + self.c.shape).copy()
 
+    def _u0_column(self, x1):  # of a 1D constant, for Separable
+        return np.full(np.shape(x1), self.c[0])
+
     def phi(self, M):
         raise NotInvertibleError("constant profile is not invertible; solve in closed form")
 
     def phi_jacobian(self, M):
         raise NotInvertibleError("constant profile is not invertible")
+
+    _phi_column, _dphi_column = phi, phi_jacobian
 
     def domain_box(self):
         raise NotInvertibleError("constant profile has no M-domain")
@@ -422,7 +445,12 @@ class Constant(InitialData):
 class Separable(InitialData):
     """Product profile built from independent 1D components, u0_i(x) = h_i(x_i).
 
-    The inverse map acts componentwise, so d(phi)/dM is diagonal.
+    The inverse map acts componentwise, so d(phi)/dM is diagonal.  u0, phi
+    and phi_jacobian fill one array column by column from the components'
+    column forms (_u0_column, _phi_column, _dphi_column), in the dtype of
+    the input promoted to float, so a complex step passes through.  When
+    every component's domain is its box, in_domain tests the stacked box in
+    one go; otherwise each component tests its own column.
     """
 
     dim = None
@@ -433,30 +461,35 @@ class Separable(InitialData):
             raise ConfigError("separable data needs a list of 1D components")
         self.components = comps
         self.dim = len(comps)
+        boxed = all(type(c)._inside is InitialData._inside for c in comps)
+        self._box = self.domain_box() if boxed else None
+
+    def _columns(self, X, forms):
+        # column i as X.T[i]: a numpy scalar for one point, so it takes scalar arithmetic
+        out = np.empty(X.shape, dtype=np.result_type(X, float))
+        for i, form in enumerate(forms):
+            out.T[i] = form(X.T[i])
+        return out
 
     def u0(self, x):
-        x = np.atleast_1d(x)
-        return np.concatenate(
-            [c.u0(x[..., i : i + 1]) for i, c in enumerate(self.components)], axis=-1
-        )
+        return self._columns(np.atleast_1d(x), [c._u0_column for c in self.components])
 
     def phi(self, M):
-        M = np.atleast_1d(M)
-        return np.concatenate(
-            [c.phi(M[..., i : i + 1]) for i, c in enumerate(self.components)], axis=-1
-        )
+        return self._columns(np.atleast_1d(M), [c._phi_column for c in self.components])
 
     def phi_jacobian(self, M):
         M = np.atleast_1d(M)
         J = np.zeros(M.shape + (self.dim,), dtype=np.result_type(M, float))
         for i, c in enumerate(self.components):
-            J[..., i, i] = c.phi_jacobian(M[..., i : i + 1])[..., 0, 0]
+            J.T[i, i] = c._dphi_column(M.T[i])
         return J
 
     def domain_box(self):
         return np.vstack([c.domain_box() for c in self.components])
 
     def _inside(self, M):
+        if self._box is not None:
+            return ((M > self._box[:, 0]) & (M < self._box[:, 1])).all(axis=-1)
         inside = True
         for i, c in enumerate(self.components):
             inside = inside & c._inside(M[..., i : i + 1])

@@ -115,8 +115,9 @@ def caustic_times(spec, data, x0, t_max):
     Row i is sign-scanned on the nodes min(j * _SCAN_STEP, t_max[i]), then its
     first bracketing interval is bisected to _BISECT_TOL.  phi1 depends on t
     alone, so the rows share their nodes and one matops.time_table(A, 1)
-    evaluator: one table per _SCAN_CHUNK steps (up to the largest live t_max)
-    and one over the end nodes t_max, and the determinants of a chunk are one
+    evaluator: one table per _SCAN_CHUNK steps (up to the largest live t_max),
+    the first of them also over the end nodes t_max (one call, split: a row
+    has the same bits in any stack), and the determinants of a chunk are one
     (nodes x rows) table, _flow_dets (one GEMM and one matops.det per
     _DET_BLOCK matrices), with J_{u0} computed once per row.  A row leaves the scan at
     its first zero or sign change, or past its own t_max.  The bracketing
@@ -136,16 +137,19 @@ def caustic_times(spec, data, x0, t_max):
     live = nsteps > 0
     lo = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        f_end = matops.det(eye + table(t_max)[1] @ Ju0)
         while live.any():
             rows = np.flatnonzero(live)
             hi = min(lo + _SCAN_CHUNK, int(nsteps[rows].max()) + 1)
             idx = np.arange(lo, hi)
             ts = idx * _SCAN_STEP
+            if lo == 1:  # the first chunk and the end nodes t_max: one table, split
+                P = table(np.concatenate([ts, t_max]))[1]
+                P, f_end = P[: len(ts)], matops.det(eye + P[len(ts) :] @ Ju0)
+            else:
+                P = table(ts)[1]
             tm = t_max[rows]
             # node j of row i is min(j * _SCAN_STEP, t_max[i]): a shared row before its end
-            f = np.where(ts[:, None] < tm, _flow_dets(table(ts)[1], Ju0[rows]),
-                         f_end[rows])
+            f = np.where(ts[:, None] < tm, _flow_dets(P, Ju0[rows]), f_end[rows])
             g = np.vstack([f_prev[rows], f])
             nodes = np.vstack([t_prev[rows], np.minimum(ts[:, None], tm)])
             hit = ~np.isfinite(g[1:]) | (g[1:] == 0.0) | (g[:-1] * g[1:] < 0.0)

@@ -1463,6 +1463,34 @@ def test_oversized_grid_num_is_refused_before_any_axis(tmp_path, capsys, monkeyp
     assert "Traceback" not in err, err
 
 
+_TANH_COMPARE = {"problem": {"matrix": [[0.0]], "g": [1.0]},
+                 "data": {"family": "tanh1d", "params": {"mu": 1.0, "kappa": 1.0}}}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("compare", {**_TANH_COMPARE, "task": {"name": "compare", "num_samples": 10**12,
+                                           "t_range": [0.05, 0.5]}}, "num_samples"),
+    ("period", {"problem": {"preset": "coriolis2d", "omega": 1.0},
+                "data": {"family": "gauss2d_coriolis", "params": {"amplitude": 0.05}},
+                "task": {"name": "period", "verify": {"num_points": 10**12}}},
+     "verify.num_points"),
+    ("solve", {**SOLVE_CFG, "task": {**SOLVE_CFG["task"],
+                                     "times": {"start": 0.0, "stop": 0.4, "num": 10**12}}},
+     "times.num"),
+    ("solve", {**SOLVE_CFG, "task": {**SOLVE_CFG["task"],
+                                     "points": {"min": [-1.5], "max": [0.5], "num": 10**12}}},
+     "points.num"),
+], ids=["compare-num_samples", "period-num_points", "solve-times-num", "solve-points-num"])
+def test_oversized_config_count_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    """A count whose array numpy refuses at once (10**12 rows, terabytes)
+    exits 1 with a config error naming the key, not a MemoryError traceback."""
+    path = write_cfg(tmp_path, "huge.yaml", cfg)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "huge.out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hodoflow: config error: ") and repr(key) in err, err
+    assert "Traceback" not in err, err
+
+
 def _not_a_number(text):
     try:
         float(text)

@@ -254,3 +254,80 @@ def test_phi_jacobian_complex_step_matches_central_differences(family):
     real = data.phi_jacobian(M)
     assert real.dtype == np.float64
     assert np.array_equal(real, np.array([data.phi_jacobian(m) for m in M]))
+
+
+#: separable profiles of every 1D column form: both gauss1d flanks and tanh1d
+#: (their domains are boxes, tested in one go), and with a 1x1 linear part,
+#: which keeps its own domain test
+SEPARABLE_PARTS = {
+    "boxed": [("gauss1d", {"eta": 0.9, "kappa": 1.3}), ("tanh1d", {"mu": 1.2, "kappa": 0.7}),
+              ("gauss1d", {"eta": 0.5, "kappa": 2.0, "branch": -1})],
+    "with-linear": [("gauss1d", {"eta": 0.9, "kappa": 1.3}), ("linear", {"R": [[-0.8]]}),
+                    ("tanh1d", {"mu": 1.2, "kappa": 0.7})],
+}
+
+
+def _by_component(data, call, X):
+    """The components' own stacked (k, 1) calls on the columns of X, side by side."""
+    return [getattr(c, call)(X[:, i : i + 1]) for i, c in enumerate(data.components)]
+
+
+@pytest.mark.parametrize("parts", sorted(SEPARABLE_PARTS))
+@pytest.mark.parametrize("shift", [0.0, 1e-30j], ids=["real", "complex-step"])
+def test_separable_equals_its_components_bit_for_bit(parts, shift):
+    """Separable u0, phi, phi_jacobian and in_domain equal the components'
+    stacked (k, 1) and one-point (1,) calls bit for bit, in the dtype of the
+    input: on real stacks and on the complex-step stacks of the blow-up
+    extremum conditions (M + i h e_k, h = 1e-30)."""
+    data = model.make_data("separable", components=SEPARABLE_PARTS[parts])
+    n = data.dim
+    box = data.sample_box()
+    X = np.random.default_rng(9).uniform(box[:, 0], box[:, 1], size=(10, n))
+    U = data.u0(X)
+    assert np.array_equal(U, np.hstack(_by_component(data, "u0", X)))
+    for x, u in zip(X, U):
+        assert np.array_equal(data.u0(x), [c.u0(x[i : i + 1])[0]
+                                           for i, c in enumerate(data.components)])
+        assert np.array_equal(data.u0(x), u)
+    M = (U[:, None] + shift * np.eye(n)).reshape(-1, n)
+    phi, jac = data.phi(M), data.phi_jacobian(M)
+    assert phi.dtype == jac.dtype == M.dtype
+    assert np.array_equal(phi, np.hstack(_by_component(data, "phi", M)))
+    diag = np.hstack([j[:, :, 0] for j in _by_component(data, "phi_jacobian", M)])
+    assert np.array_equal(jac, diag[:, :, None] * np.eye(n))
+    for m, p, j in zip(M, phi, jac):
+        cols = [(c.phi(m[i : i + 1])[0], c.phi_jacobian(m[i : i + 1])[0, 0])
+                  for i, c in enumerate(data.components)]
+        assert np.array_equal(data.phi(m), [v for v, _ in cols])
+        assert np.array_equal(data.phi_jacobian(m), np.diag([d for _, d in cols]))
+    # in_domain on real points of the box widened by 10%, so some columns fall outside
+    lo, hi = np.array([g[[0, -1]] for g in data.m_grids(2, inset=-0.1)]).T
+    W = lo + (hi - lo) * np.random.default_rng(10).random((40, n))
+    inside = data.in_domain(W)
+    assert np.array_equal(inside, np.logical_and.reduce(_by_component(data, "in_domain", W)))
+    assert inside.any() and not inside.all()
+    assert [data.in_domain(w) for w in W] == [
+        all(c.in_domain(w[i : i + 1]) for i, c in enumerate(data.components)) for w in W]
+
+
+def test_separable_keeps_component_errors():
+    """A gauss1d x on the wrong flank raises the component's own DomainError
+    text from a Separable stack and from one point; a 1D constant part keeps
+    its NotInvertibleError and its empty domain."""
+    data = model.make_data("separable", components=SEPARABLE_PARTS["boxed"])
+    box = data.sample_box()
+    X = np.random.default_rng(11).uniform(box[:, 0], box[:, 1], size=(5, 3))
+    X[3, 2] = -X[3, 2]  # the branch -1 flank takes x <= 0
+    for arg, own in ((X, X[:, 2:3]), (X[3], X[3, 2:3])):
+        with pytest.raises(DomainError) as got:
+            data.u0(arg)
+        with pytest.raises(DomainError) as ref:
+            data.components[2].u0(own)
+        assert str(got.value) == str(ref.value)
+    rigid = model.make_data("separable", components=[("tanh1d", {}), ("constant", {"c": [0.4]})])
+    x = np.array([[0.2, -1.0], [0.5, 3.0]])
+    assert np.array_equal(rigid.u0(x)[:, 1], [0.4, 0.4])
+    assert not rigid.in_domain(np.array([0.5, 0.4])) and not rigid.in_domain(x).any()
+    for call in (rigid.phi, rigid.phi_jacobian):
+        with pytest.raises(NotInvertibleError):
+            call(x)

@@ -224,6 +224,31 @@ def test_caustic_times_span_several_chunks():
     assert np.isfinite(got).any() and np.isnan(got).any()
 
 
+def test_one_chunk_caustic_screen_is_one_table_call(monkeypatch):
+    """A screen whose scan fits one _SCAN_CHUNK and brackets no row makes one
+    time_table(A, 1) evaluator call: its first chunk of nodes and the end
+    nodes t_max in one stack, split."""
+    spec, data = _c3d_rotated()
+    box = data.sample_box()
+    x0 = np.random.default_rng(1).uniform(box[:, 0], box[:, 1], size=(24, 3))
+    t_max = np.random.default_rng(2).uniform(0.9, 1.3, size=24)  # before t* ~ 1.389
+    calls, real_table = [], matops.time_table
+
+    def counting(A, k):
+        table = real_table(A, k)
+
+        def counted(ts):
+            calls.append((k, np.shape(ts)))
+            return table(ts)
+        return counted
+
+    monkeypatch.setattr(matops, "time_table", counting)
+    got = oracle.caustic_times(spec, data, x0, t_max)
+    assert np.isnan(got).all()
+    nodes = int(np.ceil(t_max.max() / oracle._SCAN_STEP))
+    assert nodes < oracle._SCAN_CHUNK and calls == [(1, (nodes + 24,))]
+
+
 def test_caustic_times_overflow_order():
     """A = 800 overflows phi1 past t ~ 0.887 on the shared nodes.  Rows with a
     caustic before that return it; a rising row raises only when its own
