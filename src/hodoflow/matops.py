@@ -190,7 +190,8 @@ def _block_row(A, t, k):
     A scalar t gives one (n, (k+1) n) row by _expm's single-matrix path, a 1-D
     float array t a (len(t), n, (k+1) n) stack by one stacked _expm, and so
     does a (N, n, n) stack A with a scalar t.  Entries that overflow come back
-    non-finite, for the caller to judge.
+    non-finite, for the caller to judge, under the caller's np.errstate
+    (time_table's).
     """
     n, m = A.shape[-1], A.shape[-1] * (k + 1)
     tt = t[:, None, None] if getattr(t, "ndim", 0) else t
@@ -200,8 +201,7 @@ def _block_row(A, t, k):
         W[..., :n, :n] = tA
         for r in range(n, m, n):
             W[..., r - n : r, r : r + n] = tI
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _expm(W)[..., :n, :]
+    return _expm(W)[..., :n, :]
 
 
 def time_table(A, k):
@@ -213,7 +213,9 @@ def time_table(A, k):
     times block j of the k-row at (tA, 1) (_block_row), except E and P1 of
     an exactly diagonal A with k >= 1: exp(a t) and expm1(a t)/a, t where
     a = 0, entrywise.  Each row has the bits of a one-row call at its time.
-    Rows that overflow come back non-finite, not raised (time_row raises).
+    Rows that overflow come back non-finite, not raised (time_row raises),
+    and every product on the way, tA and the t^j scalings included, runs
+    under one np.errstate, so an overflow warns nothing.
     The evaluator's entries is the size of the largest matrix one t makes:
     n^2 entrywise, ((k + 1) n)^2 for the row, for a caller's memory budget.
     """
@@ -227,20 +229,20 @@ def time_table(A, k):
     def table(ts):
         ts = np.asarray(ts, dtype=float)
         tt, blocks = ts[..., None, None], []
-        if a is None or k > 1:
-            row = _block_row(tt * A, 1.0, k)
-            blocks, scale = [row[..., :n]], tt
-            for j in range(1, k + 1):
-                blocks.append(scale * row[..., j * n : (j + 1) * n])
-                scale = scale * tt
-        if a is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if a is None or k > 1:
+                row = _block_row(tt * A, 1.0, k)
+                blocks, scale = [row[..., :n]], tt
+                for j in range(1, k + 1):
+                    blocks.append(scale * row[..., j * n : (j + 1) * n])
+                    scale = scale * tt
+            if a is not None:
                 at = a * ts[..., None]
                 d = np.expm1(at) / divisor
                 E, P1 = np.zeros((2,) + at.shape + (n,))
                 E[..., idx, idx] = np.exp(at)
-            P1[..., idx, idx] = np.where(zero, ts[..., None], d) if any_zero else d
-            blocks[:2] = [E, P1]
+                P1[..., idx, idx] = np.where(zero, ts[..., None], d) if any_zero else d
+                blocks[:2] = [E, P1]
         return tuple(blocks)
 
     table.entries = (n if a is not None and k == 1 else (k + 1) * n) ** 2
@@ -287,11 +289,20 @@ class Spectrum:
     diagonalizable: bool
 
 
+def _sort_key(x):
+    """x rounded to 12 decimals, eig's sort key.  np.round scales by 1e12,
+    which overflows past |x| ~ 1.8e296; such an x is an integer already and
+    is its own key."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.round(x, 12)
+    return np.where(np.isfinite(r), r, x)
+
+
 def eig(A):
     """Eigenvalues of A, sorted deterministically, with a diagonalizability verdict."""
     A = _as_square(A)
     w, V = np.linalg.eig(A)
-    order = np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)))
+    order = np.lexsort((_sort_key(w.imag), _sort_key(w.real)))
     w = w[order]
     return Spectrum(eigenvalues=w, diagonalizable=bool(np.linalg.cond(V) < _DIAG_COND_LIMIT))
 

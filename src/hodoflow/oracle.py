@@ -18,6 +18,15 @@ np.linalg.det, a second route to the values the tables produce.  The
 routes that share nothing with the package at all (a fixed-step RK4
 integrator that uses no phi functions, a finite-difference PDE residual) are
 the tests' own, in tests/reference_routes.py.
+
+The caustic screen (caustic_times) first clears every row it can by a norm
+bound, with no matrix function: with mu a Gershgorin bound on the log-norm
+of A (0 for a skew A) and c >= ||Du0(x0)||_2, a row with c t_max phi_1(mu
+t_max) <= 1 - _FREE_DELTA keeps det(I + phi1(A, t) Du0) >= _FREE_DELTA^n on
+[0, t_max] and has no caustic.  _FREE_DELTA (0.01) keeps that floor far
+above the rounding of the determinant table, so the sign scan could not
+have found a root on such a row, and every output is the one the scan of
+all rows gives.  Only the rows the bound does not clear are scanned.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matops
-from .errors import OverflowMatrixError
+from .errors import ConfigError, OverflowMatrixError
 
 #: node spacing of caustic_times' sign scan, and the bracket width its
 #: bisection stops at
@@ -38,6 +47,9 @@ _SCAN_CHUNK = 256
 #: matrices per block of caustic_times' determinant table, one GEMM and one
 #: matops.det each (bounds its memory: about 2.4 MB of 3x3 matrices)
 _DET_BLOCK = 1 << 15
+#: margin of _caustic_free's certificate: a certified row keeps det(I + phi1
+#: Du0) >= _FREE_DELTA^n, far above the determinant table's rounding
+_FREE_DELTA = 0.01
 
 
 @dataclass
@@ -107,34 +119,76 @@ def first_caustic_time(spec, data, x0, t_max=50.0):
     return None if np.isnan(t) else float(t)
 
 
+def _caustic_free(A, Ju0, t_max):
+    """The rows of caustic_times whose flow Jacobian determinant stays at
+    least _FREE_DELTA^n on [0, t_max[i]], by a norm bound; a (k,) bool mask.
+
+    mu, the largest Gershgorin bound on the eigenvalues of (A + A^T)/2,
+    bounds the logarithmic 2-norm of A (mu = 0 for a skew A), so ||e^{sA}||_2
+    <= e^{mu s} and ||phi1(A, t)||_2 <= t phi_1(mu t), which increases with
+    t.  With c = sqrt(||Du0||_1) sqrt(||Du0||_inf) >= ||Du0||_2, a row with
+    c t_max phi_1(mu t_max) <= 1 - _FREE_DELTA has ||phi1 Du0||_2 <= 1 -
+    _FREE_DELTA up to t_max: every eigenvalue of I + phi1 Du0 lies within 1 -
+    _FREE_DELTA of 1, so det >= _FREE_DELTA^n > 0.  A bound that is not
+    finite certifies nothing.
+    """
+    J = np.abs(Ju0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        S = 0.5 * (A + A.T)
+        d = np.diagonal(S)
+        mu = np.max(d + np.abs(S).sum(axis=1) - np.abs(d))
+        c = np.sqrt(J.sum(axis=-2).max(axis=-1)) * np.sqrt(J.sum(axis=-1).max(axis=-1))
+        z = mu * t_max
+        phi = np.where(z == 0.0, 1.0, np.expm1(z) / z)  # phi_1(z) = (e^z - 1) / z
+        return c * (t_max * phi) <= 1.0 - _FREE_DELTA
+
+
 def caustic_times(spec, data, x0, t_max):
     """First positive zero of flow_jacobian_det for every row of the (k, n)
     stack x0, each scanned up to its own t_max[i]; a (k,) array, NaN where a
     row has none.
 
+    A row _caustic_free certifies, by a norm bound (c t_max phi_1(mu t_max)
+    <= 1 - _FREE_DELTA), has none, and leaves before any table is built: a
+    screen whose rows all certify makes no time_table call.  The bound is
+    only sufficient, so every other row is scanned.  On a certified row the
+    determinant stays at least _FREE_DELTA^n, far above the rounding of the
+    determinant table, so the scan could not have reported a root there and
+    every result is the one the scan of all rows gives.
+
     Row i is sign-scanned on the nodes min(j * _SCAN_STEP, t_max[i]), then its
     first bracketing interval is bisected to _BISECT_TOL.  phi1 depends on t
     alone, so the rows share their nodes and one matops.time_table(A, 1)
     evaluator: one table per _SCAN_CHUNK steps (up to the largest live t_max),
-    the first of them also over the end nodes t_max (one call, split: a row
-    has the same bits in any stack), and the determinants of a chunk are one
-    (nodes x rows) table, _flow_dets (one GEMM and one matops.det per
-    _DET_BLOCK matrices), with J_{u0} computed once per row.  A row leaves the scan at
-    its first zero or sign change, or past its own t_max.  The bracketing
+    the first of them also over the scanned rows' end nodes t_max (one call,
+    split: a row has the same bits in any stack), and the determinants of a
+    chunk are one (nodes x rows) table, _flow_dets (one GEMM and one
+    matops.det per _DET_BLOCK matrices), with J_{u0} computed once per row.
+    A row leaves the scan at its first zero or sign change, or past its own
+    t_max.  The bracketing
     rows are bisected together, one table over their midpoints per step.  A
     row whose first such node is not finite (phi1 overflowed), within its
-    own t_max, raises OverflowMatrixError.
+    own t_max, raises OverflowMatrixError.  A row to scan whose t_max is not
+    finite, or needs 2**63 steps or more, raises ConfigError.
     """
-    table, Ju0 = matops.time_table(spec.A, 1), _u0_jacobian(data, x0)
-    eye = np.eye(Ju0.shape[-1])
+    Ju0 = _u0_jacobian(data, x0)
     k = len(Ju0)
     t_max = np.asarray(t_max, dtype=float)
-    nsteps = np.maximum(np.ceil(t_max / _SCAN_STEP), 0.0).astype(int)
+    steps = np.ceil(t_max / _SCAN_STEP)
+    live = ~(steps <= 0.0) & ~_caustic_free(spec.A, Ju0, t_max)
     out = np.full(k, np.nan)
+    if not live.any():
+        return out
+    far = ~(steps[live] < 2.0**63)
+    if far.any():
+        raise ConfigError(f"the caustic screen cannot scan to t = {float(t_max[live][far][0])!r}: "
+                          f"it takes 2**63 or more steps of {_SCAN_STEP!r}; lower t_range")
+    nsteps = np.where(live, steps, 0.0).astype(int)
+    table, eye = matops.time_table(spec.A, 1), np.eye(Ju0.shape[-1])
     f_prev, t_prev = np.ones(k), np.zeros(k)  # the t = 0 node: det(I)
     a, b, fa = np.zeros(k), np.zeros(k), np.zeros(k)  # bracket [a, b], det at a
+    f_end = np.zeros(k)
     bracket = np.zeros(k, dtype=bool)
-    live = nsteps > 0
     lo = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while live.any():
@@ -142,9 +196,9 @@ def caustic_times(spec, data, x0, t_max):
             hi = min(lo + _SCAN_CHUNK, int(nsteps[rows].max()) + 1)
             idx = np.arange(lo, hi)
             ts = idx * _SCAN_STEP
-            if lo == 1:  # the first chunk and the end nodes t_max: one table, split
-                P = table(np.concatenate([ts, t_max]))[1]
-                P, f_end = P[: len(ts)], matops.det(eye + P[len(ts) :] @ Ju0)
+            if lo == 1:  # the first chunk and the live end nodes t_max: one table, split
+                P = table(np.concatenate([ts, t_max[rows]]))[1]
+                P, f_end[rows] = P[: len(ts)], matops.det(eye + P[len(ts) :] @ Ju0[rows])
             else:
                 P = table(ts)[1]
             tm = t_max[rows]

@@ -1855,6 +1855,23 @@ def test_compare_phi_table_call_budget(tmp_path, monkeypatch):
         "1ab4a6b3c026a0aacbb4dd5c18eca47b3c54a50d7c0fb3f471f7aa2474b4587b")
 
 
+def test_compare_3d_caustic_screen_builds_no_phi1_table(tmp_path, monkeypatch):
+    """Every seed-1 coriolis3d compare sample (t in [0.9, 1.3], before the
+    data's t* ~ 1.389) is certified caustic-free by the screen's norm bound,
+    so no time_table(A, 1) evaluator is built; the two k = 2 tables remain."""
+    real_table, built = matops.time_table, []
+
+    def recording(A, k):
+        built.append(k)
+        return real_table(A, k)
+
+    monkeypatch.setattr(matops, "time_table", recording)
+    cfg = _STACKED_COMPARE_CASES["coriolis3d-seed1"]
+    assert cli.main(["compare", "--config", write_cfg(tmp_path, "compare.yaml", cfg),
+                     "--out", str(tmp_path / "compare.csv")]) == 0
+    assert built == [2, 2], built
+
+
 def test_compare_3d_newton_matrices_need_no_exact_cond(tmp_path, monkeypatch):
     """Every 3x3 Newton matrix of the seed-1 coriolis3d compare is cleared by
     matops._cond_bound: the exact condition number is never computed."""

@@ -1,6 +1,7 @@
 """Matrix-exponential and phi-function identities, spectra, rank/solve guards."""
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from itertools import permutations
 
@@ -96,6 +97,26 @@ def test_eig_rotation_block():
     assert spec.diagonalizable
     assert np.allclose(sorted(spec.eigenvalues.imag), [-2.0, 2.0], atol=1e-12)
     assert np.allclose(spec.eigenvalues.real, 0.0, atol=1e-12)
+
+
+def test_eig_orders_a_huge_spectrum_without_warning():
+    """Rounding the sort key to 12 decimals scales by 1e12, which overflows
+    past |lambda| ~ 1.8e296; such a key is taken as it is, with no warning,
+    and every ordinary spectrum keeps the order of the rounded key."""
+    w = 1.0e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = matops.eig(w * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        big = matops.eig(np.diag([3.0e300, -2.0e300, 1.0]))
+    np.testing.assert_allclose(spec.eigenvalues.imag, [-w, w], rtol=1e-14)
+    assert big.eigenvalues.tolist() == [-2.0e300, 1.0, 3.0e300]
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4):
+        for A in (rng.normal(size=(n, n)), np.round(rng.normal(size=(n, n)), 1),
+                  np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])):
+            w_all = np.linalg.eig(A)[0]
+            order = np.lexsort((np.round(w_all.imag, 12), np.round(w_all.real, 12)))
+            assert np.array_equal(matops.eig(A).eigenvalues, w_all[order])
 
 
 def test_eig_defective_flagged():
@@ -400,6 +421,18 @@ def test_phi_table_overflow_raises():
     """time_row raises where a row is not finite, naming its time."""
     with pytest.raises(OverflowMatrixError, match="t=2.0"):
         matops.time_row(np.array([[800.0]]), np.array([0.1, 2.0]), 2)
+
+
+def test_phi_table_overflow_of_t_times_a_raises_without_warning():
+    """tA and the t^j scalings overflow under time_table's np.errstate, as the
+    block row does: with warnings as errors the overflow is still the
+    OverflowMatrixError time_row raises, not a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowMatrixError, match="t=10.0"):
+            matops.time_row(np.diag([1e308, 2.0]), 10.0, 2)
+        with pytest.raises(OverflowMatrixError, match="t=1e[+]200"):
+            matops.time_row(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1.0e200, 2)
 
 
 # ---------------------------------------------------------------------------

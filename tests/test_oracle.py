@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hodoflow import degenerate, matops, model, oracle
-from hodoflow.errors import OverflowMatrixError
+from hodoflow.errors import ConfigError, OverflowMatrixError
 from reference_routes import pde_residual, rk4_flow
 
 
@@ -224,17 +224,13 @@ def test_caustic_times_span_several_chunks():
     assert np.isfinite(got).any() and np.isnan(got).any()
 
 
-def test_one_chunk_caustic_screen_is_one_table_call(monkeypatch):
-    """A screen whose scan fits one _SCAN_CHUNK and brackets no row makes one
-    time_table(A, 1) evaluator call: its first chunk of nodes and the end
-    nodes t_max in one stack, split."""
-    spec, data = _c3d_rotated()
-    box = data.sample_box()
-    x0 = np.random.default_rng(1).uniform(box[:, 0], box[:, 1], size=(24, 3))
-    t_max = np.random.default_rng(2).uniform(0.9, 1.3, size=24)  # before t* ~ 1.389
+def _counting_tables(monkeypatch):
+    """Patch matops.time_table to record ("build", k) for every evaluator it
+    builds and (k, shape of ts) for every evaluator call; the record."""
     calls, real_table = [], matops.time_table
 
     def counting(A, k):
+        calls.append(("build", k))
         table = real_table(A, k)
 
         def counted(ts):
@@ -243,10 +239,133 @@ def test_one_chunk_caustic_screen_is_one_table_call(monkeypatch):
         return counted
 
     monkeypatch.setattr(matops, "time_table", counting)
+    return calls
+
+
+def test_one_chunk_caustic_screen_is_one_table_call(monkeypatch):
+    """A screen whose scan fits one _SCAN_CHUNK and brackets no row makes one
+    time_table(A, 1) evaluator call: its first chunk of nodes and the end
+    nodes t_max in one stack, split.  The rising flanks of the data (every
+    Du0 entry positive, up to ~2.6) keep det(I + phi1 Du0) > 0 under the
+    rotated force up to t = 1.3, but the norm bound clears none of the rows,
+    so all of them are scanned."""
+    spec, _ = _c3d_rotated()
+    data = model.make_data("separable", components=[
+        ("gauss1d", {"eta": 2.0, "kappa": 1.5, "branch": -1})] * 3)
+    box = data.sample_box()
+    x0 = np.random.default_rng(1).uniform(box[:, 0], box[:, 1], size=(24, 3))
+    t_max = np.random.default_rng(2).uniform(0.9, 1.3, size=24)
+    assert not oracle._caustic_free(spec.A, oracle._u0_jacobian(data, x0), t_max).any()
+    calls = _counting_tables(monkeypatch)
     got = oracle.caustic_times(spec, data, x0, t_max)
     assert np.isnan(got).all()
     nodes = int(np.ceil(t_max.max() / oracle._SCAN_STEP))
-    assert nodes < oracle._SCAN_CHUNK and calls == [(1, (nodes + 24,))]
+    assert nodes < oracle._SCAN_CHUNK and calls == [("build", 1), (1, (nodes + 24,))]
+
+
+def test_certified_caustic_screen_makes_no_table_call(monkeypatch):
+    """The compare-3d screen: 24 rotated-frame samples at t_max in [0.9, 1.3],
+    before the data's t* ~ 1.389.  With the skew rotated force (log-norm bound
+    0) and ||Du0||_2 <= 1/1.389, every row is certified caustic-free by the
+    norm bound, so no time_table evaluator is built or called."""
+    spec, data = _c3d_rotated()
+    box = data.sample_box()
+    x0 = np.random.default_rng(1).uniform(box[:, 0], box[:, 1], size=(24, 3))
+    t_max = np.random.default_rng(2).uniform(0.9, 1.3, size=24)
+    calls = _counting_tables(monkeypatch)
+    got = oracle.caustic_times(spec, data, x0, t_max)
+    assert np.isnan(got).all() and calls == []
+
+
+def _random_forces(rng, n):
+    """Seeded n x n forces by kind: skew, symmetric, non-normal (a large
+    entry above a stable diagonal) and with a positive log-norm."""
+    B = rng.normal(size=(n, n))
+    return {"skew": 1.5 * (B - B.T), "symmetric": 0.5 * (B + B.T),
+            "non-normal": 3.0 * np.triu(B, 1) - 0.5 * np.eye(n),
+            "positive": 0.5 * B + 0.8 * np.eye(n)}
+
+
+_SOUNDNESS_DATA = [
+    ("tanh1d", {"mu": 1.0, "kappa": 1.0}),
+    ("tanh2d", {"eps": 0.5}),
+    ("gauss2d_coriolis", {"amplitude": 1.0}),
+    ("separable", {"components": [("tanh1d", {"mu": 0.4, "kappa": 0.9}),
+                                  ("gauss1d", {"eta": 0.6, "kappa": 1.1})]}),
+    ("separable", {"components": [("tanh1d", {"mu": 0.8, "kappa": 0.9}),
+                                  ("gauss1d", {"eta": 0.6, "kappa": 1.1}),
+                                  ("gauss1d", {"eta": 0.7, "kappa": 0.8, "branch": -1})]}),
+]
+
+
+@pytest.mark.parametrize("family, params", _SOUNDNESS_DATA,
+                         ids=["tanh1d", "tanh2d", "gauss2d_coriolis", "separable2d",
+                              "separable3d"])
+def test_caustic_free_rows_are_sound(monkeypatch, family, params):
+    """Every row the norm bound certifies has a positive LAPACK
+    det(I + phi1 Du0) on 400 nodes up to its t_max, and caustic_times gives
+    NaN for it; the screen's output is bit for bit the one of a scan of
+    every row.  Seeded random forces of four kinds, random x0 and t_max:
+    some rows certify and some do not."""
+    rng = np.random.default_rng(43)
+    data = model.make_data(family, **params)
+    n, box = data.dim, data.sample_box()
+    certified = scanned = 0
+    for kind, A in _random_forces(rng, n).items():
+        spec = model.ForceSpec(A, np.zeros(n))
+        x0 = rng.uniform(box[:, 0], box[:, 1], size=(30, n))
+        t_max = rng.uniform(0.0, 3.0, size=30)
+        Ju0 = oracle._u0_jacobian(data, x0)
+        free = oracle._caustic_free(A, Ju0, t_max)
+        got = oracle.caustic_times(spec, data, x0, t_max)
+        table = matops.time_table(A, 1)
+        for i in np.flatnonzero(free):
+            P = table(np.linspace(0.0, t_max[i], 401)[1:])[1]
+            assert (np.linalg.det(np.eye(n) + P @ Ju0[i]) > 0.0).all(), (kind, i)
+        assert np.isnan(got[free]).all(), kind
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_caustic_free", lambda A, Ju0, t_max: np.zeros(len(Ju0), bool))
+            assert np.array_equal(oracle.caustic_times(spec, data, x0, t_max), got,
+                                  equal_nan=True), kind
+        certified, scanned = certified + free.sum(), scanned + (~free).sum()
+    assert certified and scanned, (certified, scanned)
+
+
+def test_caustic_free_is_tight_for_free_tanh():
+    """Falling tanh1d under A = 0: det = 1 + t u0'(x0), so the bound is the
+    exact horizon.  A row certifies exactly when t_max |u0'(x0)| <= 1 -
+    _FREE_DELTA, and its caustic at -1/u0'(x0) lies within a factor
+    1/(1 - _FREE_DELTA) of that horizon."""
+    data = model.make_data("tanh1d", mu=1.0, kappa=1.0)
+    spec = model.ForceSpec(np.zeros((1, 1)), np.zeros(1))
+    x0 = np.linspace(-2.0, 2.0, 41)[:, None]
+    slope = -1.0 / np.cosh(x0[:, 0]) ** 2  # u0' = -mu kappa sech^2(kappa x)
+    horizon = (1.0 - oracle._FREE_DELTA) / np.abs(slope)
+    Ju0 = oracle._u0_jacobian(data, x0)
+    assert oracle._caustic_free(spec.A, Ju0, horizon * (1.0 - 1e-9)).all()
+    assert not oracle._caustic_free(spec.A, Ju0, horizon * (1.0 + 1e-9)).any()
+    caustic = oracle.caustic_times(spec, data, x0, 1.5 * horizon)
+    np.testing.assert_allclose(caustic, -1.0 / slope, rtol=1e-9)
+    assert (horizon < caustic).all()
+    assert (caustic <= horizon / (1.0 - oracle._FREE_DELTA) * (1.0 + 1e-9)).all()
+
+
+@pytest.mark.parametrize("t", [1.0e20, np.inf, np.nan])
+def test_caustic_screen_past_its_step_count_is_refused(t):
+    """A row to scan whose t_max is not finite or takes 2**63 or more scan
+    steps raises ConfigError instead of leaving the screen silently; a
+    certified row that far (u0' ~ 6e-24, on the flat tail of a Gaussian
+    under A = 0) needs no scan."""
+    spec = model.coriolis2d_spec(1.0)
+    data = model.make_data("tanh2d", eps=0.5)
+    x0 = np.array([[0.1, -0.2], [0.3, 0.4]])
+    with pytest.raises(ConfigError, match="t_range"):
+        oracle.caustic_times(spec, data, x0, np.array([1.0, t]))
+    with pytest.raises(ConfigError, match="t_range"):
+        oracle.first_caustic_time(spec, data, x0[0], t_max=t)
+    flat = model.make_data("gauss1d", eta=1.0, kappa=1.0)
+    free = model.ForceSpec(np.zeros((1, 1)), np.zeros(1))
+    assert oracle.first_caustic_time(free, flat, np.array([7.5]), t_max=1.0e20) is None
 
 
 def test_caustic_times_overflow_order():
